@@ -12,9 +12,14 @@ together with the noise decomposition needed for path-wise recursion checks:
 
 All runners are implemented on top of batched engines that advance many
 replications in lock step.  Each replication owns its generator (derived from
-its seed), and random numbers are drawn in fixed-size chunks per replication,
-so a batch of one is bit-identical to a batch member of any size and results
-do not depend on how replications are grouped.
+its seed) and the steps use no matrix products, whose summation order
+depends on the batch shape, so a batch of one is bit-identical to a batch
+member of any size.  Normals (SGD), signs (PCA) and uniforms (root finding)
+come out the same however a stream is cut into chunks, so those engines draw
+chunks of DRAW_BUDGET values per batch (and at least MIN_ROWS steps):
+streamed through on_chunk without record_channels, memory is O(N*chunk),
+independent of the horizon.
+Ridge draws signs, then uniforms, per chunk, so its RIDGE_ROWS is fixed.
 """
 from __future__ import annotations
 
@@ -27,7 +32,7 @@ import numpy as np
 from .boundaries import StepSchedule
 from .recursion import CheckReport, RecursionParams, Trace, Violation
 from .seeding import SeedLike, rep_generators
-from .streams import SQRT3, LinearModelStream, rademacher_matrix, sphere_noise
+from .streams import SQRT3, LinearModelStream, rademacher_batch, sphere_noise_batch
 
 __all__ = [
     "SgdProblem",
@@ -46,15 +51,38 @@ __all__ = [
     "check_pca_recursion",
 ]
 
-_CHUNK = 2048
+DRAW_BUDGET = 2**17  # values drawn per chunk across a batch (1 MB)
+MIN_ROWS = 128  # steps per chunk at least, to amortise one draw call per generator
+RIDGE_ROWS = 2048  # steps per ridge chunk; part of the ridge output
 
 
-def _chunks(total: int):
-    start = 0
-    while start < total:
-        size = min(_CHUNK, total - start)
-        yield start, size
-        start += size
+def _rows(n: int, width: int) -> int:
+    """Steps per chunk for n replications drawing width values per step."""
+    return max(MIN_ROWS, DRAW_BUDGET // (n * width))
+
+
+def _chunks(l0, horizon: int, rows: int, on_chunk):
+    """Yield (start, size, out) per chunk of at most rows steps.
+
+    The engine fills out, an (N, size) buffer, with the losses at times
+    start+1..start+size; it then goes to on_chunk(start + 1, out).  The
+    losses l0 at time 0 go first, as on_chunk(0, l0[:, None]).
+    """
+    on_chunk(0, l0[:, None])
+    buf = np.empty((len(l0), min(rows, horizon)))
+    for start in range(0, horizon, rows):
+        size = min(rows, horizon - start)
+        yield start, size, buf[:, :size]
+        on_chunk(start + 1, buf[:, :size])
+
+
+def _store(loss: np.ndarray):
+    """on_chunk that copies each chunk into the (N, T+1) loss matrix."""
+
+    def on_chunk(t0: int, chunk: np.ndarray) -> None:
+        loss[:, t0 : t0 + chunk.shape[1]] = chunk
+
+    return on_chunk
 
 
 # ---------------------------------------------------------------------------
@@ -111,16 +139,6 @@ class SgdProblem:
     def b(self) -> float:
         reach = self.radius + float(np.linalg.norm(self.x_star))
         return self.mu * reach + self.b_noise
-
-    def grad_mean(self, x) -> np.ndarray:
-        return np.asarray(self.curvature) * (np.asarray(x, dtype=float) - np.asarray(self.x_star))
-
-    def grad_oracle(self, x, rng: np.random.Generator) -> np.ndarray:
-        return self.grad_mean(x) + sphere_noise(rng, (self.dim,), self.b_noise)
-
-    def f_gap(self, x) -> float:
-        d = np.asarray(x, dtype=float) - np.asarray(self.x_star)
-        return float(0.5 * np.sum(np.asarray(self.curvature) * d * d))
 
     def projector(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
@@ -193,12 +211,6 @@ class PcaProblem:
             return e1
         return np.asarray(self.rotation) @ e1
 
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        x = rademacher_matrix(rng, (n, self.dim)) * np.sqrt(self.eigs)
-        if self.rotation is not None:
-            x = x @ np.asarray(self.rotation).T
-        return x
-
 
 @dataclass(frozen=True)
 class RmProblem:
@@ -268,12 +280,15 @@ def sgd_batch(
     x0,
     seeds: Sequence[SeedLike],
     record_channels: bool = True,
+    on_chunk=None,
 ) -> dict:
     """Advance len(seeds) projected-SGD replications in lock step.
 
     Returns per-replication arrays: loss_sc/loss_pl of shape (N, T+1) and,
     when record_channels is set, the noise decompositions and martingale
-    parts of shape (N, T).
+    parts of shape (N, T); without it loss_pl is None.  With on_chunk,
+    loss_sc is None and on_chunk(t0, losses) receives instead each chunk's
+    losses at times t0, t0+1, ... in an (N, k) buffer reused afterwards.
     """
     n = len(seeds)
     d = problem.dim
@@ -290,10 +305,10 @@ def sgd_batch(
     x = np.tile(x0, (n, 1))
     diff = x - xs
 
-    loss_sc = np.empty((n, horizon + 1))
-    loss_pl = np.empty((n, horizon + 1))
-    loss_sc[:, 0] = np.sum(diff * diff, axis=1)
-    loss_pl[:, 0] = 0.5 * np.sum(a * diff * diff, axis=1)
+    loss_sc = None if on_chunk else np.empty((n, horizon + 1))
+    loss_pl = _alloc((n, horizon + 1), record_channels)
+    if record_channels:
+        loss_pl[:, 0] = 0.5 * np.sum(a * diff * diff, axis=1)
     noise_sc = _alloc((n, horizon), record_channels)
     noise_pl = _alloc((n, horizon), record_channels)
     y_sc = _alloc((n, horizon), record_channels)
@@ -301,22 +316,24 @@ def sgd_batch(
     gnorm2 = _alloc((n, horizon), record_channels)
     proj_hits = 0
 
-    for start, size in _chunks(horizon):
-        if problem.b_noise > 0.0:
-            eps = np.empty((size, n, d))
-            for j, g in enumerate(gens):
-                eps[:, j, :] = sphere_noise(g, (size, d), problem.b_noise)
-        else:
-            eps = np.zeros((size, n, d))
+    l0 = np.sum(diff * diff, axis=1)
+    for start, size, out in _chunks(l0, horizon, _rows(n, d), on_chunk or _store(loss_sc)):
+        eps = sphere_noise_batch(gens, size, d, problem.b_noise)
         for k in range(size):
             t = start + k
             eta = etas[t]
             e = eps[k]
             gradf = a * diff
             gvec = gradf + e
-            gn2 = np.sum(gvec * gvec, axis=1)
-            y1 = -np.sum(e * diff, axis=1)
-            y2 = -np.sum(gradf * e, axis=1)
+            if record_channels:
+                gn2 = np.sum(gvec * gvec, axis=1)
+                y1 = -np.sum(e * diff, axis=1)
+                y2 = -np.sum(gradf * e, axis=1)
+                y_sc[:, t] = y1
+                y_pl[:, t] = y2
+                gnorm2[:, t] = gn2
+                noise_sc[:, t] = 2.0 * eta * y1 + eta * eta * gn2
+                noise_pl[:, t] = eta * y2 + 0.5 * mu * eta * eta * gn2
             w = x - eta * gvec
             r2 = np.sum(w * w, axis=1)
             outside = r2 > radius * radius
@@ -325,14 +342,9 @@ def sgd_batch(
                 w[outside] *= (radius / np.sqrt(r2[outside]))[:, None]
             x = w
             diff = x - xs
-            loss_sc[:, t + 1] = np.sum(diff * diff, axis=1)
-            loss_pl[:, t + 1] = 0.5 * np.sum(a * diff * diff, axis=1)
+            out[:, k] = np.sum(diff * diff, axis=1)
             if record_channels:
-                y_sc[:, t] = y1
-                y_pl[:, t] = y2
-                gnorm2[:, t] = gn2
-                noise_sc[:, t] = 2.0 * eta * y1 + eta * eta * gn2
-                noise_pl[:, t] = eta * y2 + 0.5 * mu * eta * eta * gn2
+                loss_pl[:, t + 1] = 0.5 * np.sum(a * diff * diff, axis=1)
     return {
         "loss_sc": loss_sc,
         "loss_pl": loss_pl,
@@ -354,6 +366,7 @@ def pca_batch(
     variant: str,
     normalize_each_step: bool,
     record_channels: bool = True,
+    on_chunk=None,
 ) -> dict:
     """Advance streaming-PCA replications in lock step.
 
@@ -361,6 +374,7 @@ def pca_batch(
     variant "oja" applies the multiplicative update v <- v + eta*y*X.  The
     recorded noise channel q is the centered martingale part of the sin^2
     recursion (computable exactly because the covariance is known).
+    on_chunk streams "loss" as in sgd_batch.
     """
     if variant not in ("krasulina", "oja"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -368,44 +382,46 @@ def pca_batch(
     p = problem.dim
     horizon = len(etas)
     gens = rep_generators(seeds)
-    u = problem.v_star
-    cov = problem.cov
-    sq = np.sqrt(problem.eigs)
+    eigs = np.asarray(problem.eigs)
+    sq = np.sqrt(eigs)
     rot = None if problem.rotation is None else np.asarray(problem.rotation)
 
     v0 = np.asarray(v0, dtype=float)
     v = np.tile(v0, (n, 1)) if v0.ndim == 1 else v0.copy()
     if v.shape != (n, p):
         raise ValueError("v0 must be a vector or an (n_reps, dim) array")
+    if rot is not None:
+        # The updates commute with rotations: on data R*z the iterate is R*w,
+        # where w runs on z.  Run w, whose target is e1 and covariance
+        # diag(eigs), so that no step needs a matrix product.
+        v = np.sum(v[:, None, :] * rot.T, axis=-1)
     vn2 = np.sum(v * v, axis=1)
     if np.any(vn2 <= 0):
         raise ValueError("v0 must be nonzero")
 
-    losses = np.empty((n, horizon + 1))
-    losses[:, 0] = np.maximum(0.0, 1.0 - (v @ u) ** 2 / vn2)
+    losses = None if on_chunk else np.empty((n, horizon + 1))
     q_chan = _alloc((n, horizon), record_channels)
     zv_chan = _alloc((n, horizon), record_channels)
     znorm2_chan = _alloc((n, horizon), record_channels)
     ratio_chan = _alloc((n, horizon), record_channels)
+    ones = np.ones(n)
 
-    for start, size in _chunks(horizon):
-        xs = np.empty((size, n, p))
-        for j, g in enumerate(gens):
-            xs[:, j, :] = rademacher_matrix(g, (size, p)) * sq
-        if rot is not None:
-            xs = xs @ rot.T
+    l0 = np.maximum(0.0, 1.0 - v[:, 0] ** 2 / vn2)
+    for start, size, out in _chunks(l0, horizon, _rows(n, p), on_chunk or _store(losses)):
+        xs = rademacher_batch(gens, size, p)
+        xs *= sq
         for k in range(size):
             t = start + k
             eta = etas[t]
             xk = xs[k]
             y = np.sum(xk * v, axis=1)
-            z = y[:, None] * xk - (y * y / vn2)[:, None] * v
-            v1 = v @ u
-            z1 = z @ u
-            sv = v @ cov
-            m_t = 2.0 * eta * v1 * (sv @ u - v1 * np.sum(sv * v, axis=1) / vn2) / vn2
+            if variant == "krasulina" or record_channels:
+                z = y[:, None] * xk - (y * y / vn2)[:, None] * v
             if record_channels:
-                q_chan[:, t] = m_t - 2.0 * eta * v1 * z1 / vn2
+                v1 = v[:, 0]
+                sv = v * eigs
+                m_t = 2.0 * eta * v1 * (sv[:, 0] - v1 * np.sum(sv * v, axis=1) / vn2) / vn2
+                q_chan[:, t] = m_t - 2.0 * eta * v1 * z[:, 0] / vn2
                 zv_chan[:, t] = np.sum(z * v, axis=1)
                 znorm2_chan[:, t] = np.sum(z * z, axis=1)
             if variant == "krasulina":
@@ -417,10 +433,12 @@ def pca_batch(
                 ratio_chan[:, t] = vn2_new / vn2
             if normalize_each_step:
                 v = v / np.sqrt(vn2_new)[:, None]
-                vn2 = np.ones(n)
+                vn2 = ones
             else:
                 vn2 = vn2_new
-            losses[:, t + 1] = np.maximum(0.0, 1.0 - (v @ u) ** 2 / vn2)
+            out[:, k] = np.maximum(0.0, 1.0 - v[:, 0] ** 2 / vn2)
+    if rot is not None:
+        v = np.sum(v[:, None, :] * rot, axis=-1)
     return {
         "loss": losses,
         "q": q_chan,
@@ -444,11 +462,11 @@ def rm_batch(
     gens = rep_generators(seeds)
     x = np.full(n, float(x0))
     losses = np.empty((n, horizon + 1))
-    losses[:, 0] = (x - problem.theta) ** 2
     q_chan = _alloc((n, horizon), record_channels)
     noise = _alloc((n, horizon), record_channels)
 
-    for start, size in _chunks(horizon):
+    l0 = (x - problem.theta) ** 2
+    for start, size, out in _chunks(l0, horizon, _rows(n, 1), _store(losses)):
         xi = np.empty((size, n))
         for j, g in enumerate(gens):
             xi[:, j] = g.uniform(-SQRT3, SQRT3, size=size)
@@ -459,12 +477,11 @@ def rm_batch(
             y_val = problem.m_func(x) + xi[k]
             if record_channels:
                 q_chan[:, t] = -2.0 * eta * dev * xi[k]
-                l_prev = losses[:, t]
                 noise[:, t] = q_chan[:, t] + 2.0 * eta * eta * (
-                    problem.poly_sq(l_prev) + problem.r1**2
+                    problem.poly_sq(dev**2) + problem.r1**2
                 )
             x = x - eta * y_val
-            losses[:, t + 1] = (x - problem.theta) ** 2
+            out[:, k] = (x - problem.theta) ** 2
     return {"loss": losses, "q": q_chan, "noise": noise, "final_x": x}
 
 
@@ -476,8 +493,9 @@ def ridge_batch(
     theta0,
     seeds: Sequence[SeedLike],
     penalty_in_gradient: bool = True,
+    on_chunk=None,
 ) -> dict:
-    """Advance sequential ridge-SGD replications in lock step."""
+    """Advance ridge-SGD replications in lock step; on_chunk as in sgd_batch."""
     n = len(seeds)
     d = stream.dim
     horizon = len(etas)
@@ -489,10 +507,10 @@ def ridge_batch(
     if np.linalg.norm(theta0) > radius + 1e-12:
         raise ValueError("theta0 must lie in the domain ball")
     theta = np.tile(theta0, (n, 1))
-    losses = np.empty((n, horizon + 1))
-    losses[:, 0] = np.sum((theta - theta_star) ** 2, axis=1)
+    losses = None if on_chunk else np.empty((n, horizon + 1))
 
-    for start, size in _chunks(horizon):
+    l0 = np.sum((theta - theta_star) ** 2, axis=1)
+    for start, size, out in _chunks(l0, horizon, RIDGE_ROWS, on_chunk or _store(losses)):
         xc = np.empty((size, n, d))
         yc = np.empty((size, n))
         for j, g in enumerate(gens):
@@ -514,7 +532,7 @@ def ridge_batch(
             if outside.any():
                 w[outside] *= (radius / np.sqrt(r2[outside]))[:, None]
             theta = w
-            losses[:, t + 1] = np.sum((theta - theta_star) ** 2, axis=1)
+            out[:, k] = np.sum((theta - theta_star) ** 2, axis=1)
     return {"loss": losses, "final_theta": theta}
 
 

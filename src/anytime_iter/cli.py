@@ -352,7 +352,8 @@ def main(argv=None) -> int:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=needs_config, help="JSON experiment config")
         sp.add_argument("--out-dir", default=".", help="directory for report files")
-        sp.add_argument("--threads", type=int, default=0, help="worker threads (0 = auto)")
+        threads_help = "coverage worker threads, each on a block of up to 512 replications"
+        sp.add_argument("--threads", type=int, default=0, help=threads_help + " (0, 1 = serial)")
     args = parser.parse_args(argv)
 
     handler, needs_config = _COMMANDS[args.command]

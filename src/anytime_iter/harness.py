@@ -5,10 +5,14 @@ Violation detection honors the time-uniform quantifier: every iterate in
 [valid_from, horizon] is compared against the boundary, not just a grid; the
 grid only selects which widths and loss quantiles are exported.
 
-Replications are advanced in fixed-size blocks by the batched engines from
-the algorithms module.  Block boundaries and per-replication seeds are
-independent of the worker count, so reports are identical no matter how the
-work is scheduled.
+One driver (_drive) serves the coverage, last-iterate and cold-start runs.
+It advances blocks of up to _REP_BLOCK = 512 replications and folds each
+RNG chunk of losses the engines stream into the first boundary crossings
+and the grid losses, refusing non-finite losses.  No (n_reps, horizon) loss
+matrix is built: losses in flight take O(block * chunk) memory, independent
+of the horizon.  Blocks and per-replication seeds are independent of the
+worker count, and the draws of the chunk-length invariant engines do not
+depend on the block size, so reports do not depend on scheduling.
 """
 from __future__ import annotations
 
@@ -16,12 +20,14 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .algorithms import (
+    DRAW_BUDGET,
+    RIDGE_ROWS,
     PcaProblem,
     RmProblem,
     SgdProblem,
@@ -30,7 +36,6 @@ from .algorithms import (
     sgd_batch,
 )
 from .boundaries import (
-    Boundary,
     StepSchedule,
     oja_boundary,
     rakhlin_fixed_horizon,
@@ -60,7 +65,7 @@ __all__ = [
     "write_grid_csv",
 ]
 
-_REP_BLOCK = 50
+_REP_BLOCK = 512
 
 
 def mc_threshold(cost: float, delta: float, n_reps: int) -> float:
@@ -198,39 +203,43 @@ def _pca_v0(spec: Mapping, problem: PcaProblem, seed_base: int, rep: int) -> np.
     raise ValueError(f"unknown v0 spec {v0!r}")
 
 
+def _seeds(seed_base: int, lo: int, hi: int) -> list:
+    return [rep_seed(seed_base, i) for i in range(lo, hi)]
+
+
+def _sgd_runner(problem: SgdProblem, etas, x0, seed_base: int):
+    return lambda lo, hi, on_chunk: sgd_batch(
+        problem, etas, x0, _seeds(seed_base, lo, hi), record_channels=False, on_chunk=on_chunk
+    )
+
+
+def _pca_runner(problem: PcaProblem, etas, spec, seed_base: int, variant: str, normalize: bool):
+    def run(lo: int, hi: int, on_chunk) -> None:
+        v0 = np.stack([_pca_v0(spec, problem, seed_base, i) for i in range(lo, hi)])
+        seeds = _seeds(seed_base, lo, hi)
+        pca_batch(
+            problem, etas, v0, seeds, variant, normalize, record_channels=False, on_chunk=on_chunk
+        )
+
+    return run
+
+
 def _build_setup(config: CoverageConfig):
-    """Resolve a config into (boundary, schedule, per-block runner)."""
+    """Resolve a config into (boundary, block runner, replications per block)."""
     spec = config.problem
     if config.algorithm == "sgd_sc":
         problem = _sgd_problem(spec)
         boundary = sgd_boundary(problem.b, problem.lam, config.delta)
         x0 = np.asarray(spec["x0"], dtype=float)
         etas = boundary.schedule.etas(config.horizon)
-
-        def run(rep_lo: int, rep_hi: int) -> np.ndarray:
-            seeds = [rep_seed(config.seed_base, i) for i in range(rep_lo, rep_hi)]
-            return sgd_batch(problem, etas, x0, seeds, record_channels=False)["loss_sc"]
-
-        return boundary, run
+        return boundary, _sgd_runner(problem, etas, x0, config.seed_base), _REP_BLOCK
     if config.algorithm in ("krasulina", "oja"):
         problem = _pca_problem(spec)
         boundary, _l_off = oja_boundary(problem.b, problem.rho, config.delta)
         etas = boundary.schedule.etas(config.horizon)
         normalize = bool(spec.get("normalize", config.algorithm == "oja"))
-
-        def run(rep_lo: int, rep_hi: int) -> np.ndarray:
-            seeds = [rep_seed(config.seed_base, i) for i in range(rep_lo, rep_hi)]
-            v0 = np.stack(
-                [
-                    _pca_v0(spec, problem, config.seed_base, i)
-                    for i in range(rep_lo, rep_hi)
-                ]
-            )
-            return pca_batch(
-                problem, etas, v0, seeds, config.algorithm, normalize, record_channels=False
-            )["loss"]
-
-        return boundary, run
+        run = _pca_runner(problem, etas, spec, config.seed_base, config.algorithm, normalize)
+        return boundary, run, _REP_BLOCK
     if config.algorithm == "ridge":
         stream = LinearModelStream(
             theta_star=tuple(spec["theta_star"]),
@@ -247,23 +256,62 @@ def _build_setup(config: CoverageConfig):
         etas = boundary.schedule.etas(config.horizon)
         penalty_in_gradient = bool(spec.get("penalty_in_gradient", True))
 
-        def run(rep_lo: int, rep_hi: int) -> np.ndarray:
-            seeds = [rep_seed(config.seed_base, i) for i in range(rep_lo, rep_hi)]
-            return ridge_batch(
-                stream, diam, lambda_pen, etas, theta0, seeds, penalty_in_gradient
-            )["loss"]
+        def run(lo: int, hi: int, on_chunk) -> None:
+            seeds = _seeds(config.seed_base, lo, hi)
+            ridge_batch(
+                stream, diam, lambda_pen, etas, theta0, seeds, penalty_in_gradient, on_chunk
+            )
 
-        return boundary, run
+        # Ridge chunks keep RIDGE_ROWS steps, so the draw budget bounds the block.
+        return boundary, run, max(1, DRAW_BUDGET // (RIDGE_ROWS * (stream.dim + 1)))
     raise AssertionError("unreachable")
 
 
-def _scan_block(losses: np.ndarray, widths: np.ndarray, valid_from: int, grid) -> tuple:
-    """Violations and grid summaries for one block of trajectories."""
-    over = losses[:, valid_from:] > widths[valid_from:]
-    any_over = over.any(axis=1)
-    firsts = [int(np.argmax(row) + valid_from) for row in over[any_over]]
-    grid_losses = losses[:, list(grid)] if grid else np.empty((losses.shape[0], 0))
-    return int(np.count_nonzero(any_over)), firsts, grid_losses
+def _drive(n_reps, run, block, grid=(), widths=None, scan_from=0, origin=0, threads=0):
+    """Stream every replication's losses, block by block, through one reduction.
+
+    run(lo, hi, on_chunk) advances replications lo..hi-1 and calls
+    on_chunk(t0, losses) per RNG chunk; losses[i, k] is the loss of
+    replication lo+i at time t0+k.  Returns (first_times, at_grid): the
+    sorted first times t >= scan_from with loss_i(t) > widths[t - origin],
+    as t - origin, of the replications that have one (none if widths is
+    None), and at_grid[i, j] = loss_i(grid[j]).  A non-finite loss raises
+    FloatingPointError.
+    """
+    first = np.full(n_reps, -1)
+    at_grid = np.empty((n_reps, len(grid)))
+
+    def work(lo: int) -> None:
+        first_b = first[lo : lo + block]
+        grid_b = at_grid[lo : lo + block]
+
+        def reduce(t0: int, loss: np.ndarray) -> None:
+            t1 = t0 + loss.shape[1]
+            bad = ~np.isfinite(loss)
+            if bad.any():
+                i, k = np.argwhere(bad)[0]
+                raise FloatingPointError(
+                    f"non-finite loss {loss[i, k]} in replication {lo + i} at t={t0 + k}"
+                )
+            for j, t in enumerate(grid):
+                if t0 <= t < t1:
+                    grid_b[:, j] = loss[:, t - t0]
+            s = max(scan_from, t0)
+            if widths is not None and s < t1:
+                over = loss[:, s - t0 :] > widths[s - origin : t1 - origin]
+                new = (first_b < 0) & over.any(axis=1)
+                first_b[new] = np.argmax(over[new], axis=1) + (s - origin)
+
+        run(lo, min(lo + block, n_reps), reduce)
+
+    blocks = range(0, n_reps, block)
+    if threads and threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(work, blocks))
+    else:
+        for lo in blocks:
+            work(lo)
+    return tuple(int(t) for t in np.sort(first[first >= 0])), at_grid
 
 
 def run_coverage(config: CoverageConfig, threads: int = 0) -> CoverageReport:
@@ -275,34 +323,18 @@ def run_coverage(config: CoverageConfig, threads: int = 0) -> CoverageReport:
     Monte Carlo slack.
     """
     start_time = time.perf_counter()
-    boundary, run = _build_setup(config)
+    boundary, run, block = _build_setup(config)
     t_all = np.arange(0, config.horizon + 1)
     widths = np.asarray(boundary.eval(t_all, config.delta)) * config.boundary_scale
-
-    blocks = [
-        (lo, min(lo + _REP_BLOCK, config.n_reps)) for lo in range(0, config.n_reps, _REP_BLOCK)
-    ]
-
-    def work(block):
-        lo, hi = block
-        losses = run(lo, hi)
-        return _scan_block(losses, widths, boundary.valid_from, config.record_grid)
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, blocks))
-    else:
-        results = [work(b) for b in blocks]
-
-    violations = sum(r[0] for r in results)
-    first_times = tuple(sorted(t for r in results for t in r[1]))
-    grid_losses = (
-        np.vstack([r[2] for r in results]) if config.record_grid else np.empty((config.n_reps, 0))
+    grid = config.record_grid
+    first_times, at_grid = _drive(
+        config.n_reps, run, block, grid, widths, boundary.valid_from, 0, threads
     )
+    violations = len(first_times)
     rate = violations / config.n_reps
     quantiles = {}
-    for j, t in enumerate(config.record_grid):
-        q = np.quantile(grid_losses[:, j], [0.5, 0.9, 0.99])
+    for j, t in enumerate(grid):
+        q = np.quantile(at_grid[:, j], [0.5, 0.9, 0.99])
         quantiles[int(t)] = (float(q[0]), float(q[1]), float(q[2]))
     threshold = mc_threshold(boundary.confidence_cost, config.delta, config.n_reps)
     return CoverageReport(
@@ -341,12 +373,9 @@ def run_last_iterate(config: CoverageConfig, t_eval: int) -> Tuple[float, float]
     schedule = StepSchedule.inverse_time(1.0 / problem.lam, 3.0)
     etas = schedule.etas(t_eval)
     x0 = np.asarray(config.problem["x0"], dtype=float)
-    exceed = 0
-    for lo in range(0, config.n_reps, _REP_BLOCK):
-        hi = min(lo + _REP_BLOCK, config.n_reps)
-        seeds = [rep_seed(config.seed_base, i) for i in range(lo, hi)]
-        losses = sgd_batch(problem, etas, x0, seeds, record_channels=False)["loss_sc"]
-        exceed += int(np.count_nonzero(losses[:, t_eval] > bound))
+    run = _sgd_runner(problem, etas, x0, config.seed_base)
+    _, at_eval = _drive(config.n_reps, run, _REP_BLOCK, (t_eval,))
+    exceed = int(np.count_nonzero(at_eval[:, 0] > bound))
     return exceed / config.n_reps, bound
 
 
@@ -470,23 +499,10 @@ def run_oja_cold_start(
     boundary, _l_off = oja_boundary(problem.b, problem.rho, delta_b)
     widths = np.asarray(boundary.eval(np.arange(0, horizon + 1), delta_b))
 
-    hits = 0
-    violations = 0
-    first_times: list[int] = []
-    for lo in range(0, n_reps, _REP_BLOCK):
-        hi = min(lo + _REP_BLOCK, n_reps)
-        seeds = [rep_seed(seed_base, i) for i in range(lo, hi)]
-        v0 = np.stack(
-            [_pca_v0({"v0": "uniform"}, problem, seed_base, i) for i in range(lo, hi)]
-        )
-        losses = pca_batch(
-            problem, etas, v0, seeds, variant, normalize_each_step=True, record_channels=False
-        )["loss"]
-        hits += int(np.count_nonzero(losses[:, split] <= 0.25))
-        over = losses[:, split:] > widths
-        any_over = over.any(axis=1)
-        violations += int(np.count_nonzero(any_over))
-        first_times += [int(np.argmax(row)) for row in over[any_over]]
+    run = _pca_runner(problem, etas, {"v0": "uniform"}, seed_base, variant, True)
+    first_times, at_split = _drive(n_reps, run, _REP_BLOCK, (split,), widths, split, split)
+    hits = int(np.count_nonzero(at_split[:, 0] <= 0.25))
+    violations = len(first_times)
 
     hit_rate = hits / n_reps
     hit_threshold = 1.0 - delta**3
@@ -494,7 +510,7 @@ def run_oja_cold_start(
     threshold = mc_threshold(boundary.confidence_cost, delta, n_reps)
     return ColdStartReport(
         violations=violations,
-        first_violation_times=tuple(sorted(first_times)),
+        first_violation_times=first_times,
         empirical_rate=rate,
         widths_at_grid=(),
         quantiles_at_grid={},

@@ -49,9 +49,34 @@ def sphere_noise(rng: np.random.Generator, shape, radius: float) -> np.ndarray:
     """Rows uniform on the sphere of the given radius (last axis = coordinates)."""
     if radius == 0.0:
         return np.zeros(shape)
-    g = rng.standard_normal(shape)
-    norms = np.sqrt(np.sum(g * g, axis=-1, keepdims=True))
-    return g * (radius / norms)
+    return _onto_sphere(rng.standard_normal(shape), radius)
+
+
+def _onto_sphere(g: np.ndarray, radius: float) -> np.ndarray:
+    g *= radius / np.sqrt(np.sum(g * g, axis=-1, keepdims=True))
+    return g
+
+
+def rademacher_batch(gens, size: int, width: int) -> np.ndarray:
+    """Signs of shape (size, len(gens), width) whose column j equals
+    rademacher_matrix(gens[j], (size, width)), with one call per generator."""
+    out = np.empty((size, len(gens), width))
+    for j, g in enumerate(gens):
+        out[:, j, :] = g.integers(0, 2, size=(size, width))
+    out *= 2.0
+    out -= 1.0
+    return out
+
+
+def sphere_noise_batch(gens, size: int, width: int, radius: float) -> np.ndarray:
+    """Shape (size, len(gens), width); column j equals
+    sphere_noise(gens[j], (size, width), radius), with one call per generator."""
+    if radius == 0.0:
+        return np.zeros((size, len(gens), width))
+    out = np.empty((size, len(gens), width))
+    for j, g in enumerate(gens):
+        out[:, j, :] = g.standard_normal((size, width))
+    return _onto_sphere(out, radius)
 
 
 def pca_rademacher_stream(eigs, t: int, seed: SeedLike) -> np.ndarray:

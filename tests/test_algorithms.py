@@ -25,7 +25,8 @@ from anytime_iter import (
     sgd_strongly_convex,
     sin2,
 )
-from anytime_iter.algorithms import pca_batch, sgd_batch
+from anytime_iter import algorithms
+from anytime_iter.algorithms import pca_batch, ridge_batch, rm_batch, sgd_batch
 from anytime_iter.seeding import rep_seed
 from anytime_iter.streams import LinearModelStream
 
@@ -239,14 +240,90 @@ def test_pca_q_channel_conditionally_centered():
 # ---------------------------------------------------------------------------
 
 
+ETAS = StepSchedule.inverse_time(1.0, 32.0).etas(60)
+_Q = np.linalg.qr(np.arange(16.0).reshape(4, 4) + 5.0 * np.eye(4))[0]
+ROTATED = PcaProblem(eigs=(2.0, 1.0, 1.0, 0.5), rotation=tuple(map(tuple, _Q)))
+V0_ROTATED = warm_v0(ROTATED, direction=(0.0, 0.6, 0.8, 0.0))
+RM = RmProblem(m_kind="cubic_plus_linear", cub_a=0.5, cub_b=1.0)
+RIDGE = LinearModelStream(theta_star=(0.5, 0.5), x_radius=1.0, noise_radius=0.5)
+
+# name -> (values drawn per replication and step, run(seeds, **engine kwargs))
+ENGINES = {
+    "sgd": (2, lambda seeds, **kw: sgd_batch(SGD, ETAS, np.array([0.5, 0.0]), seeds, **kw)),
+    "krasulina": (
+        2,
+        lambda seeds, **kw: pca_batch(PCA, ETAS, warm_v0(PCA), seeds, "krasulina", False, **kw),
+    ),
+    "oja": (2, lambda seeds, **kw: pca_batch(PCA, ETAS, warm_v0(PCA), seeds, "oja", True, **kw)),
+    "krasulina-rotated": (
+        4,
+        lambda seeds, **kw: pca_batch(ROTATED, ETAS, V0_ROTATED, seeds, "krasulina", False, **kw),
+    ),
+    "krasulina-normalized-rotated": (
+        4,
+        lambda seeds, **kw: pca_batch(ROTATED, ETAS, V0_ROTATED, seeds, "krasulina", True, **kw),
+    ),
+    "oja-rotated": (
+        4,
+        lambda seeds, **kw: pca_batch(ROTATED, ETAS, V0_ROTATED, seeds, "oja", True, **kw),
+    ),
+    "rm": (1, lambda seeds, **kw: rm_batch(RM, ETAS, 1.0, seeds, **kw)),
+    "ridge": (
+        3,
+        lambda seeds, **kw: ridge_batch(RIDGE, 2.0, 0.0, ETAS, (0.0, 0.0), seeds, **kw),
+    ),
+}
+
+
+def assert_same_arrays(a: dict, b: dict, rows=slice(None)):
+    """Every per-replication array of b equals the given rows of a's, bit for bit."""
+    for key, arr in b.items():
+        if isinstance(arr, np.ndarray):
+            assert np.array_equal(a[key][rows], arr), key
+
+
 def test_batch_matches_single_bitwise():
-    etas = StepSchedule.inverse_time(1.0, 32.0).etas(100)
-    seeds = [rep_seed(7, i) for i in range(3)]
-    batch = sgd_batch(SGD, etas, np.array([0.5, 0.0]), seeds)
-    for i, seed in enumerate(seeds):
-        single = sgd_batch(SGD, etas, np.array([0.5, 0.0]), [seed])
-        assert np.array_equal(batch["loss_sc"][i], single["loss_sc"][0])
-        assert np.array_equal(batch["noise_sc"][i], single["noise_sc"][0])
+    # Slices of 1, 50 and 413 replications against one batch of 513: losses
+    # and every recorded channel are identical, for every engine, including
+    # rotated PCA, where matrix products used to depend on the batch shape.
+    seeds = [rep_seed(7, i) for i in range(513)]
+    for name, (_, run) in ENGINES.items():
+        batch = run(seeds)
+        for lo, hi in ((0, 1), (0, 50), (100, 513)):
+            assert_same_arrays(batch, run(seeds[lo:hi]), slice(lo, hi))
+
+
+@pytest.mark.parametrize("name", ["sgd", "krasulina", "oja-rotated", "rm"])
+def test_engines_invariant_to_chunk_length(name, monkeypatch):
+    # The draw budget sets the steps per chunk; 1, 7 and 2048 (one chunk for
+    # the whole horizon) give identical losses and channels.
+    width, run = ENGINES[name]
+    seeds = [rep_seed(3, i) for i in range(3)]
+    monkeypatch.setattr(algorithms, "MIN_ROWS", 1)
+    results = []
+    for rows in (1, 7, 2048):
+        monkeypatch.setattr(algorithms, "DRAW_BUDGET", rows * len(seeds) * width)
+        results.append(run(seeds))
+    for res in results[1:]:
+        assert_same_arrays(results[0], res)
+
+
+@pytest.mark.parametrize("name", ["sgd", "krasulina-rotated", "ridge"])
+def test_streamed_losses_match_stored(name, monkeypatch):
+    width, run = ENGINES[name]
+    seeds = [rep_seed(4, i) for i in range(3)]
+    monkeypatch.setattr(algorithms, "MIN_ROWS", 1)
+    monkeypatch.setattr(algorithms, "DRAW_BUDGET", 7 * len(seeds) * width)
+    monkeypatch.setattr(algorithms, "RIDGE_ROWS", 7)
+    key = "loss_sc" if name == "sgd" else "loss"
+    stored = run(seeds)[key]
+    chunks = []
+    res = run(seeds, on_chunk=lambda t0, loss: chunks.append((t0, loss.copy())))
+    assert res[key] is None
+    starts = [t0 for t0, _ in chunks]
+    sizes = [c.shape[1] for _, c in chunks]
+    assert starts == [0] + list(np.cumsum(sizes)[:-1]) and max(sizes) == 7
+    assert np.array_equal(np.concatenate([c for _, c in chunks], axis=1), stored)
 
 
 def test_trace_runner_deterministic():

@@ -5,6 +5,7 @@ statistic, cold start, and report serialization."""
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from anytime_iter import (
     run_oja_cold_start,
     width_comparison,
 )
-from anytime_iter.harness import write_grid_csv, write_report_json
+from anytime_iter.harness import _drive, write_grid_csv, write_report_json
 from anytime_iter.seeding import rep_seed
 
 
@@ -107,7 +108,8 @@ def test_coverage_shrunken_boundary_violates():
 
 
 def test_coverage_worker_count_invariance():
-    cfg = small_config(n_reps=120)
+    # three 512-replication blocks, so the pool has blocks to share
+    cfg = small_config(n_reps=1100, horizon=200, record_grid=(0, 100, 200))
     reps = [run_coverage(cfg, threads=k) for k in (0, 2, 3)]
     dicts = [dataclasses.asdict(r) for r in reps]
     for d in dicts:
@@ -148,6 +150,35 @@ def test_coverage_ridge():
     )
     rep = run_coverage(cfg)
     assert rep.violations == 0
+
+
+def test_coverage_memory_flat_in_horizon():
+    # losses are reduced chunk by chunk; only O(horizon) vectors (steps and
+    # widths) grow with the horizon, not an (n_reps, horizon) loss matrix.
+    # Both horizons are longer than a chunk (327 steps at 200 replications).
+    peaks = []
+    for horizon in (1000, 8000):
+        tracemalloc.start()
+        try:
+            run_coverage(small_config(n_reps=200, horizon=horizon, record_grid=(0, horizon)))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 2**20, peaks
+
+
+def test_non_finite_loss_fails_loudly():
+    # a NaN compares False against any width, so it would count as covered;
+    # the driver raises instead, naming the replication and the time
+    def run(lo, hi, on_chunk):
+        on_chunk(0, np.zeros((hi - lo, 1)))
+        chunk = np.zeros((hi - lo, 5))
+        if lo > 0:
+            chunk[2, 3] = np.nan
+        on_chunk(1, chunk)
+
+    with pytest.raises(FloatingPointError, match=r"replication 514 at t=4"):
+        _drive(600, run, 512, grid=(0,), widths=np.ones(6))
 
 
 # ---------------------------------------------------------------------------

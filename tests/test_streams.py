@@ -13,7 +13,13 @@ from anytime_iter import (
     rm_oracle,
 )
 from anytime_iter.seeding import make_generator, rep_seed
-from anytime_iter.streams import SQRT3, rademacher_matrix, sphere_noise
+from anytime_iter.streams import (
+    SQRT3,
+    rademacher_batch,
+    rademacher_matrix,
+    sphere_noise,
+    sphere_noise_batch,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +156,19 @@ def test_rademacher_matrix_support():
     rng = make_generator(1)
     m = rademacher_matrix(rng, (50, 3))
     assert set(np.unique(m)) <= {-1.0, 1.0}
+
+
+def test_batch_draws_match_single_generator_draws():
+    # the engines draw a chunk for a whole batch; column j must be what
+    # generator j alone would have drawn
+    gens = [make_generator(s) for s in range(3)]
+    solo = [make_generator(s) for s in range(3)]
+    signs = rademacher_batch(gens, 5, 4)
+    noise = sphere_noise_batch(gens, 6, 2, 0.7)
+    for j, g in enumerate(solo):
+        assert np.array_equal(signs[:, j], rademacher_matrix(g, (5, 4)))
+        assert np.array_equal(noise[:, j], sphere_noise(g, (6, 2), 0.7))
+    assert not sphere_noise_batch(gens, 2, 2, 0.0).any()
 
 
 def test_rep_seed_splitting():

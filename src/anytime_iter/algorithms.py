@@ -20,6 +20,15 @@ chunks of DRAW_BUDGET values per batch (and at least MIN_ROWS steps):
 streamed through on_chunk without record_channels, memory is O(N*chunk),
 independent of the horizon.
 Ridge draws signs, then uniforms, per chunk, so its RIDGE_ROWS is fixed.
+
+Each engine's step loop only advances the recursion: the update, the
+projection or normalisation, and a write of the new iterate into a
+trajectory buffer, all into preallocated arrays.  The losses and, with
+record_channels, every noise channel are then computed by array passes over
+the stored iterates, the chunk's draws and its step sizes, in slices of at
+most PASS_BUDGET values and in the elementwise order of the per-step
+formulas, so they are bit-identical to computing them step by step.  The
+transient memory of the passes is O(N*chunk) with or without recording.
 """
 from __future__ import annotations
 
@@ -54,6 +63,7 @@ __all__ = [
 DRAW_BUDGET = 2**17  # values drawn per chunk across a batch (1 MB)
 MIN_ROWS = 128  # steps per chunk at least, to amortise one draw call per generator
 RIDGE_ROWS = 2048  # steps per ridge chunk; part of the ridge output
+PASS_BUDGET = 2**15  # values per slice of the per-chunk loss and channel pass
 
 
 def _rows(n: int, width: int) -> int:
@@ -139,11 +149,6 @@ class SgdProblem:
     def b(self) -> float:
         reach = self.radius + float(np.linalg.norm(self.x_star))
         return self.mu * reach + self.b_noise
-
-    def projector(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        n = float(np.linalg.norm(y))
-        return y if n <= self.radius else y * (self.radius / n)
 
 
 @dataclass(frozen=True)
@@ -274,6 +279,67 @@ def _alloc(shape, record: bool):
     return np.empty(shape) if record else None
 
 
+def _slice_rows(width: int) -> int:
+    """Steps per slice when a step carries width values."""
+    return max(1, PASS_BUDGET // width)
+
+
+def _slices(size: int, width: int):
+    """Yield (lo, hi) row ranges of a size-step chunk, each holding at most
+    PASS_BUDGET values when a step carries width values."""
+    rows = _slice_rows(width)
+    for lo in range(0, size, rows):
+        yield lo, min(lo + rows, size)
+
+
+def _trajectory(state: np.ndarray, horizon: int) -> np.ndarray:
+    """Buffer of one slice's iterates: row 0 holds state, and step k of the
+    slice writes row k+1."""
+    rows = min(_slice_rows(state.size), horizon)
+    traj = np.empty((rows + 1,) + state.shape)
+    traj[0] = state
+    return traj
+
+
+def _sum_last(a: np.ndarray, out=None) -> np.ndarray:
+    """np.sum(a, axis=-1, out=out), bit for bit.
+
+    numpy adds fewer than 8 terms left to right, starting from +0.0, so
+    adding the strided slices a[..., j] gives the same bits and, for a few
+    terms, runs several times faster than a reduction along the short last
+    axis.  The final +0.0 turns an all -0.0 sum into +0.0, as numpy does,
+    and changes nothing else.
+    """
+    d = a.shape[-1]
+    if not 2 <= d < 8:
+        return np.sum(a, axis=-1, out=out)
+    out = np.add(a[..., 0], a[..., 1], out=out)
+    for j in range(2, d):
+        np.add(out, a[..., j], out=out)
+    return np.add(out, 0.0, out=out)
+
+
+def _projector(n: int, d: int, radius: float):
+    """Return project(w), which pulls the rows of the (n, d) array w outside
+    the ball of the given radius back onto its sphere, in place, and returns
+    how many moved."""
+    sq = np.empty((n, d))
+    r2 = np.empty(n)
+    outside = np.empty(n, dtype=bool)
+    rr = radius * radius
+
+    def project(w: np.ndarray) -> int:
+        np.multiply(w, w, out=sq)
+        _sum_last(sq, r2)
+        np.greater(r2, rr, out=outside)
+        if not outside.any():
+            return 0
+        w[outside] *= (radius / np.sqrt(r2[outside]))[:, None]
+        return int(np.count_nonzero(outside))
+
+    return project
+
+
 def sgd_batch(
     problem: SgdProblem,
     etas: np.ndarray,
@@ -302,8 +368,8 @@ def sgd_batch(
     x0 = np.asarray(x0, dtype=float)
     if np.linalg.norm(x0) > radius + 1e-12:
         raise ValueError("x0 must lie in the projection ball")
-    x = np.tile(x0, (n, 1))
-    diff = x - xs
+    traj = _trajectory(np.tile(x0, (n, 1)), horizon)
+    diff = traj[0] - xs
 
     loss_sc = None if on_chunk else np.empty((n, horizon + 1))
     loss_pl = _alloc((n, horizon + 1), record_channels)
@@ -316,35 +382,43 @@ def sgd_batch(
     gnorm2 = _alloc((n, horizon), record_channels)
     proj_hits = 0
 
+    # whole (n, d) operands: broadcasting a (d,) vector costs more per step
+    a_n, xs_n = np.tile(a, (n, 1)), np.tile(xs, (n, 1))
+    g = np.empty((n, d))
+    project = _projector(n, d, radius)
+    states = list(traj)
     l0 = np.sum(diff * diff, axis=1)
     for start, size, out in _chunks(l0, horizon, _rows(n, d), on_chunk or _store(loss_sc)):
         eps = sphere_noise_batch(gens, size, d, problem.b_noise)
-        for k in range(size):
-            t = start + k
-            eta = etas[t]
-            e = eps[k]
-            gradf = a * diff
-            gvec = gradf + e
+        for lo, hi in _slices(size, n * d):
+            e = eps[lo:hi]
+            t = slice(start + lo, start + hi)
+            for k, eta in enumerate(etas[t].tolist()):
+                # w = x - eta*(a*(x - x*) + e), projected onto the ball
+                x, w = states[k], states[k + 1]
+                np.subtract(x, xs_n, out=diff)
+                np.multiply(a_n, diff, out=g)
+                np.add(g, e[k], out=g)
+                np.multiply(g, eta, out=g)
+                np.subtract(x, g, out=w)
+                proj_hits += project(w)
+            dev = traj[: hi - lo + 1] - xs
+            out[:, lo:hi] = _sum_last(dev[1:] * dev[1:]).T
             if record_channels:
-                gn2 = np.sum(gvec * gvec, axis=1)
-                y1 = -np.sum(e * diff, axis=1)
-                y2 = -np.sum(gradf * e, axis=1)
-                y_sc[:, t] = y1
-                y_pl[:, t] = y2
-                gnorm2[:, t] = gn2
-                noise_sc[:, t] = 2.0 * eta * y1 + eta * eta * gn2
-                noise_pl[:, t] = eta * y2 + 0.5 * mu * eta * eta * gn2
-            w = x - eta * gvec
-            r2 = np.sum(w * w, axis=1)
-            outside = r2 > radius * radius
-            if outside.any():
-                proj_hits += int(np.count_nonzero(outside))
-                w[outside] *= (radius / np.sqrt(r2[outside]))[:, None]
-            x = w
-            diff = x - xs
-            out[:, k] = np.sum(diff * diff, axis=1)
-            if record_channels:
-                loss_pl[:, t + 1] = 0.5 * np.sum(a * diff * diff, axis=1)
+                eta = etas[t, None]
+                gradf = a * dev[:-1]
+                gvec = gradf + e
+                gn2 = _sum_last(gvec * gvec)
+                y1 = -_sum_last(e * dev[:-1])
+                y2 = -_sum_last(gradf * e)
+                y_sc[:, t] = y1.T
+                y_pl[:, t] = y2.T
+                gnorm2[:, t] = gn2.T
+                noise_sc[:, t] = (2.0 * eta * y1 + eta * eta * gn2).T
+                noise_pl[:, t] = (eta * y2 + 0.5 * mu * eta * eta * gn2).T
+                pl = 0.5 * _sum_last(a * dev[1:] * dev[1:])
+                loss_pl[:, start + lo + 1 : start + hi + 1] = pl.T
+            traj[0] = traj[hi - lo]
     return {
         "loss_sc": loss_sc,
         "loss_pl": loss_pl,
@@ -354,7 +428,7 @@ def sgd_batch(
         "y_pl": y_pl,
         "gnorm2": gnorm2,
         "proj_hits": proj_hits,
-        "final_x": x,
+        "final_x": traj[0].copy(),
     }
 
 
@@ -404,39 +478,69 @@ def pca_batch(
     zv_chan = _alloc((n, horizon), record_channels)
     znorm2_chan = _alloc((n, horizon), record_channels)
     ratio_chan = _alloc((n, horizon), record_channels)
-    ones = np.ones(n)
+
+    # traj[k] is the iterate before step k of a slice and norms[k] the squared
+    # norm the steps divide by: ||v||^2, or 1 after a normalised step;
+    # grown[k] is ||v||^2 right after step k's update, before normalising.
+    traj = _trajectory(v, horizon)
+    norms = np.ones(traj.shape[:2])
+    grown = np.empty_like(norms[1:]) if normalize_each_step else norms[1:]
+    norms[0] = vn2
+    states = list(traj)
+    y = np.empty(n)
+    c = np.empty(n)
+    tmp = np.empty((n, p))
+    z = np.empty((n, p))
+    y_col, c_col = y[:, None], c[:, None]
+    krasulina = variant == "krasulina"
 
     l0 = np.maximum(0.0, 1.0 - v[:, 0] ** 2 / vn2)
     for start, size, out in _chunks(l0, horizon, _rows(n, p), on_chunk or _store(losses)):
-        xs = rademacher_batch(gens, size, p)
-        xs *= sq
-        for k in range(size):
-            t = start + k
-            eta = etas[t]
-            xk = xs[k]
-            y = np.sum(xk * v, axis=1)
-            if variant == "krasulina" or record_channels:
-                z = y[:, None] * xk - (y * y / vn2)[:, None] * v
+        draws = rademacher_batch(gens, size, p)
+        draws *= sq
+        for lo, hi in _slices(size, n * p):
+            xs = draws[lo:hi]
+            t = slice(start + lo, start + hi)
+            for k, eta in enumerate(etas[t].tolist()):
+                v, w, xk = states[k], states[k + 1], xs[k]
+                np.multiply(xk, v, out=tmp)
+                _sum_last(tmp, y)
+                if krasulina:
+                    # z = y*X - (y^2/||v||^2)*v; w = v + eta*z
+                    np.multiply(y, y, out=c)
+                    np.divide(c, norms[k], out=c)
+                    np.multiply(y_col, xk, out=z)
+                    np.multiply(c_col, v, out=tmp)
+                    np.subtract(z, tmp, out=z)
+                    np.multiply(z, eta, out=z)
+                else:
+                    # w = v + (eta*y)*X
+                    np.multiply(y, eta, out=y)
+                    np.multiply(y_col, xk, out=z)
+                np.add(v, z, out=w)
+                np.multiply(w, w, out=tmp)
+                _sum_last(tmp, grown[k])
+                if normalize_each_step:
+                    np.sqrt(grown[k], out=c)
+                    np.divide(w, c_col, out=w)
+            m = hi - lo
+            u = traj[1 : m + 1, :, 0]
+            out[:, lo:hi] = np.maximum(0.0, 1.0 - u**2 / norms[1 : m + 1]).T
             if record_channels:
-                v1 = v[:, 0]
-                sv = v * eigs
-                m_t = 2.0 * eta * v1 * (sv[:, 0] - v1 * np.sum(sv * v, axis=1) / vn2) / vn2
-                q_chan[:, t] = m_t - 2.0 * eta * v1 * z[:, 0] / vn2
-                zv_chan[:, t] = np.sum(z * v, axis=1)
-                znorm2_chan[:, t] = np.sum(z * z, axis=1)
-            if variant == "krasulina":
-                v = v + eta * z
-            else:
-                v = v + eta * y[:, None] * xk
-            vn2_new = np.sum(v * v, axis=1)
-            if record_channels:
-                ratio_chan[:, t] = vn2_new / vn2
-            if normalize_each_step:
-                v = v / np.sqrt(vn2_new)[:, None]
-                vn2 = ones
-            else:
-                vn2 = vn2_new
-            out[:, k] = np.maximum(0.0, 1.0 - v[:, 0] ** 2 / vn2)
+                eta = etas[t, None]
+                vp, xp, vn2 = traj[:m], xs, norms[:m]
+                yp = _sum_last(xp * vp)
+                zp = yp[..., None] * xp - (yp * yp / vn2)[..., None] * vp
+                v1 = vp[..., 0]
+                sv = vp * eigs
+                m_t = 2.0 * eta * v1 * (sv[..., 0] - v1 * _sum_last(sv * vp) / vn2) / vn2
+                q_chan[:, t] = (m_t - 2.0 * eta * v1 * zp[..., 0] / vn2).T
+                zv_chan[:, t] = _sum_last(zp * vp).T
+                znorm2_chan[:, t] = _sum_last(zp * zp).T
+                ratio_chan[:, t] = (grown[:m] / vn2).T
+            traj[0] = traj[m]
+            norms[0] = norms[m]
+    v = traj[0].copy()
     if rot is not None:
         v = np.sum(v[:, None, :] * rot, axis=-1)
     return {
@@ -460,29 +564,38 @@ def rm_batch(
     n = len(seeds)
     horizon = len(etas)
     gens = rep_generators(seeds)
-    x = np.full(n, float(x0))
+    theta = problem.theta
     losses = np.empty((n, horizon + 1))
     q_chan = _alloc((n, horizon), record_channels)
     noise = _alloc((n, horizon), record_channels)
 
-    l0 = (x - problem.theta) ** 2
+    traj = _trajectory(np.full(n, float(x0)), horizon)
+    states = list(traj)
+    l0 = (traj[0] - theta) ** 2
     for start, size, out in _chunks(l0, horizon, _rows(n, 1), _store(losses)):
-        xi = np.empty((size, n))
+        draws = np.empty((size, n))
         for j, g in enumerate(gens):
-            xi[:, j] = g.uniform(-SQRT3, SQRT3, size=size)
-        for k in range(size):
-            t = start + k
-            eta = etas[t]
-            dev = x - problem.theta
-            y_val = problem.m_func(x) + xi[k]
+            draws[:, j] = g.uniform(-SQRT3, SQRT3, size=size)
+        for lo, hi in _slices(size, n):
+            xi = draws[lo:hi]
+            t = slice(start + lo, start + hi)
+            for k, eta in enumerate(etas[t].tolist()):
+                # x <- x - eta*(M(x) + xi)
+                x = states[k]
+                y_val = problem.m_func(x)
+                np.add(y_val, xi[k], out=y_val)
+                np.multiply(y_val, eta, out=y_val)
+                np.subtract(x, y_val, out=states[k + 1])
+            dev = traj[: hi - lo + 1] - theta
+            out[:, lo:hi] = (dev[1:] ** 2).T
             if record_channels:
-                q_chan[:, t] = -2.0 * eta * dev * xi[k]
-                noise[:, t] = q_chan[:, t] + 2.0 * eta * eta * (
-                    problem.poly_sq(dev**2) + problem.r1**2
-                )
-            x = x - eta * y_val
-            out[:, k] = (x - problem.theta) ** 2
-    return {"loss": losses, "q": q_chan, "noise": noise, "final_x": x}
+                eta = etas[t, None]
+                q = -2.0 * eta * dev[:-1] * xi
+                q_chan[:, t] = q.T
+                envelope = problem.poly_sq(dev[:-1] ** 2) + problem.r1**2
+                noise[:, t] = (q + 2.0 * eta * eta * envelope).T
+            traj[0] = traj[hi - lo]
+    return {"loss": losses, "q": q_chan, "noise": noise, "final_x": traj[0].copy()}
 
 
 def ridge_batch(
@@ -506,34 +619,48 @@ def ridge_batch(
     theta0 = np.asarray(theta0, dtype=float)
     if np.linalg.norm(theta0) > radius + 1e-12:
         raise ValueError("theta0 must lie in the domain ball")
-    theta = np.tile(theta0, (n, 1))
     losses = None if on_chunk else np.empty((n, horizon + 1))
+    traj = _trajectory(np.tile(theta0, (n, 1)), horizon)
+    states = list(traj)
+    g = np.empty((n, d))
+    pen = np.empty((n, d))
+    resid = np.empty(n)
+    resid_col = resid[:, None]
+    project = _projector(n, d, radius)
 
-    l0 = np.sum((theta - theta_star) ** 2, axis=1)
+    l0 = np.sum((traj[0] - theta_star) ** 2, axis=1)
     for start, size, out in _chunks(l0, horizon, RIDGE_ROWS, on_chunk or _store(losses)):
         xc = np.empty((size, n, d))
         yc = np.empty((size, n))
-        for j, g in enumerate(gens):
-            xj, yj = stream.draw(g, size)
+        for j, gen in enumerate(gens):
+            xj, yj = stream.draw(gen, size)
             xc[:, j, :] = xj
             yc[:, j] = yj
-        for k in range(size):
-            t = start + k
-            eta = etas[t]
-            xk = xc[k]
-            resid = np.sum(xk * theta, axis=1) - yc[k]
-            if penalty_in_gradient:
-                w = theta - eta * (resid[:, None] * xk + lambda_pen * theta)
-            else:
-                # verbatim variant: the penalty enters without a step factor
-                w = theta - eta * resid[:, None] * xk + lambda_pen * theta
-            r2 = np.sum(w * w, axis=1)
-            outside = r2 > radius * radius
-            if outside.any():
-                w[outside] *= (radius / np.sqrt(r2[outside]))[:, None]
-            theta = w
-            out[:, k] = np.sum((theta - theta_star) ** 2, axis=1)
-    return {"loss": losses, "final_theta": theta}
+        for lo, hi in _slices(size, n * d):
+            xs, ys = xc[lo:hi], yc[lo:hi]
+            for k, eta in enumerate(etas[start + lo : start + hi].tolist()):
+                theta, w, xk = states[k], states[k + 1], xs[k]
+                np.multiply(xk, theta, out=g)
+                _sum_last(g, resid)
+                np.subtract(resid, ys[k], out=resid)
+                np.multiply(theta, lambda_pen, out=pen)
+                if penalty_in_gradient:
+                    # w = theta - eta*(resid*x + lambda*theta)
+                    np.multiply(resid_col, xk, out=g)
+                    np.add(g, pen, out=g)
+                    np.multiply(g, eta, out=g)
+                    np.subtract(theta, g, out=w)
+                else:
+                    # verbatim variant: the penalty enters without a step factor
+                    np.multiply(resid, eta, out=resid)
+                    np.multiply(resid_col, xk, out=g)
+                    np.subtract(theta, g, out=w)
+                    np.add(w, pen, out=w)
+                project(w)
+            m = hi - lo
+            out[:, lo:hi] = _sum_last((traj[1 : m + 1] - theta_star) ** 2).T
+            traj[0] = traj[m]
+    return {"loss": losses, "final_theta": traj[0].copy()}
 
 
 # ---------------------------------------------------------------------------

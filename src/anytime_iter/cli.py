@@ -2,8 +2,10 @@
 
 Subcommands run each experiment from a JSON config and write reports into
 --out-dir.  Exit codes: 0 success, 1 an acceptance threshold failed,
-2 invalid configuration (with field diagnostics).  The environment variable
-ANYTIME_ITER_SEED, when set, overrides the config's seed_base.
+2 invalid configuration (with field diagnostics), 3 an internal error, such
+as the FloatingPointError a non-finite loss raises (with a one-line
+"error:" diagnostic).  The environment variable ANYTIME_ITER_SEED, when
+set, overrides the config's seed_base.
 
 Acceptance policy (stated in every report): a coverage experiment passes when
 its empirical violation rate is at most confidence_cost*delta plus a
@@ -48,6 +50,7 @@ from .seeding import rep_seed
 __all__ = ["main"]
 
 SEED_ENV = "ANYTIME_ITER_SEED"
+EXIT_INTERNAL = 3
 
 
 class ConfigError(Exception):
@@ -75,11 +78,15 @@ def _seed_base(cfg: dict) -> int:
     env = os.environ.get(SEED_ENV)
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise ConfigError(f"{SEED_ENV} must be an integer, got {env!r}")
-    _require(cfg, "seed_base")
-    return int(cfg["seed_base"])
+    else:
+        _require(cfg, "seed_base")
+        seed = int(cfg["seed_base"])
+    if seed < 0:
+        raise ConfigError(f"seed_base must be nonnegative, got {seed}")
+    return seed
 
 
 def _coverage_config(cfg: dict) -> CoverageConfig:
@@ -153,9 +160,11 @@ def _cmd_last_iterate(cfg: dict, out_dir: Path, threads: int) -> int:
 
 def _cmd_width_table(cfg: dict, out_dir: Path, threads: int) -> int:
     _require(cfg, "b", "lam", "delta", "horizons")
-    rows = width_comparison(
-        float(cfg["b"]), float(cfg["lam"]), float(cfg["delta"]), [int(t) for t in cfg["horizons"]]
-    )
+    try:
+        horizons = [int(t) for t in cfg["horizons"]]
+        rows = width_comparison(float(cfg["b"]), float(cfg["lam"]), float(cfg["delta"]), horizons)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     with open(out_dir / "width_table.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "anytime", "fixed_horizon", "ratio"])
@@ -261,7 +270,10 @@ def _cmd_counterexample(cfg: dict, out_dir: Path, threads: int) -> int:
     p_one = float(cfg["p_one"])
     if not 0.0 <= p_one <= 1.0:
         raise ConfigError("p_one must lie in [0, 1]")
-    result = run_counterexample(p_one, int(cfg["n_reps"]), int(cfg["horizon"]), _seed_base(cfg))
+    n_reps, horizon = int(cfg["n_reps"]), int(cfg["horizon"])
+    if n_reps < 1 or horizon < 1:
+        raise ConfigError("n_reps and horizon must be at least 1")
+    result = run_counterexample(p_one, n_reps, horizon, _seed_base(cfg))
     result["policy"] = "fraction converging to zero must match 1 - p_one within 3 sigma"
     write_report_json(result, out_dir / "counterexample_report.json")
     print(
@@ -367,6 +379,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print(f"error: internal {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

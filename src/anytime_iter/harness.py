@@ -66,6 +66,7 @@ __all__ = [
 ]
 
 _REP_BLOCK = 512
+_LIL_ROWS = 1024  # steps per LIL chunk; the maxima do not depend on it
 
 
 def mc_threshold(cost: float, delta: float, n_reps: int) -> float:
@@ -398,34 +399,47 @@ def width_comparison(b: float, lam: float, delta: float, horizons: Sequence[int]
 def _lil_batch(
     problem: RmProblem, l1: float, n_blocks: int, seeds, x0: float
 ) -> tuple[np.ndarray, list]:
-    """Dyadic-block maxima of t*L_t/log log t for a batch of trajectories."""
+    """Dyadic-block maxima of t*L_t/log log t for a batch of trajectories.
+
+    The step loop only advances x_t = x_{t-1} - (l1/t)*(M(x_{t-1}) + xi_t);
+    each chunk of _LIL_ROWS steps then computes its statistics in one array
+    pass and folds them into the block maxima.
+    """
     horizon = 2 ** (n_blocks + 1)
     n = len(seeds)
     gens = [make_generator(s) for s in seeds]
-    x = np.full(n, float(x0) + problem.theta)
     block_max = np.full((n_blocks, n), -np.inf)
     bounds = [(2**nb + 1, 2 ** (nb + 1)) for nb in range(1, n_blocks + 1)]
 
-    chunk = 8192
-    t = 0
-    while t < horizon:
-        size = min(chunk, horizon - t)
+    rows = min(_LIL_ROWS, horizon)
+    traj = np.empty((rows + 1, n))
+    traj[0] = float(x0) + problem.theta
+    states = list(traj)
+    for start in range(0, horizon, rows):
+        size = min(rows, horizon - start)
         xi = np.empty((size, n))
         for j, g in enumerate(gens):
             xi[:, j] = g.uniform(-SQRT3, SQRT3, size=size)
         for k in range(size):
-            step_t = t + k + 1
-            eta = l1 / step_t
-            x = x - eta * (problem.m_func(x) + xi[k])
-            if step_t >= 3:
-                loglog = math.log(math.log(step_t))
-                if loglog > 0.0:
-                    dev = x - problem.theta
-                    stat = step_t * dev * dev / loglog
-                    nb = step_t.bit_length() - 1 if step_t & (step_t - 1) else step_t.bit_length() - 2
-                    # block index: t in [2^nb+1, 2^(nb+1)] -> slot nb-1
-                    np.maximum(block_max[nb - 1], stat, out=block_max[nb - 1])
-        t += size
+            x = states[k]
+            y = problem.m_func(x)
+            np.add(y, xi[k], out=y)
+            np.multiply(y, l1 / (start + k + 1), out=y)
+            np.subtract(x, y, out=states[k + 1])
+        # statistics at t = start+1 .. start+size; the blocks start at t = 3,
+        # where log log t > 0
+        t0, t1 = start + 1, start + size
+        ts = range(t0, t1 + 1)
+        loglog = np.array([math.log(math.log(t)) if t >= 3 else 1.0 for t in ts])
+        dev = traj[1 : size + 1] - problem.theta
+        stat = np.array(ts, dtype=float)[:, None] * dev
+        stat *= dev
+        stat /= loglog[:, None]
+        for i, (lo, hi) in enumerate(bounds):
+            a, b = max(lo, t0), min(hi, t1)
+            if a <= b:
+                np.maximum(block_max[i], stat[a - t0 : b - t0 + 1].max(axis=0), out=block_max[i])
+        traj[0] = traj[size]
     return block_max, bounds
 
 

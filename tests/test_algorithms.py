@@ -98,13 +98,23 @@ def test_sgd_noiseless_contracts_per_coordinate():
     assert np.all(tr.noise >= 0.0)  # only the eta^2*||grad||^2 part remains
 
 
-def test_projection_is_idempotent_and_radial():
-    y = np.array([3.0, 4.0])
-    proj = SGD.projector(y)
-    assert math.isclose(np.linalg.norm(proj), SGD.radius, rel_tol=1e-12)
-    assert np.allclose(SGD.projector(proj), proj)
-    inside = np.array([0.1, 0.1])
-    assert np.array_equal(SGD.projector(inside), inside)
+def test_projection_keeps_iterates_in_ball():
+    # Started on the sphere, with noise that pushes outward, SGD is pulled
+    # back radially: with x* = 0 the loss is ||x_t||^2, which never exceeds
+    # radius^2, and each pulled iterate lies on the sphere.
+    p = SgdProblem(curvature=(1.0, 1.0), x_star=(0.0, 0.0), radius=0.5, b_noise=4.0)
+    etas = StepSchedule.inverse_time(1.0, 4.0).etas(300)
+    seeds = [rep_seed(2, i) for i in range(20)]
+    res = sgd_batch(p, etas, (0.5, 0.0), seeds)
+    r2 = p.radius**2
+    assert res["proj_hits"] > 0
+    assert np.all(res["loss_sc"] <= r2 * (1.0 + 1e-12))
+    on_sphere = np.abs(res["loss_sc"][:, 1:] - r2) <= 1e-12 * r2
+    assert np.count_nonzero(on_sphere) >= res["proj_hits"]
+    # a ball the iterates never leave reports no projection
+    wide = SgdProblem(curvature=(1.0, 1.0), x_star=(0.0, 0.0), radius=4.0, b_noise=0.5)
+    res = sgd_batch(wide, etas, (1.0, 0.0), seeds)
+    assert res["proj_hits"] == 0 and np.all(res["loss_sc"] < wide.radius**2)
 
 
 def test_ridge_noiseless_converges_to_truth():
@@ -306,6 +316,35 @@ def test_engines_invariant_to_chunk_length(name, monkeypatch):
         results.append(run(seeds))
     for res in results[1:]:
         assert_same_arrays(results[0], res)
+
+
+@pytest.mark.parametrize("name", sorted(ENGINES))
+def test_engines_invariant_to_pass_slices(name, monkeypatch):
+    # The loss and channel pass runs over slices of PASS_BUDGET values of
+    # each chunk; slices of 1 and 5 steps give what one slice per chunk gives.
+    width, run = ENGINES[name]
+    seeds = [rep_seed(8, i) for i in range(3)]
+    results = []
+    for steps in (1, 5, 2048):
+        monkeypatch.setattr(algorithms, "PASS_BUDGET", steps * len(seeds) * width)
+        results.append(run(seeds))
+    for res in results[1:]:
+        assert_same_arrays(results[0], res)
+
+
+def test_sum_last_matches_np_sum_bitwise():
+    rng = np.random.default_rng(0)
+    for d in range(1, 12):
+        for shape in ((1, d), (7, d), (513, d), (3, 5, d)):
+            a = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+            a.flat[0] = -0.0
+            expect = np.sum(a, axis=-1)
+            assert algorithms._sum_last(a).tobytes() == expect.tobytes(), shape
+            out = np.empty(shape[:-1])
+            algorithms._sum_last(a, out)
+            assert out.tobytes() == expect.tobytes(), shape
+    zeros = np.full((4, 3), -0.0)
+    assert algorithms._sum_last(zeros).tobytes() == np.sum(zeros, axis=-1).tobytes()
 
 
 @pytest.mark.parametrize("name", ["sgd", "krasulina-rotated", "ridge"])

@@ -61,6 +61,42 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     assert run(["coverage", "--config", str(malformed)]) == 2
 
 
+@pytest.mark.parametrize(
+    "command,payload",
+    [
+        ("lil", {"l1": 1.0, "l2": 1.0, "n_blocks": 4, "n_seeds": 2, "seed_base": -1}),
+        ("counterexample", {"p_one": 0.1, "n_reps": 0, "horizon": 10, "seed_base": 1}),
+        ("width-table", {"b": 1.0, "lam": 1.0, "delta": 0.5, "horizons": [100]}),
+    ],
+)
+def test_invalid_values_exit_before_running(command, payload, tmp_path, capsys):
+    # each used to escape as an uncaught error with exit 1, the code of a
+    # failed threshold
+    cfg = write_cfg(tmp_path, "cfg.json", payload)
+    assert run([command, "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_negative_seed_override_is_invalid(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path, "lil.json", {"l1": 1.0, "l2": 1.0, "n_blocks": 4, "n_seeds": 2})
+    monkeypatch.setenv("ANYTIME_ITER_SEED", "-3")
+    assert run(["lil", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+
+
+def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
+    # a non-finite loss (or any other internal error) exits 3 with one line
+    import anytime_iter.cli as cli
+
+    def non_finite(config, threads=0):
+        raise FloatingPointError("non-finite loss nan in replication 4\nat t=17")
+
+    monkeypatch.setattr(cli, "run_coverage", non_finite)
+    cfg = write_cfg(tmp_path, "cov.json", SGD_CFG)
+    assert run(["coverage", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: internal FloatingPointError: non-finite loss nan in replication 4 at t=17\n"
+
+
 def test_reports_reproducible_across_threads(tmp_path):
     cfg = write_cfg(tmp_path, "cov.json", SGD_CFG)
     outs = []

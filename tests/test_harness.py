@@ -23,6 +23,7 @@ from anytime_iter import (
     run_oja_cold_start,
     width_comparison,
 )
+from anytime_iter import harness
 from anytime_iter.harness import _drive, write_grid_csv, write_report_json
 from anytime_iter.seeding import rep_seed
 
@@ -263,6 +264,20 @@ def test_lil_ensemble_matches_single():
     for i, seed in enumerate(seeds):
         solo = run_lil(p, 1.0, 1.0, 6, seed)
         assert ens[i].block_stats == solo.block_stats
+
+
+def test_lil_maxima_invariant_to_chunk_length(monkeypatch):
+    # Chunks of 1, 7 and 8192 steps give identical block maxima; 7-step
+    # chunks straddle the dyadic boundaries 8|9, 16|17, 32|33 and 64|65.
+    p = RmProblem(m_kind="cubic_plus_linear", theta=0.5, cub_a=0.3, cub_b=1.0)
+    seeds = [rep_seed(6, i) for i in range(3)]
+    results = []
+    for rows in (1, 7, 8192):
+        monkeypatch.setattr(harness, "_LIL_ROWS", rows)
+        block_max, _ = harness._lil_batch(p, 1.0, 6, seeds, 1.0)
+        results.append(block_max)
+    for res in results[1:]:
+        assert np.array_equal(results[0], res)
 
 
 def test_lil_validation():

@@ -39,10 +39,8 @@ from .streams import (
     quadratic_grad_oracle,
     rm_oracle,
 )
+from .problems import PcaProblem, RmProblem, SgdProblem
 from .algorithms import (
-    PcaProblem,
-    RmProblem,
-    SgdProblem,
     check_pca_recursion,
     krasulina_stream,
     oja_stream,

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithms import PcaProblem, RmProblem
+from .problems import PcaProblem, RmProblem
 from .boundaries import (
     boundary_catalog,
     oja_boundary,

@@ -25,16 +25,7 @@ from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algorithms import (
-    DRAW_BUDGET,
-    RIDGE_ROWS,
-    PcaProblem,
-    RmProblem,
-    SgdProblem,
-    pca_batch,
-    ridge_batch,
-    sgd_batch,
-)
+from .algorithms import DRAW_BUDGET, RIDGE_ROWS, pca_batch, ridge_batch, sgd_batch
 from .boundaries import (
     StepSchedule,
     oja_boundary,
@@ -44,6 +35,7 @@ from .boundaries import (
     sgd_last_iterate,
     two_phase_oja_schedule,
 )
+from .problems import PcaProblem, RmProblem, SgdProblem
 from .recursion import counterexample_process
 from .seeding import make_generator, rep_seed
 from .streams import SQRT3, LinearModelStream

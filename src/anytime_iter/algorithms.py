@@ -125,14 +125,14 @@ def _trajectory(state: np.ndarray, horizon: int) -> np.ndarray:
     return traj
 
 
-def _sum_last(a: np.ndarray, out=None) -> np.ndarray:
+def _sum_last(a: np.ndarray, out=None, squares: bool = False) -> np.ndarray:
     """np.sum(a, axis=-1, out=out), bit for bit.
 
     numpy adds fewer than 8 terms left to right, starting from +0.0, so
     adding the strided slices a[..., j] gives the same bits and, for a few
     terms, runs several times faster than a reduction along the short last
-    axis.  The final +0.0 turns an all -0.0 sum into +0.0, as numpy does,
-    and changes nothing else.
+    axis.  A closing +0.0 turns an all -0.0 sum into +0.0, as numpy does,
+    and changes nothing else; squares, which are never -0.0, skip it.
     """
     d = a.shape[-1]
     if not 2 <= d < 8:
@@ -140,7 +140,7 @@ def _sum_last(a: np.ndarray, out=None) -> np.ndarray:
     out = np.add(a[..., 0], a[..., 1], out=out)
     for j in range(2, d):
         np.add(out, a[..., j], out=out)
-    return np.add(out, 0.0, out=out)
+    return out if squares else np.add(out, 0.0, out=out)
 
 
 def _projector(n: int, d: int, radius: float):
@@ -154,7 +154,7 @@ def _projector(n: int, d: int, radius: float):
 
     def project(w: np.ndarray) -> int:
         np.multiply(w, w, out=sq)
-        _sum_last(sq, r2)
+        _sum_last(sq, r2, squares=True)
         np.greater(r2, rr, out=outside)
         if not outside.any():
             return 0
@@ -227,12 +227,12 @@ def sgd_batch(
                 np.subtract(x, g, out=w)
                 proj_hits += project(w)
             dev = traj[: hi - lo + 1] - xs
-            out[:, lo:hi] = _sum_last(dev[1:] * dev[1:]).T
+            out[:, lo:hi] = _sum_last(dev[1:] * dev[1:], squares=True).T
             if record_channels:
                 eta = etas[t, None]
                 gradf = a * dev[:-1]
                 gvec = gradf + e
-                gn2 = _sum_last(gvec * gvec)
+                gn2 = _sum_last(gvec * gvec, squares=True)
                 y1 = -_sum_last(e * dev[:-1])
                 y2 = -_sum_last(gradf * e)
                 y_sc[:, t] = y1.T
@@ -343,7 +343,7 @@ def pca_batch(
                     np.multiply(y_col, xk, out=z)
                 np.add(v, z, out=w)
                 np.multiply(w, w, out=tmp)
-                _sum_last(tmp, grown[k])
+                _sum_last(tmp, grown[k], squares=True)
                 if normalize_each_step:
                     np.sqrt(grown[k], out=c)
                     np.divide(w, c_col, out=w)
@@ -360,7 +360,7 @@ def pca_batch(
                 m_t = 2.0 * eta * v1 * (sv[..., 0] - v1 * _sum_last(sv * vp) / vn2) / vn2
                 q_chan[:, t] = (m_t - 2.0 * eta * v1 * zp[..., 0] / vn2).T
                 zv_chan[:, t] = _sum_last(zp * vp).T
-                znorm2_chan[:, t] = _sum_last(zp * zp).T
+                znorm2_chan[:, t] = _sum_last(zp * zp, squares=True).T
                 ratio_chan[:, t] = (grown[:m] / vn2).T
             traj[0] = traj[m]
             norms[0] = norms[m]
@@ -482,7 +482,7 @@ def ridge_batch(
                     np.add(w, pen, out=w)
                 project(w)
             m = hi - lo
-            out[:, lo:hi] = _sum_last((traj[1 : m + 1] - theta_star) ** 2).T
+            out[:, lo:hi] = _sum_last((traj[1 : m + 1] - theta_star) ** 2, squares=True).T
             traj[0] = traj[m]
     return {"loss": losses, "final_theta": traj[0].copy()}
 

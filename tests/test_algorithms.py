@@ -343,6 +343,9 @@ def test_sum_last_matches_np_sum_bitwise():
             out = np.empty(shape[:-1])
             algorithms._sum_last(a, out)
             assert out.tobytes() == expect.tobytes(), shape
+            sq = a * a
+            expect = np.sum(sq, axis=-1)
+            assert algorithms._sum_last(sq, squares=True).tobytes() == expect.tobytes(), shape
     zeros = np.full((4, 3), -0.0)
     assert algorithms._sum_last(zeros).tobytes() == np.sum(zeros, axis=-1).tobytes()
 

@@ -50,7 +50,6 @@ from .seeding import rep_seed
 __all__ = ["main"]
 
 SEED_ENV = "ANYTIME_ITER_SEED"
-EXIT_INTERNAL = 3
 
 
 class ConfigError(Exception):
@@ -382,7 +381,7 @@ def main(argv=None) -> int:
     except Exception as exc:
         message = " ".join(str(exc).split())
         print(f"error: internal {type(exc).__name__}: {message}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return 3
 
 
 if __name__ == "__main__":

@@ -33,12 +33,7 @@ from .boundaries import (
     write_catalog_json,
     write_width_csv,
 )
-from .streams import (
-    LinearModelStream,
-    pca_rademacher_stream,
-    quadratic_grad_oracle,
-    rm_oracle,
-)
+from .streams import LinearModelStream
 from .problems import PcaProblem, RmProblem, SgdProblem
 from .algorithms import (
     check_pca_recursion,

@@ -18,7 +18,9 @@ member of any size.  Normals (SGD), signs (PCA) and uniforms (root finding)
 come out the same however a stream is cut into chunks, so those engines draw
 chunks of DRAW_BUDGET values per batch (and at least MIN_ROWS steps):
 streamed through on_chunk without record_channels, memory is O(N*chunk),
-independent of the horizon.
+independent of the horizon.  rm_batch streams the signed deviations
+x_t - theta instead of their squares, the loss, so that a reducer can form
+(t*dev)*dev, which dev^2 does not give bit for bit (the LIL statistic).
 Ridge draws signs, then uniforms, per chunk, so its RIDGE_ROWS is fixed.
 
 Each engine's step loop only advances the recursion: the update, the
@@ -39,9 +41,9 @@ import numpy as np
 
 from .boundaries import StepSchedule
 from .problems import PcaProblem, RmProblem, SgdProblem
-from .recursion import CheckReport, RecursionParams, Trace, Violation
+from .recursion import CheckReport, RecursionParams, Trace, _first_violation
 from .seeding import SeedLike, rep_generators
-from .streams import SQRT3, LinearModelStream, rademacher_batch, sphere_noise_batch
+from .streams import SQRT3, LinearModelStream, rademacher_batch, sphere_noise_batch, uniform_batch
 
 __all__ = [
     "SgdProblem",
@@ -383,23 +385,27 @@ def rm_batch(
     x0: float,
     seeds: Sequence[SeedLike],
     record_channels: bool = True,
+    on_chunk=None,
 ) -> dict:
-    """Advance scalar root-finding replications in lock step."""
+    """Advance scalar root-finding replications in lock step.
+
+    The loss is (x_t - theta)^2.  With on_chunk, loss is None and
+    on_chunk(t0, dev) receives instead each chunk's signed deviations
+    x_t - theta, as in sgd_batch; callers square them for the loss.
+    """
     n = len(seeds)
     horizon = len(etas)
     gens = rep_generators(seeds)
     theta = problem.theta
-    losses = np.empty((n, horizon + 1))
+    losses = None if on_chunk else np.empty((n, horizon + 1))
     q_chan = _alloc((n, horizon), record_channels)
     noise = _alloc((n, horizon), record_channels)
 
     traj = _trajectory(np.full(n, float(x0)), horizon)
     states = list(traj)
-    l0 = (traj[0] - theta) ** 2
-    for start, size, out in _chunks(l0, horizon, _rows(n, 1), None, losses):
-        draws = np.empty((size, n))
-        for j, g in enumerate(gens):
-            draws[:, j] = g.uniform(-SQRT3, SQRT3, size=size)
+    l0 = traj[0] - theta if on_chunk else (traj[0] - theta) ** 2
+    for start, size, out in _chunks(l0, horizon, _rows(n, 1), on_chunk, losses):
+        draws = uniform_batch(gens, size, SQRT3)
         for lo, hi in _slices(size, n):
             xi = draws[lo:hi]
             t = slice(start + lo, start + hi)
@@ -411,7 +417,7 @@ def rm_batch(
                 np.multiply(y_val, eta, out=y_val)
                 np.subtract(x, y_val, out=states[k + 1])
             dev = traj[: hi - lo + 1] - theta
-            out[:, lo:hi] = (dev[1:] ** 2).T
+            out[:, lo:hi] = (dev[1:] if on_chunk else dev[1:] ** 2).T
             if record_channels:
                 eta = etas[t, None]
                 q = -2.0 * eta * dev[:-1] * xi
@@ -714,20 +720,4 @@ def check_pca_recursion(
         coef = 5.0 * b**4 + 2.0 * eta * b**6
     rec_rhs = (1.0 - 2.0 * rho * eta) * lp + 2.0 * rho * eta * lp**2 + q + coef * eta**2
     mag_rhs = 8.0 * b**2 * eta * np.sqrt(lp)
-    rec_bad = lc > rec_rhs + slack
-    mag_bad = np.abs(q) > mag_rhs + slack
-    t_rec = int(np.argmax(rec_bad)) if rec_bad.any() else None
-    t_mag = int(np.argmax(mag_bad)) if mag_bad.any() else None
-    if t_rec is None and t_mag is None:
-        return CheckReport(ok=True)
-    if t_mag is None or (t_rec is not None and t_rec <= t_mag):
-        t = t_rec
-        return CheckReport(
-            ok=False,
-            first_violation=Violation(t + 1, float(lc[t]), float(rec_rhs[t]), "recursion"),
-        )
-    t = t_mag
-    return CheckReport(
-        ok=False,
-        first_violation=Violation(t + 1, float(abs(q[t])), float(mag_rhs[t]), "magnitude"),
-    )
+    return _first_violation(lc, rec_rhs, np.abs(q), mag_rhs, slack)

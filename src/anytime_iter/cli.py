@@ -177,18 +177,18 @@ def _cmd_width_table(cfg: dict, out_dir: Path, threads: int) -> int:
 
 def _cmd_lil(cfg: dict, out_dir: Path, threads: int) -> int:
     _require(cfg, "l1", "l2", "n_blocks", "n_seeds")
-    problem = RmProblem(
-        m_kind=cfg.get("m_kind", "linear"),
-        theta=float(cfg.get("theta", 0.0)),
-        slope=float(cfg.get("slope", 1.0)),
-        cub_a=float(cfg.get("cub_a", 0.0)),
-        cub_b=float(cfg.get("cub_b", 0.0)),
-        r1=float(cfg.get("r1", math.sqrt(3.0))),
-    )
     seed_base = _seed_base(cfg)
     n_seeds = int(cfg["n_seeds"])
     seeds = [rep_seed(seed_base, i) for i in range(n_seeds)]
     try:
+        problem = RmProblem(
+            m_kind=cfg.get("m_kind", "linear"),
+            theta=float(cfg.get("theta", 0.0)),
+            slope=float(cfg.get("slope", 1.0)),
+            cub_a=float(cfg.get("cub_a", 0.0)),
+            cub_b=float(cfg.get("cub_b", 0.0)),
+            r1=float(cfg.get("r1", math.sqrt(3.0))),
+        )
         reports = run_lil_ensemble(
             problem,
             float(cfg["l1"]),
@@ -232,11 +232,11 @@ def _cmd_lil(cfg: dict, out_dir: Path, threads: int) -> int:
 def _cmd_oja_cold_start(cfg: dict, out_dir: Path, threads: int) -> int:
     _require(cfg, "eigs", "delta", "c_explore", "c_stable", "horizon", "n_reps")
     rotation = cfg.get("rotation")
-    problem = PcaProblem(
-        eigs=tuple(cfg["eigs"]),
-        rotation=None if rotation is None else tuple(tuple(r) for r in rotation),
-    )
     try:
+        problem = PcaProblem(
+            eigs=tuple(cfg["eigs"]),
+            rotation=None if rotation is None else tuple(tuple(r) for r in rotation),
+        )
         report = run_oja_cold_start(
             problem,
             float(cfg["delta"]),

@@ -13,6 +13,12 @@ matrix is built: losses in flight take O(block * chunk) memory, independent
 of the horizon.  Blocks and per-replication seeds are independent of the
 worker count, and the draws of the chunk-length invariant engines do not
 depend on the block size, so reports do not depend on scheduling.
+
+The iterated-logarithm statistic runs on rm_batch as well: _lil_batch folds
+each chunk of signed deviations x_t - theta the engine streams into
+dyadic-block maxima, in one batch of all seeds; its step vector has length
+2^(n_blocks+1).  No step loop and no noise draw live here; _pca_v0 only
+draws each replication's initial direction.
 """
 from __future__ import annotations
 
@@ -20,12 +26,12 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algorithms import DRAW_BUDGET, RIDGE_ROWS, pca_batch, ridge_batch, sgd_batch
+from .algorithms import DRAW_BUDGET, RIDGE_ROWS, pca_batch, ridge_batch, rm_batch, sgd_batch
 from .boundaries import (
     StepSchedule,
     oja_boundary,
@@ -38,7 +44,7 @@ from .boundaries import (
 from .problems import PcaProblem, RmProblem, SgdProblem
 from .recursion import counterexample_process
 from .seeding import make_generator, rep_seed
-from .streams import SQRT3, LinearModelStream
+from .streams import LinearModelStream
 
 __all__ = [
     "CoverageConfig",
@@ -58,7 +64,6 @@ __all__ = [
 ]
 
 _REP_BLOCK = 512
-_LIL_ROWS = 1024  # steps per LIL chunk; the maxima do not depend on it
 
 
 def mc_threshold(cost: float, delta: float, n_reps: int) -> float:
@@ -393,45 +398,33 @@ def _lil_batch(
 ) -> tuple[np.ndarray, list]:
     """Dyadic-block maxima of t*L_t/log log t for a batch of trajectories.
 
-    The step loop only advances x_t = x_{t-1} - (l1/t)*(M(x_{t-1}) + xi_t);
-    each chunk of _LIL_ROWS steps then computes its statistics in one array
-    pass and folds them into the block maxima.
+    rm_batch runs x_t = x_{t-1} - (l1/t)*(M(x_{t-1}) + xi_t) and streams the
+    deviations dev = x_t - theta per chunk; each chunk's statistics
+    (t*dev)*dev/log log t are one array pass folded into the block maxima.
+    The signed deviation is needed: (t*dev)*dev is not rebuilt bit for bit
+    from the loss dev^2.
     """
     horizon = 2 ** (n_blocks + 1)
-    n = len(seeds)
-    gens = [make_generator(s) for s in seeds]
-    block_max = np.full((n_blocks, n), -np.inf)
+    block_max = np.full((n_blocks, len(seeds)), -np.inf)
     bounds = [(2**nb + 1, 2 ** (nb + 1)) for nb in range(1, n_blocks + 1)]
 
-    rows = min(_LIL_ROWS, horizon)
-    traj = np.empty((rows + 1, n))
-    traj[0] = float(x0) + problem.theta
-    states = list(traj)
-    for start in range(0, horizon, rows):
-        size = min(rows, horizon - start)
-        xi = np.empty((size, n))
-        for j, g in enumerate(gens):
-            xi[:, j] = g.uniform(-SQRT3, SQRT3, size=size)
-        for k in range(size):
-            x = states[k]
-            y = problem.m_func(x)
-            np.add(y, xi[k], out=y)
-            np.multiply(y, l1 / (start + k + 1), out=y)
-            np.subtract(x, y, out=states[k + 1])
-        # statistics at t = start+1 .. start+size; the blocks start at t = 3,
-        # where log log t > 0
-        t0, t1 = start + 1, start + size
+    def reduce(t0: int, dev: np.ndarray) -> None:
+        # the blocks start at t = 3, where log log t > 0
+        t1 = t0 + dev.shape[1] - 1
         ts = range(t0, t1 + 1)
         loglog = np.array([math.log(math.log(t)) if t >= 3 else 1.0 for t in ts])
-        dev = traj[1 : size + 1] - problem.theta
-        stat = np.array(ts, dtype=float)[:, None] * dev
+        stat = np.array(ts, dtype=float) * dev
         stat *= dev
-        stat /= loglog[:, None]
+        stat /= loglog
         for i, (lo, hi) in enumerate(bounds):
             a, b = max(lo, t0), min(hi, t1)
             if a <= b:
-                np.maximum(block_max[i], stat[a - t0 : b - t0 + 1].max(axis=0), out=block_max[i])
-        traj[0] = traj[size]
+                top = stat[:, a - t0 : b - t0 + 1].max(axis=1)
+                np.maximum(block_max[i], top, out=block_max[i])
+
+    etas = np.arange(1, horizon + 1, dtype=float)
+    np.divide(l1, etas, out=etas)  # eta_t = l1/t, in place: one horizon-length vector
+    rm_batch(problem, etas, float(x0) + problem.theta, seeds, False, reduce)
     return block_max, bounds
 
 
@@ -565,30 +558,20 @@ def run_counterexample(p_one: float, n_reps: int, horizon: int, seed_base: int) 
 # ---------------------------------------------------------------------------
 
 
-def _report_dict(report) -> dict:
-    from dataclasses import asdict
-
-    d = asdict(report)
-    d["quantiles_at_grid"] = {str(k): list(v) for k, v in d.get("quantiles_at_grid", {}).items()}
-    wall = d.pop("wall_time", None)
-    return d, wall
-
-
 def write_report_json(report, path, extra: Optional[dict] = None) -> None:
-    """Write a report as JSON with deterministic payload.
+    """Write a report, a dataclass or a dict, as JSON with deterministic payload.
 
     Timing goes into the separate "timing" object so that the rest of the
     document is byte-identical across reruns and worker counts.
     """
-    if hasattr(report, "__dataclass_fields__"):
-        payload, wall = _report_dict(report)
-    else:
-        payload, wall = dict(report), None
-        wall = payload.pop("wall_time", None)
+    payload = asdict(report) if is_dataclass(report) else dict(report)
+    if "quantiles_at_grid" in payload:
+        quantiles = payload["quantiles_at_grid"]
+        payload["quantiles_at_grid"] = {str(k): list(v) for k, v in quantiles.items()}
     doc = {"report": payload}
     if extra:
         doc.update(extra)
-    doc["timing"] = {"wall_time_s": wall}
+    doc["timing"] = {"wall_time_s": payload.pop("wall_time", None)}
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True, default=float)
         fh.write("\n")

@@ -176,8 +176,15 @@ def check_recursion(trace: Trace, params: RecursionParams, tol: float = 1e-10) -
     for coef, ci, di in params.terms_mag:
         mag_rhs = mag_rhs + coef * eta ** (0.5 + ci) * lp**di
 
+    return _first_violation(lc, rec_rhs, np.abs(u), mag_rhs, slack)
+
+
+def _first_violation(lc, rec_rhs, mag_lhs, mag_rhs, slack) -> CheckReport:
+    """Report the earliest step where lc > rec_rhs (recursion) or
+    mag_lhs > mag_rhs (magnitude), each up to slack; a recursion violation
+    wins a tie."""
     rec_bad = lc > rec_rhs + slack
-    mag_bad = np.abs(u) > mag_rhs + slack
+    mag_bad = mag_lhs > mag_rhs + slack
     t_rec = int(np.argmax(rec_bad)) if rec_bad.any() else None
     t_mag = int(np.argmax(mag_bad)) if mag_bad.any() else None
     if t_rec is None and t_mag is None:
@@ -191,7 +198,7 @@ def check_recursion(trace: Trace, params: RecursionParams, tol: float = 1e-10) -
     t = t_mag
     return CheckReport(
         ok=False,
-        first_violation=Violation(t + 1, float(abs(u[t])), float(mag_rhs[t]), "magnitude"),
+        first_violation=Violation(t + 1, float(mag_lhs[t]), float(mag_rhs[t]), "magnitude"),
     )
 
 

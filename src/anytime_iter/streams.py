@@ -1,16 +1,20 @@
-"""Seeded synthetic data generators with exactly known constants.
+"""Seeded samplers with exactly known constants, the draws of the engines.
 
-Every generator here is bounded by construction, so the constants (B, rho,
+Every sampler here is bounded by construction, so the constants (B, rho,
 lambda_min, R1, ...) entering the boundaries are exact rather than estimated:
 
-  * PCA data with independent sign coordinates: exact diagonal covariance and
-    a deterministic norm sqrt(sum eigs).
-  * Gradient oracle for quadratics with noise uniform on a sphere: the noise
-    magnitude is exactly b_noise on every draw.
-  * Scalar root-finding oracle with uniform, unit-variance additive noise
-    (continuous and bounded by sqrt(3)).
-  * Linear regression stream with sign-pattern covariates of fixed norm, so
-    E[x x^T] = (x_radius^2/d)*I exactly.
+  * independent signs: scaled by sqrt(eigs), PCA data with exact diagonal
+    covariance and a deterministic norm sqrt(sum eigs);
+  * noise uniform on a sphere, for SGD gradients: its magnitude is exactly
+    the radius on every draw;
+  * uniform noise on [-sqrt(3), sqrt(3)], for root finding: centered, unit
+    variance, continuous and bounded by sqrt(3);
+  * a linear regression stream with sign-pattern covariates of fixed norm,
+    so E[x x^T] = (x_radius^2/d)*I exactly.
+
+The *_batch samplers draw one chunk for a batch of replications, one call
+per generator; column j of a batch draw equals what generator j alone
+draws, so a replication's numbers do not depend on the batch it runs in.
 """
 from __future__ import annotations
 
@@ -20,24 +24,17 @@ from typing import Tuple
 
 import numpy as np
 
-from .seeding import SeedLike, make_generator
-
 __all__ = [
-    "pca_rademacher_stream",
-    "quadratic_grad_oracle",
-    "rm_oracle",
+    "rademacher_matrix",
+    "sphere_noise",
+    "rademacher_batch",
+    "sphere_noise_batch",
+    "uniform_batch",
     "LinearModelStream",
     "SQRT3",
 ]
 
 SQRT3 = math.sqrt(3.0)
-
-
-def _indexed_rng(seed: SeedLike, t: int) -> np.random.Generator:
-    """Stateless per-index generator: identical (seed, t) -> identical draws."""
-    if isinstance(seed, np.random.SeedSequence):
-        return make_generator(np.random.SeedSequence(entropy=seed.entropy, spawn_key=(t,)))
-    return make_generator(np.random.SeedSequence(entropy=[int(seed), int(t)]))
 
 
 def rademacher_matrix(rng: np.random.Generator, shape) -> np.ndarray:
@@ -79,47 +76,13 @@ def sphere_noise_batch(gens, size: int, width: int, radius: float) -> np.ndarray
     return _onto_sphere(out, radius)
 
 
-def pca_rademacher_stream(eigs, t: int, seed: SeedLike) -> np.ndarray:
-    """Draw X_t with X_j = s_j*sqrt(eigs[j]), s_j independent signs.
-
-    The covariance is exactly diag(eigs) and ||X_t|| = sqrt(sum(eigs)) on
-    every draw, so B and the eigengap are exact.
-    """
-    eigs = np.asarray(eigs, dtype=float)
-    if len(eigs) >= 2 and not eigs[0] > eigs[1] > 0:
-        raise ValueError("need eigs[0] > eigs[1] > 0")
-    if len(eigs) == 1 and eigs[0] <= 0:
-        raise ValueError("leading eigenvalue must be positive")
-    rng = _indexed_rng(seed, t)
-    return rademacher_matrix(rng, len(eigs)) * np.sqrt(eigs)
-
-
-def quadratic_grad_oracle(lam: float, b_noise: float, x, seed: SeedLike) -> np.ndarray:
-    """Unbiased gradient lam*x + eps for F(x) = (lam/2)*||x||^2, with eps
-    uniform on the sphere of radius b_noise; ||g - grad F|| = b_noise exactly."""
-    if lam <= 0 or b_noise < 0:
-        raise ValueError("lam must be positive and b_noise nonnegative")
-    x = np.asarray(x, dtype=float)
-    rng = make_generator(seed)
-    return lam * x + sphere_noise(rng, x.shape, b_noise)
-
-
-def _m_func(m_kind: str, x, **kw):
-    if m_kind == "linear":
-        return kw.get("slope", 1.0) * x
-    if m_kind == "cubic_plus_linear":
-        return kw["a"] * x**3 + kw["b"] * x
-    raise ValueError(f"unknown m_kind {m_kind!r}")
-
-
-def rm_oracle(m_kind: str, r1: float, x: float, seed: SeedLike, **kw) -> float:
-    """Noisy evaluation M(x) + xi with xi uniform on [-sqrt(3), sqrt(3)]:
-    centered, unit variance, continuous, and bounded by sqrt(3) <= r1."""
-    if r1 < SQRT3:
-        raise ValueError("r1 must be at least sqrt(3) for unit-variance uniform noise")
-    rng = make_generator(seed)
-    xi = rng.uniform(-SQRT3, SQRT3)
-    return float(_m_func(m_kind, float(x), **kw) + xi)
+def uniform_batch(gens, size: int, radius: float) -> np.ndarray:
+    """Shape (size, len(gens)); column j equals
+    gens[j].uniform(-radius, radius, size)."""
+    out = np.empty((size, len(gens)))
+    for j, g in enumerate(gens):
+        out[:, j] = g.uniform(-radius, radius, size=size)
+    return out
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,19 @@ SGD_CFG = {
 }
 
 
+LIL_CFG = {"l1": 1.0, "l2": 1.0, "n_blocks": 4, "n_seeds": 2, "seed_base": 1}
+
+COLD_START_CFG = {
+    "eigs": [2.0, 1.0],
+    "delta": 0.3,
+    "c_explore": 0.05,
+    "c_stable": 6.0,
+    "horizon": 100,
+    "n_reps": 4,
+    "seed_base": 1,
+}
+
+
 def write_cfg(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -64,14 +77,17 @@ def test_invalid_config_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command,payload",
     [
-        ("lil", {"l1": 1.0, "l2": 1.0, "n_blocks": 4, "n_seeds": 2, "seed_base": -1}),
+        ("lil", dict(LIL_CFG, seed_base=-1)),
         ("counterexample", {"p_one": 0.1, "n_reps": 0, "horizon": 10, "seed_base": 1}),
         ("width-table", {"b": 1.0, "lam": 1.0, "delta": 0.5, "horizons": [100]}),
+        ("lil", dict(LIL_CFG, m_kind="quadratic")),
+        ("lil", dict(LIL_CFG, slope=-1.0)),
+        ("oja-cold-start", dict(COLD_START_CFG, eigs=[1.0, 2.0])),
     ],
 )
 def test_invalid_values_exit_before_running(command, payload, tmp_path, capsys):
-    # each used to escape as an uncaught error with exit 1, the code of a
-    # failed threshold
+    # each is rejected before the run with exit 2, not mistaken for a failed
+    # threshold (exit 1) or an internal error (exit 3)
     cfg = write_cfg(tmp_path, "cfg.json", payload)
     assert run([command, "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("error: ")

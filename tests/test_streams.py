@@ -1,17 +1,12 @@
-"""Tests for the synthetic data generators: exact boundedness claims,
-moment checks, and stateless reproducibility."""
+"""Tests for the samplers the engines draw from: exact boundedness claims,
+moment checks, and batch draws that match single-generator draws."""
 
 import math
 
 import numpy as np
 import pytest
 
-from anytime_iter import (
-    LinearModelStream,
-    pca_rademacher_stream,
-    quadratic_grad_oracle,
-    rm_oracle,
-)
+from anytime_iter import LinearModelStream, PcaProblem, RmProblem, SgdProblem
 from anytime_iter.seeding import make_generator, rep_seed
 from anytime_iter.streams import (
     SQRT3,
@@ -19,95 +14,96 @@ from anytime_iter.streams import (
     rademacher_matrix,
     sphere_noise,
     sphere_noise_batch,
+    uniform_batch,
 )
 
 
+def generators(n, base=0):
+    return [make_generator(rep_seed(base, i)) for i in range(n)]
+
+
 # ---------------------------------------------------------------------------
-# PCA stream
+# PCA stream: signs scaled by sqrt(eigs), as pca_batch draws them
 # ---------------------------------------------------------------------------
+
+
+def pca_draws(eigs, size, n_gens, base):
+    return rademacher_batch(generators(n_gens, base), size, len(eigs)) * np.sqrt(eigs)
 
 
 def test_pca_stream_exact_norm_and_support():
     eigs = (2.0, 1.0, 0.5)
-    for t in range(20):
-        x = pca_rademacher_stream(eigs, t, seed=7)
-        assert np.allclose(np.abs(x), np.sqrt(eigs))
-        assert math.isclose(float(x @ x), sum(eigs))
-
-
-def test_pca_stream_stateless_indexing():
-    a = np.stack([pca_rademacher_stream((2.0, 1.0), t, seed=3) for t in range(40)])
-    b = np.stack([pca_rademacher_stream((2.0, 1.0), t, seed=3) for t in range(40)])
-    c = np.stack([pca_rademacher_stream((2.0, 1.0), t, seed=4) for t in range(40)])
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
+    x = pca_draws(eigs, 20, 3, 7)
+    assert np.array_equal(np.abs(x), np.broadcast_to(np.sqrt(eigs), x.shape))
+    for row in x.reshape(-1, 3):
+        assert math.isclose(float(row @ row), sum(eigs))
 
 
 def test_pca_stream_empirical_covariance():
     eigs = (2.0, 1.0)
-    xs = np.stack([pca_rademacher_stream(eigs, t, seed=11) for t in range(20000)])
+    xs = pca_draws(eigs, 5000, 4, 11).reshape(-1, 2)
     cov = xs.T @ xs / len(xs)
     assert np.allclose(cov, np.diag(eigs), atol=0.05)
 
 
 def test_pca_stream_eigengap_validation():
     with pytest.raises(ValueError):
-        pca_rademacher_stream((1.0, 1.0), 0, seed=0)
+        PcaProblem(eigs=(1.0, 1.0))
     with pytest.raises(ValueError):
-        pca_rademacher_stream((1.0, 2.0), 0, seed=0)
+        PcaProblem(eigs=(1.0, 2.0))
 
 
 # ---------------------------------------------------------------------------
-# Quadratic gradient oracle
+# Quadratic gradient oracle: SgdProblem's gradient plus sphere noise, as
+# sgd_batch draws it
 # ---------------------------------------------------------------------------
 
 
 def test_quadratic_oracle_noise_norm_exact():
-    x = np.array([1.0, -2.0, 0.5])
-    for seed in range(10):
-        g = quadratic_grad_oracle(2.0, 0.3, x, seed)
-        assert math.isclose(float(np.linalg.norm(g - 2.0 * x)), 0.3, rel_tol=1e-12)
+    noise = sphere_noise_batch(generators(10), 20, 3, 0.3)
+    norms = np.linalg.norm(noise, axis=-1)
+    assert np.allclose(norms, 0.3, rtol=1e-12, atol=0.0)
 
 
 def test_quadratic_oracle_unbiased():
-    x = np.array([1.0, 0.0])
-    gs = np.stack([quadratic_grad_oracle(1.0, 1.0, x, s) for s in range(20000)])
-    assert np.allclose(gs.mean(axis=0), x, atol=0.03)
+    noise = sphere_noise_batch(generators(4), 5000, 2, 1.0).reshape(-1, 2)
+    assert np.allclose(noise.mean(axis=0), 0.0, atol=0.03)
 
 
 def test_quadratic_oracle_validation():
     with pytest.raises(ValueError):
-        quadratic_grad_oracle(0.0, 0.5, np.zeros(2), 0)
+        SgdProblem(curvature=(0.0, 1.0), x_star=(0.0, 0.0), radius=1.0, b_noise=0.5)
+    with pytest.raises(ValueError):
+        SgdProblem(curvature=(1.0, 1.0), x_star=(0.0, 0.0), radius=1.0, b_noise=-0.5)
 
 
 # ---------------------------------------------------------------------------
-# Root-finding oracle
+# Root-finding oracle: RmProblem.m_func plus uniform noise, as rm_batch
+# draws it
 # ---------------------------------------------------------------------------
 
 
 def test_rm_oracle_bounded_by_sqrt3():
-    for seed in range(50):
-        draw = rm_oracle("linear", SQRT3, 0.0, seed, slope=1.0)
-        assert abs(draw) <= SQRT3 + 1e-15
+    draws = uniform_batch(generators(50), 20, SQRT3)
+    assert np.max(np.abs(draws)) <= SQRT3
 
 
 def test_rm_oracle_unit_variance():
-    draws = np.array([rm_oracle("linear", SQRT3, 0.0, s, slope=1.0) for s in range(10**5)])
+    draws = uniform_batch([make_generator(0)], 10**5, SQRT3)[:, 0]
     assert abs(draws.mean()) < 0.01
     assert abs(draws.var() - 1.0) < 0.01
 
 
 def test_rm_oracle_rejects_small_radius():
     with pytest.raises(ValueError):
-        rm_oracle("linear", 1.0, 0.0, 0, slope=1.0)
+        RmProblem(m_kind="linear", slope=1.0, r1=1.0)
 
 
 def test_rm_oracle_cubic_mean():
     # at x = 1, theta = 0: M(x) = a + b
-    draws = np.array(
-        [rm_oracle("cubic_plus_linear", SQRT3, 1.0, s, a=0.5, b=2.0) for s in range(20000)]
-    )
-    assert abs(draws.mean() - 2.5) < 0.03
+    problem = RmProblem(m_kind="cubic_plus_linear", cub_a=0.5, cub_b=2.0)
+    assert problem.m_func(1.0) == 2.5
+    assert np.array_equal(problem.m_func(np.array([1.0, -1.0])), [2.5, -2.5])
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +161,11 @@ def test_batch_draws_match_single_generator_draws():
     solo = [make_generator(s) for s in range(3)]
     signs = rademacher_batch(gens, 5, 4)
     noise = sphere_noise_batch(gens, 6, 2, 0.7)
+    unif = uniform_batch(gens, 7, SQRT3)
     for j, g in enumerate(solo):
         assert np.array_equal(signs[:, j], rademacher_matrix(g, (5, 4)))
         assert np.array_equal(noise[:, j], sphere_noise(g, (6, 2), 0.7))
+        assert np.array_equal(unif[:, j], g.uniform(-SQRT3, SQRT3, 7))
     assert not sphere_noise_batch(gens, 2, 2, 0.0).any()
 
 

@@ -31,6 +31,19 @@ the stored iterates, the chunk's draws and its step sizes, in slices of at
 most PASS_BUDGET values and in the elementwise order of the per-step
 formulas, so they are bit-identical to computing them step by step.  The
 transient memory of the passes is O(N*chunk) with or without recording.
+
+The step loops run compiled, one C call per slice (_steps.c, built on first
+use and loaded by _kernel): projected SGD, both PCA variants with or without
+normalisation, root finding with the linear M, and both ridge variants.  The
+C code performs the same correctly rounded IEEE operations (+, -, *, /,
+sqrt) in the same order as the numpy loop, built without contraction into
+fused multiply-adds and without -ffast-math, and it sums coordinates left
+to right with the closing +0.0 of _sum_last; so it writes the same bits into
+the same trajectory buffer.  The numpy loop stays as the reference and runs
+wherever that argument fails or the library is missing: for the cubic M,
+because numpy's u**3 matches neither u*u*u nor libm's pow bit for bit; for
+widths of 8 or more, where np.sum adds pairwise; and when no compiler is
+available.
 """
 from __future__ import annotations
 
@@ -39,11 +52,19 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _kernel
 from .boundaries import StepSchedule
 from .problems import PcaProblem, RmProblem, SgdProblem
 from .recursion import CheckReport, RecursionParams, Trace, _first_violation
 from .seeding import SeedLike, rep_generators
-from .streams import SQRT3, LinearModelStream, rademacher_batch, sphere_noise_batch, uniform_batch
+from .streams import (
+    SQRT3,
+    LinearModelStream,
+    _sum_last,
+    rademacher_batch,
+    sphere_noise_batch,
+    uniform_batch,
+)
 
 __all__ = [
     "SgdProblem",
@@ -127,22 +148,24 @@ def _trajectory(state: np.ndarray, horizon: int) -> np.ndarray:
     return traj
 
 
-def _sum_last(a: np.ndarray, out=None, squares: bool = False) -> np.ndarray:
-    """np.sum(a, axis=-1, out=out), bit for bit.
+def _compiled(width: int):
+    """The compiled step loops for coordinates of the given width, or None.
 
-    numpy adds fewer than 8 terms left to right, starting from +0.0, so
-    adding the strided slices a[..., j] gives the same bits and, for a few
-    terms, runs several times faster than a reduction along the short last
-    axis.  A closing +0.0 turns an all -0.0 sum into +0.0, as numpy does,
-    and changes nothing else; squares, which are never -0.0, skip it.
+    None when the library cannot be built, and for widths of 8 or more, where
+    np.sum adds pairwise and the compiled left-to-right sums would differ.
     """
-    d = a.shape[-1]
-    if not 2 <= d < 8:
-        return np.sum(a, axis=-1, out=out)
-    out = np.add(a[..., 0], a[..., 1], out=out)
-    for j in range(2, d):
-        np.add(out, a[..., j], out=out)
-    return out if squares else np.add(out, 0.0, out=out)
+    return _kernel.load() if width < 8 else None
+
+
+def _check_in_ball(x, radius: float, name: str, dim=None) -> np.ndarray:
+    """x as a float array, checked to lie in the ball of the given radius
+    and, when dim is given, to be a vector of dim coordinates."""
+    x = np.asarray(x, dtype=float)
+    if dim is not None and x.shape != (dim,):
+        raise ValueError(f"{name} must be a vector of dimension {dim}")
+    if np.linalg.norm(x) > radius + 1e-12:
+        raise ValueError(f"{name} must lie in the ball of radius {radius}")
+    return x
 
 
 def _projector(n: int, d: int, radius: float):
@@ -191,9 +214,7 @@ def sgd_batch(
     radius = problem.radius
     mu = problem.mu
 
-    x0 = np.asarray(x0, dtype=float)
-    if np.linalg.norm(x0) > radius + 1e-12:
-        raise ValueError("x0 must lie in the projection ball")
+    x0 = _check_in_ball(x0, radius, "x0")
     traj = _trajectory(np.tile(x0, (n, 1)), horizon)
     diff = traj[0] - xs
 
@@ -213,21 +234,25 @@ def sgd_batch(
     g = np.empty((n, d))
     project = _projector(n, d, radius)
     states = list(traj)
+    kernels = _compiled(d)
     l0 = np.sum(diff * diff, axis=1)
     for start, size, out in _chunks(l0, horizon, _rows(n, d), on_chunk, loss_sc):
         eps = sphere_noise_batch(gens, size, d, problem.b_noise)
         for lo, hi in _slices(size, n * d):
             e = eps[lo:hi]
             t = slice(start + lo, start + hi)
-            for k, eta in enumerate(etas[t].tolist()):
-                # w = x - eta*(a*(x - x*) + e), projected onto the ball
-                x, w = states[k], states[k + 1]
-                np.subtract(x, xs_n, out=diff)
-                np.multiply(a_n, diff, out=g)
-                np.add(g, e[k], out=g)
-                np.multiply(g, eta, out=g)
-                np.subtract(x, g, out=w)
-                proj_hits += project(w)
+            if kernels is not None:
+                proj_hits += kernels.sgd(traj, e, etas[t], a, xs, radius)
+            else:
+                for k, eta in enumerate(etas[t].tolist()):
+                    # w = x - eta*(a*(x - x*) + e), projected onto the ball
+                    x, w = states[k], states[k + 1]
+                    np.subtract(x, xs_n, out=diff)
+                    np.multiply(a_n, diff, out=g)
+                    np.add(g, e[k], out=g)
+                    np.multiply(g, eta, out=g)
+                    np.subtract(x, g, out=w)
+                    proj_hits += project(w)
             dev = traj[: hi - lo + 1] - xs
             out[:, lo:hi] = _sum_last(dev[1:] * dev[1:], squares=True).T
             if record_channels:
@@ -319,6 +344,7 @@ def pca_batch(
     z = np.empty((n, p))
     y_col, c_col = y[:, None], c[:, None]
     krasulina = variant == "krasulina"
+    kernels = _compiled(p)
 
     l0 = np.maximum(0.0, 1.0 - v[:, 0] ** 2 / vn2)
     for start, size, out in _chunks(l0, horizon, _rows(n, p), on_chunk, losses):
@@ -327,28 +353,31 @@ def pca_batch(
         for lo, hi in _slices(size, n * p):
             xs = draws[lo:hi]
             t = slice(start + lo, start + hi)
-            for k, eta in enumerate(etas[t].tolist()):
-                v, w, xk = states[k], states[k + 1], xs[k]
-                np.multiply(xk, v, out=tmp)
-                _sum_last(tmp, y)
-                if krasulina:
-                    # z = y*X - (y^2/||v||^2)*v; w = v + eta*z
-                    np.multiply(y, y, out=c)
-                    np.divide(c, norms[k], out=c)
-                    np.multiply(y_col, xk, out=z)
-                    np.multiply(c_col, v, out=tmp)
-                    np.subtract(z, tmp, out=z)
-                    np.multiply(z, eta, out=z)
-                else:
-                    # w = v + (eta*y)*X
-                    np.multiply(y, eta, out=y)
-                    np.multiply(y_col, xk, out=z)
-                np.add(v, z, out=w)
-                np.multiply(w, w, out=tmp)
-                _sum_last(tmp, grown[k], squares=True)
-                if normalize_each_step:
-                    np.sqrt(grown[k], out=c)
-                    np.divide(w, c_col, out=w)
+            if kernels is not None:
+                kernels.pca(traj, norms, grown, xs, etas[t], krasulina, normalize_each_step)
+            else:
+                for k, eta in enumerate(etas[t].tolist()):
+                    v, w, xk = states[k], states[k + 1], xs[k]
+                    np.multiply(xk, v, out=tmp)
+                    _sum_last(tmp, y)
+                    if krasulina:
+                        # z = y*X - (y^2/||v||^2)*v; w = v + eta*z
+                        np.multiply(y, y, out=c)
+                        np.divide(c, norms[k], out=c)
+                        np.multiply(y_col, xk, out=z)
+                        np.multiply(c_col, v, out=tmp)
+                        np.subtract(z, tmp, out=z)
+                        np.multiply(z, eta, out=z)
+                    else:
+                        # w = v + (eta*y)*X
+                        np.multiply(y, eta, out=y)
+                        np.multiply(y_col, xk, out=z)
+                    np.add(v, z, out=w)
+                    np.multiply(w, w, out=tmp)
+                    _sum_last(tmp, grown[k], squares=True)
+                    if normalize_each_step:
+                        np.sqrt(grown[k], out=c)
+                        np.divide(w, c_col, out=w)
             m = hi - lo
             u = traj[1 : m + 1, :, 0]
             out[:, lo:hi] = np.maximum(0.0, 1.0 - u**2 / norms[1 : m + 1]).T
@@ -403,19 +432,24 @@ def rm_batch(
 
     traj = _trajectory(np.full(n, float(x0)), horizon)
     states = list(traj)
+    # numpy's u**3 in the cubic M matches neither u*u*u nor libm's pow
+    kernels = _compiled(1) if problem.m_kind == "linear" else None
     l0 = traj[0] - theta if on_chunk else (traj[0] - theta) ** 2
     for start, size, out in _chunks(l0, horizon, _rows(n, 1), on_chunk, losses):
         draws = uniform_batch(gens, size, SQRT3)
         for lo, hi in _slices(size, n):
             xi = draws[lo:hi]
             t = slice(start + lo, start + hi)
-            for k, eta in enumerate(etas[t].tolist()):
-                # x <- x - eta*(M(x) + xi)
-                x = states[k]
-                y_val = problem.m_func(x)
-                np.add(y_val, xi[k], out=y_val)
-                np.multiply(y_val, eta, out=y_val)
-                np.subtract(x, y_val, out=states[k + 1])
+            if kernels is not None:
+                kernels.rm_linear(traj, xi, etas[t], float(theta), float(problem.slope))
+            else:
+                for k, eta in enumerate(etas[t].tolist()):
+                    # x <- x - eta*(M(x) + xi)
+                    x = states[k]
+                    y_val = problem.m_func(x)
+                    np.add(y_val, xi[k], out=y_val)
+                    np.multiply(y_val, eta, out=y_val)
+                    np.subtract(x, y_val, out=states[k + 1])
             dev = traj[: hi - lo + 1] - theta
             out[:, lo:hi] = (dev[1:] if on_chunk else dev[1:] ** 2).T
             if record_channels:
@@ -446,9 +480,7 @@ def ridge_batch(
     radius = diam / 2.0
     theta_star = np.asarray(stream.theta_star)
 
-    theta0 = np.asarray(theta0, dtype=float)
-    if np.linalg.norm(theta0) > radius + 1e-12:
-        raise ValueError("theta0 must lie in the domain ball")
+    theta0 = _check_in_ball(theta0, radius, "theta0")
     losses = None if on_chunk else np.empty((n, horizon + 1))
     traj = _trajectory(np.tile(theta0, (n, 1)), horizon)
     states = list(traj)
@@ -457,6 +489,7 @@ def ridge_batch(
     resid = np.empty(n)
     resid_col = resid[:, None]
     project = _projector(n, d, radius)
+    kernels = _compiled(d)
 
     l0 = np.sum((traj[0] - theta_star) ** 2, axis=1)
     for start, size, out in _chunks(l0, horizon, RIDGE_ROWS, on_chunk, losses):
@@ -468,25 +501,29 @@ def ridge_batch(
             yc[:, j] = yj
         for lo, hi in _slices(size, n * d):
             xs, ys = xc[lo:hi], yc[lo:hi]
-            for k, eta in enumerate(etas[start + lo : start + hi].tolist()):
-                theta, w, xk = states[k], states[k + 1], xs[k]
-                np.multiply(xk, theta, out=g)
-                _sum_last(g, resid)
-                np.subtract(resid, ys[k], out=resid)
-                np.multiply(theta, lambda_pen, out=pen)
-                if penalty_in_gradient:
-                    # w = theta - eta*(resid*x + lambda*theta)
-                    np.multiply(resid_col, xk, out=g)
-                    np.add(g, pen, out=g)
-                    np.multiply(g, eta, out=g)
-                    np.subtract(theta, g, out=w)
-                else:
-                    # verbatim variant: the penalty enters without a step factor
-                    np.multiply(resid, eta, out=resid)
-                    np.multiply(resid_col, xk, out=g)
-                    np.subtract(theta, g, out=w)
-                    np.add(w, pen, out=w)
-                project(w)
+            t = slice(start + lo, start + hi)
+            if kernels is not None:
+                kernels.ridge(traj, xs, ys, etas[t], lambda_pen, penalty_in_gradient, radius)
+            else:
+                for k, eta in enumerate(etas[t].tolist()):
+                    theta, w, xk = states[k], states[k + 1], xs[k]
+                    np.multiply(xk, theta, out=g)
+                    _sum_last(g, resid)
+                    np.subtract(resid, ys[k], out=resid)
+                    np.multiply(theta, lambda_pen, out=pen)
+                    if penalty_in_gradient:
+                        # w = theta - eta*(resid*x + lambda*theta)
+                        np.multiply(resid_col, xk, out=g)
+                        np.add(g, pen, out=g)
+                        np.multiply(g, eta, out=g)
+                        np.subtract(theta, g, out=w)
+                    else:
+                        # verbatim variant: the penalty enters without a step factor
+                        np.multiply(resid, eta, out=resid)
+                        np.multiply(resid_col, xk, out=g)
+                        np.subtract(theta, g, out=w)
+                        np.add(w, pen, out=w)
+                    project(w)
             m = hi - lo
             out[:, lo:hi] = _sum_last((traj[1 : m + 1] - theta_star) ** 2, squares=True).T
             traj[0] = traj[m]

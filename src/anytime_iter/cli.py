@@ -2,10 +2,11 @@
 
 Subcommands run each experiment from a JSON config and write reports into
 --out-dir.  Exit codes: 0 success, 1 an acceptance threshold failed,
-2 invalid configuration (with field diagnostics), 3 an internal error, such
-as the FloatingPointError a non-finite loss raises (with a one-line
-"error:" diagnostic).  The environment variable ANYTIME_ITER_SEED, when
-set, overrides the config's seed_base.
+2 invalid configuration (with field diagnostics), found while parsing the
+config and building the problem, before the run, 3 an internal error raised
+during the run, such as the FloatingPointError a non-finite loss raises
+(with a one-line "error:" diagnostic).  The environment variable
+ANYTIME_ITER_SEED, when set, overrides the config's seed_base.
 
 Acceptance policy (stated in every report): a coverage experiment passes when
 its empirical violation rate is at most confidence_cost*delta plus a
@@ -35,6 +36,8 @@ from .boundaries import (
 )
 from .harness import (
     CoverageConfig,
+    SpecError,
+    _spec,
     run_counterexample,
     run_coverage,
     run_last_iterate,
@@ -107,10 +110,7 @@ def _coverage_config(cfg: dict) -> CoverageConfig:
 
 def _cmd_coverage(cfg: dict, out_dir: Path, threads: int) -> int:
     config = _coverage_config(cfg)
-    try:
-        report = run_coverage(config, threads=threads)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"invalid problem spec: {exc}")
+    report = run_coverage(config, threads=threads)
     write_report_json(
         report,
         out_dir / "coverage_report.json",
@@ -130,11 +130,9 @@ def _cmd_coverage(cfg: dict, out_dir: Path, threads: int) -> int:
 def _cmd_last_iterate(cfg: dict, out_dir: Path, threads: int) -> int:
     _require(cfg, "t_eval")
     config = _coverage_config(cfg)
-    t_eval = int(cfg["t_eval"])
-    try:
-        rate, bound = run_last_iterate(config, t_eval)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    with _spec("invalid last-iterate config"):
+        t_eval = int(cfg["t_eval"])
+    rate, bound = run_last_iterate(config, t_eval)
     threshold = config.delta + 3.0 * math.sqrt(config.delta / config.n_reps)
     passed = rate <= threshold
     write_report_json(
@@ -177,10 +175,9 @@ def _cmd_width_table(cfg: dict, out_dir: Path, threads: int) -> int:
 
 def _cmd_lil(cfg: dict, out_dir: Path, threads: int) -> int:
     _require(cfg, "l1", "l2", "n_blocks", "n_seeds")
-    seed_base = _seed_base(cfg)
-    n_seeds = int(cfg["n_seeds"])
-    seeds = [rep_seed(seed_base, i) for i in range(n_seeds)]
-    try:
+    with _spec("invalid lil config"):
+        seed_base = _seed_base(cfg)
+        n_seeds = int(cfg["n_seeds"])
         problem = RmProblem(
             m_kind=cfg.get("m_kind", "linear"),
             theta=float(cfg.get("theta", 0.0)),
@@ -189,16 +186,10 @@ def _cmd_lil(cfg: dict, out_dir: Path, threads: int) -> int:
             cub_b=float(cfg.get("cub_b", 0.0)),
             r1=float(cfg.get("r1", math.sqrt(3.0))),
         )
-        reports = run_lil_ensemble(
-            problem,
-            float(cfg["l1"]),
-            float(cfg["l2"]),
-            int(cfg["n_blocks"]),
-            seeds,
-            x0=float(cfg.get("x0", 1.0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+        l1, l2, n_blocks = float(cfg["l1"]), float(cfg["l2"]), int(cfg["n_blocks"])
+        x0 = float(cfg.get("x0", 1.0))
+    seeds = [rep_seed(seed_base, i) for i in range(n_seeds)]
+    reports = run_lil_ensemble(problem, l1, l2, n_blocks, seeds, x0=x0)
     l_const = reports[0].l_const
     hit = sum(r.final_max >= l_const for r in reports)
     fraction = hit / n_seeds
@@ -232,23 +223,19 @@ def _cmd_lil(cfg: dict, out_dir: Path, threads: int) -> int:
 def _cmd_oja_cold_start(cfg: dict, out_dir: Path, threads: int) -> int:
     _require(cfg, "eigs", "delta", "c_explore", "c_stable", "horizon", "n_reps")
     rotation = cfg.get("rotation")
-    try:
+    with _spec("invalid cold-start config"):
         problem = PcaProblem(
             eigs=tuple(cfg["eigs"]),
             rotation=None if rotation is None else tuple(tuple(r) for r in rotation),
         )
-        report = run_oja_cold_start(
-            problem,
-            float(cfg["delta"]),
-            float(cfg["c_explore"]),
-            float(cfg["c_stable"]),
-            int(cfg["horizon"]),
-            int(cfg["n_reps"]),
-            _seed_base(cfg),
-            variant=cfg.get("variant", "krasulina"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+        delta = float(cfg["delta"])
+        c_explore, c_stable = float(cfg["c_explore"]), float(cfg["c_stable"])
+        horizon, n_reps = int(cfg["horizon"]), int(cfg["n_reps"])
+        seed_base = _seed_base(cfg)
+    report = run_oja_cold_start(
+        problem, delta, c_explore, c_stable, horizon, n_reps, seed_base,
+        variant=cfg.get("variant", "krasulina"),
+    )
     passed = report.passed and report.hit_passed
     write_report_json(
         report,
@@ -363,8 +350,12 @@ def main(argv=None) -> int:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=needs_config, help="JSON experiment config")
         sp.add_argument("--out-dir", default=".", help="directory for report files")
-        threads_help = "coverage worker threads, each on a block of up to 512 replications"
-        sp.add_argument("--threads", type=int, default=0, help=threads_help + " (0, 1 = serial)")
+        threads_help = (
+            "coverage worker threads, each on a block of up to 512 replications (0, 1 = "
+            "serial); the compiled step loops run in parallel, the draws and the numpy "
+            "fallback do not"
+        )
+        sp.add_argument("--threads", type=int, default=0, help=threads_help)
     args = parser.parse_args(argv)
 
     handler, needs_config = _COMMANDS[args.command]
@@ -375,7 +366,7 @@ def main(argv=None) -> int:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         return handler(cfg, out_dir, args.threads)
-    except ConfigError as exc:
+    except (ConfigError, SpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -19,6 +19,11 @@ each chunk of signed deviations x_t - theta the engine streams into
 dyadic-block maxima, in one batch of all seeds; its step vector has length
 2^(n_blocks+1).  No step loop and no noise draw live here; _pca_v0 only
 draws each replication's initial direction.
+
+Parameters an experiment rejects before any replication runs, including an
+unparsable problem spec or an initial point outside the ball, raise
+SpecError, a ValueError; errors raised while the replications run keep
+their own type, so a caller can tell a bad spec from a failed run.
 """
 from __future__ import annotations
 
@@ -26,12 +31,21 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, is_dataclass
 from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algorithms import DRAW_BUDGET, RIDGE_ROWS, pca_batch, ridge_batch, rm_batch, sgd_batch
+from .algorithms import (
+    DRAW_BUDGET,
+    RIDGE_ROWS,
+    _check_in_ball,
+    pca_batch,
+    ridge_batch,
+    rm_batch,
+    sgd_batch,
+)
 from .boundaries import (
     StepSchedule,
     oja_boundary,
@@ -59,11 +73,27 @@ __all__ = [
     "run_oja_cold_start",
     "run_counterexample",
     "mc_threshold",
+    "SpecError",
     "write_report_json",
     "write_grid_csv",
 ]
 
 _REP_BLOCK = 512
+
+
+class SpecError(ValueError):
+    """Invalid experiment parameters, found before any replication runs."""
+
+
+@contextmanager
+def _spec(what: str):
+    """Re-raise the errors of parsing and resolving an experiment's
+    parameters as SpecError, so that they are told apart from errors of
+    the run itself."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SpecError(f"{what}: {exc}") from exc
 
 
 def mc_threshold(cost: float, delta: float, n_reps: int) -> float:
@@ -228,7 +258,7 @@ def _build_setup(config: CoverageConfig):
     if config.algorithm == "sgd_sc":
         problem = _sgd_problem(spec)
         boundary = sgd_boundary(problem.b, problem.lam, config.delta)
-        x0 = np.asarray(spec["x0"], dtype=float)
+        x0 = _check_in_ball(spec["x0"], problem.radius, "x0", problem.dim)
         etas = boundary.schedule.etas(config.horizon)
         return boundary, _sgd_runner(problem, etas, x0, config.seed_base), _REP_BLOCK
     if config.algorithm in ("krasulina", "oja"):
@@ -236,6 +266,9 @@ def _build_setup(config: CoverageConfig):
         boundary, _l_off = oja_boundary(problem.b, problem.rho, config.delta)
         etas = boundary.schedule.etas(config.horizon)
         normalize = bool(spec.get("normalize", config.algorithm == "oja"))
+        v0 = _pca_v0(spec, problem, config.seed_base, 0)
+        if v0.shape != (problem.dim,) or not np.any(v0):
+            raise ValueError("v0 must be a nonzero vector of the problem's dimension")
         run = _pca_runner(problem, etas, spec, config.seed_base, config.algorithm, normalize)
         return boundary, run, _REP_BLOCK
     if config.algorithm == "ridge":
@@ -250,7 +283,7 @@ def _build_setup(config: CoverageConfig):
         boundary = ridge_boundary(
             stream.b, diam, lambda_pen, stream.lambda_min, theta_norm, config.delta
         )
-        theta0 = np.asarray(spec["theta0"], dtype=float)
+        theta0 = _check_in_ball(spec["theta0"], diam / 2.0, "theta0", stream.dim)
         etas = boundary.schedule.etas(config.horizon)
         penalty_in_gradient = bool(spec.get("penalty_in_gradient", True))
 
@@ -321,9 +354,10 @@ def run_coverage(config: CoverageConfig, threads: int = 0) -> CoverageReport:
     Monte Carlo slack.
     """
     start_time = time.perf_counter()
-    boundary, run, block = _build_setup(config)
-    t_all = np.arange(0, config.horizon + 1)
-    widths = np.asarray(boundary.eval(t_all, config.delta)) * config.boundary_scale
+    with _spec("invalid problem spec"):
+        boundary, run, block = _build_setup(config)
+        t_all = np.arange(0, config.horizon + 1)
+        widths = np.asarray(boundary.eval(t_all, config.delta)) * config.boundary_scale
     grid = config.record_grid
     first_times, at_grid = _drive(
         config.n_reps, run, block, grid, widths, boundary.valid_from, 0, threads
@@ -362,15 +396,16 @@ def run_last_iterate(config: CoverageConfig, t_eval: int) -> Tuple[float, float]
     different delta reuses the same trajectories (seeds do not depend on
     delta), so exceedance is nonincreasing in delta.
     """
-    if config.algorithm != "sgd_sc":
-        raise ValueError("last-iterate experiment is defined for sgd_sc")
-    if t_eval < 1 or t_eval > config.horizon:
-        raise ValueError("need 1 <= t_eval <= horizon")
-    problem = _sgd_problem(config.problem)
-    bound = sgd_last_iterate(problem.b, problem.lam, config.delta, t_eval)
-    schedule = StepSchedule.inverse_time(1.0 / problem.lam, 3.0)
-    etas = schedule.etas(t_eval)
-    x0 = np.asarray(config.problem["x0"], dtype=float)
+    with _spec("invalid last-iterate spec"):
+        if config.algorithm != "sgd_sc":
+            raise ValueError("last-iterate experiment is defined for sgd_sc")
+        if t_eval < 1 or t_eval > config.horizon:
+            raise ValueError("need 1 <= t_eval <= horizon")
+        problem = _sgd_problem(config.problem)
+        bound = sgd_last_iterate(problem.b, problem.lam, config.delta, t_eval)
+        schedule = StepSchedule.inverse_time(1.0 / problem.lam, 3.0)
+        etas = schedule.etas(t_eval)
+        x0 = _check_in_ball(config.problem["x0"], problem.radius, "x0", problem.dim)
     run = _sgd_runner(problem, etas, x0, config.seed_base)
     _, at_eval = _drive(config.n_reps, run, _REP_BLOCK, (t_eval,))
     exceed = int(np.count_nonzero(at_eval[:, 0] > bound))
@@ -409,11 +444,15 @@ def _lil_batch(
     bounds = [(2**nb + 1, 2 ** (nb + 1)) for nb in range(1, n_blocks + 1)]
 
     def reduce(t0: int, dev: np.ndarray) -> None:
-        # the blocks start at t = 3, where log log t > 0
+        # the blocks start at t = 3, where log log t > 0; math.log, not
+        # np.log, whose SIMD loops need not round as libm does
         t1 = t0 + dev.shape[1] - 1
-        ts = range(t0, t1 + 1)
-        loglog = np.array([math.log(math.log(t)) if t >= 3 else 1.0 for t in ts])
-        stat = np.array(ts, dtype=float) * dev
+        loglog = np.ones(t1 - t0 + 1)
+        t3 = max(3, t0)
+        loglog[t3 - t0 :] = np.fromiter(
+            map(math.log, map(math.log, range(t3, t1 + 1))), float, max(0, t1 + 1 - t3)
+        )
+        stat = np.arange(t0, t1 + 1, dtype=float) * dev
         stat *= dev
         stat /= loglog
         for i, (lo, hi) in enumerate(bounds):
@@ -443,9 +482,11 @@ def run_lil_ensemble(
     should reach infinitely often in the limit.
     """
     if not 0 < l1 <= l2:
-        raise ValueError("need 0 < l1 <= l2")
+        raise SpecError("need 0 < l1 <= l2")
     if not 1 <= n_blocks <= 24:
-        raise ValueError("n_blocks must lie in [1, 24]")
+        raise SpecError("n_blocks must lie in [1, 24]")
+    if not seeds:
+        raise SpecError("need at least one seed")
     l_const = math.sqrt(l1) / (4.0 * (1.0 + l2 * math.log(8.0) * problem.m_prime_at_root))
     block_max, bounds = _lil_batch(problem, l1, n_blocks, seeds, x0)
     reports = []
@@ -486,17 +527,23 @@ def run_oja_cold_start(
     anytime boundary re-anchored at the split.
     """
     start_time = time.perf_counter()
-    schedule = two_phase_oja_schedule(problem.b, problem.rho, delta, c_explore, c_stable)
-    split = schedule.h0_end
-    total = split + horizon
-    etas = schedule.etas(total)
-    # The boundary formula is only defined for delta below exp(-2); when the
-    # experiment's delta is larger, clip to that cap.  The clipped boundary is
-    # wider only through its log(1/delta) factor, so the guarantee at the
-    # original delta still holds and the pass threshold below stays valid.
-    delta_b = min(delta, 0.999 * math.exp(-2.0))
-    boundary, _l_off = oja_boundary(problem.b, problem.rho, delta_b)
-    widths = np.asarray(boundary.eval(np.arange(0, horizon + 1), delta_b))
+    with _spec("invalid cold-start spec"):
+        if variant not in ("krasulina", "oja"):
+            raise ValueError(f"unknown variant {variant!r}")
+        if n_reps < 1 or horizon < 1:
+            raise ValueError("n_reps and horizon must be at least 1")
+        schedule = two_phase_oja_schedule(problem.b, problem.rho, delta, c_explore, c_stable)
+        split = schedule.h0_end
+        total = split + horizon
+        etas = schedule.etas(total)
+        # The boundary formula is only defined for delta below exp(-2); when
+        # the experiment's delta is larger, clip to that cap.  The clipped
+        # boundary is wider only through its log(1/delta) factor, so the
+        # guarantee at the original delta still holds and the pass threshold
+        # below stays valid.
+        delta_b = min(delta, 0.999 * math.exp(-2.0))
+        boundary, _l_off = oja_boundary(problem.b, problem.rho, delta_b)
+        widths = np.asarray(boundary.eval(np.arange(0, horizon + 1), delta_b))
 
     run = _pca_runner(problem, etas, {"v0": "uniform"}, seed_base, variant, True)
     first_times, at_split = _drive(n_reps, run, _REP_BLOCK, (split,), widths, split, split)

@@ -83,6 +83,11 @@ def test_invalid_config_exit_code(tmp_path, capsys):
         ("lil", dict(LIL_CFG, m_kind="quadratic")),
         ("lil", dict(LIL_CFG, slope=-1.0)),
         ("oja-cold-start", dict(COLD_START_CFG, eigs=[1.0, 2.0])),
+        ("lil", dict(LIL_CFG, slope=[1])),
+        ("oja-cold-start", dict(COLD_START_CFG, variant="bogus")),
+        ("coverage", dict(SGD_CFG, problem=dict(SGD_CFG["problem"], x0=[0.5, 0.5]))),
+        ("lil", dict(LIL_CFG, l1=2.0)),
+        ("lil", dict(LIL_CFG, n_seeds=0)),
     ],
 )
 def test_invalid_values_exit_before_running(command, payload, tmp_path, capsys):
@@ -102,6 +107,7 @@ def test_negative_seed_override_is_invalid(tmp_path, monkeypatch):
 def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     # a non-finite loss (or any other internal error) exits 3 with one line
     import anytime_iter.cli as cli
+    import anytime_iter.harness as harness
 
     def non_finite(config, threads=0):
         raise FloatingPointError("non-finite loss nan in replication 4\nat t=17")
@@ -111,6 +117,27 @@ def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     assert run(["coverage", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert err == "error: internal FloatingPointError: non-finite loss nan in replication 4 at t=17\n"
+    monkeypatch.undo()
+
+    # a ValueError or TypeError raised inside the run is internal too, not an
+    # invalid config: only parsing and building the problem exit 2
+    lil_cfg = write_cfg(tmp_path, "lil.json", LIL_CFG)
+    cold_cfg = write_cfg(tmp_path, "cold.json", COLD_START_CFG)
+    for exc in (ValueError, TypeError):
+
+        def broken_engine(*args, **kwargs):
+            raise exc("engine fault")
+
+        for engine, command, path in (
+            ("sgd_batch", "coverage", cfg),
+            ("rm_batch", "lil", lil_cfg),
+            ("pca_batch", "oja-cold-start", cold_cfg),
+        ):
+            with monkeypatch.context() as mp:
+                mp.setattr(harness, engine, broken_engine)
+                assert run([command, "--config", path, "--out-dir", str(tmp_path / "o")]) == 3
+            err = capsys.readouterr().err
+            assert err == f"error: internal {exc.__name__}: engine fault\n", command
 
 
 def test_reports_reproducible_across_threads(tmp_path):

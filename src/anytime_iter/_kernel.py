@@ -1,4 +1,4 @@
-"""Loader of the compiled step loops in _steps.c.
+"""Loader of the compiled step loops and draw loops in _steps.c.
 
 The library is built on first use, never at import: the C compiler Python
 was built with (sysconfig's CC) compiles _steps.c with FLAGS, which keep
@@ -10,13 +10,23 @@ writes a temporary file and renames it into place, so processes building at
 once never load a partial file, and a lock makes threads of one process
 build it once.
 
-When there is no compiler, the build fails or the cache cannot be written,
-load() returns None and the engines run their numpy step loops, which give
-the same bits; one note per process goes to stderr.
+The draw loops call numpy's distribution functions random_standard_normal,
+random_bounded_uint64_fill and random_uniform, which Generator calls too.
+They are resolved on the first get(), with ctypes.CDLL on the shared object
+of numpy.random._generator that exports them (as numpy's own cffi example
+does), and passed to C as function pointers, so nothing of numpy is
+compiled or linked into the library and each value comes from the machine
+code Generator runs.  C receives each generator's bitgen_t as an opaque
+pointer, taken from its bit generator's "BitGenerator" capsule.
+
+When there is no compiler, the build fails, the cache cannot be written or
+numpy's functions cannot be found, load() returns None and the engines run
+their numpy step loops and draws, which give the same bits; one note per
+process goes to stderr.
 
 ctypes.CDLL releases the interpreter lock during each call, so engines
-running on several threads step in parallel.  Each binding checks the dtype,
-contiguity and shape of every array before it passes a pointer.
+running on several threads draw and step in parallel.  Each binding checks
+the dtype, contiguity and shape of every array before it passes a pointer.
 """
 from __future__ import annotations
 
@@ -39,15 +49,25 @@ _SIGNATURES = {
     "pca_steps": ([_P] * 5 + [_L] * 3 + [_I] * 2, None),
     "rm_linear_steps": ([_P] * 3 + [_L] * 2 + [_D] * 2, None),
     "ridge_steps": ([_P] * 4 + [_L] * 3 + [_D, _I, _D, _D], None),
+    "sphere_draw": ([_P] * 2 + [_L] * 3 + [_D, _P], None),
+    "sign_draw": ([_P] * 4 + [_L] * 3 + [_P], None),
+    "uniform_draw": ([_P] * 2 + [_L] * 2 + [_D] * 2 + [_P], None),
+}
+# numpy's exported distribution functions the draw loops call, by the name of
+# the StepKernels attribute that holds each address
+_NUMPY_FUNCTIONS = {
+    "_normal": "random_standard_normal",
+    "_fill": "random_bounded_uint64_fill",
+    "_uniform": "random_uniform",
 }
 
 
-def _addr(a: np.ndarray, shape: tuple) -> int:
-    """Address of a's data, once a is checked to be a C-contiguous float64
-    array of the given shape."""
-    if a.dtype != np.float64 or not a.flags.c_contiguous or a.shape != shape:
+def _addr(a: np.ndarray, shape: tuple, dtype=np.float64) -> int:
+    """Address of a's data, once a is checked to be a C-contiguous array of
+    the given shape and dtype (float64 by default)."""
+    if a.dtype != dtype or not a.flags.c_contiguous or a.shape != shape:
         raise ValueError(
-            f"step kernel needs a C-contiguous float64 array of shape {shape}, "
+            f"step kernel needs a C-contiguous {np.dtype(dtype)} array of shape {shape}, "
             f"got {a.dtype} {a.shape}"
         )
     return a.ctypes.data
@@ -62,15 +82,64 @@ def _steps(etas) -> tuple:
 class StepKernels:
     """Checked bindings of the functions in _steps.c.
 
-    Each method advances m = len(etas) steps: traj holds at least m+1 rows,
-    row 0 the iterates before the first step, and step k writes row k+1.
+    Each step method advances m = len(etas) steps: traj holds at least m+1
+    rows, row 0 the iterates before the first step, and step k writes row
+    k+1.  Each draw method fills a chunk for the generators whose bit
+    generator addresses bit_generators returned; the caller keeps those
+    generators alive and uses them on no other thread meanwhile, since the
+    draws bypass the bit generators' locks.
     """
 
-    def __init__(self, lib: ctypes.CDLL):
+    def __init__(self, lib: ctypes.CDLL, distributions: ctypes.CDLL):
         for name, (argtypes, restype) in _SIGNATURES.items():
             fn = getattr(lib, name)
             fn.argtypes, fn.restype = argtypes, restype
+        for attr, name in _NUMPY_FUNCTIONS.items():
+            setattr(self, attr, ctypes.cast(getattr(distributions, name), _P).value)
         self._lib = lib
+        self._distributions = distributions
+        self._capsule_pointer = ctypes.PYFUNCTYPE(_P, ctypes.py_object, ctypes.c_char_p)(
+            ("PyCapsule_GetPointer", ctypes.pythonapi)
+        )
+
+    def bit_generators(self, gens) -> np.ndarray:
+        """The (len(gens),) uintp array of the generators' bitgen_t addresses."""
+        return np.array(
+            [self._capsule_pointer(g.bit_generator.capsule, b"BitGenerator") for g in gens],
+            dtype=np.uintp,
+        )
+
+    def sphere(self, out, bitgens, radius: float) -> None:
+        """out, (rows, n, width), receives rows uniform on the sphere of the
+        given radius, as Generator.standard_normal and _onto_sphere give."""
+        rows, n, width = out.shape
+        self._lib.sphere_draw(
+            _addr(out, (rows, n, width)),
+            _addr(bitgens, (n,), np.uintp),
+            rows, n, width, radius, self._normal,
+        )
+
+    def signs(self, out, bitgens, scale=None) -> None:
+        """out, (rows, n, width), receives signs as Generator.integers(0, 2)
+        draws them, times scale (a (width,) array) when it is given."""
+        rows, n, width = out.shape
+        tmp = np.empty(rows * width, dtype=np.uint64)
+        self._lib.sign_draw(
+            _addr(out, (rows, n, width)),
+            _addr(bitgens, (n,), np.uintp),
+            _addr(tmp, (rows * width,), np.uint64),
+            None if scale is None else _addr(scale, (width,)),
+            rows, n, width, self._fill,
+        )
+
+    def uniform(self, out, bitgens, low: float, high: float) -> None:
+        """out, (rows, n), receives what Generator.uniform(low, high) draws."""
+        rows, n = out.shape
+        self._lib.uniform_draw(
+            _addr(out, (rows, n)),
+            _addr(bitgens, (n,), np.uintp),
+            rows, n, low, high - low, self._uniform,
+        )
 
     def sgd(self, traj, noise, etas, a, xs, radius: float) -> int:
         """Projected SGD steps; returns how many iterates were projected."""
@@ -150,16 +219,26 @@ def _default_cc() -> list:
     return shlex.split(sysconfig.get_config_var("CC") or "cc")
 
 
+def _numpy_distributions() -> str:
+    """Path of the shared object of numpy.random._generator, which exports
+    the distribution functions Generator calls."""
+    from numpy.random import _generator
+
+    return _generator.__file__
+
+
 class Loader:
     """Builds and loads the step library once, on the first get().
 
     cache_dir and cc default to the cache directory and compiler named in the
-    module docstring.
+    module docstring, distributions to numpy.random._generator's shared
+    object.
     """
 
-    def __init__(self, cache_dir=None, cc=None):
+    def __init__(self, cache_dir=None, cc=None, distributions=None):
         self._cache_dir = cache_dir
         self._cc = cc
+        self._distributions = distributions
         self._lock = threading.Lock()
         self._done = False
         self._kernels = None
@@ -175,12 +254,14 @@ class Loader:
 
     def _load(self) -> StepKernels | None:
         try:
-            return StepKernels(ctypes.CDLL(str(self._build())))
+            lib = ctypes.CDLL(str(self._build()))
+            distributions = ctypes.CDLL(self._distributions or _numpy_distributions())
+            return StepKernels(lib, distributions)
         except (OSError, RuntimeError, AttributeError) as exc:
             reason = " ".join(str(exc).split()) or type(exc).__name__
             print(
                 f"anytime-iter: compiled step loops unavailable ({reason}); "
-                "running the numpy step loops",
+                "running the numpy step loops and draws",
                 file=sys.stderr,
             )
             return None
@@ -214,5 +295,5 @@ _LOADER = Loader()
 
 def load() -> StepKernels | None:
     """The process's step kernels, built on the first call; None means the
-    numpy step loops run instead."""
+    numpy step loops and draws run instead."""
     return _LOADER.get()

@@ -15,8 +15,14 @@
  * than 8 terms: a sum of general terms ends with +0.0, which turns an
  * all -0.0 sum into +0.0 as numpy does, and a sum of squares does not.
  * Widths of 8 or more, where np.sum adds pairwise, stay in numpy.
+ *
+ * The draw loops at the end fill the (rows, n, width) draw chunks the step
+ * loops read, through numpy's own distribution functions.
  */
 #include <math.h>
+#include <stdbool.h>
+#include <stdint.h>
+#include <string.h>
 
 /* sum_j x[j]*v[j], closed with +0.0 (also for d = 1, where np.sum adds it) */
 static double dot(const double *x, const double *v, long d)
@@ -172,4 +178,72 @@ void ridge_steps(double *traj, const double *xs, const double *ys, const double 
             x += d;
         }
     }
+}
+
+/* Draw loops.  gens holds the n bit generators' bitgen_t pointers, which C
+ * only passes on, and normal, fill and uniform are numpy's exported
+ * random_standard_normal, random_bounded_uint64_fill and random_uniform, the
+ * functions behind Generator.standard_normal, Generator.integers and
+ * Generator.uniform.  Each generator gets the calls its Generator method
+ * makes for a chunk, in the same order, so every value is the one numpy
+ * draws, computed by the same machine code, and the generator ends in the
+ * same state.  out is (rows, n, width): row r of generator j starts at
+ * out + (r*n + j)*width. */
+typedef double (*normal_fn)(void *bitgen);
+typedef void (*fill_fn)(void *bitgen, uint64_t off, uint64_t rng, intptr_t cnt, bool use_masked,
+                        uint64_t *out);
+typedef double (*uniform_fn)(void *bitgen, double lower, double range);
+
+/* Rows uniform on the sphere of the given radius: width normals per row,
+ * then o = o*(radius/sqrt(|o|^2)), as streams._onto_sphere computes it.
+ * Radius 0 draws nothing and writes zeros, as sphere_noise_batch does. */
+void sphere_draw(double *out, void *const *gens, long rows, long n, long width, double radius,
+                 normal_fn normal)
+{
+    if (radius == 0.0) {
+        memset(out, 0, sizeof(double) * rows * n * width);
+        return;
+    }
+    for (long r = 0; r < rows; r++) {
+        for (long j = 0; j < n; j++) {
+            double *o = out + (r * n + j) * width;
+            for (long w = 0; w < width; w++)
+                o[w] = normal(gens[j]);
+            double f = radius / sqrt(sum_sq(o, width));
+            for (long w = 0; w < width; w++)
+                o[w] = o[w] * f;
+        }
+    }
+}
+
+/* Signs u*2 - 1 from one integers(0, 2) call per generator: a single fill
+ * of rows*width values with off 0, range 1 and Lemire's rejection
+ * (use_masked false), as integers does for its default int64 dtype.  tmp
+ * holds rows*width values.  scale, when not NULL, multiplies coordinate w by
+ * scale[w] last, as pca_batch's draws *= sqrt(eigs) does. */
+void sign_draw(double *out, void *const *gens, uint64_t *tmp, const double *scale, long rows,
+               long n, long width, fill_fn fill)
+{
+    for (long j = 0; j < n; j++) {
+        fill(gens[j], 0, 1, rows * width, false, tmp);
+        for (long r = 0; r < rows; r++) {
+            double *o = out + (r * n + j) * width;
+            const uint64_t *u = tmp + r * width;
+            for (long w = 0; w < width; w++) {
+                double s = (double)u[w] * 2.0;
+                s = s - 1.0;
+                o[w] = scale ? s * scale[w] : s;
+            }
+        }
+    }
+}
+
+/* rows uniforms per generator on [low, low + range), as
+ * Generator.uniform(low, high) with range = high - low; out is (rows, n). */
+void uniform_draw(double *out, void *const *gens, long rows, long n, double low, double range,
+                  uniform_fn uniform)
+{
+    for (long r = 0; r < rows; r++)
+        for (long j = 0; j < n; j++)
+            out[r * n + j] = uniform(gens[j], low, range);
 }

@@ -44,6 +44,13 @@ wherever that argument fails or the library is missing: for the cubic M,
 because numpy's u**3 matches neither u*u*u nor libm's pow bit for bit; for
 widths of 8 or more, where np.sum adds pairwise; and when no compiler is
 available.
+
+Wherever the step loop is compiled, so are the draws, behind the same
+switch (_compiled): the engine wraps its generators in a
+streams.GeneratorBatch with those kernels, and each chunk is still one
+sampler call, which then draws in C through numpy's own distribution
+functions, bit for bit (see streams).  Ridge keeps LinearModelStream.draw
+per generator, whose x @ theta_star is a BLAS product.
 """
 from __future__ import annotations
 
@@ -59,6 +66,7 @@ from .recursion import CheckReport, RecursionParams, Trace, _first_violation
 from .seeding import SeedLike, rep_generators
 from .streams import (
     SQRT3,
+    GeneratorBatch,
     LinearModelStream,
     _sum_last,
     rademacher_batch,
@@ -208,7 +216,8 @@ def sgd_batch(
     n = len(seeds)
     d = problem.dim
     horizon = len(etas)
-    gens = rep_generators(seeds)
+    kernels = _compiled(d)
+    gens = GeneratorBatch(rep_generators(seeds), kernels)
     a = np.asarray(problem.curvature)
     xs = np.asarray(problem.x_star)
     radius = problem.radius
@@ -234,7 +243,6 @@ def sgd_batch(
     g = np.empty((n, d))
     project = _projector(n, d, radius)
     states = list(traj)
-    kernels = _compiled(d)
     l0 = np.sum(diff * diff, axis=1)
     for start, size, out in _chunks(l0, horizon, _rows(n, d), on_chunk, loss_sc):
         eps = sphere_noise_batch(gens, size, d, problem.b_noise)
@@ -306,7 +314,8 @@ def pca_batch(
     n = len(seeds)
     p = problem.dim
     horizon = len(etas)
-    gens = rep_generators(seeds)
+    kernels = _compiled(p)
+    gens = GeneratorBatch(rep_generators(seeds), kernels)
     eigs = np.asarray(problem.eigs)
     sq = np.sqrt(eigs)
     rot = None if problem.rotation is None else np.asarray(problem.rotation)
@@ -344,12 +353,10 @@ def pca_batch(
     z = np.empty((n, p))
     y_col, c_col = y[:, None], c[:, None]
     krasulina = variant == "krasulina"
-    kernels = _compiled(p)
 
     l0 = np.maximum(0.0, 1.0 - v[:, 0] ** 2 / vn2)
     for start, size, out in _chunks(l0, horizon, _rows(n, p), on_chunk, losses):
-        draws = rademacher_batch(gens, size, p)
-        draws *= sq
+        draws = rademacher_batch(gens, size, p, sq)
         for lo, hi in _slices(size, n * p):
             xs = draws[lo:hi]
             t = slice(start + lo, start + hi)
@@ -424,7 +431,9 @@ def rm_batch(
     """
     n = len(seeds)
     horizon = len(etas)
-    gens = rep_generators(seeds)
+    # numpy's u**3 in the cubic M matches neither u*u*u nor libm's pow
+    kernels = _compiled(1) if problem.m_kind == "linear" else None
+    gens = GeneratorBatch(rep_generators(seeds), kernels)
     theta = problem.theta
     losses = None if on_chunk else np.empty((n, horizon + 1))
     q_chan = _alloc((n, horizon), record_channels)
@@ -432,8 +441,6 @@ def rm_batch(
 
     traj = _trajectory(np.full(n, float(x0)), horizon)
     states = list(traj)
-    # numpy's u**3 in the cubic M matches neither u*u*u nor libm's pow
-    kernels = _compiled(1) if problem.m_kind == "linear" else None
     l0 = traj[0] - theta if on_chunk else (traj[0] - theta) ** 2
     for start, size, out in _chunks(l0, horizon, _rows(n, 1), on_chunk, losses):
         draws = uniform_batch(gens, size, SQRT3)

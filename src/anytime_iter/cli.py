@@ -5,7 +5,8 @@ Subcommands run each experiment from a JSON config and write reports into
 2 invalid configuration (with field diagnostics), found while parsing the
 config and building the problem, before the run, 3 an internal error raised
 during the run, such as the FloatingPointError a non-finite loss raises
-(with a one-line "error:" diagnostic).  The environment variable
+(with a one-line "error:" diagnostic).  A config key the command does not
+read is invalid, so a misspelled field never falls back to its default.  The environment variable
 ANYTIME_ITER_SEED, when set, overrides the config's seed_base.
 
 Acceptance policy (stated in every report): a coverage experiment passes when
@@ -37,6 +38,7 @@ from .boundaries import (
 from .harness import (
     CoverageConfig,
     SpecError,
+    _check_keys,
     _spec,
     run_counterexample,
     run_coverage,
@@ -328,15 +330,54 @@ def _cmd_catalog(cfg: dict, out_dir: Path, threads: int) -> int:
     return 0
 
 
+_COVERAGE_KEYS = (
+    "algorithm",
+    "problem",
+    "delta",
+    "n_reps",
+    "horizon",
+    "seed_base",
+    "record_grid",
+    "boundary_scale",
+)
+_LIL_KEYS = (
+    "l1",
+    "l2",
+    "n_blocks",
+    "n_seeds",
+    "seed_base",
+    "m_kind",
+    "theta",
+    "slope",
+    "cub_a",
+    "cub_b",
+    "r1",
+    "x0",
+    "fraction_threshold",
+)
+_COLD_START_KEYS = (
+    "eigs",
+    "rotation",
+    "delta",
+    "c_explore",
+    "c_stable",
+    "horizon",
+    "n_reps",
+    "seed_base",
+    "variant",
+)
+_STITCH_KEYS = ("c1", "c2", "c3", "delta", "horizon", "terms_mean", "terms_mag")
+
+# name -> (handler, needs a config, the config keys it reads)
 _COMMANDS = {
-    "coverage": (_cmd_coverage, True),
-    "last-iterate": (_cmd_last_iterate, True),
-    "width-table": (_cmd_width_table, True),
-    "lil": (_cmd_lil, True),
-    "oja-cold-start": (_cmd_oja_cold_start, True),
-    "counterexample": (_cmd_counterexample, True),
-    "stitch-dump": (_cmd_stitch_dump, True),
-    "catalog": (_cmd_catalog, False),
+    "coverage": (_cmd_coverage, True, _COVERAGE_KEYS),
+    "last-iterate": (_cmd_last_iterate, True, _COVERAGE_KEYS + ("t_eval",)),
+    "width-table": (_cmd_width_table, True, ("b", "lam", "delta", "horizons")),
+    "lil": (_cmd_lil, True, _LIL_KEYS),
+    "oja-cold-start": (_cmd_oja_cold_start, True, _COLD_START_KEYS),
+    "counterexample": (_cmd_counterexample, True, ("p_one", "n_reps", "horizon", "seed_base")),
+    "stitch-dump": (_cmd_stitch_dump, True, _STITCH_KEYS),
+    "catalog": (_cmd_catalog, False, ()),
 }
 
 
@@ -346,23 +387,24 @@ def main(argv=None) -> int:
         description="Anytime-valid boundary experiments for iterative stochastic algorithms.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, needs_config) in _COMMANDS.items():
+    for name, (_, needs_config, _keys) in _COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=needs_config, help="JSON experiment config")
         sp.add_argument("--out-dir", default=".", help="directory for report files")
         threads_help = (
             "coverage worker threads, each on a block of up to 512 replications (0, 1 = "
-            "serial); the compiled step loops run in parallel, the draws and the numpy "
-            "fallback do not"
+            "serial); the compiled draws and step loops run in parallel, the numpy "
+            "fallback and the loss passes mostly do not"
         )
         sp.add_argument("--threads", type=int, default=0, help=threads_help)
     args = parser.parse_args(argv)
 
-    handler, needs_config = _COMMANDS[args.command]
+    handler, _, keys = _COMMANDS[args.command]
     try:
         cfg = _load_config(args.config) if args.config else {}
         if not isinstance(cfg, dict):
             raise ConfigError("config root must be a JSON object")
+        _check_keys(cfg, keys, "config")
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         return handler(cfg, out_dir, args.threads)

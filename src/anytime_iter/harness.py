@@ -96,6 +96,14 @@ def _spec(what: str):
         raise SpecError(f"{what}: {exc}") from exc
 
 
+def _check_keys(spec: Mapping, allowed, what: str) -> None:
+    """Raise SpecError naming the keys of spec that are not in allowed, so
+    that a misspelled field is never silently replaced by its default."""
+    unknown = [repr(k) for k in spec if k not in allowed]
+    if unknown:
+        raise SpecError(f"{what}: unknown key(s) {', '.join(unknown)}")
+
+
 def mc_threshold(cost: float, delta: float, n_reps: int) -> float:
     """Acceptance threshold cost*delta + 3*sqrt(cost*delta/n_reps).
 
@@ -110,12 +118,31 @@ def mc_threshold(cost: float, delta: float, n_reps: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+_PCA_KEYS = ("eigs", "rotation", "v0", "normalize")
+# the problem keys _build_setup reads for each algorithm
+_PROBLEM_KEYS = {
+    "sgd_sc": ("curvature", "x_star", "radius", "b_noise", "x0"),
+    "krasulina": _PCA_KEYS,
+    "oja": _PCA_KEYS,
+    "ridge": (
+        "theta_star",
+        "x_radius",
+        "noise_radius",
+        "diam",
+        "lambda_pen",
+        "theta0",
+        "penalty_in_gradient",
+    ),
+}
+
+
 @dataclass(frozen=True)
 class CoverageConfig:
     """Declarative coverage experiment.
 
     algorithm selects the runner ("sgd_sc", "krasulina", "oja", "ridge");
-    problem holds its keyword parameters (see _build_setup).  boundary_scale
+    problem holds its keyword parameters (see _build_setup), and a key the
+    runner does not read is rejected.  boundary_scale
     multiplies the width (scale < 1 yields falsification runs that must
     produce violations, demonstrating the experiment has power).
     """
@@ -130,8 +157,9 @@ class CoverageConfig:
     boundary_scale: float = 1.0
 
     def __post_init__(self):
-        if self.algorithm not in ("sgd_sc", "krasulina", "oja", "ridge"):
+        if self.algorithm not in _PROBLEM_KEYS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        _check_keys(self.problem, _PROBLEM_KEYS[self.algorithm], "problem")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if self.n_reps < 1 or self.horizon < 1:

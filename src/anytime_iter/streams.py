@@ -12,13 +12,23 @@ lambda_min, R1, ...) entering the boundaries are exact rather than estimated:
   * a linear regression stream with sign-pattern covariates of fixed norm,
     so E[x x^T] = (x_radius^2/d)*I exactly.
 
-The *_batch samplers draw one chunk for a batch of replications, one call
-per generator; column j of a batch draw equals what generator j alone
-draws, so a replication's numbers do not depend on the batch it runs in.
+The *_batch samplers draw one chunk for a batch of replications; column j
+of a batch draw equals what generator j alone draws, so a replication's
+numbers do not depend on the batch it runs in.  Given a GeneratorBatch
+built with the compiled kernels, a sampler draws the whole chunk in one C
+call (_steps.c), which releases the interpreter lock; otherwise it calls
+each generator's numpy method in turn, the reference and the fallback.
+The C loops call numpy's own exported distribution functions, the ones
+these Generator methods call (random_standard_normal,
+random_bounded_uint64_fill, random_uniform), with the same arguments and,
+per generator, in the same order, and then do the same IEEE operations as
+the numpy code here (the sign map, the scale, _onto_sphere), so both paths
+give the same bits and leave every generator in the same state.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -30,6 +40,7 @@ __all__ = [
     "rademacher_batch",
     "sphere_noise_batch",
     "uniform_batch",
+    "GeneratorBatch",
     "LinearModelStream",
     "SQRT3",
 ]
@@ -75,20 +86,57 @@ def _onto_sphere(g: np.ndarray, radius: float) -> np.ndarray:
     return g
 
 
-def rademacher_batch(gens, size: int, width: int) -> np.ndarray:
+class GeneratorBatch(Sequence):
+    """The generators of a batch of replications, in replication order.
+
+    Built with the compiled kernels (a _kernel.StepKernels), it also holds
+    the addresses of the generators' bit generators, taken once, and the
+    batch samplers draw through them in C; built without, or given a plain
+    list of generators, they call the generators one by one.
+    """
+
+    def __init__(self, gens, kernels=None):
+        self._gens = list(gens)
+        self.kernels = kernels
+        self.bitgens = None if kernels is None else kernels.bit_generators(self._gens)
+
+    def __len__(self) -> int:
+        return len(self._gens)
+
+    def __getitem__(self, j):
+        return self._gens[j]
+
+
+def _kernels(gens):
+    return gens.kernels if isinstance(gens, GeneratorBatch) else None
+
+
+def rademacher_batch(gens, size: int, width: int, scale=None) -> np.ndarray:
     """Signs of shape (size, len(gens), width) whose column j equals
-    rademacher_matrix(gens[j], (size, width)), with one call per generator."""
+    rademacher_matrix(gens[j], (size, width)), times the (width,) array
+    scale when it is given."""
     out = np.empty((size, len(gens), width))
+    kernels = _kernels(gens)
+    if kernels is not None:
+        kernels.signs(out, gens.bitgens, scale)
+        return out
     for j, g in enumerate(gens):
         out[:, j, :] = g.integers(0, 2, size=(size, width))
     out *= 2.0
     out -= 1.0
+    if scale is not None:
+        out *= scale
     return out
 
 
 def sphere_noise_batch(gens, size: int, width: int, radius: float) -> np.ndarray:
     """Shape (size, len(gens), width); column j equals
-    sphere_noise(gens[j], (size, width), radius), with one call per generator."""
+    sphere_noise(gens[j], (size, width), radius)."""
+    kernels = _kernels(gens)
+    if kernels is not None:
+        out = np.empty((size, len(gens), width))
+        kernels.sphere(out, gens.bitgens, radius)
+        return out
     if radius == 0.0:
         return np.zeros((size, len(gens), width))
     out = np.empty((size, len(gens), width))
@@ -101,6 +149,10 @@ def uniform_batch(gens, size: int, radius: float) -> np.ndarray:
     """Shape (size, len(gens)); column j equals
     gens[j].uniform(-radius, radius, size)."""
     out = np.empty((size, len(gens)))
+    kernels = _kernels(gens)
+    if kernels is not None:
+        kernels.uniform(out, gens.bitgens, -radius, radius)
+        return out
     for j, g in enumerate(gens):
         out[:, j] = g.uniform(-radius, radius, size=size)
     return out

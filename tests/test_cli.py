@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from anytime_iter import cli
 from anytime_iter.cli import main
 
 
@@ -88,6 +89,9 @@ def test_invalid_config_exit_code(tmp_path, capsys):
         ("coverage", dict(SGD_CFG, problem=dict(SGD_CFG["problem"], x0=[0.5, 0.5]))),
         ("lil", dict(LIL_CFG, l1=2.0)),
         ("lil", dict(LIL_CFG, n_seeds=0)),
+        ("coverage", dict(SGD_CFG, boundry_scale=0.001)),
+        ("lil", dict(LIL_CFG, slpoe=3)),
+        ("coverage", dict(SGD_CFG, problem=dict(SGD_CFG["problem"], b_nosie=0.0))),
     ],
 )
 def test_invalid_values_exit_before_running(command, payload, tmp_path, capsys):
@@ -96,6 +100,18 @@ def test_invalid_values_exit_before_running(command, payload, tmp_path, capsys):
     cfg = write_cfg(tmp_path, "cfg.json", payload)
     assert run([command, "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_unknown_keys_are_named(tmp_path, capsys):
+    # a misspelled key would otherwise run with the default it shadows: a
+    # falsification run at boundary_scale 1 passes
+    for payload, key in (
+        (dict(SGD_CFG, boundry_scale=0.001), "'boundry_scale'"),
+        (dict(SGD_CFG, problem=dict(SGD_CFG["problem"], b_nosie=0.0)), "'b_nosie'"),
+    ):
+        cfg = write_cfg(tmp_path, "cfg.json", payload)
+        assert run(["coverage", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
 
 
 def test_negative_seed_override_is_invalid(tmp_path, monkeypatch):
@@ -272,6 +288,18 @@ def test_shipped_example_configs_validate(tmp_path):
         "counterexample.json",
         "stitch.json",
     } <= names
+    commands = {
+        "last_iterate.json": "last-iterate",
+        "width_table.json": "width-table",
+        "lil.json": "lil",
+        "oja_cold_start.json": "oja-cold-start",
+        "counterexample.json": "counterexample",
+        "stitch.json": "stitch-dump",
+    }
     for p in cfg_dir.glob("*.json"):
-        json.loads(p.read_text())
+        cfg = json.loads(p.read_text())
+        command = commands.get(p.name, "coverage")
+        cli._check_keys(cfg, cli._COMMANDS[command][2], p.name)
+        if "problem" in cfg:
+            cli._coverage_config(cfg)  # checks the problem keys
     assert run(["width-table", "--config", str(cfg_dir / "width_table.json"), "--out-dir", str(tmp_path)]) == 0

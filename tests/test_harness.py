@@ -109,13 +109,18 @@ def test_coverage_shrunken_boundary_violates():
 
 
 def test_coverage_worker_count_invariance():
-    # three 512-replication blocks, so the pool has blocks to share
-    cfg = small_config(n_reps=1100, horizon=200, record_grid=(0, 100, 200))
-    reps = [run_coverage(cfg, threads=k) for k in (0, 2, 3)]
-    dicts = [dataclasses.asdict(r) for r in reps]
-    for d in dicts:
-        d.pop("wall_time")
-    assert dicts[0] == dicts[1] == dicts[2]
+    # three 512-replication blocks, so the pool has blocks to share; SGD
+    # draws normals and PCA signs, each on the pool's threads at once
+    pca = dict(eigs=(2.0, 1.0), v0="uniform")
+    for algorithm, problem in (("sgd_sc", SGD_SPEC), ("krasulina", pca), ("oja", pca)):
+        cfg = small_config(
+            algorithm=algorithm, problem=problem, n_reps=1100, horizon=200, record_grid=(0, 100, 200)
+        )
+        reps = [run_coverage(cfg, threads=k) for k in (0, 2, 3)]
+        dicts = [dataclasses.asdict(r) for r in reps]
+        for d in dicts:
+            d.pop("wall_time")
+        assert dicts[0] == dicts[1] == dicts[2], algorithm
 
 
 def test_coverage_krasulina_warm_start():

@@ -1,9 +1,11 @@
-"""The compiled step loops against the numpy step loops they replace.
+"""The compiled step loops and draws against the numpy code they replace.
 
-Every engine array must come out byte for byte the same on both paths, the
-loader must fall back to the numpy loops with one note when the library
-cannot be built, and threads that start engines at once must share one
-build.  Tests choose the numpy path by patching _kernel.load.
+Every engine array and every drawn chunk must come out byte for byte the
+same on both paths, with the generators left in the same state; the loader
+must fall back to numpy with one note when the library cannot be built or
+numpy's distribution functions cannot be found, and threads that start
+engines at once must share one build.  Tests choose the numpy path by
+patching _kernel.load.
 """
 
 import os
@@ -23,8 +25,14 @@ from anytime_iter import _kernel, algorithms
 from anytime_iter.algorithms import PcaProblem, RmProblem, SgdProblem
 from anytime_iter.algorithms import pca_batch, ridge_batch, rm_batch, sgd_batch
 from anytime_iter.boundaries import StepSchedule
-from anytime_iter.seeding import rep_seed
-from anytime_iter.streams import LinearModelStream
+from anytime_iter.seeding import rep_generators, rep_seed
+from anytime_iter.streams import (
+    GeneratorBatch,
+    LinearModelStream,
+    rademacher_batch,
+    sphere_noise_batch,
+    uniform_batch,
+)
 from test_algorithms import ENGINES
 
 needs_kernel = pytest.mark.skipif(_kernel.load() is None, reason="no C compiler here")
@@ -119,6 +127,41 @@ def test_kernel_matches_numpy_loop_bytes(name, n_reps, chunk, slice_steps):
     assert compiled == reference
 
 
+# name -> draw(gens, rows, width, radius), one chunk as an engine draws it
+SAMPLERS = {
+    "sphere": sphere_noise_batch,
+    "signs": lambda gens, rows, width, radius: rademacher_batch(gens, rows, width),
+    "scaled-signs": lambda gens, rows, width, radius: rademacher_batch(
+        gens, rows, width, np.sqrt(np.arange(width, 0.0, -1.0))
+    ),
+    "uniform": lambda gens, rows, width, radius: uniform_batch(gens, rows, radius),
+}
+
+
+@needs_kernel
+@pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    n_gens=st.integers(1, 9),
+    width=st.integers(1, 7),
+    radius=st.sampled_from((0.0, 1.5)),
+    chunks=st.lists(st.integers(1, 300), min_size=1, max_size=5),
+)
+def test_compiled_draws_match_numpy_draws(sampler, n_gens, width, radius, chunks):
+    # consecutive chunks, so that the state one chunk leaves (PCG64 buffers
+    # half of a 64-bit output for the next 32-bit draw) must be numpy's too
+    draw = SAMPLERS[sampler]
+    seeds = [rep_seed(17, i) for i in range(n_gens)]
+    compiled = GeneratorBatch(rep_generators(seeds), _kernel.load())
+    reference = rep_generators(seeds)
+    for rows in chunks:
+        got = draw(compiled, rows, width, radius)
+        assert got.tobytes() == draw(reference, rows, width, radius).tobytes()
+        for g, h in zip(compiled, reference):
+            assert g.bit_generator.state == h.bit_generator.state
+    assert [g.random() for g in compiled] == [g.random() for g in reference]
+
+
 def test_every_engine_takes_the_kernel(monkeypatch):
     # the engines ask for the kernel exactly where it applies: widths below
     # 8 and the linear M, not the cubic one
@@ -141,6 +184,8 @@ def test_every_engine_takes_the_kernel(monkeypatch):
 
 @pytest.fixture
 def numpy_steps(monkeypatch):
+    # the engines build their GeneratorBatch from _kernel.load() as well, so
+    # this forces the numpy draws along with the numpy step loops
     monkeypatch.setattr(_kernel, "load", lambda: None)
     return monkeypatch
 
@@ -181,25 +226,31 @@ def _reference():
         return run, seeds, as_bytes(run(seeds))
 
 
-@pytest.mark.parametrize("broken", ["missing-compiler", "failing-compiler", "unwritable-cache"])
+@pytest.mark.parametrize(
+    "broken", ["missing-compiler", "failing-compiler", "unwritable-cache", "missing-numpy-symbol"]
+)
 def test_loader_falls_back_with_one_note(broken, tmp_path, monkeypatch, capsys):
     run, seeds, reference = _reference()
-    cache, cc = tmp_path / "cache", None
+    cache, cc, distributions = tmp_path / "cache", None, None
     if broken == "missing-compiler":
         cc = [str(tmp_path / "no-such-cc")]
     elif broken == "failing-compiler":
         cc = [sys.executable, "-c", "raise SystemExit(1)"]
-    else:
+    elif broken == "unwritable-cache":
         (tmp_path / "file").write_text("")
         cache = tmp_path / "file" / "cache"  # a directory under a file cannot be made
-    loader = _kernel.Loader(cache_dir=cache, cc=cc)
+    else:
+        # a numpy shared object that exports none of the distribution
+        # functions: looking them up raises AttributeError
+        distributions = np.random._pcg64.__file__
+    loader = _kernel.Loader(cache_dir=cache, cc=cc, distributions=distributions)
     monkeypatch.setattr(_kernel, "load", loader.get)
     capsys.readouterr()
     for _ in range(3):
         assert as_bytes(run(seeds)) == reference
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "compiled step loops unavailable" in err
-    if broken != "unwritable-cache":
+    if broken in ("missing-compiler", "failing-compiler"):
         assert list(cache.iterdir()) == []  # no partial library left behind
 
 
@@ -241,12 +292,21 @@ def test_threads_share_one_build(tmp_path, monkeypatch):
 
 
 def test_import_builds_nothing(tmp_path):
-    # the library is built on the first engine call, never at import
+    # the library is built, and numpy's distribution functions are looked
+    # up, on the first engine call, never at import
     code = (
+        "import ctypes\n"
+        "opened = []\n"
+        "class CDLL(ctypes.CDLL):\n"
+        "    def __init__(self, name, *args, **kwargs):\n"
+        "        opened.append(name)\n"
+        "        super().__init__(name, *args, **kwargs)\n"
+        "ctypes.CDLL = CDLL\n"
         "import sys, anytime_iter, anytime_iter.cli\n"
         "from anytime_iter import _kernel\n"
         "assert 'subprocess' not in sys.modules, 'subprocess imported'\n"
         "assert not _kernel._LOADER._done\n"
+        "assert opened == [], opened\n"
     )
     src = _kernel.SOURCE.parents[1].as_posix()
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=src)

@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from anytime_iter import LinearModelStream, PcaProblem, RmProblem, SgdProblem
+from anytime_iter import LinearModelStream, PcaProblem, RmProblem, SgdProblem, _kernel
 from anytime_iter.seeding import make_generator, rep_seed
 from anytime_iter.streams import (
     SQRT3,
+    GeneratorBatch,
     rademacher_batch,
     rademacher_matrix,
     sphere_noise,
@@ -155,9 +156,9 @@ def test_rademacher_matrix_support():
 
 
 def test_batch_draws_match_single_generator_draws():
-    # the engines draw a chunk for a whole batch; column j must be what
-    # generator j alone would have drawn
-    gens = [make_generator(s) for s in range(3)]
+    # the engines draw a chunk for a whole batch, compiled when the kernels
+    # load; column j must be what generator j alone would have drawn
+    gens = GeneratorBatch([make_generator(s) for s in range(3)], _kernel.load())
     solo = [make_generator(s) for s in range(3)]
     signs = rademacher_batch(gens, 5, 4)
     noise = sphere_noise_batch(gens, 6, 2, 0.7)

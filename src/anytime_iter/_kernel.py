@@ -97,6 +97,7 @@ class StepKernels:
         for attr, name in _NUMPY_FUNCTIONS.items():
             setattr(self, attr, ctypes.cast(getattr(distributions, name), _P).value)
         self._lib = lib
+        # keeps numpy's library, and so the addresses above, loaded
         self._distributions = distributions
         self._capsule_pointer = ctypes.PYFUNCTYPE(_P, ctypes.py_object, ctypes.c_char_p)(
             ("PyCapsule_GetPointer", ctypes.pythonapi)

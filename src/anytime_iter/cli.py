@@ -6,8 +6,9 @@ Subcommands run each experiment from a JSON config and write reports into
 config and building the problem, before the run, 3 an internal error raised
 during the run, such as the FloatingPointError a non-finite loss raises
 (with a one-line "error:" diagnostic).  A config key the command does not
-read is invalid, so a misspelled field never falls back to its default.  The environment variable
-ANYTIME_ITER_SEED, when set, overrides the config's seed_base.
+read is invalid, so a misspelled field never falls back to its default.
+The environment variable ANYTIME_ITER_SEED, when set, overrides the
+config's seed_base.
 
 Acceptance policy (stated in every report): a coverage experiment passes when
 its empirical violation rate is at most confidence_cost*delta plus a
@@ -331,39 +332,15 @@ def _cmd_catalog(cfg: dict, out_dir: Path, threads: int) -> int:
 
 
 _COVERAGE_KEYS = (
-    "algorithm",
-    "problem",
-    "delta",
-    "n_reps",
-    "horizon",
-    "seed_base",
-    "record_grid",
+    "algorithm", "problem", "delta", "n_reps", "horizon", "seed_base", "record_grid",
     "boundary_scale",
 )
 _LIL_KEYS = (
-    "l1",
-    "l2",
-    "n_blocks",
-    "n_seeds",
-    "seed_base",
-    "m_kind",
-    "theta",
-    "slope",
-    "cub_a",
-    "cub_b",
-    "r1",
-    "x0",
-    "fraction_threshold",
+    "l1", "l2", "n_blocks", "n_seeds", "seed_base", "m_kind", "theta", "slope", "cub_a",
+    "cub_b", "r1", "x0", "fraction_threshold",
 )
 _COLD_START_KEYS = (
-    "eigs",
-    "rotation",
-    "delta",
-    "c_explore",
-    "c_stable",
-    "horizon",
-    "n_reps",
-    "seed_base",
+    "eigs", "rotation", "delta", "c_explore", "c_stable", "horizon", "n_reps", "seed_base",
     "variant",
 )
 _STITCH_KEYS = ("c1", "c2", "c3", "delta", "horizon", "terms_mean", "terms_mag")

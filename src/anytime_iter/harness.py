@@ -125,12 +125,7 @@ _PROBLEM_KEYS = {
     "krasulina": _PCA_KEYS,
     "oja": _PCA_KEYS,
     "ridge": (
-        "theta_star",
-        "x_radius",
-        "noise_radius",
-        "diam",
-        "lambda_pen",
-        "theta0",
+        "theta_star", "x_radius", "noise_radius", "diam", "lambda_pen", "theta0",
         "penalty_in_gradient",
     ),
 }
@@ -142,9 +137,9 @@ class CoverageConfig:
 
     algorithm selects the runner ("sgd_sc", "krasulina", "oja", "ridge");
     problem holds its keyword parameters (see _build_setup), and a key the
-    runner does not read is rejected.  boundary_scale
-    multiplies the width (scale < 1 yields falsification runs that must
-    produce violations, demonstrating the experiment has power).
+    runner does not read is rejected.  boundary_scale multiplies the width
+    (scale < 1 yields falsification runs that must produce violations,
+    demonstrating the experiment has power).
     """
 
     algorithm: str

@@ -132,14 +132,13 @@ def rademacher_batch(gens, size: int, width: int, scale=None) -> np.ndarray:
 def sphere_noise_batch(gens, size: int, width: int, radius: float) -> np.ndarray:
     """Shape (size, len(gens), width); column j equals
     sphere_noise(gens[j], (size, width), radius)."""
+    out = np.empty((size, len(gens), width))
     kernels = _kernels(gens)
     if kernels is not None:
-        out = np.empty((size, len(gens), width))
         kernels.sphere(out, gens.bitgens, radius)
         return out
     if radius == 0.0:
-        return np.zeros((size, len(gens), width))
-    out = np.empty((size, len(gens), width))
+        return np.zeros_like(out)
     for j, g in enumerate(gens):
         out[:, j, :] = g.standard_normal((size, width))
     return _onto_sphere(out, radius)

@@ -1,4 +1,5 @@
-"""Loader of the compiled step loops and draw loops in _steps.c.
+"""Loader of the compiled step loops, recording passes and draw loops in
+_steps.c.
 
 The library is built on first use, never at import: the C compiler Python
 was built with (sysconfig's CC) compiles _steps.c with FLAGS, which keep
@@ -26,7 +27,9 @@ process goes to stderr.
 
 ctypes.CDLL releases the interpreter lock during each call, so engines
 running on several threads draw and step in parallel.  Each binding checks
-the dtype, contiguity and shape of every array before it passes a pointer.
+the dtype, contiguity and shape of every array before it passes a pointer;
+the outputs of the passes, column slices of the engines' (N, T) results,
+need a unit column stride and pass their row stride along.
 """
 from __future__ import annotations
 
@@ -42,6 +45,7 @@ import numpy as np
 
 SOURCE = Path(__file__).with_name("_steps.c")
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+MAX_WIDTH = 7  # coordinates per step at most; MAX_WIDTH in _steps.c
 
 _P, _L, _D, _I = ctypes.c_void_p, ctypes.c_long, ctypes.c_double, ctypes.c_int
 _SIGNATURES = {
@@ -49,6 +53,9 @@ _SIGNATURES = {
     "pca_steps": ([_P] * 5 + [_L] * 3 + [_I] * 2, None),
     "rm_linear_steps": ([_P] * 3 + [_L] * 2 + [_D] * 2, None),
     "ridge_steps": ([_P] * 4 + [_L] * 3 + [_D, _I, _D, _D], None),
+    "sgd_pass": ([_P] * 5 + [_L] * 3 + [_D, _P, _L, _P, _L] + [_P] * 5 + [_L], None),
+    "pca_pass": ([_P] * 6 + [_L] * 3 + [_P, _L] + [_P] * 4 + [_L], None),
+    "rm_pass": ([_P] * 3 + [_L] * 2 + [_D] * 3 + [_I, _P, _L, _P, _P, _L], None),
     "sphere_draw": ([_P] * 2 + [_L] * 3 + [_D, _P], None),
     "sign_draw": ([_P] * 4 + [_L] * 3 + [_P], None),
     "uniform_draw": ([_P] * 2 + [_L] * 2 + [_D] * 2 + [_P], None),
@@ -73,6 +80,40 @@ def _addr(a: np.ndarray, shape: tuple, dtype=np.float64) -> int:
     return a.ctypes.data
 
 
+def _rows(a: np.ndarray, shape: tuple) -> tuple:
+    """Address of a's data and its row stride in values, once a is checked to
+    be a writeable float64 array of the given (n, m) shape with adjacent
+    columns, such as a column slice of an engine's (N, T) result."""
+    if (
+        a.dtype != np.float64
+        or a.shape != shape
+        or a.strides[1] != a.itemsize
+        or a.strides[0] % a.itemsize
+        or not a.flags.writeable
+    ):
+        raise ValueError(
+            f"pass kernel needs a writeable float64 array of shape {shape} with unit "
+            f"column stride, got {a.dtype} {a.shape} strides {a.strides}"
+        )
+    return a.ctypes.data, a.strides[0] // a.itemsize
+
+
+def _channels(arrays, shape: tuple) -> list:
+    """The addresses of the channel arrays, then their common row stride."""
+    rows = [_rows(a, shape) for a in arrays]
+    strides = {ld for _, ld in rows}
+    if len(strides) != 1:
+        raise ValueError(f"pass kernel needs channel arrays of one row stride, got {strides}")
+    return [addr for addr, _ in rows] + [strides.pop()]
+
+
+def _width(d: int) -> int:
+    """d, once checked to fit the passes' coordinate buffers."""
+    if not 1 <= d <= MAX_WIDTH:
+        raise ValueError(f"pass kernel needs 1 to {MAX_WIDTH} coordinates, got {d}")
+    return d
+
+
 def _steps(etas) -> tuple:
     """The step sizes as a contiguous float64 array, and their count."""
     etas = np.ascontiguousarray(etas, dtype=np.float64)
@@ -84,10 +125,12 @@ class StepKernels:
 
     Each step method advances m = len(etas) steps: traj holds at least m+1
     rows, row 0 the iterates before the first step, and step k writes row
-    k+1.  Each draw method fills a chunk for the generators whose bit
-    generator addresses bit_generators returned; the caller keeps those
-    generators alive and uses them on no other thread meanwhile, since the
-    draws bypass the bit generators' locks.
+    k+1.  Each pass method reads those m steps back, with their draws, and
+    writes their losses and recorded channels.  Each draw method fills a
+    chunk for the generators whose bit generator addresses bit_generators
+    returned; the caller keeps those generators alive and uses them on no
+    other thread meanwhile, since the draws bypass the bit generators'
+    locks.
     """
 
     def __init__(self, lib: ctypes.CDLL, distributions: ctypes.CDLL):
@@ -177,6 +220,57 @@ class StepKernels:
             _addr(xi, (m, n)),
             _addr(etas, (m,)),
             m, n, theta, slope,
+        )
+
+    def sgd_pass(self, traj, noise, etas, a, xs, half_mu: float, loss, loss_pl, *channels) -> None:
+        """Losses and channels of m projected-SGD steps, written into the
+        (n, m) arrays loss, loss_pl and channels (noise_sc, noise_pl, y_sc,
+        y_pl, gnorm2, all of one row stride)."""
+        etas, m = _steps(etas)
+        _, n, d = traj.shape
+        self._lib.sgd_pass(
+            _addr(traj[: m + 1], (m + 1, n, d)),
+            _addr(noise, (m, n, d)),
+            _addr(etas, (m,)),
+            _addr(a, (d,)),
+            _addr(xs, (d,)),
+            m, n, _width(d), half_mu,
+            *_rows(loss, (n, m)),
+            *_rows(loss_pl, (n, m)),
+            *_channels(channels, (n, m)),
+        )
+
+    def pca_pass(self, traj, norms, grown, data, etas, eigs, loss, *channels) -> None:
+        """Losses and channels of m Krasulina or Oja steps, written into the
+        (n, m) arrays loss and channels (q, z_dot_v, znorm2, norm_ratio, all
+        of one row stride); grown may be the view norms[1:]."""
+        etas, m = _steps(etas)
+        _, n, p = traj.shape
+        self._lib.pca_pass(
+            _addr(traj[: m + 1], (m + 1, n, p)),
+            _addr(norms[: m + 1], (m + 1, n)),
+            _addr(grown[:m], (m, n)),
+            _addr(data, (m, n, p)),
+            _addr(etas, (m,)),
+            _addr(eigs, (p,)),
+            m, n, _width(p),
+            *_rows(loss, (n, m)),
+            *_channels(channels, (n, m)),
+        )
+
+    def rm_pass(self, traj, xi, etas, theta, s2, r1sq, signed_dev, loss, q, noise) -> None:
+        """Losses (or, with signed_dev, the deviations x - theta) and the
+        channels q and noise of m root-finding steps with the linear M, where
+        s2 = slope**2 and r1sq = r1**2; all outputs are (n, m)."""
+        etas, m = _steps(etas)
+        n = traj.shape[1]
+        self._lib.rm_pass(
+            _addr(traj[: m + 1], (m + 1, n)),
+            _addr(xi, (m, n)),
+            _addr(etas, (m,)),
+            m, n, theta, s2, r1sq, int(signed_dev),
+            *_rows(loss, (n, m)),
+            *_channels((q, noise), (n, m)),
         )
 
     def ridge(self, traj, xs, ys, etas, lambda_pen, penalty_in_gradient, radius) -> None:

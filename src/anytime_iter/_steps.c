@@ -1,20 +1,27 @@
-/* Step loops of the batched engines in anytime_iter.algorithms.
+/* Step loops, recording passes and draw loops of the batched engines in
+ * anytime_iter.algorithms.
  *
- * Each function advances m steps of n replications held in a trajectory
- * buffer traj of shape (m+1, n, d): row 0 holds the iterates before the
- * first step and step k writes row k+1.  Draws are (m, n, d) or (m, n) and
- * etas holds the m step sizes.  All arrays are C-contiguous float64; the
- * Python loader checks dtypes, contiguity and shapes before calling.
+ * Each step function advances m steps of n replications held in a
+ * trajectory buffer traj of shape (m+1, n, d): row 0 holds the iterates
+ * before the first step and step k writes row k+1.  Draws are (m, n, d) or
+ * (m, n) and etas holds the m step sizes.  Inputs are C-contiguous float64;
+ * the passes write into row-strided (n, m) views.  The Python loader checks
+ * dtypes, strides and shapes before calling.
  *
- * Every function performs the IEEE operations of the numpy step loop it
+ * Every function performs the IEEE operations of the numpy code it
  * replaces, one by one and in the same order, so its results are bit for bit
- * those of the loop.  It must be compiled without floating-point
- * contraction (-ffp-contract=off) and without -ffast-math, so that no
- * multiply-add is fused and no sum is reassociated.  Coordinate sums run
- * left to right like _sum_last in streams.py, which equals np.sum over fewer
- * than 8 terms: a sum of general terms ends with +0.0, which turns an
- * all -0.0 sum into +0.0 as numpy does, and a sum of squares does not.
- * Widths of 8 or more, where np.sum adds pairwise, stay in numpy.
+ * those of numpy.  It must be compiled without floating-point contraction
+ * (-ffp-contract=off) and without -ffast-math, so that no multiply-add is
+ * fused and no sum is reassociated.  Coordinate sums run left to right like
+ * _sum_last in streams.py, which equals np.sum over fewer than 8 terms: a
+ * sum of general terms ends with +0.0, which turns an all -0.0 sum into +0.0
+ * as numpy does, and a sum of squares does not.  Widths of 8 or more, where
+ * np.sum adds pairwise, stay in numpy.
+ *
+ * The passes compute the losses and noise channels of a slice when the
+ * engine records its channels.  The plain loss pass, which every coverage
+ * and LIL run takes, stays in numpy: it is one array expression and a
+ * transposed copy, already at memory speed, and a C version measured slower.
  *
  * The draw loops at the end fill the (rows, n, width) draw chunks the step
  * loops read, through numpy's own distribution functions.
@@ -23,6 +30,10 @@
 #include <stdbool.h>
 #include <stdint.h>
 #include <string.h>
+
+/* the passes keep a few coordinate vectors on the stack; wider problems
+ * stay in numpy, whose np.sum adds 8 or more terms pairwise */
+#define MAX_WIDTH 7
 
 /* sum_j x[j]*v[j], closed with +0.0 (also for d = 1, where np.sum adds it) */
 static double dot(const double *x, const double *v, long d)
@@ -176,6 +187,115 @@ void ridge_steps(double *traj, const double *xs, const double *ys, const double 
             th += d;
             w += d;
             x += d;
+        }
+    }
+}
+
+/* Passes with recording.  Each reads a slice as its step loop left it (traj,
+ * the draws, etas and, for PCA, norms and grown) and writes the losses at
+ * the slice's m steps and every recorded channel straight into the engine's
+ * (N, T) result arrays: row i of an output starts at out + i*ld, where the
+ * channel arrays share the row stride ld and the losses have their own
+ * (ld_loss, as they may be a reused chunk buffer, and ld_pl for SGD's
+ * loss_pl).  Replications run outside and steps inside, so each
+ * output row is written in order.  Each value is the numpy expression of the
+ * algorithms pass, evaluated left to right with its parentheses; constants
+ * formed in Python (half_mu, s2, r1sq) come in as arguments, since Python's
+ * ** calls libm's pow.  The step loops stay separate calls: each
+ * replication's steps form a serial chain, which a loop with replications
+ * outside would run one step at a time. */
+
+/* Projected SGD, dev = x - x* before a step and dn after it:
+ * loss |dn|^2, loss_pl 0.5*(sum (a*dn)*dn), y_sc -<e, dev>, y_pl -<a*dev, e>,
+ * gnorm2 |a*dev + e|^2, noise_sc (2*eta)*y_sc + (eta*eta)*gnorm2 and
+ * noise_pl eta*y_pl + ((half_mu*eta)*eta)*gnorm2. */
+void sgd_pass(const double *traj, const double *noise, const double *etas, const double *a,
+              const double *xs, long m, long n, long d, double half_mu, double *loss,
+              long ld_loss, double *loss_pl, long ld_pl, double *noise_sc, double *noise_pl,
+              double *y_sc, double *y_pl, double *gnorm2, long ld)
+{
+    double dev[MAX_WIDTH], dn[MAX_WIDTH], gradf[MAX_WIDTH], gv[MAX_WIDTH], adn[MAX_WIDTH];
+    for (long i = 0; i < n; i++) {
+        for (long k = 0; k < m; k++) {
+            const double eta = etas[k];
+            const double *x = traj + (k * n + i) * d;
+            const double *w = x + n * d;
+            const double *e = noise + (k * n + i) * d;
+            for (long j = 0; j < d; j++) {
+                dev[j] = x[j] - xs[j];
+                dn[j] = w[j] - xs[j];
+                gradf[j] = a[j] * dev[j];
+                gv[j] = gradf[j] + e[j];
+                adn[j] = a[j] * dn[j];
+            }
+            double gn2 = sum_sq(gv, d);
+            double y1 = -dot(e, dev, d);
+            double y2 = -dot(gradf, e, d);
+            loss[i * ld_loss + k] = sum_sq(dn, d);
+            y_sc[i * ld + k] = y1;
+            y_pl[i * ld + k] = y2;
+            gnorm2[i * ld + k] = gn2;
+            noise_sc[i * ld + k] = (2.0 * eta) * y1 + (eta * eta) * gn2;
+            noise_pl[i * ld + k] = eta * y2 + ((half_mu * eta) * eta) * gn2;
+            loss_pl[i * ld_pl + k] = 0.5 * dot(adn, dn, d);
+        }
+    }
+}
+
+/* Streaming PCA, v before a step, x its data and vn2 = norms[k]:
+ * loss max(0, 1 - (u*u)/norms[k+1]) with u the first coordinate after it,
+ * y = <x, v>, z = y*x - ((y*y)/vn2)*v, sv = v*eigs, tv = (2*eta)*v1,
+ * m = (tv*(sv1 - (v1*<sv, v>)/vn2))/vn2, q = m - (tv*z1)/vn2,
+ * z_dot_v = <z, v>, znorm2 = |z|^2 and ratio = grown[k]/vn2.
+ * (0.0 >= r) ? 0.0 : r keeps a NaN r, as np.maximum(0.0, r) does and fmax
+ * does not. */
+void pca_pass(const double *traj, const double *norms, const double *grown, const double *data,
+              const double *etas, const double *eigs, long m, long n, long p, double *loss,
+              long ld_loss, double *q, double *z_dot_v, double *znorm2, double *ratio, long ld)
+{
+    double z[MAX_WIDTH], sv[MAX_WIDTH];
+    for (long i = 0; i < n; i++) {
+        for (long k = 0; k < m; k++) {
+            const double eta = etas[k];
+            const double *v = traj + (k * n + i) * p;
+            const double *x = data + (k * n + i) * p;
+            const double vn2 = norms[k * n + i];
+            double u = v[n * p];
+            double r = 1.0 - (u * u) / norms[(k + 1) * n + i];
+            loss[i * ld_loss + k] = (0.0 >= r) ? 0.0 : r;
+            double y = dot(x, v, p);
+            double c = (y * y) / vn2;
+            for (long j = 0; j < p; j++) {
+                z[j] = y * x[j] - c * v[j];
+                sv[j] = v[j] * eigs[j];
+            }
+            double v1 = v[0];
+            double tv = (2.0 * eta) * v1;
+            double m_t = (tv * (sv[0] - (v1 * dot(sv, v, p)) / vn2)) / vn2;
+            q[i * ld + k] = m_t - (tv * z[0]) / vn2;
+            z_dot_v[i * ld + k] = dot(z, v, p);
+            znorm2[i * ld + k] = sum_sq(z, p);
+            ratio[i * ld + k] = grown[k * n + i] / vn2;
+        }
+    }
+}
+
+/* Robbins-Monro with linear M, dev = x - theta before a step and dn after
+ * it: loss dn (signed_dev) or dn*dn, q ((-2*eta)*dev)*xi and
+ * noise q + ((2*eta)*eta)*(s2*(dev*dev) + r1sq). */
+void rm_pass(const double *traj, const double *xi, const double *etas, long m, long n,
+             double theta, double s2, double r1sq, int signed_dev, double *loss, long ld_loss,
+             double *q, double *noise, long ld)
+{
+    for (long i = 0; i < n; i++) {
+        for (long k = 0; k < m; k++) {
+            const double eta = etas[k];
+            double dev = traj[k * n + i] - theta;
+            double dn = traj[(k + 1) * n + i] - theta;
+            loss[i * ld_loss + k] = signed_dev ? dn : dn * dn;
+            double qk = ((-2.0 * eta) * dev) * xi[k * n + i];
+            q[i * ld + k] = qk;
+            noise[i * ld + k] = qk + ((2.0 * eta) * eta) * (s2 * (dev * dev) + r1sq);
         }
     }
 }

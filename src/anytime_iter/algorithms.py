@@ -26,11 +26,11 @@ Ridge draws signs, then uniforms, per chunk, so its RIDGE_ROWS is fixed.
 Each engine's step loop only advances the recursion: the update, the
 projection or normalisation, and a write of the new iterate into a
 trajectory buffer, all into preallocated arrays.  The losses and, with
-record_channels, every noise channel are then computed by array passes over
-the stored iterates, the chunk's draws and its step sizes, in slices of at
-most PASS_BUDGET values and in the elementwise order of the per-step
-formulas, so they are bit-identical to computing them step by step.  The
-transient memory of the passes is O(N*chunk) with or without recording.
+record_channels, every noise channel are then computed by passes over the
+stored iterates, the chunk's draws and its step sizes, in slices of at most
+PASS_BUDGET values and in the elementwise order of the per-step formulas, so
+they are bit-identical to computing them step by step.  The transient memory
+of the passes is O(N*chunk) with or without recording.
 
 The step loops run compiled, one C call per slice (_steps.c, built on first
 use and loaded by _kernel): projected SGD, both PCA variants with or without
@@ -41,13 +41,21 @@ fused multiply-adds and without -ffast-math, and it sums coordinates left
 to right with the closing +0.0 of _sum_last; so it writes the same bits into
 the same trajectory buffer.  The numpy loop stays as the reference and runs
 wherever that argument fails or the library is missing: for the cubic M,
-because numpy's u**3 matches neither u*u*u nor libm's pow bit for bit; for
-widths of 8 or more, where np.sum adds pairwise; and when no compiler is
-available.
+because numpy's u**3 matches neither u*u*u nor libm's pow; for widths of 8
+or more, where np.sum adds pairwise; and when no compiler is available.
 
-Wherever the step loop is compiled, so are the draws, behind the same
-switch (_compiled): the engine wraps its generators in a
-streams.GeneratorBatch with those kernels, and each chunk is still one
+Where the step loop is compiled, so is the pass with recording: one C call
+per slice computes the losses and every channel, each numpy expression
+evaluated left to right with its parentheses, and writes them straight into
+the (N, T) result arrays, with no transposed copies or temporaries.  Its
+numpy form stays as the reference and the fallback.  The plain loss pass,
+which every coverage, cold-start and LIL run takes, stays in numpy: it is
+one array expression and one transposed copy, already at memory speed, and
+a compiled loss pass measured slower on those runs.
+
+The draws are compiled wherever the step loop is, and for the cubic M too,
+whose draws do not depend on M: the engine wraps its generators in a
+streams.GeneratorBatch built from _compiled, and each chunk is still one
 sampler call, which then draws in C through numpy's own distribution
 functions, bit for bit (see streams).  Ridge keeps LinearModelStream.draw
 per generator, whose x @ theta_star is a BLAS product.
@@ -162,7 +170,7 @@ def _compiled(width: int):
     None when the library cannot be built, and for widths of 8 or more, where
     np.sum adds pairwise and the compiled left-to-right sums would differ.
     """
-    return _kernel.load() if width < 8 else None
+    return _kernel.load() if width <= _kernel.MAX_WIDTH else None
 
 
 def _check_in_ball(x, radius: float, name: str, dim=None) -> np.ndarray:
@@ -222,6 +230,7 @@ def sgd_batch(
     xs = np.asarray(problem.x_star)
     radius = problem.radius
     mu = problem.mu
+    half_mu = 0.5 * mu
 
     x0 = _check_in_ball(x0, radius, "x0")
     traj = _trajectory(np.tile(x0, (n, 1)), horizon)
@@ -261,22 +270,28 @@ def sgd_batch(
                     np.multiply(g, eta, out=g)
                     np.subtract(x, g, out=w)
                     proj_hits += project(w)
-            dev = traj[: hi - lo + 1] - xs
-            out[:, lo:hi] = _sum_last(dev[1:] * dev[1:], squares=True).T
-            if record_channels:
-                eta = etas[t, None]
-                gradf = a * dev[:-1]
-                gvec = gradf + e
-                gn2 = _sum_last(gvec * gvec, squares=True)
-                y1 = -_sum_last(e * dev[:-1])
-                y2 = -_sum_last(gradf * e)
-                y_sc[:, t] = y1.T
-                y_pl[:, t] = y2.T
-                gnorm2[:, t] = gn2.T
-                noise_sc[:, t] = (2.0 * eta * y1 + eta * eta * gn2).T
-                noise_pl[:, t] = (eta * y2 + 0.5 * mu * eta * eta * gn2).T
-                pl = 0.5 * _sum_last(a * dev[1:] * dev[1:])
-                loss_pl[:, start + lo + 1 : start + hi + 1] = pl.T
+            t1 = slice(start + lo + 1, start + hi + 1)
+            if record_channels and kernels is not None:
+                kernels.sgd_pass(
+                    traj, e, etas[t], a, xs, half_mu, out[:, lo:hi], loss_pl[:, t1],
+                    noise_sc[:, t], noise_pl[:, t], y_sc[:, t], y_pl[:, t], gnorm2[:, t],
+                )
+            else:
+                dev = traj[: hi - lo + 1] - xs
+                out[:, lo:hi] = _sum_last(dev[1:] * dev[1:], squares=True).T
+                if record_channels:
+                    eta = etas[t, None]
+                    gradf = a * dev[:-1]
+                    gvec = gradf + e
+                    gn2 = _sum_last(gvec * gvec, squares=True)
+                    y1 = -_sum_last(e * dev[:-1])
+                    y2 = -_sum_last(gradf * e)
+                    y_sc[:, t] = y1.T
+                    y_pl[:, t] = y2.T
+                    gnorm2[:, t] = gn2.T
+                    noise_sc[:, t] = (2.0 * eta * y1 + eta * eta * gn2).T
+                    noise_pl[:, t] = (eta * y2 + 0.5 * mu * eta * eta * gn2).T
+                    loss_pl[:, t1] = (0.5 * _sum_last(a * dev[1:] * dev[1:])).T
             traj[0] = traj[hi - lo]
     return {
         "loss_sc": loss_sc,
@@ -386,20 +401,26 @@ def pca_batch(
                         np.sqrt(grown[k], out=c)
                         np.divide(w, c_col, out=w)
             m = hi - lo
-            u = traj[1 : m + 1, :, 0]
-            out[:, lo:hi] = np.maximum(0.0, 1.0 - u**2 / norms[1 : m + 1]).T
-            if record_channels:
-                eta = etas[t, None]
-                vp, xp, vn2 = traj[:m], xs, norms[:m]
-                yp = _sum_last(xp * vp)
-                zp = yp[..., None] * xp - (yp * yp / vn2)[..., None] * vp
-                v1 = vp[..., 0]
-                sv = vp * eigs
-                m_t = 2.0 * eta * v1 * (sv[..., 0] - v1 * _sum_last(sv * vp) / vn2) / vn2
-                q_chan[:, t] = (m_t - 2.0 * eta * v1 * zp[..., 0] / vn2).T
-                zv_chan[:, t] = _sum_last(zp * vp).T
-                znorm2_chan[:, t] = _sum_last(zp * zp, squares=True).T
-                ratio_chan[:, t] = (grown[:m] / vn2).T
+            if record_channels and kernels is not None:
+                kernels.pca_pass(
+                    traj, norms, grown, xs, etas[t], eigs, out[:, lo:hi],
+                    q_chan[:, t], zv_chan[:, t], znorm2_chan[:, t], ratio_chan[:, t],
+                )
+            else:
+                u = traj[1 : m + 1, :, 0]
+                out[:, lo:hi] = np.maximum(0.0, 1.0 - u**2 / norms[1 : m + 1]).T
+                if record_channels:
+                    eta = etas[t, None]
+                    vp, xp, vn2 = traj[:m], xs, norms[:m]
+                    yp = _sum_last(xp * vp)
+                    zp = yp[..., None] * xp - (yp * yp / vn2)[..., None] * vp
+                    v1 = vp[..., 0]
+                    sv = vp * eigs
+                    m_t = 2.0 * eta * v1 * (sv[..., 0] - v1 * _sum_last(sv * vp) / vn2) / vn2
+                    q_chan[:, t] = (m_t - 2.0 * eta * v1 * zp[..., 0] / vn2).T
+                    zv_chan[:, t] = _sum_last(zp * vp).T
+                    znorm2_chan[:, t] = _sum_last(zp * zp, squares=True).T
+                    ratio_chan[:, t] = (grown[:m] / vn2).T
             traj[0] = traj[m]
             norms[0] = norms[m]
     v = traj[0].copy()
@@ -431,13 +452,16 @@ def rm_batch(
     """
     n = len(seeds)
     horizon = len(etas)
-    # numpy's u**3 in the cubic M matches neither u*u*u nor libm's pow
-    kernels = _compiled(1) if problem.m_kind == "linear" else None
-    gens = GeneratorBatch(rep_generators(seeds), kernels)
+    gens = GeneratorBatch(rep_generators(seeds), _compiled(1))
+    # the draws do not depend on M, the steps and the pass do: numpy's u**3
+    # in the cubic M matches neither u*u*u nor libm's pow
+    kernels = gens.kernels if problem.m_kind == "linear" else None
     theta = problem.theta
     losses = None if on_chunk else np.empty((n, horizon + 1))
     q_chan = _alloc((n, horizon), record_channels)
     noise = _alloc((n, horizon), record_channels)
+    # formed in Python, as poly_sq and the numpy pass form them
+    s2, r1sq = float(problem.slope**2), float(problem.r1**2)
 
     traj = _trajectory(np.full(n, float(x0)), horizon)
     states = list(traj)
@@ -457,14 +481,20 @@ def rm_batch(
                     np.add(y_val, xi[k], out=y_val)
                     np.multiply(y_val, eta, out=y_val)
                     np.subtract(x, y_val, out=states[k + 1])
-            dev = traj[: hi - lo + 1] - theta
-            out[:, lo:hi] = (dev[1:] if on_chunk else dev[1:] ** 2).T
-            if record_channels:
-                eta = etas[t, None]
-                q = -2.0 * eta * dev[:-1] * xi
-                q_chan[:, t] = q.T
-                envelope = problem.poly_sq(dev[:-1] ** 2) + problem.r1**2
-                noise[:, t] = (q + 2.0 * eta * eta * envelope).T
+            if record_channels and kernels is not None:
+                kernels.rm_pass(
+                    traj, xi, etas[t], float(theta), s2, r1sq, on_chunk is not None,
+                    out[:, lo:hi], q_chan[:, t], noise[:, t],
+                )
+            else:
+                dev = traj[: hi - lo + 1] - theta
+                out[:, lo:hi] = (dev[1:] if on_chunk else dev[1:] ** 2).T
+                if record_channels:
+                    eta = etas[t, None]
+                    q = -2.0 * eta * dev[:-1] * xi
+                    q_chan[:, t] = q.T
+                    envelope = problem.poly_sq(dev[:-1] ** 2) + problem.r1**2
+                    noise[:, t] = (q + 2.0 * eta * eta * envelope).T
             traj[0] = traj[hi - lo]
     return {"loss": losses, "q": q_chan, "noise": noise, "final_x": traj[0].copy()}
 

@@ -16,9 +16,9 @@ depend on the block size, so reports do not depend on scheduling.
 
 The iterated-logarithm statistic runs on rm_batch as well: _lil_batch folds
 each chunk of signed deviations x_t - theta the engine streams into
-dyadic-block maxima, in one batch of all seeds; its step vector has length
-2^(n_blocks+1).  No step loop and no noise draw live here; _pca_v0 only
-draws each replication's initial direction.
+dyadic-block maxima, in one batch of all seeds, refusing non-finite maxima;
+its step vector has length 2^(n_blocks+1).  No step loop and no noise draw
+live here; _pca_v0 only draws each replication's initial direction.
 
 Parameters an experiment rejects before any replication runs, including an
 unparsable problem spec or an initial point outside the ball, raise
@@ -512,6 +512,15 @@ def run_lil_ensemble(
         raise SpecError("need at least one seed")
     l_const = math.sqrt(l1) / (4.0 * (1.0 + l2 * math.log(8.0) * problem.m_prime_at_root))
     block_max, bounds = _lil_batch(problem, l1, n_blocks, seeds, x0)
+    # a diverging path reaches the maxima as nan or +inf, which max and
+    # np.maximum both keep, so the maxima alone show it
+    bad = np.argwhere(~np.isfinite(block_max))
+    if bad.size:
+        i, j = bad[0]
+        lo, hi = bounds[i]
+        raise FloatingPointError(
+            f"non-finite LIL statistic {block_max[i, j]} in seed index {j} in block t={lo}..{hi}"
+        )
     reports = []
     for j in range(block_max.shape[1]):
         stats = tuple(

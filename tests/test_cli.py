@@ -156,6 +156,25 @@ def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
             assert err == f"error: internal {exc.__name__}: engine fault\n", command
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_diverging_lil_run_is_an_internal_error(tmp_path, capsys):
+    # a steep cubic M overshoots and diverges (numpy warns of the overflow):
+    # its block maxima turn nan, which the report would write as bare NaN,
+    # not valid JSON
+    cfg = write_cfg(
+        tmp_path,
+        "lil.json",
+        dict(LIL_CFG, m_kind="cubic_plus_linear", cub_a=100.0, cub_b=1.0, n_blocks=6, n_seeds=4),
+    )
+    out = tmp_path / "o"
+    assert run(["lil", "--config", cfg, "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal FloatingPointError: non-finite LIL statistic")
+    assert "seed index" in err
+    assert not (out / "lil_report.json").exists()
+
+
 def test_reports_reproducible_across_threads(tmp_path):
     cfg = write_cfg(tmp_path, "cov.json", SGD_CFG)
     outs = []

@@ -53,7 +53,7 @@ def _sgd_case(d):
     x_star = (0.1,) + (0.0,) * (d - 1)
     problem = SgdProblem(curvature=curvature, x_star=x_star, radius=0.5, b_noise=2.0)
     x0 = 0.5 * _unit(np.arange(1.0, d + 1.0))
-    return d, lambda seeds: sgd_batch(problem, ETAS, x0, seeds)
+    return d, lambda seeds, **kw: sgd_batch(problem, ETAS, x0, seeds, **kw)
 
 
 def _pca_case(p, variant, normalize, rotated):
@@ -64,21 +64,21 @@ def _pca_case(p, variant, normalize, rotated):
         rotation = tuple(map(tuple, q))
     problem = PcaProblem(eigs=eigs, rotation=rotation)
     v0 = _unit(problem.v_star + 0.4 * _unit(np.linspace(-1.0, 1.0, p)))
-    return p, lambda seeds: pca_batch(problem, ETAS, v0, seeds, variant, normalize)
+    return p, lambda seeds, **kw: pca_batch(problem, ETAS, v0, seeds, variant, normalize, **kw)
 
 
 def _ridge_case(d, penalty_in_gradient):
     theta_star = (0.5,) + (-0.25,) * (d - 1)
     stream = LinearModelStream(theta_star=theta_star, x_radius=1.0, noise_radius=0.5)
     theta0 = np.zeros(d)
-    return d + 1, lambda seeds: ridge_batch(
-        stream, 1.5, 0.1, ETAS, theta0, seeds, penalty_in_gradient
+    return d + 1, lambda seeds, **kw: ridge_batch(
+        stream, 1.5, 0.1, ETAS, theta0, seeds, penalty_in_gradient, **kw
     )
 
 
 RM_LINEAR = RmProblem(m_kind="linear", theta=-0.3, slope=1.3)
 
-# name -> (values drawn per replication and step, run(seeds))
+# name -> (values drawn per replication and step, run(seeds, **engine keywords))
 CASES = dict(ENGINES)
 CASES.update({f"sgd-d{d}": _sgd_case(d) for d in range(1, 8)})
 CASES.update(
@@ -92,7 +92,7 @@ CASES.update(
         for rotated in (False, True)
     }
 )
-CASES["rm-linear-shifted"] = (1, lambda seeds: rm_batch(RM_LINEAR, ETAS, 1.0, seeds))
+CASES["rm-linear-shifted"] = (1, lambda seeds, **kw: rm_batch(RM_LINEAR, ETAS, 1.0, seeds, **kw))
 CASES.update(
     {
         f"ridge-d{d}{'' if pig else '-penalty-outside'}": _ridge_case(d, pig)
@@ -109,6 +109,15 @@ def as_bytes(res: dict) -> dict:
     }
 
 
+def streamed_bytes(run, seeds) -> tuple:
+    """The engine's result and the (t0, shape, bytes) of every chunk it
+    streams to on_chunk; sgd_batch, pca_batch and rm_batch record their
+    channels as well, by default."""
+    chunks = []
+    res = run(seeds, on_chunk=lambda t0, a: chunks.append((t0, a.shape, a.tobytes())))
+    return as_bytes(res), chunks
+
+
 @needs_kernel
 @pytest.mark.parametrize("name", sorted(CASES))
 @settings(max_examples=6, deadline=None, derandomize=True, database=None)
@@ -121,9 +130,9 @@ def test_kernel_matches_numpy_loop_bytes(name, n_reps, chunk, slice_steps):
         mp.setattr(algorithms, "DRAW_BUDGET", chunk * n_reps * width)
         mp.setattr(algorithms, "RIDGE_ROWS", chunk)
         mp.setattr(algorithms, "PASS_BUDGET", slice_steps * n_reps * width)
-        compiled = as_bytes(run(seeds))
+        compiled = as_bytes(run(seeds)), streamed_bytes(run, seeds)
         mp.setattr(_kernel, "load", lambda: None)
-        reference = as_bytes(run(seeds))
+        reference = as_bytes(run(seeds)), streamed_bytes(run, seeds)
     assert compiled == reference
 
 
@@ -162,19 +171,27 @@ def test_compiled_draws_match_numpy_draws(sampler, n_gens, width, radius, chunks
     assert [g.random() for g in compiled] == [g.random() for g in reference]
 
 
+@needs_kernel
+def test_steps_source_compiles_without_warnings(tmp_path):
+    # -Werror turns any warning in _steps.c into a failed build
+    cc = _kernel._default_cc() + ["-Wall", "-Wextra", "-Werror"]
+    _kernel._compile(cc, _kernel.SOURCE.read_bytes(), str(tmp_path / "steps.so"))
+
+
 def test_every_engine_takes_the_kernel(monkeypatch):
     # the engines ask for the kernel exactly where it applies: widths below
-    # 8 and the linear M, not the cubic one
+    # 8, and every M, whose draws do not depend on it (the cubic M steps in
+    # numpy, which the byte test checks)
     calls = []
     monkeypatch.setattr(_kernel, "load", lambda: calls.append(1))
     seeds = [rep_seed(1, 0)]
     for name in ("sgd", "krasulina-rotated", "ridge", "rm"):
         ENGINES[name][1](seeds)
-    assert len(calls) == 3  # ENGINES["rm"] runs the cubic M
+    assert len(calls) == 4  # ENGINES["rm"] runs the cubic M
     CASES["rm-linear-shifted"][1](seeds)
     wide = SgdProblem(curvature=(1.0,) * 8, x_star=(0.0,) * 8, radius=1.0, b_noise=0.5)
     sgd_batch(wide, ETAS, np.zeros(8), seeds)
-    assert len(calls) == 4
+    assert len(calls) == 5
 
 
 # ---------------------------------------------------------------------------

@@ -1,35 +1,47 @@
-"""Loader of the compiled step loops, recording passes and draw loops in
-_steps.c.
+"""Which kernels the engines run, and the loader of the compiled ones.
+
+Every engine in algorithms, and every batch sampler in streams, calls the
+object load(width) returns: the compiled StepKernels when _steps.c could be
+built and loaded and a step carries at most MAX_WIDTH coordinates, else
+_reference.REFERENCE, the numpy step loops, passes and draws.  StepKernels
+subclasses Reference and overrides only what C computes bit for bit:
+
+  * the step loops, except the cubic M's, since numpy's u**3 matches
+    neither u*u*u nor libm's pow.  C performs the same correctly rounded
+    IEEE operations in the same order, built without contraction into fused
+    multiply-adds and without -ffast-math (FLAGS), and sums coordinates left
+    to right with the closing +0.0 of _reference._sum_last; np.sum adds 8
+    or more terms pairwise, hence MAX_WIDTH;
+  * the passes with recording, each numpy expression evaluated left to
+    right with its parentheses, written straight into the (N, T) results.
+    The plain loss pass stays the reference's: one array expression and a
+    transposed copy, already at memory speed, which C measured slower;
+  * the draws, for every M: the C loops call numpy's exported distribution
+    functions (random_standard_normal, random_bounded_uint64_fill,
+    random_uniform), the ones Generator calls, per generator in the same
+    order, then do the reference's IEEE operations, so each value comes
+    from the machine code Generator runs and every generator ends in the
+    same state.  They are looked up on the first get() with ctypes.CDLL on
+    numpy.random._generator's shared object (as numpy's cffi example does)
+    and passed as function pointers, so nothing of numpy is compiled or
+    linked into the library; C gets each generator's bitgen_t as an opaque
+    pointer from its bit generator's "BitGenerator" capsule.
 
 The library is built on first use, never at import: the C compiler Python
-was built with (sysconfig's CC) compiles _steps.c with FLAGS, which keep
-every IEEE operation as written (no fused multiply-add, no -ffast-math), into
-$XDG_CACHE_HOME/anytime-iter/ (default ~/.cache/anytime-iter/).  The file
-name hashes the source, the flags, the compiler and the platform, so later
-processes load the cached library instead of compiling again.  The build
-writes a temporary file and renames it into place, so processes building at
-once never load a partial file, and a lock makes threads of one process
-build it once.
+was built with (sysconfig's CC) compiles _steps.c with FLAGS into
+$XDG_CACHE_HOME/anytime-iter/ (default ~/.cache/anytime-iter/), under a name
+that hashes the source, the flags, the compiler and the platform, so later
+processes load it from the cache.  The build renames a temporary file into
+place, so concurrent processes never load a partial file, and a lock makes
+threads of one process build it once.  When there is no compiler, the build
+fails, the cache cannot be written or numpy's functions cannot be found,
+every width gets the reference, with one note per process on stderr.
 
-The draw loops call numpy's distribution functions random_standard_normal,
-random_bounded_uint64_fill and random_uniform, which Generator calls too.
-They are resolved on the first get(), with ctypes.CDLL on the shared object
-of numpy.random._generator that exports them (as numpy's own cffi example
-does), and passed to C as function pointers, so nothing of numpy is
-compiled or linked into the library and each value comes from the machine
-code Generator runs.  C receives each generator's bitgen_t as an opaque
-pointer, taken from its bit generator's "BitGenerator" capsule.
-
-When there is no compiler, the build fails, the cache cannot be written or
-numpy's functions cannot be found, load() returns None and the engines run
-their numpy step loops and draws, which give the same bits; one note per
-process goes to stderr.
-
-ctypes.CDLL releases the interpreter lock during each call, so engines
-running on several threads draw and step in parallel.  Each binding checks
-the dtype, contiguity and shape of every array before it passes a pointer;
-the outputs of the passes, column slices of the engines' (N, T) results,
-need a unit column stride and pass their row stride along.
+ctypes.CDLL releases the interpreter lock during each call, so engines on
+several threads draw and step in parallel.  Each binding checks the dtype,
+contiguity and shape of every array before it passes a pointer; the outputs
+of the passes, column slices of the engines' (N, T) results, need a unit
+column stride and pass their row stride along.
 """
 from __future__ import annotations
 
@@ -42,6 +54,8 @@ import threading
 from pathlib import Path
 
 import numpy as np
+
+from ._reference import REFERENCE, Reference
 
 SOURCE = Path(__file__).with_name("_steps.c")
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
@@ -120,17 +134,14 @@ def _steps(etas) -> tuple:
     return etas, len(etas)
 
 
-class StepKernels:
-    """Checked bindings of the functions in _steps.c.
+class StepKernels(Reference):
+    """Checked bindings of the functions in _steps.c, with Reference's
+    methods and arguments.
 
-    Each step method advances m = len(etas) steps: traj holds at least m+1
-    rows, row 0 the iterates before the first step, and step k writes row
-    k+1.  Each pass method reads those m steps back, with their draws, and
-    writes their losses and recorded channels.  Each draw method fills a
-    chunk for the generators whose bit generator addresses bit_generators
-    returned; the caller keeps those generators alive and uses them on no
-    other thread meanwhile, since the draws bypass the bit generators'
-    locks.
+    The draw methods take a streams.GeneratorBatch built with these kernels,
+    whose bitgens hold the bit generator addresses bit_generators returned;
+    the caller keeps those generators alive and uses them on no other
+    thread meanwhile, since the draws bypass the bit generators' locks.
     """
 
     def __init__(self, lib: ctypes.CDLL, distributions: ctypes.CDLL):
@@ -146,47 +157,41 @@ class StepKernels:
             ("PyCapsule_GetPointer", ctypes.pythonapi)
         )
 
-    def bit_generators(self, gens) -> np.ndarray:
+    def bit_generators(self, gens):
         """The (len(gens),) uintp array of the generators' bitgen_t addresses."""
         return np.array(
             [self._capsule_pointer(g.bit_generator.capsule, b"BitGenerator") for g in gens],
             dtype=np.uintp,
         )
 
-    def sphere(self, out, bitgens, radius: float) -> None:
-        """out, (rows, n, width), receives rows uniform on the sphere of the
-        given radius, as Generator.standard_normal and _onto_sphere give."""
+    def sphere(self, out, gens, radius: float) -> None:
         rows, n, width = out.shape
         self._lib.sphere_draw(
             _addr(out, (rows, n, width)),
-            _addr(bitgens, (n,), np.uintp),
+            _addr(gens.bitgens, (n,), np.uintp),
             rows, n, width, radius, self._normal,
         )
 
-    def signs(self, out, bitgens, scale=None) -> None:
-        """out, (rows, n, width), receives signs as Generator.integers(0, 2)
-        draws them, times scale (a (width,) array) when it is given."""
+    def signs(self, out, gens, scale=None) -> None:
         rows, n, width = out.shape
         tmp = np.empty(rows * width, dtype=np.uint64)
         self._lib.sign_draw(
             _addr(out, (rows, n, width)),
-            _addr(bitgens, (n,), np.uintp),
+            _addr(gens.bitgens, (n,), np.uintp),
             _addr(tmp, (rows * width,), np.uint64),
             None if scale is None else _addr(scale, (width,)),
             rows, n, width, self._fill,
         )
 
-    def uniform(self, out, bitgens, low: float, high: float) -> None:
-        """out, (rows, n), receives what Generator.uniform(low, high) draws."""
+    def uniform(self, out, gens, low: float, high: float) -> None:
         rows, n = out.shape
         self._lib.uniform_draw(
             _addr(out, (rows, n)),
-            _addr(bitgens, (n,), np.uintp),
+            _addr(gens.bitgens, (n,), np.uintp),
             rows, n, low, high - low, self._uniform,
         )
 
     def sgd(self, traj, noise, etas, a, xs, radius: float) -> int:
-        """Projected SGD steps; returns how many iterates were projected."""
         etas, m = _steps(etas)
         _, n, d = traj.shape
         return self._lib.sgd_steps(
@@ -199,7 +204,6 @@ class StepKernels:
         )
 
     def pca(self, traj, norms, grown, data, etas, krasulina: bool, normalize: bool) -> None:
-        """Krasulina or Oja steps; grown may be the view norms[1:]."""
         etas, m = _steps(etas)
         _, n, p = traj.shape
         self._lib.pca_steps(
@@ -211,21 +215,33 @@ class StepKernels:
             m, n, p, int(krasulina), int(normalize),
         )
 
-    def rm_linear(self, traj, xi, etas, theta: float, slope: float) -> None:
-        """Root-finding steps for the linear map M(x) = slope*(x - theta)."""
+    def rm(self, traj, xi, etas, problem) -> None:
+        if problem.m_kind != "linear":
+            return super().rm(traj, xi, etas, problem)
         etas, m = _steps(etas)
         n = traj.shape[1]
         self._lib.rm_linear_steps(
             _addr(traj[: m + 1], (m + 1, n)),
             _addr(xi, (m, n)),
             _addr(etas, (m,)),
-            m, n, theta, slope,
+            m, n, float(problem.theta), float(problem.slope),
         )
 
-    def sgd_pass(self, traj, noise, etas, a, xs, half_mu: float, loss, loss_pl, *channels) -> None:
-        """Losses and channels of m projected-SGD steps, written into the
-        (n, m) arrays loss, loss_pl and channels (noise_sc, noise_pl, y_sc,
-        y_pl, gnorm2, all of one row stride)."""
+    def ridge(self, traj, xs, ys, etas, lambda_pen, penalty_in_gradient, radius) -> None:
+        etas, m = _steps(etas)
+        _, n, d = traj.shape
+        self._lib.ridge_steps(
+            _addr(traj[: m + 1], (m + 1, n, d)),
+            _addr(xs, (m, n, d)),
+            _addr(ys, (m, n)),
+            _addr(etas, (m,)),
+            m, n, d, lambda_pen, int(penalty_in_gradient), radius, radius * radius,
+        )
+
+    def sgd_pass(self, traj, noise, etas, a, xs, half_mu: float, loss, *channels) -> None:
+        if not channels:
+            return super().sgd_pass(traj, noise, etas, a, xs, half_mu, loss)
+        loss_pl, *channels = channels
         etas, m = _steps(etas)
         _, n, d = traj.shape
         self._lib.sgd_pass(
@@ -241,9 +257,8 @@ class StepKernels:
         )
 
     def pca_pass(self, traj, norms, grown, data, etas, eigs, loss, *channels) -> None:
-        """Losses and channels of m Krasulina or Oja steps, written into the
-        (n, m) arrays loss and channels (q, z_dot_v, znorm2, norm_ratio, all
-        of one row stride); grown may be the view norms[1:]."""
+        if not channels:
+            return super().pca_pass(traj, norms, grown, data, etas, eigs, loss)
         etas, m = _steps(etas)
         _, n, p = traj.shape
         self._lib.pca_pass(
@@ -258,31 +273,20 @@ class StepKernels:
             *_channels(channels, (n, m)),
         )
 
-    def rm_pass(self, traj, xi, etas, theta, s2, r1sq, signed_dev, loss, q, noise) -> None:
-        """Losses (or, with signed_dev, the deviations x - theta) and the
-        channels q and noise of m root-finding steps with the linear M, where
-        s2 = slope**2 and r1sq = r1**2; all outputs are (n, m)."""
+    def rm_pass(self, traj, xi, etas, problem, signed_dev: bool, loss, *channels) -> None:
+        if not channels or problem.m_kind != "linear":
+            return super().rm_pass(traj, xi, etas, problem, signed_dev, loss, *channels)
         etas, m = _steps(etas)
         n = traj.shape[1]
+        # formed in Python, as poly_sq and the reference pass form them
+        s2, r1sq = float(problem.slope**2), float(problem.r1**2)
         self._lib.rm_pass(
             _addr(traj[: m + 1], (m + 1, n)),
             _addr(xi, (m, n)),
             _addr(etas, (m,)),
-            m, n, theta, s2, r1sq, int(signed_dev),
+            m, n, float(problem.theta), s2, r1sq, int(signed_dev),
             *_rows(loss, (n, m)),
-            *_channels((q, noise), (n, m)),
-        )
-
-    def ridge(self, traj, xs, ys, etas, lambda_pen, penalty_in_gradient, radius) -> None:
-        """Ridge-SGD steps, each followed by the projection onto the ball."""
-        etas, m = _steps(etas)
-        _, n, d = traj.shape
-        self._lib.ridge_steps(
-            _addr(traj[: m + 1], (m + 1, n, d)),
-            _addr(xs, (m, n, d)),
-            _addr(ys, (m, n)),
-            _addr(etas, (m,)),
-            m, n, d, lambda_pen, int(penalty_in_gradient), radius, radius * radius,
+            *_channels(channels, (n, m)),
         )
 
 
@@ -335,19 +339,18 @@ class Loader:
         self._cc = cc
         self._distributions = distributions
         self._lock = threading.Lock()
-        self._done = False
         self._kernels = None
 
-    def get(self) -> StepKernels | None:
-        """The bindings, or None when the library cannot be built or loaded."""
-        if not self._done:
+    def get(self) -> Reference:
+        """The bindings, or REFERENCE when the library cannot be built or
+        loaded."""
+        if self._kernels is None:
             with self._lock:
-                if not self._done:
+                if self._kernels is None:
                     self._kernels = self._load()
-                    self._done = True
         return self._kernels
 
-    def _load(self) -> StepKernels | None:
+    def _load(self) -> Reference:
         try:
             lib = ctypes.CDLL(str(self._build()))
             distributions = ctypes.CDLL(self._distributions or _numpy_distributions())
@@ -356,10 +359,10 @@ class Loader:
             reason = " ".join(str(exc).split()) or type(exc).__name__
             print(
                 f"anytime-iter: compiled step loops unavailable ({reason}); "
-                "running the numpy step loops and draws",
+                "running the numpy reference",
                 file=sys.stderr,
             )
-            return None
+            return REFERENCE
 
     def _build(self) -> Path:
         """Path of the library, compiled into the cache first if missing."""
@@ -388,7 +391,8 @@ class Loader:
 _LOADER = Loader()
 
 
-def load() -> StepKernels | None:
-    """The process's step kernels, built on the first call; None means the
-    numpy step loops and draws run instead."""
-    return _LOADER.get()
+def load(width: int = 1) -> Reference:
+    """The kernels for steps of the given width: the process's compiled
+    kernels, built on the first call, or REFERENCE (see the module
+    docstring)."""
+    return _LOADER.get() if width <= MAX_WIDTH else REFERENCE

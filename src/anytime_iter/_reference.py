@@ -1,0 +1,249 @@
+"""The numpy kernels of the batched engines: Reference.
+
+Reference holds the step loops, passes and per-generator draws the engines
+and samplers call, in the order of operations their outputs are pinned to.
+_kernel.StepKernels overrides what C computes bit for bit, with the same
+method names and arguments; _kernel.load chooses between the two.  The
+step, pass and draw contracts are in the class docstring.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+
+def _sum_last(a: np.ndarray, out=None, squares: bool = False) -> np.ndarray:
+    """np.sum(a, axis=-1, out=out), bit for bit.
+
+    numpy adds fewer than 8 terms left to right, starting from +0.0, so
+    adding the strided slices a[..., j] gives the same bits and, for a few
+    terms, runs several times faster than a reduction along the short last
+    axis.  A closing +0.0 turns an all -0.0 sum into +0.0, as numpy does,
+    and changes nothing else; squares, which are never -0.0, skip it.
+    """
+    d = a.shape[-1]
+    if not 2 <= d < 8:
+        return np.sum(a, axis=-1, out=out)
+    if out is None:
+        # an array even for 0-d sums, where np.add without out returns a scalar
+        out = np.empty(a.shape[:-1], dtype=a.dtype)
+    np.add(a[..., 0], a[..., 1], out=out)
+    for j in range(2, d):
+        np.add(out, a[..., j], out=out)
+    return out if squares else np.add(out, 0.0, out=out)
+
+
+def _onto_sphere(g: np.ndarray, radius: float) -> np.ndarray:
+    g *= radius / np.sqrt(_sum_last(g * g, squares=True))[..., None]
+    return g
+
+
+def _projector(n: int, d: int, radius: float):
+    """Return project(w), which pulls the rows of the (n, d) array w outside
+    the ball of the given radius back onto its sphere, in place, and returns
+    how many moved."""
+    sq = np.empty((n, d))
+    r2 = np.empty(n)
+    outside = np.empty(n, dtype=bool)
+    rr = radius * radius
+
+    def project(w: np.ndarray) -> int:
+        np.multiply(w, w, out=sq)
+        _sum_last(sq, r2, squares=True)
+        np.greater(r2, rr, out=outside)
+        if not outside.any():
+            return 0
+        w[outside] *= (radius / np.sqrt(r2[outside]))[:, None]
+        return int(np.count_nonzero(outside))
+
+    return project
+
+
+class Reference:
+    """The engines' kernels in numpy.
+
+    Each step method advances m = len(etas) steps: traj holds at least m+1
+    rows, row 0 the iterates before the first step, and step k writes row
+    k+1.  Each pass method reads those m steps back, with their draws, and
+    writes their losses into the (n, m) array loss and, when channels are
+    given, the recorded channels into those (n, m) arrays.  Each draw method
+    fills a chunk for a batch of generators (a streams.GeneratorBatch),
+    column j with what generator j alone draws.
+    """
+
+    def bit_generators(self, gens):
+        """What the draws take of the generators once per batch: nothing."""
+        return None
+
+    def sphere(self, out, gens, radius: float) -> None:
+        """out, (rows, n, width), receives rows uniform on the sphere of the
+        given radius: standard normals, then _onto_sphere."""
+        if radius == 0.0:
+            out.fill(0.0)
+            return
+        rows, _, width = out.shape
+        for j, g in enumerate(gens):
+            out[:, j, :] = g.standard_normal((rows, width))
+        _onto_sphere(out, radius)
+
+    def signs(self, out, gens, scale=None) -> None:
+        """out, (rows, n, width), receives signs as Generator.integers(0, 2)
+        draws them, times scale (a (width,) array) when it is given."""
+        rows, _, width = out.shape
+        for j, g in enumerate(gens):
+            out[:, j, :] = g.integers(0, 2, size=(rows, width))
+        out *= 2.0
+        out -= 1.0
+        if scale is not None:
+            out *= scale
+
+    def uniform(self, out, gens, low: float, high: float) -> None:
+        """out, (rows, n), receives what Generator.uniform(low, high) draws."""
+        for j, g in enumerate(gens):
+            out[:, j] = g.uniform(low, high, size=out.shape[0])
+
+    def sgd(self, traj, noise, etas, a, xs, radius: float) -> int:
+        """Projected SGD steps; returns how many iterates were projected."""
+        _, n, d = traj.shape
+        # whole (n, d) operands: broadcasting a (d,) vector costs more per step
+        a_n, xs_n = np.tile(a, (n, 1)), np.tile(xs, (n, 1))
+        diff, g = np.empty((n, d)), np.empty((n, d))
+        project = _projector(n, d, radius)
+        hits = 0
+        for k, eta in enumerate(etas.tolist()):
+            # w = x - eta*(a*(x - x*) + e), projected onto the ball
+            x, w = traj[k], traj[k + 1]
+            np.subtract(x, xs_n, out=diff)
+            np.multiply(a_n, diff, out=g)
+            np.add(g, noise[k], out=g)
+            np.multiply(g, eta, out=g)
+            np.subtract(x, g, out=w)
+            hits += project(w)
+        return hits
+
+    def pca(self, traj, norms, grown, data, etas, krasulina: bool, normalize: bool) -> None:
+        """Krasulina or Oja steps.  norms[k] is the squared norm step k
+        divides by and grown[k] receives ||w||^2 right after its update,
+        before normalising; grown may be the view norms[1:]."""
+        _, n, p = traj.shape
+        y, c = np.empty(n), np.empty(n)
+        tmp, z = np.empty((n, p)), np.empty((n, p))
+        y_col, c_col = y[:, None], c[:, None]
+        for k, eta in enumerate(etas.tolist()):
+            v, w, xk = traj[k], traj[k + 1], data[k]
+            np.multiply(xk, v, out=tmp)
+            _sum_last(tmp, y)
+            if krasulina:
+                # z = y*X - (y^2/||v||^2)*v; w = v + eta*z
+                np.multiply(y, y, out=c)
+                np.divide(c, norms[k], out=c)
+                np.multiply(y_col, xk, out=z)
+                np.multiply(c_col, v, out=tmp)
+                np.subtract(z, tmp, out=z)
+                np.multiply(z, eta, out=z)
+            else:
+                # w = v + (eta*y)*X
+                np.multiply(y, eta, out=y)
+                np.multiply(y_col, xk, out=z)
+            np.add(v, z, out=w)
+            np.multiply(w, w, out=tmp)
+            _sum_last(tmp, grown[k], squares=True)
+            if normalize:
+                np.sqrt(grown[k], out=c)
+                np.divide(w, c_col, out=w)
+
+    def rm(self, traj, xi, etas, problem) -> None:
+        """Root-finding steps x <- x - eta*(M(x) + xi) for the RmProblem's M."""
+        for k, eta in enumerate(etas.tolist()):
+            x = traj[k]
+            y_val = problem.m_func(x)
+            np.add(y_val, xi[k], out=y_val)
+            np.multiply(y_val, eta, out=y_val)
+            np.subtract(x, y_val, out=traj[k + 1])
+
+    def ridge(self, traj, xs, ys, etas, lambda_pen, penalty_in_gradient, radius) -> None:
+        """Ridge-SGD steps, each followed by the projection onto the ball."""
+        _, n, d = traj.shape
+        g, pen = np.empty((n, d)), np.empty((n, d))
+        resid = np.empty(n)
+        resid_col = resid[:, None]
+        project = _projector(n, d, radius)
+        for k, eta in enumerate(etas.tolist()):
+            theta, w, xk = traj[k], traj[k + 1], xs[k]
+            np.multiply(xk, theta, out=g)
+            _sum_last(g, resid)
+            np.subtract(resid, ys[k], out=resid)
+            np.multiply(theta, lambda_pen, out=pen)
+            if penalty_in_gradient:
+                # w = theta - eta*(resid*x + lambda*theta)
+                np.multiply(resid_col, xk, out=g)
+                np.add(g, pen, out=g)
+                np.multiply(g, eta, out=g)
+                np.subtract(theta, g, out=w)
+            else:
+                # verbatim variant: the penalty enters without a step factor
+                np.multiply(resid, eta, out=resid)
+                np.multiply(resid_col, xk, out=g)
+                np.subtract(theta, g, out=w)
+                np.add(w, pen, out=w)
+            project(w)
+
+    def sgd_pass(self, traj, noise, etas, a, xs, half_mu: float, loss, *channels) -> None:
+        """Losses ||x - x*||^2 of m projected-SGD steps and, when given, the
+        channels loss_pl, noise_sc, noise_pl, y_sc, y_pl and gnorm2."""
+        m = len(etas)
+        dev = traj[: m + 1] - xs
+        loss[...] = _sum_last(dev[1:] * dev[1:], squares=True).T
+        if not channels:
+            return
+        loss_pl, noise_sc, noise_pl, y_sc, y_pl, gnorm2 = channels
+        eta = etas[:, None]
+        gradf = a * dev[:-1]
+        gvec = gradf + noise
+        gn2 = _sum_last(gvec * gvec, squares=True)
+        y1 = -_sum_last(noise * dev[:-1])
+        y2 = -_sum_last(gradf * noise)
+        y_sc[...] = y1.T
+        y_pl[...] = y2.T
+        gnorm2[...] = gn2.T
+        noise_sc[...] = (2.0 * eta * y1 + eta * eta * gn2).T
+        noise_pl[...] = (eta * y2 + half_mu * eta * eta * gn2).T
+        loss_pl[...] = (0.5 * _sum_last(a * dev[1:] * dev[1:])).T
+
+    def pca_pass(self, traj, norms, grown, data, etas, eigs, loss, *channels) -> None:
+        """Losses sin^2 of m Krasulina or Oja steps and, when given, the
+        channels q, z_dot_v, znorm2 and norm_ratio."""
+        m = len(etas)
+        u = traj[1 : m + 1, :, 0]
+        loss[...] = np.maximum(0.0, 1.0 - u**2 / norms[1 : m + 1]).T
+        if not channels:
+            return
+        q, z_dot_v, znorm2, norm_ratio = channels
+        eta = etas[:, None]
+        vp, vn2 = traj[:m], norms[:m]
+        yp = _sum_last(data * vp)
+        zp = yp[..., None] * data - (yp * yp / vn2)[..., None] * vp
+        v1 = vp[..., 0]
+        sv = vp * eigs
+        m_t = 2.0 * eta * v1 * (sv[..., 0] - v1 * _sum_last(sv * vp) / vn2) / vn2
+        q[...] = (m_t - 2.0 * eta * v1 * zp[..., 0] / vn2).T
+        z_dot_v[...] = _sum_last(zp * vp).T
+        znorm2[...] = _sum_last(zp * zp, squares=True).T
+        norm_ratio[...] = (grown[:m] / vn2).T
+
+    def rm_pass(self, traj, xi, etas, problem, signed_dev: bool, loss, *channels) -> None:
+        """Losses (x - theta)^2 of m root-finding steps, or with signed_dev
+        the deviations x - theta, and, when given, the channels q and noise."""
+        m = len(etas)
+        dev = traj[: m + 1] - problem.theta
+        loss[...] = (dev[1:] if signed_dev else dev[1:] ** 2).T
+        if not channels:
+            return
+        q_chan, noise = channels
+        eta = etas[:, None]
+        q = -2.0 * eta * dev[:-1] * xi
+        q_chan[...] = q.T
+        envelope = problem.poly_sq(dev[:-1] ** 2) + problem.r1**2
+        noise[...] = (q + 2.0 * eta * eta * envelope).T
+
+
+REFERENCE = Reference()

@@ -13,7 +13,7 @@
  * those of numpy.  It must be compiled without floating-point contraction
  * (-ffp-contract=off) and without -ffast-math, so that no multiply-add is
  * fused and no sum is reassociated.  Coordinate sums run left to right like
- * _sum_last in streams.py, which equals np.sum over fewer than 8 terms: a
+ * _sum_last in _reference.py, which equals np.sum over fewer than 8 terms: a
  * sum of general terms ends with +0.0, which turns an all -0.0 sum into +0.0
  * as numpy does, and a sum of squares does not.  Widths of 8 or more, where
  * np.sum adds pairwise, stay in numpy.
@@ -199,7 +199,7 @@ void ridge_steps(double *traj, const double *xs, const double *ys, const double 
  * (ld_loss, as they may be a reused chunk buffer, and ld_pl for SGD's
  * loss_pl).  Replications run outside and steps inside, so each
  * output row is written in order.  Each value is the numpy expression of the
- * algorithms pass, evaluated left to right with its parentheses; constants
+ * reference pass, evaluated left to right with its parentheses; constants
  * formed in Python (half_mu, s2, r1sq) come in as arguments, since Python's
  * ** calls libm's pow.  The step loops stay separate calls: each
  * replication's steps form a serial chain, which a loop with replications
@@ -315,7 +315,7 @@ typedef void (*fill_fn)(void *bitgen, uint64_t off, uint64_t rng, intptr_t cnt, 
 typedef double (*uniform_fn)(void *bitgen, double lower, double range);
 
 /* Rows uniform on the sphere of the given radius: width normals per row,
- * then o = o*(radius/sqrt(|o|^2)), as streams._onto_sphere computes it.
+ * then o = o*(radius/sqrt(|o|^2)), as _reference._onto_sphere computes it.
  * Radius 0 draws nothing and writes zeros, as sphere_noise_batch does. */
 void sphere_draw(double *out, void *const *gens, long rows, long n, long width, double radius,
                  normal_fn normal)

@@ -21,7 +21,6 @@ streamed through on_chunk without record_channels, memory is O(N*chunk),
 independent of the horizon.  rm_batch streams the signed deviations
 x_t - theta instead of their squares, the loss, so that a reducer can form
 (t*dev)*dev, which dev^2 does not give bit for bit (the LIL statistic).
-Ridge draws signs, then uniforms, per chunk, so its RIDGE_ROWS is fixed.
 
 Each engine's step loop only advances the recursion: the update, the
 projection or normalisation, and a write of the new iterate into a
@@ -32,33 +31,11 @@ PASS_BUDGET values and in the elementwise order of the per-step formulas, so
 they are bit-identical to computing them step by step.  The transient memory
 of the passes is O(N*chunk) with or without recording.
 
-The step loops run compiled, one C call per slice (_steps.c, built on first
-use and loaded by _kernel): projected SGD, both PCA variants with or without
-normalisation, root finding with the linear M, and both ridge variants.  The
-C code performs the same correctly rounded IEEE operations (+, -, *, /,
-sqrt) in the same order as the numpy loop, built without contraction into
-fused multiply-adds and without -ffast-math, and it sums coordinates left
-to right with the closing +0.0 of _sum_last; so it writes the same bits into
-the same trajectory buffer.  The numpy loop stays as the reference and runs
-wherever that argument fails or the library is missing: for the cubic M,
-because numpy's u**3 matches neither u*u*u nor libm's pow; for widths of 8
-or more, where np.sum adds pairwise; and when no compiler is available.
-
-Where the step loop is compiled, so is the pass with recording: one C call
-per slice computes the losses and every channel, each numpy expression
-evaluated left to right with its parentheses, and writes them straight into
-the (N, T) result arrays, with no transposed copies or temporaries.  Its
-numpy form stays as the reference and the fallback.  The plain loss pass,
-which every coverage, cold-start and LIL run takes, stays in numpy: it is
-one array expression and one transposed copy, already at memory speed, and
-a compiled loss pass measured slower on those runs.
-
-The draws are compiled wherever the step loop is, and for the cubic M too,
-whose draws do not depend on M: the engine wraps its generators in a
-streams.GeneratorBatch built from _compiled, and each chunk is still one
-sampler call, which then draws in C through numpy's own distribution
-functions, bit for bit (see streams).  Ridge keeps LinearModelStream.draw
-per generator, whose x @ theta_star is a BLAS product.
+Every engine runs one path: _run cuts the horizon into chunks and slices,
+and per slice the engine makes one step call and one pass call to the
+kernels _kernel.load returns, compiled or the numpy reference (_kernel says
+which, and why both give the same bits).  Ridge draws per generator, with a
+fixed RIDGE_ROWS (see ridge_batch).
 """
 from __future__ import annotations
 
@@ -72,11 +49,11 @@ from .boundaries import StepSchedule
 from .problems import PcaProblem, RmProblem, SgdProblem
 from .recursion import CheckReport, RecursionParams, Trace, _first_violation
 from .seeding import SeedLike, rep_generators
+from ._reference import _sum_last
 from .streams import (
     SQRT3,
     GeneratorBatch,
     LinearModelStream,
-    _sum_last,
     rademacher_batch,
     sphere_noise_batch,
     uniform_batch,
@@ -110,49 +87,14 @@ def _rows(n: int, width: int) -> int:
     return max(MIN_ROWS, DRAW_BUDGET // (n * width))
 
 
-def _chunks(l0, horizon: int, rows: int, on_chunk, losses):
-    """Yield (start, size, out) per chunk of at most rows steps.
-
-    The engine fills out, an (N, size) array, with the losses at times
-    start+1..start+size.  Without on_chunk, out is a view of the
-    (N, horizon+1) matrix losses, whose column 0 is l0.  With it, out is a
-    reused buffer that goes to on_chunk(start + 1, out) once filled; the
-    losses l0 at time 0 go first, as on_chunk(0, l0[:, None]).
-    """
-    if on_chunk is None:
-        losses[:, 0] = l0
-        for start in range(0, horizon, rows):
-            size = min(rows, horizon - start)
-            yield start, size, losses[:, start + 1 : start + size + 1]
-        return
-    on_chunk(0, l0[:, None])
-    buf = np.empty((len(l0), min(rows, horizon)))
-    for start in range(0, horizon, rows):
-        size = min(rows, horizon - start)
-        yield start, size, buf[:, :size]
-        on_chunk(start + 1, buf[:, :size])
-
-
 # ---------------------------------------------------------------------------
 # Batched engines
 # ---------------------------------------------------------------------------
 
 
-def _alloc(shape, record: bool):
-    return np.empty(shape) if record else None
-
-
 def _slice_rows(width: int) -> int:
     """Steps per slice when a step carries width values."""
     return max(1, PASS_BUDGET // width)
-
-
-def _slices(size: int, width: int):
-    """Yield (lo, hi) row ranges of a size-step chunk, each holding at most
-    PASS_BUDGET values when a step carries width values."""
-    rows = _slice_rows(width)
-    for lo in range(0, size, rows):
-        yield lo, min(lo + rows, size)
 
 
 def _trajectory(state: np.ndarray, horizon: int) -> np.ndarray:
@@ -164,13 +106,37 @@ def _trajectory(state: np.ndarray, horizon: int) -> np.ndarray:
     return traj
 
 
-def _compiled(width: int):
-    """The compiled step loops for coordinates of the given width, or None.
+def _run(traj, l0, horizon: int, rows: int, on_chunk, losses, draw, norms=None):
+    """Yield (draws, t, out) per slice of at most PASS_BUDGET values of each
+    chunk of at most rows steps.
 
-    None when the library cannot be built, and for widths of 8 or more, where
-    np.sum adds pairwise and the compiled left-to-right sums would differ.
+    draw(size) returns the tuple of a chunk's draw arrays, size steps long,
+    and draws lists the slice's rows of each; t is the slice of step
+    indices.  The engine advances the slice's m steps in traj (and norms),
+    whose last row then moves to row 0, and fills out, an (N, m) array, with
+    the losses at times t.start+1..t.stop.  Without on_chunk, out is a view
+    of the (N, horizon+1) matrix losses, whose column 0 is l0.  With it, out
+    is a view of a reused chunk buffer that goes to on_chunk(start + 1, buf)
+    once filled; the losses l0 at time 0 go first, as on_chunk(0, l0[:, None]).
     """
-    return _kernel.load() if width <= _kernel.MAX_WIDTH else None
+    if on_chunk is None:
+        losses[:, 0] = l0
+    else:
+        on_chunk(0, l0[:, None])
+        buf = np.empty((len(l0), min(rows, horizon)))
+    step_rows = _slice_rows(traj[0].size)
+    for start in range(0, horizon, rows):
+        size = min(rows, horizon - start)
+        out = buf[:, :size] if on_chunk else losses[:, start + 1 : start + size + 1]
+        chunk = draw(size)
+        for lo in range(0, size, step_rows):
+            hi = min(lo + step_rows, size)
+            yield [a[lo:hi] for a in chunk], slice(start + lo, start + hi), out[:, lo:hi]
+            traj[0] = traj[hi - lo]
+            if norms is not None:
+                norms[0] = norms[hi - lo]
+        if on_chunk:
+            on_chunk(start + 1, out)
 
 
 def _check_in_ball(x, radius: float, name: str, dim=None) -> np.ndarray:
@@ -182,27 +148,6 @@ def _check_in_ball(x, radius: float, name: str, dim=None) -> np.ndarray:
     if np.linalg.norm(x) > radius + 1e-12:
         raise ValueError(f"{name} must lie in the ball of radius {radius}")
     return x
-
-
-def _projector(n: int, d: int, radius: float):
-    """Return project(w), which pulls the rows of the (n, d) array w outside
-    the ball of the given radius back onto its sphere, in place, and returns
-    how many moved."""
-    sq = np.empty((n, d))
-    r2 = np.empty(n)
-    outside = np.empty(n, dtype=bool)
-    rr = radius * radius
-
-    def project(w: np.ndarray) -> int:
-        np.multiply(w, w, out=sq)
-        _sum_last(sq, r2, squares=True)
-        np.greater(r2, rr, out=outside)
-        if not outside.any():
-            return 0
-        w[outside] *= (radius / np.sqrt(r2[outside]))[:, None]
-        return int(np.count_nonzero(outside))
-
-    return project
 
 
 def sgd_batch(
@@ -224,75 +169,33 @@ def sgd_batch(
     n = len(seeds)
     d = problem.dim
     horizon = len(etas)
-    kernels = _compiled(d)
+    kernels = _kernel.load(d)
     gens = GeneratorBatch(rep_generators(seeds), kernels)
     a = np.asarray(problem.curvature)
     xs = np.asarray(problem.x_star)
     radius = problem.radius
-    mu = problem.mu
-    half_mu = 0.5 * mu
+    half_mu = 0.5 * problem.mu
 
     x0 = _check_in_ball(x0, radius, "x0")
     traj = _trajectory(np.tile(x0, (n, 1)), horizon)
     diff = traj[0] - xs
 
     loss_sc = None if on_chunk else np.empty((n, horizon + 1))
-    loss_pl = _alloc((n, horizon + 1), record_channels)
+    loss_pl, channels = None, []
     if record_channels:
+        loss_pl = np.empty((n, horizon + 1))
         loss_pl[:, 0] = 0.5 * np.sum(a * diff * diff, axis=1)
-    noise_sc = _alloc((n, horizon), record_channels)
-    noise_pl = _alloc((n, horizon), record_channels)
-    y_sc = _alloc((n, horizon), record_channels)
-    y_pl = _alloc((n, horizon), record_channels)
-    gnorm2 = _alloc((n, horizon), record_channels)
+        # column t of loss_pl[:, 1:] and of each channel belongs to step t
+        channels = [loss_pl[:, 1:]] + [np.empty((n, horizon)) for _ in range(5)]
     proj_hits = 0
 
-    # whole (n, d) operands: broadcasting a (d,) vector costs more per step
-    a_n, xs_n = np.tile(a, (n, 1)), np.tile(xs, (n, 1))
-    g = np.empty((n, d))
-    project = _projector(n, d, radius)
-    states = list(traj)
     l0 = np.sum(diff * diff, axis=1)
-    for start, size, out in _chunks(l0, horizon, _rows(n, d), on_chunk, loss_sc):
-        eps = sphere_noise_batch(gens, size, d, problem.b_noise)
-        for lo, hi in _slices(size, n * d):
-            e = eps[lo:hi]
-            t = slice(start + lo, start + hi)
-            if kernels is not None:
-                proj_hits += kernels.sgd(traj, e, etas[t], a, xs, radius)
-            else:
-                for k, eta in enumerate(etas[t].tolist()):
-                    # w = x - eta*(a*(x - x*) + e), projected onto the ball
-                    x, w = states[k], states[k + 1]
-                    np.subtract(x, xs_n, out=diff)
-                    np.multiply(a_n, diff, out=g)
-                    np.add(g, e[k], out=g)
-                    np.multiply(g, eta, out=g)
-                    np.subtract(x, g, out=w)
-                    proj_hits += project(w)
-            t1 = slice(start + lo + 1, start + hi + 1)
-            if record_channels and kernels is not None:
-                kernels.sgd_pass(
-                    traj, e, etas[t], a, xs, half_mu, out[:, lo:hi], loss_pl[:, t1],
-                    noise_sc[:, t], noise_pl[:, t], y_sc[:, t], y_pl[:, t], gnorm2[:, t],
-                )
-            else:
-                dev = traj[: hi - lo + 1] - xs
-                out[:, lo:hi] = _sum_last(dev[1:] * dev[1:], squares=True).T
-                if record_channels:
-                    eta = etas[t, None]
-                    gradf = a * dev[:-1]
-                    gvec = gradf + e
-                    gn2 = _sum_last(gvec * gvec, squares=True)
-                    y1 = -_sum_last(e * dev[:-1])
-                    y2 = -_sum_last(gradf * e)
-                    y_sc[:, t] = y1.T
-                    y_pl[:, t] = y2.T
-                    gnorm2[:, t] = gn2.T
-                    noise_sc[:, t] = (2.0 * eta * y1 + eta * eta * gn2).T
-                    noise_pl[:, t] = (eta * y2 + 0.5 * mu * eta * eta * gn2).T
-                    loss_pl[:, t1] = (0.5 * _sum_last(a * dev[1:] * dev[1:])).T
-            traj[0] = traj[hi - lo]
+    draw = lambda size: (sphere_noise_batch(gens, size, d, problem.b_noise),)
+    for (e,), t, out in _run(traj, l0, horizon, _rows(n, d), on_chunk, loss_sc, draw):
+        eta = etas[t]
+        proj_hits += kernels.sgd(traj, e, eta, a, xs, radius)
+        kernels.sgd_pass(traj, e, eta, a, xs, half_mu, out, *[c[:, t] for c in channels])
+    noise_sc, noise_pl, y_sc, y_pl, gnorm2 = channels[1:] or (None,) * 5
     return {
         "loss_sc": loss_sc,
         "loss_pl": loss_pl,
@@ -329,7 +232,7 @@ def pca_batch(
     n = len(seeds)
     p = problem.dim
     horizon = len(etas)
-    kernels = _compiled(p)
+    kernels = _kernel.load(p)
     gens = GeneratorBatch(rep_generators(seeds), kernels)
     eigs = np.asarray(problem.eigs)
     sq = np.sqrt(eigs)
@@ -349,10 +252,7 @@ def pca_batch(
         raise ValueError("v0 must be nonzero")
 
     losses = None if on_chunk else np.empty((n, horizon + 1))
-    q_chan = _alloc((n, horizon), record_channels)
-    zv_chan = _alloc((n, horizon), record_channels)
-    znorm2_chan = _alloc((n, horizon), record_channels)
-    ratio_chan = _alloc((n, horizon), record_channels)
+    channels = [np.empty((n, horizon)) for _ in range(4)] if record_channels else []
 
     # traj[k] is the iterate before step k of a slice and norms[k] the squared
     # norm the steps divide by: ||v||^2, or 1 after a normalised step;
@@ -361,71 +261,18 @@ def pca_batch(
     norms = np.ones(traj.shape[:2])
     grown = np.empty_like(norms[1:]) if normalize_each_step else norms[1:]
     norms[0] = vn2
-    states = list(traj)
-    y = np.empty(n)
-    c = np.empty(n)
-    tmp = np.empty((n, p))
-    z = np.empty((n, p))
-    y_col, c_col = y[:, None], c[:, None]
     krasulina = variant == "krasulina"
 
     l0 = np.maximum(0.0, 1.0 - v[:, 0] ** 2 / vn2)
-    for start, size, out in _chunks(l0, horizon, _rows(n, p), on_chunk, losses):
-        draws = rademacher_batch(gens, size, p, sq)
-        for lo, hi in _slices(size, n * p):
-            xs = draws[lo:hi]
-            t = slice(start + lo, start + hi)
-            if kernels is not None:
-                kernels.pca(traj, norms, grown, xs, etas[t], krasulina, normalize_each_step)
-            else:
-                for k, eta in enumerate(etas[t].tolist()):
-                    v, w, xk = states[k], states[k + 1], xs[k]
-                    np.multiply(xk, v, out=tmp)
-                    _sum_last(tmp, y)
-                    if krasulina:
-                        # z = y*X - (y^2/||v||^2)*v; w = v + eta*z
-                        np.multiply(y, y, out=c)
-                        np.divide(c, norms[k], out=c)
-                        np.multiply(y_col, xk, out=z)
-                        np.multiply(c_col, v, out=tmp)
-                        np.subtract(z, tmp, out=z)
-                        np.multiply(z, eta, out=z)
-                    else:
-                        # w = v + (eta*y)*X
-                        np.multiply(y, eta, out=y)
-                        np.multiply(y_col, xk, out=z)
-                    np.add(v, z, out=w)
-                    np.multiply(w, w, out=tmp)
-                    _sum_last(tmp, grown[k], squares=True)
-                    if normalize_each_step:
-                        np.sqrt(grown[k], out=c)
-                        np.divide(w, c_col, out=w)
-            m = hi - lo
-            if record_channels and kernels is not None:
-                kernels.pca_pass(
-                    traj, norms, grown, xs, etas[t], eigs, out[:, lo:hi],
-                    q_chan[:, t], zv_chan[:, t], znorm2_chan[:, t], ratio_chan[:, t],
-                )
-            else:
-                u = traj[1 : m + 1, :, 0]
-                out[:, lo:hi] = np.maximum(0.0, 1.0 - u**2 / norms[1 : m + 1]).T
-                if record_channels:
-                    eta = etas[t, None]
-                    vp, xp, vn2 = traj[:m], xs, norms[:m]
-                    yp = _sum_last(xp * vp)
-                    zp = yp[..., None] * xp - (yp * yp / vn2)[..., None] * vp
-                    v1 = vp[..., 0]
-                    sv = vp * eigs
-                    m_t = 2.0 * eta * v1 * (sv[..., 0] - v1 * _sum_last(sv * vp) / vn2) / vn2
-                    q_chan[:, t] = (m_t - 2.0 * eta * v1 * zp[..., 0] / vn2).T
-                    zv_chan[:, t] = _sum_last(zp * vp).T
-                    znorm2_chan[:, t] = _sum_last(zp * zp, squares=True).T
-                    ratio_chan[:, t] = (grown[:m] / vn2).T
-            traj[0] = traj[m]
-            norms[0] = norms[m]
+    draw = lambda size: (rademacher_batch(gens, size, p, sq),)
+    for (x,), t, out in _run(traj, l0, horizon, _rows(n, p), on_chunk, losses, draw, norms):
+        eta = etas[t]
+        kernels.pca(traj, norms, grown, x, eta, krasulina, normalize_each_step)
+        kernels.pca_pass(traj, norms, grown, x, eta, eigs, out, *[c[:, t] for c in channels])
     v = traj[0].copy()
     if rot is not None:
         v = np.sum(v[:, None, :] * rot, axis=-1)
+    q_chan, zv_chan, znorm2_chan, ratio_chan = channels or (None,) * 4
     return {
         "loss": losses,
         "q": q_chan,
@@ -452,50 +299,21 @@ def rm_batch(
     """
     n = len(seeds)
     horizon = len(etas)
-    gens = GeneratorBatch(rep_generators(seeds), _compiled(1))
-    # the draws do not depend on M, the steps and the pass do: numpy's u**3
-    # in the cubic M matches neither u*u*u nor libm's pow
-    kernels = gens.kernels if problem.m_kind == "linear" else None
+    kernels = _kernel.load(1)
+    gens = GeneratorBatch(rep_generators(seeds), kernels)
     theta = problem.theta
     losses = None if on_chunk else np.empty((n, horizon + 1))
-    q_chan = _alloc((n, horizon), record_channels)
-    noise = _alloc((n, horizon), record_channels)
-    # formed in Python, as poly_sq and the numpy pass form them
-    s2, r1sq = float(problem.slope**2), float(problem.r1**2)
+    channels = [np.empty((n, horizon)) for _ in range(2)] if record_channels else []
+    signed_dev = on_chunk is not None
 
     traj = _trajectory(np.full(n, float(x0)), horizon)
-    states = list(traj)
-    l0 = traj[0] - theta if on_chunk else (traj[0] - theta) ** 2
-    for start, size, out in _chunks(l0, horizon, _rows(n, 1), on_chunk, losses):
-        draws = uniform_batch(gens, size, SQRT3)
-        for lo, hi in _slices(size, n):
-            xi = draws[lo:hi]
-            t = slice(start + lo, start + hi)
-            if kernels is not None:
-                kernels.rm_linear(traj, xi, etas[t], float(theta), float(problem.slope))
-            else:
-                for k, eta in enumerate(etas[t].tolist()):
-                    # x <- x - eta*(M(x) + xi)
-                    x = states[k]
-                    y_val = problem.m_func(x)
-                    np.add(y_val, xi[k], out=y_val)
-                    np.multiply(y_val, eta, out=y_val)
-                    np.subtract(x, y_val, out=states[k + 1])
-            if record_channels and kernels is not None:
-                kernels.rm_pass(
-                    traj, xi, etas[t], float(theta), s2, r1sq, on_chunk is not None,
-                    out[:, lo:hi], q_chan[:, t], noise[:, t],
-                )
-            else:
-                dev = traj[: hi - lo + 1] - theta
-                out[:, lo:hi] = (dev[1:] if on_chunk else dev[1:] ** 2).T
-                if record_channels:
-                    eta = etas[t, None]
-                    q = -2.0 * eta * dev[:-1] * xi
-                    q_chan[:, t] = q.T
-                    envelope = problem.poly_sq(dev[:-1] ** 2) + problem.r1**2
-                    noise[:, t] = (q + 2.0 * eta * eta * envelope).T
-            traj[0] = traj[hi - lo]
+    l0 = traj[0] - theta if signed_dev else (traj[0] - theta) ** 2
+    draw = lambda size: (uniform_batch(gens, size, SQRT3),)
+    for (xi,), t, out in _run(traj, l0, horizon, _rows(n, 1), on_chunk, losses, draw):
+        eta = etas[t]
+        kernels.rm(traj, xi, eta, problem)
+        kernels.rm_pass(traj, xi, eta, problem, signed_dev, out, *[c[:, t] for c in channels])
+    q_chan, noise = channels or (None, None)
     return {"loss": losses, "q": q_chan, "noise": noise, "final_x": traj[0].copy()}
 
 
@@ -509,61 +327,37 @@ def ridge_batch(
     penalty_in_gradient: bool = True,
     on_chunk=None,
 ) -> dict:
-    """Advance ridge-SGD replications in lock step; on_chunk as in sgd_batch."""
+    """Advance ridge-SGD replications in lock step; on_chunk as in sgd_batch.
+
+    Each generator draws its chunk with LinearModelStream.draw: signs for
+    the whole chunk, then its uniforms, so the draws depend on the chunk
+    length RIDGE_ROWS; and x @ theta_star is a BLAS product, whose summation
+    order may change with the operand shapes, so drawing for the whole batch
+    at once could change the responses.
+    """
     n = len(seeds)
     d = stream.dim
     horizon = len(etas)
     gens = rep_generators(seeds)
+    kernels = _kernel.load(d)
     radius = diam / 2.0
     theta_star = np.asarray(stream.theta_star)
 
     theta0 = _check_in_ball(theta0, radius, "theta0")
     losses = None if on_chunk else np.empty((n, horizon + 1))
     traj = _trajectory(np.tile(theta0, (n, 1)), horizon)
-    states = list(traj)
-    g = np.empty((n, d))
-    pen = np.empty((n, d))
-    resid = np.empty(n)
-    resid_col = resid[:, None]
-    project = _projector(n, d, radius)
-    kernels = _compiled(d)
+
+    def draw(size: int) -> tuple:
+        xc, yc = np.empty((size, n, d)), np.empty((size, n))
+        for j, gen in enumerate(gens):
+            xc[:, j, :], yc[:, j] = stream.draw(gen, size)
+        return xc, yc
 
     l0 = np.sum((traj[0] - theta_star) ** 2, axis=1)
-    for start, size, out in _chunks(l0, horizon, RIDGE_ROWS, on_chunk, losses):
-        xc = np.empty((size, n, d))
-        yc = np.empty((size, n))
-        for j, gen in enumerate(gens):
-            xj, yj = stream.draw(gen, size)
-            xc[:, j, :] = xj
-            yc[:, j] = yj
-        for lo, hi in _slices(size, n * d):
-            xs, ys = xc[lo:hi], yc[lo:hi]
-            t = slice(start + lo, start + hi)
-            if kernels is not None:
-                kernels.ridge(traj, xs, ys, etas[t], lambda_pen, penalty_in_gradient, radius)
-            else:
-                for k, eta in enumerate(etas[t].tolist()):
-                    theta, w, xk = states[k], states[k + 1], xs[k]
-                    np.multiply(xk, theta, out=g)
-                    _sum_last(g, resid)
-                    np.subtract(resid, ys[k], out=resid)
-                    np.multiply(theta, lambda_pen, out=pen)
-                    if penalty_in_gradient:
-                        # w = theta - eta*(resid*x + lambda*theta)
-                        np.multiply(resid_col, xk, out=g)
-                        np.add(g, pen, out=g)
-                        np.multiply(g, eta, out=g)
-                        np.subtract(theta, g, out=w)
-                    else:
-                        # verbatim variant: the penalty enters without a step factor
-                        np.multiply(resid, eta, out=resid)
-                        np.multiply(resid_col, xk, out=g)
-                        np.subtract(theta, g, out=w)
-                        np.add(w, pen, out=w)
-                    project(w)
-            m = hi - lo
-            out[:, lo:hi] = _sum_last((traj[1 : m + 1] - theta_star) ** 2, squares=True).T
-            traj[0] = traj[m]
+    for (xs, ys), t, out in _run(traj, l0, horizon, RIDGE_ROWS, on_chunk, losses, draw):
+        kernels.ridge(traj, xs, ys, etas[t], lambda_pen, penalty_in_gradient, radius)
+        m = out.shape[1]
+        out[...] = _sum_last((traj[1 : m + 1] - theta_star) ** 2, squares=True).T
     return {"loss": losses, "final_theta": traj[0].copy()}
 
 

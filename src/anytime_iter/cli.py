@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .problems import PcaProblem, RmProblem
+from .problems import RmProblem
 from .boundaries import (
     boundary_catalog,
     oja_boundary,
@@ -40,6 +40,7 @@ from .harness import (
     CoverageConfig,
     SpecError,
     _check_keys,
+    _pca_problem,
     _spec,
     run_counterexample,
     run_coverage,
@@ -160,11 +161,9 @@ def _cmd_last_iterate(cfg: dict, out_dir: Path, threads: int) -> int:
 
 def _cmd_width_table(cfg: dict, out_dir: Path, threads: int) -> int:
     _require(cfg, "b", "lam", "delta", "horizons")
-    try:
+    with _spec("invalid width-table config"):
         horizons = [int(t) for t in cfg["horizons"]]
         rows = width_comparison(float(cfg["b"]), float(cfg["lam"]), float(cfg["delta"]), horizons)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
     with open(out_dir / "width_table.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "anytime", "fixed_horizon", "ratio"])
@@ -191,12 +190,12 @@ def _cmd_lil(cfg: dict, out_dir: Path, threads: int) -> int:
         )
         l1, l2, n_blocks = float(cfg["l1"]), float(cfg["l2"]), int(cfg["n_blocks"])
         x0 = float(cfg.get("x0", 1.0))
+        threshold = float(cfg.get("fraction_threshold", 0.9))
     seeds = [rep_seed(seed_base, i) for i in range(n_seeds)]
     reports = run_lil_ensemble(problem, l1, l2, n_blocks, seeds, x0=x0)
     l_const = reports[0].l_const
     hit = sum(r.final_max >= l_const for r in reports)
     fraction = hit / n_seeds
-    threshold = float(cfg.get("fraction_threshold", 0.9))
     passed = fraction >= threshold
     write_report_json(
         {
@@ -225,12 +224,8 @@ def _cmd_lil(cfg: dict, out_dir: Path, threads: int) -> int:
 
 def _cmd_oja_cold_start(cfg: dict, out_dir: Path, threads: int) -> int:
     _require(cfg, "eigs", "delta", "c_explore", "c_stable", "horizon", "n_reps")
-    rotation = cfg.get("rotation")
     with _spec("invalid cold-start config"):
-        problem = PcaProblem(
-            eigs=tuple(cfg["eigs"]),
-            rotation=None if rotation is None else tuple(tuple(r) for r in rotation),
-        )
+        problem = _pca_problem(cfg)
         delta = float(cfg["delta"])
         c_explore, c_stable = float(cfg["c_explore"]), float(cfg["c_stable"])
         horizon, n_reps = int(cfg["horizon"]), int(cfg["n_reps"])
@@ -256,13 +251,15 @@ def _cmd_oja_cold_start(cfg: dict, out_dir: Path, threads: int) -> int:
 
 def _cmd_counterexample(cfg: dict, out_dir: Path, threads: int) -> int:
     _require(cfg, "p_one", "n_reps", "horizon")
-    p_one = float(cfg["p_one"])
+    with _spec("invalid counterexample config"):
+        p_one = float(cfg["p_one"])
+        n_reps, horizon = int(cfg["n_reps"]), int(cfg["horizon"])
+        seed_base = _seed_base(cfg)
     if not 0.0 <= p_one <= 1.0:
         raise ConfigError("p_one must lie in [0, 1]")
-    n_reps, horizon = int(cfg["n_reps"]), int(cfg["horizon"])
     if n_reps < 1 or horizon < 1:
         raise ConfigError("n_reps and horizon must be at least 1")
-    result = run_counterexample(p_one, n_reps, horizon, _seed_base(cfg))
+    result = run_counterexample(p_one, n_reps, horizon, seed_base)
     result["policy"] = "fraction converging to zero must match 1 - p_one within 3 sigma"
     write_report_json(result, out_dir / "counterexample_report.json")
     print(
@@ -284,7 +281,7 @@ def _cmd_stitch_dump(cfg: dict, out_dir: Path, threads: int) -> int:
             terms_mag=tuple(tuple(t) for t in cfg.get("terms_mag", ())),
         )
         schedule = stitch_schedule(params, float(cfg["delta"]), int(cfg["horizon"]))
-    except (ValueError, RuntimeError) as exc:
+    except (TypeError, ValueError, RuntimeError) as exc:
         raise ConfigError(str(exc))
     horizon = int(cfg["horizon"])
     step = schedule.to_step_schedule()
@@ -371,7 +368,7 @@ def main(argv=None) -> int:
         threads_help = (
             "coverage worker threads, each on a block of up to 512 replications (0, 1 = "
             "serial); the compiled draws and step loops run in parallel, the numpy "
-            "fallback and the loss passes mostly do not"
+            "reference and the loss passes mostly do not"
         )
         sp.add_argument("--threads", type=int, default=0, help=threads_help)
     args = parser.parse_args(argv)

@@ -356,7 +356,9 @@ def _drive(n_reps, run, block, grid=(), widths=None, scan_from=0, origin=0, thre
                 new = (first_b < 0) & over.any(axis=1)
                 first_b[new] = np.argmax(over[new], axis=1) + (s - origin)
 
-        run(lo, min(lo + block, n_reps), reduce)
+        # reduce raises on a non-finite loss: numpy's warnings would precede it
+        with np.errstate(over="ignore", invalid="ignore"):
+            run(lo, min(lo + block, n_reps), reduce)
 
     blocks = range(0, n_reps, block)
     if threads and threads > 1:
@@ -486,7 +488,9 @@ def _lil_batch(
 
     etas = np.arange(1, horizon + 1, dtype=float)
     np.divide(l1, etas, out=etas)  # eta_t = l1/t, in place: one horizon-length vector
-    rm_batch(problem, etas, float(x0) + problem.theta, seeds, False, reduce)
+    # run_lil_ensemble raises on non-finite maxima: numpy's warnings would precede it
+    with np.errstate(over="ignore", invalid="ignore"):
+        rm_batch(problem, etas, float(x0) + problem.theta, seeds, False, reduce)
     return block_max, bounds
 
 

@@ -182,9 +182,10 @@ def check_recursion(trace: Trace, params: RecursionParams, tol: float = 1e-10) -
 def _first_violation(lc, rec_rhs, mag_lhs, mag_rhs, slack) -> CheckReport:
     """Report the earliest step where lc > rec_rhs (recursion) or
     mag_lhs > mag_rhs (magnitude), each up to slack; a recursion violation
-    wins a tie."""
-    rec_bad = lc > rec_rhs + slack
-    mag_bad = mag_lhs > mag_rhs + slack
+    wins a tie.  A step where either side is not a number violates too:
+    the tests are written as not (lhs <= rhs), which NaN fails."""
+    rec_bad = ~(lc <= rec_rhs + slack)
+    mag_bad = ~(mag_lhs <= mag_rhs + slack)
     t_rec = int(np.argmax(rec_bad)) if rec_bad.any() else None
     t_mag = int(np.argmax(mag_bad)) if mag_bad.any() else None
     if t_rec is None and t_mag is None:

@@ -14,16 +14,10 @@ lambda_min, R1, ...) entering the boundaries are exact rather than estimated:
 
 The *_batch samplers draw one chunk for a batch of replications; column j
 of a batch draw equals what generator j alone draws, so a replication's
-numbers do not depend on the batch it runs in.  Given a GeneratorBatch
-built with the compiled kernels, a sampler draws the whole chunk in one C
-call (_steps.c), which releases the interpreter lock; otherwise it calls
-each generator's numpy method in turn, the reference and the fallback.
-The C loops call numpy's own exported distribution functions, the ones
-these Generator methods call (random_standard_normal,
-random_bounded_uint64_fill, random_uniform), with the same arguments and,
-per generator, in the same order, and then do the same IEEE operations as
-the numpy code here (the sign map, the scale, _onto_sphere), so both paths
-give the same bits and leave every generator in the same state.
+numbers do not depend on the batch it runs in.  Each sampler is one call
+to the kernels of its GeneratorBatch, compiled or the numpy reference
+(_kernel says which, and why both give the same bits); a plain sequence of
+generators draws with the reference.
 """
 from __future__ import annotations
 
@@ -33,6 +27,8 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
+
+from ._reference import REFERENCE, _onto_sphere
 
 __all__ = [
     "rademacher_matrix",
@@ -60,45 +56,16 @@ def sphere_noise(rng: np.random.Generator, shape, radius: float) -> np.ndarray:
     return _onto_sphere(rng.standard_normal(shape), radius)
 
 
-def _sum_last(a: np.ndarray, out=None, squares: bool = False) -> np.ndarray:
-    """np.sum(a, axis=-1, out=out), bit for bit.
-
-    numpy adds fewer than 8 terms left to right, starting from +0.0, so
-    adding the strided slices a[..., j] gives the same bits and, for a few
-    terms, runs several times faster than a reduction along the short last
-    axis.  A closing +0.0 turns an all -0.0 sum into +0.0, as numpy does,
-    and changes nothing else; squares, which are never -0.0, skip it.
-    """
-    d = a.shape[-1]
-    if not 2 <= d < 8:
-        return np.sum(a, axis=-1, out=out)
-    if out is None:
-        # an array even for 0-d sums, where np.add without out returns a scalar
-        out = np.empty(a.shape[:-1], dtype=a.dtype)
-    np.add(a[..., 0], a[..., 1], out=out)
-    for j in range(2, d):
-        np.add(out, a[..., j], out=out)
-    return out if squares else np.add(out, 0.0, out=out)
-
-
-def _onto_sphere(g: np.ndarray, radius: float) -> np.ndarray:
-    g *= radius / np.sqrt(_sum_last(g * g, squares=True))[..., None]
-    return g
-
-
 class GeneratorBatch(Sequence):
-    """The generators of a batch of replications, in replication order.
+    """The generators of a batch of replications, in replication order, and
+    the kernels (a _kernel.load() result) the batch samplers draw with;
+    bitgens holds what those kernels take of the generators once per batch
+    (the compiled draws' bit generator addresses, or None)."""
 
-    Built with the compiled kernels (a _kernel.StepKernels), it also holds
-    the addresses of the generators' bit generators, taken once, and the
-    batch samplers draw through them in C; built without, or given a plain
-    list of generators, they call the generators one by one.
-    """
-
-    def __init__(self, gens, kernels=None):
+    def __init__(self, gens, kernels=REFERENCE):
         self._gens = list(gens)
         self.kernels = kernels
-        self.bitgens = None if kernels is None else kernels.bit_generators(self._gens)
+        self.bitgens = kernels.bit_generators(self._gens)
 
     def __len__(self) -> int:
         return len(self._gens)
@@ -107,53 +74,36 @@ class GeneratorBatch(Sequence):
         return self._gens[j]
 
 
-def _kernels(gens):
-    return gens.kernels if isinstance(gens, GeneratorBatch) else None
+def _batch(gens) -> GeneratorBatch:
+    """gens, or a GeneratorBatch of the plain sequence gens with the reference."""
+    return gens if isinstance(gens, GeneratorBatch) else GeneratorBatch(gens)
 
 
 def rademacher_batch(gens, size: int, width: int, scale=None) -> np.ndarray:
     """Signs of shape (size, len(gens), width) whose column j equals
     rademacher_matrix(gens[j], (size, width)), times the (width,) array
     scale when it is given."""
+    gens = _batch(gens)
     out = np.empty((size, len(gens), width))
-    kernels = _kernels(gens)
-    if kernels is not None:
-        kernels.signs(out, gens.bitgens, scale)
-        return out
-    for j, g in enumerate(gens):
-        out[:, j, :] = g.integers(0, 2, size=(size, width))
-    out *= 2.0
-    out -= 1.0
-    if scale is not None:
-        out *= scale
+    gens.kernels.signs(out, gens, scale)
     return out
 
 
 def sphere_noise_batch(gens, size: int, width: int, radius: float) -> np.ndarray:
     """Shape (size, len(gens), width); column j equals
     sphere_noise(gens[j], (size, width), radius)."""
+    gens = _batch(gens)
     out = np.empty((size, len(gens), width))
-    kernels = _kernels(gens)
-    if kernels is not None:
-        kernels.sphere(out, gens.bitgens, radius)
-        return out
-    if radius == 0.0:
-        return np.zeros_like(out)
-    for j, g in enumerate(gens):
-        out[:, j, :] = g.standard_normal((size, width))
-    return _onto_sphere(out, radius)
+    gens.kernels.sphere(out, gens, radius)
+    return out
 
 
 def uniform_batch(gens, size: int, radius: float) -> np.ndarray:
     """Shape (size, len(gens)); column j equals
     gens[j].uniform(-radius, radius, size)."""
+    gens = _batch(gens)
     out = np.empty((size, len(gens)))
-    kernels = _kernels(gens)
-    if kernels is not None:
-        kernels.uniform(out, gens.bitgens, -radius, radius)
-        return out
-    for j, g in enumerate(gens):
-        out[:, j] = g.uniform(-radius, radius, size=size)
+    gens.kernels.uniform(out, gens, -radius, radius)
     return out
 
 

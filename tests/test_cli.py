@@ -92,6 +92,12 @@ def test_invalid_config_exit_code(tmp_path, capsys):
         ("coverage", dict(SGD_CFG, boundry_scale=0.001)),
         ("lil", dict(LIL_CFG, slpoe=3)),
         ("coverage", dict(SGD_CFG, problem=dict(SGD_CFG["problem"], b_nosie=0.0))),
+        ("counterexample", {"p_one": "abc", "n_reps": 10, "horizon": 10, "seed_base": 1}),
+        ("counterexample", {"p_one": 0.1, "n_reps": "x", "horizon": 10, "seed_base": 1}),
+        ("width-table", {"b": [1], "lam": 1.0, "delta": 0.05, "horizons": [100]}),
+        ("width-table", {"b": 1.0, "lam": 1.0, "delta": 0.05, "horizons": 10}),
+        ("lil", dict(LIL_CFG, fraction_threshold="x")),
+        ("stitch-dump", {"c1": 1.0, "delta": 0.1, "horizon": 10, "terms_mean": 5}),
     ],
 )
 def test_invalid_values_exit_before_running(command, payload, tmp_path, capsys):
@@ -156,12 +162,13 @@ def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
             assert err == f"error: internal {exc.__name__}: engine fault\n", command
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_diverging_lil_run_is_an_internal_error(tmp_path, capsys):
-    # a steep cubic M overshoots and diverges (numpy warns of the overflow):
-    # its block maxima turn nan, which the report would write as bare NaN,
-    # not valid JSON
+    # a steep cubic M overshoots and diverges: its block maxima turn nan,
+    # which the report would write as bare NaN, not valid JSON.  The
+    # finiteness check is the one signal: no numpy warning of the overflow
+    # comes first, which warnings as errors would turn into exit 3 with an
+    # internal RuntimeWarning
     cfg = write_cfg(
         tmp_path,
         "lil.json",

@@ -1,13 +1,15 @@
-"""The compiled step loops and draws against the numpy code they replace.
+"""The compiled kernels against the numpy reference they override.
 
-Every engine array and every drawn chunk must come out byte for byte the
-same on both paths, with the generators left in the same state; the loader
-must fall back to numpy with one note when the library cannot be built or
-numpy's distribution functions cannot be found, and threads that start
-engines at once must share one build.  Tests choose the numpy path by
-patching _kernel.load.
+Every kernel call, every engine array and every drawn chunk must come out
+byte for byte the same with _kernel.StepKernels and with
+_reference.REFERENCE, with the generators left in the same state; the
+loader must fall back to the reference with one note when the library
+cannot be built or numpy's distribution functions cannot be found, and
+threads that start engines at once must share one build.  Tests choose the
+reference for the engines by patching _kernel.load.
 """
 
+import inspect
 import os
 import subprocess
 import sys
@@ -22,6 +24,8 @@ import test_algorithms
 import test_golden
 import test_streams
 from anytime_iter import _kernel, algorithms
+from anytime_iter._kernel import StepKernels
+from anytime_iter._reference import REFERENCE, Reference
 from anytime_iter.algorithms import PcaProblem, RmProblem, SgdProblem
 from anytime_iter.algorithms import pca_batch, ridge_batch, rm_batch, sgd_batch
 from anytime_iter.boundaries import StepSchedule
@@ -35,7 +39,12 @@ from anytime_iter.streams import (
 )
 from test_algorithms import ENGINES
 
-needs_kernel = pytest.mark.skipif(_kernel.load() is None, reason="no C compiler here")
+needs_kernel = pytest.mark.skipif(_kernel.load() is REFERENCE, reason="no C compiler here")
+
+
+def reference_load(width=1):
+    return REFERENCE
+
 
 HORIZON = 90
 ETAS = StepSchedule.inverse_time(1.0, 4.0).etas(HORIZON)
@@ -123,6 +132,8 @@ def streamed_bytes(run, seeds) -> tuple:
 @settings(max_examples=6, deadline=None, derandomize=True, database=None)
 @given(n_reps=st.integers(1, 9), chunk=st.integers(1, 128), slice_steps=st.integers(1, 40))
 def test_kernel_matches_numpy_loop_bytes(name, n_reps, chunk, slice_steps):
+    # whole engine runs, so the shared chunk and slice loop is checked along
+    # with the kernels it calls
     width, run = CASES[name]
     seeds = [rep_seed(31, i) for i in range(n_reps)]
     with pytest.MonkeyPatch.context() as mp:
@@ -131,9 +142,197 @@ def test_kernel_matches_numpy_loop_bytes(name, n_reps, chunk, slice_steps):
         mp.setattr(algorithms, "RIDGE_ROWS", chunk)
         mp.setattr(algorithms, "PASS_BUDGET", slice_steps * n_reps * width)
         compiled = as_bytes(run(seeds)), streamed_bytes(run, seeds)
-        mp.setattr(_kernel, "load", lambda: None)
+        mp.setattr(_kernel, "load", reference_load)
         reference = as_bytes(run(seeds)), streamed_bytes(run, seeds)
     assert compiled == reference
+
+
+# ---------------------------------------------------------------------------
+# Call by call: each StepKernels method against the Reference method
+# ---------------------------------------------------------------------------
+
+CALLS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+# replications, coordinates, steps, and the columns of the wider output
+# arrays before and after the (n, m) slice a pass writes
+SHAPES = st.tuples(
+    st.integers(1, 9), st.integers(1, 7), st.integers(1, 40), st.integers(0, 3), st.integers(0, 3)
+)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def outputs(n: int, m: int, lo: int, extra: int, count: int) -> np.ndarray:
+    """count (n, lo+m+extra) arrays, stacked, of which the passes write the
+    column slices lo:lo+m; the sentinel shows writes outside them."""
+    return np.full((count, n, lo + m + extra), -1.5)
+
+
+def same_bytes(build, call) -> None:
+    """call(kernels, arrays) changes the arrays build() returns, and returns
+    a value; both must come out the same with the compiled kernels and with
+    the reference, byte for byte."""
+    got = []
+    for kernels in (_kernel.load(), REFERENCE):
+        arrays = build()
+        ret = call(kernels, arrays)
+        got.append((ret, {k: a.tobytes() for k, a in arrays.items()}))
+    assert got[0] == got[1]
+
+
+@needs_kernel
+@CALLS
+@given(shape=SHAPES, record=st.booleans(), zero=st.booleans(), seed=SEEDS)
+def test_sgd_calls_match_reference_bytes(shape, record, zero, seed):
+    n, d, m, lo, extra = shape
+    t = slice(lo, lo + m)
+
+    def build():
+        rng = np.random.default_rng(seed)
+        traj = np.empty((m + 1, n, d))
+        traj[0] = rng.uniform(-1.0, 1.0, (n, d))
+        noise = rng.standard_normal((m, n, d))
+        xs = rng.uniform(-0.5, 0.5, d)
+        if zero:
+            # replication 0 sits at x* and draws -0.0: every sum it adds is
+            # of signed zeros
+            traj[0, 0] = xs
+            noise[:, 0] = -0.0
+        return dict(
+            traj=traj, noise=noise, etas=rng.uniform(0.01, 1.0, m), a=rng.uniform(0.5, 2.0, d),
+            xs=xs, radius=rng.uniform(0.3, 1.5, 1), loss=outputs(n, m, lo, extra, 1)[0],
+            loss_pl=outputs(n, m, lo + 1, extra, 1)[0], channels=outputs(n, m, lo, extra, 5),
+        )
+
+    def call(k, a):
+        args = (a["traj"], a["noise"], a["etas"], a["a"], a["xs"])
+        hits = k.sgd(*args, float(a["radius"][0]))
+        channels = [a["loss_pl"][:, lo + 1 : lo + 1 + m], *(c[:, t] for c in a["channels"])]
+        k.sgd_pass(*args, 0.75, a["loss"][:, t], *(channels if record else ()))
+        return hits
+
+    same_bytes(build, call)
+
+
+@needs_kernel
+@CALLS
+@given(
+    shape=SHAPES,
+    krasulina=st.booleans(),
+    normalize=st.booleans(),
+    record=st.booleans(),
+    zero=st.booleans(),
+    seed=SEEDS,
+)
+def test_pca_calls_match_reference_bytes(shape, krasulina, normalize, record, zero, seed):
+    n, p, m, lo, extra = shape
+    t = slice(lo, lo + m)
+
+    def build():
+        rng = np.random.default_rng(seed)
+        eigs = np.sort(rng.uniform(0.5, 3.0, p))[::-1].copy()
+        traj = np.empty((m + 1, n, p))
+        traj[0] = rng.standard_normal((n, p))
+        norms = np.ones((m + 1, n))
+        norms[0] = np.sum(traj[0] * traj[0], axis=1)
+        data = rng.choice([-1.0, 1.0], (m, n, p)) * np.sqrt(eigs)
+        if zero:
+            data[:, 0] = 0.0  # replication 0 sees y = 0 on every step
+        return dict(
+            traj=traj, norms=norms, grown=np.full((m, n), -1.5), data=data,
+            etas=rng.uniform(0.01, 0.5, m), eigs=eigs, loss=outputs(n, m, lo, extra, 1)[0],
+            channels=outputs(n, m, lo, extra, 4),
+        )
+
+    def call(k, a):
+        # without normalisation the steps divide by the norm the last one grew
+        grown = a["grown"] if normalize else a["norms"][1:]
+        args = (a["traj"], a["norms"], grown, a["data"], a["etas"])
+        k.pca(*args, krasulina, normalize)
+        channels = [c[:, t] for c in a["channels"]] if record else []
+        k.pca_pass(*args, a["eigs"], a["loss"][:, t], *channels)
+
+    same_bytes(build, call)
+
+
+@needs_kernel
+@CALLS
+@given(
+    shape=SHAPES,
+    cubic=st.booleans(),
+    signed_dev=st.booleans(),
+    record=st.booleans(),
+    zero=st.booleans(),
+    seed=SEEDS,
+)
+def test_rm_calls_match_reference_bytes(shape, cubic, signed_dev, record, zero, seed):
+    n, _, m, lo, extra = shape
+    t = slice(lo, lo + m)
+    rng = np.random.default_rng(seed)
+    theta, slope, cub_a, cub_b = rng.uniform(-1.0, 1.0), *rng.uniform(0.2, 1.5, 3)
+    if cubic:
+        problem = RmProblem(m_kind="cubic_plus_linear", theta=theta, cub_a=cub_a, cub_b=cub_b)
+    else:
+        problem = RmProblem(m_kind="linear", theta=theta, slope=slope)
+
+    def build():
+        rng = np.random.default_rng(seed + 1)
+        traj = np.empty((m + 1, n))
+        traj[0] = theta + rng.uniform(-1.0, 1.0, n)
+        xi = rng.uniform(-1.7, 1.7, (m, n))
+        if zero:
+            traj[0, 0] = theta  # replication 0 stays at theta
+            xi[:, 0] = 0.0
+        return dict(
+            traj=traj, xi=xi, etas=rng.uniform(0.01, 0.3, m),
+            loss=outputs(n, m, lo, extra, 1)[0], channels=outputs(n, m, lo, extra, 2),
+        )
+
+    def call(k, a):
+        k.rm(a["traj"], a["xi"], a["etas"], problem)
+        channels = [c[:, t] for c in a["channels"]] if record else []
+        k.rm_pass(a["traj"], a["xi"], a["etas"], problem, signed_dev, a["loss"][:, t], *channels)
+
+    same_bytes(build, call)
+
+
+@needs_kernel
+@CALLS
+@given(shape=SHAPES, penalty_in_gradient=st.booleans(), zero=st.booleans(), seed=SEEDS)
+def test_ridge_calls_match_reference_bytes(shape, penalty_in_gradient, zero, seed):
+    n, d, m, _, _ = shape
+
+    def build():
+        rng = np.random.default_rng(seed)
+        traj = np.empty((m + 1, n, d))
+        traj[0] = rng.uniform(-0.5, 0.5, (n, d))
+        xs = rng.choice([-1.0, 1.0], (m, n, d)) / np.sqrt(d)
+        ys = rng.uniform(-1.0, 1.0, (m, n))
+        if zero:
+            traj[0, 0] = 0.0  # replication 0 stays at 0
+            xs[:, 0] = -0.0
+            ys[:, 0] = 0.0
+        return dict(
+            traj=traj, xs=xs, ys=ys, etas=rng.uniform(0.01, 1.0, m),
+            lam_radius=np.array([rng.uniform(0.0, 0.5), rng.uniform(0.3, 1.5)]),
+        )
+
+    def call(k, a):
+        lambda_pen, radius = a["lam_radius"].tolist()
+        args = (a["traj"], a["xs"], a["ys"], a["etas"])
+        k.ridge(*args, lambda_pen, penalty_in_gradient, radius)
+
+    same_bytes(build, call)
+
+
+def test_step_kernels_keep_the_reference_interface():
+    # StepKernels may only override Reference's methods, with their
+    # arguments, so that the engines can call either object
+    public = [n for n, f in vars(StepKernels).items() if callable(f) and not n.startswith("_")]
+    assert public
+    for name in public:
+        assert hasattr(Reference, name), name
+        assert inspect.signature(getattr(StepKernels, name)) == inspect.signature(
+            getattr(Reference, name)
+        ), name
 
 
 # name -> draw(gens, rows, width, radius), one chunk as an engine draws it
@@ -162,7 +361,7 @@ def test_compiled_draws_match_numpy_draws(sampler, n_gens, width, radius, chunks
     draw = SAMPLERS[sampler]
     seeds = [rep_seed(17, i) for i in range(n_gens)]
     compiled = GeneratorBatch(rep_generators(seeds), _kernel.load())
-    reference = rep_generators(seeds)
+    reference = rep_generators(seeds)  # a plain list draws with the reference
     for rows in chunks:
         got = draw(compiled, rows, width, radius)
         assert got.tobytes() == draw(reference, rows, width, radius).tobytes()
@@ -178,32 +377,42 @@ def test_steps_source_compiles_without_warnings(tmp_path):
     _kernel._compile(cc, _kernel.SOURCE.read_bytes(), str(tmp_path / "steps.so"))
 
 
+@needs_kernel
 def test_every_engine_takes_the_kernel(monkeypatch):
-    # the engines ask for the kernel exactly where it applies: widths below
-    # 8, and every M, whose draws do not depend on it (the cubic M steps in
-    # numpy, which the byte test checks)
-    calls = []
-    monkeypatch.setattr(_kernel, "load", lambda: calls.append(1))
+    # widths above MAX_WIDTH, where np.sum adds pairwise, get the reference
+    assert _kernel.load(_kernel.MAX_WIDTH) is _kernel.load()
+    assert _kernel.load(_kernel.MAX_WIDTH + 1) is REFERENCE
+    widths = []
+    monkeypatch.setattr(_kernel, "load", lambda width=1: widths.append(width) or REFERENCE)
     seeds = [rep_seed(1, 0)]
     for name in ("sgd", "krasulina-rotated", "ridge", "rm"):
         ENGINES[name][1](seeds)
-    assert len(calls) == 4  # ENGINES["rm"] runs the cubic M
+    assert widths == [2, 4, 2, 1]
+    monkeypatch.undo()
+    # the compiled kernels step and record the cubic M with the reference's
+    # methods, since numpy's u**3 matches neither u*u*u nor libm's pow
+    deferred = []
+    for name in ("rm", "rm_pass"):
+        method = getattr(Reference, name)
+        monkeypatch.setattr(
+            Reference, name, lambda *a, _m=method, _n=name: deferred.append(_n) or _m(*a)
+        )
     CASES["rm-linear-shifted"][1](seeds)
-    wide = SgdProblem(curvature=(1.0,) * 8, x_star=(0.0,) * 8, radius=1.0, b_noise=0.5)
-    sgd_batch(wide, ETAS, np.zeros(8), seeds)
-    assert len(calls) == 5
+    assert deferred == []
+    ENGINES["rm"][1](seeds)  # the cubic M
+    assert set(deferred) == {"rm", "rm_pass"}
 
 
 # ---------------------------------------------------------------------------
-# The reference checks on the numpy path
+# The reference checks with the reference kernels
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture
 def numpy_steps(monkeypatch):
     # the engines build their GeneratorBatch from _kernel.load() as well, so
-    # this forces the numpy draws along with the numpy step loops
-    monkeypatch.setattr(_kernel, "load", lambda: None)
+    # this forces the reference draws along with the reference step loops
+    monkeypatch.setattr(_kernel, "load", reference_load)
     return monkeypatch
 
 
@@ -235,11 +444,11 @@ def test_batching_invariances_on_numpy_path(numpy_steps):
 # ---------------------------------------------------------------------------
 
 
-def _reference():
+def _reference_run():
     _, run = CASES["sgd-d3"]
     seeds = [rep_seed(5, i) for i in range(4)]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernel, "load", lambda: None)
+        mp.setattr(_kernel, "load", reference_load)
         return run, seeds, as_bytes(run(seeds))
 
 
@@ -247,7 +456,7 @@ def _reference():
     "broken", ["missing-compiler", "failing-compiler", "unwritable-cache", "missing-numpy-symbol"]
 )
 def test_loader_falls_back_with_one_note(broken, tmp_path, monkeypatch, capsys):
-    run, seeds, reference = _reference()
+    run, seeds, reference = _reference_run()
     cache, cc, distributions = tmp_path / "cache", None, None
     if broken == "missing-compiler":
         cc = [str(tmp_path / "no-such-cc")]
@@ -261,10 +470,11 @@ def test_loader_falls_back_with_one_note(broken, tmp_path, monkeypatch, capsys):
         # functions: looking them up raises AttributeError
         distributions = np.random._pcg64.__file__
     loader = _kernel.Loader(cache_dir=cache, cc=cc, distributions=distributions)
-    monkeypatch.setattr(_kernel, "load", loader.get)
+    monkeypatch.setattr(_kernel, "load", lambda width=1: loader.get())
     capsys.readouterr()
     for _ in range(3):
         assert as_bytes(run(seeds)) == reference
+    assert loader.get() is REFERENCE
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "compiled step loops unavailable" in err
     if broken in ("missing-compiler", "failing-compiler"):
@@ -273,9 +483,9 @@ def test_loader_falls_back_with_one_note(broken, tmp_path, monkeypatch, capsys):
 
 @needs_kernel
 def test_threads_share_one_build(tmp_path, monkeypatch):
-    run, seeds, reference = _reference()
+    run, seeds, reference = _reference_run()
     loader = _kernel.Loader(cache_dir=tmp_path)
-    monkeypatch.setattr(_kernel, "load", loader.get)
+    monkeypatch.setattr(_kernel, "load", lambda width=1: loader.get())
     builds = []
     compile_ = _kernel._compile
 
@@ -304,7 +514,7 @@ def test_threads_share_one_build(tmp_path, monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert len(builds) == 1
     assert [p.suffix for p in tmp_path.iterdir()] == [".so"]
-    assert loader.get() is not None
+    assert isinstance(loader.get(), StepKernels)
     assert all(r == reference for r in results)
 
 
@@ -322,7 +532,7 @@ def test_import_builds_nothing(tmp_path):
         "import sys, anytime_iter, anytime_iter.cli\n"
         "from anytime_iter import _kernel\n"
         "assert 'subprocess' not in sys.modules, 'subprocess imported'\n"
-        "assert not _kernel._LOADER._done\n"
+        "assert _kernel._LOADER._kernels is None\n"
         "assert opened == [], opened\n"
     )
     src = _kernel.SOURCE.parents[1].as_posix()

@@ -11,6 +11,7 @@ from anytime_iter import (
     RecursionParams,
     StepSchedule,
     Trace,
+    check_pca_recursion,
     check_recursion,
     counterexample_process,
     simulate_saturating,
@@ -133,6 +134,24 @@ def test_check_earliest_violation_wins():
     tr = _manual_trace([1.0, l1, 10.0], [eta, eta], [u1, 0.0])
     rep = check_recursion(tr, p, tol=0.0)
     assert rep.first_violation.t == 1 and rep.first_violation.kind == "magnitude"
+
+
+def test_check_flags_the_first_nan_step():
+    # NaN compares False with everything, so "lhs > rhs" alone let a NaN
+    # step, or a trace of NaN, pass both checkers
+    p = RecursionParams(c1=1.0, c3=1.0)
+    losses, steps = [1.0, 0.9, 0.81, 0.729], [0.1, 0.1, 0.1]
+    ok = _manual_trace(losses, steps, [0.0, 0.0, 0.0])
+    assert check_recursion(ok, p, tol=0.0).ok
+    bad = _manual_trace(losses[:2] + [math.nan] + losses[3:], steps, [0.0, 0.0, 0.0])
+    rep = check_recursion(bad, p, tol=0.0)
+    assert not rep.ok
+    assert rep.first_violation.t == 2 and rep.first_violation.kind == "recursion"
+    nan = _manual_trace([math.nan] * 4, steps, [math.nan] * 3)
+    assert check_recursion(nan, p).first_violation.t == 1
+    for variant in ("krasulina", "oja"):
+        assert check_pca_recursion(bad, 1.0, 0.5, variant).first_violation.t == 2
+        assert check_pca_recursion(nan, 1.0, 0.5, variant).first_violation.t == 1
 
 
 def test_check_tolerance_scales_with_loss():

@@ -5,10 +5,14 @@ Subcommands run each experiment from a JSON config and write reports into
 2 invalid configuration (with field diagnostics), found while parsing the
 config and building the problem, before the run, 3 an internal error raised
 during the run, such as the FloatingPointError a non-finite loss raises
-(with a one-line "error:" diagnostic).  A config key the command does not
-read is invalid, so a misspelled field never falls back to its default.
-The environment variable ANYTIME_ITER_SEED, when set, overrides the
-config's seed_base.
+(with a one-line "error:" diagnostic).
+
+Each command's config parses (harness._parse) into the dataclasses
+_COMMANDS lists for it, which declare every field with its type and default.
+An undeclared key, a missing required field and a value of the wrong JSON
+type are invalid, so a mistyped field never runs with a default or a
+coerced value.  The environment variable ANYTIME_ITER_SEED, when set,
+overrides the config's seed_base.
 
 Acceptance policy (stated in every report): a coverage experiment passes when
 its empirical violation rate is at most confidence_cost*delta plus a
@@ -22,11 +26,13 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import Tuple
 
 import numpy as np
 
-from .problems import RmProblem
+from .problems import PcaProblem, RmProblem
 from .boundaries import (
     boundary_catalog,
     oja_boundary,
@@ -39,8 +45,7 @@ from .boundaries import (
 from .harness import (
     CoverageConfig,
     SpecError,
-    _check_keys,
-    _pca_problem,
+    _parse,
     _spec,
     run_counterexample,
     run_coverage,
@@ -59,61 +64,31 @@ __all__ = ["main"]
 SEED_ENV = "ANYTIME_ITER_SEED"
 
 
-class ConfigError(Exception):
-    """Invalid configuration; the message carries field diagnostics."""
-
-
-def _load_config(path: str) -> dict:
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        with open(p) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}")
-
-
-def _require(cfg: dict, *fields: str) -> None:
-    missing = [f for f in fields if f not in cfg]
-    if missing:
-        raise ConfigError(f"missing required field(s): {', '.join(missing)}")
-
-
-def _seed_base(cfg: dict) -> int:
-    env = os.environ.get(SEED_ENV)
-    if env is not None:
+def _parse_config(command: str, path) -> tuple:
+    """The dataclass instances command runs on, parsed from the JSON file
+    at path (from {} without one); ANYTIME_ITER_SEED, when set, replaces
+    the seed_base of a command that has one."""
+    cfg = {}
+    if path is not None:
+        if not Path(path).is_file():
+            raise SpecError(f"config file not found: {path}")
         try:
-            seed = int(env)
+            with open(path) as fh:
+                cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SpecError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}")
+    types = _COMMANDS[command][1]
+    env = os.environ.get(SEED_ENV)
+    seeded = any(f.name == "seed_base" for t in types for f in fields(t))
+    if env is not None and seeded and isinstance(cfg, dict):
+        try:
+            cfg = {**cfg, "seed_base": int(env)}
         except ValueError:
-            raise ConfigError(f"{SEED_ENV} must be an integer, got {env!r}")
-    else:
-        _require(cfg, "seed_base")
-        seed = int(cfg["seed_base"])
-    if seed < 0:
-        raise ConfigError(f"seed_base must be nonnegative, got {seed}")
-    return seed
+            raise SpecError(f"{SEED_ENV} must be an integer, got {env!r}") from None
+    return _parse(cfg, types, "config")
 
 
-def _coverage_config(cfg: dict) -> CoverageConfig:
-    _require(cfg, "algorithm", "problem", "delta", "n_reps", "horizon")
-    try:
-        return CoverageConfig(
-            algorithm=cfg["algorithm"],
-            problem=cfg["problem"],
-            delta=float(cfg["delta"]),
-            n_reps=int(cfg["n_reps"]),
-            horizon=int(cfg["horizon"]),
-            seed_base=_seed_base(cfg),
-            record_grid=tuple(cfg.get("record_grid", ())),
-            boundary_scale=float(cfg.get("boundary_scale", 1.0)),
-        )
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"invalid coverage config: {exc}")
-
-
-def _cmd_coverage(cfg: dict, out_dir: Path, threads: int) -> int:
-    config = _coverage_config(cfg)
+def _cmd_coverage(config: CoverageConfig, out_dir: Path, threads: int) -> int:
     report = run_coverage(config, threads=threads)
     write_report_json(
         report,
@@ -131,17 +106,22 @@ def _cmd_coverage(cfg: dict, out_dir: Path, threads: int) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_last_iterate(cfg: dict, out_dir: Path, threads: int) -> int:
-    _require(cfg, "t_eval")
-    config = _coverage_config(cfg)
-    with _spec("invalid last-iterate config"):
-        t_eval = int(cfg["t_eval"])
-    rate, bound = run_last_iterate(config, t_eval)
+@dataclass(frozen=True)
+class _LastIterate:
+    """The last-iterate command's evaluation time, beside its CoverageConfig."""
+
+    t_eval: int
+
+
+def _cmd_last_iterate(
+    config: CoverageConfig, last: _LastIterate, out_dir: Path, threads: int
+) -> int:
+    rate, bound = run_last_iterate(config, last.t_eval)
     threshold = config.delta + 3.0 * math.sqrt(config.delta / config.n_reps)
     passed = rate <= threshold
     write_report_json(
         {
-            "t_eval": t_eval,
+            "t_eval": last.t_eval,
             "bound": bound,
             "exceedance_rate": rate,
             "threshold": threshold,
@@ -159,11 +139,19 @@ def _cmd_last_iterate(cfg: dict, out_dir: Path, threads: int) -> int:
     return 0 if passed else 1
 
 
-def _cmd_width_table(cfg: dict, out_dir: Path, threads: int) -> int:
-    _require(cfg, "b", "lam", "delta", "horizons")
+@dataclass(frozen=True)
+class _WidthTable:
+    """The width-table command's config: width_comparison's arguments."""
+
+    b: float
+    lam: float
+    delta: float
+    horizons: Tuple[int, ...]
+
+
+def _cmd_width_table(table: _WidthTable, out_dir: Path, threads: int) -> int:
     with _spec("invalid width-table config"):
-        horizons = [int(t) for t in cfg["horizons"]]
-        rows = width_comparison(float(cfg["b"]), float(cfg["lam"]), float(cfg["delta"]), horizons)
+        rows = width_comparison(**asdict(table))
     with open(out_dir / "width_table.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "anytime", "fixed_horizon", "ratio"])
@@ -175,34 +163,39 @@ def _cmd_width_table(cfg: dict, out_dir: Path, threads: int) -> int:
     return 0
 
 
-def _cmd_lil(cfg: dict, out_dir: Path, threads: int) -> int:
-    _require(cfg, "l1", "l2", "n_blocks", "n_seeds")
-    with _spec("invalid lil config"):
-        seed_base = _seed_base(cfg)
-        n_seeds = int(cfg["n_seeds"])
-        problem = RmProblem(
-            m_kind=cfg.get("m_kind", "linear"),
-            theta=float(cfg.get("theta", 0.0)),
-            slope=float(cfg.get("slope", 1.0)),
-            cub_a=float(cfg.get("cub_a", 0.0)),
-            cub_b=float(cfg.get("cub_b", 0.0)),
-            r1=float(cfg.get("r1", math.sqrt(3.0))),
-        )
-        l1, l2, n_blocks = float(cfg["l1"]), float(cfg["l2"]), int(cfg["n_blocks"])
-        x0 = float(cfg.get("x0", 1.0))
-        threshold = float(cfg.get("fraction_threshold", 0.9))
-    seeds = [rep_seed(seed_base, i) for i in range(n_seeds)]
-    reports = run_lil_ensemble(problem, l1, l2, n_blocks, seeds, x0=x0)
+@dataclass(frozen=True)
+class _LilRun:
+    """The lil command's run fields, beside its RmProblem."""
+
+    l1: float
+    l2: float
+    n_blocks: int
+    n_seeds: int
+    seed_base: int
+    x0: float = 1.0
+    fraction_threshold: float = 0.9
+
+    def __post_init__(self):
+        # above 1 the check could never pass, and at or below 0 never fail
+        if not 0.0 < self.fraction_threshold <= 1.0:
+            raise ValueError("fraction_threshold must lie in (0, 1]")
+        if self.seed_base < 0:
+            raise ValueError("seed_base must be nonnegative")
+
+
+def _cmd_lil(problem: RmProblem, run: _LilRun, out_dir: Path, threads: int) -> int:
+    seeds = [rep_seed(run.seed_base, i) for i in range(run.n_seeds)]
+    reports = run_lil_ensemble(problem, run.l1, run.l2, run.n_blocks, seeds, x0=run.x0)
     l_const = reports[0].l_const
     hit = sum(r.final_max >= l_const for r in reports)
-    fraction = hit / n_seeds
-    passed = fraction >= threshold
+    fraction = hit / run.n_seeds
+    passed = fraction >= run.fraction_threshold
     write_report_json(
         {
             "l_const": l_const,
-            "n_seeds": n_seeds,
+            "n_seeds": run.n_seeds,
             "fraction_at_or_above": fraction,
-            "threshold": threshold,
+            "threshold": run.fraction_threshold,
             "final_max": [r.final_max for r in reports],
             "passed": passed,
             "policy": "fraction of seeds with final running max >= l_const must reach threshold",
@@ -216,24 +209,30 @@ def _cmd_lil(cfg: dict, out_dir: Path, threads: int) -> int:
             for (lo, hi, bmax), rmax in zip(r.block_stats, r.running_max):
                 writer.writerow([i, lo, hi, f"{bmax:.17g}", f"{rmax:.17g}"])
     print(
-        f"lil: fraction={fraction:.6g} (target {threshold}) l_const={l_const:.6g} "
+        f"lil: fraction={fraction:.6g} (target {run.fraction_threshold}) l_const={l_const:.6g} "
         f"-> {'PASS' if passed else 'FAIL'}"
     )
     return 0 if passed else 1
 
 
-def _cmd_oja_cold_start(cfg: dict, out_dir: Path, threads: int) -> int:
-    _require(cfg, "eigs", "delta", "c_explore", "c_stable", "horizon", "n_reps")
-    with _spec("invalid cold-start config"):
-        problem = _pca_problem(cfg)
-        delta = float(cfg["delta"])
-        c_explore, c_stable = float(cfg["c_explore"]), float(cfg["c_stable"])
-        horizon, n_reps = int(cfg["horizon"]), int(cfg["n_reps"])
-        seed_base = _seed_base(cfg)
-    report = run_oja_cold_start(
-        problem, delta, c_explore, c_stable, horizon, n_reps, seed_base,
-        variant=cfg.get("variant", "krasulina"),
-    )
+@dataclass(frozen=True)
+class _ColdStartRun:
+    """The oja-cold-start command's run fields: run_oja_cold_start's
+    arguments after its PcaProblem."""
+
+    delta: float
+    c_explore: float
+    c_stable: float
+    horizon: int
+    n_reps: int
+    seed_base: int
+    variant: str = "krasulina"
+
+
+def _cmd_oja_cold_start(
+    problem: PcaProblem, run: _ColdStartRun, out_dir: Path, threads: int
+) -> int:
+    report = run_oja_cold_start(problem, **asdict(run))
     passed = report.passed and report.hit_passed
     write_report_json(
         report,
@@ -249,17 +248,18 @@ def _cmd_oja_cold_start(cfg: dict, out_dir: Path, threads: int) -> int:
     return 0 if passed else 1
 
 
-def _cmd_counterexample(cfg: dict, out_dir: Path, threads: int) -> int:
-    _require(cfg, "p_one", "n_reps", "horizon")
-    with _spec("invalid counterexample config"):
-        p_one = float(cfg["p_one"])
-        n_reps, horizon = int(cfg["n_reps"]), int(cfg["horizon"])
-        seed_base = _seed_base(cfg)
-    if not 0.0 <= p_one <= 1.0:
-        raise ConfigError("p_one must lie in [0, 1]")
-    if n_reps < 1 or horizon < 1:
-        raise ConfigError("n_reps and horizon must be at least 1")
-    result = run_counterexample(p_one, n_reps, horizon, seed_base)
+@dataclass(frozen=True)
+class _Counterexample:
+    """The counterexample command's config: run_counterexample's arguments."""
+
+    p_one: float
+    n_reps: int
+    horizon: int
+    seed_base: int
+
+
+def _cmd_counterexample(run: _Counterexample, out_dir: Path, threads: int) -> int:
+    result = run_counterexample(**asdict(run))
     result["policy"] = "fraction converging to zero must match 1 - p_one within 3 sigma"
     write_report_json(result, out_dir / "counterexample_report.json")
     print(
@@ -270,29 +270,29 @@ def _cmd_counterexample(cfg: dict, out_dir: Path, threads: int) -> int:
     return 0 if result["within_tolerance"] else 1
 
 
-def _cmd_stitch_dump(cfg: dict, out_dir: Path, threads: int) -> int:
-    _require(cfg, "c1", "delta", "horizon")
+@dataclass(frozen=True)
+class _Stitch:
+    """The stitch-dump command's confidence and horizon, beside its
+    RecursionParams."""
+
+    delta: float
+    horizon: int
+
+
+def _cmd_stitch_dump(params: RecursionParams, run: _Stitch, out_dir: Path, threads: int) -> int:
     try:
-        params = RecursionParams(
-            c1=float(cfg["c1"]),
-            c2=float(cfg.get("c2", 0.0)),
-            c3=float(cfg.get("c3", 0.0)),
-            terms_mean=tuple(tuple(t) for t in cfg.get("terms_mean", ())),
-            terms_mag=tuple(tuple(t) for t in cfg.get("terms_mag", ())),
-        )
-        schedule = stitch_schedule(params, float(cfg["delta"]), int(cfg["horizon"]))
-    except (TypeError, ValueError, RuntimeError) as exc:
-        raise ConfigError(str(exc))
-    horizon = int(cfg["horizon"])
+        schedule = stitch_schedule(params, run.delta, run.horizon)
+    except (ValueError, RuntimeError) as exc:
+        raise SpecError(str(exc)) from exc
     step = schedule.to_step_schedule()
-    etas = step.etas(horizon)
-    t = np.arange(0, horizon + 1)
+    etas = step.etas(run.horizon)
+    t = np.arange(0, run.horizon + 1)
     widths = schedule.widths(t)
     with open(out_dir / "stitch_schedule.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "eta", "width"])
         writer.writerow([0, "", f"{widths[0]:.17g}"])
-        for i in range(1, horizon + 1):
+        for i in range(1, run.horizon + 1):
             writer.writerow([i, f"{etas[i-1]:.17g}", f"{widths[i]:.17g}"])
     c_low, m_high = schedule.envelope_constants()
     write_report_json(
@@ -320,7 +320,7 @@ def _default_catalog():
     return [sgd, pl, oja, ridge]
 
 
-def _cmd_catalog(cfg: dict, out_dir: Path, threads: int) -> int:
+def _cmd_catalog(out_dir: Path, threads: int) -> int:
     bounds = _default_catalog()
     for entry in boundary_catalog(bounds):
         print(f"{entry['label']}: {entry['formula']}  [cost {entry['confidence_cost']}]")
@@ -328,30 +328,16 @@ def _cmd_catalog(cfg: dict, out_dir: Path, threads: int) -> int:
     return 0
 
 
-_COVERAGE_KEYS = (
-    "algorithm", "problem", "delta", "n_reps", "horizon", "seed_base", "record_grid",
-    "boundary_scale",
-)
-_LIL_KEYS = (
-    "l1", "l2", "n_blocks", "n_seeds", "seed_base", "m_kind", "theta", "slope", "cub_a",
-    "cub_b", "r1", "x0", "fraction_threshold",
-)
-_COLD_START_KEYS = (
-    "eigs", "rotation", "delta", "c_explore", "c_stable", "horizon", "n_reps", "seed_base",
-    "variant",
-)
-_STITCH_KEYS = ("c1", "c2", "c3", "delta", "horizon", "terms_mean", "terms_mag")
-
-# name -> (handler, needs a config, the config keys it reads)
+# name -> (handler, the dataclasses its config parses into; () takes no config)
 _COMMANDS = {
-    "coverage": (_cmd_coverage, True, _COVERAGE_KEYS),
-    "last-iterate": (_cmd_last_iterate, True, _COVERAGE_KEYS + ("t_eval",)),
-    "width-table": (_cmd_width_table, True, ("b", "lam", "delta", "horizons")),
-    "lil": (_cmd_lil, True, _LIL_KEYS),
-    "oja-cold-start": (_cmd_oja_cold_start, True, _COLD_START_KEYS),
-    "counterexample": (_cmd_counterexample, True, ("p_one", "n_reps", "horizon", "seed_base")),
-    "stitch-dump": (_cmd_stitch_dump, True, _STITCH_KEYS),
-    "catalog": (_cmd_catalog, False, ()),
+    "coverage": (_cmd_coverage, (CoverageConfig,)),
+    "last-iterate": (_cmd_last_iterate, (CoverageConfig, _LastIterate)),
+    "width-table": (_cmd_width_table, (_WidthTable,)),
+    "lil": (_cmd_lil, (RmProblem, _LilRun)),
+    "oja-cold-start": (_cmd_oja_cold_start, (PcaProblem, _ColdStartRun)),
+    "counterexample": (_cmd_counterexample, (_Counterexample,)),
+    "stitch-dump": (_cmd_stitch_dump, (RecursionParams, _Stitch)),
+    "catalog": (_cmd_catalog, ()),
 }
 
 
@@ -361,9 +347,9 @@ def main(argv=None) -> int:
         description="Anytime-valid boundary experiments for iterative stochastic algorithms.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, needs_config, _keys) in _COMMANDS.items():
+    for name, (_, types) in _COMMANDS.items():
         sp = sub.add_parser(name)
-        sp.add_argument("--config", required=needs_config, help="JSON experiment config")
+        sp.add_argument("--config", required=bool(types), help="JSON experiment config")
         sp.add_argument("--out-dir", default=".", help="directory for report files")
         threads_help = (
             "coverage worker threads, each on a block of up to 512 replications (0, 1 = "
@@ -373,16 +359,12 @@ def main(argv=None) -> int:
         sp.add_argument("--threads", type=int, default=0, help=threads_help)
     args = parser.parse_args(argv)
 
-    handler, _, keys = _COMMANDS[args.command]
     try:
-        cfg = _load_config(args.config) if args.config else {}
-        if not isinstance(cfg, dict):
-            raise ConfigError("config root must be a JSON object")
-        _check_keys(cfg, keys, "config")
+        parsed = _parse_config(args.command, args.config)
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return handler(cfg, out_dir, args.threads)
-    except (ConfigError, SpecError) as exc:
+        return _COMMANDS[args.command][0](*parsed, out_dir, args.threads)
+    except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -24,16 +24,21 @@ Parameters an experiment rejects before any replication runs, including an
 unparsable problem spec or an initial point outside the ball, raise
 SpecError, a ValueError; errors raised while the replications run keep
 their own type, so a caller can tell a bad spec from a failed run.
+
+_parse is the one reader of JSON configs: it builds frozen dataclasses
+from a JSON object, so each config field is declared once, with its type
+and default, on the dataclass that uses it.
 """
 from __future__ import annotations
 
 import json
 import math
 import time
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
-from dataclasses import asdict, dataclass, is_dataclass
-from typing import Mapping, Optional, Sequence, Tuple
+from contextlib import contextmanager, suppress
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from typing import Optional, Sequence, Tuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -92,16 +97,82 @@ def _spec(what: str):
     the run itself."""
     try:
         yield
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise SpecError(f"{what}: {exc}") from exc
 
 
-def _check_keys(spec: Mapping, allowed, what: str) -> None:
-    """Raise SpecError naming the keys of spec that are not in allowed, so
-    that a misspelled field is never silently replaced by its default."""
-    unknown = [repr(k) for k in spec if k not in allowed]
+# the JSON kind each field type takes, for the diagnostics
+_KINDS = {
+    int: "an integer",
+    float: "a finite number",
+    str: "a string",
+    bool: "true or false",
+    type(None): "null",
+    tuple: "a list",
+    Mapping: "a JSON object",
+}
+
+
+def _typed(value, hint, name: str):
+    """value as a field of type hint takes it; SpecError names the field
+    name if it does not.
+
+    An int field takes an integer, not a bool and not 2.5; a float field a
+    finite int or float, as a float; str, bool and Mapping fields their own
+    JSON type; a Tuple field a list or tuple, checked element by element,
+    as a tuple; an Optional or Union field any of its arms.
+    """
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:
+        for arm in args:
+            with suppress(SpecError):
+                return _typed(value, arm, name)
+    elif origin is tuple and isinstance(value, (list, tuple)):
+        arms = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if len(arms) == len(value):
+            return tuple(_typed(v, a, f"{name}[{i}]") for i, (v, a) in enumerate(zip(value, arms)))
+    elif hint is float and isinstance(value, (int, float)) and type(value) is not bool:
+        with suppress(OverflowError):  # an integer beyond the float range
+            if math.isfinite(value):
+                return float(value)
+    elif isinstance(value, origin or hint) and (hint is bool or type(value) is not bool):
+        return value
+    raise SpecError(f"{name} must be {_kind(hint)}, got {value!r}")
+
+
+def _kind(hint) -> str:
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:
+        return " or ".join(map(_kind, args))
+    if origin is tuple and args[-1] is not Ellipsis:
+        return f"a list of {len(args)}"
+    return _KINDS[origin or hint]
+
+
+def _parse(raw, types, what: str) -> tuple:
+    """One instance of each frozen dataclass in types, built from the JSON
+    object raw: a field without a default is required, each value is
+    checked against its field's type hint (_typed), and a key no type
+    declares is rejected.  Every failure, the dataclasses' own checks
+    included, raises SpecError."""
+    if not isinstance(raw, Mapping):
+        raise SpecError(f"{what} must be a JSON object")
+    declared = [[f for f in fields(t) if f.init] for t in types]
+    names = {f.name for fs in declared for f in fs}
+    unknown = [repr(k) for k in raw if k not in names]
     if unknown:
         raise SpecError(f"{what}: unknown key(s) {', '.join(unknown)}")
+    required = [f.name for fs in declared for f in fs if f.default is f.default_factory is MISSING]
+    missing = [name for name in required if name not in raw]
+    if missing:
+        raise SpecError(f"{what}: missing required field(s): {', '.join(missing)}")
+    try:
+        return tuple(
+            t(**{f.name: _typed(raw[f.name], hints[f.name], f.name) for f in fs if f.name in raw})
+            for t, fs, hints in zip(types, declared, map(get_type_hints, types))
+        )
+    except ValueError as exc:
+        raise SpecError(f"{what}: {exc}") from exc
 
 
 def mc_threshold(cost: float, delta: float, n_reps: int) -> float:
@@ -118,16 +189,50 @@ def mc_threshold(cost: float, delta: float, n_reps: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-_PCA_KEYS = ("eigs", "rotation", "v0", "normalize")
-# the problem keys _build_setup reads for each algorithm
-_PROBLEM_KEYS = {
-    "sgd_sc": ("curvature", "x_star", "radius", "b_noise", "x0"),
-    "krasulina": _PCA_KEYS,
-    "oja": _PCA_KEYS,
-    "ridge": (
-        "theta_star", "x_radius", "noise_radius", "diam", "lambda_pen", "theta0",
-        "penalty_in_gradient",
-    ),
+@dataclass(frozen=True)
+class _SgdStart:
+    """The start of an sgd_sc run, beside its SgdProblem."""
+
+    x0: Tuple[float, ...]
+
+
+@dataclass(frozen=True)
+class _PcaStart:
+    """The start of a krasulina run, beside its PcaProblem: v0 is "warm",
+    "uniform" or an explicit vector (see _pca_v0)."""
+
+    v0: Union[str, Tuple[float, ...]] = "warm"
+    normalize: bool = False
+
+    def __post_init__(self):
+        if isinstance(self.v0, str) and self.v0 not in ("warm", "uniform"):
+            raise ValueError(f"unknown v0 spec {self.v0!r}")
+
+
+@dataclass(frozen=True)
+class _OjaStart(_PcaStart):
+    """The start of an oja run, which normalizes by default."""
+
+    normalize: bool = True
+
+
+@dataclass(frozen=True)
+class _RidgeStart:
+    """The projection ball, penalty and start of a ridge run, beside its
+    LinearModelStream."""
+
+    diam: float
+    theta0: Tuple[float, ...]
+    lambda_pen: float = 0.0
+    penalty_in_gradient: bool = True
+
+
+# algorithm -> the dataclasses its problem object parses into
+_PROBLEMS = {
+    "sgd_sc": (SgdProblem, _SgdStart),
+    "krasulina": (PcaProblem, _PcaStart),
+    "oja": (PcaProblem, _OjaStart),
+    "ridge": (LinearModelStream, _RidgeStart),
 }
 
 
@@ -136,10 +241,11 @@ class CoverageConfig:
     """Declarative coverage experiment.
 
     algorithm selects the runner ("sgd_sc", "krasulina", "oja", "ridge");
-    problem holds its keyword parameters (see _build_setup), and a key the
-    runner does not read is rejected.  boundary_scale multiplies the width
-    (scale < 1 yields falsification runs that must produce violations,
-    demonstrating the experiment has power).
+    problem holds its parameters, parsed once into parsed_problem, the
+    problem dataclass and the start fields _PROBLEMS lists for the
+    algorithm, and a key neither declares is rejected.  boundary_scale
+    multiplies the width (scale < 1 yields falsification runs that must
+    produce violations, demonstrating the experiment has power).
     """
 
     algorithm: str
@@ -150,15 +256,19 @@ class CoverageConfig:
     seed_base: int
     record_grid: Tuple[int, ...] = ()
     boundary_scale: float = 1.0
+    parsed_problem: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.algorithm not in _PROBLEM_KEYS:
+        if self.algorithm not in _PROBLEMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        _check_keys(self.problem, _PROBLEM_KEYS[self.algorithm], "problem")
+        parsed = _parse(self.problem, _PROBLEMS[self.algorithm], "problem")
+        object.__setattr__(self, "parsed_problem", parsed)
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if self.n_reps < 1 or self.horizon < 1:
             raise ValueError("n_reps and horizon must be at least 1")
+        if self.seed_base < 0:
+            raise ValueError("seed_base must be nonnegative")
         if self.boundary_scale <= 0:
             raise ValueError("boundary_scale must be positive")
         grid = tuple(int(t) for t in self.record_grid)
@@ -220,38 +330,18 @@ class LilReport:
 # ---------------------------------------------------------------------------
 
 
-def _sgd_problem(spec: Mapping) -> SgdProblem:
-    return SgdProblem(
-        curvature=tuple(spec["curvature"]),
-        x_star=tuple(spec["x_star"]),
-        radius=float(spec["radius"]),
-        b_noise=float(spec["b_noise"]),
-    )
-
-
-def _pca_problem(spec: Mapping) -> PcaProblem:
-    rotation = spec.get("rotation")
-    return PcaProblem(
-        eigs=tuple(spec["eigs"]),
-        rotation=None if rotation is None else tuple(tuple(r) for r in rotation),
-    )
-
-
-def _pca_v0(spec: Mapping, problem: PcaProblem, seed_base: int, rep: int) -> np.ndarray:
+def _pca_v0(v0, problem: PcaProblem, seed_base: int, rep: int) -> np.ndarray:
     """Per-replication initial direction: explicit vector, "uniform", or
     "warm" (v1 plus a perturbation of norm 0.3, so sin^2 <= 9/58 < 1/4)."""
-    v0 = spec.get("v0", "warm")
-    if isinstance(v0, (list, tuple)):
+    if not isinstance(v0, str):
         return np.asarray(v0, dtype=float)
     rng = make_generator(np.random.SeedSequence(entropy=[int(seed_base), int(rep), 1]))
     u = rng.standard_normal(problem.dim)
     u /= np.linalg.norm(u)
     if v0 == "uniform":
         return u
-    if v0 == "warm":
-        v = problem.v_star + 0.3 * u
-        return v / np.linalg.norm(v)
-    raise ValueError(f"unknown v0 spec {v0!r}")
+    v = problem.v_star + 0.3 * u
+    return v / np.linalg.norm(v)
 
 
 def _seeds(seed_base: int, lo: int, hi: int) -> list:
@@ -264,12 +354,12 @@ def _sgd_runner(problem: SgdProblem, etas, x0, seed_base: int):
     )
 
 
-def _pca_runner(problem: PcaProblem, etas, spec, seed_base: int, variant: str, normalize: bool):
+def _pca_runner(problem: PcaProblem, etas, v0, seed_base: int, variant: str, normalize: bool):
     def run(lo: int, hi: int, on_chunk) -> None:
-        v0 = np.stack([_pca_v0(spec, problem, seed_base, i) for i in range(lo, hi)])
+        v0s = np.stack([_pca_v0(v0, problem, seed_base, i) for i in range(lo, hi)])
         seeds = _seeds(seed_base, lo, hi)
         pca_batch(
-            problem, etas, v0, seeds, variant, normalize, record_channels=False, on_chunk=on_chunk
+            problem, etas, v0s, seeds, variant, normalize, record_channels=False, on_chunk=on_chunk
         )
 
     return run
@@ -277,48 +367,39 @@ def _pca_runner(problem: PcaProblem, etas, spec, seed_base: int, variant: str, n
 
 def _build_setup(config: CoverageConfig):
     """Resolve a config into (boundary, block runner, replications per block)."""
-    spec = config.problem
+    problem, start = config.parsed_problem
     if config.algorithm == "sgd_sc":
-        problem = _sgd_problem(spec)
         boundary = sgd_boundary(problem.b, problem.lam, config.delta)
-        x0 = _check_in_ball(spec["x0"], problem.radius, "x0", problem.dim)
+        x0 = _check_in_ball(start.x0, problem.radius, "x0", problem.dim)
         etas = boundary.schedule.etas(config.horizon)
         return boundary, _sgd_runner(problem, etas, x0, config.seed_base), _REP_BLOCK
     if config.algorithm in ("krasulina", "oja"):
-        problem = _pca_problem(spec)
         boundary, _l_off = oja_boundary(problem.b, problem.rho, config.delta)
         etas = boundary.schedule.etas(config.horizon)
-        normalize = bool(spec.get("normalize", config.algorithm == "oja"))
-        v0 = _pca_v0(spec, problem, config.seed_base, 0)
+        v0 = _pca_v0(start.v0, problem, config.seed_base, 0)
         if v0.shape != (problem.dim,) or not np.any(v0):
             raise ValueError("v0 must be a nonzero vector of the problem's dimension")
-        run = _pca_runner(problem, etas, spec, config.seed_base, config.algorithm, normalize)
+        run = _pca_runner(
+            problem, etas, start.v0, config.seed_base, config.algorithm, start.normalize
+        )
         return boundary, run, _REP_BLOCK
-    if config.algorithm == "ridge":
-        stream = LinearModelStream(
-            theta_star=tuple(spec["theta_star"]),
-            x_radius=float(spec["x_radius"]),
-            noise_radius=float(spec["noise_radius"]),
-        )
-        diam = float(spec["diam"])
-        lambda_pen = float(spec.get("lambda_pen", 0.0))
-        theta_norm = float(np.linalg.norm(stream.theta_star))
-        boundary = ridge_boundary(
-            stream.b, diam, lambda_pen, stream.lambda_min, theta_norm, config.delta
-        )
-        theta0 = _check_in_ball(spec["theta0"], diam / 2.0, "theta0", stream.dim)
-        etas = boundary.schedule.etas(config.horizon)
-        penalty_in_gradient = bool(spec.get("penalty_in_gradient", True))
+    # ridge: problem is the LinearModelStream
+    theta_norm = float(np.linalg.norm(problem.theta_star))
+    boundary = ridge_boundary(
+        problem.b, start.diam, start.lambda_pen, problem.lambda_min, theta_norm, config.delta
+    )
+    theta0 = _check_in_ball(start.theta0, start.diam / 2.0, "theta0", problem.dim)
+    etas = boundary.schedule.etas(config.horizon)
 
-        def run(lo: int, hi: int, on_chunk) -> None:
-            seeds = _seeds(config.seed_base, lo, hi)
-            ridge_batch(
-                stream, diam, lambda_pen, etas, theta0, seeds, penalty_in_gradient, on_chunk
-            )
+    def run(lo: int, hi: int, on_chunk) -> None:
+        seeds = _seeds(config.seed_base, lo, hi)
+        ridge_batch(
+            problem, start.diam, start.lambda_pen, etas, theta0, seeds,
+            start.penalty_in_gradient, on_chunk,
+        )
 
-        # Ridge chunks keep RIDGE_ROWS steps, so the draw budget bounds the block.
-        return boundary, run, max(1, DRAW_BUDGET // (RIDGE_ROWS * (stream.dim + 1)))
-    raise AssertionError("unreachable")
+    # Ridge chunks keep RIDGE_ROWS steps, so the draw budget bounds the block.
+    return boundary, run, max(1, DRAW_BUDGET // (RIDGE_ROWS * (problem.dim + 1)))
 
 
 def _drive(n_reps, run, block, grid=(), widths=None, scan_from=0, origin=0, threads=0):
@@ -426,11 +507,11 @@ def run_last_iterate(config: CoverageConfig, t_eval: int) -> Tuple[float, float]
             raise ValueError("last-iterate experiment is defined for sgd_sc")
         if t_eval < 1 or t_eval > config.horizon:
             raise ValueError("need 1 <= t_eval <= horizon")
-        problem = _sgd_problem(config.problem)
+        problem, start = config.parsed_problem
         bound = sgd_last_iterate(problem.b, problem.lam, config.delta, t_eval)
         schedule = StepSchedule.inverse_time(1.0 / problem.lam, 3.0)
         etas = schedule.etas(t_eval)
-        x0 = _check_in_ball(config.problem["x0"], problem.radius, "x0", problem.dim)
+        x0 = _check_in_ball(start.x0, problem.radius, "x0", problem.dim)
     run = _sgd_runner(problem, etas, x0, config.seed_base)
     _, at_eval = _drive(config.n_reps, run, _REP_BLOCK, (t_eval,))
     exceed = int(np.count_nonzero(at_eval[:, 0] > bound))
@@ -568,6 +649,8 @@ def run_oja_cold_start(
             raise ValueError(f"unknown variant {variant!r}")
         if n_reps < 1 or horizon < 1:
             raise ValueError("n_reps and horizon must be at least 1")
+        if seed_base < 0:
+            raise ValueError("seed_base must be nonnegative")
         schedule = two_phase_oja_schedule(problem.b, problem.rho, delta, c_explore, c_stable)
         split = schedule.h0_end
         total = split + horizon
@@ -581,7 +664,7 @@ def run_oja_cold_start(
         boundary, _l_off = oja_boundary(problem.b, problem.rho, delta_b)
         widths = np.asarray(boundary.eval(np.arange(0, horizon + 1), delta_b))
 
-    run = _pca_runner(problem, etas, {"v0": "uniform"}, seed_base, variant, True)
+    run = _pca_runner(problem, etas, "uniform", seed_base, variant, True)
     first_times, at_split = _drive(n_reps, run, _REP_BLOCK, (split,), widths, split, split)
     hits = int(np.count_nonzero(at_split[:, 0] <= 0.25))
     violations = len(first_times)
@@ -620,6 +703,12 @@ def run_counterexample(p_one: float, n_reps: int, horizon: int, seed_base: int) 
     The limit is zero exactly on the complement of the Bernoulli event, so
     the fraction estimates 1 - p_one.
     """
+    if not 0.0 <= p_one <= 1.0:
+        raise SpecError("p_one must lie in [0, 1]")
+    if n_reps < 1 or horizon < 1:
+        raise SpecError("n_reps and horizon must be at least 1")
+    if seed_base < 0:
+        raise SpecError("seed_base must be nonnegative")
     zeros = 0
     for i in range(n_reps):
         trace = counterexample_process(p_one, horizon, rep_seed(seed_base, i))

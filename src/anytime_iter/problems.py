@@ -39,8 +39,8 @@ class SgdProblem:
     def __post_init__(self):
         object.__setattr__(self, "curvature", tuple(float(v) for v in self.curvature))
         object.__setattr__(self, "x_star", tuple(float(v) for v in self.x_star))
-        if len(self.curvature) != len(self.x_star):
-            raise ValueError("curvature and x_star must have the same dimension")
+        if not self.curvature or len(self.curvature) != len(self.x_star):
+            raise ValueError("curvature and x_star must be nonempty, of the same dimension")
         if any(c <= 0 for c in self.curvature):
             raise ValueError("curvatures must be positive")
         if self.radius <= 0 or self.b_noise < 0:
@@ -86,6 +86,8 @@ class PcaProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "eigs", tuple(float(v) for v in self.eigs))
+        if not self.eigs:
+            raise ValueError("eigs must not be empty")
         if self.eigs[0] <= 0 or any(v < 0 for v in self.eigs):
             raise ValueError("eigenvalues must be nonnegative with eigs[0] > 0")
         lam2 = self.eigs[1] if len(self.eigs) > 1 else 0.0

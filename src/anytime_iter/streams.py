@@ -123,6 +123,8 @@ class LinearModelStream:
 
     def __post_init__(self):
         object.__setattr__(self, "theta_star", tuple(float(v) for v in self.theta_star))
+        if not self.theta_star:
+            raise ValueError("theta_star must not be empty")
         if self.x_radius <= 0 or self.noise_radius < 0:
             raise ValueError("x_radius must be positive and noise_radius nonnegative")
 

@@ -1,9 +1,15 @@
 """End-to-end CLI tests: exit codes, output files, reproducibility, and the
 environment seed override."""
 
+import contextlib
+import io
 import json
+import math
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from anytime_iter import cli
 from anytime_iter.cli import main
@@ -120,6 +126,146 @@ def test_unknown_keys_are_named(tmp_path, capsys):
         assert key in capsys.readouterr().err
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# every shipped config: its command and the values that keep its run small
+_SMALL_COVERAGE = {"n_reps": 2, "horizon": 20, "record_grid": [0, 10]}
+SHIPPED = {
+    "sgd_coverage.json": ("coverage", _SMALL_COVERAGE),
+    "sgd_falsification.json": ("coverage", _SMALL_COVERAGE),
+    "krasulina_coverage.json": ("coverage", _SMALL_COVERAGE),
+    "ridge_coverage.json": ("coverage", _SMALL_COVERAGE),
+    "last_iterate.json": ("last-iterate", {"n_reps": 2, "horizon": 20, "t_eval": 20}),
+    "width_table.json": ("width-table", {}),
+    "lil.json": ("lil", {"n_blocks": 2, "n_seeds": 2}),
+    "oja_cold_start.json": ("oja-cold-start", {"n_reps": 2, "horizon": 20}),
+    "counterexample.json": ("counterexample", {"n_reps": 2, "horizon": 20}),
+    "stitch.json": ("stitch-dump", {"horizon": 20}),
+}
+
+
+def small_shipped(name, problem_fields=None, **fields):
+    """The shipped config name, shrunk, with fields (and problem fields) replaced."""
+    cfg = {**json.loads((CONFIGS / name).read_text()), **SHIPPED[name][1], **fields}
+    if problem_fields is not None:
+        cfg["problem"] = dict(cfg["problem"], **problem_fields)
+    return cfg
+
+
+def run_text(tmp_path, command, payload):
+    """Exit code and stderr of running command on the JSON payload."""
+    cfg = write_cfg(tmp_path, "cfg.json", payload)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as fh:
+        code = run([command, "--config", cfg, "--out-dir", str(tmp_path / "o")])
+    return code, fh.getvalue()
+
+
+@pytest.mark.parametrize(
+    "name,problem,fields,field",
+    [
+        ("lil.json", None, {"n_blocks": 2.5}, "n_blocks"),
+        ("oja_cold_start.json", None, {"n_reps": 1.5}, "n_reps"),
+        ("sgd_coverage.json", None, {"delta": "0.1"}, "delta"),
+        ("sgd_coverage.json", None, {"n_reps": 2.5}, "n_reps"),
+        ("sgd_coverage.json", None, {"record_grid": [1.5]}, "record_grid"),
+        ("last_iterate.json", None, {"t_eval": 2.7}, "t_eval"),
+        ("krasulina_coverage.json", {"normalize": "yes"}, {}, "normalize"),
+        ("sgd_coverage.json", None, {"seed_base": True}, "seed_base"),
+        ("sgd_coverage.json", None, {"problem": "abc"}, "problem must be a JSON object"),
+        # a threshold above 1 can never pass, one at 0 never fails
+        ("lil.json", None, {"fraction_threshold": 2.0}, "fraction_threshold"),
+        ("lil.json", None, {"fraction_threshold": 0.0}, "fraction_threshold"),
+        # an infinite width covers every path
+        ("sgd_falsification.json", None, {"boundary_scale": math.inf}, "boundary_scale"),
+    ],
+)
+def test_mistyped_field_is_named(name, problem, fields, field, tmp_path, monkeypatch):
+    # each would otherwise run: on a truncated or coerced value, or with a
+    # verdict fixed before the run
+    monkeypatch.delenv("ANYTIME_ITER_SEED", raising=False)
+    code, err = run_text(tmp_path, SHIPPED[name][0], small_shipped(name, problem, **fields))
+    assert code == 2 and field in err, err
+
+
+@pytest.mark.parametrize(
+    "name,problem,fields,field",
+    [
+        ("oja_cold_start.json", None, {"eigs": []}, "eigs"),
+        ("krasulina_coverage.json", {"eigs": []}, {}, "eigs"),
+        ("ridge_coverage.json", {"theta_star": []}, {}, "theta_star"),
+    ],
+)
+def test_empty_vector_is_a_config_error(name, problem, fields, field, tmp_path):
+    # not an internal IndexError or ZeroDivisionError (exit 3)
+    code, err = run_text(tmp_path, SHIPPED[name][0], small_shipped(name, problem, **fields))
+    assert code == 2 and f"{field} must not be empty" in err, err
+
+
+def _json_kind(value) -> str:
+    for kind, types in (("bool", bool), ("string", str), ("list", list), ("object", dict)):
+        if isinstance(value, types):
+            return kind
+    return "null" if value is None else "integer" if isinstance(value, int) else "float"
+
+
+# replacement values of each JSON kind; none of them is valid for a field of
+# another kind (an integer field takes no non-integral number, and no field a
+# non-finite one)
+RETYPED = {
+    "string": st.text(max_size=4),
+    "list": st.lists(st.integers(-2, 2), max_size=2),
+    "object": st.dictionaries(st.sampled_from("ab"), st.integers(0, 2), max_size=1),
+    "bool": st.booleans(),
+    "null": st.none(),
+    "non-integral": st.floats(-1e3, 1e3).filter(lambda x: x != int(x)),
+    "non-finite": st.sampled_from([math.inf, -math.inf, math.nan]),
+}
+# v0 takes "warm", "uniform" or a vector
+UNION_KINDS = {"v0": {"string", "list"}}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_mutated_shipped_config(name, data, tmp_path, monkeypatch):
+    # a renamed or retyped field exits 2 and is named; a dropped one, or a
+    # number pushed to zero or below, may run or be rejected, but is never
+    # an internal error
+    monkeypatch.delenv("ANYTIME_ITER_SEED", raising=False)
+    command, _ = SHIPPED[name]
+    cfg = small_shipped(name)
+    paths = [(cfg, k) for k in cfg] + [(cfg["problem"], k) for k in cfg.get("problem", ())]
+    owner, key = data.draw(st.sampled_from(paths))
+    numeric = _json_kind(owner[key]) in ("integer", "float")
+    ops = ["none", "rename", "retype", "drop"] + ["out-of-range"] * numeric
+    op = data.draw(st.sampled_from(ops))
+    value = owner.pop(key) if op != "none" else None
+    if op == "rename":
+        key += data.draw(st.text("XYZ", min_size=1, max_size=2))
+        owner[key] = value
+    elif op == "retype":
+        valid = UNION_KINDS.get(key, {_json_kind(value)})
+        if _json_kind(value) == "float":
+            valid = valid | {"non-integral"}
+        kind = data.draw(st.sampled_from(sorted(set(RETYPED) - valid)))
+        owner[key] = data.draw(RETYPED[kind])
+    elif op == "out-of-range":
+        owner[key] = data.draw(st.sampled_from([0, -1, -value]))
+    code, err = run_text(tmp_path, command, cfg)
+    if op == "none":
+        assert code in (0, 1), err
+    elif op in ("drop", "out-of-range"):
+        assert code in (0, 1, 2), err
+    else:
+        assert code == 2 and key in err, (key, owner.get(key), err)
+
+
 def test_negative_seed_override_is_invalid(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, "lil.json", {"l1": 1.0, "l2": 1.0, "n_blocks": 4, "n_seeds": 2})
     monkeypatch.setenv("ANYTIME_ITER_SEED", "-3")
@@ -204,6 +350,9 @@ def test_seed_env_override(tmp_path, monkeypatch):
     run(["lil", "--config", cfg, "--out-dir", str(out1)])
     monkeypatch.setenv("ANYTIME_ITER_SEED", "999")
     run(["lil", "--config", cfg, "--out-dir", str(out2)])
+    # a command without a seed_base field takes no seed from the environment
+    wt = write_cfg(tmp_path, "wt.json", {"b": 1.0, "lam": 1.0, "delta": 0.1, "horizons": [100]})
+    assert run(["width-table", "--config", wt, "--out-dir", str(tmp_path / "w")]) == 0
     monkeypatch.delenv("ANYTIME_ITER_SEED")
     run(["lil", "--config", cfg, "--out-dir", str(out3)])
     f = lambda p: json.loads((p / "lil_report.json").read_text())["report"]["final_max"]
@@ -323,9 +472,7 @@ def test_shipped_example_configs_validate(tmp_path):
         "stitch.json": "stitch-dump",
     }
     for p in cfg_dir.glob("*.json"):
-        cfg = json.loads(p.read_text())
-        command = commands.get(p.name, "coverage")
-        cli._check_keys(cfg, cli._COMMANDS[command][2], p.name)
-        if "problem" in cfg:
-            cli._coverage_config(cfg)  # checks the problem keys
+        # the parse main runs: keys, types, the problem object and the
+        # dataclasses' own checks
+        cli._parse_config(commands.get(p.name, "coverage"), str(p))
     assert run(["width-table", "--config", str(cfg_dir / "width_table.json"), "--out-dir", str(tmp_path)]) == 0

@@ -5,6 +5,7 @@ statistic, cold start, and report serialization."""
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from anytime_iter import (
     CoverageConfig,
     PcaProblem,
+    RecursionParams,
     RmProblem,
     mc_threshold,
     run_counterexample,
@@ -67,6 +69,55 @@ def test_config_validation():
         small_config(record_grid=(100, 50))
     with pytest.raises(ValueError):
         small_config(record_grid=(0, 10**9))
+
+
+@pytest.mark.parametrize(
+    "raw,message",
+    [
+        ({"c1": 2}, None),  # an integer is a number
+        ({"c1": 2, "terms_mean": [[1, 0.5, 1]]}, None),
+        ({"c1": True}, "c1 must be a finite number, got True"),
+        ({"c1": 10**400}, "c1 must be a finite number"),
+        ({"c1": 1.0, "terms_mean": [[1.0, 2.0]]}, "terms_mean[0] must be a list of 3"),
+        ({"c1": 1.0, "terms_mag": [[1.0, 2.0, "x"]]}, "terms_mag[0][2] must be a finite number"),
+        ({"c1": 1.0, "terms_mag": "[]"}, "terms_mag must be a list"),
+        ({"c2": 1.0}, "missing required field(s): c1"),
+        ({"c1": 1.0, "c4": 1.0, "C1": 1.0}, "unknown key(s) 'c4', 'C1'"),
+        ({"c1": -1.0}, "c1 must be positive"),
+    ],
+)
+def test_parse_type_rules(raw, message):
+    if message is None:
+        (params,) = harness._parse(raw, (RecursionParams,), "cfg")
+        assert isinstance(params.c1, float) and params.c1 == 2.0
+    else:
+        with pytest.raises(harness.SpecError, match=re.escape(f"cfg: {message}")):
+            harness._parse(raw, (RecursionParams,), "cfg")
+
+
+@pytest.mark.parametrize(
+    "raw,message",
+    [
+        ({"eigs": [2, 1], "rotation": None, "v0": [1, 0]}, None),
+        ({"eigs": [2, 1], "rotation": [[0, 1], [1, 0]], "v0": "uniform"}, None),
+        ({"eigs": [2, 1], "rotation": 3}, "rotation must be a list or null, got 3"),
+        ({"eigs": [2, 1], "v0": 0}, "v0 must be a string or a list, got 0"),
+        ({"eigs": [2, 1], "v0": "cold"}, "unknown v0 spec 'cold'"),
+        ({"eigs": [2, 1], "normalize": 1}, "normalize must be true or false, got 1"),
+        ([], "must be a JSON object"),
+    ],
+)
+def test_parse_optional_and_union_fields(raw, message):
+    types = harness._PROBLEMS["krasulina"]
+    if message is None:
+        problem, start = harness._parse(raw, types, "problem")
+        assert problem.eigs == (2.0, 1.0) and start.normalize is False
+        # oja's start differs only in its default
+        _, oja_start = harness._parse(raw, harness._PROBLEMS["oja"], "problem")
+        assert oja_start.normalize is True and oja_start.v0 == start.v0
+    else:
+        with pytest.raises(harness.SpecError, match=re.escape(message)):
+            harness._parse(raw, types, "problem")
 
 
 def test_mc_threshold_formula():
@@ -318,6 +369,15 @@ def test_counterexample_fraction():
     res = run_counterexample(0.1, 1500, 20, seed_base=17)
     assert abs(res["fraction_zero"] - 0.9) < 0.03
     assert res["within_tolerance"]
+
+
+@pytest.mark.parametrize(
+    "args", [(1.5, 10, 10, 1), (-0.1, 10, 10, 1), (0.1, 0, 10, 1), (0.1, 10, 0, 1), (0.1, 10, 10, -1)]
+)
+def test_counterexample_rejects_its_range(args):
+    # (p_one, n_reps, horizon, seed_base): the library rejects what the CLI rejects
+    with pytest.raises(harness.SpecError):
+        run_counterexample(*args)
 
 
 # ---------------------------------------------------------------------------

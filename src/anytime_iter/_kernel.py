@@ -1,10 +1,11 @@
 """Which kernels the engines run, and the loader of the compiled ones.
 
-Every engine in algorithms, and every batch sampler in streams, calls the
-object load(width) returns: the compiled StepKernels when _steps.c could be
-built and loaded and a step carries at most MAX_WIDTH coordinates, else
-_reference.REFERENCE, the numpy step loops, passes and draws.  StepKernels
-subclasses Reference and overrides only what C computes bit for bit:
+Every engine in algorithms, every batch sampler in streams and the LIL
+reducer in harness call the object load(width) returns: the compiled
+StepKernels when _steps.c could be built and loaded and a step carries at
+most MAX_WIDTH coordinates, else _reference.REFERENCE, the numpy step
+loops, passes, draws and reducer.  StepKernels subclasses Reference and
+overrides only what C computes bit for bit:
 
   * the step loops, except the cubic M's, since numpy's u**3 matches
     neither u*u*u nor libm's pow.  C performs the same correctly rounded
@@ -25,7 +26,10 @@ subclasses Reference and overrides only what C computes bit for bit:
     numpy.random._generator's shared object (as numpy's cffi example does)
     and passed as function pointers, so nothing of numpy is compiled or
     linked into the library; C gets each generator's bitgen_t as an opaque
-    pointer from its bit generator's "BitGenerator" capsule.
+    pointer from its bit generator's "BitGenerator" capsule;
+  * the LIL reducer lil_max: (t*dev)*dev/log log t, with log log t from
+    libm's log, which math.log calls, folded into each replication's block
+    maxima with np.maximum's rule for nan, in one call per chunk.
 
 The library is built on first use, never at import: the C compiler Python
 was built with (sysconfig's CC) compiles _steps.c with FLAGS into
@@ -73,6 +77,8 @@ _SIGNATURES = {
     "sphere_draw": ([_P] * 2 + [_L] * 3 + [_D, _P], None),
     "sign_draw": ([_P] * 4 + [_L] * 3 + [_P], None),
     "uniform_draw": ([_P] * 2 + [_L] * 2 + [_D] * 2 + [_P], None),
+    "lil_loglog": ([_P] + [_L] * 2, None),
+    "lil_max": ([_P] + [_L] * 4 + [_P, _L, _P], None),
 }
 # numpy's exported distribution functions the draw loops call, by the name of
 # the StepKernels attribute that holds each address
@@ -287,6 +293,20 @@ class StepKernels(Reference):
             m, n, float(problem.theta), s2, r1sq, int(signed_dev),
             *_rows(loss, (n, m)),
             *_channels(channels, (n, m)),
+        )
+
+    def lil_max(self, dev, t0: int, block_max) -> None:
+        n_blocks, n = block_max.shape
+        m = dev.shape[1]
+        # a chunk that ends before the first block, t = 3, folds nothing:
+        # the deviations at t = 0 come as an (n, 1) view of column stride 0
+        if t0 + m <= 3:
+            return
+        loglog = np.empty(m)
+        self._lib.lil_max(
+            *_rows(dev, (n, m)), n, m, t0,
+            _addr(block_max, (n_blocks, n)), n_blocks,
+            _addr(loglog, (m,)),
         )
 
 

@@ -1,12 +1,15 @@
 """The numpy kernels of the batched engines: Reference.
 
 Reference holds the step loops, passes and per-generator draws the engines
-and samplers call, in the order of operations their outputs are pinned to.
+and samplers call, and the LIL reducer the harness calls, in the order of
+operations their outputs are pinned to.
 _kernel.StepKernels overrides what C computes bit for bit, with the same
 method names and arguments; _kernel.load chooses between the two.  The
 step, pass and draw contracts are in the class docstring.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -244,6 +247,29 @@ class Reference:
         q_chan[...] = q.T
         envelope = problem.poly_sq(dev[:-1] ** 2) + problem.r1**2
         noise[...] = (q + 2.0 * eta * eta * envelope).T
+
+    def lil_max(self, dev, t0: int, block_max) -> None:
+        """Fold the LIL statistics (t*dev)*dev/log log t of dev, the (n, m)
+        signed deviations x_t - theta at the times t0..t0+m-1, into
+        block_max, (n_blocks, n), whose row b holds each replication's
+        maximum over the dyadic block t = 2^(b+1)+1..2^(b+2) so far; a nan
+        or +inf, once there, stays."""
+        # the blocks start at t = 3, where log log t > 0; math.log, not
+        # np.log, whose SIMD loops need not round as libm does
+        t1 = t0 + dev.shape[1] - 1
+        loglog = np.ones(t1 - t0 + 1)
+        t3 = max(3, t0)
+        loglog[t3 - t0 :] = np.fromiter(
+            map(math.log, map(math.log, range(t3, t1 + 1))), float, max(0, t1 + 1 - t3)
+        )
+        stat = np.arange(t0, t1 + 1, dtype=float) * dev
+        stat *= dev
+        stat /= loglog
+        for i in range(block_max.shape[0]):
+            a, b = max(2 ** (i + 1) + 1, t0), min(2 ** (i + 2), t1)
+            if a <= b:
+                top = stat[:, a - t0 : b - t0 + 1].max(axis=1)
+                np.maximum(block_max[i], top, out=block_max[i])
 
 
 REFERENCE = Reference()

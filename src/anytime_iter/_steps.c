@@ -23,8 +23,10 @@
  * and LIL run takes, stays in numpy: it is one array expression and a
  * transposed copy, already at memory speed, and a C version measured slower.
  *
- * The draw loops at the end fill the (rows, n, width) draw chunks the step
- * loops read, through numpy's own distribution functions.
+ * The draw loops fill the (rows, n, width) draw chunks the step loops read,
+ * through numpy's own distribution functions.  lil_max, last, folds the
+ * LIL statistic of each chunk of deviations the root-finding engine streams
+ * into the harness's dyadic block maxima, with libm's log log t.
  */
 #include <math.h>
 #include <stdbool.h>
@@ -366,4 +368,76 @@ void uniform_draw(double *out, void *const *gens, long rows, long n, double low,
     for (long r = 0; r < rows; r++)
         for (long j = 0; j < n; j++)
             out[r * n + j] = uniform(gens[j], low, range);
+}
+
+/* The LIL statistic's dyadic block maxima, appended last so that the
+ * functions above keep their layout (the PLT entry of libm's log moves them
+ * all by 16 bytes).  dev is the (n, m) chunk of signed deviations
+ * x_t - theta at the times t = t0 .. t0+m-1, row i at dev + i*ld; block b
+ * covers t = 2^(b+1)+1 .. 2^(b+2), and block_max, (n_blocks, n), holds each
+ * replication's maximum over each block so far.  Times outside the blocks,
+ * t < 3 or t > 2^(n_blocks+1), fold nothing.  Each statistic is
+ * ((t*dev)*dev)/log(log(t)), as _reference.Reference.lil_max computes it,
+ * with log log t from libm's log, the function math.log calls, into ll_buf,
+ * m values of scratch. */
+
+/* log(log(t)) for the m times t0, t0+1, ...; lil_max calls the static
+ * copy, as a call to an exported function would go through the PLT and
+ * grow it, moving every function above */
+static void loglog(double *out, long t0, long m)
+{
+    for (long k = 0; k < m; k++)
+        out[k] = log(log((double)(t0 + k)));
+}
+
+void lil_loglog(double *out, long t0, long m)
+{
+    loglog(out, t0, m);
+}
+
+/* np.maximum(a, b): a NaN wins, the first one first, and a tie gives b.
+ * Ties only tell -0.0 from +0.0, and no statistic is -0.0: (t*dev)*dev
+ * multiplies two values of one sign. */
+static double nan_max(double a, double b)
+{
+    return (a > b || isnan(a)) ? a : b;
+}
+
+void lil_max(const double *dev, long ld, long n, long m, long t0, double *block_max,
+             long n_blocks, double *ll_buf)
+{
+    long lo = t0 > 3 ? t0 : 3;
+    long hi = t0 + m - 1;
+    if (hi > (2L << n_blocks))
+        hi = 2L << n_blocks;
+    if (lo > hi)
+        return;
+    loglog(ll_buf + (lo - t0), lo, hi - lo + 1);
+    for (long b = 0; b < n_blocks; b++) {
+        long a = (2L << b) + 1, z = 4L << b;
+        if (a < lo)
+            a = lo;
+        if (z > hi)
+            z = hi;
+        if (a > z)
+            continue;
+        /* four running maxima per row, so that the divisions overlap */
+        const long len = z - a + 1;
+        const double *ll = ll_buf + (a - t0);
+        for (long i = 0; i < n; i++) {
+            const double *x = dev + i * ld + (a - t0);
+            double m0 = -INFINITY, m1 = -INFINITY, m2 = -INFINITY, m3 = -INFINITY;
+            long k = 0;
+            for (; k + 4 <= len; k += 4) {
+                m0 = nan_max(m0, (((double)(a + k) * x[k]) * x[k]) / ll[k]);
+                m1 = nan_max(m1, (((double)(a + k + 1) * x[k + 1]) * x[k + 1]) / ll[k + 1]);
+                m2 = nan_max(m2, (((double)(a + k + 2) * x[k + 2]) * x[k + 2]) / ll[k + 2]);
+                m3 = nan_max(m3, (((double)(a + k + 3) * x[k + 3]) * x[k + 3]) / ll[k + 3]);
+            }
+            for (; k < len; k++)
+                m0 = nan_max(m0, (((double)(a + k) * x[k]) * x[k]) / ll[k]);
+            double *out = block_max + b * n + i;
+            *out = nan_max(*out, nan_max(nan_max(m0, m1), nan_max(m2, m3)));
+        }
+    }
 }

@@ -14,11 +14,13 @@ of the horizon.  Blocks and per-replication seeds are independent of the
 worker count, and the draws of the chunk-length invariant engines do not
 depend on the block size, so reports do not depend on scheduling.
 
-The iterated-logarithm statistic runs on rm_batch as well: _lil_batch folds
-each chunk of signed deviations x_t - theta the engine streams into
-dyadic-block maxima, in one batch of all seeds, refusing non-finite maxima;
-its step vector has length 2^(n_blocks+1).  No step loop and no noise draw
-live here; _pca_v0 only draws each replication's initial direction.
+The iterated-logarithm statistic runs on rm_batch as well: _lil_batch hands
+each chunk of signed deviations x_t - theta the engine streams to the
+kernels' lil_max, which folds it into dyadic-block maxima, in one batch of
+all seeds; run_lil_ensemble refuses non-finite maxima.  Its step vector has
+length 2^(n_blocks+1).  No step loop, no noise draw and no reduction of the
+statistic live here; _pca_v0 only draws each replication's initial
+direction.
 
 Parameters an experiment rejects before any replication runs, including an
 unparsable problem spec or an initial point outside the ball, raise
@@ -42,6 +44,7 @@ from typing import Optional, Sequence, Tuple, Union, get_args, get_origin, get_t
 
 import numpy as np
 
+from . import _kernel
 from .algorithms import (
     DRAW_BUDGET,
     RIDGE_ROWS,
@@ -113,14 +116,20 @@ _KINDS = {
 }
 
 
+# the largest integer a config field takes: numpy's largest index
+_INT_MAX = int(np.iinfo(np.intp).max)
+
+
 def _typed(value, hint, name: str):
     """value as a field of type hint takes it; SpecError names the field
     name if it does not.
 
-    An int field takes an integer, not a bool and not 2.5; a float field a
-    finite int or float, as a float; str, bool and Mapping fields their own
-    JSON type; a Tuple field a list or tuple, checked element by element,
-    as a tuple; an Optional or Union field any of its arms.
+    An int field takes an integer up to _INT_MAX, not a bool and not 2.5 (a
+    larger count overflows numpy's sizes, or runs for hours, instead of
+    failing); a float field a finite int or float, as a float; str, bool
+    and Mapping fields their own JSON type; a Tuple field a list or tuple,
+    checked element by element, as a tuple; an Optional or Union field any
+    of its arms.
     """
     origin, args = get_origin(hint), get_args(hint)
     if origin is Union:
@@ -135,6 +144,8 @@ def _typed(value, hint, name: str):
         with suppress(OverflowError):  # an integer beyond the float range
             if math.isfinite(value):
                 return float(value)
+    elif hint is int and type(value) is int and value > _INT_MAX:
+        raise SpecError(f"{name} must be at most {_INT_MAX}, got {value!r}")
     elif isinstance(value, origin or hint) and (hint is bool or type(value) is not bool):
         return value
     raise SpecError(f"{name} must be {_kind(hint)}, got {value!r}")
@@ -451,6 +462,31 @@ def _drive(n_reps, run, block, grid=(), widths=None, scan_from=0, origin=0, thre
     return tuple(int(t) for t in np.sort(first[first >= 0])), at_grid
 
 
+def _quantiles(a: np.ndarray, q: Sequence[float]) -> np.ndarray:
+    """np.quantile(a, q) of a 1-d float array, bit for bit: numpy's linear
+    method step for step, with sorted(set(...)) where numpy calls np.unique,
+    whose first call imports numpy.ma, about 10 ms of a short run."""
+    arr = a.flatten()
+    n = arr.size
+    virtual = (n - 1) * np.asanyarray(q)
+    prev = np.floor(virtual)
+    nxt = prev + 1
+    above = virtual >= n - 1  # both neighbours are then the largest value
+    prev[above] = -1
+    nxt[above] = -1
+    prev, nxt = prev.astype(np.intp), nxt.astype(np.intp)
+    arr.partition(sorted({0, -1, *prev.tolist(), *nxt.tolist()}))
+    gamma = virtual - prev
+    lo, hi = arr[prev], arr[nxt]
+    # numpy's _lerp, which interpolates from the nearer neighbour
+    diff = hi - lo
+    out = np.add(lo, diff * gamma)
+    np.subtract(hi, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    if np.isnan(arr[-1]):  # a nan partitions last and is every quantile
+        out[...] = arr[-1]
+    return out
+
+
 def run_coverage(config: CoverageConfig, threads: int = 0) -> CoverageReport:
     """Estimate the time-uniform violation probability of a boundary.
 
@@ -472,7 +508,7 @@ def run_coverage(config: CoverageConfig, threads: int = 0) -> CoverageReport:
     rate = violations / config.n_reps
     quantiles = {}
     for j, t in enumerate(grid):
-        q = np.quantile(at_grid[:, j], [0.5, 0.9, 0.99])
+        q = _quantiles(at_grid[:, j], [0.5, 0.9, 0.99])
         quantiles[int(t)] = (float(q[0]), float(q[1]), float(q[2]))
     threshold = mc_threshold(boundary.confidence_cost, config.delta, config.n_reps)
     return CoverageReport(
@@ -540,32 +576,18 @@ def _lil_batch(
     """Dyadic-block maxima of t*L_t/log log t for a batch of trajectories.
 
     rm_batch runs x_t = x_{t-1} - (l1/t)*(M(x_{t-1}) + xi_t) and streams the
-    deviations dev = x_t - theta per chunk; each chunk's statistics
-    (t*dev)*dev/log log t are one array pass folded into the block maxima.
-    The signed deviation is needed: (t*dev)*dev is not rebuilt bit for bit
-    from the loss dev^2.
+    deviations dev = x_t - theta per chunk; the lil_max of the kernels
+    _kernel.load returns at that call, compiled or the numpy reference,
+    folds each chunk's statistics (t*dev)*dev/log log t into the block
+    maxima.  The signed deviation is needed: (t*dev)*dev is not rebuilt bit
+    for bit from the loss dev^2.
     """
     horizon = 2 ** (n_blocks + 1)
     block_max = np.full((n_blocks, len(seeds)), -np.inf)
     bounds = [(2**nb + 1, 2 ** (nb + 1)) for nb in range(1, n_blocks + 1)]
 
     def reduce(t0: int, dev: np.ndarray) -> None:
-        # the blocks start at t = 3, where log log t > 0; math.log, not
-        # np.log, whose SIMD loops need not round as libm does
-        t1 = t0 + dev.shape[1] - 1
-        loglog = np.ones(t1 - t0 + 1)
-        t3 = max(3, t0)
-        loglog[t3 - t0 :] = np.fromiter(
-            map(math.log, map(math.log, range(t3, t1 + 1))), float, max(0, t1 + 1 - t3)
-        )
-        stat = np.arange(t0, t1 + 1, dtype=float) * dev
-        stat *= dev
-        stat /= loglog
-        for i, (lo, hi) in enumerate(bounds):
-            a, b = max(lo, t0), min(hi, t1)
-            if a <= b:
-                top = stat[:, a - t0 : b - t0 + 1].max(axis=1)
-                np.maximum(block_max[i], top, out=block_max[i])
+        _kernel.load(1).lil_max(dev, t0, block_max)
 
     etas = np.arange(1, horizon + 1, dtype=float)
     np.divide(l1, etas, out=etas)  # eta_t = l1/t, in place: one horizon-length vector

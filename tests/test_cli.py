@@ -177,6 +177,11 @@ def run_text(tmp_path, command, payload):
         ("lil.json", None, {"fraction_threshold": 0.0}, "fraction_threshold"),
         # an infinite width covers every path
         ("sgd_falsification.json", None, {"boundary_scale": math.inf}, "boundary_scale"),
+        # counts beyond numpy's indices: an internal error, or a run that
+        # never ends
+        ("sgd_coverage.json", None, {"n_reps": 10**20}, "n_reps"),
+        ("stitch.json", None, {"horizon": 10**20}, "horizon"),
+        ("lil.json", None, {"n_seeds": 10**20}, "n_seeds"),
     ],
 )
 def test_mistyped_field_is_named(name, problem, fields, field, tmp_path, monkeypatch):
@@ -324,7 +329,7 @@ def test_diverging_lil_run_is_an_internal_error(tmp_path, capsys):
     assert run(["lil", "--config", cfg, "--out-dir", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: internal FloatingPointError: non-finite LIL statistic")
-    assert "seed index" in err
+    assert "seed index" in err and "in block t=" in err
     assert not (out / "lil_report.json").exists()
 
 

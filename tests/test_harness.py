@@ -10,6 +10,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from anytime_iter import (
     CoverageConfig,
@@ -26,7 +28,7 @@ from anytime_iter import (
     width_comparison,
 )
 from anytime_iter import algorithms, harness
-from anytime_iter.harness import _drive, write_grid_csv, write_report_json
+from anytime_iter.harness import _drive, _quantiles, write_grid_csv, write_report_json
 from anytime_iter.seeding import rep_seed
 
 
@@ -138,6 +140,29 @@ def test_coverage_no_violations_and_quantile_sanity():
     # quantiles sit below the widths at each grid point in a non-violating run
     for (t, qs), w in zip(sorted(rep.quantiles_at_grid.items()), rep.widths_at_grid):
         assert qs[2] <= w
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    # ties and signed zeros, where which copy partition leaves in place shows
+    values=st.lists(
+        st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0, 2.5)), st.floats()),
+        min_size=1,
+        max_size=40,
+    ),
+    q=st.one_of(st.just([0.5, 0.9, 0.99]), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5)),
+)
+@example(values=[3.0], q=[0.5, 0.9, 0.99])
+@example(values=[-0.0], q=[0.5, 0.9, 0.99])
+@example(values=[1.0, 2.0], q=[0.5, 0.9, 0.99])
+@example(values=[0.0, -0.0], q=[0.5, 0.9, 0.99])
+@example(values=[-0.0, 0.0], q=[0.5, 0.9, 0.99])
+@example(values=[math.inf, math.inf], q=[0.5, 0.9, 0.99])
+def test_quantiles_match_numpy_bytes(values, q):
+    a = np.array(values)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        assert _quantiles(a, q).tobytes() == np.quantile(a, q).tobytes()
+    assert a.tobytes() == np.array(values).tobytes()  # a is left as it was
 
 
 def test_coverage_widths_decay_along_grid():

@@ -10,6 +10,7 @@ reference for the engines by patching _kernel.load.
 """
 
 import inspect
+import math
 import os
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import test_algorithms
+import test_cli
 import test_golden
 import test_streams
 from anytime_iter import _kernel, algorithms
@@ -29,6 +31,7 @@ from anytime_iter._reference import REFERENCE, Reference
 from anytime_iter.algorithms import PcaProblem, RmProblem, SgdProblem
 from anytime_iter.algorithms import pca_batch, ridge_batch, rm_batch, sgd_batch
 from anytime_iter.boundaries import StepSchedule
+from anytime_iter.harness import _lil_batch
 from anytime_iter.seeding import rep_generators, rep_seed
 from anytime_iter.streams import (
     GeneratorBatch,
@@ -323,6 +326,71 @@ def test_ridge_calls_match_reference_bytes(shape, penalty_in_gradient, zero, see
     same_bytes(build, call)
 
 
+# what a deviation may be besides a plain number: each gives a statistic of
+# nan, +inf or +0.0, or overflows to +inf
+SPECIAL_DEVS = (np.nan, np.inf, -np.inf, 0.0, -0.0, 1e300, -1e300)
+
+
+@st.composite
+def lil_starts(draw):
+    """n_blocks, and a first time t0 >= 1 within 40 of a power of two up to
+    the horizon 2^(n_blocks+1), so that the chunks cross the boundary between
+    two blocks, or leave the last one."""
+    n_blocks = draw(st.integers(1, 24))
+    e = draw(st.integers(0, n_blocks + 1))
+    return n_blocks, max(1, 2**e + draw(st.integers(-40, 40)))
+
+
+@needs_kernel
+@CALLS
+@given(
+    n=st.integers(1, 9),
+    start=lil_starts(),
+    chunks=st.lists(st.integers(1, 60), min_size=1, max_size=4),
+    extra=st.integers(0, 3),
+    specials=st.lists(
+        st.tuples(st.integers(0, 8), st.integers(0, 239), st.sampled_from(SPECIAL_DEVS)),
+        max_size=6,
+    ),
+    seed=SEEDS,
+)
+def test_lil_calls_match_reference_bytes(n, start, chunks, extra, specials, seed):
+    n_blocks, t0 = start
+    rng = np.random.default_rng(seed)
+    devs = rng.standard_normal((n, sum(chunks))) * rng.uniform(0.0, 3.0, (n, 1))
+    for i, k, v in specials:
+        if i < n and k < devs.shape[1]:
+            devs[i, k] = v
+    l0 = rng.standard_normal(n)
+
+    def run(k):
+        # as rm_batch streams them: the deviations at t = 0 as an (n, 1)
+        # view, then each chunk through one reused buffer wider than any chunk
+        block_max = np.full((n_blocks, n), -np.inf)
+        buf = np.full((n, max(chunks) + extra), -1.5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            k.lil_max(l0[:, None], 0, block_max)
+            lo = 0
+            for m in chunks:
+                buf[:, :m] = devs[:, lo : lo + m]
+                k.lil_max(buf[:, :m], t0 + lo, block_max)
+                lo += m
+        return block_max.tobytes()
+
+    assert run(_kernel.load()) == run(REFERENCE)
+
+
+@needs_kernel
+def test_compiled_loglog_is_libm_loglog():
+    # the blocks start at t = 3; Reference.lil_max takes math.log of
+    # math.log, which calls libm's log
+    ts = range(3, 2**20 + 1)
+    got = np.empty(len(ts))
+    _kernel.load()._lib.lil_loglog(got.ctypes.data, ts.start, len(ts))
+    want = np.fromiter(map(math.log, map(math.log, ts)), float, len(ts))
+    assert got.tobytes() == want.tobytes()
+
+
 def test_step_kernels_keep_the_reference_interface():
     # StepKernels may only override Reference's methods, with their
     # arguments, so that the engines can call either object
@@ -437,6 +505,23 @@ def test_batching_invariances_on_numpy_path(numpy_steps):
         with pytest.MonkeyPatch.context() as mp:
             test_algorithms.test_engines_invariant_to_pass_slices(name, mp)
     test_streams.test_batch_draws_match_single_generator_draws()
+
+
+def test_lil_folds_with_the_kernels_of_the_call(numpy_steps):
+    # _lil_batch looks lil_max up through _kernel.load as it folds, so the
+    # reference reduces whenever the engines run the reference
+    t0s = []
+    fold = Reference.lil_max
+    numpy_steps.setattr(
+        Reference, "lil_max", lambda k, dev, t0, bm: t0s.append(t0) or fold(k, dev, t0, bm)
+    )
+    _lil_batch(RM_LINEAR, 1.0, 3, [rep_seed(1, 0)], 1.0)
+    assert t0s == [0, 1]
+
+
+@pytest.mark.filterwarnings("error")
+def test_diverging_lil_run_on_numpy_path(tmp_path, capsys, numpy_steps):
+    test_cli.test_diverging_lil_run_is_an_internal_error(tmp_path, capsys)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@
  * transposed copy, already at memory speed, and a C version measured slower.
  *
  * The draw loops fill the (rows, n, width) draw chunks the step loops read,
- * through numpy's own distribution functions.  lil_max, last, folds the
+ * through numpy's own distribution functions.  lil_max folds the
  * LIL statistic of each chunk of deviations the root-finding engine streams
  * into the harness's dyadic block maxima, with libm's log log t.
  */
@@ -370,29 +370,20 @@ void uniform_draw(double *out, void *const *gens, long rows, long n, double low,
             out[r * n + j] = uniform(gens[j], low, range);
 }
 
-/* The LIL statistic's dyadic block maxima, appended last so that the
- * functions above keep their layout (the PLT entry of libm's log moves them
- * all by 16 bytes).  dev is the (n, m) chunk of signed deviations
- * x_t - theta at the times t = t0 .. t0+m-1, row i at dev + i*ld; block b
- * covers t = 2^(b+1)+1 .. 2^(b+2), and block_max, (n_blocks, n), holds each
- * replication's maximum over each block so far.  Times outside the blocks,
- * t < 3 or t > 2^(n_blocks+1), fold nothing.  Each statistic is
- * ((t*dev)*dev)/log(log(t)), as _reference.Reference.lil_max computes it,
- * with log log t from libm's log, the function math.log calls, into ll_buf,
- * m values of scratch. */
+/* The LIL statistic's dyadic block maxima.  dev is the (n, m) chunk of
+ * signed deviations x_t - theta at the times t = t0 .. t0+m-1, row i at
+ * dev + i*ld; block b covers t = 2^(b+1)+1 .. 2^(b+2), and block_max,
+ * (n_blocks, n), holds each replication's maximum over each block so far.
+ * Times outside the blocks, t < 3 or t > 2^(n_blocks+1), fold nothing.
+ * Each statistic is ((t*dev)*dev)/log(log(t)), as
+ * _reference.Reference.lil_max computes it, with log log t from libm's log,
+ * the function math.log calls, into ll_buf, m values of scratch. */
 
-/* log(log(t)) for the m times t0, t0+1, ...; lil_max calls the static
- * copy, as a call to an exported function would go through the PLT and
- * grow it, moving every function above */
-static void loglog(double *out, long t0, long m)
+/* log(log(t)) for the m times t0, t0+1, ... */
+void lil_loglog(double *out, long t0, long m)
 {
     for (long k = 0; k < m; k++)
         out[k] = log(log((double)(t0 + k)));
-}
-
-void lil_loglog(double *out, long t0, long m)
-{
-    loglog(out, t0, m);
 }
 
 /* np.maximum(a, b): a NaN wins, the first one first, and a tie gives b.
@@ -412,7 +403,7 @@ void lil_max(const double *dev, long ld, long n, long m, long t0, double *block_
         hi = 2L << n_blocks;
     if (lo > hi)
         return;
-    loglog(ll_buf + (lo - t0), lo, hi - lo + 1);
+    lil_loglog(ll_buf + (lo - t0), lo, hi - lo + 1);
     for (long b = 0; b < n_blocks; b++) {
         long a = (2L << b) + 1, z = 4L << b;
         if (a < lo)

@@ -176,7 +176,7 @@ def sgd_batch(
     radius = problem.radius
     half_mu = 0.5 * problem.mu
 
-    x0 = _check_in_ball(x0, radius, "x0")
+    x0 = _check_in_ball(x0, radius, "x0", d)
     traj = _trajectory(np.tile(x0, (n, 1)), horizon)
     diff = traj[0] - xs
 
@@ -343,7 +343,7 @@ def ridge_batch(
     radius = diam / 2.0
     theta_star = np.asarray(stream.theta_star)
 
-    theta0 = _check_in_ball(theta0, radius, "theta0")
+    theta0 = _check_in_ball(theta0, radius, "theta0", d)
     losses = None if on_chunk else np.empty((n, horizon + 1))
     traj = _trajectory(np.tile(theta0, (n, 1)), horizon)
 

@@ -3,10 +3,14 @@
 Every boundary here is a deterministic width rule r(t, delta) such that the
 instrumented loss of the paired algorithm stays below r(t, delta)
 simultaneously for all t with probability at least 1 - confidence_cost*delta.
-All widths decay at the optimal log log(t)/t rate.
+All of them share the one form of the quantitative Robbins-Siegmund lemma,
 
-Each boundary is paired with the step-size schedule under which its guarantee
-holds; the harness enforces the pairing.
+    r(t, delta) = bias + lead(delta) * (log(1/delta) + 2*log log(t+9)) / (t + L),
+
+valid under its paired schedule eta_t = step/(t + L) with the same offset L.
+`Boundary` holds (step, L, lead, bias) and derives both the width and the
+schedule from them, so each constructor states its offset once; the widths
+decay at the optimal log log(t)/t rate.  The harness enforces the pairing.
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -151,7 +155,8 @@ class StepSchedule:
 
 @dataclass(frozen=True)
 class Boundary:
-    """A deterministic anytime width rule t -> r(t, delta).
+    """The anytime width rule r(t, delta) = bias + lead(delta)*lil_factor(t,
+    delta)/(t + l_off), paired with the schedule eta_t = step/(t + l_off).
 
     confidence_cost is the factor multiplying delta in the guarantee
     P(exists t >= valid_from: L_t > r(t, delta)) <= confidence_cost * delta,
@@ -162,18 +167,23 @@ class Boundary:
     params: Mapping[str, float]
     formula: str
     confidence_cost: float
+    step: float
+    l_off: int
+    lead: Callable[[float], float] = field(repr=False, compare=False)
+    bias: float = 0.0
     valid_from: int = 0
-    schedule: Optional[StepSchedule] = None
-    _fn: Callable = field(default=None, repr=False, compare=False)
+
+    @property
+    def schedule(self) -> StepSchedule:
+        return StepSchedule.inverse_time(self.step, float(self.l_off))
 
     def eval(self, t, delta: float):
         """Width at iterate(s) t for confidence parameter delta."""
-        if not 0.0 < delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
+        _check_delta(delta, 1.0)
         t = np.asarray(t, dtype=float)
         if np.any(t < 0):
             raise ValueError("t must be nonnegative")
-        out = np.asarray(self._fn(t, delta))
+        out = np.asarray(self.bias + self.lead(delta) * lil_factor(t, delta) / (t + self.l_off))
         return out if out.ndim else float(out)
 
 
@@ -195,11 +205,6 @@ def conf_boundary(params: RecursionParams, a: float, l_off: int, delta: float) -
         raise ValueError("l_off must be at least 3")
     c1, c2, c3 = params.c1, params.c2, params.c3
     k = _k_const(l_off)
-
-    def fn(t, d):
-        lead = 31.5 * k * max(a * l_off / _log_inv(d), c2 / c1**2, c3**2 / c1**2)
-        return lead * lil_factor(t, d) / (t + l_off)
-
     return Boundary(
         label="conf",
         params={"c1": c1, "c2": c2, "c3": c3, "a": a, "l_off": l_off, "delta": delta},
@@ -208,9 +213,9 @@ def conf_boundary(params: RecursionParams, a: float, l_off: int, delta: float) -
             "*(log(1/delta)+2*loglog(t+9))/(t+L),  K=max{L-2,32}*(1 if L>=32 else 32)"
         ),
         confidence_cost=2.0,
-        valid_from=0,
-        schedule=StepSchedule.inverse_time(2.0 / c1, float(l_off)),
-        _fn=fn,
+        step=2.0 / c1,
+        l_off=l_off,
+        lead=lambda d: 31.5 * k * max(a * l_off / _log_inv(d), c2 / c1**2, c3**2 / c1**2),
     )
 
 
@@ -220,18 +225,14 @@ def sgd_boundary(b: float, lam: float, delta: float) -> Boundary:
     _check_delta(delta)
     if b <= 0 or lam <= 0:
         raise ValueError("b and lam must be positive")
-
-    def fn(t, d):
-        return 1008.0 * (b * b) / (lam * lam) * lil_factor(t, d) / (t + 32.0)
-
     return Boundary(
         label="sgd",
         params={"b": b, "lam": lam, "delta": delta},
         formula="1008*(B^2/lambda^2)*(log(1/delta)+2*loglog(t+9))/(t+32)",
         confidence_cost=1.0,
-        valid_from=0,
-        schedule=StepSchedule.inverse_time(1.0 / lam, 32.0),
-        _fn=fn,
+        step=1.0 / lam,
+        l_off=32,
+        lead=lambda d: 1008.0 * (b * b) / (lam * lam),
     )
 
 
@@ -239,8 +240,7 @@ def sgd_last_iterate(b: float, lam: float, delta: float, t: int) -> float:
     """Fixed-t bound for the last SGD iterate under eta_t = 1/(lambda*(t+3))."""
     if t < 1:
         raise ValueError("t must be at least 1")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
+    _check_delta(delta, 1.0)
     return 21.0 * b * b / (lam * lam) * _log_inv(delta) / (t + 3.0)
 
 
@@ -254,8 +254,7 @@ def rakhlin_fixed_horizon(b: float, lam: float, delta: float, t_horizon: int, t:
         raise ValueError("t_horizon must be at least 3")
     if not 1 <= t <= t_horizon:
         raise ValueError("need 1 <= t <= t_horizon (the baseline is not anytime-valid)")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
+    _check_delta(delta, 1.0)
     factor = _log_inv(delta) + math.log(math.log(t_horizon))
     return 624.0 * b * b / (lam * lam) * factor / t
 
@@ -266,11 +265,6 @@ def pl_boundary(b: float, mu: float, tau: float, delta: float) -> Boundary:
     _check_delta(delta)
     if b <= 0 or mu <= 0 or tau <= 0:
         raise ValueError("b, mu, tau must be positive")
-
-    def fn(t, d):
-        lead = 1008.0 * max(128.0 * b * b / (tau * _log_inv(d)), 2.0 * b * b * mu / (tau * tau))
-        return lead * lil_factor(t, d) / (t + 32.0)
-
     return Boundary(
         label="pl",
         params={"b": b, "mu": mu, "tau": tau, "delta": delta},
@@ -279,9 +273,11 @@ def pl_boundary(b: float, mu: float, tau: float, delta: float) -> Boundary:
             "*(log(1/delta)+2*loglog(t+9))/(t+32)"
         ),
         confidence_cost=1.0,
-        valid_from=0,
-        schedule=StepSchedule.inverse_time(2.0 / tau, 32.0),
-        _fn=fn,
+        step=2.0 / tau,
+        l_off=32,
+        lead=lambda d: 1008.0 * max(
+            128.0 * b * b / (tau * _log_inv(d)), 2.0 * b * b * mu / (tau * tau)
+        ),
     )
 
 
@@ -308,11 +304,6 @@ def oja_boundary(b: float, rho: float, delta: float) -> Tuple[Boundary, int]:
     if b <= 0 or rho <= 0:
         raise ValueError("b and rho must be positive")
     l_off = max(math.ceil(128.0 * b**4 * _log_inv(delta) ** 2 / rho**2), 32)
-
-    def fn(t, d):
-        lead = max(252.0 * l_off / _log_inv(d), 1008.0 * b**4 / rho**2)
-        return lead * lil_factor(t, d) / (t + l_off)
-
     boundary = Boundary(
         label="oja",
         params={"b": b, "rho": rho, "delta": delta, "l_off": l_off},
@@ -321,9 +312,9 @@ def oja_boundary(b: float, rho: float, delta: float) -> Tuple[Boundary, int]:
             "*(log(1/delta)+2*loglog(t+9))/(t+L),  L=max{ceil(128*B^4*log(1/delta)^2/rho^2),32}"
         ),
         confidence_cost=2.0 * (math.e + 1.0),
-        valid_from=0,
-        schedule=StepSchedule.inverse_time(2.0 / rho, float(l_off)),
-        _fn=fn,
+        step=2.0 / rho,
+        l_off=l_off,
+        lead=lambda d: max(252.0 * l_off / _log_inv(d), 1008.0 * b**4 / rho**2),
     )
     return boundary, l_off
 
@@ -348,11 +339,6 @@ def ridge_boundary(
     if lambda_pen < 0 or theta_norm < 0:
         raise ValueError("lambda_pen and theta_norm must be nonnegative")
     b1 = b * b * diam + b * b + lambda_pen * diam + lambda_pen * theta_norm
-    bias = lambda_pen**2 * theta_norm**2 / lambda_min**2
-
-    def fn(t, d):
-        return bias + 1008.0 * b1 * b1 / lambda_min**2 * lil_factor(t, d) / (t + 32.0)
-
     return Boundary(
         label="ridge",
         params={
@@ -369,9 +355,10 @@ def ridge_boundary(
             "*(log(1/delta)+2*loglog(t+9))/(t+32),  B1=B^2*D+B^2+lambda*D+lambda*||theta*||"
         ),
         confidence_cost=1.0,
-        valid_from=0,
-        schedule=StepSchedule.inverse_time(2.0 / lambda_min, 32.0),
-        _fn=fn,
+        step=2.0 / lambda_min,
+        l_off=32,
+        lead=lambda d: 1008.0 * b1 * b1 / lambda_min**2,
+        bias=lambda_pen**2 * theta_norm**2 / lambda_min**2,
     )
 
 
@@ -393,8 +380,7 @@ def maximal_inequality_m(
     """
     if t1 <= t0 or t0 < 0:
         raise ValueError("need t1 > t0 >= 0")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
+    _check_delta(delta, 1.0)
     if l_off < 3:
         raise ValueError("l_off must be at least 3")
     log_inv = _log_inv(delta)
@@ -568,8 +554,7 @@ def two_phase_oja_schedule(
     then c_stable/(rho*t) afterwards."""
     if b <= 0 or rho <= 0 or c_explore <= 0 or c_stable <= 0:
         raise ValueError("b, rho, c_explore, c_stable must be positive")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
+    _check_delta(delta, 1.0)
     h0 = math.ceil(c_explore * b**4 / (delta**6 * rho**2))
     return StepSchedule.two_phase(
         eta0=c_stable / (rho * h0), h0_end=h0, c=c_stable / rho, beta=float(h0)

@@ -47,6 +47,7 @@ from .harness import (
     SpecError,
     _parse,
     _spec,
+    mc_threshold,
     run_counterexample,
     run_coverage,
     run_last_iterate,
@@ -117,7 +118,7 @@ def _cmd_last_iterate(
     config: CoverageConfig, last: _LastIterate, out_dir: Path, threads: int
 ) -> int:
     rate, bound = run_last_iterate(config, last.t_eval)
-    threshold = config.delta + 3.0 * math.sqrt(config.delta / config.n_reps)
+    threshold = mc_threshold(1.0, config.delta, config.n_reps)
     passed = rate <= threshold
     write_report_json(
         {

@@ -430,3 +430,18 @@ def test_x0_must_lie_in_ball():
     sch = StepSchedule.inverse_time(1.0, 32.0)
     with pytest.raises(ValueError):
         sgd_strongly_convex(SGD, sch, (1.0, 1.0), 10, seed=0)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: sgd_batch(SGD, ETAS, np.zeros(3), [rep_seed(0, 0)]),
+        lambda: sgd_batch(SGD, ETAS, np.zeros((1, 2)), [rep_seed(0, 0)]),
+        lambda: ridge_batch(RIDGE, 2.0, 0.0, ETAS, (0.0,), [rep_seed(0, 0)]),
+        lambda: ridge_batch(RIDGE, 2.0, 0.0, ETAS, (0.0, 0.0, 0.0), [rep_seed(0, 0)]),
+    ],
+    ids=["sgd-3-vector", "sgd-row-matrix", "ridge-1-vector", "ridge-3-vector"],
+)
+def test_start_vector_dimension_checked(run):
+    with pytest.raises(ValueError, match="must be a vector of dimension 2"):
+        run()

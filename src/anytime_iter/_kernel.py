@@ -3,30 +3,35 @@
 Every engine in algorithms, every batch sampler in streams and the LIL
 reducer in harness call the object load(width) returns: the compiled
 StepKernels when _steps.c could be built and loaded and a step carries at
-most MAX_WIDTH coordinates, else _reference.REFERENCE, the numpy step
-loops, passes, draws and reducer.  StepKernels subclasses Reference and
-overrides only what C computes bit for bit:
+most MAX_WIDTH coordinates, else _reference.REFERENCE, the numpy chunk
+methods, step loops, passes, draws and reducer.  StepKernels subclasses
+Reference and overrides only what C computes bit for bit:
 
-  * the step loops, except the cubic M's, since numpy's u**3 matches
-    neither u*u*u nor libm's pow.  C performs the same correctly rounded
-    IEEE operations in the same order, built without contraction into fused
-    multiply-adds and without -ffast-math (FLAGS), and sums coordinates left
-    to right with the closing +0.0 of _reference._sum_last; np.sum adds 8
-    or more terms pairwise, hence MAX_WIDTH;
-  * the passes with recording, each numpy expression evaluated left to
-    right with its parentheses, written straight into the (N, T) results.
-    The plain loss pass stays the reference's: one array expression and a
-    transposed copy, already at memory speed, which C measured slower;
-  * the draws, for every M: the C loops call numpy's exported distribution
-    functions (random_standard_normal, random_bounded_uint64_fill,
-    random_uniform), the ones Generator calls, per generator in the same
-    order, then do the reference's IEEE operations, so each value comes
-    from the machine code Generator runs and every generator ends in the
-    same state.  They are looked up on the first get() with ctypes.CDLL on
-    numpy.random._generator's shared object (as numpy's cffi example does)
-    and passed as function pointers, so nothing of numpy is compiled or
-    linked into the library; C gets each generator's bitgen_t as an opaque
-    pointer from its bit generator's "BitGenerator" capsule;
+  * the SGD, PCA and root-finding chunks, except the cubic M's, since
+    numpy's u**3 matches neither u*u*u nor libm's pow: one C call per
+    chunk, replication-major, that draws each replication's values from its
+    own generator, steps its iterate in locals and writes its losses, and
+    its channels when the engine records them, straight into row i of the
+    (N, T) results or chunk buffer.  No draw chunk and no trajectory buffer
+    is built.  C performs the reference's correctly rounded IEEE operations
+    in the same order, each numpy expression left to right with its
+    parentheses, built without contraction into fused multiply-adds and
+    without -ffast-math (FLAGS), and sums coordinates left to right with the
+    closing +0.0 of _reference._sum_last; np.sum adds 8 or more terms
+    pairwise, hence MAX_WIDTH;
+  * the ridge step loop, inside the reference's ridge chunk, whose draws
+    stay per generator in numpy (see algorithms.ridge_batch);
+  * the draws the streams samplers make, for every M: the C code calls
+    numpy's exported distribution functions (random_standard_normal,
+    random_bounded_uint64_fill, random_uniform), the ones Generator calls,
+    per generator in the same order, then does the reference's IEEE
+    operations, so each value comes from the machine code Generator runs and
+    every generator ends in the same state.  They are looked up on the
+    first get() with ctypes.CDLL on numpy.random._generator's shared object
+    (as numpy's cffi example does) and passed as function pointers, so
+    nothing of numpy is compiled or linked into the library; C gets each
+    generator's bitgen_t as an opaque pointer from its bit generator's
+    "BitGenerator" capsule.  The chunk calls draw the same way;
   * the LIL reducer lil_max: (t*dev)*dev/log log t, with log log t from
     libm's log, which math.log calls, folded into each replication's block
     maxima with np.maximum's rule for nan, in one call per chunk.
@@ -44,7 +49,7 @@ every width gets the reference, with one note per process on stderr.
 ctypes.CDLL releases the interpreter lock during each call, so engines on
 several threads draw and step in parallel.  Each binding checks the dtype,
 contiguity and shape of every array before it passes a pointer; the outputs
-of the passes, column slices of the engines' (N, T) results, need a unit
+of the chunks, column slices of the engines' (N, T) results, need a unit
 column stride and pass their row stride along.
 """
 from __future__ import annotations
@@ -64,16 +69,14 @@ from ._reference import REFERENCE, Reference
 SOURCE = Path(__file__).with_name("_steps.c")
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 MAX_WIDTH = 7  # coordinates per step at most; MAX_WIDTH in _steps.c
+LANES = 8  # replications per block of a chunk call; LANES in _steps.c
 
 _P, _L, _D, _I = ctypes.c_void_p, ctypes.c_long, ctypes.c_double, ctypes.c_int
 _SIGNATURES = {
-    "sgd_steps": ([_P] * 5 + [_L] * 3 + [_D] * 2, _L),
-    "pca_steps": ([_P] * 5 + [_L] * 3 + [_I] * 2, None),
-    "rm_linear_steps": ([_P] * 3 + [_L] * 2 + [_D] * 2, None),
+    "sgd_chunk": ([_P] * 5 + [_L] * 3 + [_D] * 4 + [_P, _L, _P, _L] + [_P] * 5 + [_L, _P], _L),
+    "pca_chunk": ([_P] * 7 + [_L] * 3 + [_I] * 2 + [_P, _L] + [_P] * 4 + [_L, _P], None),
+    "rm_chunk": ([_P] * 3 + [_L] * 2 + [_D] * 6 + [_I, _P, _L, _P, _P, _L, _P], None),
     "ridge_steps": ([_P] * 4 + [_L] * 3 + [_D, _I, _D, _D], None),
-    "sgd_pass": ([_P] * 5 + [_L] * 3 + [_D, _P, _L, _P, _L] + [_P] * 5 + [_L], None),
-    "pca_pass": ([_P] * 6 + [_L] * 3 + [_P, _L] + [_P] * 4 + [_L], None),
-    "rm_pass": ([_P] * 3 + [_L] * 2 + [_D] * 3 + [_I, _P, _L, _P, _P, _L], None),
     "sphere_draw": ([_P] * 2 + [_L] * 3 + [_D, _P], None),
     "sign_draw": ([_P] * 4 + [_L] * 3 + [_P], None),
     "uniform_draw": ([_P] * 2 + [_L] * 2 + [_D] * 2 + [_P], None),
@@ -112,7 +115,7 @@ def _rows(a: np.ndarray, shape: tuple) -> tuple:
         or not a.flags.writeable
     ):
         raise ValueError(
-            f"pass kernel needs a writeable float64 array of shape {shape} with unit "
+            f"chunk kernel needs a writeable float64 array of shape {shape} with unit "
             f"column stride, got {a.dtype} {a.shape} strides {a.strides}"
         )
     return a.ctypes.data, a.strides[0] // a.itemsize
@@ -123,14 +126,14 @@ def _channels(arrays, shape: tuple) -> list:
     rows = [_rows(a, shape) for a in arrays]
     strides = {ld for _, ld in rows}
     if len(strides) != 1:
-        raise ValueError(f"pass kernel needs channel arrays of one row stride, got {strides}")
+        raise ValueError(f"chunk kernel needs channel arrays of one row stride, got {strides}")
     return [addr for addr, _ in rows] + [strides.pop()]
 
 
 def _width(d: int) -> int:
-    """d, once checked to fit the passes' coordinate buffers."""
+    """d, once checked to fit the chunks' coordinate buffers."""
     if not 1 <= d <= MAX_WIDTH:
-        raise ValueError(f"pass kernel needs 1 to {MAX_WIDTH} coordinates, got {d}")
+        raise ValueError(f"chunk kernel needs 1 to {MAX_WIDTH} coordinates, got {d}")
     return d
 
 
@@ -197,40 +200,72 @@ class StepKernels(Reference):
             rows, n, low, high - low, self._uniform,
         )
 
-    def sgd(self, traj, noise, etas, a, xs, radius: float) -> int:
+    def sgd_chunk(
+        self, state, gens, etas, a, xs, radius: float, b_noise: float, half_mu: float, loss,
+        *channels,
+    ) -> int:
         etas, m = _steps(etas)
-        _, n, d = traj.shape
-        return self._lib.sgd_steps(
-            _addr(traj[: m + 1], (m + 1, n, d)),
-            _addr(noise, (m, n, d)),
+        n, d = state.shape
+        recorded = [None, 0] + [None] * 5 + [0]  # NULL channels: not recording
+        if channels:
+            loss_pl, *rest = channels
+            recorded = [*_rows(loss_pl, (n, m)), *_channels(rest, (n, m))]
+        return self._lib.sgd_chunk(
+            _addr(state, (n, _width(d))),
+            _addr(gens.bitgens, (n,), np.uintp),
             _addr(etas, (m,)),
             _addr(a, (d,)),
             _addr(xs, (d,)),
-            m, n, d, radius, radius * radius,
+            m, n, d, radius, radius * radius, b_noise, half_mu,
+            *_rows(loss, (n, m)),
+            *recorded,
+            self._normal,
         )
 
-    def pca(self, traj, norms, grown, data, etas, krasulina: bool, normalize: bool) -> None:
+    def pca_chunk(
+        self, state, norms, gens, etas, scale, eigs, krasulina: bool, normalize: bool, loss,
+        *channels,
+    ) -> None:
         etas, m = _steps(etas)
-        _, n, p = traj.shape
-        self._lib.pca_steps(
-            _addr(traj[: m + 1], (m + 1, n, p)),
-            _addr(norms[:m], (m, n)),
-            _addr(grown[:m], (m, n)),
-            _addr(data, (m, n, p)),
+        n, p = state.shape
+        # one fill per generator, for each of a block of up to LANES of them
+        tmp = np.empty(min(n, LANES) * m * p, dtype=np.uint64)
+        recorded = _channels(channels, (n, m)) if channels else [None] * 4 + [0]
+        self._lib.pca_chunk(
+            _addr(state, (n, _width(p))),
+            _addr(norms, (n,)),
+            _addr(gens.bitgens, (n,), np.uintp),
+            _addr(tmp, (tmp.size,), np.uint64),
+            _addr(scale, (p,)),
             _addr(etas, (m,)),
+            _addr(eigs, (p,)),
             m, n, p, int(krasulina), int(normalize),
+            *_rows(loss, (n, m)),
+            *recorded,
+            self._fill,
         )
 
-    def rm(self, traj, xi, etas, problem) -> None:
+    def rm_chunk(
+        self, state, gens, etas, problem, radius: float, signed_dev: bool, loss, *channels
+    ) -> None:
         if problem.m_kind != "linear":
-            return super().rm(traj, xi, etas, problem)
+            return super().rm_chunk(state, gens, etas, problem, radius, signed_dev, loss, *channels)
         etas, m = _steps(etas)
-        n = traj.shape[1]
-        self._lib.rm_linear_steps(
-            _addr(traj[: m + 1], (m + 1, n)),
-            _addr(xi, (m, n)),
+        n = len(state)
+        recorded = _channels(channels, (n, m)) if channels else [None, None, 0]
+        # formed in Python, as Generator.uniform, poly_sq and the reference
+        # pass form them
+        low, high = -radius, radius
+        s2, r1sq = float(problem.slope**2), float(problem.r1**2)
+        self._lib.rm_chunk(
+            _addr(state, (n,)),
+            _addr(gens.bitgens, (n,), np.uintp),
             _addr(etas, (m,)),
-            m, n, float(problem.theta), float(problem.slope),
+            m, n, float(problem.theta), float(problem.slope), low, high - low, s2, r1sq,
+            int(signed_dev),
+            *_rows(loss, (n, m)),
+            *recorded,
+            self._uniform,
         )
 
     def ridge(self, traj, xs, ys, etas, lambda_pen, penalty_in_gradient, radius) -> None:
@@ -242,57 +277,6 @@ class StepKernels(Reference):
             _addr(ys, (m, n)),
             _addr(etas, (m,)),
             m, n, d, lambda_pen, int(penalty_in_gradient), radius, radius * radius,
-        )
-
-    def sgd_pass(self, traj, noise, etas, a, xs, half_mu: float, loss, *channels) -> None:
-        if not channels:
-            return super().sgd_pass(traj, noise, etas, a, xs, half_mu, loss)
-        loss_pl, *channels = channels
-        etas, m = _steps(etas)
-        _, n, d = traj.shape
-        self._lib.sgd_pass(
-            _addr(traj[: m + 1], (m + 1, n, d)),
-            _addr(noise, (m, n, d)),
-            _addr(etas, (m,)),
-            _addr(a, (d,)),
-            _addr(xs, (d,)),
-            m, n, _width(d), half_mu,
-            *_rows(loss, (n, m)),
-            *_rows(loss_pl, (n, m)),
-            *_channels(channels, (n, m)),
-        )
-
-    def pca_pass(self, traj, norms, grown, data, etas, eigs, loss, *channels) -> None:
-        if not channels:
-            return super().pca_pass(traj, norms, grown, data, etas, eigs, loss)
-        etas, m = _steps(etas)
-        _, n, p = traj.shape
-        self._lib.pca_pass(
-            _addr(traj[: m + 1], (m + 1, n, p)),
-            _addr(norms[: m + 1], (m + 1, n)),
-            _addr(grown[:m], (m, n)),
-            _addr(data, (m, n, p)),
-            _addr(etas, (m,)),
-            _addr(eigs, (p,)),
-            m, n, _width(p),
-            *_rows(loss, (n, m)),
-            *_channels(channels, (n, m)),
-        )
-
-    def rm_pass(self, traj, xi, etas, problem, signed_dev: bool, loss, *channels) -> None:
-        if not channels or problem.m_kind != "linear":
-            return super().rm_pass(traj, xi, etas, problem, signed_dev, loss, *channels)
-        etas, m = _steps(etas)
-        n = traj.shape[1]
-        # formed in Python, as poly_sq and the reference pass form them
-        s2, r1sq = float(problem.slope**2), float(problem.r1**2)
-        self._lib.rm_pass(
-            _addr(traj[: m + 1], (m + 1, n)),
-            _addr(xi, (m, n)),
-            _addr(etas, (m,)),
-            m, n, float(problem.theta), s2, r1sq, int(signed_dev),
-            *_rows(loss, (n, m)),
-            *_channels(channels, (n, m)),
         )
 
     def lil_max(self, dev, t0: int, block_max) -> None:

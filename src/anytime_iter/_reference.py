@@ -1,17 +1,26 @@
 """The numpy kernels of the batched engines: Reference.
 
-Reference holds the step loops, passes and per-generator draws the engines
-and samplers call, and the LIL reducer the harness calls, in the order of
-operations their outputs are pinned to.
-_kernel.StepKernels overrides what C computes bit for bit, with the same
-method names and arguments; _kernel.load chooses between the two.  The
-step, pass and draw contracts are in the class docstring.
+Reference holds the chunk methods the engines call (sgd_chunk, pca_chunk,
+rm_chunk and ridge_chunk), the per-generator draws the samplers call and
+the LIL reducer the harness calls, in the order of operations their outputs
+are pinned to.  Each chunk method is the reference loop of one engine
+chunk: the chunk's draw, then slices of at most PASS_BUDGET values through
+a trajectory buffer, each with a step call (sgd, pca, rm, ridge) and a pass
+call (sgd_pass, pca_pass, rm_pass) in the elementwise order of the per-step
+formulas, so the slicing changes no bit.  _kernel.StepKernels overrides
+what C computes bit for bit, with the same method names and arguments: each
+engine chunk but ridge's in one replication-major call, which builds
+neither the draw chunk nor the trajectory buffer; _kernel.load chooses
+between the two.  The step, pass, draw and chunk contracts are in the class
+docstring.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+PASS_BUDGET = 2**14  # values per slice of a chunk's step loop and its loss and channel pass
 
 
 def _sum_last(a: np.ndarray, out=None, squares: bool = False) -> np.ndarray:
@@ -61,16 +70,47 @@ def _projector(n: int, d: int, radius: float):
     return project
 
 
+def _slice_rows(width: int) -> int:
+    """Steps per slice when a step carries width values."""
+    return max(1, PASS_BUDGET // width)
+
+
+def _trajectory(state: np.ndarray, m: int) -> np.ndarray:
+    """Buffer of one slice's iterates for a chunk of m steps: row 0 holds
+    state, and step k of the slice writes row k+1."""
+    rows = min(_slice_rows(state.size), m)
+    traj = np.empty((rows + 1,) + state.shape)
+    traj[0] = state
+    return traj
+
+
+def _slices(m: int, *trajs):
+    """Yield the slices of a chunk of m steps, as many steps as the buffers
+    trajs hold past row 0; after each, the last row of each buffer the slice
+    wrote moves to row 0."""
+    rows = len(trajs[0]) - 1
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        yield slice(lo, hi)
+        for traj in trajs:
+            traj[0] = traj[hi - lo]
+
+
 class Reference:
     """The engines' kernels in numpy.
 
-    Each step method advances m = len(etas) steps: traj holds at least m+1
-    rows, row 0 the iterates before the first step, and step k writes row
-    k+1.  Each pass method reads those m steps back, with their draws, and
-    writes their losses into the (n, m) array loss and, when channels are
-    given, the recorded channels into those (n, m) arrays.  Each draw method
-    fills a chunk for a batch of generators (a streams.GeneratorBatch),
-    column j with what generator j alone draws.
+    Each chunk method advances the replications of an engine by m =
+    len(etas) steps from their state (iterates, and for PCA the squared
+    norms the next step divides by), in place: it draws the chunk for the
+    batch of generators gens (a streams.GeneratorBatch), writes the losses
+    at the m steps into the (n, m) array loss and, when channels are given,
+    the recorded channels into those (n, m) arrays.  Each step method
+    advances m steps in a trajectory buffer traj of at least m+1 rows, row 0
+    the iterates before the first step, and step k writes row k+1.  Each
+    pass method reads those m steps back, with their draws, and writes their
+    losses and channels as the chunk methods do.  Each draw method fills a
+    chunk for a batch of generators, column j with what generator j alone
+    draws.
     """
 
     def bit_generators(self, gens):
@@ -103,6 +143,77 @@ class Reference:
         """out, (rows, n), receives what Generator.uniform(low, high) draws."""
         for j, g in enumerate(gens):
             out[:, j] = g.uniform(low, high, size=out.shape[0])
+
+    def sgd_chunk(
+        self, state, gens, etas, a, xs, radius: float, b_noise: float, half_mu: float, loss,
+        *channels,
+    ) -> int:
+        """Projected-SGD steps of the (n, d) iterates state, with noise uniform
+        on the sphere of radius b_noise; returns how many iterates were
+        projected.  channels as in sgd_pass."""
+        m = len(etas)
+        noise = np.empty((m,) + state.shape)
+        self.sphere(noise, gens, b_noise)
+        traj = _trajectory(state, m)
+        hits = 0
+        for t in _slices(m, traj):
+            hits += self.sgd(traj, noise[t], etas[t], a, xs, radius)
+            cols = [c[:, t] for c in channels]
+            self.sgd_pass(traj, noise[t], etas[t], a, xs, half_mu, loss[:, t], *cols)
+        state[...] = traj[0]
+        return hits
+
+    def pca_chunk(
+        self, state, norms, gens, etas, scale, eigs, krasulina: bool, normalize: bool, loss,
+        *channels,
+    ) -> None:
+        """Krasulina or Oja steps of the (n, p) iterates state on signs times
+        scale; norms, (n,), holds the squared norm the next step divides by:
+        ||v||^2, or 1 after a normalised step.  channels as in pca_pass."""
+        m = len(etas)
+        data = np.empty((m,) + state.shape)
+        self.signs(data, gens, scale)
+        traj = _trajectory(state, m)
+        vn2 = np.ones(traj.shape[:2])
+        vn2[0] = norms
+        # grown[k] is ||v||^2 right after step k's update, before normalising;
+        # without normalising it is the norm the next step divides by
+        grown = np.empty_like(vn2[1:]) if normalize else vn2[1:]
+        for t in _slices(m, traj, vn2):
+            self.pca(traj, vn2, grown, data[t], etas[t], krasulina, normalize)
+            cols = [c[:, t] for c in channels]
+            self.pca_pass(traj, vn2, grown, data[t], etas[t], eigs, loss[:, t], *cols)
+        state[...] = traj[0]
+        norms[...] = vn2[0]
+
+    def rm_chunk(
+        self, state, gens, etas, problem, radius: float, signed_dev: bool, loss, *channels
+    ) -> None:
+        """Root-finding steps of the (n,) iterates state, with noise uniform
+        on [-radius, radius].  signed_dev and channels as in rm_pass."""
+        m = len(etas)
+        xi = np.empty((m,) + state.shape)
+        self.uniform(xi, gens, -radius, radius)
+        traj = _trajectory(state, m)
+        for t in _slices(m, traj):
+            self.rm(traj, xi[t], etas[t], problem)
+            cols = [c[:, t] for c in channels]
+            self.rm_pass(traj, xi[t], etas[t], problem, signed_dev, loss[:, t], *cols)
+        state[...] = traj[0]
+
+    def ridge_chunk(
+        self, state, xs, ys, etas, theta_star, lambda_pen, penalty_in_gradient, radius, loss
+    ) -> None:
+        """Ridge-SGD steps of the (n, d) iterates state on the chunk's
+        covariates xs, (m, n, d), and responses ys, (m, n), each drawn per
+        generator by the engine; loss receives ||theta - theta*||^2."""
+        m = len(etas)
+        traj = _trajectory(state, m)
+        for t in _slices(m, traj):
+            self.ridge(traj, xs[t], ys[t], etas[t], lambda_pen, penalty_in_gradient, radius)
+            k = t.stop - t.start
+            loss[:, t] = _sum_last((traj[1 : k + 1] - theta_star) ** 2, squares=True).T
+        state[...] = traj[0]
 
     def sgd(self, traj, noise, etas, a, xs, radius: float) -> int:
         """Projected SGD steps; returns how many iterates were projected."""

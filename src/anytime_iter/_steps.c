@@ -1,12 +1,19 @@
-/* Step loops, recording passes and draw loops of the batched engines in
- * anytime_iter.algorithms.
+/* Chunk functions, ridge step loop and draw loops of the batched engines
+ * in anytime_iter.algorithms, and the LIL reducer of anytime_iter.harness.
  *
- * Each step function advances m steps of n replications held in a
- * trajectory buffer traj of shape (m+1, n, d): row 0 holds the iterates
- * before the first step and step k writes row k+1.  Draws are (m, n, d) or
- * (m, n) and etas holds the m step sizes.  Inputs are C-contiguous float64;
- * the passes write into row-strided (n, m) views.  The Python loader checks
- * dtypes, strides and shapes before calling.
+ * sgd_chunk, pca_chunk and rm_chunk (linear M) each run one engine chunk in
+ * one call, replication-major: the outer loop runs over blocks of a few
+ * replications and the inner loop over the chunk's m steps.  For each
+ * replication the call draws the values from its own bit generator,
+ * advances the iterate in locals and writes its losses, and its noise
+ * channels when the engine records them, into row i of row-strided (n, m)
+ * outputs.  No draw chunk and no trajectory buffer is built.
+ *
+ * ridge_steps advances m ridge steps of n replications in a trajectory
+ * buffer traj of shape (m+1, n, d), whose row 0 holds the iterates before
+ * the first step and step k writes row k+1, from (m, n, d) covariates and
+ * (m, n) responses drawn in numpy.  Inputs are C-contiguous float64; the
+ * Python loader checks dtypes, strides and shapes before calling.
  *
  * Every function performs the IEEE operations of the numpy code it
  * replaces, one by one and in the same order, so its results are bit for bit
@@ -18,24 +25,22 @@
  * as numpy does, and a sum of squares does not.  Widths of 8 or more, where
  * np.sum adds pairwise, stay in numpy.
  *
- * The passes compute the losses and noise channels of a slice when the
- * engine records its channels.  The plain loss pass, which every coverage
- * and LIL run takes, stays in numpy: it is one array expression and a
- * transposed copy, already at memory speed, and a C version measured slower.
- *
- * The draw loops fill the (rows, n, width) draw chunks the step loops read,
- * through numpy's own distribution functions.  lil_max folds the
- * LIL statistic of each chunk of deviations the root-finding engine streams
- * into the harness's dyadic block maxima, with libm's log log t.
+ * The draw loops fill the (rows, n, width) chunks the streams samplers
+ * return, through numpy's own distribution functions and the row helpers
+ * the chunk functions share.  lil_max folds the LIL statistic of each chunk
+ * of deviations the root-finding engine streams into the harness's dyadic
+ * block maxima, with libm's log log t.
  */
 #include <math.h>
 #include <stdbool.h>
 #include <stdint.h>
 #include <string.h>
 
-/* the passes keep a few coordinate vectors on the stack; wider problems
- * stay in numpy, whose np.sum adds 8 or more terms pairwise */
+/* the chunk functions keep a few coordinate vectors on the stack; wider
+ * problems stay in numpy, whose np.sum adds 8 or more terms pairwise */
 #define MAX_WIDTH 7
+
+#define INLINE static inline __attribute__((always_inline))
 
 /* sum_j x[j]*v[j], closed with +0.0 (also for d = 1, where np.sum adds it) */
 static double dot(const double *x, const double *v, long d)
@@ -66,93 +71,6 @@ static long project(double *w, long d, double radius, double rr)
     for (long j = 0; j < d; j++)
         w[j] *= scale;
     return 1;
-}
-
-/* Projected SGD: w = x - eta*(a*(x - x*) + e), projected onto the ball.
- * Returns the number of projections. */
-long sgd_steps(double *traj, const double *noise, const double *etas, const double *a,
-               const double *xs, long m, long n, long d, double radius, double rr)
-{
-    long hits = 0;
-    for (long k = 0; k < m; k++) {
-        const double eta = etas[k];
-        const double *x = traj + k * n * d;
-        double *w = traj + (k + 1) * n * d;
-        const double *e = noise + k * n * d;
-        for (long i = 0; i < n; i++) {
-            for (long j = 0; j < d; j++) {
-                double g = a[j] * (x[j] - xs[j]);
-                g = g + e[j];
-                g = g * eta;
-                w[j] = x[j] - g;
-            }
-            hits += project(w, d, radius, rr);
-            x += d;
-            w += d;
-            e += d;
-        }
-    }
-    return hits;
-}
-
-/* Streaming PCA.  y = <X, v>; Krasulina: w = v + eta*(y*X - (y^2/nv)*v),
- * Oja: w = v + (eta*y)*X.  grown[k] receives |w|^2 and, with normalize,
- * w is divided by its norm.  norms[k] is the squared norm step k divides
- * by; grown may alias norms + n, as it does without normalisation. */
-void pca_steps(double *traj, const double *norms, double *grown, const double *data,
-               const double *etas, long m, long n, long p, int krasulina, int normalize)
-{
-    for (long k = 0; k < m; k++) {
-        const double eta = etas[k];
-        const double *v = traj + k * n * p;
-        double *w = traj + (k + 1) * n * p;
-        const double *x = data + k * n * p;
-        for (long i = 0; i < n; i++) {
-            double y = dot(x, v, p);
-            if (krasulina) {
-                double c = y * y;
-                c = c / norms[k * n + i];
-                for (long j = 0; j < p; j++) {
-                    double z = y * x[j];
-                    z = z - c * v[j];
-                    z = z * eta;
-                    w[j] = v[j] + z;
-                }
-            } else {
-                double ye = y * eta;
-                for (long j = 0; j < p; j++)
-                    w[j] = v[j] + ye * x[j];
-            }
-            double g = sum_sq(w, p);
-            grown[k * n + i] = g;
-            if (normalize) {
-                double c = sqrt(g);
-                for (long j = 0; j < p; j++)
-                    w[j] = w[j] / c;
-            }
-            v += p;
-            w += p;
-            x += p;
-        }
-    }
-}
-
-/* Robbins-Monro with linear M: x <- x - eta*(slope*(x - theta) + xi). */
-void rm_linear_steps(double *traj, const double *xi, const double *etas, long m, long n,
-                     double theta, double slope)
-{
-    for (long k = 0; k < m; k++) {
-        const double eta = etas[k];
-        const double *x = traj + k * n;
-        double *w = traj + (k + 1) * n;
-        const double *u = xi + k * n;
-        for (long i = 0; i < n; i++) {
-            double y = slope * (x[i] - theta);
-            y = y + u[i];
-            y = y * eta;
-            w[i] = x[i] - y;
-        }
-    }
 }
 
 /* Ridge SGD with resid = <x, theta> - y.  With the penalty in the gradient
@@ -193,170 +111,68 @@ void ridge_steps(double *traj, const double *xs, const double *ys, const double 
     }
 }
 
-/* Passes with recording.  Each reads a slice as its step loop left it (traj,
- * the draws, etas and, for PCA, norms and grown) and writes the losses at
- * the slice's m steps and every recorded channel straight into the engine's
- * (N, T) result arrays: row i of an output starts at out + i*ld, where the
- * channel arrays share the row stride ld and the losses have their own
- * (ld_loss, as they may be a reused chunk buffer, and ld_pl for SGD's
- * loss_pl).  Replications run outside and steps inside, so each
- * output row is written in order.  Each value is the numpy expression of the
- * reference pass, evaluated left to right with its parentheses; constants
- * formed in Python (half_mu, s2, r1sq) come in as arguments, since Python's
- * ** calls libm's pow.  The step loops stay separate calls: each
- * replication's steps form a serial chain, which a loop with replications
- * outside would run one step at a time. */
-
-/* Projected SGD, dev = x - x* before a step and dn after it:
- * loss |dn|^2, loss_pl 0.5*(sum (a*dn)*dn), y_sc -<e, dev>, y_pl -<a*dev, e>,
- * gnorm2 |a*dev + e|^2, noise_sc (2*eta)*y_sc + (eta*eta)*gnorm2 and
- * noise_pl eta*y_pl + ((half_mu*eta)*eta)*gnorm2. */
-void sgd_pass(const double *traj, const double *noise, const double *etas, const double *a,
-              const double *xs, long m, long n, long d, double half_mu, double *loss,
-              long ld_loss, double *loss_pl, long ld_pl, double *noise_sc, double *noise_pl,
-              double *y_sc, double *y_pl, double *gnorm2, long ld)
-{
-    double dev[MAX_WIDTH], dn[MAX_WIDTH], gradf[MAX_WIDTH], gv[MAX_WIDTH], adn[MAX_WIDTH];
-    for (long i = 0; i < n; i++) {
-        for (long k = 0; k < m; k++) {
-            const double eta = etas[k];
-            const double *x = traj + (k * n + i) * d;
-            const double *w = x + n * d;
-            const double *e = noise + (k * n + i) * d;
-            for (long j = 0; j < d; j++) {
-                dev[j] = x[j] - xs[j];
-                dn[j] = w[j] - xs[j];
-                gradf[j] = a[j] * dev[j];
-                gv[j] = gradf[j] + e[j];
-                adn[j] = a[j] * dn[j];
-            }
-            double gn2 = sum_sq(gv, d);
-            double y1 = -dot(e, dev, d);
-            double y2 = -dot(gradf, e, d);
-            loss[i * ld_loss + k] = sum_sq(dn, d);
-            y_sc[i * ld + k] = y1;
-            y_pl[i * ld + k] = y2;
-            gnorm2[i * ld + k] = gn2;
-            noise_sc[i * ld + k] = (2.0 * eta) * y1 + (eta * eta) * gn2;
-            noise_pl[i * ld + k] = eta * y2 + ((half_mu * eta) * eta) * gn2;
-            loss_pl[i * ld_pl + k] = 0.5 * dot(adn, dn, d);
-        }
-    }
-}
-
-/* Streaming PCA, v before a step, x its data and vn2 = norms[k]:
- * loss max(0, 1 - (u*u)/norms[k+1]) with u the first coordinate after it,
- * y = <x, v>, z = y*x - ((y*y)/vn2)*v, sv = v*eigs, tv = (2*eta)*v1,
- * m = (tv*(sv1 - (v1*<sv, v>)/vn2))/vn2, q = m - (tv*z1)/vn2,
- * z_dot_v = <z, v>, znorm2 = |z|^2 and ratio = grown[k]/vn2.
- * (0.0 >= r) ? 0.0 : r keeps a NaN r, as np.maximum(0.0, r) does and fmax
- * does not. */
-void pca_pass(const double *traj, const double *norms, const double *grown, const double *data,
-              const double *etas, const double *eigs, long m, long n, long p, double *loss,
-              long ld_loss, double *q, double *z_dot_v, double *znorm2, double *ratio, long ld)
-{
-    double z[MAX_WIDTH], sv[MAX_WIDTH];
-    for (long i = 0; i < n; i++) {
-        for (long k = 0; k < m; k++) {
-            const double eta = etas[k];
-            const double *v = traj + (k * n + i) * p;
-            const double *x = data + (k * n + i) * p;
-            const double vn2 = norms[k * n + i];
-            double u = v[n * p];
-            double r = 1.0 - (u * u) / norms[(k + 1) * n + i];
-            loss[i * ld_loss + k] = (0.0 >= r) ? 0.0 : r;
-            double y = dot(x, v, p);
-            double c = (y * y) / vn2;
-            for (long j = 0; j < p; j++) {
-                z[j] = y * x[j] - c * v[j];
-                sv[j] = v[j] * eigs[j];
-            }
-            double v1 = v[0];
-            double tv = (2.0 * eta) * v1;
-            double m_t = (tv * (sv[0] - (v1 * dot(sv, v, p)) / vn2)) / vn2;
-            q[i * ld + k] = m_t - (tv * z[0]) / vn2;
-            z_dot_v[i * ld + k] = dot(z, v, p);
-            znorm2[i * ld + k] = sum_sq(z, p);
-            ratio[i * ld + k] = grown[k * n + i] / vn2;
-        }
-    }
-}
-
-/* Robbins-Monro with linear M, dev = x - theta before a step and dn after
- * it: loss dn (signed_dev) or dn*dn, q ((-2*eta)*dev)*xi and
- * noise q + ((2*eta)*eta)*(s2*(dev*dev) + r1sq). */
-void rm_pass(const double *traj, const double *xi, const double *etas, long m, long n,
-             double theta, double s2, double r1sq, int signed_dev, double *loss, long ld_loss,
-             double *q, double *noise, long ld)
-{
-    for (long i = 0; i < n; i++) {
-        for (long k = 0; k < m; k++) {
-            const double eta = etas[k];
-            double dev = traj[k * n + i] - theta;
-            double dn = traj[(k + 1) * n + i] - theta;
-            loss[i * ld_loss + k] = signed_dev ? dn : dn * dn;
-            double qk = ((-2.0 * eta) * dev) * xi[k * n + i];
-            q[i * ld + k] = qk;
-            noise[i * ld + k] = qk + ((2.0 * eta) * eta) * (s2 * (dev * dev) + r1sq);
-        }
-    }
-}
-
-/* Draw loops.  gens holds the n bit generators' bitgen_t pointers, which C
+/* Draws.  gens holds the n bit generators' bitgen_t pointers, which C
  * only passes on, and normal, fill and uniform are numpy's exported
  * random_standard_normal, random_bounded_uint64_fill and random_uniform, the
  * functions behind Generator.standard_normal, Generator.integers and
  * Generator.uniform.  Each generator gets the calls its Generator method
  * makes for a chunk, in the same order, so every value is the one numpy
  * draws, computed by the same machine code, and the generator ends in the
- * same state.  out is (rows, n, width): row r of generator j starts at
- * out + (r*n + j)*width. */
+ * same state.  The row helpers below serve both the chunk functions and the
+ * draw loops the streams samplers call; in the draw loops out is
+ * (rows, n, width), and row r of generator j starts at out + (r*n + j)*width. */
 typedef double (*normal_fn)(void *bitgen);
 typedef void (*fill_fn)(void *bitgen, uint64_t off, uint64_t rng, intptr_t cnt, bool use_masked,
                         uint64_t *out);
 typedef double (*uniform_fn)(void *bitgen, double lower, double range);
 
-/* Rows uniform on the sphere of the given radius: width normals per row,
- * then o = o*(radius/sqrt(|o|^2)), as _reference._onto_sphere computes it.
- * Radius 0 draws nothing and writes zeros, as sphere_noise_batch does. */
-void sphere_draw(double *out, void *const *gens, long rows, long n, long width, double radius,
-                 normal_fn normal)
+/* One row uniform on the sphere of the given radius: width normals, then
+ * o = o*(radius/sqrt(|o|^2)), as _reference._onto_sphere computes it.
+ * Radius 0 draws nothing and writes zeros, as Reference.sphere does. */
+INLINE void sphere_row(double *o, void *bitgen, long width, double radius, normal_fn normal)
 {
     if (radius == 0.0) {
-        memset(out, 0, sizeof(double) * rows * n * width);
+        for (long w = 0; w < width; w++)
+            o[w] = 0.0;
         return;
     }
-    for (long r = 0; r < rows; r++) {
-        for (long j = 0; j < n; j++) {
-            double *o = out + (r * n + j) * width;
-            for (long w = 0; w < width; w++)
-                o[w] = normal(gens[j]);
-            double f = radius / sqrt(sum_sq(o, width));
-            for (long w = 0; w < width; w++)
-                o[w] = o[w] * f;
-        }
+    for (long w = 0; w < width; w++)
+        o[w] = normal(bitgen);
+    double f = radius / sqrt(sum_sq(o, width));
+    for (long w = 0; w < width; w++)
+        o[w] = o[w] * f;
+}
+
+/* One row of signs u*2 - 1 from width values u of a fill (off 0, range 1,
+ * Lemire's rejection: use_masked false), as integers(0, 2) draws them for its
+ * default int64 dtype.  scale, when not NULL, multiplies coordinate w by
+ * scale[w] last, as the PCA draws *= sqrt(eigs) does.  Each generator gets
+ * one fill per chunk, the one call integers makes for it. */
+INLINE void sign_row(double *o, const uint64_t *u, const double *scale, long width)
+{
+    for (long w = 0; w < width; w++) {
+        double s = (double)u[w] * 2.0;
+        s = s - 1.0;
+        o[w] = scale ? s * scale[w] : s;
     }
 }
 
-/* Signs u*2 - 1 from one integers(0, 2) call per generator: a single fill
- * of rows*width values with off 0, range 1 and Lemire's rejection
- * (use_masked false), as integers does for its default int64 dtype.  tmp
- * holds rows*width values.  scale, when not NULL, multiplies coordinate w by
- * scale[w] last, as pca_batch's draws *= sqrt(eigs) does. */
+void sphere_draw(double *out, void *const *gens, long rows, long n, long width, double radius,
+                 normal_fn normal)
+{
+    for (long r = 0; r < rows; r++)
+        for (long j = 0; j < n; j++)
+            sphere_row(out + (r * n + j) * width, gens[j], width, radius, normal);
+}
+
+/* tmp holds rows*width values, one generator's fill. */
 void sign_draw(double *out, void *const *gens, uint64_t *tmp, const double *scale, long rows,
                long n, long width, fill_fn fill)
 {
     for (long j = 0; j < n; j++) {
         fill(gens[j], 0, 1, rows * width, false, tmp);
-        for (long r = 0; r < rows; r++) {
-            double *o = out + (r * n + j) * width;
-            const uint64_t *u = tmp + r * width;
-            for (long w = 0; w < width; w++) {
-                double s = (double)u[w] * 2.0;
-                s = s - 1.0;
-                o[w] = scale ? s * scale[w] : s;
-            }
-        }
+        for (long r = 0; r < rows; r++)
+            sign_row(out + (r * n + j) * width, tmp + r * width, scale, width);
     }
 }
 
@@ -368,6 +184,265 @@ void uniform_draw(double *out, void *const *gens, long rows, long n, double low,
     for (long r = 0; r < rows; r++)
         for (long j = 0; j < n; j++)
             out[r * n + j] = uniform(gens[j], low, range);
+}
+
+/* Chunks.  Each function advances the n replications of an engine by the m
+ * steps of one chunk, replication-major: the outer loop runs over blocks of
+ * up to LANES replications and the inner loop over the steps.  Replication
+ * i draws its chunk's values from gens[i], steps its iterate, held in
+ * locals, m times from state row i, writes its m losses into row i of loss
+ * (row i starts at loss + i*ld_loss) and, when the channel pointers are not
+ * NULL, its recorded channels into row i of each channel array (at i*ld, or
+ * i*ld_pl for SGD's loss_pl), and leaves its last iterate in state row i.
+ * The outputs are row-strided column slices of the engine's (N, T) results,
+ * or of a chunk buffer.  Each step of a replication depends on the one
+ * before, through divisions and square roots, so each step runs over the
+ * block's lanes operation by operation, and the independent chains overlap.
+ *
+ * Each value is the numpy expression of the reference step or pass
+ * (_reference.Reference's sgd/sgd_pass, pca/pca_pass and rm/rm_pass),
+ * evaluated left to right with its parentheses; constants formed in Python
+ * (rr, half_mu, s2, r1sq, range) come in as arguments, since Python's **
+ * calls libm's pow.  Replications are independent and each generator gets
+ * the calls the reference's chunk draw makes, in the same order, so the
+ * results are the reference's, with no draw chunk and no trajectory buffer
+ * in memory. */
+#define LANES 8
+
+/* Runs CALL(w), which returns, with w the constant 1 .. MAX_WIDTH equal to
+ * d, so that the compiler builds one copy of an inlined chunk body per
+ * width, with its coordinate loops unrolled; d is checked in Python. */
+#define BY_WIDTH(d, CALL) \
+    switch (d) {          \
+    case 1: CALL(1);      \
+    case 2: CALL(2);      \
+    case 3: CALL(3);      \
+    case 4: CALL(4);      \
+    case 5: CALL(5);      \
+    case 6: CALL(6);      \
+    default: CALL(7);     \
+    }
+
+/* Projected SGD with sphere noise e of radius b_noise:
+ * w = x - eta*(a*(x - x*) + e), projected onto the ball; returns the number
+ * of projections.  With dev = x - x* before a step and dn after it: loss
+ * |dn|^2, loss_pl 0.5*(sum (a*dn)*dn), y_sc -<e, dev>, y_pl -<a*dev, e>,
+ * gnorm2 |a*dev + e|^2, noise_sc (2*eta)*y_sc + (eta*eta)*gnorm2 and
+ * noise_pl eta*y_pl + ((half_mu*eta)*eta)*gnorm2. */
+INLINE long sgd_rows(double *state, void *const *gens, const double *etas, const double *a,
+                     const double *xs, long m, long n, long d, double radius, double rr,
+                     double b_noise, double half_mu, double *loss, long ld_loss,
+                     double *loss_pl, long ld_pl, double *noise_sc, double *noise_pl,
+                     double *y_sc, double *y_pl, double *gnorm2, long ld, normal_fn normal)
+{
+    double x[LANES][MAX_WIDTH], w[LANES][MAX_WIDTH], e[LANES][MAX_WIDTH];
+    double dev[MAX_WIDTH], dn[MAX_WIDTH], gradf[MAX_WIDTH], gv[MAX_WIDTH], adn[MAX_WIDTH];
+    long hits = 0;
+    for (long i0 = 0; i0 < n; i0 += LANES) {
+        const long lanes = n - i0 < LANES ? n - i0 : LANES;
+        for (long l = 0; l < lanes; l++)
+            memcpy(x[l], state + (i0 + l) * d, sizeof(double) * d);
+        for (long k = 0; k < m; k++) {
+            const double eta = etas[k];
+            for (long l = 0; l < lanes; l++)
+                sphere_row(e[l], gens[i0 + l], d, b_noise, normal);
+            for (long l = 0; l < lanes; l++) {
+                for (long j = 0; j < d; j++) {
+                    double g = a[j] * (x[l][j] - xs[j]);
+                    g = g + e[l][j];
+                    g = g * eta;
+                    w[l][j] = x[l][j] - g;
+                }
+            }
+            for (long l = 0; l < lanes; l++)
+                hits += project(w[l], d, radius, rr);
+            for (long l = 0; l < lanes; l++) {
+                const long i = i0 + l;
+                for (long j = 0; j < d; j++)
+                    dn[j] = w[l][j] - xs[j];
+                loss[i * ld_loss + k] = sum_sq(dn, d);
+                if (loss_pl) {
+                    for (long j = 0; j < d; j++) {
+                        dev[j] = x[l][j] - xs[j];
+                        gradf[j] = a[j] * dev[j];
+                        gv[j] = gradf[j] + e[l][j];
+                        adn[j] = a[j] * dn[j];
+                    }
+                    double gn2 = sum_sq(gv, d);
+                    double y1 = -dot(e[l], dev, d);
+                    double y2 = -dot(gradf, e[l], d);
+                    y_sc[i * ld + k] = y1;
+                    y_pl[i * ld + k] = y2;
+                    gnorm2[i * ld + k] = gn2;
+                    noise_sc[i * ld + k] = (2.0 * eta) * y1 + (eta * eta) * gn2;
+                    noise_pl[i * ld + k] = eta * y2 + ((half_mu * eta) * eta) * gn2;
+                    loss_pl[i * ld_pl + k] = 0.5 * dot(adn, dn, d);
+                }
+                memcpy(x[l], w[l], sizeof(double) * d);
+            }
+        }
+        for (long l = 0; l < lanes; l++)
+            memcpy(state + (i0 + l) * d, x[l], sizeof(double) * d);
+    }
+    return hits;
+}
+
+long sgd_chunk(double *state, void *const *gens, const double *etas, const double *a,
+               const double *xs, long m, long n, long d, double radius, double rr,
+               double b_noise, double half_mu, double *loss, long ld_loss, double *loss_pl,
+               long ld_pl, double *noise_sc, double *noise_pl, double *y_sc, double *y_pl,
+               double *gnorm2, long ld, normal_fn normal)
+{
+#define SGD(D)                                                                              \
+    return sgd_rows(state, gens, etas, a, xs, m, n, D, radius, rr, b_noise, half_mu, loss, \
+                    ld_loss, loss_pl, ld_pl, noise_sc, noise_pl, y_sc, y_pl, gnorm2, ld,    \
+                    normal)
+    BY_WIDTH(d, SGD)
+#undef SGD
+}
+
+/* Streaming PCA on sign data x, scaled by scale, from one fill of m*p values
+ * per generator into tmp, which holds min(n, LANES)*m*p values.  vn2 is the
+ * squared norm a step divides by, kept per replication in norms.
+ * y = <x, v>; Krasulina: w = v + eta*(y*x - (y^2/vn2)*v), Oja:
+ * w = v + (eta*y)*x.  grown = |w|^2 and, with normalize, w is divided by its
+ * norm and the next vn2 is 1, else it is grown.  With u the first
+ * coordinate after a step and the next vn2: loss max(0, 1 - (u*u)/vn2'), and
+ * with v before it, z = y*x - ((y*y)/vn2)*v, sv = v*eigs, tv = (2*eta)*v1,
+ * m = (tv*(sv1 - (v1*<sv, v>)/vn2))/vn2, q = m - (tv*z1)/vn2,
+ * z_dot_v = <z, v>, znorm2 = |z|^2 and ratio = grown/vn2.
+ * (0.0 >= r) ? 0.0 : r keeps a NaN r, as np.maximum(0.0, r) does and fmax
+ * does not. */
+INLINE void pca_rows(double *state, double *norms, void *const *gens, uint64_t *tmp,
+                     const double *scale, const double *etas, const double *eigs, long m,
+                     long n, long p, int krasulina, int normalize, double *loss, long ld_loss,
+                     double *q, double *z_dot_v, double *znorm2, double *ratio, long ld,
+                     fill_fn fill)
+{
+    double v[LANES][MAX_WIDTH], w[LANES][MAX_WIDTH], x[LANES][MAX_WIDTH];
+    double vn2[LANES], y[LANES], grown[LANES], next[LANES];
+    double z[MAX_WIDTH], sv[MAX_WIDTH];
+    for (long i0 = 0; i0 < n; i0 += LANES) {
+        const long lanes = n - i0 < LANES ? n - i0 : LANES;
+        for (long l = 0; l < lanes; l++) {
+            fill(gens[i0 + l], 0, 1, m * p, false, tmp + l * m * p);
+            memcpy(v[l], state + (i0 + l) * p, sizeof(double) * p);
+            vn2[l] = norms[i0 + l];
+        }
+        for (long k = 0; k < m; k++) {
+            const double eta = etas[k];
+            for (long l = 0; l < lanes; l++) {
+                sign_row(x[l], tmp + (l * m + k) * p, scale, p);
+                y[l] = dot(x[l], v[l], p);
+            }
+            if (krasulina) {
+                for (long l = 0; l < lanes; l++) {
+                    double c = y[l] * y[l];
+                    c = c / vn2[l];
+                    for (long j = 0; j < p; j++) {
+                        double zj = y[l] * x[l][j];
+                        zj = zj - c * v[l][j];
+                        zj = zj * eta;
+                        w[l][j] = v[l][j] + zj;
+                    }
+                }
+            } else {
+                for (long l = 0; l < lanes; l++) {
+                    double ye = y[l] * eta;
+                    for (long j = 0; j < p; j++)
+                        w[l][j] = v[l][j] + ye * x[l][j];
+                }
+            }
+            for (long l = 0; l < lanes; l++)
+                grown[l] = next[l] = sum_sq(w[l], p);
+            if (normalize) {
+                for (long l = 0; l < lanes; l++) {
+                    double c = sqrt(grown[l]);
+                    for (long j = 0; j < p; j++)
+                        w[l][j] = w[l][j] / c;
+                    next[l] = 1.0;
+                }
+            }
+            for (long l = 0; l < lanes; l++) {
+                const long i = i0 + l;
+                double r = 1.0 - (w[l][0] * w[l][0]) / next[l];
+                loss[i * ld_loss + k] = (0.0 >= r) ? 0.0 : r;
+                if (q) {
+                    double c = (y[l] * y[l]) / vn2[l];
+                    for (long j = 0; j < p; j++) {
+                        z[j] = y[l] * x[l][j] - c * v[l][j];
+                        sv[j] = v[l][j] * eigs[j];
+                    }
+                    double v1 = v[l][0];
+                    double tv = (2.0 * eta) * v1;
+                    double m_t = (tv * (sv[0] - (v1 * dot(sv, v[l], p)) / vn2[l])) / vn2[l];
+                    q[i * ld + k] = m_t - (tv * z[0]) / vn2[l];
+                    z_dot_v[i * ld + k] = dot(z, v[l], p);
+                    znorm2[i * ld + k] = sum_sq(z, p);
+                    ratio[i * ld + k] = grown[l] / vn2[l];
+                }
+                memcpy(v[l], w[l], sizeof(double) * p);
+                vn2[l] = next[l];
+            }
+        }
+        for (long l = 0; l < lanes; l++) {
+            memcpy(state + (i0 + l) * p, v[l], sizeof(double) * p);
+            norms[i0 + l] = vn2[l];
+        }
+    }
+}
+
+void pca_chunk(double *state, double *norms, void *const *gens, uint64_t *tmp,
+               const double *scale, const double *etas, const double *eigs, long m, long n,
+               long p, int krasulina, int normalize, double *loss, long ld_loss, double *q,
+               double *z_dot_v, double *znorm2, double *ratio, long ld, fill_fn fill)
+{
+#define PCA(D)                                                                        \
+    {                                                                                 \
+        pca_rows(state, norms, gens, tmp, scale, etas, eigs, m, n, D, krasulina,      \
+                 normalize, loss, ld_loss, q, z_dot_v, znorm2, ratio, ld, fill);      \
+        return;                                                                       \
+    }
+    BY_WIDTH(p, PCA)
+#undef PCA
+}
+
+/* Robbins-Monro with linear M and uniform noise xi on [low, low + range):
+ * x <- x - eta*(slope*(x - theta) + xi).  With dev = x - theta before a
+ * step and dn after it: loss dn (signed_dev) or dn*dn, q
+ * ((-2*eta)*dev)*xi and noise q + ((2*eta)*eta)*(s2*(dev*dev) + r1sq). */
+void rm_chunk(double *state, void *const *gens, const double *etas, long m, long n,
+              double theta, double slope, double low, double range, double s2, double r1sq,
+              int signed_dev, double *loss, long ld_loss, double *q, double *noise, long ld,
+              uniform_fn uniform)
+{
+    double x[LANES], xi[LANES];
+    for (long i0 = 0; i0 < n; i0 += LANES) {
+        const long lanes = n - i0 < LANES ? n - i0 : LANES;
+        memcpy(x, state + i0, sizeof(double) * lanes);
+        for (long k = 0; k < m; k++) {
+            const double eta = etas[k];
+            for (long l = 0; l < lanes; l++)
+                xi[l] = uniform(gens[i0 + l], low, range);
+            for (long l = 0; l < lanes; l++) {
+                const long i = i0 + l;
+                double y = slope * (x[l] - theta);
+                y = y + xi[l];
+                y = y * eta;
+                const double w = x[l] - y;
+                const double dn = w - theta;
+                loss[i * ld_loss + k] = signed_dev ? dn : dn * dn;
+                if (q) {
+                    double dev = x[l] - theta;
+                    double qk = ((-2.0 * eta) * dev) * xi[l];
+                    q[i * ld + k] = qk;
+                    noise[i * ld + k] = qk + ((2.0 * eta) * eta) * (s2 * (dev * dev) + r1sq);
+                }
+                x[l] = w;
+            }
+        }
+        memcpy(state + i0, x, sizeof(double) * lanes);
+    }
 }
 
 /* The LIL statistic's dyadic block maxima.  dev is the (n, m) chunk of

@@ -22,20 +22,19 @@ independent of the horizon.  rm_batch streams the signed deviations
 x_t - theta instead of their squares, the loss, so that a reducer can form
 (t*dev)*dev, which dev^2 does not give bit for bit (the LIL statistic).
 
-Each engine's step loop only advances the recursion: the update, the
-projection or normalisation, and a write of the new iterate into a
-trajectory buffer, all into preallocated arrays.  The losses and, with
-record_channels, every noise channel are then computed by passes over the
-stored iterates, the chunk's draws and its step sizes, in slices of at most
-PASS_BUDGET values and in the elementwise order of the per-step formulas, so
-they are bit-identical to computing them step by step.  The transient memory
-of the passes is O(N*chunk) with or without recording.
-
-Every engine runs one path: _run cuts the horizon into chunks and slices,
-and per slice the engine makes one step call and one pass call to the
-kernels _kernel.load returns, compiled or the numpy reference (_kernel says
-which, and why both give the same bits).  Ridge draws per generator, with a
-fixed RIDGE_ROWS (see ridge_batch).
+Every engine runs one path: _run cuts the horizon into chunks, and per
+chunk the engine makes one call to the kernels _kernel.load returns,
+compiled or the numpy reference (_kernel says which, and why both give the
+same bits).  The call advances the per-replication state (the iterates,
+and for PCA the squared norms the next step divides by) in place, and
+writes the losses and, with record_channels, every noise channel in the
+elementwise order of the per-step formulas.  The SGD, PCA and root-finding
+calls draw their chunk too; ridge_batch draws its chunk per generator, with
+a fixed RIDGE_ROWS, and hands it to the call.  The compiled SGD, PCA and
+linear root-finding chunks are one replication-major C call each, with no
+draw chunk and no trajectory buffer; the reference steps and passes through
+slices of a trajectory buffer (see _reference).  Either way the transient
+memory is O(N*chunk) with or without recording.
 """
 from __future__ import annotations
 
@@ -49,15 +48,7 @@ from .boundaries import StepSchedule
 from .problems import PcaProblem, RmProblem, SgdProblem
 from .recursion import CheckReport, RecursionParams, Trace, _first_violation
 from .seeding import SeedLike, rep_generators
-from ._reference import _sum_last
-from .streams import (
-    SQRT3,
-    GeneratorBatch,
-    LinearModelStream,
-    rademacher_batch,
-    sphere_noise_batch,
-    uniform_batch,
-)
+from .streams import SQRT3, GeneratorBatch, LinearModelStream
 
 __all__ = [
     "SgdProblem",
@@ -79,7 +70,6 @@ __all__ = [
 DRAW_BUDGET = 2**17  # values drawn per chunk across a batch (1 MB)
 MIN_ROWS = 128  # steps per chunk at least, to amortise one draw call per generator
 RIDGE_ROWS = 2048  # steps per ridge chunk; part of the ridge output
-PASS_BUDGET = 2**14  # values per slice of the step loop and its loss and channel pass
 
 
 def _rows(n: int, width: int) -> int:
@@ -92,49 +82,25 @@ def _rows(n: int, width: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _slice_rows(width: int) -> int:
-    """Steps per slice when a step carries width values."""
-    return max(1, PASS_BUDGET // width)
+def _run(l0, horizon: int, rows: int, on_chunk, losses):
+    """Yield (t, out) per chunk of at most rows steps: t is the slice of the
+    chunk's step indices, and the engine fills out, an (N, m) array, with
+    the losses at times t.start+1..t.stop.
 
-
-def _trajectory(state: np.ndarray, horizon: int) -> np.ndarray:
-    """Buffer of one slice's iterates: row 0 holds state, and step k of the
-    slice writes row k+1."""
-    rows = min(_slice_rows(state.size), horizon)
-    traj = np.empty((rows + 1,) + state.shape)
-    traj[0] = state
-    return traj
-
-
-def _run(traj, l0, horizon: int, rows: int, on_chunk, losses, draw, norms=None):
-    """Yield (draws, t, out) per slice of at most PASS_BUDGET values of each
-    chunk of at most rows steps.
-
-    draw(size) returns the tuple of a chunk's draw arrays, size steps long,
-    and draws lists the slice's rows of each; t is the slice of step
-    indices.  The engine advances the slice's m steps in traj (and norms),
-    whose last row then moves to row 0, and fills out, an (N, m) array, with
-    the losses at times t.start+1..t.stop.  Without on_chunk, out is a view
-    of the (N, horizon+1) matrix losses, whose column 0 is l0.  With it, out
-    is a view of a reused chunk buffer that goes to on_chunk(start + 1, buf)
-    once filled; the losses l0 at time 0 go first, as on_chunk(0, l0[:, None]).
+    Without on_chunk, out is a view of the (N, horizon+1) matrix losses,
+    whose column 0 is l0.  With it, out is a view of a reused chunk buffer
+    that goes to on_chunk(t.start + 1, out) once filled; the losses l0 at
+    time 0 go first, as on_chunk(0, l0[:, None]).
     """
     if on_chunk is None:
         losses[:, 0] = l0
     else:
         on_chunk(0, l0[:, None])
         buf = np.empty((len(l0), min(rows, horizon)))
-    step_rows = _slice_rows(traj[0].size)
     for start in range(0, horizon, rows):
         size = min(rows, horizon - start)
         out = buf[:, :size] if on_chunk else losses[:, start + 1 : start + size + 1]
-        chunk = draw(size)
-        for lo in range(0, size, step_rows):
-            hi = min(lo + step_rows, size)
-            yield [a[lo:hi] for a in chunk], slice(start + lo, start + hi), out[:, lo:hi]
-            traj[0] = traj[hi - lo]
-            if norms is not None:
-                norms[0] = norms[hi - lo]
+        yield slice(start, start + size), out
         if on_chunk:
             on_chunk(start + 1, out)
 
@@ -177,8 +143,8 @@ def sgd_batch(
     half_mu = 0.5 * problem.mu
 
     x0 = _check_in_ball(x0, radius, "x0", d)
-    traj = _trajectory(np.tile(x0, (n, 1)), horizon)
-    diff = traj[0] - xs
+    x = np.tile(x0, (n, 1))
+    diff = x - xs
 
     loss_sc = None if on_chunk else np.empty((n, horizon + 1))
     loss_pl, channels = None, []
@@ -190,11 +156,11 @@ def sgd_batch(
     proj_hits = 0
 
     l0 = np.sum(diff * diff, axis=1)
-    draw = lambda size: (sphere_noise_batch(gens, size, d, problem.b_noise),)
-    for (e,), t, out in _run(traj, l0, horizon, _rows(n, d), on_chunk, loss_sc, draw):
-        eta = etas[t]
-        proj_hits += kernels.sgd(traj, e, eta, a, xs, radius)
-        kernels.sgd_pass(traj, e, eta, a, xs, half_mu, out, *[c[:, t] for c in channels])
+    for t, out in _run(l0, horizon, _rows(n, d), on_chunk, loss_sc):
+        proj_hits += kernels.sgd_chunk(
+            x, gens, etas[t], a, xs, radius, problem.b_noise, half_mu, out,
+            *[c[:, t] for c in channels],
+        )
     noise_sc, noise_pl, y_sc, y_pl, gnorm2 = channels[1:] or (None,) * 5
     return {
         "loss_sc": loss_sc,
@@ -205,7 +171,7 @@ def sgd_batch(
         "y_pl": y_pl,
         "gnorm2": gnorm2,
         "proj_hits": proj_hits,
-        "final_x": traj[0].copy(),
+        "final_x": x,
     }
 
 
@@ -254,22 +220,13 @@ def pca_batch(
     losses = None if on_chunk else np.empty((n, horizon + 1))
     channels = [np.empty((n, horizon)) for _ in range(4)] if record_channels else []
 
-    # traj[k] is the iterate before step k of a slice and norms[k] the squared
-    # norm the steps divide by: ||v||^2, or 1 after a normalised step;
-    # grown[k] is ||v||^2 right after step k's update, before normalising.
-    traj = _trajectory(v, horizon)
-    norms = np.ones(traj.shape[:2])
-    grown = np.empty_like(norms[1:]) if normalize_each_step else norms[1:]
-    norms[0] = vn2
-    krasulina = variant == "krasulina"
-
     l0 = np.maximum(0.0, 1.0 - v[:, 0] ** 2 / vn2)
-    draw = lambda size: (rademacher_batch(gens, size, p, sq),)
-    for (x,), t, out in _run(traj, l0, horizon, _rows(n, p), on_chunk, losses, draw, norms):
-        eta = etas[t]
-        kernels.pca(traj, norms, grown, x, eta, krasulina, normalize_each_step)
-        kernels.pca_pass(traj, norms, grown, x, eta, eigs, out, *[c[:, t] for c in channels])
-    v = traj[0].copy()
+    krasulina = variant == "krasulina"
+    for t, out in _run(l0, horizon, _rows(n, p), on_chunk, losses):
+        kernels.pca_chunk(
+            v, vn2, gens, etas[t], sq, eigs, krasulina, normalize_each_step, out,
+            *[c[:, t] for c in channels],
+        )
     if rot is not None:
         v = np.sum(v[:, None, :] * rot, axis=-1)
     q_chan, zv_chan, znorm2_chan, ratio_chan = channels or (None,) * 4
@@ -306,15 +263,14 @@ def rm_batch(
     channels = [np.empty((n, horizon)) for _ in range(2)] if record_channels else []
     signed_dev = on_chunk is not None
 
-    traj = _trajectory(np.full(n, float(x0)), horizon)
-    l0 = traj[0] - theta if signed_dev else (traj[0] - theta) ** 2
-    draw = lambda size: (uniform_batch(gens, size, SQRT3),)
-    for (xi,), t, out in _run(traj, l0, horizon, _rows(n, 1), on_chunk, losses, draw):
-        eta = etas[t]
-        kernels.rm(traj, xi, eta, problem)
-        kernels.rm_pass(traj, xi, eta, problem, signed_dev, out, *[c[:, t] for c in channels])
+    x = np.full(n, float(x0))
+    l0 = x - theta if signed_dev else (x - theta) ** 2
+    for t, out in _run(l0, horizon, _rows(n, 1), on_chunk, losses):
+        kernels.rm_chunk(
+            x, gens, etas[t], problem, SQRT3, signed_dev, out, *[c[:, t] for c in channels]
+        )
     q_chan, noise = channels or (None, None)
-    return {"loss": losses, "q": q_chan, "noise": noise, "final_x": traj[0].copy()}
+    return {"loss": losses, "q": q_chan, "noise": noise, "final_x": x}
 
 
 def ridge_batch(
@@ -345,20 +301,17 @@ def ridge_batch(
 
     theta0 = _check_in_ball(theta0, radius, "theta0", d)
     losses = None if on_chunk else np.empty((n, horizon + 1))
-    traj = _trajectory(np.tile(theta0, (n, 1)), horizon)
-
-    def draw(size: int) -> tuple:
+    theta = np.tile(theta0, (n, 1))
+    l0 = np.sum((theta - theta_star) ** 2, axis=1)
+    for t, out in _run(l0, horizon, RIDGE_ROWS, on_chunk, losses):
+        size = t.stop - t.start
         xc, yc = np.empty((size, n, d)), np.empty((size, n))
         for j, gen in enumerate(gens):
             xc[:, j, :], yc[:, j] = stream.draw(gen, size)
-        return xc, yc
-
-    l0 = np.sum((traj[0] - theta_star) ** 2, axis=1)
-    for (xs, ys), t, out in _run(traj, l0, horizon, RIDGE_ROWS, on_chunk, losses, draw):
-        kernels.ridge(traj, xs, ys, etas[t], lambda_pen, penalty_in_gradient, radius)
-        m = out.shape[1]
-        out[...] = _sum_last((traj[1 : m + 1] - theta_star) ** 2, squares=True).T
-    return {"loss": losses, "final_theta": traj[0].copy()}
+        kernels.ridge_chunk(
+            theta, xc, yc, etas[t], theta_star, lambda_pen, penalty_in_gradient, radius, out
+        )
+    return {"loss": losses, "final_theta": theta}
 
 
 # ---------------------------------------------------------------------------

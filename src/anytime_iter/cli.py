@@ -95,6 +95,7 @@ def _cmd_coverage(config: CoverageConfig, out_dir: Path, threads: int) -> int:
         report,
         out_dir / "coverage_report.json",
         extra={"policy": "empirical_rate <= cost*delta + 3*sqrt(cost*delta/n_reps)"},
+        width=config.parsed_problem[0].dim,
     )
     if config.record_grid:
         write_grid_csv(report, config.record_grid, out_dir / "widths.csv")
@@ -117,7 +118,7 @@ class _LastIterate:
 def _cmd_last_iterate(
     config: CoverageConfig, last: _LastIterate, out_dir: Path, threads: int
 ) -> int:
-    rate, bound = run_last_iterate(config, last.t_eval)
+    rate, bound = run_last_iterate(config, last.t_eval, threads)
     threshold = mc_threshold(1.0, config.delta, config.n_reps)
     passed = rate <= threshold
     write_report_json(
@@ -132,6 +133,7 @@ def _cmd_last_iterate(
             "policy": "exceedance <= delta + 3*sqrt(delta/n_reps)",
         },
         out_dir / "last_iterate_report.json",
+        width=config.parsed_problem[0].dim,
     )
     print(
         f"last-iterate: exceedance={rate:.6g} bound={bound:.6g} "
@@ -202,6 +204,7 @@ def _cmd_lil(problem: RmProblem, run: _LilRun, out_dir: Path, threads: int) -> i
             "policy": "fraction of seeds with final running max >= l_const must reach threshold",
         },
         out_dir / "lil_report.json",
+        width=1,
     )
     with open(out_dir / "lil_blocks.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -233,13 +236,14 @@ class _ColdStartRun:
 def _cmd_oja_cold_start(
     problem: PcaProblem, run: _ColdStartRun, out_dir: Path, threads: int
 ) -> int:
-    report = run_oja_cold_start(problem, **asdict(run))
+    report = run_oja_cold_start(problem, **asdict(run), threads=threads)
     passed = report.passed and report.hit_passed
     write_report_json(
         report,
         out_dir / "cold_start_report.json",
         extra={"policy": "empirical_rate <= cost*delta + 3*sqrt(cost*delta/n_reps); "
                "split hit rate >= 1 - delta^3 (minus MC slack)"},
+        width=problem.dim,
     )
     print(
         f"oja-cold-start: split={report.split_t} hit_rate={report.hit_rate:.6g} "
@@ -353,9 +357,10 @@ def main(argv=None) -> int:
         sp.add_argument("--config", required=bool(types), help="JSON experiment config")
         sp.add_argument("--out-dir", default=".", help="directory for report files")
         threads_help = (
-            "coverage worker threads, each on a block of up to 512 replications (0, 1 = "
-            "serial); the compiled draws and step loops run in parallel, the numpy "
-            "reference and the loss passes mostly do not"
+            "worker threads of coverage, last-iterate and oja-cold-start, each on a "
+            "block of at most min(512, ceil(n_reps / N)) replications (0, 1 = serial); "
+            "the compiled engine chunks run in parallel, the numpy reference mostly "
+            "does not; lil runs its seeds in one serial batch"
         )
         sp.add_argument("--threads", type=int, default=0, help=threads_help)
     args = parser.parse_args(argv)

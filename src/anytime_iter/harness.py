@@ -6,13 +6,15 @@ Violation detection honors the time-uniform quantifier: every iterate in
 grid only selects which widths and loss quantiles are exported.
 
 One driver (_drive) serves the coverage, last-iterate and cold-start runs.
-It advances blocks of up to _REP_BLOCK = 512 replications and folds each
-RNG chunk of losses the engines stream into the first boundary crossings
-and the grid losses, refusing non-finite losses.  No (n_reps, horizon) loss
-matrix is built: losses in flight take O(block * chunk) memory, independent
-of the horizon.  Blocks and per-replication seeds are independent of the
-worker count, and the draws of the chunk-length invariant engines do not
-depend on the block size, so reports do not depend on scheduling.
+It advances blocks of up to _REP_BLOCK = 512 replications, and of at most
+ceil(n_reps / threads) on a thread pool, so that every worker gets one, and
+folds each RNG chunk of losses the engines stream into the first boundary
+crossings and the grid losses, refusing non-finite losses.  No
+(n_reps, horizon) loss matrix is built: losses in flight take
+O(block * chunk) memory, independent of the horizon.  Per-replication seeds
+are independent of the worker count, and the draws of the chunk-length
+invariant engines do not depend on the block size, so reports do not depend
+on scheduling.
 
 The iterated-logarithm statistic runs on rm_batch as well: _lil_batch hands
 each chunk of signed deviations x_t - theta the engine streams to the
@@ -426,6 +428,9 @@ def _drive(n_reps, run, block, grid=(), widths=None, scan_from=0, origin=0, thre
     """
     first = np.full(n_reps, -1)
     at_grid = np.empty((n_reps, len(grid)))
+    if threads and threads > 1:
+        # every worker gets a block: outputs do not depend on the block size
+        block = min(block, math.ceil(n_reps / threads))
 
     def work(lo: int) -> None:
         first_b = first[lo : lo + block]
@@ -493,7 +498,9 @@ def run_coverage(config: CoverageConfig, threads: int = 0) -> CoverageReport:
     A replication counts as a violation when its loss exceeds the (scaled)
     width at any iterate in [valid_from, horizon].  The report passes when
     the empirical rate is at most confidence_cost*delta plus three-sigma
-    Monte Carlo slack.
+    Monte Carlo slack.  threads > 1 runs the replication blocks on that many
+    worker threads, in blocks of at most ceil(n_reps / threads); the report
+    does not depend on it.
     """
     start_time = time.perf_counter()
     with _spec("invalid problem spec"):
@@ -531,12 +538,13 @@ def run_coverage(config: CoverageConfig, threads: int = 0) -> CoverageReport:
 # ---------------------------------------------------------------------------
 
 
-def run_last_iterate(config: CoverageConfig, t_eval: int) -> Tuple[float, float]:
+def run_last_iterate(config: CoverageConfig, t_eval: int, threads: int = 0) -> Tuple[float, float]:
     """Exceedance rate of the fixed-t bound at t_eval for projected SGD.
 
     Uses the last-iterate schedule eta_t = 1/(lam*(t+3)).  Rerunning with a
     different delta reuses the same trajectories (seeds do not depend on
-    delta), so exceedance is nonincreasing in delta.
+    delta), so exceedance is nonincreasing in delta.  threads as in
+    run_coverage.
     """
     with _spec("invalid last-iterate spec"):
         if config.algorithm != "sgd_sc":
@@ -549,7 +557,7 @@ def run_last_iterate(config: CoverageConfig, t_eval: int) -> Tuple[float, float]
         etas = schedule.etas(t_eval)
         x0 = _check_in_ball(start.x0, problem.radius, "x0", problem.dim)
     run = _sgd_runner(problem, etas, x0, config.seed_base)
-    _, at_eval = _drive(config.n_reps, run, _REP_BLOCK, (t_eval,))
+    _, at_eval = _drive(config.n_reps, run, _REP_BLOCK, (t_eval,), threads=threads)
     exceed = int(np.count_nonzero(at_eval[:, 0] > bound))
     return exceed / config.n_reps, bound
 
@@ -657,13 +665,14 @@ def run_oja_cold_start(
     n_reps: int,
     seed_base: int,
     variant: str = "krasulina",
+    threads: int = 0,
 ) -> ColdStartReport:
     """Two-phase experiment from uniform initialization.
 
     Phase 1 runs the constant exploration steps to the split point and
     records how often sin^2 <= 1/4 there (target: at least 1 - delta^3).
     Phase 2 continues with decaying steps and counts crossings of the
-    anytime boundary re-anchored at the split.
+    anytime boundary re-anchored at the split.  threads as in run_coverage.
     """
     start_time = time.perf_counter()
     with _spec("invalid cold-start spec"):
@@ -687,7 +696,9 @@ def run_oja_cold_start(
         widths = np.asarray(boundary.eval(np.arange(0, horizon + 1), delta_b))
 
     run = _pca_runner(problem, etas, "uniform", seed_base, variant, True)
-    first_times, at_split = _drive(n_reps, run, _REP_BLOCK, (split,), widths, split, split)
+    first_times, at_split = _drive(
+        n_reps, run, _REP_BLOCK, (split,), widths, split, split, threads=threads
+    )
     hits = int(np.count_nonzero(at_split[:, 0] <= 0.25))
     violations = len(first_times)
 
@@ -752,11 +763,14 @@ def run_counterexample(p_one: float, n_reps: int, horizon: int, seed_base: int) 
 # ---------------------------------------------------------------------------
 
 
-def write_report_json(report, path, extra: Optional[dict] = None) -> None:
+def write_report_json(report, path, extra: Optional[dict] = None, width=None) -> None:
     """Write a report, a dataclass or a dict, as JSON with deterministic payload.
 
     Timing goes into the separate "timing" object so that the rest of the
-    document is byte-identical across reruns and worker counts.
+    document is byte-identical across reruns and worker counts.  When the
+    report comes from engine runs whose steps carry width values, timing
+    also names the kernels _kernel.load(width) returned: "compiled" or
+    "reference".
     """
     payload = asdict(report) if is_dataclass(report) else dict(report)
     if "quantiles_at_grid" in payload:
@@ -766,6 +780,9 @@ def write_report_json(report, path, extra: Optional[dict] = None) -> None:
     if extra:
         doc.update(extra)
     doc["timing"] = {"wall_time_s": payload.pop("wall_time", None)}
+    if width is not None:
+        compiled = isinstance(_kernel.load(width), _kernel.StepKernels)
+        doc["timing"]["kernels"] = "compiled" if compiled else "reference"
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True, default=float)
         fh.write("\n")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from anytime_iter import cli
+from anytime_iter import cli, harness
 from anytime_iter.cli import main
 
 
@@ -345,6 +345,45 @@ def test_reports_reproducible_across_threads(tmp_path):
     assert outs[0] == outs[1]
 
 
+COLD_START_CFG = {
+    "eigs": [2.0, 1.0, 1.0, 1.0],
+    "delta": 0.3,
+    "c_explore": 0.05,
+    "c_stable": 6.0,
+    "horizon": 300,
+    "n_reps": 40,
+    "seed_base": 8,
+}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, report",
+    [
+        ("last-iterate", dict(SGD_CFG, n_reps=100, t_eval=400), "last_iterate_report.json"),
+        ("oja-cold-start", COLD_START_CFG, "cold_start_report.json"),
+    ],
+)
+def test_drive_reports_reproducible_across_threads(command, cfg, report, tmp_path, monkeypatch):
+    # --threads reaches the block driver of every command that has one, and
+    # the payload does not depend on it
+    seen = []
+    drive = harness._drive
+    monkeypatch.setattr(
+        harness, "_drive", lambda *a, **kw: seen.append(kw["threads"]) or drive(*a, **kw)
+    )
+    path = write_cfg(tmp_path, "cfg.json", cfg)
+    docs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        argv = [command, "--config", path, "--out-dir", str(out), "--threads", threads]
+        assert run(argv) in (0, 1)
+        docs.append(json.loads((out / report).read_text()))
+    assert seen == [1, 2]
+    for doc in docs:
+        doc.pop("timing")
+    assert json.dumps(docs[0], sort_keys=True) == json.dumps(docs[1], sort_keys=True)
+
+
 def test_seed_env_override(tmp_path, monkeypatch):
     cfg = write_cfg(
         tmp_path,
@@ -431,19 +470,7 @@ def test_last_iterate_command(tmp_path):
 
 
 def test_oja_cold_start_command(tmp_path):
-    cfg = write_cfg(
-        tmp_path,
-        "cs.json",
-        {
-            "eigs": [2.0, 1.0, 1.0, 1.0],
-            "delta": 0.3,
-            "c_explore": 0.05,
-            "c_stable": 6.0,
-            "horizon": 300,
-            "n_reps": 40,
-            "seed_base": 8,
-        },
-    )
+    cfg = write_cfg(tmp_path, "cs.json", COLD_START_CFG)
     out = tmp_path / "out"
     code = run(["oja-cold-start", "--config", cfg, "--out-dir", str(out)])
     assert code in (0, 1)

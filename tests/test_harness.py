@@ -199,6 +199,27 @@ def test_coverage_worker_count_invariance():
         assert dicts[0] == dicts[1] == dicts[2], algorithm
 
 
+@pytest.mark.parametrize("n_reps", [500, 7])
+def test_every_worker_gets_a_block(n_reps):
+    # 500 replications fit one 512-replication block; with N threads the
+    # blocks shrink to ceil(n_reps / N), and the report stays the same
+    cfg = small_config(n_reps=n_reps, horizon=200, record_grid=(0, 100, 200))
+    reports = [dataclasses.asdict(run_coverage(cfg, threads=k)) for k in (1, 2, 3)]
+    for r in reports:
+        r.pop("wall_time")
+    assert reports[0] == reports[1] == reports[2]
+    for threads in (2, 3):
+        blocks = []
+
+        def run(lo, hi, on_chunk):
+            blocks.append((lo, hi))
+            on_chunk(0, np.zeros((hi - lo, 1)))
+
+        _drive(n_reps, run, 512, threads=threads)
+        size = math.ceil(n_reps / threads)
+        assert sorted(blocks) == [(lo, min(lo + size, n_reps)) for lo in range(0, n_reps, size)]
+
+
 def test_coverage_krasulina_warm_start():
     cfg = CoverageConfig(
         algorithm="krasulina",

@@ -10,8 +10,10 @@ reference for the engines by patching _kernel.load.
 """
 
 import inspect
+import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -25,7 +27,7 @@ import test_algorithms
 import test_cli
 import test_golden
 import test_streams
-from anytime_iter import _kernel, algorithms
+from anytime_iter import _kernel, _reference, algorithms
 from anytime_iter._kernel import StepKernels
 from anytime_iter._reference import REFERENCE, Reference
 from anytime_iter.algorithms import PcaProblem, RmProblem, SgdProblem
@@ -143,7 +145,7 @@ def test_kernel_matches_numpy_loop_bytes(name, n_reps, chunk, slice_steps):
         mp.setattr(algorithms, "MIN_ROWS", 1)
         mp.setattr(algorithms, "DRAW_BUDGET", chunk * n_reps * width)
         mp.setattr(algorithms, "RIDGE_ROWS", chunk)
-        mp.setattr(algorithms, "PASS_BUDGET", slice_steps * n_reps * width)
+        mp.setattr(_reference, "PASS_BUDGET", slice_steps * n_reps * width)
         compiled = as_bytes(run(seeds)), streamed_bytes(run, seeds)
         mp.setattr(_kernel, "load", reference_load)
         reference = as_bytes(run(seeds)), streamed_bytes(run, seeds)
@@ -155,64 +157,98 @@ def test_kernel_matches_numpy_loop_bytes(name, n_reps, chunk, slice_steps):
 # ---------------------------------------------------------------------------
 
 CALLS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
-# replications, coordinates, steps, and the columns of the wider output
-# arrays before and after the (n, m) slice a pass writes
+# replications, coordinates, the steps of one or two consecutive chunks, and
+# the columns of the wider output arrays before and after the (n, m) slices
+# the chunks write
 SHAPES = st.tuples(
-    st.integers(1, 9), st.integers(1, 7), st.integers(1, 40), st.integers(0, 3), st.integers(0, 3)
+    st.integers(1, 9),
+    st.integers(1, 7),
+    st.lists(st.integers(1, 300), min_size=1, max_size=2),
+    st.integers(0, 3),
+    st.integers(0, 3),
 )
 SEEDS = st.integers(0, 2**32 - 1)
 
 
 def outputs(n: int, m: int, lo: int, extra: int, count: int) -> np.ndarray:
-    """count (n, lo+m+extra) arrays, stacked, of which the passes write the
+    """count (n, lo+m+extra) arrays, stacked, of which the kernels write the
     column slices lo:lo+m; the sentinel shows writes outside them."""
     return np.full((count, n, lo + m + extra), -1.5)
 
 
-def same_bytes(build, call) -> None:
-    """call(kernels, arrays) changes the arrays build() returns, and returns
-    a value; both must come out the same with the compiled kernels and with
-    the reference, byte for byte."""
+def same_bytes(build, call, seeds=()) -> None:
+    """call(kernels, gens, arrays) changes the arrays build() returns, draws
+    from gens, a GeneratorBatch of the seeds' generators, and returns a
+    value; all must come out the same with the compiled kernels and with the
+    reference, byte for byte, and every generator must be left in the same
+    state, with the same next draw."""
     got = []
     for kernels in (_kernel.load(), REFERENCE):
         arrays = build()
-        ret = call(kernels, arrays)
-        got.append((ret, {k: a.tobytes() for k, a in arrays.items()}))
+        gens = GeneratorBatch(rep_generators(seeds), kernels)
+        ret = call(kernels, gens, arrays)
+        states = [g.bit_generator.state for g in gens]
+        written = {k: a.tobytes() for k, a in arrays.items()}
+        got.append((ret, written, states, [g.random() for g in gens]))
     assert got[0] == got[1]
+
+
+def chunk_slices(chunks, lo: int):
+    """(steps, columns) of each consecutive chunk: the slice of the step
+    sizes and the slice of the output columns it writes."""
+    start = 0
+    for m in chunks:
+        yield slice(start, start + m), slice(lo + start, lo + start + m)
+        start += m
 
 
 @needs_kernel
 @CALLS
-@given(shape=SHAPES, record=st.booleans(), zero=st.booleans(), seed=SEEDS)
-def test_sgd_calls_match_reference_bytes(shape, record, zero, seed):
-    n, d, m, lo, extra = shape
-    t = slice(lo, lo + m)
+@given(
+    shape=SHAPES,
+    record=st.booleans(),
+    b_noise=st.sampled_from((0.0, 0.5, 2.0)),
+    radius=st.sampled_from((0.05, 1.0, 4.0)),
+    zero=st.booleans(),
+    seed=SEEDS,
+)
+def test_sgd_calls_match_reference_bytes(shape, record, b_noise, radius, zero, seed):
+    # b_noise 0 draws nothing; a ball of radius 0.05 projects most steps
+    n, d, chunks, lo, extra = shape
+    total = sum(chunks)
 
     def build():
         rng = np.random.default_rng(seed)
-        traj = np.empty((m + 1, n, d))
-        traj[0] = rng.uniform(-1.0, 1.0, (n, d))
-        noise = rng.standard_normal((m, n, d))
         xs = rng.uniform(-0.5, 0.5, d)
+        state = rng.uniform(-1.0, 1.0, (n, d))
         if zero:
-            # replication 0 sits at x* and draws -0.0: every sum it adds is
-            # of signed zeros
-            traj[0, 0] = xs
-            noise[:, 0] = -0.0
+            # replication 0 starts at x*, from signed zeros
+            xs[0] = 0.0
+            state[0] = xs
+            state[0, 0] = -0.0
         return dict(
-            traj=traj, noise=noise, etas=rng.uniform(0.01, 1.0, m), a=rng.uniform(0.5, 2.0, d),
-            xs=xs, radius=rng.uniform(0.3, 1.5, 1), loss=outputs(n, m, lo, extra, 1)[0],
-            loss_pl=outputs(n, m, lo + 1, extra, 1)[0], channels=outputs(n, m, lo, extra, 5),
+            state=state, etas=rng.uniform(0.01, 1.0, total), a=rng.uniform(0.5, 2.0, d),
+            xs=xs, loss=outputs(n, total, lo, extra, 1)[0],
+            loss_pl=outputs(n, total, lo + 1, extra, 1)[0],
+            channels=outputs(n, total, lo, extra, 5),
         )
 
-    def call(k, a):
-        args = (a["traj"], a["noise"], a["etas"], a["a"], a["xs"])
-        hits = k.sgd(*args, float(a["radius"][0]))
-        channels = [a["loss_pl"][:, lo + 1 : lo + 1 + m], *(c[:, t] for c in a["channels"])]
-        k.sgd_pass(*args, 0.75, a["loss"][:, t], *(channels if record else ()))
+    def call(k, gens, a):
+        hits = []
+        for steps, t in chunk_slices(chunks, lo):
+            pl = slice(t.start + 1, t.stop + 1)
+            channels = [a["loss_pl"][:, pl], *(c[:, t] for c in a["channels"])]
+            hits.append(k.sgd_chunk(
+                a["state"], gens, a["etas"][steps], a["a"], a["xs"], radius, b_noise, 0.75,
+                a["loss"][:, t], *(channels if record else ()),
+            ))
+        if b_noise == 0.0:
+            assert [g.bit_generator.state for g in gens] == untouched
         return hits
 
-    same_bytes(build, call)
+    seeds = [rep_seed(seed, i) for i in range(n)]
+    untouched = [g.bit_generator.state for g in rep_generators(seeds)]
+    same_bytes(build, call, seeds)
 
 
 @needs_kernel
@@ -226,34 +262,30 @@ def test_sgd_calls_match_reference_bytes(shape, record, zero, seed):
     seed=SEEDS,
 )
 def test_pca_calls_match_reference_bytes(shape, krasulina, normalize, record, zero, seed):
-    n, p, m, lo, extra = shape
-    t = slice(lo, lo + m)
+    n, p, chunks, lo, extra = shape
+    total = sum(chunks)
 
     def build():
         rng = np.random.default_rng(seed)
         eigs = np.sort(rng.uniform(0.5, 3.0, p))[::-1].copy()
-        traj = np.empty((m + 1, n, p))
-        traj[0] = rng.standard_normal((n, p))
-        norms = np.ones((m + 1, n))
-        norms[0] = np.sum(traj[0] * traj[0], axis=1)
-        data = rng.choice([-1.0, 1.0], (m, n, p)) * np.sqrt(eigs)
         if zero:
-            data[:, 0] = 0.0  # replication 0 sees y = 0 on every step
+            eigs[-1] = 0.0  # the last coordinate of every draw is a signed zero
+        state = rng.standard_normal((n, p))
         return dict(
-            traj=traj, norms=norms, grown=np.full((m, n), -1.5), data=data,
-            etas=rng.uniform(0.01, 0.5, m), eigs=eigs, loss=outputs(n, m, lo, extra, 1)[0],
-            channels=outputs(n, m, lo, extra, 4),
+            state=state, norms=np.sum(state * state, axis=1), etas=rng.uniform(0.01, 0.5, total),
+            eigs=eigs, loss=outputs(n, total, lo, extra, 1)[0],
+            channels=outputs(n, total, lo, extra, 4),
         )
 
-    def call(k, a):
-        # without normalisation the steps divide by the norm the last one grew
-        grown = a["grown"] if normalize else a["norms"][1:]
-        args = (a["traj"], a["norms"], grown, a["data"], a["etas"])
-        k.pca(*args, krasulina, normalize)
-        channels = [c[:, t] for c in a["channels"]] if record else []
-        k.pca_pass(*args, a["eigs"], a["loss"][:, t], *channels)
+    def call(k, gens, a):
+        for steps, t in chunk_slices(chunks, lo):
+            channels = [c[:, t] for c in a["channels"]] if record else []
+            k.pca_chunk(
+                a["state"], a["norms"], gens, a["etas"][steps], np.sqrt(a["eigs"]), a["eigs"],
+                krasulina, normalize, a["loss"][:, t], *channels,
+            )
 
-    same_bytes(build, call)
+    same_bytes(build, call, [rep_seed(seed, i) for i in range(n)])
 
 
 @needs_kernel
@@ -267,10 +299,12 @@ def test_pca_calls_match_reference_bytes(shape, krasulina, normalize, record, ze
     seed=SEEDS,
 )
 def test_rm_calls_match_reference_bytes(shape, cubic, signed_dev, record, zero, seed):
-    n, _, m, lo, extra = shape
-    t = slice(lo, lo + m)
+    # the compiled rm_chunk runs the reference's for the cubic M
+    n, _, chunks, lo, extra = shape
+    total = sum(chunks)
     rng = np.random.default_rng(seed)
     theta, slope, cub_a, cub_b = rng.uniform(-1.0, 1.0), *rng.uniform(0.2, 1.5, 3)
+    radius = rng.uniform(0.5, 2.0)
     if cubic:
         problem = RmProblem(m_kind="cubic_plus_linear", theta=theta, cub_a=cub_a, cub_b=cub_b)
     else:
@@ -278,30 +312,31 @@ def test_rm_calls_match_reference_bytes(shape, cubic, signed_dev, record, zero, 
 
     def build():
         rng = np.random.default_rng(seed + 1)
-        traj = np.empty((m + 1, n))
-        traj[0] = theta + rng.uniform(-1.0, 1.0, n)
-        xi = rng.uniform(-1.7, 1.7, (m, n))
+        state = theta + rng.uniform(-1.0, 1.0, n)
         if zero:
-            traj[0, 0] = theta  # replication 0 stays at theta
-            xi[:, 0] = 0.0
+            state[0] = theta  # replication 0 starts at theta
         return dict(
-            traj=traj, xi=xi, etas=rng.uniform(0.01, 0.3, m),
-            loss=outputs(n, m, lo, extra, 1)[0], channels=outputs(n, m, lo, extra, 2),
+            state=state, etas=rng.uniform(0.01, 0.3, total),
+            loss=outputs(n, total, lo, extra, 1)[0], channels=outputs(n, total, lo, extra, 2),
         )
 
-    def call(k, a):
-        k.rm(a["traj"], a["xi"], a["etas"], problem)
-        channels = [c[:, t] for c in a["channels"]] if record else []
-        k.rm_pass(a["traj"], a["xi"], a["etas"], problem, signed_dev, a["loss"][:, t], *channels)
+    def call(k, gens, a):
+        for steps, t in chunk_slices(chunks, lo):
+            channels = [c[:, t] for c in a["channels"]] if record else []
+            k.rm_chunk(
+                a["state"], gens, a["etas"][steps], problem, radius, signed_dev,
+                a["loss"][:, t], *channels,
+            )
 
-    same_bytes(build, call)
+    same_bytes(build, call, [rep_seed(seed, i) for i in range(n)])
 
 
 @needs_kernel
 @CALLS
 @given(shape=SHAPES, penalty_in_gradient=st.booleans(), zero=st.booleans(), seed=SEEDS)
 def test_ridge_calls_match_reference_bytes(shape, penalty_in_gradient, zero, seed):
-    n, d, m, _, _ = shape
+    n, d, chunks, _, _ = shape
+    m = chunks[0]
 
     def build():
         rng = np.random.default_rng(seed)
@@ -318,7 +353,7 @@ def test_ridge_calls_match_reference_bytes(shape, penalty_in_gradient, zero, see
             lam_radius=np.array([rng.uniform(0.0, 0.5), rng.uniform(0.3, 1.5)]),
         )
 
-    def call(k, a):
+    def call(k, gens, a):
         lambda_pen, radius = a["lam_radius"].tolist()
         args = (a["traj"], a["xs"], a["ys"], a["etas"])
         k.ridge(*args, lambda_pen, penalty_in_gradient, radius)
@@ -458,9 +493,9 @@ def test_every_engine_takes_the_kernel(monkeypatch):
     assert widths == [2, 4, 2, 1]
     monkeypatch.undo()
     # the compiled kernels step and record the cubic M with the reference's
-    # methods, since numpy's u**3 matches neither u*u*u nor libm's pow
+    # chunk method, since numpy's u**3 matches neither u*u*u nor libm's pow
     deferred = []
-    for name in ("rm", "rm_pass"):
+    for name in ("rm_chunk", "rm", "rm_pass"):
         method = getattr(Reference, name)
         monkeypatch.setattr(
             Reference, name, lambda *a, _m=method, _n=name: deferred.append(_n) or _m(*a)
@@ -468,7 +503,65 @@ def test_every_engine_takes_the_kernel(monkeypatch):
     CASES["rm-linear-shifted"][1](seeds)
     assert deferred == []
     ENGINES["rm"][1](seeds)  # the cubic M
-    assert set(deferred) == {"rm", "rm_pass"}
+    assert set(deferred) == {"rm_chunk", "rm", "rm_pass"}
+
+
+class CountingKernels:
+    """The kernels' methods, each call counted by name as the engine makes it."""
+
+    def __init__(self, kernels):
+        self._kernels = kernels
+        self.calls = []
+
+    def __getattr__(self, name):
+        method = getattr(self._kernels, name)
+        return lambda *args: self.calls.append(name) or method(*args)
+
+
+@pytest.mark.parametrize("compiled", [True, False])
+@pytest.mark.parametrize(
+    "engine, method",
+    [
+        ("sgd", "sgd_chunk"),
+        ("krasulina-normalized-rotated", "pca_chunk"),
+        ("oja", "pca_chunk"),
+        ("rm", "rm_chunk"),
+        ("ridge", "ridge_chunk"),
+    ],
+)
+def test_engines_make_one_kernel_call_per_chunk(engine, method, compiled, monkeypatch):
+    # 60 steps in chunks of 7: 9 chunks, each one chunk call, with or
+    # without recording or streaming, whichever kernels the engines get
+    if compiled and _kernel.load() is REFERENCE:
+        pytest.skip("no C compiler here")
+    width, run = ENGINES[engine]
+    seeds = [rep_seed(2, i) for i in range(3)]
+    kernels = CountingKernels(_kernel.load() if compiled else REFERENCE)
+    monkeypatch.setattr(_kernel, "load", lambda width=1: kernels)
+    monkeypatch.setattr(algorithms, "MIN_ROWS", 1)
+    monkeypatch.setattr(algorithms, "DRAW_BUDGET", 7 * len(seeds) * width)
+    monkeypatch.setattr(algorithms, "RIDGE_ROWS", 7)
+    runs = [{}, {"on_chunk": lambda t0, loss: None}]
+    if engine != "ridge":  # ridge records no channels
+        runs.append({"record_channels": False})
+    # ridge draws per generator in numpy, without the kernels' bitgens
+    setup = [] if engine == "ridge" else ["bit_generators"]
+    for kw in runs:
+        kernels.calls.clear()
+        run(seeds, **kw)
+        assert kernels.calls == setup + [method] * 9, kw
+
+
+def test_compiled_functions_are_the_bound_ones():
+    # every function _steps.c exports has a binding and every binding a
+    # function, so no deleted entry point lingers in the library, and the
+    # constants both sides size buffers by agree
+    source = _kernel.SOURCE.read_text()
+    defined = re.findall(r"^(?!static\b|typedef\b)[a-z][\w *]*?\b(\w+)\(", source, re.M)
+    assert sorted(defined) == sorted(_kernel._SIGNATURES)
+    # the buffers Python sizes for C: coordinate vectors and the PCA signs
+    for name in ("MAX_WIDTH", "LANES"):
+        assert re.findall(rf"^#define {name} (\d+)$", source, re.M) == [str(getattr(_kernel, name))]
 
 
 # ---------------------------------------------------------------------------
@@ -501,9 +594,6 @@ def test_batching_invariances_on_numpy_path(numpy_steps):
     for name in ("sgd", "krasulina", "oja-rotated", "rm"):
         with pytest.MonkeyPatch.context() as mp:
             test_algorithms.test_engines_invariant_to_chunk_length(name, mp)
-    for name in sorted(ENGINES):
-        with pytest.MonkeyPatch.context() as mp:
-            test_algorithms.test_engines_invariant_to_pass_slices(name, mp)
     test_streams.test_batch_draws_match_single_generator_draws()
 
 
@@ -517,6 +607,42 @@ def test_lil_folds_with_the_kernels_of_the_call(numpy_steps):
     )
     _lil_batch(RM_LINEAR, 1.0, 3, [rep_seed(1, 0)], 1.0)
     assert t0s == [0, 1]
+
+
+SMALL_SGD = dict(test_cli.SGD_CFG, n_reps=4, horizon=20, record_grid=[])
+WIDE_SGD = {
+    "curvature": [1.0] * 8, "x_star": [0.0] * 8, "radius": 0.5, "b_noise": 0.5,
+    "x0": [0.5] + [0.0] * 7,
+}
+# command -> (config, report file, width of its steps)
+REPORTS = {
+    "coverage": (SMALL_SGD, "coverage_report.json", 2),
+    "coverage-wide": (dict(SMALL_SGD, problem=WIDE_SGD), "coverage_report.json", 8),
+    "last-iterate": (dict(SMALL_SGD, t_eval=20), "last_iterate_report.json", 2),
+    "lil": (
+        {"l1": 1.0, "l2": 1.0, "n_blocks": 3, "n_seeds": 2, "seed_base": 4}, "lil_report.json", 1
+    ),
+    "oja-cold-start": (
+        dict(test_cli.COLD_START_CFG, n_reps=4, horizon=20), "cold_start_report.json", 4
+    ),
+}
+
+
+@pytest.mark.parametrize("reference", [False, True])
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_reports_name_their_kernels(name, reference, tmp_path, monkeypatch):
+    # timing names the kernels the engines got: the reference for steps
+    # wider than MAX_WIDTH, without a compiler or when load is patched
+    cfg, report, width = REPORTS[name]
+    if reference:
+        monkeypatch.setattr(_kernel, "load", reference_load)
+    compiled = isinstance(_kernel.load(), StepKernels) and width <= _kernel.MAX_WIDTH
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    command = name.removesuffix("-wide")
+    assert test_cli.run([command, "--config", str(path), "--out-dir", str(tmp_path)]) in (0, 1)
+    timing = json.loads((tmp_path / report).read_text())["timing"]
+    assert timing["kernels"] == ("compiled" if compiled else "reference")
 
 
 @pytest.mark.filterwarnings("error")

@@ -21,17 +21,18 @@ Reference and overrides only what C computes bit for bit:
     pairwise, hence MAX_WIDTH;
   * the ridge step loop, inside the reference's ridge chunk, whose draws
     stay per generator in numpy (see algorithms.ridge_batch);
-  * the draws the streams samplers make, for every M: the C code calls
-    numpy's exported distribution functions (random_standard_normal,
-    random_bounded_uint64_fill, random_uniform), the ones Generator calls,
-    per generator in the same order, then does the reference's IEEE
-    operations, so each value comes from the machine code Generator runs and
-    every generator ends in the same state.  They are looked up on the
-    first get() with ctypes.CDLL on numpy.random._generator's shared object
-    (as numpy's cffi example does) and passed as function pointers, so
-    nothing of numpy is compiled or linked into the library; C gets each
-    generator's bitgen_t as an opaque pointer from its bit generator's
-    "BitGenerator" capsule.  The chunk calls draw the same way;
+  * the draws the streams samplers make, for every M, and those of the
+    chunk calls: C gets each generator's bitgen_t, the struct of
+    numpy/random/bitgen.h, from its bit generator's "BitGenerator" capsule,
+    draws through its next_uint64, next_uint32 and next_double, and performs
+    inline the transforms of the functions Generator calls, per generator in
+    the same order: random_standard_normal's ziggurat, whose tables
+    _steps.c copies from numpy's libnpyrandom.a, random_uniform, and the
+    range-1 step of random_bounded_uint64_fill.  So each value is numpy's,
+    every generator ends in numpy's state, and no numpy function is called,
+    compiled or linked.  On the first get() the loader compares normal_fill
+    with Generator.standard_normal (_check_normals), so that a numpy whose
+    ziggurat has changed gets the reference rather than other normals;
   * the LIL reducer lil_max: (t*dev)*dev/log log t, with log log t from
     libm's log, which math.log calls, folded into each replication's block
     maxima with np.maximum's rule for nan, in one call per chunk.
@@ -43,8 +44,9 @@ that hashes the source, the flags, the compiler and the platform, so later
 processes load it from the cache.  The build renames a temporary file into
 place, so concurrent processes never load a partial file, and a lock makes
 threads of one process build it once.  When there is no compiler, the build
-fails, the cache cannot be written or numpy's functions cannot be found,
-every width gets the reference, with one note per process on stderr.
+fails, the cache cannot be written or the compiled normals differ from
+numpy's, every width gets the reference, with one note per process on
+stderr.
 
 ctypes.CDLL releases the interpreter lock during each call, so engines on
 several threads draw and step in parallel.  Each binding checks the dtype,
@@ -69,27 +71,23 @@ from ._reference import REFERENCE, Reference
 SOURCE = Path(__file__).with_name("_steps.c")
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 MAX_WIDTH = 7  # coordinates per step at most; MAX_WIDTH in _steps.c
-LANES = 8  # replications per block of a chunk call; LANES in _steps.c
 
 _P, _L, _D, _I = ctypes.c_void_p, ctypes.c_long, ctypes.c_double, ctypes.c_int
 _SIGNATURES = {
-    "sgd_chunk": ([_P] * 5 + [_L] * 3 + [_D] * 4 + [_P, _L, _P, _L] + [_P] * 5 + [_L, _P], _L),
-    "pca_chunk": ([_P] * 7 + [_L] * 3 + [_I] * 2 + [_P, _L] + [_P] * 4 + [_L, _P], None),
-    "rm_chunk": ([_P] * 3 + [_L] * 2 + [_D] * 6 + [_I, _P, _L, _P, _P, _L, _P], None),
+    "sgd_chunk": ([_P] * 5 + [_L] * 3 + [_D] * 4 + [_P, _L, _P, _L] + [_P] * 5 + [_L], _L),
+    "pca_chunk": ([_P] * 6 + [_L] * 3 + [_I] * 2 + [_P, _L] + [_P] * 4 + [_L], None),
+    "rm_chunk": ([_P] * 3 + [_L] * 2 + [_D] * 6 + [_I, _P, _L, _P, _P, _L], None),
     "ridge_steps": ([_P] * 4 + [_L] * 3 + [_D, _I, _D, _D], None),
-    "sphere_draw": ([_P] * 2 + [_L] * 3 + [_D, _P], None),
-    "sign_draw": ([_P] * 4 + [_L] * 3 + [_P], None),
-    "uniform_draw": ([_P] * 2 + [_L] * 2 + [_D] * 2 + [_P], None),
+    "normal_fill": ([_P, _L, _P], None),
+    "sphere_draw": ([_P] * 2 + [_L] * 3 + [_D], None),
+    "sign_draw": ([_P] * 3 + [_L] * 3, None),
+    "uniform_draw": ([_P] * 2 + [_L] * 2 + [_D] * 2, None),
     "lil_loglog": ([_P] + [_L] * 2, None),
     "lil_max": ([_P] + [_L] * 4 + [_P, _L, _P], None),
 }
-# numpy's exported distribution functions the draw loops call, by the name of
-# the StepKernels attribute that holds each address
-_NUMPY_FUNCTIONS = {
-    "_normal": "random_standard_normal",
-    "_fill": "random_bounded_uint64_fill",
-    "_uniform": "random_uniform",
-}
+# normals the loader compares with numpy's (_check_normals), in blocks that
+# keep the check from raising the process's peak memory
+SELF_CHECK, SELF_CHECK_BLOCK = 2**14, 2**10
 
 
 def _addr(a: np.ndarray, shape: tuple, dtype=np.float64) -> int:
@@ -153,15 +151,11 @@ class StepKernels(Reference):
     thread meanwhile, since the draws bypass the bit generators' locks.
     """
 
-    def __init__(self, lib: ctypes.CDLL, distributions: ctypes.CDLL):
+    def __init__(self, lib: ctypes.CDLL):
         for name, (argtypes, restype) in _SIGNATURES.items():
             fn = getattr(lib, name)
             fn.argtypes, fn.restype = argtypes, restype
-        for attr, name in _NUMPY_FUNCTIONS.items():
-            setattr(self, attr, ctypes.cast(getattr(distributions, name), _P).value)
         self._lib = lib
-        # keeps numpy's library, and so the addresses above, loaded
-        self._distributions = distributions
         self._capsule_pointer = ctypes.PYFUNCTYPE(_P, ctypes.py_object, ctypes.c_char_p)(
             ("PyCapsule_GetPointer", ctypes.pythonapi)
         )
@@ -178,18 +172,16 @@ class StepKernels(Reference):
         self._lib.sphere_draw(
             _addr(out, (rows, n, width)),
             _addr(gens.bitgens, (n,), np.uintp),
-            rows, n, width, radius, self._normal,
+            rows, n, width, radius,
         )
 
     def signs(self, out, gens, scale=None) -> None:
         rows, n, width = out.shape
-        tmp = np.empty(rows * width, dtype=np.uint64)
         self._lib.sign_draw(
             _addr(out, (rows, n, width)),
             _addr(gens.bitgens, (n,), np.uintp),
-            _addr(tmp, (rows * width,), np.uint64),
             None if scale is None else _addr(scale, (width,)),
-            rows, n, width, self._fill,
+            rows, n, width,
         )
 
     def uniform(self, out, gens, low: float, high: float) -> None:
@@ -197,7 +189,7 @@ class StepKernels(Reference):
         self._lib.uniform_draw(
             _addr(out, (rows, n)),
             _addr(gens.bitgens, (n,), np.uintp),
-            rows, n, low, high - low, self._uniform,
+            rows, n, low, high - low,
         )
 
     def sgd_chunk(
@@ -219,7 +211,6 @@ class StepKernels(Reference):
             m, n, d, radius, radius * radius, b_noise, half_mu,
             *_rows(loss, (n, m)),
             *recorded,
-            self._normal,
         )
 
     def pca_chunk(
@@ -228,21 +219,17 @@ class StepKernels(Reference):
     ) -> None:
         etas, m = _steps(etas)
         n, p = state.shape
-        # one fill per generator, for each of a block of up to LANES of them
-        tmp = np.empty(min(n, LANES) * m * p, dtype=np.uint64)
         recorded = _channels(channels, (n, m)) if channels else [None] * 4 + [0]
         self._lib.pca_chunk(
             _addr(state, (n, _width(p))),
             _addr(norms, (n,)),
             _addr(gens.bitgens, (n,), np.uintp),
-            _addr(tmp, (tmp.size,), np.uint64),
             _addr(scale, (p,)),
             _addr(etas, (m,)),
             _addr(eigs, (p,)),
             m, n, p, int(krasulina), int(normalize),
             *_rows(loss, (n, m)),
             *recorded,
-            self._fill,
         )
 
     def rm_chunk(
@@ -265,7 +252,6 @@ class StepKernels(Reference):
             int(signed_dev),
             *_rows(loss, (n, m)),
             *recorded,
-            self._uniform,
         )
 
     def ridge(self, traj, xs, ys, etas, lambda_pen, penalty_in_gradient, radius) -> None:
@@ -322,32 +308,38 @@ def _default_cc() -> list:
     return shlex.split(sysconfig.get_config_var("CC") or "cc")
 
 
-def _numpy_distributions() -> str:
-    """Path of the shared object of numpy.random._generator, which exports
-    the distribution functions Generator calls."""
-    from numpy.random import _generator
-
-    return _generator.__file__
+def _check_normals(kernels: StepKernels) -> None:
+    """Raise RuntimeError unless normal_fill draws SELF_CHECK normals from
+    PCG64(0) with the bytes Generator.standard_normal draws and leaves the
+    bit generator in the same state, as a numpy whose ziggurat differs from
+    the one _steps.c copies would not."""
+    gen, ref = (np.random.Generator(np.random.PCG64(0)) for _ in range(2))
+    bitgen = int(kernels.bit_generators([gen])[0])
+    got = np.empty(SELF_CHECK_BLOCK)
+    same = True
+    for _ in range(SELF_CHECK // SELF_CHECK_BLOCK):
+        kernels._lib.normal_fill(bitgen, SELF_CHECK_BLOCK, got.ctypes.data)
+        same &= got.tobytes() == ref.standard_normal(SELF_CHECK_BLOCK).tobytes()
+    if not same or gen.bit_generator.state != ref.bit_generator.state:
+        raise RuntimeError("compiled normals differ from numpy's Generator.standard_normal")
 
 
 class Loader:
     """Builds and loads the step library once, on the first get().
 
     cache_dir and cc default to the cache directory and compiler named in the
-    module docstring, distributions to numpy.random._generator's shared
-    object.
+    module docstring.
     """
 
-    def __init__(self, cache_dir=None, cc=None, distributions=None):
+    def __init__(self, cache_dir=None, cc=None):
         self._cache_dir = cache_dir
         self._cc = cc
-        self._distributions = distributions
         self._lock = threading.Lock()
         self._kernels = None
 
     def get(self) -> Reference:
         """The bindings, or REFERENCE when the library cannot be built or
-        loaded."""
+        loaded or its normals are not numpy's."""
         if self._kernels is None:
             with self._lock:
                 if self._kernels is None:
@@ -356,9 +348,9 @@ class Loader:
 
     def _load(self) -> Reference:
         try:
-            lib = ctypes.CDLL(str(self._build()))
-            distributions = ctypes.CDLL(self._distributions or _numpy_distributions())
-            return StepKernels(lib, distributions)
+            kernels = StepKernels(ctypes.CDLL(str(self._build())))
+            _check_normals(kernels)
+            return kernels
         except (OSError, RuntimeError, AttributeError) as exc:
             reason = " ".join(str(exc).split()) or type(exc).__name__
             print(

@@ -2,13 +2,15 @@
 
 Every kernel call, every engine array and every drawn chunk must come out
 byte for byte the same with _kernel.StepKernels and with
-_reference.REFERENCE, with the generators left in the same state; the
-loader must fall back to the reference with one note when the library
-cannot be built or numpy's distribution functions cannot be found, and
-threads that start engines at once must share one build.  Tests choose the
-reference for the engines by patching _kernel.load.
+_reference.REFERENCE, with the generators left in the same state, and the
+inline draws must be numpy's on every path of its transforms; the loader
+must fall back to the reference with one note when the library cannot be
+built or its normals are not numpy's, and threads that start engines at
+once must share one build.  Tests choose the reference for the engines by
+patching _kernel.load.
 """
 
+import ctypes
 import inspect
 import json
 import math
@@ -473,11 +475,238 @@ def test_compiled_draws_match_numpy_draws(sampler, n_gens, width, radius, chunks
     assert [g.random() for g in compiled] == [g.random() for g in reference]
 
 
+# ---------------------------------------------------------------------------
+# The inline draws against numpy's distribution functions
+# ---------------------------------------------------------------------------
+
+_NEXT64 = ctypes.CFUNCTYPE(ctypes.c_uint64, ctypes.c_void_p)
+_NEXT32 = ctypes.CFUNCTYPE(ctypes.c_uint32, ctypes.c_void_p)
+_NEXT_DOUBLE = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
+
+
+class BitGen(ctypes.Structure):
+    """numpy/random/bitgen.h's bitgen_t."""
+
+    _fields_ = [
+        ("state", ctypes.c_void_p),
+        ("next_uint64", _NEXT64),
+        ("next_uint32", _NEXT32),
+        ("next_double", _NEXT_DOUBLE),
+        ("next_raw", _NEXT64),
+    ]
+
+
+class ScriptedBitGen:
+    """A bitgen_t whose next_uint64 and next_double return the scripted
+    values in order, then 0 (layer 0 and rabs 0: the normal 0.0) and 0.5;
+    taken counts the values each of next_uint64, next_uint32 and next_double
+    returned."""
+
+    def __init__(self, uint64s, doubles):
+        self.taken = [0, 0, 0]
+
+        def replay(kind, values, rest):
+            def next_(_state):
+                i = self.taken[kind]
+                self.taken[kind] += 1
+                return values[i] if i < len(values) else rest
+
+            return next_
+
+        # held here: the struct keeps only the function pointers
+        self._callbacks = (
+            _NEXT64(replay(0, list(uint64s), 0)),
+            _NEXT32(replay(1, [], 0)),
+            _NEXT_DOUBLE(replay(2, list(doubles), 0.5)),
+        )
+        self.struct = BitGen(None, *self._callbacks, self._callbacks[0])
+
+    @property
+    def address(self) -> int:
+        return ctypes.addressof(self.struct)
+
+
+def _ziggurat_table(name: str) -> list:
+    """The 256 entries of the named table in _steps.c."""
+    source = _kernel.SOURCE.read_text()
+    body = re.search(rf"\b{name}\[256\] = \{{(.*?)\}};", source, re.S).group(1)
+    values = body.replace(",", " ").split()
+    parse = float.fromhex if name != "ki_double" else lambda v: int(v, 16)
+    assert len(values) == 256, name
+    return [parse(v) for v in values]
+
+
+def _normal_scripts():
+    """(path, uint64s, doubles): scripts for one normal, each with the path
+    it reaches, the rectangle, the wedge or the tail."""
+    ki = _ziggurat_table("ki_double")
+    top = 2**52 - 1  # the largest rabs
+    # a first output of layer 2, sign 0 and rabs 0: the rectangle accepts it
+    accept = 2
+    for idx in range(256):
+        rabs_values = {ki[idx] - 1, ki[idx]} if idx else {ki[0] - 1, ki[0], ki[0] + 256, top}
+        for rabs in sorted(r for r in rabs_values if 0 <= r <= top):
+            for sign in (0, 1):
+                # the 3 bits above rabs take turns being set: numpy drops them
+                r = idx | sign << 8 | rabs << 9 | (idx % 8) << 61
+                if rabs < ki[idx]:
+                    yield "rectangle", [r], []
+                elif idx == 0:
+                    # a rejected pair (yy = 0), then an accepted one
+                    yield "tail", [r], [0.75, 0.0, 0.5, 1.0 - 2.0**-53]
+                else:
+                    for u in (0.0, 0.5, 1.0 - 2.0**-53):
+                        yield "wedge", [r, accept], [u]
+
+
+def test_inline_normal_replays_numpy_ziggurat():
+    # every layer from both sides of its rectangle's edge, with both signs,
+    # the wedge test's accepts and rejects and the tail loop: the inline
+    # normal returns the bits numpy's random_standard_normal returns, from
+    # the same number of outputs of each kind.  The library is loaded as
+    # built, without the loader's check of its normals, which would hand a
+    # faulty ziggurat the reference and skip the tests that need the kernels.
+    from numpy.random import _generator
+
+    try:
+        library = ctypes.CDLL(str(_kernel.Loader()._build()))
+    except OSError:
+        pytest.skip("no C compiler here")
+    normal_fill = library.normal_fill
+    normal_fill.argtypes, normal_fill.restype = _kernel._SIGNATURES["normal_fill"]
+    numpy_normal = ctypes.CDLL(_generator.__file__).random_standard_normal
+    numpy_normal.argtypes, numpy_normal.restype = [ctypes.c_void_p], ctypes.c_double
+    reached = {}
+    for path, uint64s, doubles in _normal_scripts():
+        want_gen, got_gen = ScriptedBitGen(uint64s, doubles), ScriptedBitGen(uint64s, doubles)
+        want = np.array([numpy_normal(want_gen.address)])
+        got = np.empty(1)
+        normal_fill(got_gen.address, 1, got.ctypes.data)
+        assert got.tobytes() == want.tobytes(), (path, uint64s, doubles)
+        assert got_gen.taken == want_gen.taken, (path, uint64s, doubles)
+        assert got_gen.taken[1] == 0
+        reached.setdefault(path, set()).add(tuple(want_gen.taken))
+    # the rectangle takes one output; the wedge takes a double and accepts,
+    # or rejects and takes the next output; the tail takes two pairs
+    assert reached == {
+        "rectangle": {(1, 0, 0)},
+        "wedge": {(1, 0, 1), (2, 0, 1)},
+        "tail": {(1, 0, 4)},
+    }
+
+
+@needs_kernel
+@pytest.mark.parametrize("width", range(1, 8))
+def test_chunk_draws_leave_numpy_generator_state(width):
+    # chunks of 3, 1, 4 and 5 steps: with an odd width, an odd m*width leaves
+    # PCG64 holding the spare half of a 64-bit output (has_uint32, uinteger)
+    # for the next chunk's first sign.  After every chunk each generator must
+    # be where Generator.integers(0, 2), Generator.uniform or
+    # Generator.standard_normal leaves a twin, and the draw loops must return
+    # those methods' bytes.
+    k = _kernel.load()
+    n, radius = 3, 1.5
+    seeds = [rep_seed(23, i) for i in range(n)]
+    eigs = np.arange(width, 0.0, -1.0)
+
+    def pca(gens, m):
+        state = np.full((n, width), 0.5)
+        k.pca_chunk(
+            state, np.sum(state * state, axis=1), gens, np.full(m, 0.1), np.sqrt(eigs), eigs,
+            True, False, np.empty((n, m)),
+        )
+
+    def sgd(b_noise):
+        def run(gens, m):
+            k.sgd_chunk(
+                np.zeros((n, width)), gens, np.full(m, 0.1), np.ones(width), np.zeros(width),
+                1.0, b_noise, 0.5, np.empty((n, m)),
+            )
+
+        return run
+
+    def rm(gens, m):
+        k.rm_chunk(np.zeros(n), gens, np.full(m, 0.1), RM_LINEAR, radius, False, np.empty((n, m)))
+
+    def signs(g, m):
+        return g.integers(0, 2, size=(m, width)) * 2.0 - 1.0
+
+    def uniform(g, m):
+        return g.uniform(-radius, radius, size=m)
+
+    # name -> (the compiled call, returning its draws or None, and what a
+    # twin generator draws for the same chunk)
+    kinds = {
+        "pca": (pca, signs),
+        "sgd": (sgd(2.0), lambda g, m: g.standard_normal((m, width))),
+        "sgd-no-noise": (sgd(0.0), lambda g, m: None),
+        "rm": (rm, uniform),
+        "signs": (lambda gens, m: rademacher_batch(gens, m, width), signs),
+        "uniform": (lambda gens, m: uniform_batch(gens, m, radius), uniform),
+    }
+    for name, (compiled, twin) in kinds.items():
+        gens = GeneratorBatch(rep_generators(seeds), k)
+        twins = rep_generators(seeds)
+        spare = []
+        for m in (3, 1, 4, 5):
+            got = compiled(gens, m)
+            want = [twin(g, m) for g in twins]
+            if got is not None:
+                assert got.tobytes() == np.stack(want, axis=1).tobytes(), (name, m)
+            states = [g.bit_generator.state for g in gens]
+            assert states == [g.bit_generator.state for g in twins], (name, m)
+            spare += [s["has_uint32"] for s in states]
+        if name in ("pca", "signs") and width % 2:
+            assert 1 in spare and 0 in spare, name
+        if name == "sgd-no-noise":
+            untouched = [g.bit_generator.state for g in rep_generators(seeds)]
+            assert states == untouched
+
+
 @needs_kernel
 def test_steps_source_compiles_without_warnings(tmp_path):
     # -Werror turns any warning in _steps.c into a failed build
     cc = _kernel._default_cc() + ["-Wall", "-Wextra", "-Werror"]
     _kernel._compile(cc, _kernel.SOURCE.read_bytes(), str(tmp_path / "steps.so"))
+
+
+@needs_kernel
+@pytest.mark.parametrize("level", ["-O0", "-O3"])
+def test_optimisation_level_changes_no_byte(level, tmp_path, monkeypatch):
+    # the bytes must follow from the source and -ffp-contract=off alone: a
+    # build at another optimisation level compiles without warnings (a
+    # warning fails the build, and the loader would return the reference),
+    # passes the loader's check of its normals and writes the SGD, PCA and
+    # root-finding chunks of the default build
+    flags = tuple(level if f.startswith("-O") else f for f in _kernel.FLAGS)
+    assert level in flags and "-ffp-contract=off" in flags
+    monkeypatch.setattr(_kernel, "FLAGS", flags)
+    cc = _kernel._default_cc() + ["-Wall", "-Wextra", "-Werror"]
+    built = _kernel.Loader(cache_dir=tmp_path, cc=cc).get()
+    assert isinstance(built, StepKernels) and built is not _kernel.load()
+    n, d, m = 5, 3, 40
+    seeds = [rep_seed(41, i) for i in range(n)]
+    eigs = np.array([3.0, 2.0, 1.0])
+
+    def chunks(k):
+        gens = GeneratorBatch(rep_generators(seeds), k)
+        rng = np.random.default_rng(3)
+        etas = rng.uniform(0.01, 0.5, m)
+        out = [rng.uniform(-1.0, 1.0, (n, d)), rng.standard_normal((n, d)), np.zeros(n)]
+        out += [np.full((n, m), -1.5) for _ in range(3 + 6 + 4 + 2)]
+        x, v, r, loss_sgd, loss_pca, loss_rm, *channels = out
+        hits = k.sgd_chunk(
+            x, gens, etas, np.array([0.5, 1.0, 2.0]), np.array([0.1, 0.0, -0.1]), 0.5, 2.0,
+            0.25, loss_sgd, *channels[:6],
+        )
+        k.pca_chunk(
+            v, np.sum(v * v, axis=1), gens, etas, np.sqrt(eigs), eigs, True, True, loss_pca,
+            *channels[6:10],
+        )
+        k.rm_chunk(r, gens, etas, RM_LINEAR, 1.0, True, loss_rm, *channels[10:])
+        return hits, [a.tobytes() for a in out], [g.bit_generator.state for g in gens]
+
+    assert chunks(built) == chunks(_kernel.load())
 
 
 @needs_kernel
@@ -559,9 +788,8 @@ def test_compiled_functions_are_the_bound_ones():
     source = _kernel.SOURCE.read_text()
     defined = re.findall(r"^(?!static\b|typedef\b)[a-z][\w *]*?\b(\w+)\(", source, re.M)
     assert sorted(defined) == sorted(_kernel._SIGNATURES)
-    # the buffers Python sizes for C: coordinate vectors and the PCA signs
-    for name in ("MAX_WIDTH", "LANES"):
-        assert re.findall(rf"^#define {name} (\d+)$", source, re.M) == [str(getattr(_kernel, name))]
+    # the coordinate vectors C keeps on the stack, which Python checks d against
+    assert re.findall(r"^#define MAX_WIDTH (\d+)$", source, re.M) == [str(_kernel.MAX_WIDTH)]
 
 
 # ---------------------------------------------------------------------------
@@ -664,11 +892,11 @@ def _reference_run():
 
 
 @pytest.mark.parametrize(
-    "broken", ["missing-compiler", "failing-compiler", "unwritable-cache", "missing-numpy-symbol"]
+    "broken", ["missing-compiler", "failing-compiler", "unwritable-cache", "numpy-mismatch"]
 )
 def test_loader_falls_back_with_one_note(broken, tmp_path, monkeypatch, capsys):
     run, seeds, reference = _reference_run()
-    cache, cc, distributions = tmp_path / "cache", None, None
+    cache, cc = tmp_path / "cache", None
     if broken == "missing-compiler":
         cc = [str(tmp_path / "no-such-cc")]
     elif broken == "failing-compiler":
@@ -677,10 +905,17 @@ def test_loader_falls_back_with_one_note(broken, tmp_path, monkeypatch, capsys):
         (tmp_path / "file").write_text("")
         cache = tmp_path / "file" / "cache"  # a directory under a file cannot be made
     else:
-        # a numpy shared object that exports none of the distribution
-        # functions: looking them up raises AttributeError
-        distributions = np.random._pcg64.__file__
-    loader = _kernel.Loader(cache_dir=cache, cc=cc, distributions=distributions)
+        # a library whose ziggurat is not numpy's, as when numpy's changes:
+        # wi_double[0] negated flips the sign of layer 0's normals, which the
+        # loader's check of normal_fill against standard_normal catches
+        if _kernel.load() is REFERENCE:
+            pytest.skip("no C compiler here")
+        source = _kernel.SOURCE.read_text()
+        changed = re.sub(r"(\bwi_double\[256\] = \{\s*)", r"\1-", source, count=1)
+        assert changed != source
+        monkeypatch.setattr(_kernel, "SOURCE", tmp_path / "_steps.c")
+        _kernel.SOURCE.write_text(changed)
+    loader = _kernel.Loader(cache_dir=cache, cc=cc)
     monkeypatch.setattr(_kernel, "load", lambda width=1: loader.get())
     capsys.readouterr()
     for _ in range(3):
@@ -688,8 +923,21 @@ def test_loader_falls_back_with_one_note(broken, tmp_path, monkeypatch, capsys):
     assert loader.get() is REFERENCE
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "compiled step loops unavailable" in err
+    if broken == "numpy-mismatch":
+        assert "standard_normal" in err
     if broken in ("missing-compiler", "failing-compiler"):
         assert list(cache.iterdir()) == []  # no partial library left behind
+
+
+def test_a_library_that_builds_is_loaded():
+    # needs_kernel skips whenever load() gives the reference; with a compiler
+    # here, that must not happen silently, as when the library's normals fail
+    # the loader's check against numpy's
+    try:
+        _kernel.Loader()._build()
+    except OSError:
+        pytest.skip("no C compiler here")
+    assert isinstance(_kernel.load(), StepKernels)
 
 
 @needs_kernel
@@ -730,8 +978,8 @@ def test_threads_share_one_build(tmp_path, monkeypatch):
 
 
 def test_import_builds_nothing(tmp_path):
-    # the library is built, and numpy's distribution functions are looked
-    # up, on the first engine call, never at import
+    # the library is built, loaded and checked on the first engine call,
+    # never at import
     code = (
         "import ctypes\n"
         "opened = []\n"

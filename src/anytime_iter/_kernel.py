@@ -40,10 +40,11 @@ Reference and overrides only what C computes bit for bit:
 The library is built on first use, never at import: the C compiler Python
 was built with (sysconfig's CC) compiles _steps.c with FLAGS into
 $XDG_CACHE_HOME/anytime-iter/ (default ~/.cache/anytime-iter/), under a name
-that hashes the source, the flags, the compiler and the platform, so later
-processes load it from the cache.  The build renames a temporary file into
-place, so concurrent processes never load a partial file, and a lock makes
-threads of one process build it once.  When there is no compiler, the build
+that hashes the source, the flags, the compiler a Loader was given, the
+interpreter (whose sysconfig names the default compiler) and the machine, so
+later processes load it from the cache without importing sysconfig.  The
+build renames a temporary file into place, so concurrent processes never
+load a partial file, and a lock makes threads of one process build it once.  When there is no compiler, the build
 fails, the cache cannot be written or the compiled normals differ from
 numpy's, every width gets the reference, with one note per process on
 stderr.
@@ -362,17 +363,18 @@ class Loader:
 
     def _build(self) -> Path:
         """Path of the library, compiled into the cache first if missing."""
-        import sysconfig
-
-        cc = self._cc if self._cc is not None else _default_cc()
         cache = Path(self._cache_dir) if self._cache_dir is not None else _default_cache_dir()
         source = SOURCE.read_bytes()
-        # the platform too: a home directory may be shared by different machines
-        tag = (source, FLAGS, cc, sysconfig.get_platform())
+        # The interpreter stands for its default compiler, sysconfig's CC,
+        # which is resolved only to compile: loading _sysconfigdata would
+        # cost a cached load more than half its time.  The machine too: a
+        # home directory may be shared by different machines.
+        tag = (source, FLAGS, self._cc, sys.executable, sys.version, os.uname().machine)
         key = hashlib.sha256(repr(tag).encode()).hexdigest()[:16]
         path = cache / f"steps-{key}.so"
         if path.is_file():
             return path
+        cc = self._cc if self._cc is not None else _default_cc()
         cache.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(prefix=path.name, suffix=".tmp", dir=cache)
         os.close(fd)

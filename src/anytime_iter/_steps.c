@@ -484,6 +484,13 @@ void uniform_draw(double *out, bitgen_t *const *gens, long rows, long n, double 
  * or of a chunk buffer.  Each step of a replication depends on the one
  * before, through divisions and square roots, so each step runs over the
  * block's lanes operation by operation, and the independent chains overlap.
+ * The draws too: SGD draws a step's normals value-major, coordinate j of
+ * every lane before coordinate j+1 of any, then scales each lane onto its
+ * sphere.  Drawn lane by lane, one lane's normals and its square root sit
+ * together in program order, and the next lane's independent draws lie
+ * beyond the reach of the processor's out-of-order window; value-major, the
+ * lanes' generator chains overlap.  Each generator still makes the same
+ * calls in the same order, so the values and its final state are unchanged.
  *
  * Each value is the numpy expression of the reference step or pass
  * (_reference.Reference's sgd/sgd_pass, pca/pca_pass and rm/rm_pass),
@@ -524,14 +531,26 @@ INLINE long sgd_rows(double *state, bitgen_t *const *gens, const double *etas, c
     double x[LANES][MAX_WIDTH], w[LANES][MAX_WIDTH], e[LANES][MAX_WIDTH];
     double dev[MAX_WIDTH], dn[MAX_WIDTH], gradf[MAX_WIDTH], gv[MAX_WIDTH], adn[MAX_WIDTH];
     long hits = 0;
+    /* radius 0 draws nothing: the noise stays zero, as in sphere_row */
+    if (b_noise == 0.0)
+        memset(e, 0, sizeof e);
     for (long i0 = 0; i0 < n; i0 += LANES) {
         const long lanes = n - i0 < LANES ? n - i0 : LANES;
         for (long l = 0; l < lanes; l++)
             memcpy(x[l], state + (i0 + l) * d, sizeof(double) * d);
         for (long k = 0; k < m; k++) {
             const double eta = etas[k];
-            for (long l = 0; l < lanes; l++)
-                sphere_row(e[l], gens[i0 + l], d, b_noise);
+            /* sphere_row's values, drawn value-major across the lanes */
+            if (b_noise != 0.0) {
+                for (long j = 0; j < d; j++)
+                    for (long l = 0; l < lanes; l++)
+                        e[l][j] = normal(gens[i0 + l]);
+                for (long l = 0; l < lanes; l++) {
+                    double f = b_noise / sqrt(sum_sq(e[l], d));
+                    for (long j = 0; j < d; j++)
+                        e[l][j] = e[l][j] * f;
+                }
+            }
             for (long l = 0; l < lanes; l++) {
                 for (long j = 0; j < d; j++) {
                     double g = a[j] * (x[l][j] - xs[j]);

@@ -105,6 +105,16 @@ def _run(l0, horizon: int, rows: int, on_chunk, losses):
             on_chunk(start + 1, out)
 
 
+def _channel_block(k: int, n: int, horizon: int) -> np.ndarray:
+    """k recorded (n, horizon) channels as the rows of one (k, n, horizon)
+    allocation.  numpy asks the kernel for transparent huge pages only for
+    allocations of at least 4 MiB, which a (100, 5000) channel, 4.0 MB,
+    misses; one block gets them, where the host grants them, and faults in
+    a fraction of the pages.  Each row is a C-contiguous (n, horizon) array,
+    and holding one keeps the whole block alive."""
+    return np.empty((k, n, horizon))
+
+
 def _check_in_ball(x, radius: float, name: str, dim=None) -> np.ndarray:
     """x as a float array, checked to lie in the ball of the given radius
     and, when dim is given, to be a vector of dim coordinates."""
@@ -128,9 +138,11 @@ def sgd_batch(
 
     Returns per-replication arrays: loss_sc/loss_pl of shape (N, T+1) and,
     when record_channels is set, the noise decompositions and martingale
-    parts of shape (N, T); without it loss_pl is None.  With on_chunk,
-    loss_sc is None and on_chunk(t0, losses) receives instead each chunk's
-    losses at times t0, t0+1, ... in an (N, k) buffer reused afterwards.
+    parts of shape (N, T), the five rows of one (5, N, T) block
+    (_channel_block), so holding one keeps all five alive; without it
+    loss_pl is None.  With on_chunk, loss_sc is None and on_chunk(t0,
+    losses) receives instead each chunk's losses at times t0, t0+1, ... in
+    an (N, k) buffer reused afterwards.
     """
     n = len(seeds)
     d = problem.dim
@@ -152,7 +164,7 @@ def sgd_batch(
         loss_pl = np.empty((n, horizon + 1))
         loss_pl[:, 0] = 0.5 * np.sum(a * diff * diff, axis=1)
         # column t of loss_pl[:, 1:] and of each channel belongs to step t
-        channels = [loss_pl[:, 1:]] + [np.empty((n, horizon)) for _ in range(5)]
+        channels = [loss_pl[:, 1:], *_channel_block(5, n, horizon)]
     proj_hits = 0
 
     l0 = np.sum(diff * diff, axis=1)
@@ -190,8 +202,9 @@ def pca_batch(
     variant "krasulina" adds the component of y*X orthogonal to the iterate;
     variant "oja" applies the multiplicative update v <- v + eta*y*X.  The
     recorded noise channel q is the centered martingale part of the sin^2
-    recursion (computable exactly because the covariance is known).
-    on_chunk streams "loss" as in sgd_batch.
+    recursion (computable exactly because the covariance is known).  The
+    four recorded (N, T) channels are the rows of one (4, N, T) block, as
+    in sgd_batch.  on_chunk streams "loss" as in sgd_batch.
     """
     if variant not in ("krasulina", "oja"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -218,7 +231,7 @@ def pca_batch(
         raise ValueError("v0 must be nonzero")
 
     losses = None if on_chunk else np.empty((n, horizon + 1))
-    channels = [np.empty((n, horizon)) for _ in range(4)] if record_channels else []
+    channels = list(_channel_block(4, n, horizon)) if record_channels else []
 
     l0 = np.maximum(0.0, 1.0 - v[:, 0] ** 2 / vn2)
     krasulina = variant == "krasulina"
@@ -250,9 +263,11 @@ def rm_batch(
 ) -> dict:
     """Advance scalar root-finding replications in lock step.
 
-    The loss is (x_t - theta)^2.  With on_chunk, loss is None and
-    on_chunk(t0, dev) receives instead each chunk's signed deviations
-    x_t - theta, as in sgd_batch; callers square them for the loss.
+    The loss is (x_t - theta)^2.  The recorded (N, T) channels q and noise
+    are the rows of one (2, N, T) block, as in sgd_batch.  With on_chunk,
+    loss is None and on_chunk(t0, dev) receives instead each chunk's signed
+    deviations x_t - theta, as in sgd_batch; callers square them for the
+    loss.
     """
     n = len(seeds)
     horizon = len(etas)
@@ -260,7 +275,7 @@ def rm_batch(
     gens = GeneratorBatch(rep_generators(seeds), kernels)
     theta = problem.theta
     losses = None if on_chunk else np.empty((n, horizon + 1))
-    channels = [np.empty((n, horizon)) for _ in range(2)] if record_channels else []
+    channels = list(_channel_block(2, n, horizon)) if record_channels else []
     signed_dev = on_chunk is not None
 
     x = np.full(n, float(x0))

@@ -346,6 +346,14 @@ _COMMANDS = {
 }
 
 
+def _thread_count(text: str) -> int:
+    """--threads: a count of 0 or more; argparse exits 2 on anything else."""
+    count = int(text)
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {count}")
+    return count
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="anytime-iter",
@@ -358,11 +366,12 @@ def main(argv=None) -> int:
         sp.add_argument("--out-dir", default=".", help="directory for report files")
         threads_help = (
             "worker threads of coverage, last-iterate and oja-cold-start, each on a "
-            "block of at most min(512, ceil(n_reps / N)) replications (0, 1 = serial); "
+            "block of at most min(512, ceil(n_reps / N)) replications (0, 1 = serial), "
+            "on no more workers than blocks or usable cores; "
             "the compiled engine chunks run in parallel, the numpy reference mostly "
             "does not; lil runs its seeds in one serial batch"
         )
-        sp.add_argument("--threads", type=int, default=0, help=threads_help)
+        sp.add_argument("--threads", type=_thread_count, default=0, help=threads_help)
     args = parser.parse_args(argv)
 
     try:

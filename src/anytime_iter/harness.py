@@ -7,14 +7,14 @@ grid only selects which widths and loss quantiles are exported.
 
 One driver (_drive) serves the coverage, last-iterate and cold-start runs.
 It advances blocks of up to _REP_BLOCK = 512 replications, and of at most
-ceil(n_reps / threads) on a thread pool, so that every worker gets one, and
-folds each RNG chunk of losses the engines stream into the first boundary
-crossings and the grid losses, refusing non-finite losses.  No
-(n_reps, horizon) loss matrix is built: losses in flight take
-O(block * chunk) memory, independent of the horizon.  Per-replication seeds
-are independent of the worker count, and the draws of the chunk-length
-invariant engines do not depend on the block size, so reports do not depend
-on scheduling.
+ceil(n_reps / threads) on a thread pool, so that every worker gets one; the
+pool has no more workers than blocks or usable cores.  It folds each RNG
+chunk of losses the engines stream into the first boundary crossings and
+the grid losses, refusing non-finite losses.  No (n_reps, horizon) loss
+matrix is built: losses in flight take O(block * chunk) memory, independent
+of the horizon.  Per-replication seeds are independent of the worker count,
+and the draws of the chunk-length invariant engines do not depend on the
+block size, so reports do not depend on scheduling.
 
 The iterated-logarithm statistic runs on rm_batch as well: _lil_batch hands
 each chunk of signed deviations x_t - theta the engine streams to the
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
@@ -415,6 +416,13 @@ def _build_setup(config: CoverageConfig):
     return boundary, run, max(1, DRAW_BUDGET // (RIDGE_ROWS * (problem.dim + 1)))
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _drive(n_reps, run, block, grid=(), widths=None, scan_from=0, origin=0, threads=0):
     """Stream every replication's losses, block by block, through one reduction.
 
@@ -458,8 +466,9 @@ def _drive(n_reps, run, block, grid=(), widths=None, scan_from=0, origin=0, thre
             run(lo, min(lo + block, n_reps), reduce)
 
     blocks = range(0, n_reps, block)
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(blocks), _usable_cores()) if threads else 1
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(work, blocks))
     else:
         for lo in blocks:
@@ -498,9 +507,9 @@ def run_coverage(config: CoverageConfig, threads: int = 0) -> CoverageReport:
     A replication counts as a violation when its loss exceeds the (scaled)
     width at any iterate in [valid_from, horizon].  The report passes when
     the empirical rate is at most confidence_cost*delta plus three-sigma
-    Monte Carlo slack.  threads > 1 runs the replication blocks on that many
-    worker threads, in blocks of at most ceil(n_reps / threads); the report
-    does not depend on it.
+    Monte Carlo slack.  threads > 1 runs the replication blocks on up to that
+    many worker threads, in blocks of at most ceil(n_reps / threads); the
+    report does not depend on it.
     """
     start_time = time.perf_counter()
     with _spec("invalid problem spec"):

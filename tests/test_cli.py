@@ -333,6 +333,17 @@ def test_diverging_lil_run_is_an_internal_error(tmp_path, capsys):
     assert not (out / "lil_report.json").exists()
 
 
+@pytest.mark.parametrize("threads", ["-3", "-1", "two"])
+def test_bad_thread_count_exits_2(threads, tmp_path, capsys, monkeypatch):
+    # rejected by argparse, before any config is read or run
+    monkeypatch.setattr(harness, "_drive", lambda *a, **kw: pytest.fail("ran"))
+    cfg = write_cfg(tmp_path, "cov.json", SGD_CFG)
+    with pytest.raises(SystemExit) as exc:
+        run(["coverage", "--config", cfg, "--out-dir", str(tmp_path), "--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_reports_reproducible_across_threads(tmp_path):
     cfg = write_cfg(tmp_path, "cov.json", SGD_CFG)
     outs = []

@@ -220,6 +220,36 @@ def test_every_worker_gets_a_block(n_reps):
         assert sorted(blocks) == [(lo, min(lo + size, n_reps)) for lo in range(0, n_reps, size)]
 
 
+@pytest.mark.parametrize(
+    "n_reps, threads, cores, workers",
+    [(10, 64, 4, 4), (2, 3, 4, 2), (600, 3, 2, 2), (600, 2, 8, 2), (10, 1, 4, None), (10, 0, 4, None)],
+)
+def test_pool_starts_no_more_workers_than_blocks_or_cores(
+    n_reps, threads, cores, workers, monkeypatch
+):
+    # the blocks follow the requested count, the pool the blocks and cores;
+    # one worker or fewer runs serially, with no pool
+    pools = []
+
+    class Recording(harness.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(harness, "_usable_cores", lambda: cores)
+    blocks = []
+
+    def run(lo, hi, on_chunk):
+        blocks.append((lo, hi))
+        on_chunk(0, np.zeros((hi - lo, 1)))
+
+    _drive(n_reps, run, 512, threads=threads)
+    size = min(512, math.ceil(n_reps / threads)) if threads > 1 else 512
+    assert sorted(blocks) == [(lo, min(lo + size, n_reps)) for lo in range(0, n_reps, size)]
+    assert pools == ([] if workers is None else [workers])
+
+
 def test_coverage_krasulina_warm_start():
     cfg = CoverageConfig(
         algorithm="krasulina",

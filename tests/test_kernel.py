@@ -159,16 +159,22 @@ def test_kernel_matches_numpy_loop_bytes(name, n_reps, chunk, slice_steps):
 # ---------------------------------------------------------------------------
 
 CALLS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
-# replications, coordinates, the steps of one or two consecutive chunks, and
-# the columns of the wider output arrays before and after the (n, m) slices
-# the chunks write
-SHAPES = st.tuples(
-    st.integers(1, 9),
-    st.integers(1, 7),
-    st.lists(st.integers(1, 300), min_size=1, max_size=2),
-    st.integers(0, 3),
-    st.integers(0, 3),
-)
+
+
+def shapes(max_reps: int = 9):
+    """Replications, coordinates, the steps of one or two consecutive
+    chunks, and the columns of the wider output arrays before and after the
+    (n, m) slices the chunks write."""
+    return st.tuples(
+        st.integers(1, max_reps),
+        st.integers(1, 7),
+        st.lists(st.integers(1, 300), min_size=1, max_size=2),
+        st.integers(0, 3),
+        st.integers(0, 3),
+    )
+
+
+SHAPES = shapes()
 SEEDS = st.integers(0, 2**32 - 1)
 
 
@@ -207,7 +213,8 @@ def chunk_slices(chunks, lo: int):
 @needs_kernel
 @CALLS
 @given(
-    shape=SHAPES,
+    # up to 17 replications: three blocks of 8 lanes, the last one partial
+    shape=shapes(17),
     record=st.booleans(),
     b_noise=st.sampled_from((0.0, 0.5, 2.0)),
     radius=st.sampled_from((0.05, 1.0, 4.0)),
@@ -251,6 +258,79 @@ def test_sgd_calls_match_reference_bytes(shape, record, b_noise, radius, zero, s
     seeds = [rep_seed(seed, i) for i in range(n)]
     untouched = [g.bit_generator.state for g in rep_generators(seeds)]
     same_bytes(build, call, seeds)
+
+
+@needs_kernel
+def test_sgd_chunk_lanes_draw_from_their_own_generators():
+    # 17 replications, three blocks of 8 lanes with a partial last one, and
+    # 300 steps at every width: 5100 to 35700 normals per width, so the
+    # ziggurat's wedge and tail run in lanes mid-block, where drawing a
+    # step's normals value-major across the lanes could mix up generators
+    n, m = 17, 300
+    seeds = [rep_seed(41, i) for i in range(n)]
+    ki = np.array(_ziggurat_table("ki_double"), dtype=np.uint64)
+    tail_from = float.fromhex("0x1.d3bb48209ad33p+1")  # ziggurat_nor_r
+    tails, wedges = set(), set()
+    for d in range(1, 8):
+
+        def build():
+            rng = np.random.default_rng(d)
+            out = outputs(n, m, 0, 0, 7)
+            return dict(
+                state=rng.uniform(-0.3, 0.3, (n, d)), etas=rng.uniform(0.01, 1.0, m),
+                a=rng.uniform(0.5, 2.0, d), xs=rng.uniform(-0.5, 0.5, d),
+                loss=out[0], loss_pl=out[1], channels=out[2:],
+            )
+
+        def call(k, gens, a):
+            return k.sgd_chunk(
+                a["state"], gens, a["etas"], a["a"], a["xs"], 1.0, 2.0, 0.75, a["loss"],
+                a["loss_pl"], *a["channels"],
+            )
+
+        same_bytes(build, call, seeds)
+        # where each lane's normals leave the rectangles: a value beyond
+        # ziggurat_nor_r comes from the tail, and a first output outside its
+        # layer's rectangle before any other, of layer 1 or above, goes on
+        # to the wedge test
+        twins = zip(rep_generators(seeds), rep_generators(seeds))
+        for i, (gen, raw_gen) in enumerate(twins):
+            if (np.abs(gen.standard_normal(m * d)) > tail_from).any():
+                tails.add(i % 8)
+            raw = raw_gen.bit_generator.random_raw(m * d)
+            layer = raw & np.uint64(0xFF)
+            outside = (raw >> np.uint64(9)) & np.uint64(2**52 - 1) >= ki[layer]
+            if outside.any() and layer[np.argmax(outside)]:
+                wedges.add(i % 8)
+    assert tails & set(range(1, 7)) and wedges & set(range(1, 7)), (tails, wedges)
+
+
+# the (count, names) of each engine's recorded (N, T) channels
+CHANNELS = {
+    "sgd-d3": (5, ("noise_sc", "noise_pl", "y_sc", "y_pl", "gnorm2")),
+    "krasulina-p3": (4, ("q", "z_dot_v", "znorm2", "norm_ratio")),
+    "rm-linear-shifted": (2, ("q", "noise")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHANNELS))
+def test_recorded_channels_are_rows_of_one_block(name, monkeypatch):
+    # one allocation per call, big enough for huge pages where a channel
+    # alone is not; each row is still a C-contiguous (N, T) array with the
+    # reference's bytes
+    count, names = CHANNELS[name]
+    _, run = CASES[name]
+    seeds = [rep_seed(9, i) for i in range(11)]
+    res = run(seeds)
+    block = res[names[0]].base
+    assert block.shape == (count, 11, HORIZON) and block.flags.c_contiguous
+    for j, key in enumerate(names):
+        channel = res[key]
+        assert channel.base is block and channel.shape == (11, HORIZON)
+        assert channel.flags.c_contiguous
+        assert channel.ctypes.data == block.ctypes.data + j * channel.nbytes
+    monkeypatch.setattr(_kernel, "load", reference_load)
+    assert as_bytes(res) == as_bytes(run(seeds))
 
 
 @needs_kernel
@@ -975,6 +1055,24 @@ def test_threads_share_one_build(tmp_path, monkeypatch):
     assert [p.suffix for p in tmp_path.iterdir()] == [".so"]
     assert isinstance(loader.get(), StepKernels)
     assert all(r == reference for r in results)
+
+
+@needs_kernel
+def test_cached_load_imports_no_sysconfig():
+    # this process has built and cached the library; a fresh interpreter
+    # loads it without compiling and without _sysconfigdata, whose import
+    # would cost a cached load more than half its time
+    code = (
+        "import sys\n"
+        "from anytime_iter import _kernel\n"
+        "assert isinstance(_kernel.load(), _kernel.StepKernels)\n"
+        "loaded = [m for m in sys.modules if m.startswith('_sysconfigdata')]\n"
+        "assert not loaded, loaded\n"
+        "assert 'subprocess' not in sys.modules, 'compiled'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=_kernel.SOURCE.parents[1].as_posix())
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_import_builds_nothing(tmp_path):

@@ -1,11 +1,12 @@
 """Which kernels the engines run, and the loader of the compiled ones.
 
-Every engine in algorithms, every batch sampler in streams and the LIL
-reducer in harness call the object load(width) returns: the compiled
+Every engine in algorithms and the LIL reducer in harness call the object
+load(width) returns: the compiled
 StepKernels when _steps.c could be built and loaded and a step carries at
 most MAX_WIDTH coordinates, else _reference.REFERENCE, the numpy chunk
 methods, step loops, passes, draws and reducer.  StepKernels subclasses
-Reference and overrides only what C computes bit for bit:
+Reference and overrides only what C computes bit for bit; each object's
+draw and chunk methods take what its own generators(seeds) returns:
 
   * the SGD, PCA and root-finding chunks, except the cubic M's, since
     numpy's u**3 matches neither u*u*u nor libm's pow: one C call per
@@ -21,18 +22,23 @@ Reference and overrides only what C computes bit for bit:
     pairwise, hence MAX_WIDTH;
   * the ridge step loop, inside the reference's ridge chunk, whose draws
     stay per generator in numpy (see algorithms.ridge_batch);
-  * the draws the streams samplers make, for every M, and those of the
-    chunk calls: C gets each generator's bitgen_t, the struct of
-    numpy/random/bitgen.h, from its bit generator's "BitGenerator" capsule,
-    draws through its next_uint64, next_uint32 and next_double, and performs
-    inline the transforms of the functions Generator calls, per generator in
-    the same order: random_standard_normal's ziggurat, whose tables
-    _steps.c copies from numpy's libnpyrandom.a, random_uniform, and the
-    range-1 step of random_bounded_uint64_fill.  So each value is numpy's,
-    every generator ends in numpy's state, and no numpy function is called,
-    compiled or linked.  On the first get() the loader compares normal_fill
-    with Generator.standard_normal (_check_normals), so that a numpy whose
-    ziggurat has changed gets the reference rather than other normals;
+  * the generators and every draw, those of the chunk calls and of the
+    draw methods, for every M: generators reads each seed's
+    SeedSequence.pool and C seeds an (n, STATE_WORDS) uint64 array of
+    PCG64 states from the pools as default_rng would (seed_states), so the
+    kernels own the states, declare no numpy struct and need no generator
+    lock.  C steps each state inline as numpy's PCG64 does, through its
+    next64, next_double and next32 with the spare half word, and performs
+    the transforms of the functions Generator calls, per generator in the
+    same order: random_standard_normal's ziggurat, whose tables _steps.c
+    copies from numpy's libnpyrandom.a, random_uniform, and the range-1
+    step of random_bounded_uint64_fill.  So each value is numpy's, every
+    state is the one numpy's generator would reach (states turns the rows
+    into bit_generator.state dicts), and no numpy function is called,
+    compiled or linked.  On the first get() the loader compares the seeding
+    and the draws with numpy's (_check_draws), so that a numpy whose
+    seeding, PCG64 or ziggurat has changed gets the reference rather than
+    other numbers;
   * the LIL reducer lil_max: (t*dev)*dev/log log t, with log log t from
     libm's log, which math.log calls, folded into each replication's block
     maxima with np.maximum's rule for nan, in one call per chunk.
@@ -44,13 +50,14 @@ that hashes the source, the flags, the compiler a Loader was given, the
 interpreter (whose sysconfig names the default compiler) and the machine, so
 later processes load it from the cache without importing sysconfig.  The
 build renames a temporary file into place, so concurrent processes never
-load a partial file, and a lock makes threads of one process build it once.  When there is no compiler, the build
-fails, the cache cannot be written or the compiled normals differ from
-numpy's, every width gets the reference, with one note per process on
-stderr.
+load a partial file, and a lock makes threads of one process build it
+once.  When there is no compiler, the build fails, the cache cannot be
+written or the compiled seeding or draws differ from numpy's, every width
+gets the reference, with one note per process on stderr.
 
 ctypes.CDLL releases the interpreter lock during each call, so engines on
-several threads draw and step in parallel.  Each binding checks the dtype,
+several threads, each with its own generator states, draw and step in
+parallel.  Each binding checks the dtype,
 contiguity and shape of every array before it passes a pointer; the outputs
 of the chunks, column slices of the engines' (N, T) results, need a unit
 column stride and pass their row stride along.
@@ -79,16 +86,20 @@ _SIGNATURES = {
     "pca_chunk": ([_P] * 6 + [_L] * 3 + [_I] * 2 + [_P, _L] + [_P] * 4 + [_L], None),
     "rm_chunk": ([_P] * 3 + [_L] * 2 + [_D] * 6 + [_I, _P, _L, _P, _P, _L], None),
     "ridge_steps": ([_P] * 4 + [_L] * 3 + [_D, _I, _D, _D], None),
-    "normal_fill": ([_P, _L, _P], None),
+    "seed_states": ([_P] * 3 + [_L], None),
+    "normal_fill": ([_P, _L, _P, _P], _L),
     "sphere_draw": ([_P] * 2 + [_L] * 3 + [_D], None),
     "sign_draw": ([_P] * 3 + [_L] * 3, None),
     "uniform_draw": ([_P] * 2 + [_L] * 2 + [_D] * 2, None),
     "lil_loglog": ([_P] + [_L] * 2, None),
     "lil_max": ([_P] + [_L] * 4 + [_P, _L, _P], None),
 }
-# normals the loader compares with numpy's (_check_normals), in blocks that
-# keep the check from raising the process's peak memory
+STATE_WORDS = 6  # uint64 values per generator; STATE_WORDS in _steps.c
+# what the loader compares with numpy (_check_draws): the states of these
+# seeds, SELF_CHECK normals from the first, in blocks that keep the check
+# from raising the process's peak memory, then an odd run of signs
 SELF_CHECK, SELF_CHECK_BLOCK = 2**14, 2**10
+SELF_CHECK_SIGNS = (3, 5)  # rows and width: 15 signs leave a spare half word
 
 
 def _addr(a: np.ndarray, shape: tuple, dtype=np.float64) -> int:
@@ -142,14 +153,22 @@ def _steps(etas) -> tuple:
     return etas, len(etas)
 
 
+def _gens(gens, n: int) -> int:
+    """Address of gens, once checked to be the writeable (n, STATE_WORDS)
+    uint64 array of generator states StepKernels.generators returns."""
+    if not gens.flags.writeable:
+        raise ValueError("step kernel needs writeable generator states")
+    return _addr(gens, (n, STATE_WORDS), np.uint64)
+
+
 class StepKernels(Reference):
     """Checked bindings of the functions in _steps.c, with Reference's
     methods and arguments.
 
-    The draw methods take a streams.GeneratorBatch built with these kernels,
-    whose bitgens hold the bit generator addresses bit_generators returned;
-    the caller keeps those generators alive and uses them on no other
-    thread meanwhile, since the draws bypass the bit generators' locks.
+    The draw and chunk methods take the generator states generators
+    returned, an (n, STATE_WORDS) uint64 array, and advance them in place;
+    a call owns the rows it is given, so calls on different arrays run on
+    different threads at once.
     """
 
     def __init__(self, lib: ctypes.CDLL):
@@ -157,41 +176,47 @@ class StepKernels(Reference):
             fn = getattr(lib, name)
             fn.argtypes, fn.restype = argtypes, restype
         self._lib = lib
-        self._capsule_pointer = ctypes.PYFUNCTYPE(_P, ctypes.py_object, ctypes.c_char_p)(
-            ("PyCapsule_GetPointer", ctypes.pythonapi)
-        )
 
-    def bit_generators(self, gens):
-        """The (len(gens),) uintp array of the generators' bitgen_t addresses."""
-        return np.array(
-            [self._capsule_pointer(g.bit_generator.capsule, b"BitGenerator") for g in gens],
-            dtype=np.uintp,
+    def generators(self, seeds):
+        """Row i holds the PCG64 state of default_rng(seeds[i]), built in C
+        from its SeedSequence's pool (an int seed's SeedSequence(seed))."""
+        seq = np.random.SeedSequence
+        pools = [(s if isinstance(s, seq) else seq(s)).pool for s in seeds]
+        sizes = np.array([len(p) for p in pools], dtype=np.int_)
+        flat = np.concatenate(pools) if pools else np.empty(0, dtype=np.uint32)
+        states = np.empty((len(pools), STATE_WORDS), dtype=np.uint64)
+        self._lib.seed_states(
+            states.ctypes.data, _addr(flat, flat.shape, np.uint32), sizes.ctypes.data, len(pools)
         )
+        return states
+
+    def states(self, gens):
+        return [
+            {
+                "bit_generator": "PCG64",
+                "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
+                "has_uint32": has_uint32,
+                "uinteger": uinteger,
+            }
+            for s_hi, s_lo, i_hi, i_lo, has_uint32, uinteger in gens.tolist()
+        ]
 
     def sphere(self, out, gens, radius: float) -> None:
         rows, n, width = out.shape
-        self._lib.sphere_draw(
-            _addr(out, (rows, n, width)),
-            _addr(gens.bitgens, (n,), np.uintp),
-            rows, n, width, radius,
-        )
+        self._lib.sphere_draw(_addr(out, (rows, n, width)), _gens(gens, n), rows, n, width, radius)
 
     def signs(self, out, gens, scale=None) -> None:
         rows, n, width = out.shape
         self._lib.sign_draw(
             _addr(out, (rows, n, width)),
-            _addr(gens.bitgens, (n,), np.uintp),
+            _gens(gens, n),
             None if scale is None else _addr(scale, (width,)),
             rows, n, width,
         )
 
     def uniform(self, out, gens, low: float, high: float) -> None:
         rows, n = out.shape
-        self._lib.uniform_draw(
-            _addr(out, (rows, n)),
-            _addr(gens.bitgens, (n,), np.uintp),
-            rows, n, low, high - low,
-        )
+        self._lib.uniform_draw(_addr(out, (rows, n)), _gens(gens, n), rows, n, low, high - low)
 
     def sgd_chunk(
         self, state, gens, etas, a, xs, radius: float, b_noise: float, half_mu: float, loss,
@@ -205,7 +230,7 @@ class StepKernels(Reference):
             recorded = [*_rows(loss_pl, (n, m)), *_channels(rest, (n, m))]
         return self._lib.sgd_chunk(
             _addr(state, (n, _width(d))),
-            _addr(gens.bitgens, (n,), np.uintp),
+            _gens(gens, n),
             _addr(etas, (m,)),
             _addr(a, (d,)),
             _addr(xs, (d,)),
@@ -224,7 +249,7 @@ class StepKernels(Reference):
         self._lib.pca_chunk(
             _addr(state, (n, _width(p))),
             _addr(norms, (n,)),
-            _addr(gens.bitgens, (n,), np.uintp),
+            _gens(gens, n),
             _addr(scale, (p,)),
             _addr(etas, (m,)),
             _addr(eigs, (p,)),
@@ -247,7 +272,7 @@ class StepKernels(Reference):
         s2, r1sq = float(problem.slope**2), float(problem.r1**2)
         self._lib.rm_chunk(
             _addr(state, (n,)),
-            _addr(gens.bitgens, (n,), np.uintp),
+            _gens(gens, n),
             _addr(etas, (m,)),
             m, n, float(problem.theta), float(problem.slope), low, high - low, s2, r1sq,
             int(signed_dev),
@@ -309,20 +334,38 @@ def _default_cc() -> list:
     return shlex.split(sysconfig.get_config_var("CC") or "cc")
 
 
-def _check_normals(kernels: StepKernels) -> None:
-    """Raise RuntimeError unless normal_fill draws SELF_CHECK normals from
-    PCG64(0) with the bytes Generator.standard_normal draws and leaves the
-    bit generator in the same state, as a numpy whose ziggurat differs from
-    the one _steps.c copies would not."""
-    gen, ref = (np.random.Generator(np.random.PCG64(0)) for _ in range(2))
-    bitgen = int(kernels.bit_generators([gen])[0])
+def _check_draws(kernels: StepKernels) -> None:
+    """Raise RuntimeError unless the compiled generators are numpy's, as a
+    numpy whose seeding, PCG64 or transforms differ from the ones _steps.c
+    reproduces would not be: seed_states must give default_rng's states
+    for a few seeds (large entropy, a spawn key, a wider pool); from the
+    first, normal_fill must draw SELF_CHECK normals with the bytes
+    Generator.standard_normal draws, then sign_draw an odd run of signs
+    with the bytes Generator.integers(0, 2) draws, leaving a spare half
+    word; and the generators must end in numpy's state."""
+    seeds = [
+        np.random.SeedSequence(0),
+        np.random.SeedSequence([2**64 + 3, 2**32]),
+        np.random.SeedSequence(2**70, spawn_key=(3,)),
+        np.random.SeedSequence(7, pool_size=8),
+    ]
+    gens = kernels.generators(seeds)
+    twins = [np.random.default_rng(s) for s in seeds]
+    if kernels.states(gens) != [t.bit_generator.state for t in twins]:
+        raise RuntimeError("compiled PCG64 seeding differs from numpy's SeedSequence and PCG64")
+    gen, twin = gens[:1], twins[0]
     got = np.empty(SELF_CHECK_BLOCK)
     same = True
     for _ in range(SELF_CHECK // SELF_CHECK_BLOCK):
-        kernels._lib.normal_fill(bitgen, SELF_CHECK_BLOCK, got.ctypes.data)
-        same &= got.tobytes() == ref.standard_normal(SELF_CHECK_BLOCK).tobytes()
-    if not same or gen.bit_generator.state != ref.bit_generator.state:
+        kernels._lib.normal_fill(gen.ctypes.data, SELF_CHECK_BLOCK, got.ctypes.data, None)
+        same &= got.tobytes() == twin.standard_normal(SELF_CHECK_BLOCK).tobytes()
+    if not same:
         raise RuntimeError("compiled normals differ from numpy's Generator.standard_normal")
+    signs = np.empty((SELF_CHECK_SIGNS[0], 1, SELF_CHECK_SIGNS[1]))
+    kernels.signs(signs, gen)
+    want = twin.integers(0, 2, size=SELF_CHECK_SIGNS) * 2.0 - 1.0
+    if signs[:, 0].tobytes() != want.tobytes() or kernels.states(gen) != [twin.bit_generator.state]:
+        raise RuntimeError("compiled signs differ from numpy's Generator.integers")
 
 
 class Loader:
@@ -340,7 +383,7 @@ class Loader:
 
     def get(self) -> Reference:
         """The bindings, or REFERENCE when the library cannot be built or
-        loaded or its normals are not numpy's."""
+        loaded or its generators are not numpy's."""
         if self._kernels is None:
             with self._lock:
                 if self._kernels is None:
@@ -350,7 +393,7 @@ class Loader:
     def _load(self) -> Reference:
         try:
             kernels = StepKernels(ctypes.CDLL(str(self._build())))
-            _check_normals(kernels)
+            _check_draws(kernels)
             return kernels
         except (OSError, RuntimeError, AttributeError) as exc:
             reason = " ".join(str(exc).split()) or type(exc).__name__

@@ -1,14 +1,16 @@
 """The numpy kernels of the batched engines: Reference.
 
 Reference holds the chunk methods the engines call (sgd_chunk, pca_chunk,
-rm_chunk and ridge_chunk), the per-generator draws the samplers call and
-the LIL reducer the harness calls, in the order of operations their outputs
+rm_chunk and ridge_chunk), the generators they draw from (numpy's
+default_rng of each seed), the per-generator draws the chunks make and the
+LIL reducer the harness calls, in the order of operations their outputs
 are pinned to.  Each chunk method is the reference loop of one engine
 chunk: the chunk's draw, then slices of at most PASS_BUDGET values through
 a trajectory buffer, each with a step call (sgd, pca, rm, ridge) and a pass
 call (sgd_pass, pca_pass, rm_pass) in the elementwise order of the per-step
 formulas, so the slicing changes no bit.  _kernel.StepKernels overrides
-what C computes bit for bit, with the same method names and arguments: each
+what C computes bit for bit, with the same method names and arguments: the
+generators, as PCG64 states the compiled code owns, the draws, and each
 engine chunk but ridge's in one replication-major call, which builds
 neither the draw chunk nor the trajectory buffer; _kernel.load chooses
 between the two.  The step, pass, draw and chunk contracts are in the class
@@ -19,6 +21,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .seeding import make_generator
 
 PASS_BUDGET = 2**14  # values per slice of a chunk's step loop and its loss and channel pass
 
@@ -101,21 +105,27 @@ class Reference:
 
     Each chunk method advances the replications of an engine by m =
     len(etas) steps from their state (iterates, and for PCA the squared
-    norms the next step divides by), in place: it draws the chunk for the
-    batch of generators gens (a streams.GeneratorBatch), writes the losses
+    norms the next step divides by), in place: it draws the chunk from
+    gens, what generators returned for the batch's seeds, writes the losses
     at the m steps into the (n, m) array loss and, when channels are given,
     the recorded channels into those (n, m) arrays.  Each step method
     advances m steps in a trajectory buffer traj of at least m+1 rows, row 0
     the iterates before the first step, and step k writes row k+1.  Each
     pass method reads those m steps back, with their draws, and writes their
     losses and channels as the chunk methods do.  Each draw method fills a
-    chunk for a batch of generators, column j with what generator j alone
-    draws.
+    chunk for the generators gens, column j with what generator j alone
+    draws, and advances them.  The draw and chunk methods of each kernels
+    object take what its own generators method returns.
     """
 
-    def bit_generators(self, gens):
-        """What the draws take of the generators once per batch: nothing."""
-        return None
+    def generators(self, seeds):
+        """The generators the draw and chunk methods take: default_rng of
+        each seed, an int or a SeedSequence."""
+        return [make_generator(s) for s in seeds]
+
+    def states(self, gens):
+        """Each generator's bit_generator.state."""
+        return [g.bit_generator.state for g in gens]
 
     def sphere(self, out, gens, radius: float) -> None:
         """out, (rows, n, width), receives rows uniform on the sphere of the

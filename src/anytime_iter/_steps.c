@@ -1,13 +1,14 @@
-/* Chunk functions, ridge step loop and draw loops of the batched engines
- * in anytime_iter.algorithms, and the LIL reducer of anytime_iter.harness.
+/* Chunk functions, ridge step loop, generator seeding and draw loops of the
+ * batched engines in anytime_iter.algorithms, and the LIL reducer of
+ * anytime_iter.harness.
  *
  * sgd_chunk, pca_chunk and rm_chunk (linear M) each run one engine chunk in
- * one call, replication-major: the outer loop runs over blocks of a few
+ * one call, replication-major: the outer loop runs over blocks of LANES
  * replications and the inner loop over the chunk's m steps.  For each
- * replication the call draws the values from its own bit generator,
- * advances the iterate in locals and writes its losses, and its noise
- * channels when the engine records them, into row i of row-strided (n, m)
- * outputs.  No draw chunk and no trajectory buffer is built.
+ * replication the call draws the values from its own generator, advances
+ * the iterate in locals and writes its losses, and its noise channels when
+ * the engine records them, into row i of row-strided (n, m) outputs.  No
+ * draw chunk and no trajectory buffer is built.
  *
  * ridge_steps advances m ridge steps of n replications in a trajectory
  * buffer traj of shape (m+1, n, d), whose row 0 holds the iterates before
@@ -25,14 +26,14 @@
  * as numpy does, and a sum of squares does not.  Widths of 8 or more, where
  * np.sum adds pairwise, stay in numpy.
  *
- * The draws, in the chunk functions and in the draw loops that fill the
- * (rows, n, width) chunks the streams samplers return, go straight through
- * each generator's bitgen_t, the one struct of numpy the library uses, with
- * numpy's normal, uniform and sign transforms performed inline: the normals
- * by numpy's ziggurat, with its tables copied from the numpy build (see
- * "Draws" below).  No numpy function is called.  lil_max folds the LIL
- * statistic of each chunk of deviations the root-finding engine streams into
- * the harness's dyadic block maxima, with libm's log log t.
+ * The library owns the replications' generators: seed_states turns each
+ * seed's SeedSequence pool into the PCG64 state numpy's default_rng would
+ * build from it, and the chunks and draw loops step those states inline,
+ * with numpy's normal, uniform and sign transforms (see "Generators" and
+ * "Draws" below).  No numpy function is called and no numpy struct is
+ * declared.  lil_max folds the LIL statistic of each chunk of deviations
+ * the root-finding engine streams into the harness's dyadic block maxima,
+ * with libm's log log t.
  */
 #include <math.h>
 #include <stdbool.h>
@@ -46,7 +47,7 @@
 #define INLINE static inline __attribute__((always_inline))
 
 /* sum_j x[j]*v[j], closed with +0.0 (also for d = 1, where np.sum adds it) */
-static double dot(const double *x, const double *v, long d)
+INLINE double dot(const double *x, const double *v, long d)
 {
     double s = x[0] * v[0];
     for (long j = 1; j < d; j++)
@@ -55,7 +56,7 @@ static double dot(const double *x, const double *v, long d)
 }
 
 /* sum_j a[j]^2; squares are never -0.0, so a closing +0.0 would change nothing */
-static double sum_sq(const double *a, long d)
+INLINE double sum_sq(const double *a, long d)
 {
     double s = a[0] * a[0];
     for (long j = 1; j < d; j++)
@@ -65,7 +66,7 @@ static double sum_sq(const double *a, long d)
 
 /* Pull w back onto the sphere of the given radius when |w|^2 > rr;
  * returns 1 if it moved. */
-static long project(double *w, long d, double radius, double rr)
+INLINE long project(double *w, long d, double radius, double rr)
 {
     double r2 = sum_sq(w, d);
     if (!(r2 > rr))
@@ -114,28 +115,127 @@ void ridge_steps(double *traj, const double *xs, const double *ys, const double 
     }
 }
 
-/* Draws.  gens holds the n generators' bitgen_t pointers: the struct
- * numpy/random/bitgen.h declares, which each bit generator's "BitGenerator"
- * capsule holds, and the only part of numpy the library knows.  C draws
- * through its next_uint64, next_uint32 and next_double alone.  normal,
- * uniform and the signs of sign_row perform the transforms of numpy's
- * random_standard_normal, random_uniform and random_bounded_uint64_fill, the
- * functions behind Generator.standard_normal, Generator.uniform and
- * Generator.integers(0, 2): the same IEEE operations on the same outputs of
- * the bit generator, so every value is numpy's and every generator ends in
- * the state numpy leaves.  Each generator gets the draws its Generator method
- * makes for a chunk, in the same order.  The loader checks normal_fill
- * against Generator.standard_normal before it uses the library.  The row
- * helpers below serve both the chunk functions and the draw loops the
- * streams samplers call; in the draw loops out is (rows, n, width), and row r
- * of generator j starts at out + (r*n + j)*width. */
-typedef struct bitgen {
-    void *state;
-    uint64_t (*next_uint64)(void *st);
-    uint32_t (*next_uint32)(void *st);
-    double (*next_double)(void *st);
-    uint64_t (*next_raw)(void *st);
-} bitgen_t;
+/* Generators.  Each replication's generator is a row of STATE_WORDS
+ * uint64 values, the fields of numpy's PCG64 state dict in order: the high
+ * and low halves of the 128-bit state, the high and low halves of the
+ * increment, has_uint32 and uinteger, the spare half of a 64-bit output that
+ * the next 32-bit draw returns.  PCG64 (O'Neill 2014, "PCG: A Family of
+ * Simple Fast Space-Efficient Statistically Good Algorithms for Random Number
+ * Generation"), as numpy's pcg64.h implements it: each output steps the
+ * 128-bit LCG state = state*PCG_MULT + inc, then returns the XSL-RR output of
+ * the new state, (hi ^ lo) rotated right by the top 6 bits of hi.  The
+ * chunks load a block's rows into locals, step them there and store them
+ * back, so no state is read through memory per draw and no lock is needed:
+ * each call owns the rows it is given. */
+#define STATE_WORDS 6
+
+typedef unsigned __int128 u128;
+
+#define PCG_MULT (((u128)0x2360ed051fc65da4ULL << 64) | 0x4385df649fccf645ULL)
+
+typedef struct {
+    u128 state, inc;
+    uint32_t has_uint32, uinteger;
+    /* not NULL: a cursor into raw outputs replayed in order instead of
+     * PCG64's (only normal_fill sets it, to script the ziggurat's paths).
+     * The field itself never changes, so elsewhere the compiler sees the
+     * constant NULL and drops the test. */
+    const uint64_t **script;
+} pcg64_t;
+
+INLINE pcg64_t pcg_load(const uint64_t *row)
+{
+    pcg64_t g = {((u128)row[0] << 64) | row[1], ((u128)row[2] << 64) | row[3],
+                 (uint32_t)row[4], (uint32_t)row[5], NULL};
+    return g;
+}
+
+INLINE void pcg_store(uint64_t *row, const pcg64_t *g)
+{
+    row[0] = (uint64_t)(g->state >> 64);
+    row[1] = (uint64_t)g->state;
+    row[2] = (uint64_t)(g->inc >> 64);
+    row[3] = (uint64_t)g->inc;
+    row[4] = g->has_uint32;
+    row[5] = g->uinteger;
+}
+
+/* pcg64_next64 */
+INLINE uint64_t next64(pcg64_t *g)
+{
+    if (g->script)
+        return *(*g->script)++;
+    g->state = g->state * PCG_MULT + g->inc;
+    const uint64_t hi = (uint64_t)(g->state >> 64), x = hi ^ (uint64_t)g->state;
+    const unsigned rot = (unsigned)(hi >> 58);
+    return (x >> rot) | (x << ((-rot) & 63));
+}
+
+/* pcg64_next_double: the top 53 bits of an output, times 2^-53 */
+INLINE double next_double(pcg64_t *g)
+{
+    return (double)(next64(g) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* pcg64_next32: the spare high half of the last output, if there is one,
+ * else the low half of a new output, keeping its high half */
+INLINE uint32_t next32(pcg64_t *g)
+{
+    if (g->has_uint32) {
+        g->has_uint32 = 0;
+        return g->uinteger;
+    }
+    const uint64_t r = next64(g);
+    g->has_uint32 = 1;
+    g->uinteger = (uint32_t)(r >> 32);
+    return (uint32_t)r;
+}
+
+/* SeedSequence's hash constants (numpy/random/bit_generator.pyx) */
+#define SS_INIT_B 0x8b51f9ddU
+#define SS_MULT_B 0x58f38dedU
+
+/* out, (n, STATE_WORDS), receives the state of default_rng(seed) for each of
+ * n SeedSequences, given by their pools: row i's pool_sizes[i] words follow
+ * row i-1's in pools.  SeedSequence.generate_state(4, np.uint64) hashes 8
+ * words of the cycled pool, paired low word first into 4 uint64 s; PCG64
+ * seeds with state s[0]:s[1] and sequence s[2]:s[3] (pcg64_set_seed):
+ * state 0, inc = 2*sequence + 1, one step, state += seed, one step; its
+ * spare half word starts empty. */
+void seed_states(uint64_t *out, const uint32_t *pools, const long *pool_sizes, long n)
+{
+    for (long i = 0; i < n; i++) {
+        const long size = pool_sizes[i];
+        uint32_t hash = SS_INIT_B;
+        uint64_t s[4] = {0, 0, 0, 0};
+        for (long w = 0; w < 8; w++) {
+            uint32_t v = pools[w % size] ^ hash;
+            hash *= SS_MULT_B;
+            v *= hash;
+            v ^= v >> 16;
+            s[w / 2] |= (uint64_t)v << (32 * (w % 2));
+        }
+        pcg64_t g = {0, (((u128)s[2] << 64) | s[3]) << 1 | 1, 0, 0, NULL};
+        g.state = g.inc;
+        g.state += ((u128)s[0] << 64) | s[1];
+        g.state = g.state * PCG_MULT + g.inc;
+        pcg_store(out + i * STATE_WORDS, &g);
+        pools += size;
+    }
+}
+
+/* Draws.  normal, uniform and the signs of sign_row perform the transforms
+ * of numpy's random_standard_normal, random_uniform and
+ * random_bounded_uint64_fill, the functions behind
+ * Generator.standard_normal, Generator.uniform and Generator.integers(0, 2):
+ * the same IEEE operations on the same outputs of PCG64, so every value is
+ * numpy's and every generator ends in the state numpy leaves.  Each
+ * generator gets the draws its Generator method makes for a chunk, in the
+ * same order.  The loader checks seed_states, normal_fill and sign_draw
+ * against numpy before it uses the library.  The row helpers below serve
+ * both the chunk functions and the draw loops; in the draw loops out is
+ * (rows, n, width), and row r of generator j starts at
+ * out + (r*n + j)*width. */
 
 /* The 256-layer ziggurat of numpy's random_standard_normal (Marsaglia and
  * Tsang 2000).  The tables ki_double, wi_double and fi_double are copied as
@@ -347,10 +447,10 @@ static const double fi_double[256] = {
     0x1.69ea8d90cb85dp-8, 0x1.08a1f03b0b1fdp-8, 0x1.55f9f43c1b067p-9, 0x1.4a605b6b9f70fp-10
 };
 
-/* One output r of the bit generator as the ziggurat reads it: the layer
- * r & 0xff, the sign bit 8 and the 52 bits rabs above it, and
- * x = rabs*wi_double[layer] with that sign, set by an XOR of the sign bit
- * where numpy negates x on a branch. */
+/* One output r of PCG64 as the ziggurat reads it: the layer r & 0xff, the
+ * sign bit 8 and the 52 bits rabs above it, and x = rabs*wi_double[layer]
+ * with that sign, set by an XOR of the sign bit where numpy negates x on a
+ * branch. */
 INLINE double zig_x(uint64_t r, uint64_t *rabs)
 {
     *rabs = (r >> 9) & 0x000fffffffffffff;
@@ -364,24 +464,27 @@ INLINE double zig_x(uint64_t r, uint64_t *rabs)
 
 /* The rest of numpy's loop after an output r, with its rabs and x, fell
  * outside its layer's rectangle: the tail beyond ziggurat_nor_r for layer 0,
- * the wedge test for the others, and a new output when these reject. */
-static double normal_rest(bitgen_t *g, uint64_t r, uint64_t rabs, double x)
+ * the wedge test for the others, and a new output when these reject.  Not
+ * inlined: normal hands it a copy of the generator, so that no lane's
+ * generator in the chunks has its address taken. */
+static __attribute__((noinline)) double normal_rest(pcg64_t *g, uint64_t r, uint64_t rabs,
+                                                    double x)
 {
     for (;;) {
         const int idx = r & 0xff;
         if (idx == 0) {
             for (;;) {
                 /* log1p(-U) = log(1 - U), which never sees 0 */
-                const double xx = -ziggurat_nor_inv_r * log1p(-g->next_double(g->state));
-                const double yy = -log1p(-g->next_double(g->state));
+                const double xx = -ziggurat_nor_inv_r * log1p(-next_double(g));
+                const double yy = -log1p(-next_double(g));
                 if (yy + yy > xx * xx)
                     return ((rabs >> 8) & 0x1) ? -(ziggurat_nor_r + xx) : ziggurat_nor_r + xx;
             }
         }
         const double f = fi_double[idx];
-        if ((fi_double[idx - 1] - f) * g->next_double(g->state) + f < exp(-0.5 * x * x))
+        if ((fi_double[idx - 1] - f) * next_double(g) + f < exp(-0.5 * x * x))
             return x;
-        r = g->next_uint64(g->state);
+        r = next64(g);
         x = zig_x(r, &rabs);
         if (rabs < ki_double[r & 0xff])
             return x;
@@ -390,33 +493,46 @@ static double normal_rest(bitgen_t *g, uint64_t r, uint64_t rabs, double x)
 
 /* One standard normal, as random_standard_normal draws it; about 99.3 % of
  * the draws return from the first output's rectangle. */
-INLINE double normal(bitgen_t *g)
+INLINE double normal(pcg64_t *g)
 {
-    const uint64_t r = g->next_uint64(g->state);
+    const uint64_t r = next64(g);
     uint64_t rabs;
     const double x = zig_x(r, &rabs);
     if (rabs < ki_double[r & 0xff])
         return x;
-    return normal_rest(g, r, rabs, x);
+    pcg64_t rest = *g;
+    const double y = normal_rest(&rest, r, rabs, x);
+    g->state = rest.state; /* the only field the rest of the loop changes */
+    return y;
 }
 
-/* n standard normals, as Generator.standard_normal(n) draws them. */
-void normal_fill(bitgen_t *g, long n, double *out)
+/* n standard normals from the generator in row gen, as
+ * Generator.standard_normal(n) draws them.  With a script, the normals come
+ * from its raw outputs instead, in order, through the same ziggurat; gen is
+ * left alone, and the return value is how many outputs they took. */
+long normal_fill(uint64_t *gen, long n, double *out, const uint64_t *script)
 {
+    const uint64_t *cursor = script;
+    pcg64_t g = pcg_load(gen);
+    g.script = script ? &cursor : NULL;
     for (long i = 0; i < n; i++)
-        out[i] = normal(g);
+        out[i] = normal(&g);
+    if (script)
+        return cursor - script;
+    pcg_store(gen, &g);
+    return 0;
 }
 
 /* A uniform on [low, low + range), as random_uniform draws it. */
-INLINE double uniform(bitgen_t *g, double low, double range)
+INLINE double uniform(pcg64_t *g, double low, double range)
 {
-    return low + range * g->next_double(g->state);
+    return low + range * next_double(g);
 }
 
 /* One row uniform on the sphere of the given radius: width normals, then
  * o = o*(radius/sqrt(|o|^2)), as _reference._onto_sphere computes it.
  * Radius 0 draws nothing and writes zeros, as Reference.sphere does. */
-INLINE void sphere_row(double *o, bitgen_t *g, long width, double radius)
+INLINE void sphere_row(double *o, pcg64_t *g, long width, double radius)
 {
     if (radius == 0.0) {
         for (long w = 0; w < width; w++)
@@ -432,75 +548,95 @@ INLINE void sphere_row(double *o, bitgen_t *g, long width, double radius)
 
 /* One row of width signs u*2 - 1, with u drawn as integers(0, 2) draws it for
  * its default int64 dtype: random_bounded_uint64_fill with range 1 takes
- * Lemire's 32-bit step, the high half of next_uint32 * 2, whose rejection
+ * Lemire's 32-bit step, the high half of next32 * 2, whose rejection
  * threshold (2^32 - 2) % 2 is 0, so no draw is rejected and u is the top bit
- * of next_uint32.  scale, when not NULL, multiplies coordinate w by scale[w]
+ * of next32.  scale, when not NULL, multiplies coordinate w by scale[w]
  * last, as the PCA draws *= sqrt(eigs) does.  The rows of a chunk draw in
  * order the values of the one fill integers makes per generator. */
-INLINE void sign_row(double *o, bitgen_t *g, const double *scale, long width)
+INLINE void sign_row(double *o, pcg64_t *g, const double *scale, long width)
 {
     for (long w = 0; w < width; w++) {
-        double s = (double)(g->next_uint32(g->state) >> 31) * 2.0;
+        double s = (double)(next32(g) >> 31) * 2.0;
         s = s - 1.0;
         o[w] = scale ? s * scale[w] : s;
     }
 }
 
-void sphere_draw(double *out, bitgen_t *const *gens, long rows, long n, long width,
-                 double radius)
+void sphere_draw(double *out, uint64_t *gens, long rows, long n, long width, double radius)
 {
-    for (long r = 0; r < rows; r++)
-        for (long j = 0; j < n; j++)
-            sphere_row(out + (r * n + j) * width, gens[j], width, radius);
+    for (long j = 0; j < n; j++) {
+        pcg64_t g = pcg_load(gens + j * STATE_WORDS);
+        for (long r = 0; r < rows; r++)
+            sphere_row(out + (r * n + j) * width, &g, width, radius);
+        pcg_store(gens + j * STATE_WORDS, &g);
+    }
 }
 
-void sign_draw(double *out, bitgen_t *const *gens, const double *scale, long rows, long n,
-               long width)
+void sign_draw(double *out, uint64_t *gens, const double *scale, long rows, long n, long width)
 {
-    for (long j = 0; j < n; j++)
+    for (long j = 0; j < n; j++) {
+        pcg64_t g = pcg_load(gens + j * STATE_WORDS);
         for (long r = 0; r < rows; r++)
-            sign_row(out + (r * n + j) * width, gens[j], scale, width);
+            sign_row(out + (r * n + j) * width, &g, scale, width);
+        pcg_store(gens + j * STATE_WORDS, &g);
+    }
 }
 
 /* rows uniforms per generator on [low, low + range), as
  * Generator.uniform(low, high) with range = high - low; out is (rows, n). */
-void uniform_draw(double *out, bitgen_t *const *gens, long rows, long n, double low,
-                  double range)
+void uniform_draw(double *out, uint64_t *gens, long rows, long n, double low, double range)
 {
-    for (long r = 0; r < rows; r++)
-        for (long j = 0; j < n; j++)
-            out[r * n + j] = uniform(gens[j], low, range);
+    for (long j = 0; j < n; j++) {
+        pcg64_t g = pcg_load(gens + j * STATE_WORDS);
+        for (long r = 0; r < rows; r++)
+            out[r * n + j] = uniform(&g, low, range);
+        pcg_store(gens + j * STATE_WORDS, &g);
+    }
 }
 
 /* Chunks.  Each function advances the n replications of an engine by the m
  * steps of one chunk, replication-major: the outer loop runs over blocks of
- * up to LANES replications and the inner loop over the steps.  Replication
- * i draws its chunk's values from gens[i], steps its iterate, held in
- * locals, m times from state row i, writes its m losses into row i of loss
- * (row i starts at loss + i*ld_loss) and, when the channel pointers are not
- * NULL, its recorded channels into row i of each channel array (at i*ld, or
- * i*ld_pl for SGD's loss_pl), and leaves its last iterate in state row i.
- * The outputs are row-strided column slices of the engine's (N, T) results,
- * or of a chunk buffer.  Each step of a replication depends on the one
- * before, through divisions and square roots, so each step runs over the
- * block's lanes operation by operation, and the independent chains overlap.
- * The draws too: SGD draws a step's normals value-major, coordinate j of
- * every lane before coordinate j+1 of any, then scales each lane onto its
- * sphere.  Drawn lane by lane, one lane's normals and its square root sit
- * together in program order, and the next lane's independent draws lie
- * beyond the reach of the processor's out-of-order window; value-major, the
- * lanes' generator chains overlap.  Each generator still makes the same
- * calls in the same order, so the values and its final state are unchanged.
+ * LANES replications and the inner loop over the steps.  Replication i draws
+ * its chunk's values from its generator, row i of gens, steps its iterate,
+ * held in locals, m times from state row i, writes its m losses into row i
+ * of loss (row i starts at loss + i*ld_loss) and, when the channel pointers
+ * are not NULL, its recorded channels into row i of each channel array (at
+ * i*ld, or i*ld_pl for SGD's loss_pl), and leaves its last iterate in state
+ * row i and its generator in gens row i.  The outputs are row-strided column
+ * slices of the engine's (N, T) results, or of a chunk buffer.  Each step of
+ * a replication depends on the one before, through divisions and square
+ * roots, so each step runs over the block's lanes operation by operation,
+ * and the independent chains overlap.  The draws too: SGD draws a step's
+ * normals value-major, coordinate j of every lane before coordinate j+1 of
+ * any, then scales each lane onto its sphere.  Drawn lane by lane, one
+ * lane's normals and its square root sit together in program order, and
+ * the next lane's independent draws lie beyond the reach of the processor's
+ * out-of-order window; value-major, the lanes' generator chains overlap.
+ * Each generator still makes the same draws in the same order, so the
+ * values and its final state are unchanged.
+ *
+ * LANES is a compile-time constant and every loop that draws from or
+ * loads or stores a block's generators is unrolled (EACH_LANE), so each
+ * lane's generator lives in registers or in fixed stack slots, not in an
+ * array indexed at run time; normal hands its rare paths a copy, so no
+ * generator has its address taken.  SGD and root finding unroll their
+ * other lane loops too, which keeps their iterates out of memory as well;
+ * PCA's run no faster unrolled, and would lengthen the build by a third.
+ * A partial last block runs through the same body: its ghost lanes repeat
+ * the block's first replication, from copies of its iterate and generator,
+ * so they write the same bytes to the same places, count no projection and
+ * store nothing back.
  *
  * Each value is the numpy expression of the reference step or pass
  * (_reference.Reference's sgd/sgd_pass, pca/pca_pass and rm/rm_pass),
  * evaluated left to right with its parentheses; constants formed in Python
  * (rr, half_mu, s2, r1sq, range) come in as arguments, since Python's **
  * calls libm's pow.  Replications are independent and each generator gets
- * the calls the reference's chunk draw makes, in the same order, so the
+ * the draws the reference's chunk draw makes, in the same order, so the
  * results are the reference's, with no draw chunk and no trajectory buffer
  * in memory. */
 #define LANES 8
+#define EACH_LANE(l) _Pragma("GCC unroll 8") for (long l = 0; l < LANES; l++)
 
 /* Runs CALL(w), which returns, with w the constant 1 .. MAX_WIDTH equal to
  * d, so that the compiler builds one copy of an inlined chunk body per
@@ -516,13 +652,20 @@ void uniform_draw(double *out, bitgen_t *const *gens, long rows, long n, double 
     default: CALL(7);     \
     }
 
+/* The rows of state and gens lane l of the block at i0 steps: its own, or
+ * for a ghost lane of a partial block the block's first. */
+INLINE long lane_row(long i0, long lanes, long l)
+{
+    return l < lanes ? i0 + l : i0;
+}
+
 /* Projected SGD with sphere noise e of radius b_noise:
  * w = x - eta*(a*(x - x*) + e), projected onto the ball; returns the number
  * of projections.  With dev = x - x* before a step and dn after it: loss
  * |dn|^2, loss_pl 0.5*(sum (a*dn)*dn), y_sc -<e, dev>, y_pl -<a*dev, e>,
  * gnorm2 |a*dev + e|^2, noise_sc (2*eta)*y_sc + (eta*eta)*gnorm2 and
  * noise_pl eta*y_pl + ((half_mu*eta)*eta)*gnorm2. */
-INLINE long sgd_rows(double *state, bitgen_t *const *gens, const double *etas, const double *a,
+INLINE long sgd_rows(double *state, uint64_t *gens, const double *etas, const double *a,
                      const double *xs, long m, long n, long d, double radius, double rr,
                      double b_noise, double half_mu, double *loss, long ld_loss,
                      double *loss_pl, long ld_pl, double *noise_sc, double *noise_pl,
@@ -530,69 +673,82 @@ INLINE long sgd_rows(double *state, bitgen_t *const *gens, const double *etas, c
 {
     double x[LANES][MAX_WIDTH], w[LANES][MAX_WIDTH], e[LANES][MAX_WIDTH];
     double dev[MAX_WIDTH], dn[MAX_WIDTH], gradf[MAX_WIDTH], gv[MAX_WIDTH], adn[MAX_WIDTH];
+    pcg64_t g[LANES];
     long hits = 0;
     /* radius 0 draws nothing: the noise stays zero, as in sphere_row */
     if (b_noise == 0.0)
         memset(e, 0, sizeof e);
     for (long i0 = 0; i0 < n; i0 += LANES) {
         const long lanes = n - i0 < LANES ? n - i0 : LANES;
-        for (long l = 0; l < lanes; l++)
-            memcpy(x[l], state + (i0 + l) * d, sizeof(double) * d);
+        EACH_LANE(l) {
+            const long i = lane_row(i0, lanes, l);
+            memcpy(x[l], state + i * d, sizeof(double) * d);
+            g[l] = pcg_load(gens + i * STATE_WORDS);
+        }
         for (long k = 0; k < m; k++) {
             const double eta = etas[k];
             /* sphere_row's values, drawn value-major across the lanes */
             if (b_noise != 0.0) {
                 for (long j = 0; j < d; j++)
-                    for (long l = 0; l < lanes; l++)
-                        e[l][j] = normal(gens[i0 + l]);
-                for (long l = 0; l < lanes; l++) {
+                    EACH_LANE(l) e[l][j] = normal(&g[l]);
+                EACH_LANE(l) {
                     double f = b_noise / sqrt(sum_sq(e[l], d));
                     for (long j = 0; j < d; j++)
                         e[l][j] = e[l][j] * f;
                 }
             }
-            for (long l = 0; l < lanes; l++) {
+            EACH_LANE(l) {
                 for (long j = 0; j < d; j++) {
-                    double g = a[j] * (x[l][j] - xs[j]);
-                    g = g + e[l][j];
-                    g = g * eta;
-                    w[l][j] = x[l][j] - g;
+                    double gj = a[j] * (x[l][j] - xs[j]);
+                    gj = gj + e[l][j];
+                    gj = gj * eta;
+                    w[l][j] = x[l][j] - gj;
                 }
             }
-            for (long l = 0; l < lanes; l++)
-                hits += project(w[l], d, radius, rr);
-            for (long l = 0; l < lanes; l++) {
-                const long i = i0 + l;
+            EACH_LANE(l) {
+                const long moved = project(w[l], d, radius, rr);
+                hits += l < lanes ? moved : 0;
+            }
+            /* the channels, when recorded, in a rolled loop: unrolled, they
+             * would add half the library's build time for no speed */
+            for (long l = 0; loss_pl && l < LANES; l++) {
+                const long i = lane_row(i0, lanes, l);
+                for (long j = 0; j < d; j++) {
+                    dev[j] = x[l][j] - xs[j];
+                    dn[j] = w[l][j] - xs[j];
+                    gradf[j] = a[j] * dev[j];
+                    gv[j] = gradf[j] + e[l][j];
+                    adn[j] = a[j] * dn[j];
+                }
+                double gn2 = sum_sq(gv, d);
+                double y1 = -dot(e[l], dev, d);
+                double y2 = -dot(gradf, e[l], d);
+                y_sc[i * ld + k] = y1;
+                y_pl[i * ld + k] = y2;
+                gnorm2[i * ld + k] = gn2;
+                noise_sc[i * ld + k] = (2.0 * eta) * y1 + (eta * eta) * gn2;
+                noise_pl[i * ld + k] = eta * y2 + ((half_mu * eta) * eta) * gn2;
+                loss_pl[i * ld_pl + k] = 0.5 * dot(adn, dn, d);
+            }
+            EACH_LANE(l) {
+                const long i = lane_row(i0, lanes, l);
                 for (long j = 0; j < d; j++)
                     dn[j] = w[l][j] - xs[j];
                 loss[i * ld_loss + k] = sum_sq(dn, d);
-                if (loss_pl) {
-                    for (long j = 0; j < d; j++) {
-                        dev[j] = x[l][j] - xs[j];
-                        gradf[j] = a[j] * dev[j];
-                        gv[j] = gradf[j] + e[l][j];
-                        adn[j] = a[j] * dn[j];
-                    }
-                    double gn2 = sum_sq(gv, d);
-                    double y1 = -dot(e[l], dev, d);
-                    double y2 = -dot(gradf, e[l], d);
-                    y_sc[i * ld + k] = y1;
-                    y_pl[i * ld + k] = y2;
-                    gnorm2[i * ld + k] = gn2;
-                    noise_sc[i * ld + k] = (2.0 * eta) * y1 + (eta * eta) * gn2;
-                    noise_pl[i * ld + k] = eta * y2 + ((half_mu * eta) * eta) * gn2;
-                    loss_pl[i * ld_pl + k] = 0.5 * dot(adn, dn, d);
-                }
                 memcpy(x[l], w[l], sizeof(double) * d);
             }
         }
-        for (long l = 0; l < lanes; l++)
-            memcpy(state + (i0 + l) * d, x[l], sizeof(double) * d);
+        EACH_LANE(l) {
+            if (l < lanes) {
+                memcpy(state + (i0 + l) * d, x[l], sizeof(double) * d);
+                pcg_store(gens + (i0 + l) * STATE_WORDS, &g[l]);
+            }
+        }
     }
     return hits;
 }
 
-long sgd_chunk(double *state, bitgen_t *const *gens, const double *etas, const double *a,
+long sgd_chunk(double *state, uint64_t *gens, const double *etas, const double *a,
                const double *xs, long m, long n, long d, double radius, double rr,
                double b_noise, double half_mu, double *loss, long ld_loss, double *loss_pl,
                long ld_pl, double *noise_sc, double *noise_pl, double *y_sc, double *y_pl,
@@ -616,7 +772,7 @@ long sgd_chunk(double *state, bitgen_t *const *gens, const double *etas, const d
  * z_dot_v = <z, v>, znorm2 = |z|^2 and ratio = grown/vn2.
  * (0.0 >= r) ? 0.0 : r keeps a NaN r, as np.maximum(0.0, r) does and fmax
  * does not. */
-INLINE void pca_rows(double *state, double *norms, bitgen_t *const *gens, const double *scale,
+INLINE void pca_rows(double *state, double *norms, uint64_t *gens, const double *scale,
                      const double *etas, const double *eigs, long m, long n, long p,
                      int krasulina, int normalize, double *loss, long ld_loss, double *q,
                      double *z_dot_v, double *znorm2, double *ratio, long ld)
@@ -624,20 +780,23 @@ INLINE void pca_rows(double *state, double *norms, bitgen_t *const *gens, const 
     double v[LANES][MAX_WIDTH], w[LANES][MAX_WIDTH], x[LANES][MAX_WIDTH];
     double vn2[LANES], y[LANES], grown[LANES], next[LANES];
     double z[MAX_WIDTH], sv[MAX_WIDTH];
+    pcg64_t g[LANES];
     for (long i0 = 0; i0 < n; i0 += LANES) {
         const long lanes = n - i0 < LANES ? n - i0 : LANES;
-        for (long l = 0; l < lanes; l++) {
-            memcpy(v[l], state + (i0 + l) * p, sizeof(double) * p);
-            vn2[l] = norms[i0 + l];
+        EACH_LANE(l) {
+            const long i = lane_row(i0, lanes, l);
+            memcpy(v[l], state + i * p, sizeof(double) * p);
+            vn2[l] = norms[i];
+            g[l] = pcg_load(gens + i * STATE_WORDS);
         }
         for (long k = 0; k < m; k++) {
             const double eta = etas[k];
-            for (long l = 0; l < lanes; l++) {
-                sign_row(x[l], gens[i0 + l], scale, p);
+            EACH_LANE(l) {
+                sign_row(x[l], &g[l], scale, p);
                 y[l] = dot(x[l], v[l], p);
             }
             if (krasulina) {
-                for (long l = 0; l < lanes; l++) {
+                for (long l = 0; l < LANES; l++) {
                     double c = y[l] * y[l];
                     c = c / vn2[l];
                     for (long j = 0; j < p; j++) {
@@ -648,24 +807,24 @@ INLINE void pca_rows(double *state, double *norms, bitgen_t *const *gens, const 
                     }
                 }
             } else {
-                for (long l = 0; l < lanes; l++) {
+                for (long l = 0; l < LANES; l++) {
                     double ye = y[l] * eta;
                     for (long j = 0; j < p; j++)
                         w[l][j] = v[l][j] + ye * x[l][j];
                 }
             }
-            for (long l = 0; l < lanes; l++)
+            for (long l = 0; l < LANES; l++)
                 grown[l] = next[l] = sum_sq(w[l], p);
             if (normalize) {
-                for (long l = 0; l < lanes; l++) {
+                for (long l = 0; l < LANES; l++) {
                     double c = sqrt(grown[l]);
                     for (long j = 0; j < p; j++)
                         w[l][j] = w[l][j] / c;
                     next[l] = 1.0;
                 }
             }
-            for (long l = 0; l < lanes; l++) {
-                const long i = i0 + l;
+            for (long l = 0; l < LANES; l++) {
+                const long i = lane_row(i0, lanes, l);
                 double r = 1.0 - (w[l][0] * w[l][0]) / next[l];
                 loss[i * ld_loss + k] = (0.0 >= r) ? 0.0 : r;
                 if (q) {
@@ -686,14 +845,17 @@ INLINE void pca_rows(double *state, double *norms, bitgen_t *const *gens, const 
                 vn2[l] = next[l];
             }
         }
-        for (long l = 0; l < lanes; l++) {
-            memcpy(state + (i0 + l) * p, v[l], sizeof(double) * p);
-            norms[i0 + l] = vn2[l];
+        EACH_LANE(l) {
+            if (l < lanes) {
+                memcpy(state + (i0 + l) * p, v[l], sizeof(double) * p);
+                norms[i0 + l] = vn2[l];
+                pcg_store(gens + (i0 + l) * STATE_WORDS, &g[l]);
+            }
         }
     }
 }
 
-void pca_chunk(double *state, double *norms, bitgen_t *const *gens, const double *scale,
+void pca_chunk(double *state, double *norms, uint64_t *gens, const double *scale,
                const double *etas, const double *eigs, long m, long n, long p, int krasulina,
                int normalize, double *loss, long ld_loss, double *q, double *z_dot_v,
                double *znorm2, double *ratio, long ld)
@@ -712,20 +874,24 @@ void pca_chunk(double *state, double *norms, bitgen_t *const *gens, const double
  * x <- x - eta*(slope*(x - theta) + xi).  With dev = x - theta before a
  * step and dn after it: loss dn (signed_dev) or dn*dn, q
  * ((-2*eta)*dev)*xi and noise q + ((2*eta)*eta)*(s2*(dev*dev) + r1sq). */
-void rm_chunk(double *state, bitgen_t *const *gens, const double *etas, long m, long n,
+void rm_chunk(double *state, uint64_t *gens, const double *etas, long m, long n,
               double theta, double slope, double low, double range, double s2, double r1sq,
               int signed_dev, double *loss, long ld_loss, double *q, double *noise, long ld)
 {
     double x[LANES], xi[LANES];
+    pcg64_t g[LANES];
     for (long i0 = 0; i0 < n; i0 += LANES) {
         const long lanes = n - i0 < LANES ? n - i0 : LANES;
-        memcpy(x, state + i0, sizeof(double) * lanes);
+        EACH_LANE(l) {
+            const long i = lane_row(i0, lanes, l);
+            x[l] = state[i];
+            g[l] = pcg_load(gens + i * STATE_WORDS);
+        }
         for (long k = 0; k < m; k++) {
             const double eta = etas[k];
-            for (long l = 0; l < lanes; l++)
-                xi[l] = uniform(gens[i0 + l], low, range);
-            for (long l = 0; l < lanes; l++) {
-                const long i = i0 + l;
+            EACH_LANE(l) xi[l] = uniform(&g[l], low, range);
+            EACH_LANE(l) {
+                const long i = lane_row(i0, lanes, l);
                 double y = slope * (x[l] - theta);
                 y = y + xi[l];
                 y = y * eta;
@@ -741,7 +907,12 @@ void rm_chunk(double *state, bitgen_t *const *gens, const double *etas, long m, 
                 x[l] = w;
             }
         }
-        memcpy(state + i0, x, sizeof(double) * lanes);
+        EACH_LANE(l) {
+            if (l < lanes) {
+                state[i0 + l] = x[l];
+                pcg_store(gens + (i0 + l) * STATE_WORDS, &g[l]);
+            }
+        }
     }
 }
 

@@ -25,7 +25,11 @@ x_t - theta instead of their squares, the loss, so that a reducer can form
 Every engine runs one path: _run cuts the horizon into chunks, and per
 chunk the engine makes one call to the kernels _kernel.load returns,
 compiled or the numpy reference (_kernel says which, and why both give the
-same bits).  The call advances the per-replication state (the iterates,
+same bits), on the generators those kernels' generators(seeds) built:
+numpy Generators for the reference; for the compiled kernels an array of
+PCG64 states, seeded in C from the seeds' SeedSequence pools, that the
+compiled code owns and advances without any numpy struct or generator
+lock.  The call advances the per-replication state (the iterates,
 and for PCA the squared norms the next step divides by) in place, and
 writes the losses and, with record_channels, every noise channel in the
 elementwise order of the per-step formulas.  The SGD, PCA and root-finding
@@ -47,8 +51,8 @@ from . import _kernel
 from .boundaries import StepSchedule
 from .problems import PcaProblem, RmProblem, SgdProblem
 from .recursion import CheckReport, RecursionParams, Trace, _first_violation
-from .seeding import SeedLike, rep_generators
-from .streams import SQRT3, GeneratorBatch, LinearModelStream
+from .seeding import SeedLike, make_generator
+from .streams import SQRT3, LinearModelStream
 
 __all__ = [
     "SgdProblem",
@@ -148,7 +152,7 @@ def sgd_batch(
     d = problem.dim
     horizon = len(etas)
     kernels = _kernel.load(d)
-    gens = GeneratorBatch(rep_generators(seeds), kernels)
+    gens = kernels.generators(seeds)
     a = np.asarray(problem.curvature)
     xs = np.asarray(problem.x_star)
     radius = problem.radius
@@ -212,7 +216,7 @@ def pca_batch(
     p = problem.dim
     horizon = len(etas)
     kernels = _kernel.load(p)
-    gens = GeneratorBatch(rep_generators(seeds), kernels)
+    gens = kernels.generators(seeds)
     eigs = np.asarray(problem.eigs)
     sq = np.sqrt(eigs)
     rot = None if problem.rotation is None else np.asarray(problem.rotation)
@@ -272,7 +276,7 @@ def rm_batch(
     n = len(seeds)
     horizon = len(etas)
     kernels = _kernel.load(1)
-    gens = GeneratorBatch(rep_generators(seeds), kernels)
+    gens = kernels.generators(seeds)
     theta = problem.theta
     losses = None if on_chunk else np.empty((n, horizon + 1))
     channels = list(_channel_block(2, n, horizon)) if record_channels else []
@@ -309,7 +313,7 @@ def ridge_batch(
     n = len(seeds)
     d = stream.dim
     horizon = len(etas)
-    gens = rep_generators(seeds)
+    gens = [make_generator(s) for s in seeds]
     kernels = _kernel.load(d)
     radius = diam / 2.0
     theta_star = np.asarray(stream.theta_star)

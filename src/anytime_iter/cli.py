@@ -188,7 +188,9 @@ class _LilRun:
 
 def _cmd_lil(problem: RmProblem, run: _LilRun, out_dir: Path, threads: int) -> int:
     seeds = [rep_seed(run.seed_base, i) for i in range(run.n_seeds)]
-    reports = run_lil_ensemble(problem, run.l1, run.l2, run.n_blocks, seeds, x0=run.x0)
+    reports = run_lil_ensemble(
+        problem, run.l1, run.l2, run.n_blocks, seeds, x0=run.x0, threads=threads
+    )
     l_const = reports[0].l_const
     hit = sum(r.final_max >= l_const for r in reports)
     fraction = hit / run.n_seeds
@@ -365,11 +367,11 @@ def main(argv=None) -> int:
         sp.add_argument("--config", required=bool(types), help="JSON experiment config")
         sp.add_argument("--out-dir", default=".", help="directory for report files")
         threads_help = (
-            "worker threads of coverage, last-iterate and oja-cold-start, each on a "
-            "block of at most min(512, ceil(n_reps / N)) replications (0, 1 = serial), "
-            "on no more workers than blocks or usable cores; "
-            "the compiled engine chunks run in parallel, the numpy reference mostly "
-            "does not; lil runs its seeds in one serial batch"
+            "worker threads of coverage, last-iterate, oja-cold-start and lil, each on "
+            "a block of at most min(512, ceil(n_reps / N)) replications, or "
+            "ceil(n_seeds / N) seeds for lil (0, 1 = serial), on no more workers than "
+            "blocks or usable cores; the compiled engine chunks run in parallel, the "
+            "numpy reference mostly does not"
         )
         sp.add_argument("--threads", type=_thread_count, default=0, help=threads_help)
     args = parser.parse_args(argv)

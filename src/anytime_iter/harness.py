@@ -8,7 +8,9 @@ grid only selects which widths and loss quantiles are exported.
 One driver (_drive) serves the coverage, last-iterate and cold-start runs.
 It advances blocks of up to _REP_BLOCK = 512 replications, and of at most
 ceil(n_reps / threads) on a thread pool, so that every worker gets one; the
-pool has no more workers than blocks or usable cores.  It folds each RNG
+pool has no more workers than blocks or usable cores (_in_blocks, the
+block rule the LIL ensemble shares).  The compiled engines own their
+generators' states, so the workers take no lock.  It folds each RNG
 chunk of losses the engines stream into the first boundary crossings and
 the grid losses, refusing non-finite losses.  No (n_reps, horizon) loss
 matrix is built: losses in flight take O(block * chunk) memory, independent
@@ -19,7 +21,8 @@ block size, so reports do not depend on scheduling.
 The iterated-logarithm statistic runs on rm_batch as well: _lil_batch hands
 each chunk of signed deviations x_t - theta the engine streams to the
 kernels' lil_max, which folds it into dyadic-block maxima, in one batch of
-all seeds; run_lil_ensemble refuses non-finite maxima.  Its step vector has
+all seeds, or in blocks on the pool with threads > 1; run_lil_ensemble
+refuses non-finite maxima.  Its step vector has
 length 2^(n_blocks+1).  No step loop, no noise draw and no reduction of the
 statistic live here; _pca_v0 only draws each replication's initial
 direction.
@@ -436,13 +439,10 @@ def _drive(n_reps, run, block, grid=(), widths=None, scan_from=0, origin=0, thre
     """
     first = np.full(n_reps, -1)
     at_grid = np.empty((n_reps, len(grid)))
-    if threads and threads > 1:
-        # every worker gets a block: outputs do not depend on the block size
-        block = min(block, math.ceil(n_reps / threads))
 
-    def work(lo: int) -> None:
-        first_b = first[lo : lo + block]
-        grid_b = at_grid[lo : lo + block]
+    def work(lo: int, hi: int) -> None:
+        first_b = first[lo:hi]
+        grid_b = at_grid[lo:hi]
 
         def reduce(t0: int, loss: np.ndarray) -> None:
             t1 = t0 + loss.shape[1]
@@ -463,17 +463,27 @@ def _drive(n_reps, run, block, grid=(), widths=None, scan_from=0, origin=0, thre
 
         # reduce raises on a non-finite loss: numpy's warnings would precede it
         with np.errstate(over="ignore", invalid="ignore"):
-            run(lo, min(lo + block, n_reps), reduce)
+            run(lo, hi, reduce)
 
-    blocks = range(0, n_reps, block)
+    _in_blocks(n_reps, block, threads, work)
+    return tuple(int(t) for t in np.sort(first[first >= 0])), at_grid
+
+
+def _in_blocks(n: int, block: int, threads: int, work) -> list:
+    """[work(lo, hi) for each block lo..hi-1 of at most block of the n
+    replications], in block order.  With threads > 1 the blocks shrink to
+    at most ceil(n / threads), so that every worker gets one, and run on a
+    pool of min(threads, blocks, usable cores) workers; with one worker or
+    fewer they run serially, with no pool.  Outputs that do not depend on
+    the block size do not depend on threads either."""
+    if threads and threads > 1:
+        block = min(block, math.ceil(n / threads))
+    blocks = [(lo, min(lo + block, n)) for lo in range(0, n, block)]
     workers = min(threads, len(blocks), _usable_cores()) if threads else 1
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, blocks))
-    else:
-        for lo in blocks:
-            work(lo)
-    return tuple(int(t) for t in np.sort(first[first >= 0])), at_grid
+            return list(pool.map(lambda b: work(*b), blocks))
+    return [work(lo, hi) for lo, hi in blocks]
 
 
 def _quantiles(a: np.ndarray, q: Sequence[float]) -> np.ndarray:
@@ -588,7 +598,7 @@ def width_comparison(b: float, lam: float, delta: float, horizons: Sequence[int]
 
 
 def _lil_batch(
-    problem: RmProblem, l1: float, n_blocks: int, seeds, x0: float
+    problem: RmProblem, l1: float, n_blocks: int, seeds, x0: float, threads: int = 0
 ) -> tuple[np.ndarray, list]:
     """Dyadic-block maxima of t*L_t/log log t for a batch of trajectories.
 
@@ -597,21 +607,28 @@ def _lil_batch(
     _kernel.load returns at that call, compiled or the numpy reference,
     folds each chunk's statistics (t*dev)*dev/log log t into the block
     maxima.  The signed deviation is needed: (t*dev)*dev is not rebuilt bit
-    for bit from the loss dev^2.
+    for bit from the loss dev^2.  All seeds run in one batch, or with
+    threads > 1 in blocks on a pool (_in_blocks), whose maxima are stacked:
+    each seed's maxima are one column, so the split changes no byte.
     """
     horizon = 2 ** (n_blocks + 1)
-    block_max = np.full((n_blocks, len(seeds)), -np.inf)
     bounds = [(2**nb + 1, 2 ** (nb + 1)) for nb in range(1, n_blocks + 1)]
-
-    def reduce(t0: int, dev: np.ndarray) -> None:
-        _kernel.load(1).lil_max(dev, t0, block_max)
-
     etas = np.arange(1, horizon + 1, dtype=float)
     np.divide(l1, etas, out=etas)  # eta_t = l1/t, in place: one horizon-length vector
-    # run_lil_ensemble raises on non-finite maxima: numpy's warnings would precede it
-    with np.errstate(over="ignore", invalid="ignore"):
-        rm_batch(problem, etas, float(x0) + problem.theta, seeds, False, reduce)
-    return block_max, bounds
+
+    def work(lo: int, hi: int) -> np.ndarray:
+        block_max = np.full((n_blocks, hi - lo), -np.inf)
+
+        def reduce(t0: int, dev: np.ndarray) -> None:
+            _kernel.load(1).lil_max(dev, t0, block_max)
+
+        # run_lil_ensemble raises on non-finite maxima: numpy's warnings would precede it
+        with np.errstate(over="ignore", invalid="ignore"):
+            rm_batch(problem, etas, float(x0) + problem.theta, seeds[lo:hi], False, reduce)
+        return block_max
+
+    maxima = _in_blocks(len(seeds), len(seeds), threads, work)
+    return np.concatenate(maxima, axis=1), bounds
 
 
 def run_lil_ensemble(
@@ -621,12 +638,15 @@ def run_lil_ensemble(
     n_blocks: int,
     seeds,
     x0: float = 1.0,
+    threads: int = 0,
 ) -> list[LilReport]:
     """LIL statistic for many seeds advanced in lock step.
 
     The steps use the lower envelope eta_t = l1/t; l_const is
     sqrt(l1)/(4*(1 + l2*log(8)*M'(theta))), the scale the running maximum
-    should reach infinitely often in the limit.
+    should reach infinitely often in the limit.  threads > 1 splits the
+    seeds into blocks that run on up to that many threads (_lil_batch); the
+    reports do not depend on it.
     """
     if not 0 < l1 <= l2:
         raise SpecError("need 0 < l1 <= l2")
@@ -635,7 +655,7 @@ def run_lil_ensemble(
     if not seeds:
         raise SpecError("need at least one seed")
     l_const = math.sqrt(l1) / (4.0 * (1.0 + l2 * math.log(8.0) * problem.m_prime_at_root))
-    block_max, bounds = _lil_batch(problem, l1, n_blocks, seeds, x0)
+    block_max, bounds = _lil_batch(problem, l1, n_blocks, list(seeds), x0, threads)
     # a diverging path reaches the maxima as nan or +inf, which max and
     # np.maximum both keep, so the maxima alone show it
     bad = np.argwhere(~np.isfinite(block_max))

@@ -8,7 +8,7 @@ are scheduled across workers.
 """
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -25,7 +25,3 @@ def rep_seed(seed_base: int, rep_index: int) -> np.random.SeedSequence:
 def make_generator(seed: SeedLike) -> np.random.Generator:
     """Build a PCG64 generator from an int seed or a SeedSequence."""
     return np.random.default_rng(seed)
-
-
-def rep_generators(seeds: Sequence[SeedLike]) -> list[np.random.Generator]:
-    return [make_generator(s) for s in seeds]

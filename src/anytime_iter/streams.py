@@ -12,99 +12,22 @@ lambda_min, R1, ...) entering the boundaries are exact rather than estimated:
   * a linear regression stream with sign-pattern covariates of fixed norm,
     so E[x x^T] = (x_radius^2/d)*I exactly.
 
-The *_batch samplers draw one chunk for a batch of replications; column j
-of a batch draw equals what generator j alone draws, so a replication's
-numbers do not depend on the batch it runs in.  Each sampler is one call
-to the kernels of its GeneratorBatch, compiled or the numpy reference
-(_kernel says which, and why both give the same bits); a plain sequence of
-generators draws with the reference.
+The engines draw the first three inside the chunk methods of the kernels
+_kernel.load returns (Reference.sphere, signs and uniform in numpy, or the
+compiled draws), so that column j of a batch draw equals what generator j
+alone draws; LinearModelStream draws per generator, for ridge_batch.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
-from ._reference import REFERENCE, _onto_sphere
-
-__all__ = [
-    "rademacher_matrix",
-    "sphere_noise",
-    "rademacher_batch",
-    "sphere_noise_batch",
-    "uniform_batch",
-    "GeneratorBatch",
-    "LinearModelStream",
-    "SQRT3",
-]
+__all__ = ["LinearModelStream", "SQRT3"]
 
 SQRT3 = math.sqrt(3.0)
-
-
-def rademacher_matrix(rng: np.random.Generator, shape) -> np.ndarray:
-    """Independent +-1 entries."""
-    return rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
-
-
-def sphere_noise(rng: np.random.Generator, shape, radius: float) -> np.ndarray:
-    """Rows uniform on the sphere of the given radius (last axis = coordinates)."""
-    if radius == 0.0:
-        return np.zeros(shape)
-    return _onto_sphere(rng.standard_normal(shape), radius)
-
-
-class GeneratorBatch(Sequence):
-    """The generators of a batch of replications, in replication order, and
-    the kernels (a _kernel.load() result) the batch samplers draw with;
-    bitgens holds what those kernels take of the generators once per batch
-    (the compiled draws' bit generator addresses, or None)."""
-
-    def __init__(self, gens, kernels=REFERENCE):
-        self._gens = list(gens)
-        self.kernels = kernels
-        self.bitgens = kernels.bit_generators(self._gens)
-
-    def __len__(self) -> int:
-        return len(self._gens)
-
-    def __getitem__(self, j):
-        return self._gens[j]
-
-
-def _batch(gens) -> GeneratorBatch:
-    """gens, or a GeneratorBatch of the plain sequence gens with the reference."""
-    return gens if isinstance(gens, GeneratorBatch) else GeneratorBatch(gens)
-
-
-def rademacher_batch(gens, size: int, width: int, scale=None) -> np.ndarray:
-    """Signs of shape (size, len(gens), width) whose column j equals
-    rademacher_matrix(gens[j], (size, width)), times the (width,) array
-    scale when it is given."""
-    gens = _batch(gens)
-    out = np.empty((size, len(gens), width))
-    gens.kernels.signs(out, gens, scale)
-    return out
-
-
-def sphere_noise_batch(gens, size: int, width: int, radius: float) -> np.ndarray:
-    """Shape (size, len(gens), width); column j equals
-    sphere_noise(gens[j], (size, width), radius)."""
-    gens = _batch(gens)
-    out = np.empty((size, len(gens), width))
-    gens.kernels.sphere(out, gens, radius)
-    return out
-
-
-def uniform_batch(gens, size: int, radius: float) -> np.ndarray:
-    """Shape (size, len(gens)); column j equals
-    gens[j].uniform(-radius, radius, size)."""
-    gens = _batch(gens)
-    out = np.empty((size, len(gens)))
-    gens.kernels.uniform(out, gens, -radius, radius)
-    return out
 
 
 @dataclass(frozen=True)
@@ -143,7 +66,8 @@ class LinearModelStream:
     def draw(self, rng: np.random.Generator, n: int) -> Tuple[np.ndarray, np.ndarray]:
         """n covariate rows and responses; draws consume the generator in the
         fixed order (signs, then noise)."""
-        x = rademacher_matrix(rng, (n, self.dim)) * (self.x_radius / math.sqrt(self.dim))
+        signs = rng.integers(0, 2, size=(n, self.dim)).astype(float) * 2.0 - 1.0
+        x = signs * (self.x_radius / math.sqrt(self.dim))
         xi = rng.uniform(-self.noise_radius, self.noise_radius, size=n)
         y = x @ np.asarray(self.theta_star) + xi
         return x, y

@@ -356,6 +356,28 @@ def test_reports_reproducible_across_threads(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_lil_reports_reproducible_across_threads(tmp_path, monkeypatch):
+    # lil splits its seeds into one block per worker; each seed's maxima are
+    # one column, so the report and the CSV keep every byte
+    batches = []
+    rm_batch = harness.rm_batch
+    monkeypatch.setattr(
+        harness, "rm_batch", lambda *a, **kw: batches.append(len(a[3])) or rm_batch(*a, **kw)
+    )
+    monkeypatch.setattr(harness, "_usable_cores", lambda: 4)
+    cfg = write_cfg(
+        tmp_path, "lil.json", {"l1": 1.0, "l2": 1.0, "n_blocks": 6, "n_seeds": 7, "seed_base": 2}
+    )
+    files = []
+    for threads in ("1", "2", "3"):
+        out = tmp_path / threads
+        batches.clear()
+        assert run(["lil", "--config", cfg, "--out-dir", str(out), "--threads", threads]) in (0, 1)
+        assert sorted(batches) == {"1": [7], "2": [3, 4], "3": [1, 3, 3]}[threads]
+        files.append([(out / f).read_bytes() for f in ("lil_report.json", "lil_blocks.csv")])
+    assert files[0] == files[1] == files[2]
+
+
 COLD_START_CFG = {
     "eigs": [2.0, 1.0, 1.0, 1.0],
     "delta": 0.3,

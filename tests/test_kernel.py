@@ -36,14 +36,8 @@ from anytime_iter.algorithms import PcaProblem, RmProblem, SgdProblem
 from anytime_iter.algorithms import pca_batch, ridge_batch, rm_batch, sgd_batch
 from anytime_iter.boundaries import StepSchedule
 from anytime_iter.harness import _lil_batch
-from anytime_iter.seeding import rep_generators, rep_seed
-from anytime_iter.streams import (
-    GeneratorBatch,
-    LinearModelStream,
-    rademacher_batch,
-    sphere_noise_batch,
-    uniform_batch,
-)
+from anytime_iter.seeding import rep_seed
+from anytime_iter.streams import LinearModelStream
 from test_algorithms import ENGINES
 
 needs_kernel = pytest.mark.skipif(_kernel.load() is REFERENCE, reason="no C compiler here")
@@ -161,20 +155,18 @@ def test_kernel_matches_numpy_loop_bytes(name, n_reps, chunk, slice_steps):
 CALLS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
-def shapes(max_reps: int = 9):
-    """Replications, coordinates, the steps of one or two consecutive
-    chunks, and the columns of the wider output arrays before and after the
-    (n, m) slices the chunks write."""
-    return st.tuples(
-        st.integers(1, max_reps),
-        st.integers(1, 7),
-        st.lists(st.integers(1, 300), min_size=1, max_size=2),
-        st.integers(0, 3),
-        st.integers(0, 3),
-    )
-
-
-SHAPES = shapes()
+# Replications, coordinates, the steps of one or two consecutive chunks, and
+# the columns of the wider output arrays before and after the (n, m) slices
+# the chunks write.  Up to 17 replications: three blocks of 8 lanes, the last
+# one partial, whose ghost lanes must leak nothing into any output or
+# generator.
+SHAPES = st.tuples(
+    st.integers(1, 17),
+    st.integers(1, 7),
+    st.lists(st.integers(1, 300), min_size=1, max_size=2),
+    st.integers(0, 3),
+    st.integers(0, 3),
+)
 SEEDS = st.integers(0, 2**32 - 1)
 
 
@@ -184,20 +176,24 @@ def outputs(n: int, m: int, lo: int, extra: int, count: int) -> np.ndarray:
     return np.full((count, n, lo + m + extra), -1.5)
 
 
+def numpy_states(seeds) -> list:
+    """The bit_generator.state of default_rng of each seed."""
+    return REFERENCE.states(REFERENCE.generators(seeds))
+
+
 def same_bytes(build, call, seeds=()) -> None:
     """call(kernels, gens, arrays) changes the arrays build() returns, draws
-    from gens, a GeneratorBatch of the seeds' generators, and returns a
-    value; all must come out the same with the compiled kernels and with the
+    from gens, the kernels' generators of the seeds, and returns a value;
+    all must come out the same with the compiled kernels and with the
     reference, byte for byte, and every generator must be left in the same
-    state, with the same next draw."""
+    state."""
     got = []
     for kernels in (_kernel.load(), REFERENCE):
         arrays = build()
-        gens = GeneratorBatch(rep_generators(seeds), kernels)
+        gens = kernels.generators(seeds)
         ret = call(kernels, gens, arrays)
-        states = [g.bit_generator.state for g in gens]
         written = {k: a.tobytes() for k, a in arrays.items()}
-        got.append((ret, written, states, [g.random() for g in gens]))
+        got.append((ret, written, kernels.states(gens)))
     assert got[0] == got[1]
 
 
@@ -213,8 +209,7 @@ def chunk_slices(chunks, lo: int):
 @needs_kernel
 @CALLS
 @given(
-    # up to 17 replications: three blocks of 8 lanes, the last one partial
-    shape=shapes(17),
+    shape=SHAPES,
     record=st.booleans(),
     b_noise=st.sampled_from((0.0, 0.5, 2.0)),
     radius=st.sampled_from((0.05, 1.0, 4.0)),
@@ -252,11 +247,11 @@ def test_sgd_calls_match_reference_bytes(shape, record, b_noise, radius, zero, s
                 a["loss"][:, t], *(channels if record else ()),
             ))
         if b_noise == 0.0:
-            assert [g.bit_generator.state for g in gens] == untouched
+            assert k.states(gens) == untouched
         return hits
 
     seeds = [rep_seed(seed, i) for i in range(n)]
-    untouched = [g.bit_generator.state for g in rep_generators(seeds)]
+    untouched = numpy_states(seeds)
     same_bytes(build, call, seeds)
 
 
@@ -293,7 +288,7 @@ def test_sgd_chunk_lanes_draw_from_their_own_generators():
         # ziggurat_nor_r comes from the tail, and a first output outside its
         # layer's rectangle before any other, of layer 1 or above, goes on
         # to the wedge test
-        twins = zip(rep_generators(seeds), rep_generators(seeds))
+        twins = zip(REFERENCE.generators(seeds), REFERENCE.generators(seeds))
         for i, (gen, raw_gen) in enumerate(twins):
             if (np.abs(gen.standard_normal(m * d)) > tail_from).any():
                 tails.add(i % 8)
@@ -303,6 +298,31 @@ def test_sgd_chunk_lanes_draw_from_their_own_generators():
             if outside.any() and layer[np.argmax(outside)]:
                 wedges.add(i % 8)
     assert tails & set(range(1, 7)) and wedges & set(range(1, 7)), (tails, wedges)
+
+
+@needs_kernel
+def test_generators_are_numpy_states():
+    # the compiled kernels seed each generator in C from its SeedSequence's
+    # pool: every field of numpy's PCG64 state must come out as
+    # default_rng(seed) leaves it, for large entropy words, int seeds,
+    # spawned children and a wider pool, mixed in one call
+    k = _kernel.load()
+    seeds = [rep_seed(b, i) for b in (0, 20260824, 2**64 + 3) for i in (0, 1, 2**32 - 1, 2**32)]
+    seeds += [0, 2**70, *np.random.SeedSequence(5).spawn(3)]
+    seeds.append(np.random.SeedSequence(7, pool_size=8))
+    gens = k.generators(seeds)
+    assert gens.dtype == np.uint64 and gens.shape == (len(seeds), _kernel.STATE_WORDS)
+    assert k.states(gens) == numpy_states(seeds)
+    assert k.generators([]).shape == (0, _kernel.STATE_WORDS)
+    # the chunks refuse states they could not have been given
+    state, loss = np.zeros((2, 1)), np.empty((2, 3))
+    for bad in (gens[:2].astype(np.int64), gens[:1], np.asfortranarray(gens[:2])):
+        with pytest.raises(ValueError):
+            k.sgd_chunk(state, bad, np.ones(3), np.ones(1), np.zeros(1), 1.0, 1.0, 0.5, loss)
+    frozen = gens[:2].copy()
+    frozen.flags.writeable = False
+    with pytest.raises(ValueError):
+        k.sgd_chunk(state, frozen, np.ones(3), np.ones(1), np.zeros(1), 1.0, 1.0, 0.5, loss)
 
 
 # the (count, names) of each engine's recorded (N, T) channels
@@ -520,14 +540,15 @@ def test_step_kernels_keep_the_reference_interface():
         ), name
 
 
-# name -> draw(gens, rows, width, radius), one chunk as an engine draws it
+# name -> draw(kernels, out, gens, radius), one chunk as an engine draws it;
+# out is (rows, n, width), or (rows, n) for the uniforms
 SAMPLERS = {
-    "sphere": sphere_noise_batch,
-    "signs": lambda gens, rows, width, radius: rademacher_batch(gens, rows, width),
-    "scaled-signs": lambda gens, rows, width, radius: rademacher_batch(
-        gens, rows, width, np.sqrt(np.arange(width, 0.0, -1.0))
+    "sphere": lambda k, out, gens, radius: k.sphere(out, gens, radius),
+    "signs": lambda k, out, gens, radius: k.signs(out, gens),
+    "scaled-signs": lambda k, out, gens, radius: k.signs(
+        out, gens, np.sqrt(np.arange(out.shape[2], 0.0, -1.0))
     ),
-    "uniform": lambda gens, rows, width, radius: uniform_batch(gens, rows, radius),
+    "uniform": lambda k, out, gens, radius: k.uniform(out, gens, -radius, radius),
 }
 
 
@@ -545,14 +566,15 @@ def test_compiled_draws_match_numpy_draws(sampler, n_gens, width, radius, chunks
     # half of a 64-bit output for the next 32-bit draw) must be numpy's too
     draw = SAMPLERS[sampler]
     seeds = [rep_seed(17, i) for i in range(n_gens)]
-    compiled = GeneratorBatch(rep_generators(seeds), _kernel.load())
-    reference = rep_generators(seeds)  # a plain list draws with the reference
+    compiled = _kernel.load()
+    gens = {k: k.generators(seeds) for k in (compiled, REFERENCE)}
     for rows in chunks:
-        got = draw(compiled, rows, width, radius)
-        assert got.tobytes() == draw(reference, rows, width, radius).tobytes()
-        for g, h in zip(compiled, reference):
-            assert g.bit_generator.state == h.bit_generator.state
-    assert [g.random() for g in compiled] == [g.random() for g in reference]
+        got = {}
+        for k, g in gens.items():
+            got[k] = np.zeros((rows, n_gens) + ((width,) if sampler != "uniform" else ()))
+            draw(k, got[k], g, radius)
+        assert got[compiled].tobytes() == got[REFERENCE].tobytes()
+        assert compiled.states(gens[compiled]) == REFERENCE.states(gens[REFERENCE])
 
 
 # ---------------------------------------------------------------------------
@@ -577,27 +599,25 @@ class BitGen(ctypes.Structure):
 
 
 class ScriptedBitGen:
-    """A bitgen_t whose next_uint64 and next_double return the scripted
-    values in order, then 0 (layer 0 and rabs 0: the normal 0.0) and 0.5;
-    taken counts the values each of next_uint64, next_uint32 and next_double
-    returned."""
+    """A bitgen_t that replays raw outputs in call order, as PCG64 returns
+    them: next_uint64 returns the next one and next_double its top 53 bits
+    times 2^-53; past the script, 0 (layer 0 and rabs 0: the normal 0.0).
+    taken counts the outputs each of next_uint64, next_uint32 and
+    next_double took."""
 
-    def __init__(self, uint64s, doubles):
+    def __init__(self, raws):
         self.taken = [0, 0, 0]
 
-        def replay(kind, values, rest):
-            def next_(_state):
-                i = self.taken[kind]
-                self.taken[kind] += 1
-                return values[i] if i < len(values) else rest
-
-            return next_
+        def pull(kind):
+            i = sum(self.taken)
+            self.taken[kind] += 1
+            return raws[i] if i < len(raws) else 0
 
         # held here: the struct keeps only the function pointers
         self._callbacks = (
-            _NEXT64(replay(0, list(uint64s), 0)),
-            _NEXT32(replay(1, [], 0)),
-            _NEXT_DOUBLE(replay(2, list(doubles), 0.5)),
+            _NEXT64(lambda _state: pull(0)),
+            _NEXT32(lambda _state: pull(1) & 0xFFFFFFFF),
+            _NEXT_DOUBLE(lambda _state: (pull(2) >> 11) * 2.0**-53),
         )
         self.struct = BitGen(None, *self._callbacks, self._callbacks[0])
 
@@ -616,9 +636,15 @@ def _ziggurat_table(name: str) -> list:
     return [parse(v) for v in values]
 
 
+def _raw(u: float) -> int:
+    """The raw output whose next_double is u, a multiple of 2^-53 in [0, 1)."""
+    return int(u * 2.0**53) << 11
+
+
 def _normal_scripts():
-    """(path, uint64s, doubles): scripts for one normal, each with the path
-    it reaches, the rectangle, the wedge or the tail."""
+    """(path, raws): the raw outputs of one normal, in the order they are
+    drawn, each with the path it reaches, the rectangle, the wedge or the
+    tail."""
     ki = _ziggurat_table("ki_double")
     top = 2**52 - 1  # the largest rabs
     # a first output of layer 2, sign 0 and rabs 0: the rectangle accepts it
@@ -630,22 +656,24 @@ def _normal_scripts():
                 # the 3 bits above rabs take turns being set: numpy drops them
                 r = idx | sign << 8 | rabs << 9 | (idx % 8) << 61
                 if rabs < ki[idx]:
-                    yield "rectangle", [r], []
+                    yield "rectangle", [r]
                 elif idx == 0:
                     # a rejected pair (yy = 0), then an accepted one
-                    yield "tail", [r], [0.75, 0.0, 0.5, 1.0 - 2.0**-53]
+                    yield "tail", [r] + [_raw(u) for u in (0.75, 0.0, 0.5, 1.0 - 2.0**-53)]
                 else:
                     for u in (0.0, 0.5, 1.0 - 2.0**-53):
-                        yield "wedge", [r, accept], [u]
+                        yield "wedge", [r, _raw(u), accept]
 
 
 def test_inline_normal_replays_numpy_ziggurat():
     # every layer from both sides of its rectangle's edge, with both signs,
     # the wedge test's accepts and rejects and the tail loop: the inline
-    # normal returns the bits numpy's random_standard_normal returns, from
-    # the same number of outputs of each kind.  The library is loaded as
-    # built, without the loader's check of its normals, which would hand a
-    # faulty ziggurat the reference and skip the tests that need the kernels.
+    # normal, fed the scripted raw outputs in place of PCG64's through the
+    # same ziggurat, returns the bits numpy's random_standard_normal returns
+    # from a bitgen_t replaying them, and takes as many of them.  The library is
+    # loaded as built, without the loader's check of its draws, which would
+    # hand a faulty ziggurat the reference and skip the tests that need the
+    # kernels.
     from numpy.random import _generator
 
     try:
@@ -656,16 +684,19 @@ def test_inline_normal_replays_numpy_ziggurat():
     normal_fill.argtypes, normal_fill.restype = _kernel._SIGNATURES["normal_fill"]
     numpy_normal = ctypes.CDLL(_generator.__file__).random_standard_normal
     numpy_normal.argtypes, numpy_normal.restype = [ctypes.c_void_p], ctypes.c_double
+    unused = np.zeros(_kernel.STATE_WORDS, dtype=np.uint64)
     reached = {}
-    for path, uint64s, doubles in _normal_scripts():
-        want_gen, got_gen = ScriptedBitGen(uint64s, doubles), ScriptedBitGen(uint64s, doubles)
+    for path, raws in _normal_scripts():
+        want_gen = ScriptedBitGen(raws)
         want = np.array([numpy_normal(want_gen.address)])
         got = np.empty(1)
-        normal_fill(got_gen.address, 1, got.ctypes.data)
-        assert got.tobytes() == want.tobytes(), (path, uint64s, doubles)
-        assert got_gen.taken == want_gen.taken, (path, uint64s, doubles)
-        assert got_gen.taken[1] == 0
+        # zeros past the end, as ScriptedBitGen returns, for a faulty ziggurat
+        script = np.array(raws + [0] * 8, dtype=np.uint64)
+        taken = normal_fill(unused.ctypes.data, 1, got.ctypes.data, script.ctypes.data)
+        assert got.tobytes() == want.tobytes(), (path, raws)
+        assert taken == sum(want_gen.taken) <= len(raws), (path, raws)
         reached.setdefault(path, set()).add(tuple(want_gen.taken))
+    assert not unused.any()
     # the rectangle takes one output; the wedge takes a double and accepts,
     # or rejects and takes the next output; the tail takes two pairs
     assert reached == {
@@ -680,12 +711,13 @@ def test_inline_normal_replays_numpy_ziggurat():
 def test_chunk_draws_leave_numpy_generator_state(width):
     # chunks of 3, 1, 4 and 5 steps: with an odd width, an odd m*width leaves
     # PCG64 holding the spare half of a 64-bit output (has_uint32, uinteger)
-    # for the next chunk's first sign.  After every chunk each generator must
-    # be where Generator.integers(0, 2), Generator.uniform or
-    # Generator.standard_normal leaves a twin, and the draw loops must return
-    # those methods' bytes.
+    # in the state array for the next call's first sign.  After every chunk
+    # each generator must be where Generator.integers(0, 2),
+    # Generator.uniform or Generator.standard_normal leaves a twin, and the
+    # draw loops must return those methods' bytes.  11 replications: a full
+    # block of lanes and a partial one.
     k = _kernel.load()
-    n, radius = 3, 1.5
+    n, radius = 11, 1.5
     seeds = [rep_seed(23, i) for i in range(n)]
     eigs = np.arange(width, 0.0, -1.0)
 
@@ -708,6 +740,10 @@ def test_chunk_draws_leave_numpy_generator_state(width):
     def rm(gens, m):
         k.rm_chunk(np.zeros(n), gens, np.full(m, 0.1), RM_LINEAR, radius, False, np.empty((n, m)))
 
+    def draw(method, out, *args):
+        method(out, *args)
+        return out
+
     def signs(g, m):
         return g.integers(0, 2, size=(m, width)) * 2.0 - 1.0
 
@@ -721,26 +757,27 @@ def test_chunk_draws_leave_numpy_generator_state(width):
         "sgd": (sgd(2.0), lambda g, m: g.standard_normal((m, width))),
         "sgd-no-noise": (sgd(0.0), lambda g, m: None),
         "rm": (rm, uniform),
-        "signs": (lambda gens, m: rademacher_batch(gens, m, width), signs),
-        "uniform": (lambda gens, m: uniform_batch(gens, m, radius), uniform),
+        "signs": (lambda gens, m: draw(k.signs, np.empty((m, n, width)), gens), signs),
+        "uniform": (
+            lambda gens, m: draw(k.uniform, np.empty((m, n)), gens, -radius, radius), uniform
+        ),
     }
     for name, (compiled, twin) in kinds.items():
-        gens = GeneratorBatch(rep_generators(seeds), k)
-        twins = rep_generators(seeds)
+        gens = k.generators(seeds)
+        twins = REFERENCE.generators(seeds)
         spare = []
         for m in (3, 1, 4, 5):
             got = compiled(gens, m)
             want = [twin(g, m) for g in twins]
             if got is not None:
                 assert got.tobytes() == np.stack(want, axis=1).tobytes(), (name, m)
-            states = [g.bit_generator.state for g in gens]
-            assert states == [g.bit_generator.state for g in twins], (name, m)
+            states = k.states(gens)
+            assert states == REFERENCE.states(twins), (name, m)
             spare += [s["has_uint32"] for s in states]
         if name in ("pca", "signs") and width % 2:
             assert 1 in spare and 0 in spare, name
         if name == "sgd-no-noise":
-            untouched = [g.bit_generator.state for g in rep_generators(seeds)]
-            assert states == untouched
+            assert states == numpy_states(seeds)
 
 
 @needs_kernel
@@ -756,8 +793,8 @@ def test_optimisation_level_changes_no_byte(level, tmp_path, monkeypatch):
     # the bytes must follow from the source and -ffp-contract=off alone: a
     # build at another optimisation level compiles without warnings (a
     # warning fails the build, and the loader would return the reference),
-    # passes the loader's check of its normals and writes the SGD, PCA and
-    # root-finding chunks of the default build
+    # passes the loader's check of its draws and writes the SGD, PCA and
+    # root-finding chunks and the generator states of the default build
     flags = tuple(level if f.startswith("-O") else f for f in _kernel.FLAGS)
     assert level in flags and "-ffp-contract=off" in flags
     monkeypatch.setattr(_kernel, "FLAGS", flags)
@@ -769,7 +806,7 @@ def test_optimisation_level_changes_no_byte(level, tmp_path, monkeypatch):
     eigs = np.array([3.0, 2.0, 1.0])
 
     def chunks(k):
-        gens = GeneratorBatch(rep_generators(seeds), k)
+        gens = k.generators(seeds)
         rng = np.random.default_rng(3)
         etas = rng.uniform(0.01, 0.5, m)
         out = [rng.uniform(-1.0, 1.0, (n, d)), rng.standard_normal((n, d)), np.zeros(n)]
@@ -784,7 +821,7 @@ def test_optimisation_level_changes_no_byte(level, tmp_path, monkeypatch):
             *channels[6:10],
         )
         k.rm_chunk(r, gens, etas, RM_LINEAR, 1.0, True, loss_rm, *channels[10:])
-        return hits, [a.tobytes() for a in out], [g.bit_generator.state for g in gens]
+        return hits, [a.tobytes() for a in out], gens.tobytes()
 
     assert chunks(built) == chunks(_kernel.load())
 
@@ -853,8 +890,8 @@ def test_engines_make_one_kernel_call_per_chunk(engine, method, compiled, monkey
     runs = [{}, {"on_chunk": lambda t0, loss: None}]
     if engine != "ridge":  # ridge records no channels
         runs.append({"record_channels": False})
-    # ridge draws per generator in numpy, without the kernels' bitgens
-    setup = [] if engine == "ridge" else ["bit_generators"]
+    # ridge draws per generator in numpy, without the kernels' generators
+    setup = [] if engine == "ridge" else ["generators"]
     for kw in runs:
         kernels.calls.clear()
         run(seeds, **kw)
@@ -868,8 +905,10 @@ def test_compiled_functions_are_the_bound_ones():
     source = _kernel.SOURCE.read_text()
     defined = re.findall(r"^(?!static\b|typedef\b)[a-z][\w *]*?\b(\w+)\(", source, re.M)
     assert sorted(defined) == sorted(_kernel._SIGNATURES)
-    # the coordinate vectors C keeps on the stack, which Python checks d against
+    # the coordinate vectors C keeps on the stack, which Python checks d
+    # against, and the words of a generator's state
     assert re.findall(r"^#define MAX_WIDTH (\d+)$", source, re.M) == [str(_kernel.MAX_WIDTH)]
+    assert re.findall(r"^#define STATE_WORDS (\d+)$", source, re.M) == [str(_kernel.STATE_WORDS)]
 
 
 # ---------------------------------------------------------------------------
@@ -879,7 +918,7 @@ def test_compiled_functions_are_the_bound_ones():
 
 @pytest.fixture
 def numpy_steps(monkeypatch):
-    # the engines build their GeneratorBatch from _kernel.load() as well, so
+    # the engines take their generators from _kernel.load() as well, so
     # this forces the reference draws along with the reference step loops
     monkeypatch.setattr(_kernel, "load", reference_load)
     return monkeypatch
@@ -963,6 +1002,14 @@ def test_diverging_lil_run_on_numpy_path(tmp_path, capsys, numpy_steps):
 # ---------------------------------------------------------------------------
 
 
+def quick_builds(monkeypatch) -> None:
+    """Build at -O0, which writes the default build's bytes
+    (test_optimisation_level_changes_no_byte) in a fraction of its build
+    time, for the tests of how the loader builds, not of what it builds."""
+    flags = tuple("-O0" if f.startswith("-O") else f for f in _kernel.FLAGS)
+    monkeypatch.setattr(_kernel, "FLAGS", flags)
+
+
 def _reference_run():
     _, run = CASES["sgd-d3"]
     seeds = [rep_seed(5, i) for i in range(4)]
@@ -971,11 +1018,23 @@ def _reference_run():
         return run, seeds, as_bytes(run(seeds))
 
 
+# a copy of _steps.c whose generators are not numpy's, and what the note names
+MISMATCHES = {
+    # wi_double[0] negated flips the sign of layer 0's normals, as when
+    # numpy's ziggurat changes
+    "numpy-mismatch": (r"(\bwi_double\[256\] = \{\s*)", r"\1-", "standard_normal"),
+    # one SeedSequence hash constant changed, as when numpy's seeding changes
+    "seed-mismatch": (r"(#define SS_MULT_B 0x58f38de)d", r"\1c", "SeedSequence"),
+}
+
+
 @pytest.mark.parametrize(
-    "broken", ["missing-compiler", "failing-compiler", "unwritable-cache", "numpy-mismatch"]
+    "broken",
+    ["missing-compiler", "failing-compiler", "unwritable-cache", "numpy-mismatch", "seed-mismatch"],
 )
 def test_loader_falls_back_with_one_note(broken, tmp_path, monkeypatch, capsys):
     run, seeds, reference = _reference_run()
+    quick_builds(monkeypatch)
     cache, cc = tmp_path / "cache", None
     if broken == "missing-compiler":
         cc = [str(tmp_path / "no-such-cc")]
@@ -985,13 +1044,13 @@ def test_loader_falls_back_with_one_note(broken, tmp_path, monkeypatch, capsys):
         (tmp_path / "file").write_text("")
         cache = tmp_path / "file" / "cache"  # a directory under a file cannot be made
     else:
-        # a library whose ziggurat is not numpy's, as when numpy's changes:
-        # wi_double[0] negated flips the sign of layer 0's normals, which the
-        # loader's check of normal_fill against standard_normal catches
+        # a library whose draws are not numpy's, which the loader's check of
+        # seed_states, normal_fill and sign_draw against numpy catches
         if _kernel.load() is REFERENCE:
             pytest.skip("no C compiler here")
+        pattern, replacement, _ = MISMATCHES[broken]
         source = _kernel.SOURCE.read_text()
-        changed = re.sub(r"(\bwi_double\[256\] = \{\s*)", r"\1-", source, count=1)
+        changed = re.sub(pattern, replacement, source, count=1)
         assert changed != source
         monkeypatch.setattr(_kernel, "SOURCE", tmp_path / "_steps.c")
         _kernel.SOURCE.write_text(changed)
@@ -1003,8 +1062,8 @@ def test_loader_falls_back_with_one_note(broken, tmp_path, monkeypatch, capsys):
     assert loader.get() is REFERENCE
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "compiled step loops unavailable" in err
-    if broken == "numpy-mismatch":
-        assert "standard_normal" in err
+    if broken in MISMATCHES:
+        assert MISMATCHES[broken][2] in err
     if broken in ("missing-compiler", "failing-compiler"):
         assert list(cache.iterdir()) == []  # no partial library left behind
 
@@ -1023,6 +1082,7 @@ def test_a_library_that_builds_is_loaded():
 @needs_kernel
 def test_threads_share_one_build(tmp_path, monkeypatch):
     run, seeds, reference = _reference_run()
+    quick_builds(monkeypatch)
     loader = _kernel.Loader(cache_dir=tmp_path)
     monkeypatch.setattr(_kernel, "load", lambda width=1: loader.get())
     builds = []

@@ -1,5 +1,7 @@
 """Tests for the samplers the engines draw from: exact boundedness claims,
-moment checks, and batch draws that match single-generator draws."""
+moment checks, and batch draws that match single-generator draws, for the
+draws of both kernels, each over the generators its own generators method
+returns."""
 
 import math
 
@@ -7,20 +9,38 @@ import numpy as np
 import pytest
 
 from anytime_iter import LinearModelStream, PcaProblem, RmProblem, SgdProblem, _kernel
+from anytime_iter._reference import REFERENCE, _onto_sphere
 from anytime_iter.seeding import make_generator, rep_seed
-from anytime_iter.streams import (
-    SQRT3,
-    GeneratorBatch,
-    rademacher_batch,
-    rademacher_matrix,
-    sphere_noise,
-    sphere_noise_batch,
-    uniform_batch,
-)
+from anytime_iter.streams import SQRT3
 
 
-def generators(n, base=0):
-    return [make_generator(rep_seed(base, i)) for i in range(n)]
+def each_kernels():
+    """The numpy reference, then the compiled kernels where they load."""
+    yield REFERENCE
+    if _kernel.load() is not REFERENCE:
+        yield _kernel.load()
+
+
+def seeds(n, base=0):
+    return [rep_seed(base, i) for i in range(n)]
+
+
+def signs(kernels, gens, size, width, scale=None):
+    out = np.empty((size, len(gens), width))
+    kernels.signs(out, gens, scale)
+    return out
+
+
+def sphere(kernels, gens, size, width, radius):
+    out = np.empty((size, len(gens), width))
+    kernels.sphere(out, gens, radius)
+    return out
+
+
+def uniform(kernels, gens, size, radius):
+    out = np.empty((size, len(gens)))
+    kernels.uniform(out, gens, -radius, radius)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -28,23 +48,26 @@ def generators(n, base=0):
 # ---------------------------------------------------------------------------
 
 
-def pca_draws(eigs, size, n_gens, base):
-    return rademacher_batch(generators(n_gens, base), size, len(eigs)) * np.sqrt(eigs)
+def pca_draws(kernels, eigs, size, n_gens, base):
+    gens = kernels.generators(seeds(n_gens, base))
+    return signs(kernels, gens, size, len(eigs), np.sqrt(eigs))
 
 
 def test_pca_stream_exact_norm_and_support():
-    eigs = (2.0, 1.0, 0.5)
-    x = pca_draws(eigs, 20, 3, 7)
-    assert np.array_equal(np.abs(x), np.broadcast_to(np.sqrt(eigs), x.shape))
-    for row in x.reshape(-1, 3):
-        assert math.isclose(float(row @ row), sum(eigs))
+    for k in each_kernels():
+        eigs = (2.0, 1.0, 0.5)
+        x = pca_draws(k, eigs, 20, 3, 7)
+        assert np.array_equal(np.abs(x), np.broadcast_to(np.sqrt(eigs), x.shape))
+        for row in x.reshape(-1, 3):
+            assert math.isclose(float(row @ row), sum(eigs))
 
 
 def test_pca_stream_empirical_covariance():
-    eigs = (2.0, 1.0)
-    xs = pca_draws(eigs, 5000, 4, 11).reshape(-1, 2)
-    cov = xs.T @ xs / len(xs)
-    assert np.allclose(cov, np.diag(eigs), atol=0.05)
+    for k in each_kernels():
+        eigs = (2.0, 1.0)
+        xs = pca_draws(k, eigs, 5000, 4, 11).reshape(-1, 2)
+        cov = xs.T @ xs / len(xs)
+        assert np.allclose(cov, np.diag(eigs), atol=0.05)
 
 
 def test_pca_stream_eigengap_validation():
@@ -61,14 +84,16 @@ def test_pca_stream_eigengap_validation():
 
 
 def test_quadratic_oracle_noise_norm_exact():
-    noise = sphere_noise_batch(generators(10), 20, 3, 0.3)
-    norms = np.linalg.norm(noise, axis=-1)
-    assert np.allclose(norms, 0.3, rtol=1e-12, atol=0.0)
+    for k in each_kernels():
+        noise = sphere(k, k.generators(seeds(10)), 20, 3, 0.3)
+        norms = np.linalg.norm(noise, axis=-1)
+        assert np.allclose(norms, 0.3, rtol=1e-12, atol=0.0)
 
 
 def test_quadratic_oracle_unbiased():
-    noise = sphere_noise_batch(generators(4), 5000, 2, 1.0).reshape(-1, 2)
-    assert np.allclose(noise.mean(axis=0), 0.0, atol=0.03)
+    for k in each_kernels():
+        noise = sphere(k, k.generators(seeds(4)), 5000, 2, 1.0).reshape(-1, 2)
+        assert np.allclose(noise.mean(axis=0), 0.0, atol=0.03)
 
 
 def test_quadratic_oracle_validation():
@@ -85,14 +110,16 @@ def test_quadratic_oracle_validation():
 
 
 def test_rm_oracle_bounded_by_sqrt3():
-    draws = uniform_batch(generators(50), 20, SQRT3)
-    assert np.max(np.abs(draws)) <= SQRT3
+    for k in each_kernels():
+        draws = uniform(k, k.generators(seeds(50)), 20, SQRT3)
+        assert np.max(np.abs(draws)) <= SQRT3
 
 
 def test_rm_oracle_unit_variance():
-    draws = uniform_batch([make_generator(0)], 10**5, SQRT3)[:, 0]
-    assert abs(draws.mean()) < 0.01
-    assert abs(draws.var() - 1.0) < 0.01
+    for k in each_kernels():
+        draws = uniform(k, k.generators([0]), 10**5, SQRT3)[:, 0]
+        assert abs(draws.mean()) < 0.01
+        assert abs(draws.var() - 1.0) < 0.01
 
 
 def test_rm_oracle_rejects_small_radius():
@@ -143,31 +170,38 @@ def test_linear_stream_deterministic():
 
 
 def test_sphere_noise_radius():
-    rng = make_generator(0)
-    pts = sphere_noise(rng, (100, 4), 2.5)
-    assert np.allclose(np.linalg.norm(pts, axis=1), 2.5)
-    assert np.array_equal(sphere_noise(rng, (3, 2), 0.0), np.zeros((3, 2)))
+    for k in each_kernels():
+        gens = k.generators([0])
+        before = k.states(gens)
+        assert not sphere(k, gens, 3, 2, 0.0).any()
+        assert k.states(gens) == before  # radius 0 draws nothing
+        pts = sphere(k, gens, 100, 4, 2.5)[:, 0]
+        assert np.allclose(np.linalg.norm(pts, axis=1), 2.5)
 
 
-def test_rademacher_matrix_support():
-    rng = make_generator(1)
-    m = rademacher_matrix(rng, (50, 3))
-    assert set(np.unique(m)) <= {-1.0, 1.0}
+def test_sign_support():
+    for k in each_kernels():
+        m = signs(k, k.generators([1]), 50, 3)
+        assert set(np.unique(m)) == {-1.0, 1.0}
 
 
 def test_batch_draws_match_single_generator_draws():
-    # the engines draw a chunk for a whole batch, compiled when the kernels
-    # load; column j must be what generator j alone would have drawn
-    gens = GeneratorBatch([make_generator(s) for s in range(3)], _kernel.load())
-    solo = [make_generator(s) for s in range(3)]
-    signs = rademacher_batch(gens, 5, 4)
-    noise = sphere_noise_batch(gens, 6, 2, 0.7)
-    unif = uniform_batch(gens, 7, SQRT3)
-    for j, g in enumerate(solo):
-        assert np.array_equal(signs[:, j], rademacher_matrix(g, (5, 4)))
-        assert np.array_equal(noise[:, j], sphere_noise(g, (6, 2), 0.7))
-        assert np.array_equal(unif[:, j], g.uniform(-SQRT3, SQRT3, 7))
-    assert not sphere_noise_batch(gens, 2, 2, 0.0).any()
+    # the engines draw a chunk for a whole batch; column j must be what
+    # generator j alone would have drawn, through the same kernels and
+    # through numpy's Generator methods
+    for k in each_kernels():
+        gens = k.generators(range(3))
+        got = signs(k, gens, 5, 4), sphere(k, gens, 6, 2, 0.7), uniform(k, gens, 7, SQRT3)
+        for j in range(3):
+            alone = k.generators([j])
+            assert np.array_equal(got[0][:, j], signs(k, alone, 5, 4)[:, 0])
+            assert np.array_equal(got[1][:, j], sphere(k, alone, 6, 2, 0.7)[:, 0])
+            assert np.array_equal(got[2][:, j], uniform(k, alone, 7, SQRT3)[:, 0])
+            g = make_generator(j)
+            assert np.array_equal(got[0][:, j], g.integers(0, 2, size=(5, 4)) * 2.0 - 1.0)
+            assert np.array_equal(got[1][:, j], _onto_sphere(g.standard_normal((6, 2)), 0.7))
+            assert np.array_equal(got[2][:, j], g.uniform(-SQRT3, SQRT3, 7))
+            assert k.states(gens)[j] == g.bit_generator.state
 
 
 def test_rep_seed_splitting():

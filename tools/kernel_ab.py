@@ -1,10 +1,12 @@
 """In-process A/B timing of two builds of src/anytime_iter/_steps.c.
 
 Builds the working tree's _steps.c (B) and the one at a git revision (A)
-into a temporary cache through _kernel.Loader, so each build passes the
-loader's check of its normals, then times the compiled chunk calls of
-both builds in one process, alternating which build runs first, for
---rounds rounds:
+into a temporary cache, each through the Loader of its own tree's
+_kernel.py, so each build passes its own loader's check and is driven
+through its own Python bindings: the revision's package is extracted under
+the name anytime_iter_a beside the working tree's.  It then times the
+compiled chunk calls of both builds in one process, alternating which
+build runs first, for --rounds rounds:
 
   * sgd:      sgd_chunk, d = 2, sphere noise, losses only;
   * sgd-rec:  the same with loss_pl and the five noise channels recorded;
@@ -12,13 +14,14 @@ both builds in one process, alternating which build runs first, for
   * rm:       rm_chunk, linear M, losses only.
 
 Every call starts from the same state and from fresh generators of the
-same seeds, built outside the timed region, and both builds must write the
-same bytes.  It prints, per chunk, each build's median ns per rep-step and
-the median of the per-round ratios B/A.  Running both builds in one
-process pairs every measurement with its twin, so the host's load swings,
-which make separate runs of two trees hard to tell apart, cancel in the
-ratio.  Both builds are driven through the working tree's Python bindings,
-so the revision's chunk functions must take the same arguments.
+same seeds, built outside the timed region by each build's kernels.  Both
+builds must write the same bytes and leave every generator in the same
+state.  It prints, per chunk, each build's median ns per rep-step and the
+median of the per-round ratios B/A.  Running both builds in one process
+pairs every measurement with its twin, so the host's load swings, which
+make separate runs of two trees hard to tell apart, cancel in the ratio.
+--reps 100 leaves the last block of 8 lanes partial, as the workloads of
+100 replications do; 504 fills every block.
 
 Run from the repository root:
 
@@ -27,9 +30,12 @@ Run from the repository root:
 from __future__ import annotations
 
 import argparse
+import importlib
+import io
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 import time
 from pathlib import Path
@@ -39,23 +45,44 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from anytime_iter import _kernel  # noqa: E402
+import anytime_iter  # noqa: E402
 from anytime_iter.problems import RmProblem  # noqa: E402
-from anytime_iter.seeding import rep_generators, rep_seed  # noqa: E402
-from anytime_iter.streams import SQRT3, GeneratorBatch  # noqa: E402
+from anytime_iter.seeding import rep_seed  # noqa: E402
+from anytime_iter.streams import SQRT3  # noqa: E402
 
 
-def build(source: Path, cache: Path) -> _kernel.StepKernels:
-    """The bindings of the library compiled from source into cache."""
-    default = _kernel.SOURCE
-    _kernel.SOURCE = source
-    try:
-        kernels = _kernel.Loader(cache_dir=cache).get()
-    finally:
-        _kernel.SOURCE = default
-    if not isinstance(kernels, _kernel.StepKernels):
-        raise SystemExit(f"{source} did not build or failed the loader's check")
+def extract(rev: str, into: Path):
+    """The package anytime_iter at rev, imported as anytime_iter_a."""
+    archive = subprocess.run(
+        ["git", "archive", rev, "src/anytime_iter"], cwd=ROOT, check=True, capture_output=True
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into, filter="data")
+    (into / "src" / "anytime_iter").rename(into / "anytime_iter_a")
+    sys.path.insert(0, str(into))
+    return importlib.import_module("anytime_iter_a")
+
+
+def build(package, cache: Path):
+    """The compiled kernels of the package, built into cache."""
+    kernel = importlib.import_module(f"{package.__name__}._kernel")
+    kernels = kernel.Loader(cache_dir=cache).get()
+    if not isinstance(kernels, kernel.StepKernels):
+        raise SystemExit(f"{package.__name__}: _steps.c did not build or failed the loader's check")
     return kernels
+
+
+def generators(package, kernels, seeds) -> tuple:
+    """The kernels' generators of the seeds, and a function that returns
+    their states as bit_generator.state dicts."""
+    if hasattr(kernels, "generators"):
+        gens = kernels.generators(seeds)
+        return gens, lambda: kernels.states(gens)
+    # trees from before the kernels owned their generators
+    streams = importlib.import_module(f"{package.__name__}.streams")
+    seeding = importlib.import_module(f"{package.__name__}.seeding")
+    gens = streams.GeneratorBatch(seeding.rep_generators(seeds), kernels)
+    return gens, lambda: [g.bit_generator.state for g in gens]
 
 
 def chunks(n: int, m: int) -> dict:
@@ -104,14 +131,8 @@ def main(argv=None) -> int:
         parser.error("--rounds must be at least 9")
 
     with tempfile.TemporaryDirectory(prefix="kernel-ab-") as tmp:
-        old = Path(tmp) / "_steps.c"
-        old.write_bytes(
-            subprocess.run(
-                ["git", "show", f"{args.rev}:src/anytime_iter/_steps.c"],
-                cwd=ROOT, check=True, capture_output=True,
-            ).stdout
-        )
-        builds = {"A": build(old, Path(tmp)), "B": build(_kernel.SOURCE, Path(tmp))}
+        packages = {"A": extract(args.rev, Path(tmp)), "B": anytime_iter}
+        builds = {label: build(pkg, Path(tmp) / label) for label, pkg in packages.items()}
         seeds = [rep_seed(7, i) for i in range(args.reps)]
         per_step = {}  # (chunk, build) -> ns per rep-step, one per round
         ratios = {}  # chunk -> B/A, one per round
@@ -120,15 +141,17 @@ def main(argv=None) -> int:
                 times, written = {}, {}
                 for label in ("AB" if r % 2 == 0 else "BA"):
                     k = builds[label]
-                    gens = GeneratorBatch(rep_generators(seeds), k)
+                    gens, states = generators(packages[label], k, seeds)
                     start = time.perf_counter()
                     out = call(k, gens)
                     times[label] = time.perf_counter() - start
-                    written[label] = out.tobytes()
+                    written[label] = out.tobytes(), states()
                     ns = times[label] / (args.reps * args.steps) * 1e9
                     per_step.setdefault((name, label), []).append(ns)
-                if written["A"] != written["B"]:
+                if written["A"][0] != written["B"][0]:
                     raise SystemExit(f"{name}: the two builds wrote different bytes")
+                if written["A"][1] != written["B"][1]:
+                    raise SystemExit(f"{name}: the two builds left different generator states")
                 ratios.setdefault(name, []).append(times["B"] / times["A"])
 
     print(f"A = {args.rev}, B = working tree; {args.reps} reps x {args.steps} steps, "

@@ -1,44 +1,48 @@
 """Which kernels the engines run, and the loader of the compiled ones.
 
 Every engine in algorithms and the LIL reducer in harness call the object
-load(width) returns: the compiled
-StepKernels when _steps.c could be built and loaded and a step carries at
-most MAX_WIDTH coordinates, else _reference.REFERENCE, the numpy chunk
-methods, step loops, passes, draws and reducer.  StepKernels subclasses
-Reference and overrides only what C computes bit for bit; each object's
-draw and chunk methods take what its own generators(seeds) returns:
+load() returns: the compiled StepKernels when _steps.c could be built and
+loaded, else _reference.REFERENCE, the numpy chunk methods, draws and
+reducer.  StepKernels subclasses Reference and overrides every one of its
+public methods, with the same arguments; each either computes its whole
+call in C, or defers to the Reference method through super() where C
+cannot match numpy bit for bit.  Each object's draw and chunk methods take
+what its own generators(seeds) returns:
 
-  * the SGD, PCA and root-finding chunks, except the cubic M's, since
-    numpy's u**3 matches neither u*u*u nor libm's pow: one C call per
-    chunk, replication-major, that draws each replication's values from its
-    own generator, steps its iterate in locals and writes its losses, and
-    its channels when the engine records them, straight into row i of the
-    (N, T) results or chunk buffer.  No draw chunk and no trajectory buffer
-    is built.  C performs the reference's correctly rounded IEEE operations
-    in the same order, each numpy expression left to right with its
+  * the SGD, PCA, root-finding and ridge chunks: one C call per chunk,
+    replication-major, that steps each replication's iterate in locals and
+    writes its losses, and its channels when the engine records them,
+    straight into row i of the (N, T) results or chunk buffer; SGD, PCA and
+    root finding draw each replication's values from its own generator,
+    while ridge's draws stay per generator in numpy (see
+    algorithms.ridge_batch).  No draw chunk and no trajectory buffer is
+    built.  C performs the reference's correctly rounded IEEE operations in
+    the same order, each numpy expression left to right with its
     parentheses, built without contraction into fused multiply-adds and
-    without -ffast-math (FLAGS), and sums coordinates left to right with the
-    closing +0.0 of _reference._sum_last; np.sum adds 8 or more terms
-    pairwise, hence MAX_WIDTH;
-  * the ridge step loop, inside the reference's ridge chunk, whose draws
-    stay per generator in numpy (see algorithms.ridge_batch);
-  * the generators and every draw, those of the chunk calls and of the
-    draw methods, for every M: generators reads each seed's
-    SeedSequence.pool and C seeds an (n, STATE_WORDS) uint64 array of
-    PCG64 states from the pools as default_rng would (seed_states), so the
+    without -ffast-math (FLAGS), and sums coordinates left to right with
+    the closing +0.0 of _reference._sum_last.  The chunks defer to the
+    reference for the cubic M, since numpy's u**3 matches neither u*u*u nor
+    libm's pow, and for steps wider than MAX_WIDTH, since np.sum adds 8 or
+    more terms pairwise; the reference's chunk then draws through this
+    object's draw methods, so those runs keep the compiled seeding and
+    draws;
+  * the generators and every draw: generators reads each seed's
+    SeedSequence.pool and C seeds an (n, STATE_WORDS) uint64 array of PCG64
+    states from the pools as default_rng would (seed_states), so the
     kernels own the states, declare no numpy struct and need no generator
     lock.  C steps each state inline as numpy's PCG64 does, through its
     next64, next_double and next32 with the spare half word, and performs
     the transforms of the functions Generator calls, per generator in the
     same order: random_standard_normal's ziggurat, whose tables _steps.c
     copies from numpy's libnpyrandom.a, random_uniform, and the range-1
-    step of random_bounded_uint64_fill.  So each value is numpy's, every
-    state is the one numpy's generator would reach (states turns the rows
-    into bit_generator.state dicts), and no numpy function is called,
-    compiled or linked.  On the first get() the loader compares the seeding
-    and the draws with numpy's (_check_draws), so that a numpy whose
-    seeding, PCG64 or ziggurat has changed gets the reference rather than
-    other numbers;
+    step of random_bounded_uint64_fill.  sphere scales C's normals onto the
+    sphere with the reference's _onto_sphere, whose sum of squares is
+    np.sum's at every width.  So each value is numpy's, every state is the
+    one numpy's generator would reach (states turns the rows into
+    bit_generator.state dicts), and no numpy function is called, compiled
+    or linked.  On the first get() the loader compares the seeding and the
+    draws with numpy's (_check_draws), so that a numpy whose seeding, PCG64
+    or ziggurat has changed gets the reference rather than other numbers;
   * the LIL reducer lil_max: (t*dev)*dev/log log t, with log log t from
     libm's log, which math.log calls, folded into each replication's block
     maxima with np.maximum's rule for nan, in one call per chunk.
@@ -52,8 +56,8 @@ later processes load it from the cache without importing sysconfig.  The
 build renames a temporary file into place, so concurrent processes never
 load a partial file, and a lock makes threads of one process build it
 once.  When there is no compiler, the build fails, the cache cannot be
-written or the compiled seeding or draws differ from numpy's, every width
-gets the reference, with one note per process on stderr.
+written or the compiled seeding or draws differ from numpy's, load()
+returns the reference, with one note per process on stderr.
 
 ctypes.CDLL releases the interpreter lock during each call, so engines on
 several threads, each with its own generator states, draw and step in
@@ -74,7 +78,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._reference import REFERENCE, Reference
+from ._reference import REFERENCE, Reference, _onto_sphere
 
 SOURCE = Path(__file__).with_name("_steps.c")
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
@@ -85,10 +89,10 @@ _SIGNATURES = {
     "sgd_chunk": ([_P] * 5 + [_L] * 3 + [_D] * 4 + [_P, _L, _P, _L] + [_P] * 5 + [_L], _L),
     "pca_chunk": ([_P] * 6 + [_L] * 3 + [_I] * 2 + [_P, _L] + [_P] * 4 + [_L], None),
     "rm_chunk": ([_P] * 3 + [_L] * 2 + [_D] * 6 + [_I, _P, _L, _P, _P, _L], None),
-    "ridge_steps": ([_P] * 4 + [_L] * 3 + [_D, _I, _D, _D], None),
+    "ridge_chunk": ([_P] * 5 + [_L] * 3 + [_D, _I, _D, _D, _P, _L], None),
     "seed_states": ([_P] * 3 + [_L], None),
     "normal_fill": ([_P, _L, _P, _P], _L),
-    "sphere_draw": ([_P] * 2 + [_L] * 3 + [_D], None),
+    "normal_draw": ([_P] * 2 + [_L] * 3, None),
     "sign_draw": ([_P] * 3 + [_L] * 3, None),
     "uniform_draw": ([_P] * 2 + [_L] * 2 + [_D] * 2, None),
     "lil_loglog": ([_P] + [_L] * 2, None),
@@ -140,11 +144,10 @@ def _channels(arrays, shape: tuple) -> list:
     return [addr for addr, _ in rows] + [strides.pop()]
 
 
-def _width(d: int) -> int:
-    """d, once checked to fit the chunks' coordinate buffers."""
-    if not 1 <= d <= MAX_WIDTH:
-        raise ValueError(f"chunk kernel needs 1 to {MAX_WIDTH} coordinates, got {d}")
-    return d
+def _compiled(d: int) -> bool:
+    """Whether C steps d coordinates bit for bit as numpy does: from 8 terms
+    on, np.sum adds pairwise, and the chunks keep MAX_WIDTH coordinates."""
+    return 1 <= d <= MAX_WIDTH
 
 
 def _steps(etas) -> tuple:
@@ -168,7 +171,8 @@ class StepKernels(Reference):
     The draw and chunk methods take the generator states generators
     returned, an (n, STATE_WORDS) uint64 array, and advance them in place;
     a call owns the rows it is given, so calls on different arrays run on
-    different threads at once.
+    different threads at once.  A chunk C cannot step as numpy does runs
+    the Reference method (see the module docstring).
     """
 
     def __init__(self, lib: ctypes.CDLL):
@@ -202,8 +206,11 @@ class StepKernels(Reference):
         ]
 
     def sphere(self, out, gens, radius: float) -> None:
+        if radius == 0.0:
+            return super().sphere(out, gens, radius)
         rows, n, width = out.shape
-        self._lib.sphere_draw(_addr(out, (rows, n, width)), _gens(gens, n), rows, n, width, radius)
+        self._lib.normal_draw(_addr(out, (rows, n, width)), _gens(gens, n), rows, n, width)
+        _onto_sphere(out, radius)
 
     def signs(self, out, gens, scale=None) -> None:
         rows, n, width = out.shape
@@ -222,14 +229,18 @@ class StepKernels(Reference):
         self, state, gens, etas, a, xs, radius: float, b_noise: float, half_mu: float, loss,
         *channels,
     ) -> int:
-        etas, m = _steps(etas)
         n, d = state.shape
+        if not _compiled(d):
+            return super().sgd_chunk(
+                state, gens, etas, a, xs, radius, b_noise, half_mu, loss, *channels
+            )
+        etas, m = _steps(etas)
         recorded = [None, 0] + [None] * 5 + [0]  # NULL channels: not recording
         if channels:
             loss_pl, *rest = channels
             recorded = [*_rows(loss_pl, (n, m)), *_channels(rest, (n, m))]
         return self._lib.sgd_chunk(
-            _addr(state, (n, _width(d))),
+            _addr(state, (n, d)),
             _gens(gens, n),
             _addr(etas, (m,)),
             _addr(a, (d,)),
@@ -243,11 +254,15 @@ class StepKernels(Reference):
         self, state, norms, gens, etas, scale, eigs, krasulina: bool, normalize: bool, loss,
         *channels,
     ) -> None:
-        etas, m = _steps(etas)
         n, p = state.shape
+        if not _compiled(p):
+            return super().pca_chunk(
+                state, norms, gens, etas, scale, eigs, krasulina, normalize, loss, *channels
+            )
+        etas, m = _steps(etas)
         recorded = _channels(channels, (n, m)) if channels else [None] * 4 + [0]
         self._lib.pca_chunk(
-            _addr(state, (n, _width(p))),
+            _addr(state, (n, p)),
             _addr(norms, (n,)),
             _gens(gens, n),
             _addr(scale, (p,)),
@@ -280,15 +295,23 @@ class StepKernels(Reference):
             *recorded,
         )
 
-    def ridge(self, traj, xs, ys, etas, lambda_pen, penalty_in_gradient, radius) -> None:
+    def ridge_chunk(
+        self, state, xs, ys, etas, theta_star, lambda_pen, penalty_in_gradient, radius, loss
+    ) -> None:
+        n, d = state.shape
+        if not _compiled(d):
+            return super().ridge_chunk(
+                state, xs, ys, etas, theta_star, lambda_pen, penalty_in_gradient, radius, loss
+            )
         etas, m = _steps(etas)
-        _, n, d = traj.shape
-        self._lib.ridge_steps(
-            _addr(traj[: m + 1], (m + 1, n, d)),
+        self._lib.ridge_chunk(
+            _addr(state, (n, d)),
             _addr(xs, (m, n, d)),
             _addr(ys, (m, n)),
             _addr(etas, (m,)),
+            _addr(theta_star, (d,)),
             m, n, d, lambda_pen, int(penalty_in_gradient), radius, radius * radius,
+            *_rows(loss, (n, m)),
         )
 
     def lil_max(self, dev, t0: int, block_max) -> None:
@@ -432,8 +455,14 @@ class Loader:
 _LOADER = Loader()
 
 
-def load(width: int = 1) -> Reference:
-    """The kernels for steps of the given width: the process's compiled
-    kernels, built on the first call, or REFERENCE (see the module
-    docstring)."""
-    return _LOADER.get() if width <= MAX_WIDTH else REFERENCE
+def load() -> Reference:
+    """The process's kernels: the compiled ones, built on the first call, or
+    REFERENCE (see the module docstring)."""
+    return _LOADER.get()
+
+
+def steps_by(width: int) -> str:
+    """Which kernels step engines whose steps carry width values, as reports
+    name them: "compiled", or "reference" when load() gives the reference or
+    StepKernels defers such steps to it."""
+    return "compiled" if isinstance(load(), StepKernels) and _compiled(width) else "reference"

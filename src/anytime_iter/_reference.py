@@ -6,15 +6,14 @@ default_rng of each seed), the per-generator draws the chunks make and the
 LIL reducer the harness calls, in the order of operations their outputs
 are pinned to.  Each chunk method is the reference loop of one engine
 chunk: the chunk's draw, then slices of at most PASS_BUDGET values through
-a trajectory buffer, each with a step call (sgd, pca, rm, ridge) and a pass
-call (sgd_pass, pca_pass, rm_pass) in the elementwise order of the per-step
-formulas, so the slicing changes no bit.  _kernel.StepKernels overrides
-what C computes bit for bit, with the same method names and arguments: the
-generators, as PCG64 states the compiled code owns, the draws, and each
-engine chunk but ridge's in one replication-major call, which builds
-neither the draw chunk nor the trajectory buffer; _kernel.load chooses
-between the two.  The step, pass, draw and chunk contracts are in the class
-docstring.
+a trajectory buffer, each stepped and then passed over for its losses and
+channels in the elementwise order of the per-step formulas, so the slicing
+changes no bit.  _kernel.StepKernels overrides every method with the same
+name and arguments: the generators, as PCG64 states the compiled code owns,
+the draws, and each engine chunk in one replication-major C call, which
+builds neither the draw chunk nor the trajectory buffer, or this class's
+chunk where C cannot match numpy bit for bit.  _kernel.load chooses between
+the two.  The draw and chunk contracts are in the class docstring.
 """
 from __future__ import annotations
 
@@ -108,12 +107,8 @@ class Reference:
     norms the next step divides by), in place: it draws the chunk from
     gens, what generators returned for the batch's seeds, writes the losses
     at the m steps into the (n, m) array loss and, when channels are given,
-    the recorded channels into those (n, m) arrays.  Each step method
-    advances m steps in a trajectory buffer traj of at least m+1 rows, row 0
-    the iterates before the first step, and step k writes row k+1.  Each
-    pass method reads those m steps back, with their draws, and writes their
-    losses and channels as the chunk methods do.  Each draw method fills a
-    chunk for the generators gens, column j with what generator j alone
+    the recorded channels into those (n, m) arrays.  Each draw method fills
+    a chunk for the generators gens, column j with what generator j alone
     draws, and advances them.  The draw and chunk methods of each kernels
     object take what its own generators method returns.
     """
@@ -160,16 +155,46 @@ class Reference:
     ) -> int:
         """Projected-SGD steps of the (n, d) iterates state, with noise uniform
         on the sphere of radius b_noise; returns how many iterates were
-        projected.  channels as in sgd_pass."""
+        projected.  loss receives ||x - x*||^2 and channels, when given, are
+        loss_pl, noise_sc, noise_pl, y_sc, y_pl and gnorm2."""
         m = len(etas)
-        noise = np.empty((m,) + state.shape)
+        n, d = state.shape
+        noise = np.empty((m, n, d))
         self.sphere(noise, gens, b_noise)
+        # whole (n, d) operands: broadcasting a (d,) vector costs more per step
+        a_n, xs_n = np.tile(a, (n, 1)), np.tile(xs, (n, 1))
+        diff, g = np.empty((n, d)), np.empty((n, d))
+        project = _projector(n, d, radius)
         traj = _trajectory(state, m)
         hits = 0
         for t in _slices(m, traj):
-            hits += self.sgd(traj, noise[t], etas[t], a, xs, radius)
-            cols = [c[:, t] for c in channels]
-            self.sgd_pass(traj, noise[t], etas[t], a, xs, half_mu, loss[:, t], *cols)
+            e, eta_t = noise[t], etas[t]
+            for k, eta in enumerate(eta_t.tolist()):
+                # w = x - eta*(a*(x - x*) + e), projected onto the ball
+                x, w = traj[k], traj[k + 1]
+                np.subtract(x, xs_n, out=diff)
+                np.multiply(a_n, diff, out=g)
+                np.add(g, e[k], out=g)
+                np.multiply(g, eta, out=g)
+                np.subtract(x, g, out=w)
+                hits += project(w)
+            dev = traj[: len(eta_t) + 1] - xs
+            loss[:, t] = _sum_last(dev[1:] * dev[1:], squares=True).T
+            if not channels:
+                continue
+            loss_pl, noise_sc, noise_pl, y_sc, y_pl, gnorm2 = (c[:, t] for c in channels)
+            eta = eta_t[:, None]
+            gradf = a * dev[:-1]
+            gvec = gradf + e
+            gn2 = _sum_last(gvec * gvec, squares=True)
+            y1 = -_sum_last(e * dev[:-1])
+            y2 = -_sum_last(gradf * e)
+            y_sc[...] = y1.T
+            y_pl[...] = y2.T
+            gnorm2[...] = gn2.T
+            noise_sc[...] = (2.0 * eta * y1 + eta * eta * gn2).T
+            noise_pl[...] = (eta * y2 + half_mu * eta * eta * gn2).T
+            loss_pl[...] = (0.5 * _sum_last(a * dev[1:] * dev[1:])).T
         state[...] = traj[0]
         return hits
 
@@ -179,9 +204,11 @@ class Reference:
     ) -> None:
         """Krasulina or Oja steps of the (n, p) iterates state on signs times
         scale; norms, (n,), holds the squared norm the next step divides by:
-        ||v||^2, or 1 after a normalised step.  channels as in pca_pass."""
+        ||v||^2, or 1 after a normalised step.  loss receives sin^2 and
+        channels, when given, are q, z_dot_v, znorm2 and norm_ratio."""
         m = len(etas)
-        data = np.empty((m,) + state.shape)
+        n, p = state.shape
+        data = np.empty((m, n, p))
         self.signs(data, gens, scale)
         traj = _trajectory(state, m)
         vn2 = np.ones(traj.shape[:2])
@@ -189,26 +216,82 @@ class Reference:
         # grown[k] is ||v||^2 right after step k's update, before normalising;
         # without normalising it is the norm the next step divides by
         grown = np.empty_like(vn2[1:]) if normalize else vn2[1:]
+        y, c = np.empty(n), np.empty(n)
+        tmp, z = np.empty((n, p)), np.empty((n, p))
+        y_col, c_col = y[:, None], c[:, None]
         for t in _slices(m, traj, vn2):
-            self.pca(traj, vn2, grown, data[t], etas[t], krasulina, normalize)
-            cols = [c[:, t] for c in channels]
-            self.pca_pass(traj, vn2, grown, data[t], etas[t], eigs, loss[:, t], *cols)
+            xt, eta_t = data[t], etas[t]
+            for k, eta in enumerate(eta_t.tolist()):
+                v, w, xk = traj[k], traj[k + 1], xt[k]
+                np.multiply(xk, v, out=tmp)
+                _sum_last(tmp, y)
+                if krasulina:
+                    # z = y*X - (y^2/||v||^2)*v; w = v + eta*z
+                    np.multiply(y, y, out=c)
+                    np.divide(c, vn2[k], out=c)
+                    np.multiply(y_col, xk, out=z)
+                    np.multiply(c_col, v, out=tmp)
+                    np.subtract(z, tmp, out=z)
+                    np.multiply(z, eta, out=z)
+                else:
+                    # w = v + (eta*y)*X
+                    np.multiply(y, eta, out=y)
+                    np.multiply(y_col, xk, out=z)
+                np.add(v, z, out=w)
+                np.multiply(w, w, out=tmp)
+                _sum_last(tmp, grown[k], squares=True)
+                if normalize:
+                    np.sqrt(grown[k], out=c)
+                    np.divide(w, c_col, out=w)
+            k = len(eta_t)
+            u = traj[1 : k + 1, :, 0]
+            loss[:, t] = np.maximum(0.0, 1.0 - u**2 / vn2[1 : k + 1]).T
+            if not channels:
+                continue
+            q, z_dot_v, znorm2, norm_ratio = (ch[:, t] for ch in channels)
+            eta = eta_t[:, None]
+            vp, vn2p = traj[:k], vn2[:k]
+            yp = _sum_last(xt * vp)
+            zp = yp[..., None] * xt - (yp * yp / vn2p)[..., None] * vp
+            v1 = vp[..., 0]
+            sv = vp * eigs
+            m_t = 2.0 * eta * v1 * (sv[..., 0] - v1 * _sum_last(sv * vp) / vn2p) / vn2p
+            q[...] = (m_t - 2.0 * eta * v1 * zp[..., 0] / vn2p).T
+            z_dot_v[...] = _sum_last(zp * vp).T
+            znorm2[...] = _sum_last(zp * zp, squares=True).T
+            norm_ratio[...] = (grown[:k] / vn2p).T
         state[...] = traj[0]
         norms[...] = vn2[0]
 
     def rm_chunk(
         self, state, gens, etas, problem, radius: float, signed_dev: bool, loss, *channels
     ) -> None:
-        """Root-finding steps of the (n,) iterates state, with noise uniform
-        on [-radius, radius].  signed_dev and channels as in rm_pass."""
+        """Root-finding steps x <- x - eta*(M(x) + xi) of the (n,) iterates
+        state for the RmProblem's M, with noise xi uniform on [-radius,
+        radius].  loss receives (x - theta)^2, or with signed_dev the
+        deviations x - theta, and channels, when given, are q and noise."""
         m = len(etas)
         xi = np.empty((m,) + state.shape)
         self.uniform(xi, gens, -radius, radius)
         traj = _trajectory(state, m)
         for t in _slices(m, traj):
-            self.rm(traj, xi[t], etas[t], problem)
-            cols = [c[:, t] for c in channels]
-            self.rm_pass(traj, xi[t], etas[t], problem, signed_dev, loss[:, t], *cols)
+            xt, eta_t = xi[t], etas[t]
+            for k, eta in enumerate(eta_t.tolist()):
+                x = traj[k]
+                y_val = problem.m_func(x)
+                np.add(y_val, xt[k], out=y_val)
+                np.multiply(y_val, eta, out=y_val)
+                np.subtract(x, y_val, out=traj[k + 1])
+            dev = traj[: len(eta_t) + 1] - problem.theta
+            loss[:, t] = (dev[1:] if signed_dev else dev[1:] ** 2).T
+            if not channels:
+                continue
+            q_chan, noise = (c[:, t] for c in channels)
+            eta = eta_t[:, None]
+            q = -2.0 * eta * dev[:-1] * xt
+            q_chan[...] = q.T
+            envelope = problem.poly_sq(dev[:-1] ** 2) + problem.r1**2
+            noise[...] = (q + 2.0 * eta * eta * envelope).T
         state[...] = traj[0]
 
     def ridge_chunk(
@@ -216,158 +299,39 @@ class Reference:
     ) -> None:
         """Ridge-SGD steps of the (n, d) iterates state on the chunk's
         covariates xs, (m, n, d), and responses ys, (m, n), each drawn per
-        generator by the engine; loss receives ||theta - theta*||^2."""
+        generator by the engine, each step followed by the projection onto
+        the ball; loss receives ||theta - theta*||^2."""
         m = len(etas)
-        traj = _trajectory(state, m)
-        for t in _slices(m, traj):
-            self.ridge(traj, xs[t], ys[t], etas[t], lambda_pen, penalty_in_gradient, radius)
-            k = t.stop - t.start
-            loss[:, t] = _sum_last((traj[1 : k + 1] - theta_star) ** 2, squares=True).T
-        state[...] = traj[0]
-
-    def sgd(self, traj, noise, etas, a, xs, radius: float) -> int:
-        """Projected SGD steps; returns how many iterates were projected."""
-        _, n, d = traj.shape
-        # whole (n, d) operands: broadcasting a (d,) vector costs more per step
-        a_n, xs_n = np.tile(a, (n, 1)), np.tile(xs, (n, 1))
-        diff, g = np.empty((n, d)), np.empty((n, d))
-        project = _projector(n, d, radius)
-        hits = 0
-        for k, eta in enumerate(etas.tolist()):
-            # w = x - eta*(a*(x - x*) + e), projected onto the ball
-            x, w = traj[k], traj[k + 1]
-            np.subtract(x, xs_n, out=diff)
-            np.multiply(a_n, diff, out=g)
-            np.add(g, noise[k], out=g)
-            np.multiply(g, eta, out=g)
-            np.subtract(x, g, out=w)
-            hits += project(w)
-        return hits
-
-    def pca(self, traj, norms, grown, data, etas, krasulina: bool, normalize: bool) -> None:
-        """Krasulina or Oja steps.  norms[k] is the squared norm step k
-        divides by and grown[k] receives ||w||^2 right after its update,
-        before normalising; grown may be the view norms[1:]."""
-        _, n, p = traj.shape
-        y, c = np.empty(n), np.empty(n)
-        tmp, z = np.empty((n, p)), np.empty((n, p))
-        y_col, c_col = y[:, None], c[:, None]
-        for k, eta in enumerate(etas.tolist()):
-            v, w, xk = traj[k], traj[k + 1], data[k]
-            np.multiply(xk, v, out=tmp)
-            _sum_last(tmp, y)
-            if krasulina:
-                # z = y*X - (y^2/||v||^2)*v; w = v + eta*z
-                np.multiply(y, y, out=c)
-                np.divide(c, norms[k], out=c)
-                np.multiply(y_col, xk, out=z)
-                np.multiply(c_col, v, out=tmp)
-                np.subtract(z, tmp, out=z)
-                np.multiply(z, eta, out=z)
-            else:
-                # w = v + (eta*y)*X
-                np.multiply(y, eta, out=y)
-                np.multiply(y_col, xk, out=z)
-            np.add(v, z, out=w)
-            np.multiply(w, w, out=tmp)
-            _sum_last(tmp, grown[k], squares=True)
-            if normalize:
-                np.sqrt(grown[k], out=c)
-                np.divide(w, c_col, out=w)
-
-    def rm(self, traj, xi, etas, problem) -> None:
-        """Root-finding steps x <- x - eta*(M(x) + xi) for the RmProblem's M."""
-        for k, eta in enumerate(etas.tolist()):
-            x = traj[k]
-            y_val = problem.m_func(x)
-            np.add(y_val, xi[k], out=y_val)
-            np.multiply(y_val, eta, out=y_val)
-            np.subtract(x, y_val, out=traj[k + 1])
-
-    def ridge(self, traj, xs, ys, etas, lambda_pen, penalty_in_gradient, radius) -> None:
-        """Ridge-SGD steps, each followed by the projection onto the ball."""
-        _, n, d = traj.shape
+        n, d = state.shape
         g, pen = np.empty((n, d)), np.empty((n, d))
         resid = np.empty(n)
         resid_col = resid[:, None]
         project = _projector(n, d, radius)
-        for k, eta in enumerate(etas.tolist()):
-            theta, w, xk = traj[k], traj[k + 1], xs[k]
-            np.multiply(xk, theta, out=g)
-            _sum_last(g, resid)
-            np.subtract(resid, ys[k], out=resid)
-            np.multiply(theta, lambda_pen, out=pen)
-            if penalty_in_gradient:
-                # w = theta - eta*(resid*x + lambda*theta)
-                np.multiply(resid_col, xk, out=g)
-                np.add(g, pen, out=g)
-                np.multiply(g, eta, out=g)
-                np.subtract(theta, g, out=w)
-            else:
-                # verbatim variant: the penalty enters without a step factor
-                np.multiply(resid, eta, out=resid)
-                np.multiply(resid_col, xk, out=g)
-                np.subtract(theta, g, out=w)
-                np.add(w, pen, out=w)
-            project(w)
-
-    def sgd_pass(self, traj, noise, etas, a, xs, half_mu: float, loss, *channels) -> None:
-        """Losses ||x - x*||^2 of m projected-SGD steps and, when given, the
-        channels loss_pl, noise_sc, noise_pl, y_sc, y_pl and gnorm2."""
-        m = len(etas)
-        dev = traj[: m + 1] - xs
-        loss[...] = _sum_last(dev[1:] * dev[1:], squares=True).T
-        if not channels:
-            return
-        loss_pl, noise_sc, noise_pl, y_sc, y_pl, gnorm2 = channels
-        eta = etas[:, None]
-        gradf = a * dev[:-1]
-        gvec = gradf + noise
-        gn2 = _sum_last(gvec * gvec, squares=True)
-        y1 = -_sum_last(noise * dev[:-1])
-        y2 = -_sum_last(gradf * noise)
-        y_sc[...] = y1.T
-        y_pl[...] = y2.T
-        gnorm2[...] = gn2.T
-        noise_sc[...] = (2.0 * eta * y1 + eta * eta * gn2).T
-        noise_pl[...] = (eta * y2 + half_mu * eta * eta * gn2).T
-        loss_pl[...] = (0.5 * _sum_last(a * dev[1:] * dev[1:])).T
-
-    def pca_pass(self, traj, norms, grown, data, etas, eigs, loss, *channels) -> None:
-        """Losses sin^2 of m Krasulina or Oja steps and, when given, the
-        channels q, z_dot_v, znorm2 and norm_ratio."""
-        m = len(etas)
-        u = traj[1 : m + 1, :, 0]
-        loss[...] = np.maximum(0.0, 1.0 - u**2 / norms[1 : m + 1]).T
-        if not channels:
-            return
-        q, z_dot_v, znorm2, norm_ratio = channels
-        eta = etas[:, None]
-        vp, vn2 = traj[:m], norms[:m]
-        yp = _sum_last(data * vp)
-        zp = yp[..., None] * data - (yp * yp / vn2)[..., None] * vp
-        v1 = vp[..., 0]
-        sv = vp * eigs
-        m_t = 2.0 * eta * v1 * (sv[..., 0] - v1 * _sum_last(sv * vp) / vn2) / vn2
-        q[...] = (m_t - 2.0 * eta * v1 * zp[..., 0] / vn2).T
-        z_dot_v[...] = _sum_last(zp * vp).T
-        znorm2[...] = _sum_last(zp * zp, squares=True).T
-        norm_ratio[...] = (grown[:m] / vn2).T
-
-    def rm_pass(self, traj, xi, etas, problem, signed_dev: bool, loss, *channels) -> None:
-        """Losses (x - theta)^2 of m root-finding steps, or with signed_dev
-        the deviations x - theta, and, when given, the channels q and noise."""
-        m = len(etas)
-        dev = traj[: m + 1] - problem.theta
-        loss[...] = (dev[1:] if signed_dev else dev[1:] ** 2).T
-        if not channels:
-            return
-        q_chan, noise = channels
-        eta = etas[:, None]
-        q = -2.0 * eta * dev[:-1] * xi
-        q_chan[...] = q.T
-        envelope = problem.poly_sq(dev[:-1] ** 2) + problem.r1**2
-        noise[...] = (q + 2.0 * eta * eta * envelope).T
+        traj = _trajectory(state, m)
+        for t in _slices(m, traj):
+            xt, yt, eta_t = xs[t], ys[t], etas[t]
+            for k, eta in enumerate(eta_t.tolist()):
+                theta, w, xk = traj[k], traj[k + 1], xt[k]
+                np.multiply(xk, theta, out=g)
+                _sum_last(g, resid)
+                np.subtract(resid, yt[k], out=resid)
+                np.multiply(theta, lambda_pen, out=pen)
+                if penalty_in_gradient:
+                    # w = theta - eta*(resid*x + lambda*theta)
+                    np.multiply(resid_col, xk, out=g)
+                    np.add(g, pen, out=g)
+                    np.multiply(g, eta, out=g)
+                    np.subtract(theta, g, out=w)
+                else:
+                    # verbatim variant: the penalty enters without a step factor
+                    np.multiply(resid, eta, out=resid)
+                    np.multiply(resid_col, xk, out=g)
+                    np.subtract(theta, g, out=w)
+                    np.add(w, pen, out=w)
+                project(w)
+            k = len(eta_t)
+            loss[:, t] = _sum_last((traj[1 : k + 1] - theta_star) ** 2, squares=True).T
+        state[...] = traj[0]
 
     def lil_max(self, dev, t0: int, block_max) -> None:
         """Fold the LIL statistics (t*dev)*dev/log log t of dev, the (n, m)

@@ -1,20 +1,17 @@
-/* Chunk functions, ridge step loop, generator seeding and draw loops of the
- * batched engines in anytime_iter.algorithms, and the LIL reducer of
- * anytime_iter.harness.
+/* Chunk functions, generator seeding and draw loops of the batched engines
+ * in anytime_iter.algorithms, and the LIL reducer of anytime_iter.harness.
  *
- * sgd_chunk, pca_chunk and rm_chunk (linear M) each run one engine chunk in
- * one call, replication-major: the outer loop runs over blocks of LANES
- * replications and the inner loop over the chunk's m steps.  For each
- * replication the call draws the values from its own generator, advances
- * the iterate in locals and writes its losses, and its noise channels when
- * the engine records them, into row i of row-strided (n, m) outputs.  No
- * draw chunk and no trajectory buffer is built.
- *
- * ridge_steps advances m ridge steps of n replications in a trajectory
- * buffer traj of shape (m+1, n, d), whose row 0 holds the iterates before
- * the first step and step k writes row k+1, from (m, n, d) covariates and
- * (m, n) responses drawn in numpy.  Inputs are C-contiguous float64; the
- * Python loader checks dtypes, strides and shapes before calling.
+ * sgd_chunk, pca_chunk, rm_chunk (linear M) and ridge_chunk each run one
+ * engine chunk in one call, replication-major: the outer loop runs over
+ * blocks of LANES replications and the inner loop over the chunk's m steps.
+ * Each replication advances its iterate in locals and writes its losses, and
+ * its noise channels when the engine records them, into row i of row-strided
+ * (n, m) outputs.  The SGD, PCA and root-finding chunks draw each
+ * replication's values from its own generator; ridge_chunk reads the (m, n, d)
+ * covariates and (m, n) responses the engine drew in numpy.  No draw chunk
+ * and no trajectory buffer is built.  Inputs are C-contiguous float64 unless
+ * said otherwise; the Python loader checks dtypes, strides and shapes before
+ * calling.
  *
  * Every function performs the IEEE operations of the numpy code it
  * replaces, one by one and in the same order, so its results are bit for bit
@@ -23,8 +20,9 @@
  * fused and no sum is reassociated.  Coordinate sums run left to right like
  * _sum_last in _reference.py, which equals np.sum over fewer than 8 terms: a
  * sum of general terms ends with +0.0, which turns an all -0.0 sum into +0.0
- * as numpy does, and a sum of squares does not.  Widths of 8 or more, where
- * np.sum adds pairwise, stay in numpy.
+ * as numpy does, and a sum of squares does not.  For steps of 8 or more
+ * coordinates, where np.sum adds pairwise, _kernel.StepKernels runs the
+ * reference's chunk in numpy instead, on the draws of this library.
  *
  * The library owns the replications' generators: seed_states turns each
  * seed's SeedSequence pool into the PCG64 state numpy's default_rng would
@@ -41,7 +39,7 @@
 #include <string.h>
 
 /* the chunk functions keep a few coordinate vectors on the stack; wider
- * problems stay in numpy, whose np.sum adds 8 or more terms pairwise */
+ * steps run in numpy, whose np.sum adds 8 or more terms pairwise */
 #define MAX_WIDTH 7
 
 #define INLINE static inline __attribute__((always_inline))
@@ -75,44 +73,6 @@ INLINE long project(double *w, long d, double radius, double rr)
     for (long j = 0; j < d; j++)
         w[j] *= scale;
     return 1;
-}
-
-/* Ridge SGD with resid = <x, theta> - y.  With the penalty in the gradient
- * w = theta - eta*(resid*x + lambda*theta); without it
- * w = (theta - (eta*resid)*x) + lambda*theta.  Then w is projected. */
-void ridge_steps(double *traj, const double *xs, const double *ys, const double *etas,
-                 long m, long n, long d, double lambda_pen, int penalty_in_gradient,
-                 double radius, double rr)
-{
-    for (long k = 0; k < m; k++) {
-        const double eta = etas[k];
-        const double *th = traj + k * n * d;
-        double *w = traj + (k + 1) * n * d;
-        const double *x = xs + k * n * d;
-        const double *y = ys + k * n;
-        for (long i = 0; i < n; i++) {
-            double resid = dot(x, th, d) - y[i];
-            if (penalty_in_gradient) {
-                for (long j = 0; j < d; j++) {
-                    double g = resid * x[j];
-                    g = g + th[j] * lambda_pen;
-                    g = g * eta;
-                    w[j] = th[j] - g;
-                }
-            } else {
-                double re = resid * eta;
-                for (long j = 0; j < d; j++) {
-                    double g = re * x[j];
-                    w[j] = th[j] - g;
-                    w[j] = w[j] + th[j] * lambda_pen;
-                }
-            }
-            project(w, d, radius, rr);
-            th += d;
-            w += d;
-            x += d;
-        }
-    }
 }
 
 /* Generators.  Each replication's generator is a row of STATE_WORDS
@@ -232,10 +192,12 @@ void seed_states(uint64_t *out, const uint32_t *pools, const long *pool_sizes, l
  * numpy's and every generator ends in the state numpy leaves.  Each
  * generator gets the draws its Generator method makes for a chunk, in the
  * same order.  The loader checks seed_states, normal_fill and sign_draw
- * against numpy before it uses the library.  The row helpers below serve
- * both the chunk functions and the draw loops; in the draw loops out is
- * (rows, n, width), and row r of generator j starts at
- * out + (r*n + j)*width. */
+ * against numpy before it uses the library.  The helpers below serve both
+ * the chunk functions and the draw loops; in the draw loops out is
+ * (rows, n, width), or (rows, n) for the uniforms, and row r of generator j
+ * starts at out + (r*n + j)*width.  The sphere's normals are drawn here and
+ * scaled in numpy (StepKernels.sphere), whose sum of squares adds pairwise
+ * from 8 coordinates on. */
 
 /* The 256-layer ziggurat of numpy's random_standard_normal (Marsaglia and
  * Tsang 2000).  The tables ki_double, wi_double and fi_double are copied as
@@ -529,23 +491,6 @@ INLINE double uniform(pcg64_t *g, double low, double range)
     return low + range * next_double(g);
 }
 
-/* One row uniform on the sphere of the given radius: width normals, then
- * o = o*(radius/sqrt(|o|^2)), as _reference._onto_sphere computes it.
- * Radius 0 draws nothing and writes zeros, as Reference.sphere does. */
-INLINE void sphere_row(double *o, pcg64_t *g, long width, double radius)
-{
-    if (radius == 0.0) {
-        for (long w = 0; w < width; w++)
-            o[w] = 0.0;
-        return;
-    }
-    for (long w = 0; w < width; w++)
-        o[w] = normal(g);
-    double f = radius / sqrt(sum_sq(o, width));
-    for (long w = 0; w < width; w++)
-        o[w] = o[w] * f;
-}
-
 /* One row of width signs u*2 - 1, with u drawn as integers(0, 2) draws it for
  * its default int64 dtype: random_bounded_uint64_fill with range 1 takes
  * Lemire's 32-bit step, the high half of next32 * 2, whose rejection
@@ -562,12 +507,15 @@ INLINE void sign_row(double *o, pcg64_t *g, const double *scale, long width)
     }
 }
 
-void sphere_draw(double *out, uint64_t *gens, long rows, long n, long width, double radius)
+/* rows*width standard normals per generator: generator j fills out[:, j, :]
+ * row by row, as Generator.standard_normal((rows, width)) does. */
+void normal_draw(double *out, uint64_t *gens, long rows, long n, long width)
 {
     for (long j = 0; j < n; j++) {
         pcg64_t g = pcg_load(gens + j * STATE_WORDS);
         for (long r = 0; r < rows; r++)
-            sphere_row(out + (r * n + j) * width, &g, width, radius);
+            for (long w = 0; w < width; w++)
+                out[(r * n + j) * width + w] = normal(&g);
         pcg_store(gens + j * STATE_WORDS, &g);
     }
 }
@@ -597,7 +545,8 @@ void uniform_draw(double *out, uint64_t *gens, long rows, long n, double low, do
 /* Chunks.  Each function advances the n replications of an engine by the m
  * steps of one chunk, replication-major: the outer loop runs over blocks of
  * LANES replications and the inner loop over the steps.  Replication i draws
- * its chunk's values from its generator, row i of gens, steps its iterate,
+ * its chunk's values from its generator, row i of gens (ridge reads them from
+ * the engine's draws instead), steps its iterate,
  * held in locals, m times from state row i, writes its m losses into row i
  * of loss (row i starts at loss + i*ld_loss) and, when the channel pointers
  * are not NULL, its recorded channels into row i of each channel array (at
@@ -627,8 +576,8 @@ void uniform_draw(double *out, uint64_t *gens, long rows, long n, double low, do
  * so they write the same bytes to the same places, count no projection and
  * store nothing back.
  *
- * Each value is the numpy expression of the reference step or pass
- * (_reference.Reference's sgd/sgd_pass, pca/pca_pass and rm/rm_pass),
+ * Each value is the numpy expression of the reference chunk
+ * (_reference.Reference's sgd_chunk, pca_chunk, rm_chunk and ridge_chunk),
  * evaluated left to right with its parentheses; constants formed in Python
  * (rr, half_mu, s2, r1sq, range) come in as arguments, since Python's **
  * calls libm's pow.  Replications are independent and each generator gets
@@ -675,7 +624,7 @@ INLINE long sgd_rows(double *state, uint64_t *gens, const double *etas, const do
     double dev[MAX_WIDTH], dn[MAX_WIDTH], gradf[MAX_WIDTH], gv[MAX_WIDTH], adn[MAX_WIDTH];
     pcg64_t g[LANES];
     long hits = 0;
-    /* radius 0 draws nothing: the noise stays zero, as in sphere_row */
+    /* radius 0 draws nothing: the noise stays zero, as in Reference.sphere */
     if (b_noise == 0.0)
         memset(e, 0, sizeof e);
     for (long i0 = 0; i0 < n; i0 += LANES) {
@@ -687,7 +636,8 @@ INLINE long sgd_rows(double *state, uint64_t *gens, const double *etas, const do
         }
         for (long k = 0; k < m; k++) {
             const double eta = etas[k];
-            /* sphere_row's values, drawn value-major across the lanes */
+            /* Reference.sphere's normals, then _onto_sphere's scaling, drawn
+             * value-major across the lanes */
             if (b_noise != 0.0) {
                 for (long j = 0; j < d; j++)
                     EACH_LANE(l) e[l][j] = normal(&g[l]);
@@ -913,6 +863,51 @@ void rm_chunk(double *state, uint64_t *gens, const double *etas, long m, long n,
                 pcg_store(gens + (i0 + l) * STATE_WORDS, &g[l]);
             }
         }
+    }
+}
+
+/* Ridge SGD on the engine's covariates xs, (m, n, d), and responses ys,
+ * (m, n), with resid = <x, theta> - y.  With the penalty in the gradient
+ * w = theta - eta*(resid*x + lambda*theta); without it
+ * w = (theta - (eta*resid)*x) + lambda*theta.  Then w is projected, and its
+ * loss is |w - theta*|^2.  Nothing is drawn here, so a partial last block
+ * just has fewer lanes; the blocks read 8 replications' adjacent covariates
+ * at each step. */
+void ridge_chunk(double *state, const double *xs, const double *ys, const double *etas,
+                 const double *theta_star, long m, long n, long d, double lambda_pen,
+                 int penalty_in_gradient, double radius, double rr, double *loss, long ld_loss)
+{
+    double th[LANES][MAX_WIDTH], dn[MAX_WIDTH];
+    for (long i0 = 0; i0 < n; i0 += LANES) {
+        const long lanes = n - i0 < LANES ? n - i0 : LANES;
+        for (long l = 0; l < lanes; l++)
+            memcpy(th[l], state + (i0 + l) * d, sizeof(double) * d);
+        for (long k = 0; k < m; k++) {
+            const double eta = etas[k];
+            for (long l = 0; l < lanes; l++) {
+                const long i = i0 + l;
+                const double *x = xs + (k * n + i) * d;
+                double *t = th[l];
+                const double resid = dot(x, t, d) - ys[k * n + i];
+                const double re = resid * eta;
+                for (long j = 0; j < d; j++) {
+                    const double tj = t[j];
+                    if (penalty_in_gradient) {
+                        double g = resid * x[j];
+                        g = g + tj * lambda_pen;
+                        t[j] = tj - g * eta;
+                    } else {
+                        t[j] = (tj - re * x[j]) + tj * lambda_pen;
+                    }
+                }
+                project(t, d, radius, rr);
+                for (long j = 0; j < d; j++)
+                    dn[j] = t[j] - theta_star[j];
+                loss[i * ld_loss + k] = sum_sq(dn, d);
+            }
+        }
+        for (long l = 0; l < lanes; l++)
+            memcpy(state + (i0 + l) * d, th[l], sizeof(double) * d);
     }
 }
 

@@ -23,7 +23,7 @@ x_t - theta instead of their squares, the loss, so that a reducer can form
 (t*dev)*dev, which dev^2 does not give bit for bit (the LIL statistic).
 
 Every engine runs one path: _run cuts the horizon into chunks, and per
-chunk the engine makes one call to the kernels _kernel.load returns,
+chunk the engine makes one call to the process's kernels, _kernel.load(),
 compiled or the numpy reference (_kernel says which, and why both give the
 same bits), on the generators those kernels' generators(seeds) built:
 numpy Generators for the reference; for the compiled kernels an array of
@@ -34,11 +34,12 @@ and for PCA the squared norms the next step divides by) in place, and
 writes the losses and, with record_channels, every noise channel in the
 elementwise order of the per-step formulas.  The SGD, PCA and root-finding
 calls draw their chunk too; ridge_batch draws its chunk per generator, with
-a fixed RIDGE_ROWS, and hands it to the call.  The compiled SGD, PCA and
-linear root-finding chunks are one replication-major C call each, with no
-draw chunk and no trajectory buffer; the reference steps and passes through
-slices of a trajectory buffer (see _reference).  Either way the transient
-memory is O(N*chunk) with or without recording.
+a fixed RIDGE_ROWS, and hands it to the call.  Each compiled chunk is one
+replication-major C call, with no draw chunk and no trajectory buffer, or,
+where C cannot step as numpy does, the reference's chunk on the compiled
+draws, which steps and passes through slices of a trajectory buffer (see
+_reference).  Either way the transient memory is O(N*chunk) with or
+without recording.
 """
 from __future__ import annotations
 
@@ -151,7 +152,7 @@ def sgd_batch(
     n = len(seeds)
     d = problem.dim
     horizon = len(etas)
-    kernels = _kernel.load(d)
+    kernels = _kernel.load()
     gens = kernels.generators(seeds)
     a = np.asarray(problem.curvature)
     xs = np.asarray(problem.x_star)
@@ -215,7 +216,7 @@ def pca_batch(
     n = len(seeds)
     p = problem.dim
     horizon = len(etas)
-    kernels = _kernel.load(p)
+    kernels = _kernel.load()
     gens = kernels.generators(seeds)
     eigs = np.asarray(problem.eigs)
     sq = np.sqrt(eigs)
@@ -275,7 +276,7 @@ def rm_batch(
     """
     n = len(seeds)
     horizon = len(etas)
-    kernels = _kernel.load(1)
+    kernels = _kernel.load()
     gens = kernels.generators(seeds)
     theta = problem.theta
     losses = None if on_chunk else np.empty((n, horizon + 1))
@@ -314,7 +315,7 @@ def ridge_batch(
     d = stream.dim
     horizon = len(etas)
     gens = [make_generator(s) for s in seeds]
-    kernels = _kernel.load(d)
+    kernels = _kernel.load()
     radius = diam / 2.0
     theta_star = np.asarray(stream.theta_star)
 

@@ -620,7 +620,7 @@ def _lil_batch(
         block_max = np.full((n_blocks, hi - lo), -np.inf)
 
         def reduce(t0: int, dev: np.ndarray) -> None:
-            _kernel.load(1).lil_max(dev, t0, block_max)
+            _kernel.load().lil_max(dev, t0, block_max)
 
         # run_lil_ensemble raises on non-finite maxima: numpy's warnings would precede it
         with np.errstate(over="ignore", invalid="ignore"):
@@ -798,8 +798,8 @@ def write_report_json(report, path, extra: Optional[dict] = None, width=None) ->
     Timing goes into the separate "timing" object so that the rest of the
     document is byte-identical across reruns and worker counts.  When the
     report comes from engine runs whose steps carry width values, timing
-    also names the kernels _kernel.load(width) returned: "compiled" or
-    "reference".
+    also names the kernels that stepped them, _kernel.steps_by(width):
+    "compiled" or "reference".
     """
     payload = asdict(report) if is_dataclass(report) else dict(report)
     if "quantiles_at_grid" in payload:
@@ -810,8 +810,7 @@ def write_report_json(report, path, extra: Optional[dict] = None, width=None) ->
         doc.update(extra)
     doc["timing"] = {"wall_time_s": payload.pop("wall_time", None)}
     if width is not None:
-        compiled = isinstance(_kernel.load(width), _kernel.StepKernels)
-        doc["timing"]["kernels"] = "compiled" if compiled else "reference"
+        doc["timing"]["kernels"] = _kernel.steps_by(width)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True, default=float)
         fh.write("\n")

@@ -326,7 +326,7 @@ def test_engines_invariant_to_pass_slices(name, monkeypatch):
     # engines run the reference here.
     width, run = ENGINES[name]
     seeds = [rep_seed(8, i) for i in range(3)]
-    monkeypatch.setattr(_kernel, "load", lambda width=1: _reference.REFERENCE)
+    monkeypatch.setattr(_kernel, "load", lambda: _reference.REFERENCE)
     results = []
     for steps in (1, 5, 2048):
         monkeypatch.setattr(_reference, "PASS_BUDGET", steps * len(seeds) * width)

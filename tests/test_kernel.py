@@ -43,7 +43,7 @@ from test_algorithms import ENGINES
 needs_kernel = pytest.mark.skipif(_kernel.load() is REFERENCE, reason="no C compiler here")
 
 
-def reference_load(width=1):
+def reference_load():
     return REFERENCE
 
 
@@ -110,6 +110,21 @@ CASES.update(
         for pig in (True, False)
     }
 )
+# steps wider than MAX_WIDTH, which the compiled kernels run through the
+# reference's chunk methods on their own seeding and draws
+WIDE = {f"sgd-d{d}": _sgd_case(d) for d in (8, 12)}
+WIDE.update(
+    {
+        f"{variant}-p{p}{'-normalized' if normalize else ''}{'-rotated' if rotated else ''}": (
+            _pca_case(p, variant, normalize, rotated)
+        )
+        for p in (8, 13)
+        for variant in ("krasulina", "oja")
+        for normalize in (False, True)
+        for rotated in (False, True)
+    }
+)
+WIDE["ridge-d8"] = _ridge_case(8, True)
 
 
 def as_bytes(res: dict) -> dict:
@@ -437,28 +452,31 @@ def test_rm_calls_match_reference_bytes(shape, cubic, signed_dev, record, zero, 
 @CALLS
 @given(shape=SHAPES, penalty_in_gradient=st.booleans(), zero=st.booleans(), seed=SEEDS)
 def test_ridge_calls_match_reference_bytes(shape, penalty_in_gradient, zero, seed):
-    n, d, chunks, _, _ = shape
-    m = chunks[0]
+    n, d, chunks, lo, extra = shape
+    total = sum(chunks)
 
     def build():
         rng = np.random.default_rng(seed)
-        traj = np.empty((m + 1, n, d))
-        traj[0] = rng.uniform(-0.5, 0.5, (n, d))
-        xs = rng.choice([-1.0, 1.0], (m, n, d)) / np.sqrt(d)
-        ys = rng.uniform(-1.0, 1.0, (m, n))
+        state = rng.uniform(-0.5, 0.5, (n, d))
+        xs = rng.choice([-1.0, 1.0], (total, n, d)) / np.sqrt(d)
+        ys = rng.uniform(-1.0, 1.0, (total, n))
         if zero:
-            traj[0, 0] = 0.0  # replication 0 stays at 0
+            state[0] = 0.0  # replication 0 stays at 0
             xs[:, 0] = -0.0
             ys[:, 0] = 0.0
         return dict(
-            traj=traj, xs=xs, ys=ys, etas=rng.uniform(0.01, 1.0, m),
+            state=state, xs=xs, ys=ys, etas=rng.uniform(0.01, 1.0, total),
+            theta_star=rng.uniform(-0.5, 0.5, d), loss=outputs(n, total, lo, extra, 1)[0],
             lam_radius=np.array([rng.uniform(0.0, 0.5), rng.uniform(0.3, 1.5)]),
         )
 
     def call(k, gens, a):
         lambda_pen, radius = a["lam_radius"].tolist()
-        args = (a["traj"], a["xs"], a["ys"], a["etas"])
-        k.ridge(*args, lambda_pen, penalty_in_gradient, radius)
+        for steps, t in chunk_slices(chunks, lo):
+            k.ridge_chunk(
+                a["state"], a["xs"][steps], a["ys"][steps], a["etas"][steps], a["theta_star"],
+                lambda_pen, penalty_in_gradient, radius, a["loss"][:, t],
+            )
 
     same_bytes(build, call)
 
@@ -540,6 +558,17 @@ def test_step_kernels_keep_the_reference_interface():
         ), name
 
 
+def test_kernels_share_one_public_interface():
+    # StepKernels overrides every public Reference method and adds none, so
+    # an engine needs one Reference chunk method and the draws it makes
+    def public(cls):
+        return {n for n, f in vars(cls).items() if callable(f) and not n.startswith("_")}
+
+    chunks = {"sgd_chunk", "pca_chunk", "rm_chunk", "ridge_chunk"}
+    draws = {"generators", "states", "sphere", "signs", "uniform"}
+    assert public(Reference) == public(StepKernels) == chunks | draws | {"lil_max"}
+
+
 # name -> draw(kernels, out, gens, radius), one chunk as an engine draws it;
 # out is (rows, n, width), or (rows, n) for the uniforms
 SAMPLERS = {
@@ -557,13 +586,14 @@ SAMPLERS = {
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(
     n_gens=st.integers(1, 9),
-    width=st.integers(1, 7),
+    width=st.integers(1, 20),
     radius=st.sampled_from((0.0, 1.5)),
     chunks=st.lists(st.integers(1, 300), min_size=1, max_size=5),
 )
 def test_compiled_draws_match_numpy_draws(sampler, n_gens, width, radius, chunks):
     # consecutive chunks, so that the state one chunk leaves (PCG64 buffers
-    # half of a 64-bit output for the next 32-bit draw) must be numpy's too
+    # half of a 64-bit output for the next 32-bit draw) must be numpy's too;
+    # widths from 8 on, where the sphere's sum of squares adds pairwise, too
     draw = SAMPLERS[sampler]
     seeds = [rep_seed(17, i) for i in range(n_gens)]
     compiled = _kernel.load()
@@ -828,28 +858,71 @@ def test_optimisation_level_changes_no_byte(level, tmp_path, monkeypatch):
 
 @needs_kernel
 def test_every_engine_takes_the_kernel(monkeypatch):
-    # widths above MAX_WIDTH, where np.sum adds pairwise, get the reference
-    assert _kernel.load(_kernel.MAX_WIDTH) is _kernel.load()
-    assert _kernel.load(_kernel.MAX_WIDTH + 1) is REFERENCE
-    widths = []
-    monkeypatch.setattr(_kernel, "load", lambda width=1: widths.append(width) or REFERENCE)
+    # every engine asks load() for the process's kernels, without a width
+    calls = []
+    monkeypatch.setattr(_kernel, "load", lambda: calls.append(1) or REFERENCE)
     seeds = [rep_seed(1, 0)]
     for name in ("sgd", "krasulina-rotated", "ridge", "rm"):
         ENGINES[name][1](seeds)
-    assert widths == [2, 4, 2, 1]
+    assert len(calls) == 4
     monkeypatch.undo()
-    # the compiled kernels step and record the cubic M with the reference's
-    # chunk method, since numpy's u**3 matches neither u*u*u nor libm's pow
+    # the compiled kernels run the reference's chunk method where C cannot
+    # step as numpy does: for the cubic M, since numpy's u**3 matches neither
+    # u*u*u nor libm's pow, and for steps wider than MAX_WIDTH, where np.sum
+    # adds pairwise
     deferred = []
-    for name in ("rm_chunk", "rm", "rm_pass"):
+    for name in ("sgd_chunk", "pca_chunk", "rm_chunk", "ridge_chunk"):
         method = getattr(Reference, name)
         monkeypatch.setattr(
             Reference, name, lambda *a, _m=method, _n=name: deferred.append(_n) or _m(*a)
         )
+    w = _kernel.MAX_WIDTH
+    for name in (f"sgd-d{w}", f"krasulina-p{w}-normalized-rotated", f"oja-p{w}", f"ridge-d{w}"):
+        CASES[name][1](seeds)
     CASES["rm-linear-shifted"][1](seeds)
     assert deferred == []
     ENGINES["rm"][1](seeds)  # the cubic M
-    assert set(deferred) == {"rm_chunk", "rm", "rm_pass"}
+    assert set(deferred) == {"rm_chunk"}
+    deferred.clear()
+    for _, run in WIDE.values():
+        run(seeds)
+    assert set(deferred) == {"sgd_chunk", "pca_chunk", "ridge_chunk"}
+
+
+class KeptGenerators:
+    """The kernels, keeping what each generators call returned."""
+
+    def __init__(self, kernels):
+        self._kernels = kernels
+        self.gens = []
+
+    def generators(self, seeds):
+        self.gens.append(self._kernels.generators(seeds))
+        return self.gens[-1]
+
+    def __getattr__(self, name):
+        return getattr(self._kernels, name)
+
+
+@needs_kernel
+@pytest.mark.parametrize("name", sorted(WIDE))
+def test_wide_engines_match_reference_bytes(name, monkeypatch):
+    # the compiled kernels' wide runs step in numpy on compiled seeding and
+    # draws: every array, recorded or streamed, and every generator's end
+    # state must be the pure reference's, over several chunks and slices
+    width, run = WIDE[name]
+    seeds = [rep_seed(43, i) for i in range(11)]
+    monkeypatch.setattr(algorithms, "MIN_ROWS", 1)
+    monkeypatch.setattr(algorithms, "DRAW_BUDGET", 7 * len(seeds) * width)
+    monkeypatch.setattr(algorithms, "RIDGE_ROWS", 7)
+    monkeypatch.setattr(_reference, "PASS_BUDGET", 3 * len(seeds) * width)
+    got = []
+    for kernels in (_kernel.load(), REFERENCE):
+        kept = KeptGenerators(kernels)
+        monkeypatch.setattr(_kernel, "load", lambda: kept)
+        written = as_bytes(run(seeds)), streamed_bytes(run, seeds)
+        got.append((written, [kernels.states(g) for g in kept.gens]))
+    assert got[0] == got[1]
 
 
 class CountingKernels:
@@ -883,7 +956,7 @@ def test_engines_make_one_kernel_call_per_chunk(engine, method, compiled, monkey
     width, run = ENGINES[engine]
     seeds = [rep_seed(2, i) for i in range(3)]
     kernels = CountingKernels(_kernel.load() if compiled else REFERENCE)
-    monkeypatch.setattr(_kernel, "load", lambda width=1: kernels)
+    monkeypatch.setattr(_kernel, "load", lambda: kernels)
     monkeypatch.setattr(algorithms, "MIN_ROWS", 1)
     monkeypatch.setattr(algorithms, "DRAW_BUDGET", 7 * len(seeds) * width)
     monkeypatch.setattr(algorithms, "RIDGE_ROWS", 7)
@@ -1055,7 +1128,7 @@ def test_loader_falls_back_with_one_note(broken, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(_kernel, "SOURCE", tmp_path / "_steps.c")
         _kernel.SOURCE.write_text(changed)
     loader = _kernel.Loader(cache_dir=cache, cc=cc)
-    monkeypatch.setattr(_kernel, "load", lambda width=1: loader.get())
+    monkeypatch.setattr(_kernel, "load", lambda: loader.get())
     capsys.readouterr()
     for _ in range(3):
         assert as_bytes(run(seeds)) == reference
@@ -1084,7 +1157,7 @@ def test_threads_share_one_build(tmp_path, monkeypatch):
     run, seeds, reference = _reference_run()
     quick_builds(monkeypatch)
     loader = _kernel.Loader(cache_dir=tmp_path)
-    monkeypatch.setattr(_kernel, "load", lambda width=1: loader.get())
+    monkeypatch.setattr(_kernel, "load", lambda: loader.get())
     builds = []
     compile_ = _kernel._compile
 

@@ -11,7 +11,10 @@ build runs first, for --rounds rounds:
   * sgd:      sgd_chunk, d = 2, sphere noise, losses only;
   * sgd-rec:  the same with loss_pl and the five noise channels recorded;
   * pca:      pca_chunk, Krasulina, p = 4, losses only;
-  * rm:       rm_chunk, linear M, losses only.
+  * rm:       rm_chunk, linear M, losses only;
+  * ridge:    ridge_chunk, d = 2, the ridge engine's RIDGE_ROWS = 2048 steps
+              whatever --steps says, on covariates and responses drawn
+              once in numpy.
 
 Every call starts from the same state and from fresh generators of the
 same seeds, built outside the timed region by each build's kernels.  Both
@@ -46,6 +49,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 import anytime_iter  # noqa: E402
+from anytime_iter.algorithms import RIDGE_ROWS  # noqa: E402
 from anytime_iter.problems import RmProblem  # noqa: E402
 from anytime_iter.seeding import rep_seed  # noqa: E402
 from anytime_iter.streams import SQRT3  # noqa: E402
@@ -72,24 +76,14 @@ def build(package, cache: Path):
     return kernels
 
 
-def generators(package, kernels, seeds) -> tuple:
-    """The kernels' generators of the seeds, and a function that returns
-    their states as bit_generator.state dicts."""
-    if hasattr(kernels, "generators"):
-        gens = kernels.generators(seeds)
-        return gens, lambda: kernels.states(gens)
-    # trees from before the kernels owned their generators
-    streams = importlib.import_module(f"{package.__name__}.streams")
-    seeding = importlib.import_module(f"{package.__name__}.seeding")
-    gens = streams.GeneratorBatch(seeding.rep_generators(seeds), kernels)
-    return gens, lambda: [g.bit_generator.state for g in gens]
-
-
 def chunks(n: int, m: int) -> dict:
     """name -> call(kernels, gens), which returns the arrays it wrote."""
     rng = np.random.default_rng(0)
     etas = rng.uniform(0.01, 0.5, m)
     rm = RmProblem(m_kind="linear", theta=-0.3, slope=1.3)
+    ridge_etas = rng.uniform(0.01, 0.5, RIDGE_ROWS)
+    xs = rng.choice([-1.0, 1.0], (RIDGE_ROWS, n, 2)) / np.sqrt(2.0)
+    ys = xs @ np.array([0.5, 0.5]) + rng.uniform(-0.5, 0.5, (RIDGE_ROWS, n))
 
     def sgd(record: bool):
         def call(k, gens):
@@ -117,7 +111,13 @@ def chunks(n: int, m: int) -> dict:
         k.rm_chunk(np.full(n, 1.0), gens, etas, rm, SQRT3, False, out)
         return out
 
-    return {"sgd": sgd(False), "sgd-rec": sgd(True), "pca": pca, "rm": root}
+    def ridge(k, gens):
+        out = np.empty((n, RIDGE_ROWS))
+        k.ridge_chunk(np.zeros((n, 2)), xs, ys, ridge_etas, np.array([0.5, 0.5]), 0.0, True,
+                      1.0, out)
+        return out
+
+    return {"sgd": sgd(False), "sgd-rec": sgd(True), "pca": pca, "rm": root, "ridge": ridge}
 
 
 def main(argv=None) -> int:
@@ -141,12 +141,12 @@ def main(argv=None) -> int:
                 times, written = {}, {}
                 for label in ("AB" if r % 2 == 0 else "BA"):
                     k = builds[label]
-                    gens, states = generators(packages[label], k, seeds)
+                    gens = k.generators(seeds)
                     start = time.perf_counter()
                     out = call(k, gens)
                     times[label] = time.perf_counter() - start
-                    written[label] = out.tobytes(), states()
-                    ns = times[label] / (args.reps * args.steps) * 1e9
+                    written[label] = out.tobytes(), k.states(gens)
+                    ns = times[label] / (args.reps * out.shape[-1]) * 1e9
                     per_step.setdefault((name, label), []).append(ns)
                 if written["A"][0] != written["B"][0]:
                     raise SystemExit(f"{name}: the two builds wrote different bytes")

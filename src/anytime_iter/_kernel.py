@@ -4,10 +4,10 @@ Every engine in algorithms and the LIL reducer in harness call the object
 load() returns: the compiled StepKernels when _steps.c could be built and
 loaded, else _reference.REFERENCE, the numpy chunk methods, draws and
 reducer.  StepKernels subclasses Reference and overrides every one of its
-public methods, with the same arguments; each either computes its whole
-call in C, or defers to the Reference method through super() where C
-cannot match numpy bit for bit.  Each object's draw and chunk methods take
-what its own generators(seeds) returns:
+public methods, with the same arguments; each computes its whole call in
+C, but for the problems in_c rules out, whose rm_chunk defers to the
+Reference method through super().  Each object's draw and chunk methods
+take what its own generators(seeds) returns:
 
   * the SGD, PCA, root-finding and ridge chunks: one C call per chunk,
     replication-major, that steps each replication's iterate in locals and
@@ -19,13 +19,14 @@ what its own generators(seeds) returns:
     built.  C performs the reference's correctly rounded IEEE operations in
     the same order, each numpy expression left to right with its
     parentheses, built without contraction into fused multiply-adds and
-    without -ffast-math (FLAGS), and sums coordinates left to right with
-    the closing +0.0 of _reference._sum_last.  The chunks defer to the
-    reference for the cubic M, since numpy's u**3 matches neither u*u*u nor
-    libm's pow, and for steps wider than MAX_WIDTH, since np.sum adds 8 or
-    more terms pairwise; the reference's chunk then draws through this
-    object's draw methods, so those runs keep the compiled seeding and
-    draws;
+    without -ffast-math (FLAGS), and sums coordinates as np.sum does, with
+    the closing +0.0 of _reference._sum_last: fewer than 8 terms left to
+    right, more with numpy's pairwise sum.  The chunks step every width,
+    those of 8 or more coordinates on scratch from the heap (a failed
+    allocation raises MemoryError).  Only rm_chunk defers to the reference,
+    for the cubic M, since numpy's u**3 matches neither u*u*u nor libm's
+    pow; the reference's chunk then draws through this object's draw
+    methods, so those runs keep the compiled seeding and draws;
   * the generators and every draw: generators reads each seed's
     SeedSequence.pool and C seeds an (n, STATE_WORDS) uint64 array of PCG64
     states from the pools as default_rng would (seed_states), so the
@@ -82,14 +83,13 @@ from ._reference import REFERENCE, Reference, _onto_sphere
 
 SOURCE = Path(__file__).with_name("_steps.c")
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-MAX_WIDTH = 7  # coordinates per step at most; MAX_WIDTH in _steps.c
 
 _P, _L, _D, _I = ctypes.c_void_p, ctypes.c_long, ctypes.c_double, ctypes.c_int
 _SIGNATURES = {
     "sgd_chunk": ([_P] * 5 + [_L] * 3 + [_D] * 4 + [_P, _L, _P, _L] + [_P] * 5 + [_L], _L),
-    "pca_chunk": ([_P] * 6 + [_L] * 3 + [_I] * 2 + [_P, _L] + [_P] * 4 + [_L], None),
+    "pca_chunk": ([_P] * 6 + [_L] * 3 + [_I] * 2 + [_P, _L] + [_P] * 4 + [_L], _L),
     "rm_chunk": ([_P] * 3 + [_L] * 2 + [_D] * 6 + [_I, _P, _L, _P, _P, _L], None),
-    "ridge_chunk": ([_P] * 5 + [_L] * 3 + [_D, _I, _D, _D, _P, _L], None),
+    "ridge_chunk": ([_P] * 5 + [_L] * 3 + [_D, _I, _D, _D, _P, _L], _L),
     "seed_states": ([_P] * 3 + [_L], None),
     "normal_fill": ([_P, _L, _P, _P], _L),
     "normal_draw": ([_P] * 2 + [_L] * 3, None),
@@ -144,10 +144,22 @@ def _channels(arrays, shape: tuple) -> list:
     return [addr for addr, _ in rows] + [strides.pop()]
 
 
-def _compiled(d: int) -> bool:
-    """Whether C steps d coordinates bit for bit as numpy does: from 8 terms
-    on, np.sum adds pairwise, and the chunks keep MAX_WIDTH coordinates."""
-    return 1 <= d <= MAX_WIDTH
+def _iterates(state) -> tuple:
+    """Address, rows and coordinates of the (n, d) iterates state, once
+    checked to be a C-contiguous float64 array with d >= 1."""
+    n, d = state.shape
+    if d < 1:
+        raise ValueError("step kernel needs iterates of at least one coordinate")
+    return _addr(state, (n, d)), n, d
+
+
+def _scratch(ret: int) -> int:
+    """ret, the value of a chunk, once checked not to be the -1 a chunk
+    returns when the heap scratch of a step of 8 or more coordinates cannot
+    be allocated."""
+    if ret < 0:
+        raise MemoryError("step kernel could not allocate its scratch")
+    return ret
 
 
 def _steps(etas) -> tuple:
@@ -171,8 +183,8 @@ class StepKernels(Reference):
     The draw and chunk methods take the generator states generators
     returned, an (n, STATE_WORDS) uint64 array, and advance them in place;
     a call owns the rows it is given, so calls on different arrays run on
-    different threads at once.  A chunk C cannot step as numpy does runs
-    the Reference method (see the module docstring).
+    different threads at once.  rm_chunk runs the Reference method for the
+    problems C does not step (in_c).
     """
 
     def __init__(self, lib: ctypes.CDLL):
@@ -229,18 +241,14 @@ class StepKernels(Reference):
         self, state, gens, etas, a, xs, radius: float, b_noise: float, half_mu: float, loss,
         *channels,
     ) -> int:
-        n, d = state.shape
-        if not _compiled(d):
-            return super().sgd_chunk(
-                state, gens, etas, a, xs, radius, b_noise, half_mu, loss, *channels
-            )
+        iterates, n, d = _iterates(state)
         etas, m = _steps(etas)
         recorded = [None, 0] + [None] * 5 + [0]  # NULL channels: not recording
         if channels:
             loss_pl, *rest = channels
             recorded = [*_rows(loss_pl, (n, m)), *_channels(rest, (n, m))]
-        return self._lib.sgd_chunk(
-            _addr(state, (n, d)),
+        return _scratch(self._lib.sgd_chunk(
+            iterates,
             _gens(gens, n),
             _addr(etas, (m,)),
             _addr(a, (d,)),
@@ -248,21 +256,17 @@ class StepKernels(Reference):
             m, n, d, radius, radius * radius, b_noise, half_mu,
             *_rows(loss, (n, m)),
             *recorded,
-        )
+        ))
 
     def pca_chunk(
         self, state, norms, gens, etas, scale, eigs, krasulina: bool, normalize: bool, loss,
         *channels,
     ) -> None:
-        n, p = state.shape
-        if not _compiled(p):
-            return super().pca_chunk(
-                state, norms, gens, etas, scale, eigs, krasulina, normalize, loss, *channels
-            )
+        iterates, n, p = _iterates(state)
         etas, m = _steps(etas)
         recorded = _channels(channels, (n, m)) if channels else [None] * 4 + [0]
-        self._lib.pca_chunk(
-            _addr(state, (n, p)),
+        _scratch(self._lib.pca_chunk(
+            iterates,
             _addr(norms, (n,)),
             _gens(gens, n),
             _addr(scale, (p,)),
@@ -271,12 +275,12 @@ class StepKernels(Reference):
             m, n, p, int(krasulina), int(normalize),
             *_rows(loss, (n, m)),
             *recorded,
-        )
+        ))
 
     def rm_chunk(
         self, state, gens, etas, problem, radius: float, signed_dev: bool, loss, *channels
     ) -> None:
-        if problem.m_kind != "linear":
+        if not in_c(problem):
             return super().rm_chunk(state, gens, etas, problem, radius, signed_dev, loss, *channels)
         etas, m = _steps(etas)
         n = len(state)
@@ -298,21 +302,17 @@ class StepKernels(Reference):
     def ridge_chunk(
         self, state, xs, ys, etas, theta_star, lambda_pen, penalty_in_gradient, radius, loss
     ) -> None:
-        n, d = state.shape
-        if not _compiled(d):
-            return super().ridge_chunk(
-                state, xs, ys, etas, theta_star, lambda_pen, penalty_in_gradient, radius, loss
-            )
+        iterates, n, d = _iterates(state)
         etas, m = _steps(etas)
-        self._lib.ridge_chunk(
-            _addr(state, (n, d)),
+        _scratch(self._lib.ridge_chunk(
+            iterates,
             _addr(xs, (m, n, d)),
             _addr(ys, (m, n)),
             _addr(etas, (m,)),
             _addr(theta_star, (d,)),
             m, n, d, lambda_pen, int(penalty_in_gradient), radius, radius * radius,
             *_rows(loss, (n, m)),
-        )
+        ))
 
     def lil_max(self, dev, t0: int, block_max) -> None:
         n_blocks, n = block_max.shape
@@ -461,8 +461,15 @@ def load() -> Reference:
     return _LOADER.get()
 
 
-def steps_by(width: int) -> str:
-    """Which kernels step engines whose steps carry width values, as reports
-    name them: "compiled", or "reference" when load() gives the reference or
-    StepKernels defers such steps to it."""
-    return "compiled" if isinstance(load(), StepKernels) and _compiled(width) else "reference"
+def in_c(problem) -> bool:
+    """Whether the compiled kernels step problem's engine in C: every
+    problem's, at every width, but a root-finding problem's whose M is
+    cubic, since numpy's u**3 matches neither u*u*u nor libm's pow."""
+    return getattr(problem, "m_kind", "linear") == "linear"
+
+
+def steps_by(problem) -> str:
+    """Which kernels step problem's engine, as reports name them:
+    "compiled", or "reference" when load() gives the reference or
+    StepKernels runs the reference's chunk for the problem (in_c)."""
+    return "compiled" if isinstance(load(), StepKernels) and in_c(problem) else "reference"

@@ -11,9 +11,10 @@ channels in the elementwise order of the per-step formulas, so the slicing
 changes no bit.  _kernel.StepKernels overrides every method with the same
 name and arguments: the generators, as PCG64 states the compiled code owns,
 the draws, and each engine chunk in one replication-major C call, which
-builds neither the draw chunk nor the trajectory buffer, or this class's
-chunk where C cannot match numpy bit for bit.  _kernel.load chooses between
-the two.  The draw and chunk contracts are in the class docstring.
+builds neither the draw chunk nor the trajectory buffer, at every width,
+or this class's rm_chunk for the cubic M, which C cannot match bit for
+bit.  _kernel.load chooses between the two.  The draw and chunk contracts
+are in the class docstring.
 """
 from __future__ import annotations
 

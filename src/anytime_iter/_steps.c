@@ -2,8 +2,9 @@
  * in anytime_iter.algorithms, and the LIL reducer of anytime_iter.harness.
  *
  * sgd_chunk, pca_chunk, rm_chunk (linear M) and ridge_chunk each run one
- * engine chunk in one call, replication-major: the outer loop runs over
- * blocks of LANES replications and the inner loop over the chunk's m steps.
+ * engine chunk of any width in one call, replication-major: the outer loop
+ * runs over blocks of LANES replications and the inner loop over the
+ * chunk's m steps.
  * Each replication advances its iterate in locals and writes its losses, and
  * its noise channels when the engine records them, into row i of row-strided
  * (n, m) outputs.  The SGD, PCA and root-finding chunks draw each
@@ -17,12 +18,11 @@
  * replaces, one by one and in the same order, so its results are bit for bit
  * those of numpy.  It must be compiled without floating-point contraction
  * (-ffp-contract=off) and without -ffast-math, so that no multiply-add is
- * fused and no sum is reassociated.  Coordinate sums run left to right like
- * _sum_last in _reference.py, which equals np.sum over fewer than 8 terms: a
- * sum of general terms ends with +0.0, which turns an all -0.0 sum into +0.0
- * as numpy does, and a sum of squares does not.  For steps of 8 or more
- * coordinates, where np.sum adds pairwise, _kernel.StepKernels runs the
- * reference's chunk in numpy instead, on the draws of this library.
+ * fused and no sum is reassociated.  Coordinate sums add as np.sum does at
+ * every width: fewer than 8 terms left to right, like _sum_last in
+ * _reference.py, and from 8 terms on with numpy's pairwise sum (pairwise
+ * below).  A sum of general terms ends with +0.0, which turns an all -0.0
+ * sum into +0.0 as numpy does, and a sum of squares does not.
  *
  * The library owns the replications' generators: seed_states turns each
  * seed's SeedSequence pool into the PCG64 state numpy's default_rng would
@@ -36,17 +36,41 @@
 #include <math.h>
 #include <stdbool.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
-/* the chunk functions keep a few coordinate vectors on the stack; wider
- * steps run in numpy, whose np.sum adds 8 or more terms pairwise */
-#define MAX_WIDTH 7
-
 #define INLINE static inline __attribute__((always_inline))
+
+/* sum_j x[j]*v[j] over n >= 8 terms as numpy's pairwise_sum, the sum behind
+ * np.add.reduce, adds them: up to 128 terms in 8 running sums, r[k] taking
+ * the terms k, k+8, ..., combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+ * then the terms past the last multiple of 8 left to right; above 128 terms,
+ * the sums of the first n/2 terms, rounded down to a multiple of 8, and of
+ * the rest. */
+static double pairwise(const double *x, const double *v, long n)
+{
+    if (n > 128) {
+        const long half = n / 2 - n / 2 % 8;
+        return pairwise(x, v, half) + pairwise(x + half, v + half, n - half);
+    }
+    double r[8];
+    for (long k = 0; k < 8; k++)
+        r[k] = x[k] * v[k];
+    long i = 8;
+    for (; i < n - n % 8; i += 8)
+        for (long k = 0; k < 8; k++)
+            r[k] += x[i + k] * v[i + k];
+    double s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    for (; i < n; i++)
+        s += x[i] * v[i];
+    return s;
+}
 
 /* sum_j x[j]*v[j], closed with +0.0 (also for d = 1, where np.sum adds it) */
 INLINE double dot(const double *x, const double *v, long d)
 {
+    if (d >= 8)
+        return pairwise(x, v, d) + 0.0;
     double s = x[0] * v[0];
     for (long j = 1; j < d; j++)
         s += x[j] * v[j];
@@ -56,6 +80,8 @@ INLINE double dot(const double *x, const double *v, long d)
 /* sum_j a[j]^2; squares are never -0.0, so a closing +0.0 would change nothing */
 INLINE double sum_sq(const double *a, long d)
 {
+    if (d >= 8)
+        return pairwise(a, a, d);
     double s = a[0] * a[0];
     for (long j = 1; j < d; j++)
         s += a[j] * a[j];
@@ -195,9 +221,8 @@ void seed_states(uint64_t *out, const uint32_t *pools, const long *pool_sizes, l
  * against numpy before it uses the library.  The helpers below serve both
  * the chunk functions and the draw loops; in the draw loops out is
  * (rows, n, width), or (rows, n) for the uniforms, and row r of generator j
- * starts at out + (r*n + j)*width.  The sphere's normals are drawn here and
- * scaled in numpy (StepKernels.sphere), whose sum of squares adds pairwise
- * from 8 coordinates on. */
+ * starts at out + (r*n + j)*width.  The draw loops' sphere normals are
+ * scaled in numpy (StepKernels.sphere). */
 
 /* The 256-layer ziggurat of numpy's random_standard_normal (Marsaglia and
  * Tsang 2000).  The tables ki_double, wi_double and fi_double are copied as
@@ -564,6 +589,9 @@ void uniform_draw(double *out, uint64_t *gens, long rows, long n, double low, do
  * Each generator still makes the same draws in the same order, so the
  * values and its final state are unchanged.
  *
+ * Each chunk body is one inlined function of the width d, which BY_WIDTH
+ * builds once for each d from 1 to 7 and once for every d from 8 on.
+ *
  * LANES is a compile-time constant and every loop that draws from or
  * loads or stores a block's generators is unrolled (EACH_LANE), so each
  * lane's generator lives in registers or in fixed stack slots, not in an
@@ -587,18 +615,31 @@ void uniform_draw(double *out, uint64_t *gens, long rows, long n, double low, do
 #define LANES 8
 #define EACH_LANE(l) _Pragma("GCC unroll 8") for (long l = 0; l < LANES; l++)
 
-/* Runs CALL(w), which returns, with w the constant 1 .. MAX_WIDTH equal to
- * d, so that the compiler builds one copy of an inlined chunk body per
- * width, with its coordinate loops unrolled; d is checked in Python. */
-#define BY_WIDTH(d, CALL) \
-    switch (d) {          \
-    case 1: CALL(1);      \
-    case 2: CALL(2);      \
-    case 3: CALL(3);      \
-    case 4: CALL(4);      \
-    case 5: CALL(5);      \
-    case 6: CALL(6);      \
-    default: CALL(7);     \
+/* Returns CALL(w, buf), a long, with w equal to d and buf the chunk body's
+ * scratch, SCRATCH(w) doubles.  For d = 1 .. 7, w is a constant and buf an
+ * array on the stack, so that the compiler builds one copy of the inlined
+ * body per width, with its coordinate loops unrolled; from 8 coordinates on
+ * the same body runs with w = d at run time, and buf comes from the heap:
+ * LANES iterates of d values and a few more vectors would outgrow a
+ * thread's stack at large d (12.5 MB for PCA at p = 60 000).  Returns -1 if
+ * buf cannot be allocated.  d >= 1 is checked in Python. */
+#define BY_WIDTH(d, SCRATCH, CALL)                                  \
+    switch (d) {                                                    \
+    case 1: { double buf[SCRATCH(1)]; return CALL(1, buf); }        \
+    case 2: { double buf[SCRATCH(2)]; return CALL(2, buf); }        \
+    case 3: { double buf[SCRATCH(3)]; return CALL(3, buf); }        \
+    case 4: { double buf[SCRATCH(4)]; return CALL(4, buf); }        \
+    case 5: { double buf[SCRATCH(5)]; return CALL(5, buf); }        \
+    case 6: { double buf[SCRATCH(6)]; return CALL(6, buf); }        \
+    case 7: { double buf[SCRATCH(7)]; return CALL(7, buf); }        \
+    default: {                                                      \
+        double *buf = malloc(sizeof(double) * SCRATCH(d));          \
+        if (!buf)                                                   \
+            return -1;                                              \
+        const long ret = CALL(d, buf);                              \
+        free(buf);                                                  \
+        return ret;                                                 \
+    }                                                               \
     }
 
 /* The rows of state and gens lane l of the block at i0 steps: its own, or
@@ -614,19 +655,21 @@ INLINE long lane_row(long i0, long lanes, long l)
  * |dn|^2, loss_pl 0.5*(sum (a*dn)*dn), y_sc -<e, dev>, y_pl -<a*dev, e>,
  * gnorm2 |a*dev + e|^2, noise_sc (2*eta)*y_sc + (eta*eta)*gnorm2 and
  * noise_pl eta*y_pl + ((half_mu*eta)*eta)*gnorm2. */
-INLINE long sgd_rows(double *state, uint64_t *gens, const double *etas, const double *a,
-                     const double *xs, long m, long n, long d, double radius, double rr,
-                     double b_noise, double half_mu, double *loss, long ld_loss,
+#define SGD_SCRATCH(d) ((3 * LANES + 5) * (d))
+
+INLINE long sgd_rows(double *buf, double *state, uint64_t *gens, const double *etas,
+                     const double *a, const double *xs, long m, long n, long d, double radius,
+                     double rr, double b_noise, double half_mu, double *loss, long ld_loss,
                      double *loss_pl, long ld_pl, double *noise_sc, double *noise_pl,
                      double *y_sc, double *y_pl, double *gnorm2, long ld)
 {
-    double x[LANES][MAX_WIDTH], w[LANES][MAX_WIDTH], e[LANES][MAX_WIDTH];
-    double dev[MAX_WIDTH], dn[MAX_WIDTH], gradf[MAX_WIDTH], gv[MAX_WIDTH], adn[MAX_WIDTH];
+    double(*x)[d] = (double(*)[d])buf, (*w)[d] = x + LANES, (*e)[d] = w + LANES;
+    double *dev = e[LANES], *dn = dev + d, *gradf = dn + d, *gv = gradf + d, *adn = gv + d;
     pcg64_t g[LANES];
     long hits = 0;
     /* radius 0 draws nothing: the noise stays zero, as in Reference.sphere */
     if (b_noise == 0.0)
-        memset(e, 0, sizeof e);
+        memset(e, 0, sizeof(double) * LANES * d);
     for (long i0 = 0; i0 < n; i0 += LANES) {
         const long lanes = n - i0 < LANES ? n - i0 : LANES;
         EACH_LANE(l) {
@@ -704,10 +747,10 @@ long sgd_chunk(double *state, uint64_t *gens, const double *etas, const double *
                long ld_pl, double *noise_sc, double *noise_pl, double *y_sc, double *y_pl,
                double *gnorm2, long ld)
 {
-#define SGD(D)                                                                              \
-    return sgd_rows(state, gens, etas, a, xs, m, n, D, radius, rr, b_noise, half_mu, loss, \
-                    ld_loss, loss_pl, ld_pl, noise_sc, noise_pl, y_sc, y_pl, gnorm2, ld)
-    BY_WIDTH(d, SGD)
+#define SGD(D, buf)                                                                      \
+    sgd_rows(buf, state, gens, etas, a, xs, m, n, D, radius, rr, b_noise, half_mu, loss, \
+             ld_loss, loss_pl, ld_pl, noise_sc, noise_pl, y_sc, y_pl, gnorm2, ld)
+    BY_WIDTH(d, SGD_SCRATCH, SGD)
 #undef SGD
 }
 
@@ -722,14 +765,16 @@ long sgd_chunk(double *state, uint64_t *gens, const double *etas, const double *
  * z_dot_v = <z, v>, znorm2 = |z|^2 and ratio = grown/vn2.
  * (0.0 >= r) ? 0.0 : r keeps a NaN r, as np.maximum(0.0, r) does and fmax
  * does not. */
-INLINE void pca_rows(double *state, double *norms, uint64_t *gens, const double *scale,
-                     const double *etas, const double *eigs, long m, long n, long p,
-                     int krasulina, int normalize, double *loss, long ld_loss, double *q,
-                     double *z_dot_v, double *znorm2, double *ratio, long ld)
+#define PCA_SCRATCH(p) ((3 * LANES + 2) * (p))
+
+INLINE long pca_rows(double *buf, double *state, double *norms, uint64_t *gens,
+                     const double *scale, const double *etas, const double *eigs, long m,
+                     long n, long p, int krasulina, int normalize, double *loss, long ld_loss,
+                     double *q, double *z_dot_v, double *znorm2, double *ratio, long ld)
 {
-    double v[LANES][MAX_WIDTH], w[LANES][MAX_WIDTH], x[LANES][MAX_WIDTH];
+    double(*v)[p] = (double(*)[p])buf, (*w)[p] = v + LANES, (*x)[p] = w + LANES;
+    double *z = x[LANES], *sv = z + p;
     double vn2[LANES], y[LANES], grown[LANES], next[LANES];
-    double z[MAX_WIDTH], sv[MAX_WIDTH];
     pcg64_t g[LANES];
     for (long i0 = 0; i0 < n; i0 += LANES) {
         const long lanes = n - i0 < LANES ? n - i0 : LANES;
@@ -803,20 +848,18 @@ INLINE void pca_rows(double *state, double *norms, uint64_t *gens, const double 
             }
         }
     }
+    return 0;
 }
 
-void pca_chunk(double *state, double *norms, uint64_t *gens, const double *scale,
+long pca_chunk(double *state, double *norms, uint64_t *gens, const double *scale,
                const double *etas, const double *eigs, long m, long n, long p, int krasulina,
                int normalize, double *loss, long ld_loss, double *q, double *z_dot_v,
                double *znorm2, double *ratio, long ld)
 {
-#define PCA(D)                                                                        \
-    {                                                                                 \
-        pca_rows(state, norms, gens, scale, etas, eigs, m, n, D, krasulina, normalize, \
-                 loss, ld_loss, q, z_dot_v, znorm2, ratio, ld);                       \
-        return;                                                                       \
-    }
-    BY_WIDTH(p, PCA)
+#define PCA(D, buf)                                                                         \
+    pca_rows(buf, state, norms, gens, scale, etas, eigs, m, n, D, krasulina, normalize, \
+             loss, ld_loss, q, z_dot_v, znorm2, ratio, ld)
+    BY_WIDTH(p, PCA_SCRATCH, PCA)
 #undef PCA
 }
 
@@ -873,11 +916,14 @@ void rm_chunk(double *state, uint64_t *gens, const double *etas, long m, long n,
  * loss is |w - theta*|^2.  Nothing is drawn here, so a partial last block
  * just has fewer lanes; the blocks read 8 replications' adjacent covariates
  * at each step. */
-void ridge_chunk(double *state, const double *xs, const double *ys, const double *etas,
-                 const double *theta_star, long m, long n, long d, double lambda_pen,
-                 int penalty_in_gradient, double radius, double rr, double *loss, long ld_loss)
+#define RIDGE_SCRATCH(d) ((LANES + 1) * (d))
+
+INLINE long ridge_rows(double *buf, double *state, const double *xs, const double *ys,
+                       const double *etas, const double *theta_star, long m, long n, long d,
+                       double lambda_pen, int penalty_in_gradient, double radius, double rr,
+                       double *loss, long ld_loss)
 {
-    double th[LANES][MAX_WIDTH], dn[MAX_WIDTH];
+    double(*th)[d] = (double(*)[d])buf, *dn = th[LANES];
     for (long i0 = 0; i0 < n; i0 += LANES) {
         const long lanes = n - i0 < LANES ? n - i0 : LANES;
         for (long l = 0; l < lanes; l++)
@@ -909,6 +955,18 @@ void ridge_chunk(double *state, const double *xs, const double *ys, const double
         for (long l = 0; l < lanes; l++)
             memcpy(state + (i0 + l) * d, th[l], sizeof(double) * d);
     }
+    return 0;
+}
+
+long ridge_chunk(double *state, const double *xs, const double *ys, const double *etas,
+                 const double *theta_star, long m, long n, long d, double lambda_pen,
+                 int penalty_in_gradient, double radius, double rr, double *loss, long ld_loss)
+{
+#define RIDGE(D, buf)                                                                   \
+    ridge_rows(buf, state, xs, ys, etas, theta_star, m, n, D, lambda_pen,              \
+               penalty_in_gradient, radius, rr, loss, ld_loss)
+    BY_WIDTH(d, RIDGE_SCRATCH, RIDGE)
+#undef RIDGE
 }
 
 /* The LIL statistic's dyadic block maxima.  dev is the (n, m) chunk of

@@ -35,11 +35,11 @@ writes the losses and, with record_channels, every noise channel in the
 elementwise order of the per-step formulas.  The SGD, PCA and root-finding
 calls draw their chunk too; ridge_batch draws its chunk per generator, with
 a fixed RIDGE_ROWS, and hands it to the call.  Each compiled chunk is one
-replication-major C call, with no draw chunk and no trajectory buffer, or,
-where C cannot step as numpy does, the reference's chunk on the compiled
-draws, which steps and passes through slices of a trajectory buffer (see
-_reference).  Either way the transient memory is O(N*chunk) with or
-without recording.
+replication-major C call at every width, with no draw chunk and no
+trajectory buffer, or, for the cubic M, which C cannot step as numpy does,
+the reference's chunk on the compiled draws, which steps and passes
+through slices of a trajectory buffer (see _reference).  Either way the
+transient memory is O(N*chunk) with or without recording.
 """
 from __future__ import annotations
 

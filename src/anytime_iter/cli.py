@@ -95,7 +95,7 @@ def _cmd_coverage(config: CoverageConfig, out_dir: Path, threads: int) -> int:
         report,
         out_dir / "coverage_report.json",
         extra={"policy": "empirical_rate <= cost*delta + 3*sqrt(cost*delta/n_reps)"},
-        width=config.parsed_problem[0].dim,
+        problem=config.parsed_problem[0],
     )
     if config.record_grid:
         write_grid_csv(report, config.record_grid, out_dir / "widths.csv")
@@ -133,7 +133,7 @@ def _cmd_last_iterate(
             "policy": "exceedance <= delta + 3*sqrt(delta/n_reps)",
         },
         out_dir / "last_iterate_report.json",
-        width=config.parsed_problem[0].dim,
+        problem=config.parsed_problem[0],
     )
     print(
         f"last-iterate: exceedance={rate:.6g} bound={bound:.6g} "
@@ -206,7 +206,7 @@ def _cmd_lil(problem: RmProblem, run: _LilRun, out_dir: Path, threads: int) -> i
             "policy": "fraction of seeds with final running max >= l_const must reach threshold",
         },
         out_dir / "lil_report.json",
-        width=1,
+        problem=problem,
     )
     with open(out_dir / "lil_blocks.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -245,7 +245,7 @@ def _cmd_oja_cold_start(
         out_dir / "cold_start_report.json",
         extra={"policy": "empirical_rate <= cost*delta + 3*sqrt(cost*delta/n_reps); "
                "split hit rate >= 1 - delta^3 (minus MC slack)"},
-        width=problem.dim,
+        problem=problem,
     )
     print(
         f"oja-cold-start: split={report.split_t} hit_rate={report.hit_rate:.6g} "

@@ -792,14 +792,13 @@ def run_counterexample(p_one: float, n_reps: int, horizon: int, seed_base: int) 
 # ---------------------------------------------------------------------------
 
 
-def write_report_json(report, path, extra: Optional[dict] = None, width=None) -> None:
+def write_report_json(report, path, extra: Optional[dict] = None, problem=None) -> None:
     """Write a report, a dataclass or a dict, as JSON with deterministic payload.
 
     Timing goes into the separate "timing" object so that the rest of the
     document is byte-identical across reruns and worker counts.  When the
-    report comes from engine runs whose steps carry width values, timing
-    also names the kernels that stepped them, _kernel.steps_by(width):
-    "compiled" or "reference".
+    report comes from engine runs on problem, timing also names the kernels
+    that stepped them, _kernel.steps_by(problem): "compiled" or "reference".
     """
     payload = asdict(report) if is_dataclass(report) else dict(report)
     if "quantiles_at_grid" in payload:
@@ -809,8 +808,8 @@ def write_report_json(report, path, extra: Optional[dict] = None, width=None) ->
     if extra:
         doc.update(extra)
     doc["timing"] = {"wall_time_s": payload.pop("wall_time", None)}
-    if width is not None:
-        doc["timing"]["kernels"] = _kernel.steps_by(width)
+    if problem is not None:
+        doc["timing"]["kernels"] = _kernel.steps_by(problem)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True, default=float)
         fh.write("\n")

@@ -19,6 +19,7 @@ import re
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -110,9 +111,10 @@ CASES.update(
         for pig in (True, False)
     }
 )
-# steps wider than MAX_WIDTH, which the compiled kernels run through the
-# reference's chunk methods on their own seeding and draws
-WIDE = {f"sgd-d{d}": _sgd_case(d) for d in (8, 12)}
+# steps of 8 or more coordinates, whose sums C adds pairwise as np.sum
+# does, at run-time widths: up to 128 terms in one block, and past the split
+# of longer sums
+WIDE = {f"sgd-d{d}": _sgd_case(d) for d in (8, 12, 129, 257)}
 WIDE.update(
     {
         f"{variant}-p{p}{'-normalized' if normalize else ''}{'-rotated' if rotated else ''}": (
@@ -124,7 +126,10 @@ WIDE.update(
         for rotated in (False, True)
     }
 )
-WIDE["ridge-d8"] = _ridge_case(8, True)
+for p in (129, 257):
+    WIDE[f"krasulina-p{p}-normalized-rotated"] = _pca_case(p, "krasulina", True, True)
+    WIDE[f"oja-p{p}-normalized"] = _pca_case(p, "oja", True, False)
+WIDE.update({f"ridge-d{d}": _ridge_case(d, True) for d in (8, 129, 257)})
 
 
 def as_bytes(res: dict) -> dict:
@@ -448,10 +453,30 @@ def test_rm_calls_match_reference_bytes(shape, cubic, signed_dev, record, zero, 
     same_bytes(build, call, [rep_seed(seed, i) for i in range(n)])
 
 
+# the nan an invalid operation such as inf - inf gives: where two different
+# nans meet in a sum or product, the operand order picks the one returned,
+# and C and numpy need not order the operands alike, so the covariates carry
+# no other nan
+with np.errstate(invalid="ignore"):
+    INVALID = np.subtract(np.inf, np.inf)
+
+# as SHAPES, with up to 300 coordinates: past the 128 terms of one block of
+# numpy's pairwise sum
+RIDGE_SHAPES = st.tuples(
+    st.integers(1, 17),
+    st.integers(1, 300),
+    st.lists(st.integers(1, 300), min_size=1, max_size=2),
+    st.integers(0, 3),
+    st.integers(0, 3),
+)
+
+
 @needs_kernel
 @CALLS
-@given(shape=SHAPES, penalty_in_gradient=st.booleans(), zero=st.booleans(), seed=SEEDS)
+@given(shape=RIDGE_SHAPES, penalty_in_gradient=st.booleans(), zero=st.booleans(), seed=SEEDS)
 def test_ridge_calls_match_reference_bytes(shape, penalty_in_gradient, zero, seed):
+    # ridge is the one chunk whose summed inputs, the covariates, come from
+    # the caller, so they include signed zeros and non-finite values
     n, d, chunks, lo, extra = shape
     total = sum(chunks)
 
@@ -461,9 +486,15 @@ def test_ridge_calls_match_reference_bytes(shape, penalty_in_gradient, zero, see
         xs = rng.choice([-1.0, 1.0], (total, n, d)) / np.sqrt(d)
         ys = rng.uniform(-1.0, 1.0, (total, n))
         if zero:
-            state[0] = 0.0  # replication 0 stays at 0
-            xs[:, 0] = -0.0
-            ys[:, 0] = 0.0
+            # replication 0 stays at +0.0 on -0.0 covariates and the last at
+            # -0.0 on +0.0 ones: each residual sums -0.0 terms only
+            state[0], xs[:, 0] = 0.0, -0.0
+            state[-1], xs[:, -1] = -0.0, 0.0
+            ys[:, [0, -1]] = 0.0
+            # the middle replication meets +-inf in one step and nan in another
+            k, j = rng.integers(0, total, 2), rng.integers(0, d, 3)
+            xs[k[0], n // 2, j[:2]] = np.inf, -np.inf
+            xs[k[1], n // 2, j[2]] = INVALID
         return dict(
             state=state, xs=xs, ys=ys, etas=rng.uniform(0.01, 1.0, total),
             theta_star=rng.uniform(-0.5, 0.5, d), loss=outputs(n, total, lo, extra, 1)[0],
@@ -473,10 +504,11 @@ def test_ridge_calls_match_reference_bytes(shape, penalty_in_gradient, zero, see
     def call(k, gens, a):
         lambda_pen, radius = a["lam_radius"].tolist()
         for steps, t in chunk_slices(chunks, lo):
-            k.ridge_chunk(
-                a["state"], a["xs"][steps], a["ys"][steps], a["etas"][steps], a["theta_star"],
-                lambda_pen, penalty_in_gradient, radius, a["loss"][:, t],
-            )
+            with np.errstate(invalid="ignore", over="ignore"):
+                k.ridge_chunk(
+                    a["state"], a["xs"][steps], a["ys"][steps], a["etas"][steps],
+                    a["theta_star"], lambda_pen, penalty_in_gradient, radius, a["loss"][:, t],
+                )
 
     same_bytes(build, call)
 
@@ -856,6 +888,18 @@ def test_optimisation_level_changes_no_byte(level, tmp_path, monkeypatch):
     assert chunks(built) == chunks(_kernel.load())
 
 
+def spy_reference_chunks(monkeypatch) -> list:
+    """Make the four Reference chunk methods log their names as they are
+    called; returns the log."""
+    called = []
+    for name in ("sgd_chunk", "pca_chunk", "rm_chunk", "ridge_chunk"):
+        method = getattr(Reference, name)
+        monkeypatch.setattr(
+            Reference, name, lambda *a, _m=method, _n=name: called.append(_n) or _m(*a)
+        )
+    return called
+
+
 @needs_kernel
 def test_every_engine_takes_the_kernel(monkeypatch):
     # every engine asks load() for the process's kernels, without a width
@@ -866,27 +910,19 @@ def test_every_engine_takes_the_kernel(monkeypatch):
         ENGINES[name][1](seeds)
     assert len(calls) == 4
     monkeypatch.undo()
-    # the compiled kernels run the reference's chunk method where C cannot
-    # step as numpy does: for the cubic M, since numpy's u**3 matches neither
-    # u*u*u nor libm's pow, and for steps wider than MAX_WIDTH, where np.sum
-    # adds pairwise
-    deferred = []
-    for name in ("sgd_chunk", "pca_chunk", "rm_chunk", "ridge_chunk"):
-        method = getattr(Reference, name)
-        monkeypatch.setattr(
-            Reference, name, lambda *a, _m=method, _n=name: deferred.append(_n) or _m(*a)
-        )
-    w = _kernel.MAX_WIDTH
-    for name in (f"sgd-d{w}", f"krasulina-p{w}-normalized-rotated", f"oja-p{w}", f"ridge-d{w}"):
+    # the compiled kernels step every width in C and run the reference's
+    # chunk method only for the cubic M, since numpy's u**3 matches neither
+    # u*u*u nor libm's pow
+    deferred = spy_reference_chunks(monkeypatch)
+    for name in ("sgd-d7", "krasulina-p7-normalized-rotated", "oja-p7", "ridge-d7"):
         CASES[name][1](seeds)
     CASES["rm-linear-shifted"][1](seeds)
+    for _, run in WIDE.values():
+        run(seeds)
     assert deferred == []
     ENGINES["rm"][1](seeds)  # the cubic M
     assert set(deferred) == {"rm_chunk"}
-    deferred.clear()
-    for _, run in WIDE.values():
-        run(seeds)
-    assert set(deferred) == {"sgd_chunk", "pca_chunk", "ridge_chunk"}
+    assert not _kernel.in_c(RmProblem(m_kind="cubic_plus_linear", cub_a=0.5, cub_b=1.0))
 
 
 class KeptGenerators:
@@ -907,9 +943,9 @@ class KeptGenerators:
 @needs_kernel
 @pytest.mark.parametrize("name", sorted(WIDE))
 def test_wide_engines_match_reference_bytes(name, monkeypatch):
-    # the compiled kernels' wide runs step in numpy on compiled seeding and
-    # draws: every array, recorded or streamed, and every generator's end
-    # state must be the pure reference's, over several chunks and slices
+    # the compiled kernels step wide runs in C, without a Reference chunk:
+    # every array, recorded or streamed, and every generator's end state
+    # must be the pure reference's, over several chunks and slices
     width, run = WIDE[name]
     seeds = [rep_seed(43, i) for i in range(11)]
     monkeypatch.setattr(algorithms, "MIN_ROWS", 1)
@@ -920,9 +956,41 @@ def test_wide_engines_match_reference_bytes(name, monkeypatch):
     for kernels in (_kernel.load(), REFERENCE):
         kept = KeptGenerators(kernels)
         monkeypatch.setattr(_kernel, "load", lambda: kept)
-        written = as_bytes(run(seeds)), streamed_bytes(run, seeds)
+        with pytest.MonkeyPatch.context() as spy:
+            deferred = spy_reference_chunks(spy)
+            written = as_bytes(run(seeds)), streamed_bytes(run, seeds)
+        assert kernels is REFERENCE or deferred == []  # no compiled run defers
         got.append((written, [kernels.states(g) for g in kept.gens]))
     assert got[0] == got[1]
+
+
+def _very_wide_run(seeds) -> tuple:
+    """Three normalised Krasulina steps at p = 60 000 under the process's
+    kernels: the losses, the channels and the end states."""
+    p = 60_000
+    problem = PcaProblem(eigs=tuple(float(p - j) for j in range(p)))
+    v0 = _unit(problem.v_star + 0.4 * _unit(np.linspace(-1.0, 1.0, p)))
+    kept = KeptGenerators(_kernel.load())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernel, "load", lambda: kept)
+        res = pca_batch(problem, ETAS[:3], v0, seeds, "krasulina", True)
+    return as_bytes(res), [kept.states(g) for g in kept.gens]
+
+
+@needs_kernel
+def test_very_wide_steps_run_on_the_heap(monkeypatch):
+    # the scratch of a chunk, about 26 vectors of p values for PCA, grows
+    # with the width: 12.5 MB at p = 60 000, more than a thread's stack, so
+    # it must come from the heap, on the main thread and in a pool worker
+    seeds = [rep_seed(47, 0)]
+    deferred = spy_reference_chunks(monkeypatch)
+    compiled = _very_wide_run(seeds)
+    with ThreadPoolExecutor(1) as pool:
+        in_worker = pool.submit(_very_wide_run, seeds).result()
+    assert deferred == []
+    monkeypatch.undo()
+    monkeypatch.setattr(_kernel, "load", reference_load)
+    assert compiled == in_worker == _very_wide_run(seeds)
 
 
 class CountingKernels:
@@ -974,13 +1042,10 @@ def test_engines_make_one_kernel_call_per_chunk(engine, method, compiled, monkey
 def test_compiled_functions_are_the_bound_ones():
     # every function _steps.c exports has a binding and every binding a
     # function, so no deleted entry point lingers in the library, and the
-    # constants both sides size buffers by agree
+    # words of a generator's state, by which both sides size its rows, agree
     source = _kernel.SOURCE.read_text()
     defined = re.findall(r"^(?!static\b|typedef\b)[a-z][\w *]*?\b(\w+)\(", source, re.M)
     assert sorted(defined) == sorted(_kernel._SIGNATURES)
-    # the coordinate vectors C keeps on the stack, which Python checks d
-    # against, and the words of a generator's state
-    assert re.findall(r"^#define MAX_WIDTH (\d+)$", source, re.M) == [str(_kernel.MAX_WIDTH)]
     assert re.findall(r"^#define STATE_WORDS (\d+)$", source, re.M) == [str(_kernel.STATE_WORDS)]
 
 
@@ -1034,16 +1099,22 @@ WIDE_SGD = {
     "curvature": [1.0] * 8, "x_star": [0.0] * 8, "radius": 0.5, "b_noise": 0.5,
     "x0": [0.5] + [0.0] * 7,
 }
-# command -> (config, report file, width of its steps)
+LIL_CFG = {"l1": 1.0, "l2": 1.0, "n_blocks": 3, "n_seeds": 2, "seed_base": 4}
+CUBIC = {"m_kind": "cubic_plus_linear", "cub_a": 0.3, "cub_b": 1.0}
+# case -> (command, config, report file, whether C steps its problem)
 REPORTS = {
-    "coverage": (SMALL_SGD, "coverage_report.json", 2),
-    "coverage-wide": (dict(SMALL_SGD, problem=WIDE_SGD), "coverage_report.json", 8),
-    "last-iterate": (dict(SMALL_SGD, t_eval=20), "last_iterate_report.json", 2),
-    "lil": (
-        {"l1": 1.0, "l2": 1.0, "n_blocks": 3, "n_seeds": 2, "seed_base": 4}, "lil_report.json", 1
+    "coverage": ("coverage", SMALL_SGD, "coverage_report.json", True),
+    "coverage-wide": (
+        "coverage", dict(SMALL_SGD, problem=WIDE_SGD), "coverage_report.json", True
     ),
+    "last-iterate": ("last-iterate", dict(SMALL_SGD, t_eval=20), "last_iterate_report.json", True),
+    "lil": ("lil", LIL_CFG, "lil_report.json", True),
+    "lil-cubic": ("lil", dict(LIL_CFG, **CUBIC), "lil_report.json", False),
     "oja-cold-start": (
-        dict(test_cli.COLD_START_CFG, n_reps=4, horizon=20), "cold_start_report.json", 4
+        "oja-cold-start",
+        dict(test_cli.COLD_START_CFG, n_reps=4, horizon=20),
+        "cold_start_report.json",
+        True,
     ),
 }
 
@@ -1051,15 +1122,14 @@ REPORTS = {
 @pytest.mark.parametrize("reference", [False, True])
 @pytest.mark.parametrize("name", sorted(REPORTS))
 def test_reports_name_their_kernels(name, reference, tmp_path, monkeypatch):
-    # timing names the kernels the engines got: the reference for steps
-    # wider than MAX_WIDTH, without a compiler or when load is patched
-    cfg, report, width = REPORTS[name]
+    # timing names the kernels the engines got: the reference for the cubic
+    # M, without a compiler or when load is patched
+    command, cfg, report, in_c = REPORTS[name]
     if reference:
         monkeypatch.setattr(_kernel, "load", reference_load)
-    compiled = isinstance(_kernel.load(), StepKernels) and width <= _kernel.MAX_WIDTH
+    compiled = isinstance(_kernel.load(), StepKernels) and in_c
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    command = name.removesuffix("-wide")
     assert test_cli.run([command, "--config", str(path), "--out-dir", str(tmp_path)]) in (0, 1)
     timing = json.loads((tmp_path / report).read_text())["timing"]
     assert timing["kernels"] == ("compiled" if compiled else "reference")

@@ -10,7 +10,9 @@ build runs first, for --rounds rounds:
 
   * sgd:      sgd_chunk, d = 2, sphere noise, losses only;
   * sgd-rec:  the same with loss_pl and the five noise channels recorded;
+  * sgd-wide: sgd, d = 16;
   * pca:      pca_chunk, Krasulina, p = 4, losses only;
+  * pca-wide: pca, p = 16, each step normalised;
   * rm:       rm_chunk, linear M, losses only;
   * ridge:    ridge_chunk, d = 2, the ridge engine's RIDGE_ROWS = 2048 steps
               whatever --steps says, on covariates and responses drawn
@@ -19,8 +21,10 @@ build runs first, for --rounds rounds:
 Every call starts from the same state and from fresh generators of the
 same seeds, built outside the timed region by each build's kernels.  Both
 builds must write the same bytes and leave every generator in the same
-state.  It prints, per chunk, each build's median ns per rep-step and the
-median of the per-round ratios B/A.  Running both builds in one process
+state; a revision whose kernels hand 8 or more coordinates to the numpy
+reference runs the wide chunks that way, on its compiled draws.  It
+prints, per chunk, each build's median ns per rep-step and the median of
+the per-round ratios B/A.  Running both builds in one process
 pairs every measurement with its twin, so the host's load swings, which
 make separate runs of two trees hard to tell apart, cancel in the ratio.
 --reps 100 leaves the last block of 8 lanes partial, as the workloads of
@@ -85,26 +89,27 @@ def chunks(n: int, m: int) -> dict:
     xs = rng.choice([-1.0, 1.0], (RIDGE_ROWS, n, 2)) / np.sqrt(2.0)
     ys = xs @ np.array([0.5, 0.5]) + rng.uniform(-0.5, 0.5, (RIDGE_ROWS, n))
 
-    def sgd(record: bool):
+    def sgd(d: int, record: bool):
         def call(k, gens):
-            state = np.full((n, 2), 0.3)
+            state = np.full((n, d), 0.3 / np.sqrt(d / 2))
             out = np.empty((7 if record else 1, n, m))
             channels = out[1:] if record else ()
-            k.sgd_chunk(
-                state, gens, etas, np.array([1.0, 0.5]), np.zeros(2), 1.0, 2.0, 0.25, out[0],
-                *channels,
-            )
+            a = np.linspace(1.0, 0.5, d)
+            k.sgd_chunk(state, gens, etas, a, np.zeros(d), 1.0, 2.0, 0.25, out[0], *channels)
             return out
 
         return call
 
-    def pca(k, gens):
-        state = np.tile(np.full(4, 0.5), (n, 1))
-        norms = np.ones(n)
-        eigs = np.array([4.0, 3.0, 2.0, 1.0])
-        out = np.empty((n, m))
-        k.pca_chunk(state, norms, gens, etas, np.sqrt(eigs), eigs, True, False, out)
-        return out
+    def pca(p: int, normalize: bool):
+        def call(k, gens):
+            state = np.full((n, p), 1.0 / np.sqrt(p))
+            norms = np.ones(n)
+            eigs = np.arange(p, 0.0, -1.0)
+            out = np.empty((n, m))
+            k.pca_chunk(state, norms, gens, etas, np.sqrt(eigs), eigs, True, normalize, out)
+            return out
+
+        return call
 
     def root(k, gens):
         out = np.empty((n, m))
@@ -117,7 +122,15 @@ def chunks(n: int, m: int) -> dict:
                       1.0, out)
         return out
 
-    return {"sgd": sgd(False), "sgd-rec": sgd(True), "pca": pca, "rm": root, "ridge": ridge}
+    return {
+        "sgd": sgd(2, False),
+        "sgd-rec": sgd(2, True),
+        "sgd-wide": sgd(16, False),
+        "pca": pca(4, False),
+        "pca-wide": pca(16, True),
+        "rm": root,
+        "ridge": ridge,
+    }
 
 
 def main(argv=None) -> int:

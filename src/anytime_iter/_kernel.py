@@ -27,23 +27,27 @@ take what its own generators(seeds) returns:
     for the cubic M, since numpy's u**3 matches neither u*u*u nor libm's
     pow; the reference's chunk then draws through this object's draw
     methods, so those runs keep the compiled seeding and draws;
-  * the generators and every draw: generators reads each seed's
-    SeedSequence.pool and C seeds an (n, STATE_WORDS) uint64 array of PCG64
-    states from the pools as default_rng would (seed_states), so the
-    kernels own the states, declare no numpy struct and need no generator
-    lock.  C steps each state inline as numpy's PCG64 does, through its
-    next64, next_double and next32 with the spare half word, and performs
-    the transforms of the functions Generator calls, per generator in the
-    same order: random_standard_normal's ziggurat, whose tables _steps.c
-    copies from numpy's libnpyrandom.a, random_uniform, and the range-1
-    step of random_bounded_uint64_fill.  sphere scales C's normals onto the
-    sphere with the reference's _onto_sphere, whose sum of squares is
-    np.sum's at every width.  So each value is numpy's, every state is the
-    one numpy's generator would reach (states turns the rows into
-    bit_generator.state dicts), and no numpy function is called, compiled
-    or linked.  On the first get() the loader compares the seeding and the
-    draws with numpy's (_check_draws), so that a numpy whose seeding, PCG64
-    or ziggurat has changed gets the reference rather than other numbers;
+  * the generators and every draw: generators turns each int seed or
+    sequence of ints into its entropy words (_entropy_words) and takes any
+    other seed's SeedSequence.pool, and one C call seeds an (n,
+    STATE_WORDS) uint64 array of PCG64 states from them as default_rng
+    would (seed_states), mixing entropy words into a pool as
+    SeedSequence.mix_entropy does, so no SeedSequence is built for the
+    harness's (seed_base, i) seeds; the kernels own the states, declare no
+    numpy struct and need no generator lock.  C steps each state inline as
+    numpy's PCG64 does, through its next64, next_double and next32 with the
+    spare half word, and performs the transforms of the functions Generator
+    calls, per generator in the same order: random_standard_normal's
+    ziggurat, whose tables _steps.c copies from numpy's libnpyrandom.a,
+    random_uniform, and the range-1 step of random_bounded_uint64_fill.
+    sphere scales C's normals onto the sphere with the reference's
+    _onto_sphere, whose sum of squares is np.sum's at every width.  So each
+    value is numpy's, every state is the one numpy's generator would reach
+    (states turns the rows into bit_generator.state dicts), and no numpy
+    function is called, compiled or linked.  On the first get() the loader
+    compares the seeding and the draws with numpy's (_check_draws), so that
+    a numpy whose seeding, entropy mixing, PCG64 or ziggurat has changed
+    gets the reference rather than other numbers;
   * the LIL reducer lil_max: (t*dev)*dev/log log t, with log log t from
     libm's log, which math.log calls, folded into each replication's block
     maxima with np.maximum's rule for nan, in one call per chunk.
@@ -52,13 +56,15 @@ The library is built on first use, never at import: the C compiler Python
 was built with (sysconfig's CC) compiles _steps.c with FLAGS into
 $XDG_CACHE_HOME/anytime-iter/ (default ~/.cache/anytime-iter/), under a name
 that hashes the source, the flags, the compiler a Loader was given, the
-interpreter (whose sysconfig names the default compiler) and the machine, so
-later processes load it from the cache without importing sysconfig.  The
-build renames a temporary file into place, so concurrent processes never
-load a partial file, and a lock makes threads of one process build it
-once.  When there is no compiler, the build fails, the cache cannot be
-written or the compiled seeding or draws differ from numpy's, load()
-returns the reference, with one note per process on stderr.
+interpreter's real path and version (its sysconfig names the default
+compiler; links to it, such as python and python3, share one build) and the
+machine, so later processes load it from the cache without importing
+sysconfig.  The build renames a temporary file into place, so concurrent
+processes never load a partial file, and a lock makes threads of one
+process build it once.  When there is no compiler, the build fails, the
+cache cannot be written or the compiled seeding or draws differ from
+numpy's, load() returns the reference, with one note per process on
+stderr.
 
 ctypes.CDLL releases the interpreter lock during each call, so engines on
 several threads, each with its own generator states, draw and step in
@@ -99,6 +105,7 @@ _SIGNATURES = {
     "lil_max": ([_P] + [_L] * 4 + [_P, _L, _P], None),
 }
 STATE_WORDS = 6  # uint64 values per generator; STATE_WORDS in _steps.c
+_MASK32 = 0xFFFFFFFF
 # what the loader compares with numpy (_check_draws): the states of these
 # seeds, SELF_CHECK normals from the first, in blocks that keep the check
 # from raising the process's peak memory, then an odd run of signs
@@ -176,6 +183,31 @@ def _gens(gens, n: int) -> int:
     return _addr(gens, (n, STATE_WORDS), np.uint64)
 
 
+def _entropy_words(seed):
+    """The uint32 entropy words SeedSequence(seed) mixes into its pool, when
+    seed is a non-negative int or a list, tuple or range of them: each int's
+    32-bit words, low word first, and 0 as one word, as numpy's
+    _coerce_to_uint32_array gives them.  None for any other seed, which
+    SeedSequence(seed) takes or refuses."""
+    if type(seed) is int:
+        seed = (seed,)
+    elif not isinstance(seed, (list, tuple, range)):
+        return None
+    words = []
+    for v in seed:
+        if type(v) is int and 0 <= v <= _MASK32:
+            words.append(v)
+        elif isinstance(v, (int, np.integer)) and v >= 0:
+            v = int(v)
+            words.append(v & _MASK32)
+            while v > _MASK32:
+                v >>= 32
+                words.append(v & _MASK32)
+        else:
+            return None
+    return words
+
+
 class StepKernels(Reference):
     """Checked bindings of the functions in _steps.c, with Reference's
     methods and arguments.
@@ -195,15 +227,24 @@ class StepKernels(Reference):
 
     def generators(self, seeds):
         """Row i holds the PCG64 state of default_rng(seeds[i]), built in C
-        from its SeedSequence's pool (an int seed's SeedSequence(seed))."""
-        seq = np.random.SeedSequence
-        pools = [(s if isinstance(s, seq) else seq(s)).pool for s in seeds]
-        sizes = np.array([len(p) for p in pools], dtype=np.int_)
-        flat = np.concatenate(pools) if pools else np.empty(0, dtype=np.uint32)
-        states = np.empty((len(pools), STATE_WORDS), dtype=np.uint64)
-        self._lib.seed_states(
-            states.ctypes.data, _addr(flat, flat.shape, np.uint32), sizes.ctypes.data, len(pools)
-        )
+        (seed_states) from the entropy words of an int seed or a sequence of
+        ints (_entropy_words), or else from the pool of the seed's
+        SeedSequence: the seed itself, or SeedSequence(seed)."""
+        words, sizes = [], []
+        for s in seeds:
+            entropy = _entropy_words(s)
+            if entropy is not None:
+                words += entropy
+                sizes.append(len(entropy))
+                continue
+            if not isinstance(s, np.random.SeedSequence):
+                s = np.random.SeedSequence(s)
+            words += s.pool.tolist()
+            sizes.append(-len(s.pool))  # a pool: seed_states skips the mixing
+        flat = np.array(words, dtype=np.uint32)
+        sizes = np.array(sizes, dtype=np.int_)
+        states = np.empty((len(sizes), STATE_WORDS), dtype=np.uint64)
+        self._lib.seed_states(states.ctypes.data, flat.ctypes.data, sizes.ctypes.data, len(sizes))
         return states
 
     def states(self, gens):
@@ -361,21 +402,28 @@ def _check_draws(kernels: StepKernels) -> None:
     """Raise RuntimeError unless the compiled generators are numpy's, as a
     numpy whose seeding, PCG64 or transforms differ from the ones _steps.c
     reproduces would not be: seed_states must give default_rng's states
-    for a few seeds (large entropy, a spawn key, a wider pool); from the
+    for a few SeedSequences (large entropy, a spawn key, a wider pool) and
+    for a few seeds it mixes from their entropy words itself (an int, a
+    (seed_base, i) pair, an int of three words, five words); from the
     first, normal_fill must draw SELF_CHECK normals with the bytes
     Generator.standard_normal draws, then sign_draw an odd run of signs
     with the bytes Generator.integers(0, 2) draws, leaving a spare half
     word; and the generators must end in numpy's state."""
-    seeds = [
+    pooled = [
         np.random.SeedSequence(0),
         np.random.SeedSequence([2**64 + 3, 2**32]),
         np.random.SeedSequence(2**70, spawn_key=(3,)),
         np.random.SeedSequence(7, pool_size=8),
     ]
-    gens = kernels.generators(seeds)
-    twins = [np.random.default_rng(s) for s in seeds]
-    if kernels.states(gens) != [t.bit_generator.state for t in twins]:
+    mixed = [5, (20260824, 3), 2**70 + 1, [1, 2**32 - 1, 0, 3, 2**31]]
+    gens = kernels.generators(pooled + mixed)
+    twins = [np.random.default_rng(s) for s in pooled + mixed]
+    states, numpy_states = kernels.states(gens), [t.bit_generator.state for t in twins]
+    k = len(pooled)
+    if states[:k] != numpy_states[:k]:
         raise RuntimeError("compiled PCG64 seeding differs from numpy's SeedSequence and PCG64")
+    if states[k:] != numpy_states[k:]:
+        raise RuntimeError("compiled entropy mixing differs from numpy's SeedSequence")
     gen, twin = gens[:1], twins[0]
     got = np.empty(SELF_CHECK_BLOCK)
     same = True
@@ -433,9 +481,12 @@ class Loader:
         source = SOURCE.read_bytes()
         # The interpreter stands for its default compiler, sysconfig's CC,
         # which is resolved only to compile: loading _sysconfigdata would
-        # cost a cached load more than half its time.  The machine too: a
-        # home directory may be shared by different machines.
-        tag = (source, FLAGS, self._cc, sys.executable, sys.version, os.uname().machine)
+        # cost a cached load more than half its time.  Its real path, so
+        # that links to one interpreter (python, python3) share one build.
+        # The machine too: a home directory may be shared by different
+        # machines.
+        python = os.path.realpath(sys.executable)
+        tag = (source, FLAGS, self._cc, python, sys.version, os.uname().machine)
         key = hashlib.sha256(repr(tag).encode()).hexdigest()[:16]
         path = cache / f"steps-{key}.so"
         if path.is_file():

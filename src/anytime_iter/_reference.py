@@ -10,10 +10,10 @@ a trajectory buffer, each stepped and then passed over for its losses and
 channels in the elementwise order of the per-step formulas, so the slicing
 changes no bit.  _kernel.StepKernels overrides every method with the same
 name and arguments: the generators, as PCG64 states the compiled code owns,
-the draws, and each engine chunk in one replication-major C call, which
-builds neither the draw chunk nor the trajectory buffer, at every width,
-or this class's rm_chunk for the cubic M, which C cannot match bit for
-bit.  _kernel.load chooses between the two.  The draw and chunk contracts
+seeded in C from each seed's entropy words or SeedSequence pool, the draws,
+and each engine chunk in one replication-major C call, which builds neither
+the draw chunk nor the trajectory buffer, at every width, or this class's
+rm_chunk for the cubic M, which C cannot match bit for bit.  _kernel.load chooses between the two.  The draw and chunk contracts
 are in the class docstring.
 """
 from __future__ import annotations
@@ -116,7 +116,7 @@ class Reference:
 
     def generators(self, seeds):
         """The generators the draw and chunk methods take: default_rng of
-        each seed, an int or a SeedSequence."""
+        each seed, an int, a sequence of ints or a SeedSequence."""
         return [make_generator(s) for s in seeds]
 
     def states(self, gens):

@@ -25,13 +25,13 @@
  * sum into +0.0 as numpy does, and a sum of squares does not.
  *
  * The library owns the replications' generators: seed_states turns each
- * seed's SeedSequence pool into the PCG64 state numpy's default_rng would
- * build from it, and the chunks and draw loops step those states inline,
- * with numpy's normal, uniform and sign transforms (see "Generators" and
- * "Draws" below).  No numpy function is called and no numpy struct is
- * declared.  lil_max folds the LIL statistic of each chunk of deviations
- * the root-finding engine streams into the harness's dyadic block maxima,
- * with libm's log log t.
+ * seed, its entropy words or its SeedSequence's pool, into the PCG64 state
+ * numpy's default_rng would build from it, and the chunks and draw loops
+ * step those states inline, with numpy's normal, uniform and sign
+ * transforms (see "Generators" and "Draws" below).  No numpy function is
+ * called and no numpy struct is declared.  lil_max folds the LIL statistic
+ * of each chunk of deviations the root-finding engine streams into the
+ * harness's dyadic block maxima, with libm's log log t.
  */
 #include <math.h>
 #include <stdbool.h>
@@ -178,24 +178,75 @@ INLINE uint32_t next32(pcg64_t *g)
 }
 
 /* SeedSequence's hash constants (numpy/random/bit_generator.pyx) */
+#define SS_INIT_A 0x43b0d7e5U
+#define SS_MULT_A 0x931e8875U
 #define SS_INIT_B 0x8b51f9ddU
 #define SS_MULT_B 0x58f38dedU
+#define SS_MIX_L 0xca01f9ddU
+#define SS_MIX_R 0x4973f715U
+#define SS_POOL 4 /* DEFAULT_POOL_SIZE, the pool of SeedSequence(entropy) */
+
+/* SeedSequence's hashmix: v hashed with the running constant *h, which it
+ * advances */
+INLINE uint32_t hashmix(uint32_t v, uint32_t *h)
+{
+    v ^= *h;
+    *h *= SS_MULT_A;
+    v *= *h;
+    return v ^ v >> 16;
+}
+
+/* SeedSequence's mix */
+INLINE uint32_t mix(uint32_t x, uint32_t y)
+{
+    const uint32_t r = SS_MIX_L * x - SS_MIX_R * y;
+    return r ^ r >> 16;
+}
+
+/* pool receives what SeedSequence.mix_entropy makes of n entropy words:
+ * the first SS_POOL words hashed (0 past the last), every word then mixed
+ * with the hash of every other, then each word past the first SS_POOL
+ * mixed into every pool word. */
+static void mix_entropy(uint32_t pool[SS_POOL], const uint32_t *words, long n)
+{
+    uint32_t h = SS_INIT_A;
+    for (long i = 0; i < SS_POOL; i++)
+        pool[i] = hashmix(i < n ? words[i] : 0, &h);
+    for (long src = 0; src < SS_POOL; src++)
+        for (long dst = 0; dst < SS_POOL; dst++)
+            if (src != dst)
+                pool[dst] = mix(pool[dst], hashmix(pool[src], &h));
+    for (long src = SS_POOL; src < n; src++)
+        for (long dst = 0; dst < SS_POOL; dst++)
+            pool[dst] = mix(pool[dst], hashmix(words[src], &h));
+}
 
 /* out, (n, STATE_WORDS), receives the state of default_rng(seed) for each of
- * n SeedSequences, given by their pools: row i's pool_sizes[i] words follow
- * row i-1's in pools.  SeedSequence.generate_state(4, np.uint64) hashes 8
- * words of the cycled pool, paired low word first into 4 uint64 s; PCG64
- * seeds with state s[0]:s[1] and sequence s[2]:s[3] (pcg64_set_seed):
- * state 0, inc = 2*sequence + 1, one step, state += seed, one step; its
- * spare half word starts empty. */
-void seed_states(uint64_t *out, const uint32_t *pools, const long *pool_sizes, long n)
+ * n seeds, given by words: row i's |sizes[i]| words follow row i-1's.  A
+ * size k >= 0 gives the k entropy words of an int seed or a sequence of
+ * them, as SeedSequence assembles them, which mix_entropy turns into the
+ * pool of SeedSequence(seed); a size -k gives the k-word pool of a
+ * SeedSequence.  SeedSequence.generate_state(4, np.uint64) hashes 8 words
+ * of the cycled pool, paired low word first into 4 uint64 s; PCG64 seeds
+ * with state s[0]:s[1] and sequence s[2]:s[3] (pcg64_set_seed): state 0,
+ * inc = 2*sequence + 1, one step, state += seed, one step; its spare half
+ * word starts empty. */
+void seed_states(uint64_t *out, const uint32_t *words, const long *sizes, long n)
 {
     for (long i = 0; i < n; i++) {
-        const long size = pool_sizes[i];
+        const long k = sizes[i] < 0 ? -sizes[i] : sizes[i];
+        uint32_t mixed[SS_POOL];
+        const uint32_t *pool = words;
+        long size = k;
+        if (sizes[i] >= 0) {
+            mix_entropy(mixed, words, k);
+            pool = mixed;
+            size = SS_POOL;
+        }
         uint32_t hash = SS_INIT_B;
         uint64_t s[4] = {0, 0, 0, 0};
         for (long w = 0; w < 8; w++) {
-            uint32_t v = pools[w % size] ^ hash;
+            uint32_t v = pool[w % size] ^ hash;
             hash *= SS_MULT_B;
             v *= hash;
             v ^= v >> 16;
@@ -206,7 +257,7 @@ void seed_states(uint64_t *out, const uint32_t *pools, const long *pool_sizes, l
         g.state += ((u128)s[0] << 64) | s[1];
         g.state = g.state * PCG_MULT + g.inc;
         pcg_store(out + i * STATE_WORDS, &g);
-        pools += size;
+        words += k;
     }
 }
 

@@ -27,9 +27,11 @@ chunk the engine makes one call to the process's kernels, _kernel.load(),
 compiled or the numpy reference (_kernel says which, and why both give the
 same bits), on the generators those kernels' generators(seeds) built:
 numpy Generators for the reference; for the compiled kernels an array of
-PCG64 states, seeded in C from the seeds' SeedSequence pools, that the
-compiled code owns and advances without any numpy struct or generator
-lock.  The call advances the per-replication state (the iterates,
+PCG64 states, seeded in C from the entropy words of int and int-sequence
+seeds and from the pools of SeedSequence seeds, that the compiled code owns
+and advances without any numpy struct or generator lock.  A seed is
+anything default_rng takes (seeding.SeedLike); the harness passes
+(seed_base, i) pairs.  The call advances the per-replication state (the iterates,
 and for PCA the squared norms the next step divides by) in place, and
 writes the losses and, with record_channels, every noise channel in the
 elementwise order of the per-step formulas.  The SGD, PCA and root-finding

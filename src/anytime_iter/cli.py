@@ -58,7 +58,6 @@ from .harness import (
     write_report_json,
 )
 from .recursion import RecursionParams
-from .seeding import rep_seed
 
 __all__ = ["main"]
 
@@ -187,7 +186,7 @@ class _LilRun:
 
 
 def _cmd_lil(problem: RmProblem, run: _LilRun, out_dir: Path, threads: int) -> int:
-    seeds = [rep_seed(run.seed_base, i) for i in range(run.n_seeds)]
+    seeds = [(run.seed_base, i) for i in range(run.n_seeds)]  # rep_seed's entropy
     reports = run_lil_ensemble(
         problem, run.l1, run.l2, run.n_blocks, seeds, x0=run.x0, threads=threads
     )

@@ -362,7 +362,9 @@ def _pca_v0(v0, problem: PcaProblem, seed_base: int, rep: int) -> np.ndarray:
 
 
 def _seeds(seed_base: int, lo: int, hi: int) -> list:
-    return [rep_seed(seed_base, i) for i in range(lo, hi)]
+    """The seeds of replications lo..hi-1: (seed_base, i), the entropy of
+    rep_seed(seed_base, i), which the kernels' generators take as it is."""
+    return [(seed_base, i) for i in range(lo, hi)]
 
 
 def _sgd_runner(problem: SgdProblem, etas, x0, seed_base: int):

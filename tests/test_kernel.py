@@ -3,11 +3,12 @@
 Every kernel call, every engine array and every drawn chunk must come out
 byte for byte the same with _kernel.StepKernels and with
 _reference.REFERENCE, with the generators left in the same state, and the
-inline draws must be numpy's on every path of its transforms; the loader
-must fall back to the reference with one note when the library cannot be
-built or its normals are not numpy's, and threads that start engines at
-once must share one build.  Tests choose the reference for the engines by
-patching _kernel.load.
+inline draws must be numpy's on every path of its transforms, and the
+generators numpy's for every seed default_rng takes; the loader must fall
+back to the reference with one note when the library cannot be built or
+its seeding or normals are not numpy's, and threads that start engines at
+once, like links to one interpreter, must share one build.  Tests choose
+the reference for the engines by patching _kernel.load.
 """
 
 import ctypes
@@ -20,6 +21,7 @@ import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -322,14 +324,21 @@ def test_sgd_chunk_lanes_draw_from_their_own_generators():
 
 @needs_kernel
 def test_generators_are_numpy_states():
-    # the compiled kernels seed each generator in C from its SeedSequence's
-    # pool: every field of numpy's PCG64 state must come out as
-    # default_rng(seed) leaves it, for large entropy words, int seeds,
-    # spawned children and a wider pool, mixed in one call
+    # the compiled kernels seed each generator in C, from the entropy words
+    # of an int or int-sequence seed, which C mixes into a pool as
+    # SeedSequence does, or from a SeedSequence's pool: every field of
+    # numpy's PCG64 state must come out as default_rng(seed) leaves it, for
+    # ints of one to eight words, sequences of one to eight words, the
+    # harness's (seed_base, i) pairs and their rep_seed, spawned children
+    # and a wider pool, mixed in one call
     k = _kernel.load()
-    seeds = [rep_seed(b, i) for b in (0, 20260824, 2**64 + 3) for i in (0, 1, 2**32 - 1, 2**32)]
-    seeds += [0, 2**70, *np.random.SeedSequence(5).spawn(3)]
-    seeds.append(np.random.SeedSequence(7, pool_size=8))
+    pairs = [(b, i) for b in (0, 20260824, 2**64 + 3) for i in (0, 1, 2**32 - 1, 2**32)]
+    seeds = [rep_seed(b, i) for b, i in pairs] + pairs
+    seeds += [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**70, 2**255 + 2**224 + 1]
+    seeds += [[2**32 - 1 - w for w in range(words)] for words in range(1, 9)]
+    seeds += [(2**96 + 5, 0, 2**32), [], (), range(3), [True, 2], [np.uint64(2**63), np.int8(3)]]
+    seeds += [*np.random.SeedSequence(5).spawn(3), np.random.SeedSequence(7, pool_size=8)]
+    seeds += [*np.random.SeedSequence((1, 2)).spawn(2), np.int64(6), np.array([4, 2**40])]
     gens = k.generators(seeds)
     assert gens.dtype == np.uint64 and gens.shape == (len(seeds), _kernel.STATE_WORDS)
     assert k.states(gens) == numpy_states(seeds)
@@ -343,6 +352,51 @@ def test_generators_are_numpy_states():
     frozen.flags.writeable = False
     with pytest.raises(ValueError):
         k.sgd_chunk(state, frozen, np.ones(3), np.ones(1), np.zeros(1), 1.0, 1.0, 0.5, loss)
+
+
+# ints of one to seven 32-bit words
+ENTROPY = st.integers(0, 2**192)
+ANY_SEED = st.one_of(
+    ENTROPY,
+    st.lists(ENTROPY, max_size=8),
+    st.lists(ENTROPY, max_size=8).map(tuple),
+    st.builds(
+        lambda entropy, key, size: np.random.SeedSequence(entropy, spawn_key=key, pool_size=size),
+        st.lists(ENTROPY, max_size=8),
+        st.lists(st.integers(0, 2**40), max_size=3),
+        st.integers(4, 9),
+    ),
+)
+
+
+@needs_kernel
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seeds=st.lists(ANY_SEED, max_size=9))
+def test_generators_take_the_seeds_numpy_takes(seeds):
+    k = _kernel.load()
+    assert k.states(k.generators(seeds)) == numpy_states(seeds)
+
+
+@needs_kernel
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (-1, ValueError),
+        ((3, -1), ValueError),
+        ([2**64, np.int64(-2)], ValueError),
+        (1.0, TypeError),
+        ((3, 0.5), TypeError),
+        ([np.float64(2.0)], TypeError),
+        ("7", TypeError),
+    ],
+)
+def test_generators_refuse_what_numpy_refuses(bad, error):
+    # a negative int raises ValueError and a float TypeError, with numpy's
+    # message, as default_rng does
+    with pytest.raises(error) as numpy_error:
+        np.random.default_rng(bad)
+    with pytest.raises(error, match=re.escape(str(numpy_error.value))):
+        _kernel.load().generators([(1, 2), bad])
 
 
 # the (count, names) of each engine's recorded (N, T) channels
@@ -1135,6 +1189,26 @@ def test_reports_name_their_kernels(name, reference, tmp_path, monkeypatch):
     assert timing["kernels"] == ("compiled" if compiled else "reference")
 
 
+@needs_kernel
+@pytest.mark.parametrize("name", ["coverage", "lil"])
+def test_runs_hand_generators_their_seed_pairs(name, tmp_path, monkeypatch):
+    # a coverage run and a lil run seed replication i with (seed_base, i),
+    # rep_seed's entropy, which the compiled generators mix in C: no
+    # SeedSequence reaches them
+    command, cfg, _, _ = REPORTS[name]
+    handed = []
+    generators = StepKernels.generators
+    monkeypatch.setattr(
+        StepKernels, "generators", lambda k, seeds: handed.extend(seeds) or generators(k, seeds)
+    )
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert test_cli.run([command, "--config", str(path), "--out-dir", str(tmp_path)]) in (0, 1)
+    n = cfg["n_reps"] if command == "coverage" else cfg["n_seeds"]
+    assert handed == [(cfg["seed_base"], i) for i in range(n)]
+    assert not any(isinstance(s, np.random.SeedSequence) for s in handed)
+
+
 @pytest.mark.filterwarnings("error")
 def test_diverging_lil_run_on_numpy_path(tmp_path, capsys, numpy_steps):
     test_cli.test_diverging_lil_run_is_an_internal_error(tmp_path, capsys)
@@ -1168,12 +1242,14 @@ MISMATCHES = {
     "numpy-mismatch": (r"(\bwi_double\[256\] = \{\s*)", r"\1-", "standard_normal"),
     # one SeedSequence hash constant changed, as when numpy's seeding changes
     "seed-mismatch": (r"(#define SS_MULT_B 0x58f38de)d", r"\1c", "SeedSequence"),
+    # one constant of SeedSequence's mix changed, as when numpy's mixing of
+    # entropy words changes: the pools still seed numpy's states
+    "entropy-mismatch": (r"(#define SS_MIX_L 0xca01f9d)d", r"\1c", "entropy mixing"),
 }
 
 
 @pytest.mark.parametrize(
-    "broken",
-    ["missing-compiler", "failing-compiler", "unwritable-cache", "numpy-mismatch", "seed-mismatch"],
+    "broken", ["missing-compiler", "failing-compiler", "unwritable-cache", *MISMATCHES]
 )
 def test_loader_falls_back_with_one_note(broken, tmp_path, monkeypatch, capsys):
     run, seeds, reference = _reference_run()
@@ -1209,6 +1285,23 @@ def test_loader_falls_back_with_one_note(broken, tmp_path, monkeypatch, capsys):
         assert MISMATCHES[broken][2] in err
     if broken in ("missing-compiler", "failing-compiler"):
         assert list(cache.iterdir()) == []  # no partial library left behind
+
+
+def test_links_to_the_interpreter_share_one_build(tmp_path, monkeypatch):
+    # python and python3 are links to one interpreter, which names the
+    # compiler: the cache key hashes its real path, so a process started
+    # through either link finds the library the other built
+    link = tmp_path / "python-link"
+    link.symlink_to(os.path.realpath(sys.executable))
+    builds = []
+    monkeypatch.setattr(
+        _kernel, "_compile", lambda cc, source, out: builds.append(out) or Path(out).touch()
+    )
+    paths = []
+    for executable in (sys.executable, str(link), os.path.realpath(sys.executable)):
+        monkeypatch.setattr(sys, "executable", executable)
+        paths.append(_kernel.Loader(cache_dir=tmp_path / "cache", cc=["cc"])._build())
+    assert len(builds) == 1 and len(set(paths)) == 1 and paths[0].is_file()
 
 
 def test_a_library_that_builds_is_loaded():

@@ -16,17 +16,23 @@ build runs first, for --rounds rounds:
   * rm:       rm_chunk, linear M, losses only;
   * ridge:    ridge_chunk, d = 2, the ridge engine's RIDGE_ROWS = 2048 steps
               whatever --steps says, on covariates and responses drawn
-              once in numpy.
+              once in numpy;
+  * seed:     generators on the --reps seeds (7, i), the (seed_base, i)
+              pairs the harness passes, timed per seed: a revision whose
+              generators read SeedSequence pools builds SeedSequence(seed)
+              for each inside the call.
 
-Every call starts from the same state and from fresh generators of the
-same seeds, built outside the timed region by each build's kernels.  Both
-builds must write the same bytes and leave every generator in the same
-state; a revision whose kernels hand 8 or more coordinates to the numpy
+Every chunk call starts from the same state and from fresh generators of
+the same seeds, built outside the timed region by each build's kernels.
+Both builds must write the same bytes and leave every generator in the
+same state, and both builds' generators must be numpy's states of the
+seeds; a revision whose kernels hand 8 or more coordinates to the numpy
 reference runs the wide chunks that way, on its compiled draws.  It
-prints, per chunk, each build's median ns per rep-step and the median of
-the per-round ratios B/A.  Running both builds in one process
-pairs every measurement with its twin, so the host's load swings, which
-make separate runs of two trees hard to tell apart, cancel in the ratio.
+prints, per row, each build's median ns per rep-step (per seed for seed)
+and the median of the per-round ratios B/A.  Running both builds in one
+process pairs every measurement with its twin, so the host's load swings,
+which make separate runs of two trees hard to tell apart, cancel in the
+ratio.
 --reps 100 leaves the last block of 8 lanes partial, as the workloads of
 100 replications do; 504 fills every block.
 
@@ -55,7 +61,6 @@ import numpy as np  # noqa: E402
 import anytime_iter  # noqa: E402
 from anytime_iter.algorithms import RIDGE_ROWS  # noqa: E402
 from anytime_iter.problems import RmProblem  # noqa: E402
-from anytime_iter.seeding import rep_seed  # noqa: E402
 from anytime_iter.streams import SQRT3  # noqa: E402
 
 
@@ -146,9 +151,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="kernel-ab-") as tmp:
         packages = {"A": extract(args.rev, Path(tmp)), "B": anytime_iter}
         builds = {label: build(pkg, Path(tmp) / label) for label, pkg in packages.items()}
-        seeds = [rep_seed(7, i) for i in range(args.reps)]
-        per_step = {}  # (chunk, build) -> ns per rep-step, one per round
-        ratios = {}  # chunk -> B/A, one per round
+        seeds = [(7, i) for i in range(args.reps)]
+        want = [np.random.default_rng(s).bit_generator.state for s in seeds]
+        per_step = {}  # (row, build) -> ns per rep-step or per seed, one per round
+        ratios = {}  # row -> B/A, one per round
         for r in range(args.rounds):
             for name, call in chunks(args.reps, args.steps).items():
                 times, written = {}, {}
@@ -166,13 +172,24 @@ def main(argv=None) -> int:
                 if written["A"][1] != written["B"][1]:
                     raise SystemExit(f"{name}: the two builds left different generator states")
                 ratios.setdefault(name, []).append(times["B"] / times["A"])
+            times = {}
+            for label in ("AB" if r % 2 == 0 else "BA"):
+                k = builds[label]
+                start = time.perf_counter()
+                gens = k.generators(seeds)
+                times[label] = time.perf_counter() - start
+                if k.states(gens) != want:
+                    raise SystemExit(f"seed: build {label}'s generators are not numpy's")
+                per_step.setdefault(("seed", label), []).append(times[label] / args.reps * 1e9)
+            ratios.setdefault("seed", []).append(times["B"] / times["A"])
 
     print(f"A = {args.rev}, B = working tree; {args.reps} reps x {args.steps} steps, "
           f"{args.rounds} rounds; medians")
-    print(f"{'chunk':8} {'A ns/rep-step':>14} {'B ns/rep-step':>14} {'B/A':>7}")
+    print(f"{'row':8} {'A ns':>10} {'B ns':>10} {'B/A':>7}  per")
     for name, ratio in ratios.items():
         a, b = (statistics.median(per_step[name, label]) for label in "AB")
-        print(f"{name:8} {a:14.2f} {b:14.2f} {statistics.median(ratio):7.3f}")
+        unit = "seed" if name == "seed" else "rep-step"
+        print(f"{name:8} {a:10.2f} {b:10.2f} {statistics.median(ratio):7.3f}  {unit}")
     return 0
 
 

@@ -21,12 +21,17 @@ take what its own generators(seeds) returns:
     parentheses, built without contraction into fused multiply-adds and
     without -ffast-math (FLAGS), and sums coordinates as np.sum does, with
     the closing +0.0 of _reference._sum_last: fewer than 8 terms left to
-    right, more with numpy's pairwise sum.  The chunks step every width,
-    those of 8 or more coordinates on scratch from the heap (a failed
-    allocation raises MemoryError).  Only rm_chunk defers to the reference,
-    for the cubic M, since numpy's u**3 matches neither u*u*u nor libm's
-    pow; the reference's chunk then draws through this object's draw
-    methods, so those runs keep the compiled seeding and draws;
+    right, more with numpy's pairwise sum.  So they write the reference's
+    bytes for finite inputs and for the nan invalid operations give; where
+    a nan of the other sign that a caller supplies meets another nan, the
+    two may keep different ones (ridge_chunk wrote +nan in C and -nan in
+    numpy), which the engines' own finite draws never meet.  The chunks
+    step every width, those of widths 2 and 4 on the stack with their
+    coordinate loops unrolled and all others on scratch from the heap (a
+    failed allocation raises MemoryError).  Only rm_chunk defers to the
+    reference, for the cubic M, since numpy's u**3 matches neither u*u*u
+    nor libm's pow; the reference's chunk then draws through this object's
+    draw methods, so those runs keep the compiled seeding and draws;
   * the generators and every draw: generators turns each int seed or
     sequence of ints into its entropy words (_entropy_words) and takes any
     other seed's SeedSequence.pool, and one C call seeds an (n,
@@ -162,8 +167,8 @@ def _iterates(state) -> tuple:
 
 def _scratch(ret: int) -> int:
     """ret, the value of a chunk, once checked not to be the -1 a chunk
-    returns when the heap scratch of a step of 8 or more coordinates cannot
-    be allocated."""
+    returns when the heap scratch of a width other than 2 and 4 cannot be
+    allocated."""
     if ret < 0:
         raise MemoryError("step kernel could not allocate its scratch")
     return ret

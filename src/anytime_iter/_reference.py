@@ -13,8 +13,9 @@ name and arguments: the generators, as PCG64 states the compiled code owns,
 seeded in C from each seed's entropy words or SeedSequence pool, the draws,
 and each engine chunk in one replication-major C call, which builds neither
 the draw chunk nor the trajectory buffer, at every width, or this class's
-rm_chunk for the cubic M, which C cannot match bit for bit.  _kernel.load chooses between the two.  The draw and chunk contracts
-are in the class docstring.
+rm_chunk for the cubic M, which C cannot match bit for bit.  _kernel.load
+chooses between the two.  The draw and chunk contracts are in the class
+docstring.
 """
 from __future__ import annotations
 

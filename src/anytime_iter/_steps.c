@@ -641,7 +641,7 @@ void uniform_draw(double *out, uint64_t *gens, long rows, long n, double low, do
  * values and its final state are unchanged.
  *
  * Each chunk body is one inlined function of the width d, which BY_WIDTH
- * builds once for each d from 1 to 7 and once for every d from 8 on.
+ * builds once for d = 2, once for d = 4 and once for every other d.
  *
  * LANES is a compile-time constant and every loop that draws from or
  * loads or stores a block's generators is unrolled (EACH_LANE), so each
@@ -667,22 +667,28 @@ void uniform_draw(double *out, uint64_t *gens, long rows, long n, double low, do
 #define EACH_LANE(l) _Pragma("GCC unroll 8") for (long l = 0; l < LANES; l++)
 
 /* Returns CALL(w, buf), a long, with w equal to d and buf the chunk body's
- * scratch, SCRATCH(w) doubles.  For d = 1 .. 7, w is a constant and buf an
- * array on the stack, so that the compiler builds one copy of the inlined
- * body per width, with its coordinate loops unrolled; from 8 coordinates on
- * the same body runs with w = d at run time, and buf comes from the heap:
- * LANES iterates of d values and a few more vectors would outgrow a
- * thread's stack at large d (12.5 MB for PCA at p = 60 000).  Returns -1 if
- * buf cannot be allocated.  d >= 1 is checked in Python. */
+ * scratch, SCRATCH(w) doubles.  For d = 2 and d = 4, the widths of the
+ * shipped configs and benchmark workloads, w is a constant and buf an array
+ * on the stack, so that the compiler builds one copy of the inlined body for
+ * each, with its coordinate loops unrolled; a constant copy makes those
+ * widths' chunks up to 1.6 times faster, and each costs about 1 s of an -O2
+ * build.  Every other width runs the same body with w = d at run time, and
+ * buf comes from the heap: LANES iterates of d values and a few more vectors
+ * would outgrow a thread's stack at large d (12.5 MB for PCA at p = 60 000).
+ * The stack arrays are 64-byte aligned: at the ABI's 16 bytes their offset
+ * moves with the rest of the frame, and the d = 2 ridge chunk of a build
+ * without the alignment ran 1.7 to 1.8 times slower (tools/kernel_ab.py).
+ * Returns -1 if buf cannot be allocated.  d >= 1 is checked in Python. */
 #define BY_WIDTH(d, SCRATCH, CALL)                                  \
     switch (d) {                                                    \
-    case 1: { double buf[SCRATCH(1)]; return CALL(1, buf); }        \
-    case 2: { double buf[SCRATCH(2)]; return CALL(2, buf); }        \
-    case 3: { double buf[SCRATCH(3)]; return CALL(3, buf); }        \
-    case 4: { double buf[SCRATCH(4)]; return CALL(4, buf); }        \
-    case 5: { double buf[SCRATCH(5)]; return CALL(5, buf); }        \
-    case 6: { double buf[SCRATCH(6)]; return CALL(6, buf); }        \
-    case 7: { double buf[SCRATCH(7)]; return CALL(7, buf); }        \
+    case 2: {                                                       \
+        double buf[SCRATCH(2)] __attribute__((aligned(64)));        \
+        return CALL(2, buf);                                        \
+    }                                                               \
+    case 4: {                                                       \
+        double buf[SCRATCH(4)] __attribute__((aligned(64)));        \
+        return CALL(4, buf);                                        \
+    }                                                               \
     default: {                                                      \
         double *buf = malloc(sizeof(double) * SCRATCH(d));          \
         if (!buf)                                                   \

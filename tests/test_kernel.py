@@ -909,37 +909,45 @@ def test_optimisation_level_changes_no_byte(level, tmp_path, monkeypatch):
     # the bytes must follow from the source and -ffp-contract=off alone: a
     # build at another optimisation level compiles without warnings (a
     # warning fails the build, and the loader would return the reference),
-    # passes the loader's check of its draws and writes the SGD, PCA and
-    # root-finding chunks and the generator states of the default build
+    # passes the loader's check of its draws and writes the SGD, PCA,
+    # root-finding and ridge chunks and the generator states of the default
+    # build, at widths of a constant-width arm of BY_WIDTH (SGD and ridge at
+    # d = 2, PCA at p = 4) and of its run-time arm (d = p = 3)
     flags = tuple(level if f.startswith("-O") else f for f in _kernel.FLAGS)
     assert level in flags and "-ffp-contract=off" in flags
     monkeypatch.setattr(_kernel, "FLAGS", flags)
     cc = _kernel._default_cc() + ["-Wall", "-Wextra", "-Werror"]
     built = _kernel.Loader(cache_dir=tmp_path, cc=cc).get()
     assert isinstance(built, StepKernels) and built is not _kernel.load()
-    n, d, m = 5, 3, 40
+    n, m = 5, 40
     seeds = [rep_seed(41, i) for i in range(n)]
-    eigs = np.array([3.0, 2.0, 1.0])
 
-    def chunks(k):
+    def chunks(k, d, p):
         gens = k.generators(seeds)
         rng = np.random.default_rng(3)
         etas = rng.uniform(0.01, 0.5, m)
-        out = [rng.uniform(-1.0, 1.0, (n, d)), rng.standard_normal((n, d)), np.zeros(n)]
-        out += [np.full((n, m), -1.5) for _ in range(3 + 6 + 4 + 2)]
-        x, v, r, loss_sgd, loss_pca, loss_rm, *channels = out
+        out = [rng.uniform(-1.0, 1.0, (n, d)), rng.standard_normal((n, p)), np.zeros(n),
+               rng.uniform(-1.0, 1.0, (n, d))]
+        out += [np.full((n, m), -1.5) for _ in range(4 + 6 + 4 + 2)]
+        x, v, r, theta, loss_sgd, loss_pca, loss_rm, loss_ridge, *channels = out
         hits = k.sgd_chunk(
-            x, gens, etas, np.array([0.5, 1.0, 2.0]), np.array([0.1, 0.0, -0.1]), 0.5, 2.0,
+            x, gens, etas, np.linspace(0.5, 2.0, d), np.linspace(0.1, -0.1, d), 0.5, 2.0,
             0.25, loss_sgd, *channels[:6],
         )
+        eigs = np.arange(p, 0.0, -1.0)
         k.pca_chunk(
             v, np.sum(v * v, axis=1), gens, etas, np.sqrt(eigs), eigs, True, True, loss_pca,
             *channels[6:10],
         )
         k.rm_chunk(r, gens, etas, RM_LINEAR, 1.0, True, loss_rm, *channels[10:])
+        theta_star = np.linspace(0.5, -0.5, d)
+        xs = rng.standard_normal((m, n, d))
+        ys = xs @ theta_star + rng.uniform(-0.5, 0.5, (m, n))
+        k.ridge_chunk(theta, xs, ys, etas, theta_star, 0.1, True, 1.0, loss_ridge)
         return hits, [a.tobytes() for a in out], gens.tobytes()
 
-    assert chunks(built) == chunks(_kernel.load())
+    for d, p in ((2, 4), (3, 3)):
+        assert chunks(built, d, p) == chunks(_kernel.load(), d, p), (d, p)
 
 
 def spy_reference_chunks(monkeypatch) -> list:
@@ -1033,7 +1041,7 @@ def _very_wide_run(seeds) -> tuple:
 
 @needs_kernel
 def test_very_wide_steps_run_on_the_heap(monkeypatch):
-    # the scratch of a chunk, about 26 vectors of p values for PCA, grows
+    # the scratch of a chunk, 26 vectors of p values for PCA, grows
     # with the width: 12.5 MB at p = 60 000, more than a thread's stack, so
     # it must come from the heap, on the main thread and in a pool worker
     seeds = [rep_seed(47, 0)]

@@ -1,13 +1,15 @@
 """Which kernels the engines run, and the loader of the compiled ones.
 
-Every engine in algorithms and the LIL reducer in harness call the object
-load() returns: the compiled StepKernels when _steps.c could be built and
-loaded, else _reference.REFERENCE, the numpy chunk methods, draws and
-reducer.  StepKernels subclasses Reference and overrides every one of its
-public methods, with the same arguments; each computes its whole call in
-C, but for the problems in_c rules out, whose rm_chunk defers to the
-Reference method through super().  Each object's draw and chunk methods
-take what its own generators(seeds) returns:
+Every engine in algorithms, the LIL reducer in harness and the recursion
+checkers call the object load() returns: the compiled StepKernels when
+_steps.c could be built and loaded, else _reference.REFERENCE, the numpy
+chunk methods, draws, reducer and checks.  StepKernels subclasses
+Reference and overrides every one of its public methods, with the same
+arguments, but sphere, which in both is the object's normals, then
+_reference._onto_sphere; each override computes its whole call in C, but
+for the problems in_c rules out, whose rm_chunk defers to the Reference
+method through super().  Each object's draw and chunk methods take what
+its own generators(seeds) returns:
 
   * the SGD, PCA, root-finding and ridge chunks: one C call per chunk,
     replication-major, that steps each replication's iterate in locals and
@@ -46,7 +48,8 @@ take what its own generators(seeds) returns:
     ziggurat, whose tables _steps.c copies from numpy's libnpyrandom.a,
     random_uniform, and the range-1 step of random_bounded_uint64_fill.
     sphere scales C's normals onto the sphere with the reference's
-    _onto_sphere, whose sum of squares is np.sum's at every width.  So each
+    _onto_sphere, whose sum of squares is np.sum's at every width; the
+    harness draws the PCA runs' initial directions with normals.  So each
     value is numpy's, every state is the one numpy's generator would reach
     (states turns the rows into bit_generator.state dicts), and no numpy
     function is called, compiled or linked.  On the first get() the loader
@@ -55,7 +58,17 @@ take what its own generators(seeds) returns:
     gets the reference rather than other numbers;
   * the LIL reducer lil_max: (t*dev)*dev/log log t, with log log t from
     libm's log, which math.log calls, folded into each replication's block
-    maxima with np.maximum's rule for nan, in one call per chunk.
+    maxima with np.maximum's rule for nan, in one call per chunk;
+  * the recursion checks recursion_failure and pca_failure: one C pass over
+    a path that evaluates the reference's numpy sides (_reference.
+    recursion_sides and pca_sides) step by step, in their order and with
+    their parentheses, with np.maximum's and the comparisons' rules for
+    nan, and returns the first failing step or -1.  It builds no array but
+    the magnitude terms of recursion_failure, which numpy forms
+    (_reference.magnitude_terms), since numpy's powers need not round as
+    libm's pow does; the constants the checkers form in Python, such as
+    8.0 * b**2, come in as doubles.  The checkers build a failing path's
+    report from the numpy sides.
 
 The library is built on first use, never at import: the C compiler Python
 was built with (sysconfig's CC) compiles _steps.c with FLAGS into
@@ -90,7 +103,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._reference import REFERENCE, Reference, _onto_sphere
+from ._reference import REFERENCE, Reference, magnitude_terms
 
 SOURCE = Path(__file__).with_name("_steps.c")
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
@@ -108,6 +121,8 @@ _SIGNATURES = {
     "uniform_draw": ([_P] * 2 + [_L] * 2 + [_D] * 2, None),
     "lil_loglog": ([_P] + [_L] * 2, None),
     "lil_max": ([_P] + [_L] * 4 + [_P, _L, _P], None),
+    "recursion_failure": ([_P] * 3 + [_L] + [_D] * 4 + [_P, _L], _L),
+    "pca_failure": ([_P] * 3 + [_L] + [_D] * 4 + [_I, _D], _L),
 }
 STATE_WORDS = 6  # uint64 values per generator; STATE_WORDS in _steps.c
 _MASK32 = 0xFFFFFFFF
@@ -178,6 +193,21 @@ def _steps(etas) -> tuple:
     """The step sizes as a contiguous float64 array, and their count."""
     etas = np.ascontiguousarray(etas, dtype=np.float64)
     return etas, len(etas)
+
+
+def _path(losses, steps, noise) -> tuple:
+    """A path's m + 1 losses and m steps and noise values, once checked, as
+    C-contiguous float64 arrays, copied only where they are not, and m:
+    arrays, not addresses, so that the caller holds any copy while C reads
+    it."""
+    path = [np.ascontiguousarray(a, dtype=np.float64) for a in (losses, steps, noise)]
+    m = len(path[1])
+    if [a.shape for a in path] != [(m + 1,), (m,), (m,)]:
+        raise ValueError(
+            "check kernel needs m + 1 losses and m steps and noise values, "
+            f"got shapes {[a.shape for a in path]}"
+        )
+    return (*path, m)
 
 
 def _gens(gens, n: int) -> int:
@@ -263,12 +293,9 @@ class StepKernels(Reference):
             for s_hi, s_lo, i_hi, i_lo, has_uint32, uinteger in gens.tolist()
         ]
 
-    def sphere(self, out, gens, radius: float) -> None:
-        if radius == 0.0:
-            return super().sphere(out, gens, radius)
+    def normals(self, out, gens) -> None:
         rows, n, width = out.shape
         self._lib.normal_draw(_addr(out, (rows, n, width)), _gens(gens, n), rows, n, width)
-        _onto_sphere(out, radius)
 
     def signs(self, out, gens, scale=None) -> None:
         rows, n, width = out.shape
@@ -372,6 +399,26 @@ class StepKernels(Reference):
             *_rows(dev, (n, m)), n, m, t0,
             _addr(block_max, (n_blocks, n)), n_blocks,
             _addr(loglog, (m,)),
+        )
+
+    def recursion_failure(self, losses, steps, noise, tol: float, params) -> int:
+        losses, steps, noise, m = _path(losses, steps, noise)
+        k = len(params.terms_mag)
+        terms = magnitude_terms(losses, steps, params.terms_mag) if k else None
+        return self._lib.recursion_failure(
+            losses.ctypes.data, steps.ctypes.data, noise.ctypes.data, m,
+            tol, params.c1, params.c2, params.c3, terms.ctypes.data if k else None, k,
+        )
+
+    def pca_failure(
+        self, losses, steps, noise, tol: float, b: float, rho: float, krasulina: bool
+    ) -> int:
+        losses, steps, noise, m = _path(losses, steps, noise)
+        # the constants _reference.pca_sides forms in Python
+        coef = 4.0 * b**4 if krasulina else 5.0 * b**4
+        return self._lib.pca_failure(
+            losses.ctypes.data, steps.ctypes.data, noise.ctypes.data, m,
+            tol, 2.0 * rho, coef, b**6, int(not krasulina), 8.0 * b**2,
         )
 
 

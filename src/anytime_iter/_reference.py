@@ -10,12 +10,20 @@ a trajectory buffer, each stepped and then passed over for its losses and
 channels in the elementwise order of the per-step formulas, so the slicing
 changes no bit.  _kernel.StepKernels overrides every method with the same
 name and arguments: the generators, as PCG64 states the compiled code owns,
-seeded in C from each seed's entropy words or SeedSequence pool, the draws,
-and each engine chunk in one replication-major C call, which builds neither
+seeded in C from each seed's entropy words or SeedSequence pool, the draws
+but sphere, which draws through normals, the recursion checks, and each
+engine chunk in one replication-major C call, which builds neither
 the draw chunk nor the trajectory buffer, at every width, or this class's
 rm_chunk for the cubic M, which C cannot match bit for bit.  _kernel.load
 chooses between the two.  The draw and chunk contracts are in the class
 docstring.
+
+The numpy code of the path-wise recursion checks lives here once as well:
+recursion_sides and pca_sides compute both sides of every inequality of
+recursion.check_recursion and algorithms.check_pca_recursion, the check
+methods recursion_failure and pca_failure find the first failing step
+from them, and the checkers build a failing path's report from them
+whichever kernels found the step.
 """
 from __future__ import annotations
 
@@ -101,6 +109,50 @@ def _slices(m: int, *trajs):
             traj[0] = traj[hi - lo]
 
 
+def magnitude_terms(losses, steps, terms_mag) -> np.ndarray:
+    """(k, T): row i holds B_i * eta^(1/2 + c_i) * L_{t-1}^(d_i) for the
+    i-th of the k triples (B_i, c_i, d_i) in terms_mag, with numpy's
+    powers, which need not round as libm's pow does, so both kernels
+    take them from here."""
+    lp, eta = losses[:-1], steps
+    terms = np.empty((len(terms_mag), len(eta)))
+    for row, (coef, ci, di) in zip(terms, terms_mag):
+        row[...] = coef * eta ** (0.5 + ci) * lp**di
+    return terms
+
+
+def recursion_sides(losses, steps, noise, tol: float, params) -> tuple:
+    """lc, rec_rhs, |u|, mag_rhs and slack of recursion.check_recursion at
+    every step: L_t, (1 - c1*eta)*L_{t-1} + U_t, |U_t|, the magnitude
+    bound of the RecursionParams params, and tol * max(1, L_{t-1})."""
+    lp, lc, eta, u = losses[:-1], losses[1:], steps, noise
+    slack = tol * np.maximum(1.0, lp)
+    rec_rhs = (1.0 - params.c1 * eta) * lp + u
+    mag_rhs = params.c3 * eta * np.sqrt(lp) + params.c2 * eta**2
+    for term in magnitude_terms(losses, steps, params.terms_mag):
+        mag_rhs = mag_rhs + term
+    return lc, rec_rhs, np.abs(u), mag_rhs, slack
+
+
+def pca_sides(losses, steps, noise, tol: float, b: float, rho: float, krasulina: bool) -> tuple:
+    """lc, rec_rhs, |Q_t|, mag_rhs and slack of
+    algorithms.check_pca_recursion at every step, the sides of its
+    inequalities (i) and (ii) as recursion_sides gives them."""
+    lp, lc, eta, q = losses[:-1], losses[1:], steps, noise
+    slack = tol * np.maximum(1.0, lp)
+    coef = 4.0 * b**4 if krasulina else 5.0 * b**4 + 2.0 * eta * b**6
+    rec_rhs = (1.0 - 2.0 * rho * eta) * lp + 2.0 * rho * eta * lp**2 + q + coef * eta**2
+    mag_rhs = 8.0 * b**2 * eta * np.sqrt(lp)
+    return lc, rec_rhs, np.abs(q), mag_rhs, slack
+
+
+def _first_failure(lc, rec_rhs, mag_lhs, mag_rhs, slack) -> int:
+    """The first step where not (lc <= rec_rhs + slack) or not (mag_lhs <=
+    mag_rhs + slack), so that a NaN on either side fails, or -1."""
+    bad = ~((lc <= rec_rhs + slack) & (mag_lhs <= mag_rhs + slack))
+    return int(np.argmax(bad)) if bad.any() else -1
+
+
 class Reference:
     """The engines' kernels in numpy.
 
@@ -124,15 +176,20 @@ class Reference:
         """Each generator's bit_generator.state."""
         return [g.bit_generator.state for g in gens]
 
-    def sphere(self, out, gens, radius: float) -> None:
-        """out, (rows, n, width), receives rows uniform on the sphere of the
-        given radius: standard normals, then _onto_sphere."""
-        if radius == 0.0:
-            out.fill(0.0)
-            return
+    def normals(self, out, gens) -> None:
+        """out, (rows, n, width), receives standard normals as
+        Generator.standard_normal((rows, width)) draws them."""
         rows, _, width = out.shape
         for j, g in enumerate(gens):
             out[:, j, :] = g.standard_normal((rows, width))
+
+    def sphere(self, out, gens, radius: float) -> None:
+        """out, (rows, n, width), receives rows uniform on the sphere of the
+        given radius: this object's normals, then _onto_sphere."""
+        if radius == 0.0:
+            out.fill(0.0)
+            return
+        self.normals(out, gens)
         _onto_sphere(out, radius)
 
     def signs(self, out, gens, scale=None) -> None:
@@ -357,6 +414,21 @@ class Reference:
             if a <= b:
                 top = stat[:, a - t0 : b - t0 + 1].max(axis=1)
                 np.maximum(block_max[i], top, out=block_max[i])
+
+    def recursion_failure(self, losses, steps, noise, tol: float, params) -> int:
+        """The first step t, counted from 0, at which the path of losses
+        L_0..L_T, steps and noise fails an inequality of
+        recursion.check_recursion for the RecursionParams params, up to
+        tol's slack, or -1 when it fails none."""
+        return _first_failure(*recursion_sides(losses, steps, noise, tol, params))
+
+    def pca_failure(
+        self, losses, steps, noise, tol: float, b: float, rho: float, krasulina: bool
+    ) -> int:
+        """The first step t, counted from 0, at which the path fails an
+        inequality of algorithms.check_pca_recursion for the Krasulina
+        variant or, if not krasulina, Oja's, or -1 when it fails none."""
+        return _first_failure(*pca_sides(losses, steps, noise, tol, b, rho, krasulina))
 
 
 REFERENCE = Reference()

@@ -31,7 +31,10 @@
  * transforms (see "Generators" and "Draws" below).  No numpy function is
  * called and no numpy struct is declared.  lil_max folds the LIL statistic
  * of each chunk of deviations the root-finding engine streams into the
- * harness's dyadic block maxima, with libm's log log t.
+ * harness's dyadic block maxima, with libm's log log t.  recursion_failure
+ * and pca_failure decide the path-wise recursion checks of
+ * anytime_iter.recursion and anytime_iter.algorithms in one pass over a
+ * path (see "Recursion checks" below).
  */
 #include <math.h>
 #include <stdbool.h>
@@ -1087,4 +1090,59 @@ void lil_max(const double *dev, long ld, long n, long m, long t0, double *block_
             *out = nan_max(*out, nan_max(nan_max(m0, m1), nan_max(m2, m3)));
         }
     }
+}
+
+/* Recursion checks.  Each walks one path of m steps, losses L_0..L_m
+ * (m + 1 values), steps and noise (m values each), evaluates at each step t
+ * the numpy expressions of its checker's sides (_reference.recursion_sides
+ * or pca_sides), in their order and with their parentheses, and returns the
+ * first t at which not (L_{t+1} <= rec_rhs + slack) or not (|u| <= mag_rhs
+ * + slack), so that a NaN on either side fails, or -1 when no step fails.
+ * The slack is tol * np.maximum(1.0, L_t): NaN for a NaN loss, and NaN for
+ * tol = 0 and an infinite loss.  Powers other than squares stay in numpy:
+ * recursion_failure adds the k rows of magnitude terms, (k, m), that the
+ * caller formed with numpy's pow, in order; the constants of a checker's
+ * Python expressions, such as 8.0 * b**2, come in as doubles. */
+
+/* np.maximum(1.0, x): 1.0 unless x is greater or NaN */
+INLINE double max_one(double x)
+{
+    return 1.0 >= x ? 1.0 : x;
+}
+
+long recursion_failure(const double *losses, const double *steps, const double *noise, long m,
+                       double tol, double c1, double c2, double c3, const double *terms, long k)
+{
+    for (long t = 0; t < m; t++) {
+        const double lp = losses[t], eta = steps[t], u = noise[t];
+        const double slack = tol * max_one(lp);
+        if (!(losses[t + 1] <= (1.0 - c1 * eta) * lp + u + slack))
+            return t;
+        double mag = c3 * eta * sqrt(lp) + c2 * (eta * eta);
+        for (long i = 0; i < k; i++)
+            mag = mag + terms[i * m + t];
+        if (!(fabs(u) <= mag + slack))
+            return t;
+    }
+    return -1;
+}
+
+/* The Krasulina check takes coef = 4.0 * b**4; Oja's, coef = 5.0 * b**4 and
+ * b6 = b**6, adds (2.0 * eta) * b6 to it per step.  two_rho = 2.0 * rho and
+ * mag_coef = 8.0 * b**2. */
+long pca_failure(const double *losses, const double *steps, const double *q, long m, double tol,
+                 double two_rho, double coef, double b6, int oja, double mag_coef)
+{
+    for (long t = 0; t < m; t++) {
+        const double lp = losses[t], eta = steps[t], qt = q[t];
+        const double slack = tol * max_one(lp);
+        const double c = oja ? coef + 2.0 * eta * b6 : coef;
+        const double rec =
+            (1.0 - two_rho * eta) * lp + two_rho * eta * (lp * lp) + qt + c * (eta * eta);
+        if (!(losses[t + 1] <= rec + slack))
+            return t;
+        if (!(fabs(qt) <= mag_coef * eta * sqrt(lp) + slack))
+            return t;
+    }
+    return -1;
 }

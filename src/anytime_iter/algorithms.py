@@ -50,10 +50,10 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _kernel
+from . import _kernel, _reference
 from .boundaries import StepSchedule
 from .problems import PcaProblem, RmProblem, SgdProblem
-from .recursion import CheckReport, RecursionParams, Trace, _first_violation
+from .recursion import CheckReport, RecursionParams, Trace, _report
 from .seeding import SeedLike, make_generator
 from .streams import SQRT3, LinearModelStream
 
@@ -546,21 +546,17 @@ def check_pca_recursion(
     (ii) |Q_t| <= 8*B^2*eta*sqrt(L),
     where coef = 4*B^4 for the orthogonalized-increment variant and
     5*B^4 + 2*eta*B^6 for the multiplicative one.  The quadratic mean term
-    keeps this outside the scope of the generic contraction checker.
+    keeps this outside the scope of the generic contraction checker.  Each
+    inequality gets the slack tol * max(1, L), and a NaN on either side
+    fails it, as in recursion.check_recursion; the process's kernels find
+    the first failing step, the compiled ones in one C pass with b^4, b^6,
+    8*B^2 and 2*rho formed in Python, and a failing path's report comes
+    from the reference's numpy sides (_reference.pca_sides).
     """
     if trace.noise is None:
         raise ValueError("trace.noise (the martingale part) is required")
     if variant not in ("krasulina", "oja"):
         raise ValueError(f"unknown variant {variant!r}")
-    lp = trace.losses[:-1]
-    lc = trace.losses[1:]
-    eta = trace.steps
-    q = trace.noise
-    slack = tol * np.maximum(1.0, lp)
-    if variant == "krasulina":
-        coef = 4.0 * b**4
-    else:
-        coef = 5.0 * b**4 + 2.0 * eta * b**6
-    rec_rhs = (1.0 - 2.0 * rho * eta) * lp + 2.0 * rho * eta * lp**2 + q + coef * eta**2
-    mag_rhs = 8.0 * b**2 * eta * np.sqrt(lp)
-    return _first_violation(lc, rec_rhs, np.abs(q), mag_rhs, slack)
+    path = (trace.losses, trace.steps, trace.noise, tol, b, rho, variant == "krasulina")
+    t = _kernel.load().pca_failure(*path)
+    return _report(t, _reference.pca_sides, path)

@@ -71,7 +71,7 @@ from .boundaries import (
 )
 from .problems import PcaProblem, RmProblem, SgdProblem
 from .recursion import counterexample_process
-from .seeding import make_generator, rep_seed
+from .seeding import rep_seed
 from .streams import LinearModelStream
 
 __all__ = [
@@ -347,18 +347,27 @@ class LilReport:
 # ---------------------------------------------------------------------------
 
 
-def _pca_v0(v0, problem: PcaProblem, seed_base: int, rep: int) -> np.ndarray:
-    """Per-replication initial direction: explicit vector, "uniform", or
-    "warm" (v1 plus a perturbation of norm 0.3, so sin^2 <= 9/58 < 1/4)."""
+def _pca_v0(v0, problem: PcaProblem, seed_base: int, lo: int, hi: int) -> np.ndarray:
+    """Initial directions of replications lo..hi-1, one per row: the explicit
+    vector, "uniform", or "warm" (v1 plus a perturbation of norm 0.3, so
+    sin^2 <= 9/58 < 1/4).  Replication i's direction comes from dim normals
+    of the generator of (seed_base, i, 1), all drawn in one kernels call;
+    each row is divided by its own np.linalg.norm."""
     if not isinstance(v0, str):
-        return np.asarray(v0, dtype=float)
-    rng = make_generator(np.random.SeedSequence(entropy=[int(seed_base), int(rep), 1]))
-    u = rng.standard_normal(problem.dim)
-    u /= np.linalg.norm(u)
+        return np.stack([np.asarray(v0, dtype=float)] * (hi - lo))
+    kernels = _kernel.load()
+    gens = kernels.generators([(int(seed_base), i, 1) for i in range(lo, hi)])
+    u = np.empty((1, hi - lo, problem.dim))
+    kernels.normals(u, gens)
+    u = u[0]
+    for row in u:
+        row /= np.linalg.norm(row)
     if v0 == "uniform":
         return u
     v = problem.v_star + 0.3 * u
-    return v / np.linalg.norm(v)
+    for row in v:
+        row /= np.linalg.norm(row)
+    return v
 
 
 def _seeds(seed_base: int, lo: int, hi: int) -> list:
@@ -375,7 +384,7 @@ def _sgd_runner(problem: SgdProblem, etas, x0, seed_base: int):
 
 def _pca_runner(problem: PcaProblem, etas, v0, seed_base: int, variant: str, normalize: bool):
     def run(lo: int, hi: int, on_chunk) -> None:
-        v0s = np.stack([_pca_v0(v0, problem, seed_base, i) for i in range(lo, hi)])
+        v0s = _pca_v0(v0, problem, seed_base, lo, hi)
         seeds = _seeds(seed_base, lo, hi)
         pca_batch(
             problem, etas, v0s, seeds, variant, normalize, record_channels=False, on_chunk=on_chunk
@@ -395,7 +404,7 @@ def _build_setup(config: CoverageConfig):
     if config.algorithm in ("krasulina", "oja"):
         boundary, _l_off = oja_boundary(problem.b, problem.rho, config.delta)
         etas = boundary.schedule.etas(config.horizon)
-        v0 = _pca_v0(start.v0, problem, config.seed_base, 0)
+        v0 = _pca_v0(start.v0, problem, config.seed_base, 0, 1)[0]
         if v0.shape != (problem.dim,) or not np.any(v0):
             raise ValueError("v0 must be a nonzero vector of the problem's dimension")
         run = _pca_runner(

@@ -29,6 +29,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import _kernel, _reference
 from .seeding import SeedLike, make_generator
 
 __all__ = [
@@ -126,9 +127,10 @@ class Trace:
         for name, chan in self.aux.items():
             if len(chan) != len(steps):
                 raise ValueError(f"aux channel {name!r} length mismatch")
-        if np.any(losses < 0):
+        if (losses < 0).any():
             raise ValueError("losses must be nonnegative")
-        if len(steps) and (np.min(steps) <= 0 or np.max(steps) > 1):
+        # written so that a NaN step, which compares False, is refused too
+        if len(steps) and not (steps.min() > 0 and steps.max() <= 1):
             raise ValueError("steps must lie in (0, 1]")
 
     @property
@@ -159,48 +161,37 @@ def check_recursion(trace: Trace, params: RecursionParams, tol: float = 1e-10) -
 
     The tolerance is relative to the scale of the loss: each inequality gets
     additive slack tol * max(1, L_{t-1}), absorbing floating-point round-off
-    without masking real violations.
+    without masking real violations.  A step where either side is not a
+    number violates too: the tests are written as not (lhs <= rhs), which
+    NaN fails.
+
+    The process's kernels (_kernel.load()) find the first failing step: the
+    compiled ones in one C pass over the path that builds no array but the
+    numpy-formed terms_mag rows, the reference in numpy.  A failing path's
+    report is then built from the reference's numpy sides
+    (_reference.recursion_sides), so both kernels give the same bytes.
     """
     if trace.noise is None:
         raise ValueError("trace.noise is required for recursion checking")
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    lp = trace.losses[:-1]
-    lc = trace.losses[1:]
-    eta = trace.steps
-    u = trace.noise
-    slack = tol * np.maximum(1.0, lp)
-
-    rec_rhs = (1.0 - params.c1 * eta) * lp + u
-    mag_rhs = params.c3 * eta * np.sqrt(lp) + params.c2 * eta**2
-    for coef, ci, di in params.terms_mag:
-        mag_rhs = mag_rhs + coef * eta ** (0.5 + ci) * lp**di
-
-    return _first_violation(lc, rec_rhs, np.abs(u), mag_rhs, slack)
+    path = (trace.losses, trace.steps, trace.noise, tol, params)
+    t = _kernel.load().recursion_failure(*path)
+    return _report(t, _reference.recursion_sides, path)
 
 
-def _first_violation(lc, rec_rhs, mag_lhs, mag_rhs, slack) -> CheckReport:
-    """Report the earliest step where lc > rec_rhs (recursion) or
-    mag_lhs > mag_rhs (magnitude), each up to slack; a recursion violation
-    wins a tie.  A step where either side is not a number violates too:
-    the tests are written as not (lhs <= rhs), which NaN fails."""
-    rec_bad = ~(lc <= rec_rhs + slack)
-    mag_bad = ~(mag_lhs <= mag_rhs + slack)
-    t_rec = int(np.argmax(rec_bad)) if rec_bad.any() else None
-    t_mag = int(np.argmax(mag_bad)) if mag_bad.any() else None
-    if t_rec is None and t_mag is None:
+def _report(t: int, sides, path: tuple) -> CheckReport:
+    """The report of a path whose first failing step is t, or -1 when none
+    fails, with the violation's sides from sides(*path), the reference's
+    numpy code: a recursion violation wins a tie with a magnitude one."""
+    if t < 0:
         return CheckReport(ok=True)
-    if t_mag is None or (t_rec is not None and t_rec <= t_mag):
-        t = t_rec
-        return CheckReport(
-            ok=False,
-            first_violation=Violation(t + 1, float(lc[t]), float(rec_rhs[t]), "recursion"),
-        )
-    t = t_mag
-    return CheckReport(
-        ok=False,
-        first_violation=Violation(t + 1, float(mag_lhs[t]), float(mag_rhs[t]), "magnitude"),
-    )
+    lc, rec_rhs, mag_lhs, mag_rhs, slack = sides(*path)
+    if lc[t] <= rec_rhs[t] + slack[t]:
+        violation = Violation(t + 1, float(mag_lhs[t]), float(mag_rhs[t]), "magnitude")
+    else:
+        violation = Violation(t + 1, float(lc[t]), float(rec_rhs[t]), "recursion")
+    return CheckReport(ok=False, first_violation=violation)
 
 
 def simulate_saturating(

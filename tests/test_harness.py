@@ -27,7 +27,8 @@ from anytime_iter import (
     run_oja_cold_start,
     width_comparison,
 )
-from anytime_iter import algorithms, harness
+from anytime_iter import _kernel, algorithms, harness
+from anytime_iter._reference import REFERENCE
 from anytime_iter.harness import _drive, _quantiles, write_grid_csv, write_report_json
 from anytime_iter.seeding import rep_seed
 
@@ -248,6 +249,25 @@ def test_pool_starts_no_more_workers_than_blocks_or_cores(
     size = min(512, math.ceil(n_reps / threads)) if threads > 1 else 512
     assert sorted(blocks) == [(lo, min(lo + size, n_reps)) for lo in range(0, n_reps, size)]
     assert pools == ([] if workers is None else [workers])
+
+
+@pytest.mark.parametrize("v0", ["uniform", "warm"])
+def test_pca_v0_gives_each_replication_its_own_direction(v0, monkeypatch):
+    # one normals call per block, with either kernels, gives replication i
+    # the direction its own generator of (seed_base, i, 1) draws
+    problem = PcaProblem(eigs=(3.0, 2.0, 1.0, 0.5))
+    want = []
+    for i in range(5, 12):
+        u = np.random.default_rng([20260824, i, 1]).standard_normal(problem.dim)
+        u /= np.linalg.norm(u)
+        if v0 == "warm":
+            u = problem.v_star + 0.3 * u
+            u /= np.linalg.norm(u)
+        want.append(u)
+    for kernels in {_kernel.load(), REFERENCE}:
+        monkeypatch.setattr(_kernel, "load", lambda: kernels)
+        got = harness._pca_v0(v0, problem, 20260824, 5, 12)
+        assert got.tobytes() == np.stack(want).tobytes()
 
 
 def test_coverage_krasulina_warm_start():

@@ -36,9 +36,11 @@ from anytime_iter import _kernel, _reference, algorithms
 from anytime_iter._kernel import StepKernels
 from anytime_iter._reference import REFERENCE, Reference
 from anytime_iter.algorithms import PcaProblem, RmProblem, SgdProblem
-from anytime_iter.algorithms import pca_batch, ridge_batch, rm_batch, sgd_batch
+from anytime_iter.algorithms import check_pca_recursion, pca_batch, ridge_batch, rm_batch
+from anytime_iter.algorithms import sgd_batch
 from anytime_iter.boundaries import StepSchedule
 from anytime_iter.harness import _lil_batch
+from anytime_iter.recursion import RecursionParams, Trace, check_recursion
 from anytime_iter.seeding import rep_seed
 from anytime_iter.streams import LinearModelStream
 from test_algorithms import ENGINES
@@ -646,18 +648,23 @@ def test_step_kernels_keep_the_reference_interface():
 
 def test_kernels_share_one_public_interface():
     # StepKernels overrides every public Reference method and adds none, so
-    # an engine needs one Reference chunk method and the draws it makes
+    # an engine needs one Reference chunk method and the draws it makes, and
+    # a checker one Reference check method; but sphere, which in both is the
+    # object's normals, then _onto_sphere
     def public(cls):
         return {n for n, f in vars(cls).items() if callable(f) and not n.startswith("_")}
 
     chunks = {"sgd_chunk", "pca_chunk", "rm_chunk", "ridge_chunk"}
-    draws = {"generators", "states", "sphere", "signs", "uniform"}
-    assert public(Reference) == public(StepKernels) == chunks | draws | {"lil_max"}
+    draws = {"generators", "states", "normals", "signs", "uniform"}
+    checks = {"recursion_failure", "pca_failure"}
+    assert public(StepKernels) == chunks | draws | checks | {"lil_max"}
+    assert public(Reference) == public(StepKernels) | {"sphere"}
 
 
 # name -> draw(kernels, out, gens, radius), one chunk as an engine draws it;
 # out is (rows, n, width), or (rows, n) for the uniforms
 SAMPLERS = {
+    "normals": lambda k, out, gens, radius: k.normals(out, gens),
     "sphere": lambda k, out, gens, radius: k.sphere(out, gens, radius),
     "signs": lambda k, out, gens, radius: k.signs(out, gens),
     "scaled-signs": lambda k, out, gens, radius: k.signs(
@@ -948,6 +955,15 @@ def test_optimisation_level_changes_no_byte(level, tmp_path, monkeypatch):
 
     for d, p in ((2, 4), (3, 3)):
         assert chunks(built, d, p) == chunks(_kernel.load(), d, p), (d, p)
+    # and finds the first failing step of every check, at exact ties too
+    rng = np.random.default_rng(7)
+    for name, (method, sides, _, draw) in CHECKERS.items():
+        for tol in (0.0, 1e-10, 1e-3):
+            constants = draw(rng)
+            path = _check_path(rng, 40, tol, sides, constants, {3: "recursion", 6: "magnitude"})
+            with np.errstate(all="ignore"):  # the terms of overflowing losses
+                got = [getattr(k, method)(*path, tol, *constants) for k in (built, _kernel.load())]
+            assert got[0] == got[1], (name, tol)
 
 
 def spy_reference_chunks(monkeypatch) -> list:
@@ -1109,6 +1125,204 @@ def test_compiled_functions_are_the_bound_ones():
     defined = re.findall(r"^(?!static\b|typedef\b)[a-z][\w *]*?\b(\w+)\(", source, re.M)
     assert sorted(defined) == sorted(_kernel._SIGNATURES)
     assert re.findall(r"^#define STATE_WORDS (\d+)$", source, re.M) == [str(_kernel.STATE_WORDS)]
+
+
+# ---------------------------------------------------------------------------
+# The recursion checks: each compiled check method against the Reference one
+# ---------------------------------------------------------------------------
+
+
+def _recursion_checker(term_exponents):
+    """A checker of the contraction recursion whose magnitude terms have the
+    exponents 1.5 (of eta) and those given (of L): 1.0 for the linear M,
+    3.0, 2.0 and 1.0 for the cubic M."""
+
+    def draw(rng):
+        terms = [(rng.uniform(0.0, 3.0), 1.5, d) for d in term_exponents]
+        c1, c2, c3 = rng.uniform(0.1, 1.9), rng.uniform(0.0, 2.0), rng.uniform(0.0, 3.0)
+        return (RecursionParams(c1=c1, c2=c2, c3=c3, terms_mag=terms),)
+
+    def check(trace, tol, params):
+        return check_recursion(trace, params, tol)
+
+    return "recursion_failure", _reference.recursion_sides, check, draw
+
+
+def _pca_checker(krasulina: bool):
+    def draw(rng):
+        return rng.uniform(0.2, 2.0), rng.uniform(0.05, 0.95), krasulina
+
+    def check(trace, tol, b, rho, krasulina):
+        return check_pca_recursion(trace, b, rho, "krasulina" if krasulina else "oja", tol)
+
+    return "pca_failure", _reference.pca_sides, check, draw
+
+
+# name -> (kernels method, its numpy sides, check(trace, tol, *constants),
+# draw(rng) -> the constants the method and the sides take after tol)
+CHECKERS = {
+    "contraction": _recursion_checker(()),
+    "rm-linear": _recursion_checker((1.0,)),
+    "rm-cubic": _recursion_checker((3.0, 2.0, 1.0)),
+    "krasulina": _pca_checker(True),
+    "oja": _pca_checker(False),
+}
+SPECIALS = (math.nan, math.inf, -math.inf, 0.0, -0.0)
+
+
+def _check_path(rng, horizon: int, tol: float, sides, constants, ties: dict) -> tuple:
+    """losses, steps and noise of a path that keeps to its checker's bounds
+    but for one side in 30, which overshoots by up to 50 %, so that it may
+    fail at any step or none; at the steps in ties it meets the bound of
+    the named kind exactly: L_t = rec_rhs + slack, or |U_t| = mag_rhs +
+    slack, computed by the sides of the path's one step.  Losses may
+    overflow to inf, whose nan sides the checks must fail too."""
+    losses = np.zeros(horizon + 1)
+    losses[0] = rng.exponential(rng.choice([1e-3, 1.0, 1e3]))
+    steps, noise = rng.uniform(0.01, 1.0, horizon), np.zeros(horizon)
+    with np.errstate(all="ignore"):
+        for t in range(horizon):
+            step = (losses[t : t + 2], steps[t : t + 1], noise[t : t + 1], tol, *constants)
+            _, rec_rhs, _, mag_rhs, slack = sides(*step)
+            bound, room = (mag_rhs + slack)[0], (rec_rhs + slack)[0]
+            low = -min(1.0, max(room, 0.0) / bound) if bound > 0 else 0.0  # rec_rhs + slack >= 0
+            tie = ties.get(t)
+            over = rng.uniform(1.0, 1.5, 2) ** (rng.random(2) < 1 / 30)
+            sign = rng.choice([-1.0, 1.0])
+            noise[t] = bound * (sign if tie == "magnitude" else rng.uniform(low, over[0]))
+            _, rec_rhs, _, _, slack = sides(*step)
+            bound = (rec_rhs + slack)[0]
+            share = 1.0 if tie == "recursion" else rng.uniform(0.0, over[1])
+            losses[t + 1] = max(0.0, bound * share)
+    return losses, steps, noise
+
+
+def _report_bytes(report) -> tuple:
+    v = report.first_violation
+    if v is None:
+        return (report.ok,)
+    return report.ok, v.t, v.kind, np.float64(v.lhs).tobytes(), np.float64(v.rhs).tobytes()
+
+
+@needs_kernel
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(CHECKERS))
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    horizon=st.integers(0, 30),
+    tol=st.sampled_from((0.0, 1e-10, 1e-3)),
+    ties=st.dictionaries(
+        st.integers(0, 29), st.sampled_from(("recursion", "magnitude")), max_size=4
+    ),
+    specials=st.lists(
+        st.tuples(st.sampled_from((0, 2)), st.integers(0, 30), st.sampled_from(SPECIALS)),
+        max_size=3,
+    ),
+)
+def test_compiled_checks_match_reference(name, seed, horizon, tol, ties, specials):
+    # the first failing step, and the whole report, of paths with nan and
+    # +-inf losses and noise, tol = 0 beside an infinite loss (a nan
+    # slack), and sides that meet their bounds exactly
+    method, sides, check, draw = CHECKERS[name]
+    rng = np.random.default_rng(seed)
+    constants = draw(rng)
+    path = _check_path(rng, horizon, tol, sides, constants, ties)
+    for which, i, value in specials:
+        if len(path[which]):
+            path[which][i % len(path[which])] = value
+    compiled = _kernel.load()
+    t = getattr(compiled, method)(*path, tol, *constants)
+    assert t == getattr(REFERENCE, method)(*path, tol, *constants)
+    if (path[0] < 0).any():
+        return  # -inf: no Trace
+    reports = []
+    for kernels in (compiled, REFERENCE):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernel, "load", lambda: kernels)
+            reports.append(_report_bytes(check(Trace(*path), tol, *constants)))
+    assert reports[0] == reports[1]
+    assert reports[0][0] == (t < 0) and (t < 0 or reports[0][1] == t + 1)
+
+
+@needs_kernel
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(CHECKERS))
+def test_checks_keep_numpy_nan_and_tie_rules(name):
+    method, sides, _, draw = CHECKERS[name]
+    constants = draw(np.random.default_rng(5))
+    steps = np.array([0.25, 0.125])
+
+    def first_failure(losses, noise, tol) -> int:
+        path = (np.array(losses, dtype=float), steps[: len(noise)], np.array(noise), tol)
+        t = getattr(_kernel.load(), method)(*path, *constants)
+        assert t == getattr(REFERENCE, method)(*path, *constants)
+        return t
+
+    inf, nan = math.inf, math.nan
+    # slack = tol * np.maximum(1.0, L): infinite for an infinite loss, but
+    # nan for tol = 0 and for a nan loss, which fails the step
+    assert first_failure([inf, inf, inf], [0.0, 0.0], 1e-10) == -1
+    assert first_failure([inf, inf, inf], [0.0, 0.0], 0.0) == 0
+    assert first_failure([1.0, 0.5, nan], [0.0, 0.0], 1e-10) == 1
+    assert first_failure([1.0, nan, 0.5], [0.0, 0.0], 1e-10) == 0
+    assert first_failure([1.0, 0.5, 0.25], [0.0, nan], 1e-10) == 1
+    # a side that meets its bound passes, one ulp more fails
+    for tol in (0.0, 1e-10):
+        losses = np.array([4.0, 0.0])
+        _, _, _, mag_rhs, slack = sides(losses, steps[:1], np.zeros(1), tol, *constants)
+        u = (mag_rhs + slack)[0]
+        assert first_failure([4.0, 0.0], [u], tol) == -1
+        assert first_failure([4.0, 0.0], [np.nextafter(u, inf)], tol) == 0
+        _, rec_rhs, _, _, slack = sides(losses, steps[:1], np.array([u]), tol, *constants)
+        lc = (rec_rhs + slack)[0]
+        assert first_failure([4.0, lc], [u], tol) == -1
+        assert first_failure([4.0, np.nextafter(lc, inf)], [u], tol) == 0
+    # C reads m + 1 losses and m noise values: other lengths are refused
+    with pytest.raises(ValueError, match="check kernel"):
+        getattr(_kernel.load(), method)(np.ones(3), steps, np.zeros(1), 0.0, *constants)
+
+
+@needs_kernel
+def test_passing_checks_make_no_reference_call(monkeypatch):
+    # with the compiled kernels loaded, a passing path is decided in C with
+    # no numpy pass over it but its magnitude terms, as the WIDE test
+    # asks of the chunks; a failing path builds its report from the
+    # reference's numpy sides
+    called = []
+    for owner, names in (
+        (Reference, ("recursion_failure", "pca_failure")),
+        (_reference, ("recursion_sides", "pca_sides", "_first_failure")),
+    ):
+        for name in names:
+            spied = lambda *a, _f=getattr(owner, name), _n=name: called.append(_n) or _f(*a)
+            monkeypatch.setattr(owner, name, spied)
+    seeds = [rep_seed(3, i) for i in range(4)]
+    etas = StepSchedule.inverse_time(1.0, 32.0).etas(300)
+    sgd = SgdProblem(curvature=(1.0, 1.0), x_star=(0.0, 0.0), radius=0.5, b_noise=0.5)
+    res = sgd_batch(sgd, etas, np.array([0.5, 0.0]), seeds)
+    pca = PcaProblem(eigs=(2.0, 1.0))
+    v0 = np.tile(_unit([1.0, 1.0]), (len(seeds), 1))
+    rm = rm_batch(RM_LINEAR, etas, 1.0, seeds)
+    paths = [
+        (check_recursion, res["loss_sc"], res["noise_sc"], algorithms.sgd_recursion_params(sgd)),
+        (check_recursion, res["loss_pl"], res["noise_pl"], algorithms.pl_recursion_params(sgd)),
+        (check_recursion, rm["loss"], rm["noise"], algorithms.rm_recursion_params(RM_LINEAR)),
+    ]
+    for variant in ("krasulina", "oja"):
+        got = pca_batch(pca, etas, v0, seeds, variant, variant == "oja")
+        check = lambda tr, p, tol, _v=variant: check_pca_recursion(tr, pca.b, pca.rho, _v, tol)
+        paths.append((check, got["loss"], got["q"], None))
+    for check, losses, noise, params in paths:
+        for i in range(len(seeds)):
+            assert check(Trace(losses[i], etas, noise[i]), params, 1e-10).ok
+    assert called == []
+    for (check, losses, noise, params), sides in zip(paths[2:4], ("recursion_sides", "pca_sides")):
+        bad = losses[0].copy()
+        bad[7] = 10.0 * bad[6] + 1.0
+        assert check(Trace(bad, etas, noise[0]), params, 1e-10).first_violation.t == 7
+        assert called == [sides]
+        called.clear()
 
 
 # ---------------------------------------------------------------------------

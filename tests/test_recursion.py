@@ -68,8 +68,14 @@ def test_trace_validation():
         Trace(losses=np.array([1.0, 0.5]), steps=np.array([1.5]))
     with pytest.raises(ValueError):
         Trace(losses=np.array([1.0, 0.5]), steps=np.array([0.1]), noise=np.array([0.1, 0.2]))
+    # a nan step is refused, also beside a negative one, where np.min(steps)
+    # is nan, which compares False with 0
+    for steps in ([math.nan, -1.0], [math.nan]):
+        with pytest.raises(ValueError, match="steps"):
+            Trace(losses=np.ones(len(steps) + 1), steps=steps, noise=np.zeros(len(steps)))
     tr = Trace(losses=np.array([1.0, 0.5]), steps=np.array([1.0]))  # eta = 1 allowed
     assert tr.horizon == 1
+    assert Trace(losses=np.array([math.nan, 0.5]), steps=np.array([0.5])).horizon == 1
 
 
 def test_trace_aux_length_mismatch():

@@ -29,10 +29,11 @@ same state, and both builds' generators must be numpy's states of the
 seeds; a revision whose kernels hand 8 or more coordinates to the numpy
 reference runs the wide chunks that way, on its compiled draws.  It
 prints, per row, each build's median ns per rep-step (per seed for seed)
-and the median of the per-round ratios B/A.  Running both builds in one
-process pairs every measurement with its twin, so the host's load swings,
-which make separate runs of two trees hard to tell apart, cancel in the
-ratio.
+and the median of the per-round ratios B/A between their first and third
+quartiles, so that a row's gap can be told from its round-to-round
+spread.  Running both builds in one process pairs every measurement with
+its twin, so the host's load swings, which make separate runs of two
+trees hard to tell apart, cancel in the ratio.
 --reps 100 leaves the last block of 8 lanes partial, as the workloads of
 100 replications do; 504 fills every block.
 
@@ -185,11 +186,12 @@ def main(argv=None) -> int:
 
     print(f"A = {args.rev}, B = working tree; {args.reps} reps x {args.steps} steps, "
           f"{args.rounds} rounds; medians")
-    print(f"{'row':8} {'A ns':>10} {'B ns':>10} {'B/A':>7}  per")
+    print(f"{'row':8} {'A ns':>10} {'B ns':>10} {'q1':>7} {'B/A':>7} {'q3':>7}  per")
     for name, ratio in ratios.items():
         a, b = (statistics.median(per_step[name, label]) for label in "AB")
+        q1, med, q3 = statistics.quantiles(ratio, n=4)
         unit = "seed" if name == "seed" else "rep-step"
-        print(f"{name:8} {a:10.2f} {b:10.2f} {statistics.median(ratio):7.3f}  {unit}")
+        print(f"{name:8} {a:10.2f} {b:10.2f} {q1:7.3f} {med:7.3f} {q3:7.3f}  {unit}")
     return 0
 
 

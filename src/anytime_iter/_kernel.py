@@ -1,15 +1,15 @@
 """Which kernels the engines run, and the loader of the compiled ones.
 
-Every engine in algorithms, the LIL reducer in harness and the recursion
-checkers call the object load() returns: the compiled StepKernels when
-_steps.c could be built and loaded, else _reference.REFERENCE, the numpy
-chunk methods, draws, reducer and checks.  StepKernels subclasses
-Reference and overrides every one of its public methods, with the same
-arguments, but sphere, which in both is the object's normals, then
-_reference._onto_sphere; each override computes its whole call in C, but
-for the problems in_c rules out, whose rm_chunk defers to the Reference
-method through super().  Each object's draw and chunk methods take what
-its own generators(seeds) returns:
+Every engine in algorithms, the LIL statistic in harness and the
+recursion checkers call the object load() returns: the compiled
+StepKernels when _steps.c could be built and loaded, else
+_reference.REFERENCE, the numpy chunk methods, draws and checks.
+StepKernels subclasses Reference and overrides every one of its public
+methods, with the same arguments, but sphere, which in both is the
+object's normals, then _reference._onto_sphere; each override computes its
+whole call in C, but for the problems in_c rules out, whose rm_chunk and
+lil_chunk defer to the Reference methods through super().  Each object's
+draw and chunk methods take what its own generators(seeds) returns:
 
   * the SGD, PCA, root-finding and ridge chunks: one C call per chunk,
     replication-major, that steps each replication's iterate in locals and
@@ -30,10 +30,11 @@ its own generators(seeds) returns:
     numpy), which the engines' own finite draws never meet.  The chunks
     step every width, those of widths 2 and 4 on the stack with their
     coordinate loops unrolled and all others on scratch from the heap (a
-    failed allocation raises MemoryError).  Only rm_chunk defers to the
-    reference, for the cubic M, since numpy's u**3 matches neither u*u*u
-    nor libm's pow; the reference's chunk then draws through this object's
-    draw methods, so those runs keep the compiled seeding and draws;
+    failed allocation raises MemoryError).  Only rm_chunk and lil_chunk
+    defer to the reference, for the cubic M, since numpy's u**3 matches
+    neither u*u*u nor libm's pow; the reference's chunk then draws through
+    this object's draw methods, so those runs keep the compiled seeding and
+    draws;
   * the generators and every draw: generators turns each int seed or
     sequence of ints into its entropy words (_entropy_words) and takes any
     other seed's SeedSequence.pool, and one C call seeds an (n,
@@ -56,9 +57,13 @@ its own generators(seeds) returns:
     compares the seeding and the draws with numpy's (_check_draws), so that
     a numpy whose seeding, entropy mixing, PCG64 or ziggurat has changed
     gets the reference rather than other numbers;
-  * the LIL reducer lil_max: (t*dev)*dev/log log t, with log log t from
-    libm's log, which math.log calls, folded into each replication's block
-    maxima with np.maximum's rule for nan, in one call per chunk;
+  * the LIL chunk lil_chunk: one C call that runs rm_chunk's steps, with
+    eta_t = l1/t, the division np.divide(l1, t) makes, and folds each
+    statistic (t*dev)*dev/log log t, with log log t from libm's log, which
+    math.log calls, into each replication's block maxima with np.maximum's
+    rule for nan, storing no deviation.  A nan in the maxima may differ in
+    sign from the reference's, whose max over two or more of a diverging
+    path's -nan statistics returns +nan; run_lil_ensemble refuses any nan;
   * the recursion checks recursion_failure and pca_failure: one C pass over
     a path that evaluates the reference's numpy sides (_reference.
     recursion_sides and pca_sides) step by step, in their order and with
@@ -112,7 +117,8 @@ _P, _L, _D, _I = ctypes.c_void_p, ctypes.c_long, ctypes.c_double, ctypes.c_int
 _SIGNATURES = {
     "sgd_chunk": ([_P] * 5 + [_L] * 3 + [_D] * 4 + [_P, _L, _P, _L] + [_P] * 5 + [_L], _L),
     "pca_chunk": ([_P] * 6 + [_L] * 3 + [_I] * 2 + [_P, _L] + [_P] * 4 + [_L], _L),
-    "rm_chunk": ([_P] * 3 + [_L] * 2 + [_D] * 6 + [_I, _P, _L, _P, _P, _L], None),
+    "rm_chunk": ([_P] * 3 + [_L] * 2 + [_D] * 6 + [_P, _L, _P, _P, _L], None),
+    "lil_chunk": ([_P] * 2 + [_L] * 3 + [_D] * 5 + [_P, _L, _P], None),
     "ridge_chunk": ([_P] * 5 + [_L] * 3 + [_D, _I, _D, _D, _P, _L], _L),
     "seed_states": ([_P] * 3 + [_L], None),
     "normal_fill": ([_P, _L, _P, _P], _L),
@@ -120,7 +126,6 @@ _SIGNATURES = {
     "sign_draw": ([_P] * 3 + [_L] * 3, None),
     "uniform_draw": ([_P] * 2 + [_L] * 2 + [_D] * 2, None),
     "lil_loglog": ([_P] + [_L] * 2, None),
-    "lil_max": ([_P] + [_L] * 4 + [_P, _L, _P], None),
     "recursion_failure": ([_P] * 3 + [_L] + [_D] * 4 + [_P, _L], _L),
     "pca_failure": ([_P] * 3 + [_L] + [_D] * 4 + [_I, _D], _L),
 }
@@ -210,6 +215,14 @@ def _path(losses, steps, noise) -> tuple:
     return (*path, m)
 
 
+def _rm_constants(problem, radius: float) -> tuple:
+    """theta, slope, low and range of the root-finding steps of problem, a
+    linear M, with noise uniform on [-radius, radius]: low and high formed
+    in Python, as Generator.uniform forms them."""
+    low, high = -radius, radius
+    return float(problem.theta), float(problem.slope), low, high - low
+
+
 def _gens(gens, n: int) -> int:
     """Address of gens, once checked to be the writeable (n, STATE_WORDS)
     uint64 array of generator states StepKernels.generators returns."""
@@ -250,8 +263,8 @@ class StepKernels(Reference):
     The draw and chunk methods take the generator states generators
     returned, an (n, STATE_WORDS) uint64 array, and advance them in place;
     a call owns the rows it is given, so calls on different arrays run on
-    different threads at once.  rm_chunk runs the Reference method for the
-    problems C does not step (in_c).
+    different threads at once.  rm_chunk and lil_chunk run the Reference
+    methods for the problems C does not step (in_c).
     """
 
     def __init__(self, lib: ctypes.CDLL):
@@ -350,24 +363,19 @@ class StepKernels(Reference):
             *recorded,
         ))
 
-    def rm_chunk(
-        self, state, gens, etas, problem, radius: float, signed_dev: bool, loss, *channels
-    ) -> None:
+    def rm_chunk(self, state, gens, etas, problem, radius: float, loss, *channels) -> None:
         if not in_c(problem):
-            return super().rm_chunk(state, gens, etas, problem, radius, signed_dev, loss, *channels)
+            return super().rm_chunk(state, gens, etas, problem, radius, loss, *channels)
         etas, m = _steps(etas)
         n = len(state)
         recorded = _channels(channels, (n, m)) if channels else [None, None, 0]
-        # formed in Python, as Generator.uniform, poly_sq and the reference
-        # pass form them
-        low, high = -radius, radius
+        # formed in Python, as poly_sq and the reference pass form them
         s2, r1sq = float(problem.slope**2), float(problem.r1**2)
         self._lib.rm_chunk(
             _addr(state, (n,)),
             _gens(gens, n),
             _addr(etas, (m,)),
-            m, n, float(problem.theta), float(problem.slope), low, high - low, s2, r1sq,
-            int(signed_dev),
+            m, n, *_rm_constants(problem, radius), s2, r1sq,
             *_rows(loss, (n, m)),
             *recorded,
         )
@@ -387,16 +395,17 @@ class StepKernels(Reference):
             *_rows(loss, (n, m)),
         ))
 
-    def lil_max(self, dev, t0: int, block_max) -> None:
+    def lil_chunk(
+        self, state, gens, t0: int, m: int, l1: float, problem, radius: float, block_max
+    ) -> None:
+        if not in_c(problem):
+            return super().lil_chunk(state, gens, t0, m, l1, problem, radius, block_max)
         n_blocks, n = block_max.shape
-        m = dev.shape[1]
-        # a chunk that ends before the first block, t = 3, folds nothing:
-        # the deviations at t = 0 come as an (n, 1) view of column stride 0
-        if t0 + m <= 3:
-            return
         loglog = np.empty(m)
-        self._lib.lil_max(
-            *_rows(dev, (n, m)), n, m, t0,
+        self._lib.lil_chunk(
+            _addr(state, (n,)),
+            _gens(gens, n),
+            t0, m, n, l1, *_rm_constants(problem, radius),
             _addr(block_max, (n_blocks, n)), n_blocks,
             _addr(loglog, (m,)),
         )

@@ -1,20 +1,23 @@
 """The numpy kernels of the batched engines: Reference.
 
 Reference holds the chunk methods the engines call (sgd_chunk, pca_chunk,
-rm_chunk and ridge_chunk), the generators they draw from (numpy's
-default_rng of each seed), the per-generator draws the chunks make and the
-LIL reducer the harness calls, in the order of operations their outputs
-are pinned to.  Each chunk method is the reference loop of one engine
-chunk: the chunk's draw, then slices of at most PASS_BUDGET values through
-a trajectory buffer, each stepped and then passed over for its losses and
-channels in the elementwise order of the per-step formulas, so the slicing
-changes no bit.  _kernel.StepKernels overrides every method with the same
+rm_chunk and ridge_chunk), the LIL statistic's lil_chunk the harness
+calls, the generators they draw from (numpy's default_rng of each seed)
+and the per-generator draws the chunks make, in the order of operations
+their outputs are pinned to.  Each chunk method is the reference loop of
+one engine chunk: the chunk's draw, then slices of at most PASS_BUDGET
+values through a trajectory buffer, each stepped and then passed over for
+its losses and channels in the elementwise order of the per-step formulas,
+so the slicing changes no bit.  rm_chunk and lil_chunk share one step loop
+(_rm_slices); lil_chunk folds the deviations of each slice it steps into
+the LIL statistic's block maxima (_lil_fold), so its memory does not grow
+with its length.  _kernel.StepKernels overrides every method with the same
 name and arguments: the generators, as PCG64 states the compiled code owns,
 seeded in C from each seed's entropy words or SeedSequence pool, the draws
 but sphere, which draws through normals, the recursion checks, and each
-engine chunk in one replication-major C call, which builds neither
-the draw chunk nor the trajectory buffer, at every width, or this class's
-rm_chunk for the cubic M, which C cannot match bit for bit.  _kernel.load
+chunk in one replication-major C call, which builds neither the draw chunk
+nor the trajectory buffer, at every width, or this class's rm_chunk and
+lil_chunk for the cubic M, which C cannot match bit for bit.  _kernel.load
 chooses between the two.  The draw and chunk contracts are in the class
 docstring.
 
@@ -151,6 +154,27 @@ def _first_failure(lc, rec_rhs, mag_lhs, mag_rhs, slack) -> int:
     mag_rhs + slack), so that a NaN on either side fails, or -1."""
     bad = ~((lc <= rec_rhs + slack) & (mag_lhs <= mag_rhs + slack))
     return int(np.argmax(bad)) if bad.any() else -1
+
+
+def _lil_fold(dev, t0: int, block_max) -> None:
+    """Fold the LIL statistics (t*dev)*dev/log log t of dev, the (n, m)
+    deviations at the times t0..t0+m-1, into block_max (Reference.lil_chunk)."""
+    # the blocks start at t = 3, where log log t > 0; math.log, not
+    # np.log, whose SIMD loops need not round as libm does
+    t1 = t0 + dev.shape[1] - 1
+    loglog = np.ones(t1 - t0 + 1)
+    t3 = max(3, t0)
+    loglog[t3 - t0 :] = np.fromiter(
+        map(math.log, map(math.log, range(t3, t1 + 1))), float, max(0, t1 + 1 - t3)
+    )
+    stat = np.arange(t0, t1 + 1, dtype=float) * dev
+    stat *= dev
+    stat /= loglog
+    for i in range(block_max.shape[0]):
+        a, b = max(2 ** (i + 1) + 1, t0), min(2 ** (i + 2), t1)
+        if a <= b:
+            top = stat[:, a - t0 : b - t0 + 1].max(axis=1)
+            np.maximum(block_max[i], top, out=block_max[i])
 
 
 class Reference:
@@ -322,13 +346,26 @@ class Reference:
         state[...] = traj[0]
         norms[...] = vn2[0]
 
-    def rm_chunk(
-        self, state, gens, etas, problem, radius: float, signed_dev: bool, loss, *channels
-    ) -> None:
+    def rm_chunk(self, state, gens, etas, problem, radius: float, loss, *channels) -> None:
         """Root-finding steps x <- x - eta*(M(x) + xi) of the (n,) iterates
         state for the RmProblem's M, with noise xi uniform on [-radius,
-        radius].  loss receives (x - theta)^2, or with signed_dev the
-        deviations x - theta, and channels, when given, are q and noise."""
+        radius].  loss receives (x - theta)^2 and channels, when given, are
+        q and noise."""
+        for t, dev, xt, eta_t in self._rm_slices(state, gens, etas, problem, radius):
+            loss[:, t] = (dev[1:] ** 2).T
+            if not channels:
+                continue
+            q_chan, noise = (c[:, t] for c in channels)
+            eta = eta_t[:, None]
+            q = -2.0 * eta * dev[:-1] * xt
+            q_chan[...] = q.T
+            envelope = problem.poly_sq(dev[:-1] ** 2) + problem.r1**2
+            noise[...] = (q + 2.0 * eta * eta * envelope).T
+
+    def _rm_slices(self, state, gens, etas, problem, radius: float):
+        """Step state as rm_chunk does, and yield per slice its steps t,
+        the deviations x - theta of its iterates from the one before its
+        first step on, (k + 1, n), and its noise and steps."""
         m = len(etas)
         xi = np.empty((m,) + state.shape)
         self.uniform(xi, gens, -radius, radius)
@@ -341,16 +378,7 @@ class Reference:
                 np.add(y_val, xt[k], out=y_val)
                 np.multiply(y_val, eta, out=y_val)
                 np.subtract(x, y_val, out=traj[k + 1])
-            dev = traj[: len(eta_t) + 1] - problem.theta
-            loss[:, t] = (dev[1:] if signed_dev else dev[1:] ** 2).T
-            if not channels:
-                continue
-            q_chan, noise = (c[:, t] for c in channels)
-            eta = eta_t[:, None]
-            q = -2.0 * eta * dev[:-1] * xt
-            q_chan[...] = q.T
-            envelope = problem.poly_sq(dev[:-1] ** 2) + problem.r1**2
-            noise[...] = (q + 2.0 * eta * eta * envelope).T
+            yield t, traj[: len(eta_t) + 1] - problem.theta, xt, eta_t
         state[...] = traj[0]
 
     def ridge_chunk(
@@ -392,28 +420,21 @@ class Reference:
             loss[:, t] = _sum_last((traj[1 : k + 1] - theta_star) ** 2, squares=True).T
         state[...] = traj[0]
 
-    def lil_max(self, dev, t0: int, block_max) -> None:
-        """Fold the LIL statistics (t*dev)*dev/log log t of dev, the (n, m)
-        signed deviations x_t - theta at the times t0..t0+m-1, into
-        block_max, (n_blocks, n), whose row b holds each replication's
-        maximum over the dyadic block t = 2^(b+1)+1..2^(b+2) so far; a nan
-        or +inf, once there, stays."""
-        # the blocks start at t = 3, where log log t > 0; math.log, not
-        # np.log, whose SIMD loops need not round as libm does
-        t1 = t0 + dev.shape[1] - 1
-        loglog = np.ones(t1 - t0 + 1)
-        t3 = max(3, t0)
-        loglog[t3 - t0 :] = np.fromiter(
-            map(math.log, map(math.log, range(t3, t1 + 1))), float, max(0, t1 + 1 - t3)
-        )
-        stat = np.arange(t0, t1 + 1, dtype=float) * dev
-        stat *= dev
-        stat /= loglog
-        for i in range(block_max.shape[0]):
-            a, b = max(2 ** (i + 1) + 1, t0), min(2 ** (i + 2), t1)
-            if a <= b:
-                top = stat[:, a - t0 : b - t0 + 1].max(axis=1)
-                np.maximum(block_max[i], top, out=block_max[i])
+    def lil_chunk(
+        self, state, gens, t0: int, m: int, l1: float, problem, radius: float, block_max
+    ) -> None:
+        """The root-finding steps of rm_chunk at the times t = t0..t0+m-1,
+        with eta_t = l1/t, folding the LIL statistics (t*dev)*dev/log log t
+        of the deviations dev = x_t - theta into block_max, (n_blocks, n),
+        whose row b holds each replication's maximum over the dyadic block
+        t = 2^(b+1)+1..2^(b+2) so far; a nan or +inf, once there, stays.
+        Times outside the blocks fold nothing.  The steps draw, run and fold
+        one slice at a time, so the call's memory does not grow with m."""
+        rows = _slice_rows(len(state))
+        for lo in range(t0, t0 + m, rows):
+            etas = np.divide(l1, np.arange(lo, min(lo + rows, t0 + m), dtype=float))
+            for t, dev, _, _ in self._rm_slices(state, gens, etas, problem, radius):
+                _lil_fold(dev[1:].T, lo + t.start, block_max)
 
     def recursion_failure(self, losses, steps, noise, tol: float, params) -> int:
         """The first step t, counted from 0, at which the path of losses

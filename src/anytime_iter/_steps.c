@@ -1,8 +1,9 @@
 /* Chunk functions, generator seeding and draw loops of the batched engines
- * in anytime_iter.algorithms, and the LIL reducer of anytime_iter.harness.
+ * in anytime_iter.algorithms, and the LIL chunk of anytime_iter.harness.
  *
  * sgd_chunk, pca_chunk, rm_chunk (linear M) and ridge_chunk each run one
- * engine chunk of any width in one call, replication-major: the outer loop
+ * engine chunk of any width in one call, and lil_chunk one chunk of the
+ * LIL statistic's root finding, replication-major: the outer loop
  * runs over blocks of LANES replications and the inner loop over the
  * chunk's m steps.
  * Each replication advances its iterate in locals and writes its losses, and
@@ -29,9 +30,9 @@
  * numpy's default_rng would build from it, and the chunks and draw loops
  * step those states inline, with numpy's normal, uniform and sign
  * transforms (see "Generators" and "Draws" below).  No numpy function is
- * called and no numpy struct is declared.  lil_max folds the LIL statistic
- * of each chunk of deviations the root-finding engine streams into the
- * harness's dyadic block maxima, with libm's log log t.  recursion_failure
+ * called and no numpy struct is declared.  lil_chunk steps the root-finding
+ * replications of the harness's LIL statistic and folds the statistic into
+ * its dyadic block maxima as it goes, with libm's log log t.  recursion_failure
  * and pca_failure decide the path-wise recursion checks of
  * anytime_iter.recursion and anytime_iter.algorithms in one pass over a
  * path (see "Recursion checks" below).
@@ -924,12 +925,21 @@ long pca_chunk(double *state, double *norms, uint64_t *gens, const double *scale
 }
 
 /* Robbins-Monro with linear M and uniform noise xi on [low, low + range):
- * x <- x - eta*(slope*(x - theta) + xi).  With dev = x - theta before a
- * step and dn after it: loss dn (signed_dev) or dn*dn, q
+ * x <- x - eta*(slope*(x - theta) + xi), the one step of rm_chunk and
+ * lil_chunk. */
+INLINE double rm_step(double x, double xi, double eta, double theta, double slope)
+{
+    double y = slope * (x - theta);
+    y = y + xi;
+    y = y * eta;
+    return x - y;
+}
+
+/* With dev = x - theta before a step and dn after it: loss dn*dn, q
  * ((-2*eta)*dev)*xi and noise q + ((2*eta)*eta)*(s2*(dev*dev) + r1sq). */
 void rm_chunk(double *state, uint64_t *gens, const double *etas, long m, long n,
               double theta, double slope, double low, double range, double s2, double r1sq,
-              int signed_dev, double *loss, long ld_loss, double *q, double *noise, long ld)
+              double *loss, long ld_loss, double *q, double *noise, long ld)
 {
     double x[LANES], xi[LANES];
     pcg64_t g[LANES];
@@ -945,12 +955,9 @@ void rm_chunk(double *state, uint64_t *gens, const double *etas, long m, long n,
             EACH_LANE(l) xi[l] = uniform(&g[l], low, range);
             EACH_LANE(l) {
                 const long i = lane_row(i0, lanes, l);
-                double y = slope * (x[l] - theta);
-                y = y + xi[l];
-                y = y * eta;
-                const double w = x[l] - y;
+                const double w = rm_step(x[l], xi[l], eta, theta, slope);
                 const double dn = w - theta;
-                loss[i * ld_loss + k] = signed_dev ? dn : dn * dn;
+                loss[i * ld_loss + k] = dn * dn;
                 if (q) {
                     double dev = x[l] - theta;
                     double qk = ((-2.0 * eta) * dev) * xi[l];
@@ -1029,14 +1036,19 @@ long ridge_chunk(double *state, const double *xs, const double *ys, const double
 #undef RIDGE
 }
 
-/* The LIL statistic's dyadic block maxima.  dev is the (n, m) chunk of
- * signed deviations x_t - theta at the times t = t0 .. t0+m-1, row i at
- * dev + i*ld; block b covers t = 2^(b+1)+1 .. 2^(b+2), and block_max,
- * (n_blocks, n), holds each replication's maximum over each block so far.
- * Times outside the blocks, t < 3 or t > 2^(n_blocks+1), fold nothing.
- * Each statistic is ((t*dev)*dev)/log(log(t)), as
- * _reference.Reference.lil_max computes it, with log log t from libm's log,
- * the function math.log calls, into ll_buf, m values of scratch. */
+/* The LIL statistic's dyadic block maxima, folded as the root-finding
+ * replications step.  lil_chunk runs rm_chunk's step (rm_step) at the times
+ * t = t0 .. t0+m-1 with eta_t = l1/t, and folds the statistic
+ * ((t*dn)*dn)/log(log(t)) of each deviation dn = x_t - theta into
+ * block_max, (n_blocks, n), which holds each replication's maximum over
+ * block b, t = 2^(b+1)+1 .. 2^(b+2), so far.  Each lane keeps the running
+ * maximum of the chunk's part of a block in a local, which goes into
+ * block_max when the part ends, as _reference.Reference.lil_chunk folds
+ * the maximum of each part.  Times outside the blocks, t < 3 or
+ * t > 2^(n_blocks+1), fold nothing.  log log t comes from libm's log, the
+ * function math.log calls, into ll, m values of scratch.  No deviation is
+ * stored, so the call writes nothing but the iterates, the generators and
+ * block_max. */
 
 /* log(log(t)) for the m times t0, t0+1, ... */
 void lil_loglog(double *out, long t0, long m)
@@ -1046,48 +1058,68 @@ void lil_loglog(double *out, long t0, long m)
 }
 
 /* np.maximum(a, b): a NaN wins, the first one first, and a tie gives b.
- * Ties only tell -0.0 from +0.0, and no statistic is -0.0: (t*dev)*dev
+ * Ties only tell -0.0 from +0.0, and no statistic is -0.0: (t*dn)*dn
  * multiplies two values of one sign. */
-static double nan_max(double a, double b)
+INLINE double nan_max(double a, double b)
 {
     return (a > b || isnan(a)) ? a : b;
 }
 
-void lil_max(const double *dev, long ld, long n, long m, long t0, double *block_max,
-             long n_blocks, double *ll_buf)
+void lil_chunk(double *state, uint64_t *gens, long t0, long m, long n, double l1,
+               double theta, double slope, double low, double range, double *block_max,
+               long n_blocks, double *ll)
 {
-    long lo = t0 > 3 ? t0 : 3;
-    long hi = t0 + m - 1;
-    if (hi > (2L << n_blocks))
-        hi = 2L << n_blocks;
-    if (lo > hi)
-        return;
-    lil_loglog(ll_buf + (lo - t0), lo, hi - lo + 1);
-    for (long b = 0; b < n_blocks; b++) {
-        long a = (2L << b) + 1, z = 4L << b;
-        if (a < lo)
-            a = lo;
-        if (z > hi)
-            z = hi;
-        if (a > z)
-            continue;
-        /* four running maxima per row, so that the divisions overlap */
-        const long len = z - a + 1;
-        const double *ll = ll_buf + (a - t0);
-        for (long i = 0; i < n; i++) {
-            const double *x = dev + i * ld + (a - t0);
-            double m0 = -INFINITY, m1 = -INFINITY, m2 = -INFINITY, m3 = -INFINITY;
-            long k = 0;
-            for (; k + 4 <= len; k += 4) {
-                m0 = nan_max(m0, (((double)(a + k) * x[k]) * x[k]) / ll[k]);
-                m1 = nan_max(m1, (((double)(a + k + 1) * x[k + 1]) * x[k + 1]) / ll[k + 1]);
-                m2 = nan_max(m2, (((double)(a + k + 2) * x[k + 2]) * x[k + 2]) / ll[k + 2]);
-                m3 = nan_max(m3, (((double)(a + k + 3) * x[k + 3]) * x[k + 3]) / ll[k + 3]);
+    const long t_last = 2L << n_blocks;
+    /* the statistics before t = 3, where log log t is not positive, are
+     * formed over 1.0 and fold nowhere */
+    const long early = t0 >= 3 ? 0 : (3 - t0 < m ? 3 - t0 : m);
+    for (long k = 0; k < early; k++)
+        ll[k] = 1.0;
+    lil_loglog(ll + early, t0 + early, m - early);
+    double x[LANES], xi[LANES], top[LANES];
+    pcg64_t g[LANES];
+    for (long i0 = 0; i0 < n; i0 += LANES) {
+        const long lanes = n - i0 < LANES ? n - i0 : LANES;
+        EACH_LANE(l) {
+            const long i = lane_row(i0, lanes, l);
+            x[l] = state[i];
+            g[l] = pcg_load(gens + i * STATE_WORDS);
+        }
+        for (long k = 0; k < m;) {
+            /* steps k .. end-1 fall in block b, or in none when b < 0 */
+            const long t = t0 + k;
+            long b = -1, end = m;
+            if (t < 3) {
+                end = early;
+            } else if (t <= t_last) {
+                long last = 4;
+                for (b = 0; last < t; b++)
+                    last <<= 1;
+                end = last - t0 + 1 < m ? last - t0 + 1 : m;
             }
-            for (; k < len; k++)
-                m0 = nan_max(m0, (((double)(a + k) * x[k]) * x[k]) / ll[k]);
-            double *out = block_max + b * n + i;
-            *out = nan_max(*out, nan_max(nan_max(m0, m1), nan_max(m2, m3)));
+            EACH_LANE(l) top[l] = -INFINITY;
+            for (; k < end; k++) {
+                const double tk = (double)(t0 + k);
+                const double eta = l1 / tk;
+                EACH_LANE(l) xi[l] = uniform(&g[l], low, range);
+                EACH_LANE(l) {
+                    x[l] = rm_step(x[l], xi[l], eta, theta, slope);
+                    const double dn = x[l] - theta;
+                    top[l] = nan_max(top[l], ((tk * dn) * dn) / ll[k]);
+                }
+            }
+            EACH_LANE(l) {
+                if (b >= 0 && l < lanes) {
+                    double *out = block_max + b * n + i0 + l;
+                    *out = nan_max(*out, top[l]);
+                }
+            }
+        }
+        EACH_LANE(l) {
+            if (l < lanes) {
+                state[i0 + l] = x[l];
+                pcg_store(gens + (i0 + l) * STATE_WORDS, &g[l]);
+            }
         }
     }
 }

@@ -18,9 +18,7 @@ member of any size.  Normals (SGD), signs (PCA) and uniforms (root finding)
 come out the same however a stream is cut into chunks, so those engines draw
 chunks of DRAW_BUDGET values per batch (and at least MIN_ROWS steps):
 streamed through on_chunk without record_channels, memory is O(N*chunk),
-independent of the horizon.  rm_batch streams the signed deviations
-x_t - theta instead of their squares, the loss, so that a reducer can form
-(t*dev)*dev, which dev^2 does not give bit for bit (the LIL statistic).
+independent of the horizon.
 
 Every engine runs one path: _run cuts the horizon into chunks, and per
 chunk the engine makes one call to the process's kernels, _kernel.load(),
@@ -272,25 +270,20 @@ def rm_batch(
 
     The loss is (x_t - theta)^2.  The recorded (N, T) channels q and noise
     are the rows of one (2, N, T) block, as in sgd_batch.  With on_chunk,
-    loss is None and on_chunk(t0, dev) receives instead each chunk's signed
-    deviations x_t - theta, as in sgd_batch; callers square them for the
-    loss.
+    loss is None and on_chunk(t0, loss) receives each chunk's losses, as
+    in sgd_batch.
     """
     n = len(seeds)
     horizon = len(etas)
     kernels = _kernel.load()
     gens = kernels.generators(seeds)
-    theta = problem.theta
     losses = None if on_chunk else np.empty((n, horizon + 1))
     channels = list(_channel_block(2, n, horizon)) if record_channels else []
-    signed_dev = on_chunk is not None
 
     x = np.full(n, float(x0))
-    l0 = x - theta if signed_dev else (x - theta) ** 2
+    l0 = (x - problem.theta) ** 2
     for t, out in _run(l0, horizon, _rows(n, 1), on_chunk, losses):
-        kernels.rm_chunk(
-            x, gens, etas[t], problem, SQRT3, signed_dev, out, *[c[:, t] for c in channels]
-        )
+        kernels.rm_chunk(x, gens, etas[t], problem, SQRT3, out, *[c[:, t] for c in channels])
     q_chan, noise = channels or (None, None)
     return {"loss": losses, "q": q_chan, "noise": noise, "final_x": x}
 

@@ -207,12 +207,15 @@ def _cmd_lil(problem: RmProblem, run: _LilRun, out_dir: Path, threads: int) -> i
         out_dir / "lil_report.json",
         problem=problem,
     )
+    # csv.writer's rows, written directly: no field holds a comma, quote or
+    # line break, and \r\n is the excel dialect's line terminator
     with open(out_dir / "lil_blocks.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed_index", "block_start", "block_end", "block_max", "running_max"])
+        fh.write("seed_index,block_start,block_end,block_max,running_max\r\n")
         for i, r in enumerate(reports):
-            for (lo, hi, bmax), rmax in zip(r.block_stats, r.running_max):
-                writer.writerow([i, lo, hi, f"{bmax:.17g}", f"{rmax:.17g}"])
+            fh.writelines(
+                f"{i},{lo},{hi},{bmax:.17g},{rmax:.17g}\r\n"
+                for (lo, hi, bmax), rmax in zip(r.block_stats, r.running_max)
+            )
     print(
         f"lil: fraction={fraction:.6g} (target {run.fraction_threshold}) l_const={l_const:.6g} "
         f"-> {'PASS' if passed else 'FAIL'}"

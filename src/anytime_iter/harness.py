@@ -18,14 +18,14 @@ of the horizon.  Per-replication seeds are independent of the worker count,
 and the draws of the chunk-length invariant engines do not depend on the
 block size, so reports do not depend on scheduling.
 
-The iterated-logarithm statistic runs on rm_batch as well: _lil_batch hands
-each chunk of signed deviations x_t - theta the engine streams to the
-kernels' lil_max, which folds it into dyadic-block maxima, in one batch of
-all seeds, or in blocks on the pool with threads > 1; run_lil_ensemble
-refuses non-finite maxima.  Its step vector has
-length 2^(n_blocks+1).  No step loop, no noise draw and no reduction of the
-statistic live here; _pca_v0 only draws each replication's initial
-direction.
+The iterated-logarithm statistic runs on the kernels' lil_chunk: _lil_batch
+calls it once per LIL_STEPS steps, and each call steps the root-finding
+replications and folds their statistic into dyadic-block maxima, with no
+deviation buffer and no step vector, in one batch of all seeds, or in
+blocks on the pool with threads > 1; run_lil_ensemble refuses non-finite
+maxima.  Its memory is O(seeds), independent of the horizon.  No step
+loop, no noise draw and no reduction of the statistic live here; _pca_v0
+only draws each replication's initial direction.
 
 Parameters an experiment rejects before any replication runs, including an
 unparsable problem spec or an initial point outside the ball, raise
@@ -57,7 +57,6 @@ from .algorithms import (
     _check_in_ball,
     pca_batch,
     ridge_batch,
-    rm_batch,
     sgd_batch,
 )
 from .boundaries import (
@@ -72,7 +71,7 @@ from .boundaries import (
 from .problems import PcaProblem, RmProblem, SgdProblem
 from .recursion import counterexample_process
 from .seeding import rep_seed
-from .streams import LinearModelStream
+from .streams import SQRT3, LinearModelStream
 
 __all__ = [
     "CoverageConfig",
@@ -93,6 +92,7 @@ __all__ = [
 ]
 
 _REP_BLOCK = 512
+LIL_STEPS = 2**14  # steps per lil_chunk call
 
 
 class SpecError(ValueError):
@@ -613,29 +613,27 @@ def _lil_batch(
 ) -> tuple[np.ndarray, list]:
     """Dyadic-block maxima of t*L_t/log log t for a batch of trajectories.
 
-    rm_batch runs x_t = x_{t-1} - (l1/t)*(M(x_{t-1}) + xi_t) and streams the
-    deviations dev = x_t - theta per chunk; the lil_max of the kernels
-    _kernel.load returns at that call, compiled or the numpy reference,
-    folds each chunk's statistics (t*dev)*dev/log log t into the block
-    maxima.  The signed deviation is needed: (t*dev)*dev is not rebuilt bit
-    for bit from the loss dev^2.  All seeds run in one batch, or with
+    The lil_chunk of the kernels _kernel.load returns, compiled or the
+    numpy reference, runs x_t = x_{t-1} - (l1/t)*(M(x_{t-1}) + xi_t), the
+    root-finding steps of rm_batch, LIL_STEPS steps per call, and folds the
+    statistics (t*dev)*dev/log log t of the deviations dev = x_t - theta
+    into the block maxima as it goes.  All seeds run in one batch, or with
     threads > 1 in blocks on a pool (_in_blocks), whose maxima are stacked:
     each seed's maxima are one column, so the split changes no byte.
     """
     horizon = 2 ** (n_blocks + 1)
     bounds = [(2**nb + 1, 2 ** (nb + 1)) for nb in range(1, n_blocks + 1)]
-    etas = np.arange(1, horizon + 1, dtype=float)
-    np.divide(l1, etas, out=etas)  # eta_t = l1/t, in place: one horizon-length vector
 
     def work(lo: int, hi: int) -> np.ndarray:
+        kernels = _kernel.load()
+        gens = kernels.generators(seeds[lo:hi])
+        x = np.full(hi - lo, float(x0) + problem.theta)
         block_max = np.full((n_blocks, hi - lo), -np.inf)
-
-        def reduce(t0: int, dev: np.ndarray) -> None:
-            _kernel.load().lil_max(dev, t0, block_max)
-
         # run_lil_ensemble raises on non-finite maxima: numpy's warnings would precede it
         with np.errstate(over="ignore", invalid="ignore"):
-            rm_batch(problem, etas, float(x0) + problem.theta, seeds[lo:hi], False, reduce)
+            for t0 in range(1, horizon + 1, LIL_STEPS):
+                m = min(LIL_STEPS, horizon + 1 - t0)
+                kernels.lil_chunk(x, gens, t0, m, l1, problem, SQRT3, block_max)
         return block_max
 
     maxima = _in_blocks(len(seeds), len(seeds), threads, work)
@@ -676,12 +674,13 @@ def run_lil_ensemble(
         raise FloatingPointError(
             f"non-finite LIL statistic {block_max[i, j]} in seed index {j} in block t={lo}..{hi}"
         )
+    running_max = np.maximum.accumulate(block_max, axis=0)
     reports = []
     for j in range(block_max.shape[1]):
         stats = tuple(
             (lo, hi, float(block_max[i, j])) for i, (lo, hi) in enumerate(bounds)
         )
-        running = tuple(np.maximum.accumulate(block_max[:, j]).tolist())
+        running = tuple(running_max[:, j].tolist())
         reports.append(LilReport(block_stats=stats, running_max=running, l_const=l_const))
     return reports
 

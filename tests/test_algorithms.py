@@ -355,7 +355,6 @@ def test_sum_last_matches_np_sum_bitwise():
 
 @pytest.mark.parametrize("name", ["sgd", "krasulina-rotated", "rm", "ridge"])
 def test_streamed_losses_match_stored(name, monkeypatch):
-    # rm streams the signed deviations x_t - theta, whose squares are the loss
     width, run = ENGINES[name]
     seeds = [rep_seed(4, i) for i in range(3)]
     monkeypatch.setattr(algorithms, "MIN_ROWS", 1)
@@ -370,8 +369,6 @@ def test_streamed_losses_match_stored(name, monkeypatch):
     sizes = [c.shape[1] for _, c in chunks]
     assert starts == [0] + list(np.cumsum(sizes)[:-1]) and max(sizes) == 7
     streamed = np.concatenate([c for _, c in chunks], axis=1)
-    if name == "rm":
-        streamed = streamed**2
     assert streamed.tobytes() == stored.tobytes()
 
 

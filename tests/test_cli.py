@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from anytime_iter import cli, harness
+from anytime_iter import _kernel, cli, harness
 from anytime_iter.cli import main
 
 
@@ -303,7 +303,7 @@ def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
 
         for engine, command, path in (
             ("sgd_batch", "coverage", cfg),
-            ("rm_batch", "lil", lil_cfg),
+            ("_lil_batch", "lil", lil_cfg),
             ("pca_batch", "oja-cold-start", cold_cfg),
         ):
             with monkeypatch.context() as mp:
@@ -360,10 +360,18 @@ def test_lil_reports_reproducible_across_threads(tmp_path, monkeypatch):
     # lil splits its seeds into one block per worker; each seed's maxima are
     # one column, so the report and the CSV keep every byte
     batches = []
-    rm_batch = harness.rm_batch
-    monkeypatch.setattr(
-        harness, "rm_batch", lambda *a, **kw: batches.append(len(a[3])) or rm_batch(*a, **kw)
-    )
+    kernels = _kernel.load()
+
+    class Counting:
+        def __getattr__(self, name):
+            return getattr(kernels, name)
+
+        def generators(self, seeds):
+            batches.append(len(seeds))
+            return kernels.generators(seeds)
+
+    counting = Counting()
+    monkeypatch.setattr(_kernel, "load", lambda: counting)
     monkeypatch.setattr(harness, "_usable_cores", lambda: 4)
     cfg = write_cfg(
         tmp_path, "lil.json", {"l1": 1.0, "l2": 1.0, "n_blocks": 6, "n_seeds": 7, "seed_base": 2}

@@ -27,7 +27,7 @@ from anytime_iter import (
     run_oja_cold_start,
     width_comparison,
 )
-from anytime_iter import _kernel, algorithms, harness
+from anytime_iter import _kernel, _reference, harness
 from anytime_iter._reference import REFERENCE
 from anytime_iter.harness import _drive, _quantiles, write_grid_csv, write_report_json
 from anytime_iter.seeding import rep_seed
@@ -419,18 +419,34 @@ def test_lil_ensemble_matches_single():
 
 
 def test_lil_maxima_invariant_to_chunk_length(monkeypatch):
-    # rm_batch chunks of 1, 7 and 8192 steps give identical block maxima;
+    # lil_chunk calls of 1, 7 and 8192 steps give identical block maxima;
     # 7-step chunks straddle the dyadic boundaries 8|9, 16|17, 32|33 and 64|65.
-    p = RmProblem(m_kind="cubic_plus_linear", theta=0.5, cub_a=0.3, cub_b=1.0)
+    # The cubic M runs the reference's lil_chunk, whose slices of 2 steps
+    # cut each chunk again
     seeds = [rep_seed(6, i) for i in range(3)]
-    monkeypatch.setattr(algorithms, "MIN_ROWS", 1)
-    results = []
-    for rows in (1, 7, 8192):
-        monkeypatch.setattr(algorithms, "DRAW_BUDGET", rows * len(seeds))
-        block_max, _ = harness._lil_batch(p, 1.0, 6, seeds, 1.0)
-        results.append(block_max)
-    for res in results[1:]:
-        assert np.array_equal(results[0], res)
+    monkeypatch.setattr(_reference, "PASS_BUDGET", 2 * len(seeds))
+    for m_kind in ("linear", "cubic_plus_linear"):
+        p = RmProblem(m_kind=m_kind, theta=0.5, slope=1.2, cub_a=0.3, cub_b=1.0)
+        results = []
+        for rows in (1, 7, 8192):
+            monkeypatch.setattr(harness, "LIL_STEPS", rows)
+            block_max, _ = harness._lil_batch(p, 1.0, 6, seeds, 1.0)
+            results.append(block_max.tobytes())
+        assert results[0] == results[1] == results[2], m_kind
+
+
+@pytest.mark.skipif(_kernel.load() is REFERENCE, reason="no C compiler here")
+def test_lil_memory_is_independent_of_the_horizon():
+    # 2^23 steps for one seed: a step vector alone would take 8 * 2^23
+    # bytes; the compiled lil_chunk keeps no vector of the horizon's length
+    p = RmProblem(m_kind="linear", slope=1.0)
+    tracemalloc.start()
+    try:
+        harness._lil_batch(p, 1.0, 22, [rep_seed(8, 0)], 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**23, peak
 
 
 def test_lil_validation():

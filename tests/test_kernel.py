@@ -39,7 +39,7 @@ from anytime_iter.algorithms import PcaProblem, RmProblem, SgdProblem
 from anytime_iter.algorithms import check_pca_recursion, pca_batch, ridge_batch, rm_batch
 from anytime_iter.algorithms import sgd_batch
 from anytime_iter.boundaries import StepSchedule
-from anytime_iter.harness import _lil_batch
+from anytime_iter.harness import _lil_batch, run_lil_ensemble
 from anytime_iter.recursion import RecursionParams, Trace, check_recursion
 from anytime_iter.seeding import rep_seed
 from anytime_iter.streams import LinearModelStream
@@ -471,12 +471,11 @@ def test_pca_calls_match_reference_bytes(shape, krasulina, normalize, record, ze
 @given(
     shape=SHAPES,
     cubic=st.booleans(),
-    signed_dev=st.booleans(),
     record=st.booleans(),
     zero=st.booleans(),
     seed=SEEDS,
 )
-def test_rm_calls_match_reference_bytes(shape, cubic, signed_dev, record, zero, seed):
+def test_rm_calls_match_reference_bytes(shape, cubic, record, zero, seed):
     # the compiled rm_chunk runs the reference's for the cubic M
     n, _, chunks, lo, extra = shape
     total = sum(chunks)
@@ -502,8 +501,7 @@ def test_rm_calls_match_reference_bytes(shape, cubic, signed_dev, record, zero, 
         for steps, t in chunk_slices(chunks, lo):
             channels = [c[:, t] for c in a["channels"]] if record else []
             k.rm_chunk(
-                a["state"], gens, a["etas"][steps], problem, radius, signed_dev,
-                a["loss"][:, t], *channels,
+                a["state"], gens, a["etas"][steps], problem, radius, a["loss"][:, t], *channels
             )
 
     same_bytes(build, call, [rep_seed(seed, i) for i in range(n)])
@@ -569,17 +567,15 @@ def test_ridge_calls_match_reference_bytes(shape, penalty_in_gradient, zero, see
     same_bytes(build, call)
 
 
-# what a deviation may be besides a plain number: each gives a statistic of
-# nan, +inf or +0.0, or overflows to +inf
-SPECIAL_DEVS = (np.nan, np.inf, -np.inf, 0.0, -0.0, 1e300, -1e300)
-
-
 @st.composite
 def lil_starts(draw):
-    """n_blocks, and a first time t0 >= 1 within 40 of a power of two up to
-    the horizon 2^(n_blocks+1), so that the chunks cross the boundary between
-    two blocks, or leave the last one."""
+    """n_blocks, and a first time t0 >= 1: t = 1 or 2, before the first
+    block, or within 40 of a power of two up to the horizon
+    2^(n_blocks+1), so that the chunks cross the boundary between two
+    blocks, or leave the last one."""
     n_blocks = draw(st.integers(1, 24))
+    if draw(st.booleans()):
+        return n_blocks, draw(st.integers(1, 2))
     e = draw(st.integers(0, n_blocks + 1))
     return n_blocks, max(1, 2**e + draw(st.integers(-40, 40)))
 
@@ -587,45 +583,58 @@ def lil_starts(draw):
 @needs_kernel
 @CALLS
 @given(
-    n=st.integers(1, 9),
+    n=st.integers(1, 20),
     start=lil_starts(),
     chunks=st.lists(st.integers(1, 60), min_size=1, max_size=4),
-    extra=st.integers(0, 3),
-    specials=st.lists(
-        st.tuples(st.integers(0, 8), st.integers(0, 239), st.sampled_from(SPECIAL_DEVS)),
-        max_size=6,
-    ),
+    # l1 of 1e4 and x0 of 1e150 or more drive the paths to +-inf and nan
+    l1=st.sampled_from((0.5, 1.0, 3.0, 1e4)),
+    x0=st.sampled_from((1.0, -2.0, 1e150, 1e300)),
     seed=SEEDS,
 )
-def test_lil_calls_match_reference_bytes(n, start, chunks, extra, specials, seed):
+def test_lil_calls_match_reference_bytes(n, start, chunks, l1, x0, seed):
+    # lil_chunk steps and folds in C as the reference's steps and fold do,
+    # over partial blocks of lanes, into maxima that hold nan, +inf and
+    # finite values already: the same iterates, maxima and generator states,
+    # byte for byte, but for the sign of a nan in the maxima.  A diverging
+    # path's nan is the one invalid operations give, -nan here, which C
+    # keeps; numpy's max over two or more of them returns +nan
     n_blocks, t0 = start
     rng = np.random.default_rng(seed)
-    devs = rng.standard_normal((n, sum(chunks))) * rng.uniform(0.0, 3.0, (n, 1))
-    for i, k, v in specials:
-        if i < n and k < devs.shape[1]:
-            devs[i, k] = v
-    l0 = rng.standard_normal(n)
+    theta, slope = rng.uniform(-1.0, 1.0), rng.uniform(0.2, 1.5)
+    problem = RmProblem(m_kind="linear", theta=theta, slope=slope)
+    seeds = [rep_seed(seed, i) for i in range(n)]
 
-    def run(k):
-        # as rm_batch streams them: the deviations at t = 0 as an (n, 1)
-        # view, then each chunk through one reused buffer wider than any chunk
-        block_max = np.full((n_blocks, n), -np.inf)
-        buf = np.full((n, max(chunks) + extra), -1.5)
+    def build():
+        rng = np.random.default_rng(seed + 1)
+        block_max = rng.choice([-np.inf, -np.inf, 0.0, 0.5, np.inf, np.nan], (n_blocks, n))
+        return dict(state=theta + x0 * rng.uniform(0.5, 1.5, n), block_max=block_max)
+
+    def call(k, gens, a):
+        lo = t0
         with np.errstate(over="ignore", invalid="ignore"):
-            k.lil_max(l0[:, None], 0, block_max)
-            lo = 0
             for m in chunks:
-                buf[:, :m] = devs[:, lo : lo + m]
-                k.lil_max(buf[:, :m], t0 + lo, block_max)
+                k.lil_chunk(a["state"], gens, lo, m, l1, problem, 1.5, a["block_max"])
                 lo += m
-        return block_max.tobytes()
+        a["block_max"][np.isnan(a["block_max"])] = np.nan
 
-    assert run(_kernel.load()) == run(REFERENCE)
+    same_bytes(build, call, seeds)
+
+    # and whole runs, diverging or not, give the same reports or raise the
+    # same FloatingPointError
+    def ensemble(kernels):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernel, "load", lambda: kernels)
+            try:
+                return run_lil_ensemble(problem, l1, l1, min(n_blocks, 6), seeds, x0)
+            except FloatingPointError as exc:
+                return str(exc)
+
+    assert ensemble(_kernel.load()) == ensemble(REFERENCE)
 
 
 @needs_kernel
 def test_compiled_loglog_is_libm_loglog():
-    # the blocks start at t = 3; Reference.lil_max takes math.log of
+    # the blocks start at t = 3; Reference.lil_chunk takes math.log of
     # math.log, which calls libm's log
     ts = range(3, 2**20 + 1)
     got = np.empty(len(ts))
@@ -657,7 +666,7 @@ def test_kernels_share_one_public_interface():
     chunks = {"sgd_chunk", "pca_chunk", "rm_chunk", "ridge_chunk"}
     draws = {"generators", "states", "normals", "signs", "uniform"}
     checks = {"recursion_failure", "pca_failure"}
-    assert public(StepKernels) == chunks | draws | checks | {"lil_max"}
+    assert public(StepKernels) == chunks | draws | checks | {"lil_chunk"}
     assert public(Reference) == public(StepKernels) | {"sphere"}
 
 
@@ -861,7 +870,7 @@ def test_chunk_draws_leave_numpy_generator_state(width):
         return run
 
     def rm(gens, m):
-        k.rm_chunk(np.zeros(n), gens, np.full(m, 0.1), RM_LINEAR, radius, False, np.empty((n, m)))
+        k.rm_chunk(np.zeros(n), gens, np.full(m, 0.1), RM_LINEAR, radius, np.empty((n, m)))
 
     def draw(method, out, *args):
         method(out, *args)
@@ -946,12 +955,14 @@ def test_optimisation_level_changes_no_byte(level, tmp_path, monkeypatch):
             v, np.sum(v * v, axis=1), gens, etas, np.sqrt(eigs), eigs, True, True, loss_pca,
             *channels[6:10],
         )
-        k.rm_chunk(r, gens, etas, RM_LINEAR, 1.0, True, loss_rm, *channels[10:])
+        k.rm_chunk(r, gens, etas, RM_LINEAR, 1.0, loss_rm, *channels[10:])
+        block_max = np.full((6, n), -np.inf)
+        k.lil_chunk(r, gens, 1, 2 * m, 0.7, RM_LINEAR, 1.0, block_max)
         theta_star = np.linspace(0.5, -0.5, d)
         xs = rng.standard_normal((m, n, d))
         ys = xs @ theta_star + rng.uniform(-0.5, 0.5, (m, n))
         k.ridge_chunk(theta, xs, ys, etas, theta_star, 0.1, True, 1.0, loss_ridge)
-        return hits, [a.tobytes() for a in out], gens.tobytes()
+        return hits, [a.tobytes() for a in out], block_max.tobytes(), gens.tobytes()
 
     for d, p in ((2, 4), (3, 3)):
         assert chunks(built, d, p) == chunks(_kernel.load(), d, p), (d, p)
@@ -1359,15 +1370,38 @@ def test_batching_invariances_on_numpy_path(numpy_steps):
 
 
 def test_lil_folds_with_the_kernels_of_the_call(numpy_steps):
-    # _lil_batch looks lil_max up through _kernel.load as it folds, so the
-    # reference reduces whenever the engines run the reference
-    t0s = []
-    fold = Reference.lil_max
+    # _lil_batch looks lil_chunk up through _kernel.load, so the reference
+    # steps and folds whenever the engines run the reference: 16 steps, in
+    # one call from t = 1
+    calls = []
+    chunk = Reference.lil_chunk
     numpy_steps.setattr(
-        Reference, "lil_max", lambda k, dev, t0, bm: t0s.append(t0) or fold(k, dev, t0, bm)
+        Reference, "lil_chunk", lambda k, *a: calls.append(a[2:4]) or chunk(k, *a)
     )
     _lil_batch(RM_LINEAR, 1.0, 3, [rep_seed(1, 0)], 1.0)
-    assert t0s == [0, 1]
+    assert calls == [(1, 16)]
+
+
+@needs_kernel
+def test_cubic_lil_runs_no_compiled_lil_chunk(monkeypatch):
+    # C cannot step the cubic M as numpy does, so its LIL run makes no C
+    # lil_chunk call, only the compiled draws the reference's steps take
+    k = _kernel.load()
+    called = []
+
+    class Lib:
+        def __getattr__(self, name, _lib=k._lib):
+            fn = getattr(_lib, name)
+            return lambda *a: called.append(name) or fn(*a)
+
+    monkeypatch.setattr(k, "_lib", Lib())
+    seeds = [rep_seed(1, i) for i in range(3)]
+    cubic = RmProblem(m_kind="cubic_plus_linear", cub_a=0.3, cub_b=1.0)
+    _lil_batch(cubic, 1.0, 3, seeds, 1.0)
+    assert "lil_chunk" not in called and "uniform_draw" in called
+    called.clear()
+    _lil_batch(RM_LINEAR, 1.0, 3, seeds, 1.0)
+    assert called == ["seed_states", "lil_chunk"]
 
 
 SMALL_SGD = dict(test_cli.SGD_CFG, n_reps=4, horizon=20, record_grid=[])

@@ -14,6 +14,9 @@ build runs first, for --rounds rounds:
   * pca:      pca_chunk, Krasulina, p = 4, losses only;
   * pca-wide: pca, p = 16, each step normalised;
   * rm:       rm_chunk, linear M, losses only;
+  * lil:      lil_chunk, linear M, eta_t = 1/t from t = 1 into 12 blocks;
+              for a revision without lil_chunk, its rm_chunk of signed
+              deviations into a buffer and its lil_max fold of them;
   * ridge:    ridge_chunk, d = 2, the ridge engine's RIDGE_ROWS = 2048 steps
               whatever --steps says, on covariates and responses drawn
               once in numpy;
@@ -45,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import inspect
 import io
 import statistics
 import subprocess
@@ -119,8 +123,22 @@ def chunks(n: int, m: int) -> dict:
 
     def root(k, gens):
         out = np.empty((n, m))
-        k.rm_chunk(np.full(n, 1.0), gens, etas, rm, SQRT3, False, out)
+        flag = (False,) if "signed_dev" in inspect.signature(k.rm_chunk).parameters else ()
+        k.rm_chunk(np.full(n, 1.0), gens, etas, rm, SQRT3, *flag, out)
         return out
+
+    lil_etas = np.divide(1.0, np.arange(1, m + 1, dtype=float))
+
+    def lil(k, gens):
+        state = np.full(n, 1.0 + rm.theta)
+        block_max = np.full((12, n), -np.inf)
+        if hasattr(k, "lil_chunk"):
+            k.lil_chunk(state, gens, 1, m, 1.0, rm, SQRT3, block_max)
+        else:
+            dev = np.empty((n, m))
+            k.rm_chunk(state, gens, lil_etas, rm, SQRT3, True, dev)
+            k.lil_max(dev, 1, block_max)
+        return block_max
 
     def ridge(k, gens):
         out = np.empty((n, RIDGE_ROWS))
@@ -135,6 +153,7 @@ def chunks(n: int, m: int) -> dict:
         "pca": pca(4, False),
         "pca-wide": pca(16, True),
         "rm": root,
+        "lil": lil,
         "ridge": ridge,
     }
 
@@ -166,7 +185,8 @@ def main(argv=None) -> int:
                     out = call(k, gens)
                     times[label] = time.perf_counter() - start
                     written[label] = out.tobytes(), k.states(gens)
-                    ns = times[label] / (args.reps * out.shape[-1]) * 1e9
+                    steps = RIDGE_ROWS if name == "ridge" else args.steps
+                    ns = times[label] / (args.reps * steps) * 1e9
                     per_step.setdefault((name, label), []).append(ns)
                 if written["A"][0] != written["B"][0]:
                     raise SystemExit(f"{name}: the two builds wrote different bytes")

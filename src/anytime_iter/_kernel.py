@@ -16,7 +16,7 @@ draw and chunk methods take what its own generators(seeds) returns:
     writes its losses, and its channels when the engine records them,
     straight into row i of the (N, T) results or chunk buffer; SGD, PCA and
     root finding draw each replication's values from its own generator,
-    while ridge's draws stay per generator in numpy (see
+    while ridge's come from this object's signs and uniform (see
     algorithms.ridge_batch).  No draw chunk and no trajectory buffer is
     built.  C performs the reference's correctly rounded IEEE operations in
     the same order, each numpy expression left to right with its

@@ -33,13 +33,14 @@ anything default_rng takes (seeding.SeedLike); the harness passes
 and for PCA the squared norms the next step divides by) in place, and
 writes the losses and, with record_channels, every noise channel in the
 elementwise order of the per-step formulas.  The SGD, PCA and root-finding
-calls draw their chunk too; ridge_batch draws its chunk per generator, with
-a fixed RIDGE_ROWS, and hands it to the call.  Each compiled chunk is one
-replication-major C call at every width, with no draw chunk and no
-trajectory buffer, or, for the cubic M, which C cannot step as numpy does,
-the reference's chunk on the compiled draws, which steps and passes
-through slices of a trajectory buffer (see _reference).  Either way the
-transient memory is O(N*chunk) with or without recording.
+calls draw their chunk too; ridge_batch first draws its chunk with the
+kernels' signs and uniform and forms the responses in numpy (_ridge_draw),
+in groups of replications.  Each compiled chunk is one replication-major
+C call at every width, with no draw chunk and no trajectory buffer, or,
+for the cubic M, which C cannot step as numpy does, the reference's chunk
+on the compiled draws, which steps and passes through slices of a
+trajectory buffer (see _reference).  Either way the transient memory is
+O(N*chunk) with or without recording.
 """
 from __future__ import annotations
 
@@ -52,7 +53,7 @@ from . import _kernel, _reference
 from .boundaries import StepSchedule
 from .problems import PcaProblem, RmProblem, SgdProblem
 from .recursion import CheckReport, RecursionParams, Trace, _report
-from .seeding import SeedLike, make_generator
+from .seeding import SeedLike
 from .streams import SQRT3, LinearModelStream
 
 __all__ = [
@@ -300,33 +301,43 @@ def ridge_batch(
 ) -> dict:
     """Advance ridge-SGD replications in lock step; on_chunk as in sgd_batch.
 
-    Each generator draws its chunk with LinearModelStream.draw: signs for
-    the whole chunk, then its uniforms, so the draws depend on the chunk
-    length RIDGE_ROWS; and x @ theta_star is a BLAS product, whose summation
-    order may change with the operand shapes, so drawing for the whole batch
-    at once could change the responses.
+    The draws depend on the chunk length (_ridge_draw), so chunks keep
+    RIDGE_ROWS steps, and the draw budget bounds instead the replications
+    each chunk draws and steps at once.
     """
     n = len(seeds)
     d = stream.dim
     horizon = len(etas)
-    gens = [make_generator(s) for s in seeds]
     kernels = _kernel.load()
+    gens = kernels.generators(seeds)
     radius = diam / 2.0
     theta_star = np.asarray(stream.theta_star)
+    group = max(1, DRAW_BUDGET // (RIDGE_ROWS * (d + 1)))
 
     theta0 = _check_in_ball(theta0, radius, "theta0", d)
     losses = None if on_chunk else np.empty((n, horizon + 1))
     theta = np.tile(theta0, (n, 1))
     l0 = np.sum((theta - theta_star) ** 2, axis=1)
     for t, out in _run(l0, horizon, RIDGE_ROWS, on_chunk, losses):
-        size = t.stop - t.start
-        xc, yc = np.empty((size, n, d)), np.empty((size, n))
-        for j, gen in enumerate(gens):
-            xc[:, j, :], yc[:, j] = stream.draw(gen, size)
-        kernels.ridge_chunk(
-            theta, xc, yc, etas[t], theta_star, lambda_pen, penalty_in_gradient, radius, out
-        )
+        for g in (slice(lo, lo + group) for lo in range(0, n, group)):
+            xc, yc = _ridge_draw(kernels, stream, gens[g], t.stop - t.start)
+            kernels.ridge_chunk(
+                theta[g], xc, yc, etas[t], theta_star, lambda_pen, penalty_in_gradient, radius,
+                out[g],
+            )
     return {"loss": losses, "final_theta": theta}
+
+
+def _ridge_draw(kernels, stream: LinearModelStream, gens, m: int) -> tuple:
+    """The (m, n, d) covariates and (m, n) responses whose column j is
+    LinearModelStream.draw(gens[j], m): m steps' signs, then m uniforms,
+    and x @ theta_star as numpy's BLAS product, which a plain sum need not equal."""
+    n, d = len(gens), stream.dim
+    xc, xi = np.empty((m, n, d)), np.empty((m, n))
+    kernels.signs(xc, gens, np.full(d, stream.x_radius / math.sqrt(d)))
+    kernels.uniform(xi, gens, -stream.noise_radius, stream.noise_radius)
+    np.add(np.matmul(xc.transpose(1, 0, 2), np.asarray(stream.theta_star)).T, xi, out=xi)
+    return xc, xi
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ chunk of losses the engines stream into the first boundary crossings and
 the grid losses, refusing non-finite losses.  No (n_reps, horizon) loss
 matrix is built: losses in flight take O(block * chunk) memory, independent
 of the horizon.  Per-replication seeds are independent of the worker count,
-and the draws of the chunk-length invariant engines do not depend on the
-block size, so reports do not depend on scheduling.
+and no engine's draws depend on the block size, so reports do not depend
+on scheduling.
 
 The iterated-logarithm statistic runs on the kernels' lil_chunk: _lil_batch
 calls it once per LIL_STEPS steps, and each call steps the root-finding
@@ -27,10 +27,10 @@ maxima.  Its memory is O(seeds), independent of the horizon.  No step
 loop, no noise draw and no reduction of the statistic live here; _pca_v0
 only draws each replication's initial direction.
 
-Parameters an experiment rejects before any replication runs, including an
-unparsable problem spec or an initial point outside the ball, raise
-SpecError, a ValueError; errors raised while the replications run keep
-their own type, so a caller can tell a bad spec from a failed run.
+Parameters an experiment rejects before any replication runs, such as an
+unparsable problem spec, a start outside the ball or constants that
+overflow a float, raise SpecError, a ValueError; errors raised while the
+replications run keep their own type, so a caller can tell the two apart.
 
 _parse is the one reader of JSON configs: it builds frozen dataclasses
 from a JSON object, so each config field is declared once, with its type
@@ -51,14 +51,7 @@ from typing import Optional, Sequence, Tuple, Union, get_args, get_origin, get_t
 import numpy as np
 
 from . import _kernel
-from .algorithms import (
-    DRAW_BUDGET,
-    RIDGE_ROWS,
-    _check_in_ball,
-    pca_batch,
-    ridge_batch,
-    sgd_batch,
-)
+from .algorithms import _check_in_ball, pca_batch, ridge_batch, sgd_batch
 from .boundaries import (
     StepSchedule,
     oja_boundary,
@@ -106,7 +99,7 @@ def _spec(what: str):
     the run itself."""
     try:
         yield
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SpecError(f"{what}: {exc}") from exc
 
 
@@ -394,23 +387,22 @@ def _pca_runner(problem: PcaProblem, etas, v0, seed_base: int, variant: str, nor
 
 
 def _build_setup(config: CoverageConfig):
-    """Resolve a config into (boundary, block runner, replications per block)."""
+    """Resolve a config into (boundary, block runner)."""
     problem, start = config.parsed_problem
     if config.algorithm == "sgd_sc":
         boundary = sgd_boundary(problem.b, problem.lam, config.delta)
         x0 = _check_in_ball(start.x0, problem.radius, "x0", problem.dim)
         etas = boundary.schedule.etas(config.horizon)
-        return boundary, _sgd_runner(problem, etas, x0, config.seed_base), _REP_BLOCK
+        return boundary, _sgd_runner(problem, etas, x0, config.seed_base)
     if config.algorithm in ("krasulina", "oja"):
         boundary, _l_off = oja_boundary(problem.b, problem.rho, config.delta)
         etas = boundary.schedule.etas(config.horizon)
         v0 = _pca_v0(start.v0, problem, config.seed_base, 0, 1)[0]
         if v0.shape != (problem.dim,) or not np.any(v0):
             raise ValueError("v0 must be a nonzero vector of the problem's dimension")
-        run = _pca_runner(
+        return boundary, _pca_runner(
             problem, etas, start.v0, config.seed_base, config.algorithm, start.normalize
         )
-        return boundary, run, _REP_BLOCK
     # ridge: problem is the LinearModelStream
     theta_norm = float(np.linalg.norm(problem.theta_star))
     boundary = ridge_boundary(
@@ -418,16 +410,10 @@ def _build_setup(config: CoverageConfig):
     )
     theta0 = _check_in_ball(start.theta0, start.diam / 2.0, "theta0", problem.dim)
     etas = boundary.schedule.etas(config.horizon)
-
-    def run(lo: int, hi: int, on_chunk) -> None:
-        seeds = _seeds(config.seed_base, lo, hi)
-        ridge_batch(
-            problem, start.diam, start.lambda_pen, etas, theta0, seeds,
-            start.penalty_in_gradient, on_chunk,
-        )
-
-    # Ridge chunks keep RIDGE_ROWS steps, so the draw budget bounds the block.
-    return boundary, run, max(1, DRAW_BUDGET // (RIDGE_ROWS * (problem.dim + 1)))
+    return boundary, lambda lo, hi, on_chunk: ridge_batch(
+        problem, start.diam, start.lambda_pen, etas, theta0, _seeds(config.seed_base, lo, hi),
+        start.penalty_in_gradient, on_chunk,
+    )
 
 
 def _usable_cores() -> int:
@@ -437,7 +423,7 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _drive(n_reps, run, block, grid=(), widths=None, scan_from=0, origin=0, threads=0):
+def _drive(n_reps, run, grid=(), widths=None, scan_from=0, origin=0, threads=0):
     """Stream every replication's losses, block by block, through one reduction.
 
     run(lo, hi, on_chunk) advances replications lo..hi-1 and calls
@@ -476,7 +462,7 @@ def _drive(n_reps, run, block, grid=(), widths=None, scan_from=0, origin=0, thre
         with np.errstate(over="ignore", invalid="ignore"):
             run(lo, hi, reduce)
 
-    _in_blocks(n_reps, block, threads, work)
+    _in_blocks(n_reps, _REP_BLOCK, threads, work)
     return tuple(int(t) for t in np.sort(first[first >= 0])), at_grid
 
 
@@ -534,13 +520,11 @@ def run_coverage(config: CoverageConfig, threads: int = 0) -> CoverageReport:
     """
     start_time = time.perf_counter()
     with _spec("invalid problem spec"):
-        boundary, run, block = _build_setup(config)
+        boundary, run = _build_setup(config)
         t_all = np.arange(0, config.horizon + 1)
         widths = np.asarray(boundary.eval(t_all, config.delta)) * config.boundary_scale
     grid = config.record_grid
-    first_times, at_grid = _drive(
-        config.n_reps, run, block, grid, widths, boundary.valid_from, 0, threads
-    )
+    first_times, at_grid = _drive(config.n_reps, run, grid, widths, boundary.valid_from, 0, threads)
     violations = len(first_times)
     rate = violations / config.n_reps
     quantiles = {}
@@ -587,7 +571,7 @@ def run_last_iterate(config: CoverageConfig, t_eval: int, threads: int = 0) -> T
         etas = schedule.etas(t_eval)
         x0 = _check_in_ball(start.x0, problem.radius, "x0", problem.dim)
     run = _sgd_runner(problem, etas, x0, config.seed_base)
-    _, at_eval = _drive(config.n_reps, run, _REP_BLOCK, (t_eval,), threads=threads)
+    _, at_eval = _drive(config.n_reps, run, (t_eval,), threads=threads)
     exceed = int(np.count_nonzero(at_eval[:, 0] > bound))
     return exceed / config.n_reps, bound
 
@@ -735,9 +719,7 @@ def run_oja_cold_start(
         widths = np.asarray(boundary.eval(np.arange(0, horizon + 1), delta_b))
 
     run = _pca_runner(problem, etas, "uniform", seed_base, variant, True)
-    first_times, at_split = _drive(
-        n_reps, run, _REP_BLOCK, (split,), widths, split, split, threads=threads
-    )
+    first_times, at_split = _drive(n_reps, run, (split,), widths, split, split, threads=threads)
     hits = int(np.count_nonzero(at_split[:, 0] <= 0.25))
     violations = len(first_times)
 

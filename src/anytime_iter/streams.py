@@ -15,7 +15,8 @@ lambda_min, R1, ...) entering the boundaries are exact rather than estimated:
 The engines draw the first three inside the chunk methods of the kernels
 _kernel.load returns (Reference.sphere, signs and uniform in numpy, or the
 compiled draws), so that column j of a batch draw equals what generator j
-alone draws; LinearModelStream draws per generator, for ridge_batch.
+alone draws; LinearModelStream.draw is the per-generator twin of
+ridge_batch's draws with them (algorithms._ridge_draw).
 """
 from __future__ import annotations
 
@@ -50,6 +51,8 @@ class LinearModelStream:
             raise ValueError("theta_star must not be empty")
         if self.x_radius <= 0 or self.noise_radius < 0:
             raise ValueError("x_radius must be positive and noise_radius nonnegative")
+        if not math.isfinite(self.noise_radius - -self.noise_radius):
+            raise ValueError("noise_radius must keep its uniforms' range 2*noise_radius finite")
 
     @property
     def dim(self) -> int:

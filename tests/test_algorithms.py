@@ -2,6 +2,7 @@
 recursion checks, batching equivalences, and geometry invariants."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -413,6 +414,22 @@ def test_ridge_iterates_stay_in_ball():
     tr = ridge_sgd(stream, 1.0, 0.0, sch, (0.0, 0.0), 500, seed=5)
     # loss is ||theta - theta*||^2 with theta confined to the ball of radius 0.5
     assert np.all(np.sqrt(tr.losses) >= 0.9 - 0.5 - 1e-9)
+
+
+def test_ridge_draws_in_groups_within_the_draw_budget():
+    # 512 replications stream one 2048-step chunk: besides the (512, 2048)
+    # loss buffer, the engine holds the draws of a group of 21 replications
+    # at a time (about 1 MB, two groups' while the next is drawn), not the
+    # 25 MB of all 512 at once
+    seeds = [(3, i) for i in range(512)]
+    etas = StepSchedule.inverse_time(1.0, 32.0).etas(algorithms.RIDGE_ROWS)
+    tracemalloc.start()
+    try:
+        ridge_batch(RIDGE, 2.0, 0.0, etas, (0.0, 0.0), seeds, on_chunk=lambda t0, loss: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * algorithms.RIDGE_ROWS * 8 + 2**22, peak
 
 
 # ---------------------------------------------------------------------------

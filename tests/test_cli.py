@@ -206,6 +206,35 @@ def test_empty_vector_is_a_config_error(name, problem, fields, field, tmp_path):
     assert code == 2 and f"{field} must not be empty" in err, err
 
 
+@pytest.mark.parametrize(
+    "name,problem",
+    [
+        ("ridge_coverage.json", {"lambda_pen": 1e308}),  # in ridge_boundary
+        ("ridge_coverage.json", {"x_radius": 1e200}),  # in lambda_min
+        ("krasulina_coverage.json", {"eigs": [1e200, 1.0]}),
+    ],
+)
+def test_overflowing_constants_are_config_errors(name, problem, tmp_path):
+    # constants that overflow a float fail before any replication runs: a
+    # config error (exit 2), not an internal OverflowError (exit 3)
+    code, err = run_text(tmp_path, SHIPPED[name][0], small_shipped(name, problem))
+    assert code == 2 and err.startswith("error: invalid problem spec"), err
+
+
+@pytest.mark.parametrize("compiled", [True, False])
+def test_noise_radius_whose_range_overflows_is_a_config_error(compiled, tmp_path, monkeypatch):
+    # Generator.uniform refuses a range 2 * noise_radius that overflows, and
+    # the compiled uniforms would draw inf and nan from it: both kernels
+    # refuse the config before drawing
+    if compiled and _kernel.load() is _kernel.REFERENCE:
+        pytest.skip("no C compiler here")
+    if not compiled:
+        monkeypatch.setattr(_kernel, "load", lambda: _kernel.REFERENCE)
+    payload = small_shipped("ridge_coverage.json", {"noise_radius": 1e308})
+    code, err = run_text(tmp_path, "coverage", payload)
+    assert code == 2 and "noise_radius" in err, err
+
+
 def _json_kind(value) -> str:
     for kind, types in (("bool", bool), ("string", str), ("list", list), ("object", dict)):
         if isinstance(value, types):

@@ -216,7 +216,7 @@ def test_every_worker_gets_a_block(n_reps):
             blocks.append((lo, hi))
             on_chunk(0, np.zeros((hi - lo, 1)))
 
-        _drive(n_reps, run, 512, threads=threads)
+        _drive(n_reps, run, threads=threads)
         size = math.ceil(n_reps / threads)
         assert sorted(blocks) == [(lo, min(lo + size, n_reps)) for lo in range(0, n_reps, size)]
 
@@ -245,7 +245,7 @@ def test_pool_starts_no_more_workers_than_blocks_or_cores(
         blocks.append((lo, hi))
         on_chunk(0, np.zeros((hi - lo, 1)))
 
-    _drive(n_reps, run, 512, threads=threads)
+    _drive(n_reps, run, threads=threads)
     size = min(512, math.ceil(n_reps / threads)) if threads > 1 else 512
     assert sorted(blocks) == [(lo, min(lo + size, n_reps)) for lo in range(0, n_reps, size)]
     assert pools == ([] if workers is None else [workers])
@@ -331,7 +331,7 @@ def test_non_finite_loss_fails_loudly():
         on_chunk(1, chunk)
 
     with pytest.raises(FloatingPointError, match=r"replication 514 at t=4"):
-        _drive(600, run, 512, grid=(0,), widths=np.ones(6))
+        _drive(600, run, grid=(0,), widths=np.ones(6))
 
 
 # ---------------------------------------------------------------------------

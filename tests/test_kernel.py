@@ -882,6 +882,27 @@ def test_chunk_draws_leave_numpy_generator_state(width):
     def uniform(g, m):
         return g.uniform(-radius, radius, size=m)
 
+    # ridge: the engine's draws, its responses and the losses of one chunk
+    # from theta = 0 on them, against LinearModelStream.draw per generator
+    stream = LinearModelStream(tuple(np.linspace(-0.5, 0.7, width)), 1.3, radius)
+
+    def ridge_loss(kernels, xs, ys):
+        m, n, _ = xs.shape
+        loss = np.empty((n, m))
+        kernels.ridge_chunk(
+            np.zeros((n, width)), xs, ys, np.full(m, 0.1), np.asarray(stream.theta_star), 0.1,
+            True, 1.0, loss,
+        )
+        return loss
+
+    def ridge(gens, m):
+        xs, ys = algorithms._ridge_draw(k, stream, gens, m)
+        return np.dstack((xs, ys, ridge_loss(k, xs, ys).T))
+
+    def ridge_twin(g, m):
+        x, y = stream.draw(g, m)
+        return np.column_stack((x, y, ridge_loss(REFERENCE, x[:, None], y[:, None])[0]))
+
     # name -> (the compiled call, returning its draws or None, and what a
     # twin generator draws for the same chunk)
     kinds = {
@@ -889,6 +910,7 @@ def test_chunk_draws_leave_numpy_generator_state(width):
         "sgd": (sgd(2.0), lambda g, m: g.standard_normal((m, width))),
         "sgd-no-noise": (sgd(0.0), lambda g, m: None),
         "rm": (rm, uniform),
+        "ridge": (ridge, ridge_twin),
         "signs": (lambda gens, m: draw(k.signs, np.empty((m, n, width)), gens), signs),
         "uniform": (
             lambda gens, m: draw(k.uniform, np.empty((m, n)), gens, -radius, radius), uniform
@@ -906,10 +928,25 @@ def test_chunk_draws_leave_numpy_generator_state(width):
             states = k.states(gens)
             assert states == REFERENCE.states(twins), (name, m)
             spare += [s["has_uint32"] for s in states]
-        if name in ("pca", "signs") and width % 2:
+        if name in ("pca", "signs", "ridge") and width % 2:
             assert 1 in spare and 0 in spare, name
         if name == "sgd-no-noise":
             assert states == numpy_states(seeds)
+
+
+@pytest.mark.parametrize("d", [8, 17, 40])
+def test_ridge_responses_are_each_generators_draw(d):
+    # the engine forms the responses of a group of replications with one
+    # numpy product; each generator's must be the bytes of its own draw,
+    # whose product numpy forms for that generator alone
+    stream = LinearModelStream(tuple(np.linspace(-1.0, 0.9, d) / d), 1.5, 0.5)
+    seeds = [rep_seed(29, i) for i in range(13)]
+    for kernels in {_kernel.load(), REFERENCE}:
+        for m in (algorithms.RIDGE_ROWS, 5):
+            xs, ys = algorithms._ridge_draw(kernels, stream, kernels.generators(seeds), m)
+            want = [stream.draw(g, m) for g in REFERENCE.generators(seeds)]
+            assert xs.tobytes() == np.stack([x for x, _ in want], axis=1).tobytes(), m
+            assert ys.tobytes() == np.stack([y for _, y in want], axis=1).tobytes(), m
 
 
 @needs_kernel
@@ -1107,7 +1144,9 @@ class CountingKernels:
 )
 def test_engines_make_one_kernel_call_per_chunk(engine, method, compiled, monkeypatch):
     # 60 steps in chunks of 7: 9 chunks, each one chunk call, with or
-    # without recording or streaming, whichever kernels the engines get
+    # without recording or streaming, whichever kernels the engines get;
+    # ridge draws its chunk with the kernels' signs and uniform first,
+    # since its responses are numpy's product (one group of 3 here)
     if compiled and _kernel.load() is REFERENCE:
         pytest.skip("no C compiler here")
     width, run = ENGINES[engine]
@@ -1120,12 +1159,11 @@ def test_engines_make_one_kernel_call_per_chunk(engine, method, compiled, monkey
     runs = [{}, {"on_chunk": lambda t0, loss: None}]
     if engine != "ridge":  # ridge records no channels
         runs.append({"record_channels": False})
-    # ridge draws per generator in numpy, without the kernels' generators
-    setup = [] if engine == "ridge" else ["generators"]
+    chunk = ["signs", "uniform", method] if engine == "ridge" else [method]
     for kw in runs:
         kernels.calls.clear()
         run(seeds, **kw)
-        assert kernels.calls == setup + [method] * 9, kw
+        assert kernels.calls == ["generators"] + chunk * 9, kw
 
 
 def test_compiled_functions_are_the_bound_ones():

@@ -15,8 +15,6 @@ build runs first, for --rounds rounds:
   * pca-wide: pca, p = 16, each step normalised;
   * rm:       rm_chunk, linear M, losses only;
   * lil:      lil_chunk, linear M, eta_t = 1/t from t = 1 into 12 blocks;
-              for a revision without lil_chunk, its rm_chunk of signed
-              deviations into a buffer and its lil_max fold of them;
   * ridge:    ridge_chunk, d = 2, the ridge engine's RIDGE_ROWS = 2048 steps
               whatever --steps says, on covariates and responses drawn
               once in numpy;
@@ -48,7 +46,6 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import inspect
 import io
 import statistics
 import subprocess
@@ -123,21 +120,13 @@ def chunks(n: int, m: int) -> dict:
 
     def root(k, gens):
         out = np.empty((n, m))
-        flag = (False,) if "signed_dev" in inspect.signature(k.rm_chunk).parameters else ()
-        k.rm_chunk(np.full(n, 1.0), gens, etas, rm, SQRT3, *flag, out)
+        k.rm_chunk(np.full(n, 1.0), gens, etas, rm, SQRT3, out)
         return out
-
-    lil_etas = np.divide(1.0, np.arange(1, m + 1, dtype=float))
 
     def lil(k, gens):
         state = np.full(n, 1.0 + rm.theta)
         block_max = np.full((12, n), -np.inf)
-        if hasattr(k, "lil_chunk"):
-            k.lil_chunk(state, gens, 1, m, 1.0, rm, SQRT3, block_max)
-        else:
-            dev = np.empty((n, m))
-            k.rm_chunk(state, gens, lil_etas, rm, SQRT3, True, dev)
-            k.lil_max(dev, 1, block_max)
+        k.lil_chunk(state, gens, 1, m, 1.0, rm, SQRT3, block_max)
         return block_max
 
     def ridge(k, gens):

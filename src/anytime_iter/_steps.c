@@ -9,11 +9,12 @@
  * Each replication advances its iterate in locals and writes its losses, and
  * its noise channels when the engine records them, into row i of row-strided
  * (n, m) outputs.  The SGD, PCA and root-finding chunks draw each
- * replication's values from its own generator; ridge_chunk reads the (m, n, d)
- * covariates and (m, n) responses the engine drew in numpy.  No draw chunk
- * and no trajectory buffer is built.  Inputs are C-contiguous float64 unless
- * said otherwise; the Python loader checks dtypes, strides and shapes before
- * calling.
+ * replication's values from its own generator; ridge_chunk reads the
+ * (m, n, d) covariates the engine drew with the sign draw loop below and the
+ * (m, n) responses it formed in numpy from them and the uniform draw loop's
+ * noise.  No draw chunk and no trajectory buffer is built.  Inputs are
+ * C-contiguous float64 unless said otherwise; the Python loader checks
+ * dtypes, strides and shapes before calling.
  *
  * Every function performs the IEEE operations of the numpy code it
  * replaces, one by one and in the same order, so its results are bit for bit
@@ -625,14 +626,16 @@ void uniform_draw(double *out, uint64_t *gens, long rows, long n, double low, do
 /* Chunks.  Each function advances the n replications of an engine by the m
  * steps of one chunk, replication-major: the outer loop runs over blocks of
  * LANES replications and the inner loop over the steps.  Replication i draws
- * its chunk's values from its generator, row i of gens (ridge reads them from
- * the engine's draws instead), steps its iterate,
- * held in locals, m times from state row i, writes its m losses into row i
- * of loss (row i starts at loss + i*ld_loss) and, when the channel pointers
- * are not NULL, its recorded channels into row i of each channel array (at
- * i*ld, or i*ld_pl for SGD's loss_pl), and leaves its last iterate in state
- * row i and its generator in gens row i.  The outputs are row-strided column
- * slices of the engine's (N, T) results, or of a chunk buffer.  Each step of
+ * its chunk's values from its generator, row i of gens (ridge instead reads
+ * the covariates the engine drew with signs and the responses it formed in
+ * numpy), steps its iterate, held in locals, m times from state row i,
+ * writes its m losses into row i of loss (row i starts at loss + i*ld_loss)
+ * and, when the channel pointers are not NULL, its recorded channels into
+ * row i of each channel array (at i*ld, or i*ld_pl for SGD's loss_pl), and
+ * leaves its last iterate in state row i and its generator in gens row i.
+ * While recording, it prefetches its loss and channel rows for writing
+ * (PREFETCH below).  The outputs are row-strided column slices of the
+ * engine's (N, T) results, or of a chunk buffer.  Each step of
  * a replication depends on the one before, through divisions and square
  * roots, so each step runs over the block's lanes operation by operation,
  * and the independent chains overlap.  The draws too: SGD draws a step's
@@ -669,6 +672,20 @@ void uniform_draw(double *out, uint64_t *gens, long rows, long n, double low, do
  * in memory. */
 #define LANES 8
 #define EACH_LANE(l) _Pragma("GCC unroll 8") for (long l = 0; l < LANES; l++)
+
+/* The recording branches of sgd_rows, pca_rows and rm_chunk ask for write
+ * access to each lane's output rows, the losses and every channel, AHEAD
+ * values ahead of step k, every 8 steps, which is one 64-byte line of each
+ * row; the guard keeps the requests inside the chunk's columns.  A recorded
+ * chunk stores into up to 8 lanes x 7 rows per step, each row in an array of
+ * its own, and without the requests the stores wait for their lines
+ * (tools/kernel_ab.py's rows sgd-rec, pca-rec and rm-rec time it).  The
+ * unrecorded loops store one loss row per lane and request nothing, so the
+ * runs that record nothing run the loops they ran before.  A prefetch
+ * changes no value. */
+#define AHEAD 16
+#define PREFETCH_AT(k, m) (((k) & 7) == 0 && (k) + AHEAD < (m))
+#define PREFETCH(row, k) __builtin_prefetch((row) + (k) + AHEAD, 1, 3)
 
 /* Returns CALL(w, buf), a long, with w equal to d and buf the chunk body's
  * scratch, SCRATCH(w) doubles.  For d = 2 and d = 4, the widths of the
@@ -767,6 +784,15 @@ INLINE long sgd_rows(double *buf, double *state, uint64_t *gens, const double *e
              * would add half the library's build time for no speed */
             for (long l = 0; loss_pl && l < LANES; l++) {
                 const long i = lane_row(i0, lanes, l);
+                if (PREFETCH_AT(k, m)) {
+                    PREFETCH(loss + i * ld_loss, k);
+                    PREFETCH(loss_pl + i * ld_pl, k);
+                    PREFETCH(noise_sc + i * ld, k);
+                    PREFETCH(noise_pl + i * ld, k);
+                    PREFETCH(y_sc + i * ld, k);
+                    PREFETCH(y_pl + i * ld, k);
+                    PREFETCH(gnorm2 + i * ld, k);
+                }
                 for (long j = 0; j < d; j++) {
                     dev[j] = x[l][j] - xs[j];
                     dn[j] = w[l][j] - xs[j];
@@ -884,6 +910,13 @@ INLINE long pca_rows(double *buf, double *state, double *norms, uint64_t *gens,
                 double r = 1.0 - (w[l][0] * w[l][0]) / next[l];
                 loss[i * ld_loss + k] = (0.0 >= r) ? 0.0 : r;
                 if (q) {
+                    if (PREFETCH_AT(k, m)) {
+                        PREFETCH(loss + i * ld_loss, k);
+                        PREFETCH(q + i * ld, k);
+                        PREFETCH(z_dot_v + i * ld, k);
+                        PREFETCH(znorm2 + i * ld, k);
+                        PREFETCH(ratio + i * ld, k);
+                    }
                     double c = (y[l] * y[l]) / vn2[l];
                     for (long j = 0; j < p; j++) {
                         z[j] = y[l] * x[l][j] - c * v[l][j];
@@ -959,6 +992,11 @@ void rm_chunk(double *state, uint64_t *gens, const double *etas, long m, long n,
                 const double dn = w - theta;
                 loss[i * ld_loss + k] = dn * dn;
                 if (q) {
+                    if (PREFETCH_AT(k, m)) {
+                        PREFETCH(loss + i * ld_loss, k);
+                        PREFETCH(q + i * ld, k);
+                        PREFETCH(noise + i * ld, k);
+                    }
                     double dev = x[l] - theta;
                     double qk = ((-2.0 * eta) * dev) * xi[l];
                     q[i * ld + k] = qk;

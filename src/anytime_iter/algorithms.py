@@ -40,7 +40,10 @@ C call at every width, with no draw chunk and no trajectory buffer, or,
 for the cubic M, which C cannot step as numpy does, the reference's chunk
 on the compiled draws, which steps and passes through slices of a
 trajectory buffer (see _reference).  Either way the transient memory is
-O(N*chunk) with or without recording.
+O(N*chunk) with or without recording.  A recorded call's outputs, its
+(N, T+1) losses and (N, T) channels, are carved from one allocation
+(_output_block), big enough for transparent huge pages where one array
+alone is not.
 """
 from __future__ import annotations
 
@@ -111,14 +114,22 @@ def _run(l0, horizon: int, rows: int, on_chunk, losses):
             on_chunk(start + 1, out)
 
 
-def _channel_block(k: int, n: int, horizon: int) -> np.ndarray:
-    """k recorded (n, horizon) channels as the rows of one (k, n, horizon)
-    allocation.  numpy asks the kernel for transparent huge pages only for
-    allocations of at least 4 MiB, which a (100, 5000) channel, 4.0 MB,
-    misses; one block gets them, where the host grants them, and faults in
-    a fraction of the pages.  Each row is a C-contiguous (n, horizon) array,
-    and holding one keeps the whole block alive."""
-    return np.empty((k, n, horizon))
+def _output_block(n: int, horizon: int, losses: int, channels: int) -> list:
+    """losses (n, horizon+1) loss arrays, then channels (n, horizon) channel
+    arrays, carved in that order from one flat float64 allocation, each
+    C-contiguous and starting where the one before ends.  numpy asks the
+    kernel for transparent huge pages only for allocations of at least
+    4 MiB, which a (100, 5000) channel or (100, 5001) loss array alone,
+    4.0 MB, misses; one block gets them, where the host grants them, and
+    faults in a fraction of the pages.  Every array is a view of the block,
+    so holding one keeps them all alive."""
+    shapes = [(n, horizon + 1)] * losses + [(n, horizon)] * channels
+    block = np.empty(sum(rows * cols for rows, cols in shapes))
+    arrays, start = [], 0
+    for rows, cols in shapes:
+        arrays.append(block[start : start + rows * cols].reshape(rows, cols))
+        start += rows * cols
+    return arrays
 
 
 def _check_in_ball(x, radius: float, name: str, dim=None) -> np.ndarray:
@@ -144,11 +155,12 @@ def sgd_batch(
 
     Returns per-replication arrays: loss_sc/loss_pl of shape (N, T+1) and,
     when record_channels is set, the noise decompositions and martingale
-    parts of shape (N, T), the five rows of one (5, N, T) block
-    (_channel_block), so holding one keeps all five alive; without it
-    loss_pl is None.  With on_chunk, loss_sc is None and on_chunk(t0,
-    losses) receives instead each chunk's losses at times t0, t0+1, ... in
-    an (N, k) buffer reused afterwards.
+    parts of shape (N, T); without it loss_pl is None.  A recorded call
+    carves loss_sc, loss_pl and the five channels, in that order, from one
+    allocation (_output_block), so holding one keeps them all alive.  With
+    on_chunk, loss_sc is None and on_chunk(t0, losses) receives instead
+    each chunk's losses at times t0, t0+1, ... in an (N, k) buffer reused
+    afterwards.
     """
     n = len(seeds)
     d = problem.dim
@@ -164,13 +176,16 @@ def sgd_batch(
     x = np.tile(x0, (n, 1))
     diff = x - xs
 
-    loss_sc = None if on_chunk else np.empty((n, horizon + 1))
-    loss_pl, channels = None, []
     if record_channels:
-        loss_pl = np.empty((n, horizon + 1))
+        arrays = _output_block(n, horizon, 1 if on_chunk else 2, 5)
+        loss_sc = None if on_chunk else arrays.pop(0)
+        loss_pl, *channels = arrays
         loss_pl[:, 0] = 0.5 * np.sum(a * diff * diff, axis=1)
         # column t of loss_pl[:, 1:] and of each channel belongs to step t
-        channels = [loss_pl[:, 1:], *_channel_block(5, n, horizon)]
+        channels = [loss_pl[:, 1:], *channels]
+    else:
+        loss_sc = None if on_chunk else np.empty((n, horizon + 1))
+        loss_pl, channels = None, []
     proj_hits = 0
 
     l0 = np.sum(diff * diff, axis=1)
@@ -208,9 +223,10 @@ def pca_batch(
     variant "krasulina" adds the component of y*X orthogonal to the iterate;
     variant "oja" applies the multiplicative update v <- v + eta*y*X.  The
     recorded noise channel q is the centered martingale part of the sin^2
-    recursion (computable exactly because the covariance is known).  The
-    four recorded (N, T) channels are the rows of one (4, N, T) block, as
-    in sgd_batch.  on_chunk streams "loss" as in sgd_batch.
+    recursion (computable exactly because the covariance is known).  A
+    recorded call carves the (N, T+1) loss and the four (N, T) channels,
+    in that order, from one allocation, as sgd_batch does.  on_chunk
+    streams "loss" as in sgd_batch.
     """
     if variant not in ("krasulina", "oja"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -236,8 +252,11 @@ def pca_batch(
     if np.any(vn2 <= 0):
         raise ValueError("v0 must be nonzero")
 
-    losses = None if on_chunk else np.empty((n, horizon + 1))
-    channels = list(_channel_block(4, n, horizon)) if record_channels else []
+    if record_channels:
+        channels = _output_block(n, horizon, 0 if on_chunk else 1, 4)
+        losses = None if on_chunk else channels.pop(0)
+    else:
+        losses, channels = None if on_chunk else np.empty((n, horizon + 1)), []
 
     l0 = np.maximum(0.0, 1.0 - v[:, 0] ** 2 / vn2)
     krasulina = variant == "krasulina"
@@ -269,17 +288,20 @@ def rm_batch(
 ) -> dict:
     """Advance scalar root-finding replications in lock step.
 
-    The loss is (x_t - theta)^2.  The recorded (N, T) channels q and noise
-    are the rows of one (2, N, T) block, as in sgd_batch.  With on_chunk,
-    loss is None and on_chunk(t0, loss) receives each chunk's losses, as
-    in sgd_batch.
+    The loss is (x_t - theta)^2.  A recorded call carves the (N, T+1) loss
+    and the (N, T) channels q and noise, in that order, from one
+    allocation, as sgd_batch does.  With on_chunk, loss is None and
+    on_chunk(t0, loss) receives each chunk's losses, as in sgd_batch.
     """
     n = len(seeds)
     horizon = len(etas)
     kernels = _kernel.load()
     gens = kernels.generators(seeds)
-    losses = None if on_chunk else np.empty((n, horizon + 1))
-    channels = list(_channel_block(2, n, horizon)) if record_channels else []
+    if record_channels:
+        channels = _output_block(n, horizon, 0 if on_chunk else 1, 2)
+        losses = None if on_chunk else channels.pop(0)
+    else:
+        losses, channels = None if on_chunk else np.empty((n, horizon + 1)), []
 
     x = np.full(n, float(x0))
     l0 = (x - problem.theta) ** 2

@@ -345,7 +345,9 @@ def _pca_v0(v0, problem: PcaProblem, seed_base: int, lo: int, hi: int) -> np.nda
     vector, "uniform", or "warm" (v1 plus a perturbation of norm 0.3, so
     sin^2 <= 9/58 < 1/4).  Replication i's direction comes from dim normals
     of the generator of (seed_base, i, 1), all drawn in one kernels call;
-    each row is divided by its own np.linalg.norm."""
+    each row is divided by its own norm, np.sqrt(np.sum(row * row)): a numpy
+    sum, whose order is fixed, where np.linalg.norm's BLAS ddot adds in an
+    order that depends on the CPU."""
     if not isinstance(v0, str):
         return np.stack([np.asarray(v0, dtype=float)] * (hi - lo))
     kernels = _kernel.load()
@@ -354,12 +356,12 @@ def _pca_v0(v0, problem: PcaProblem, seed_base: int, lo: int, hi: int) -> np.nda
     kernels.normals(u, gens)
     u = u[0]
     for row in u:
-        row /= np.linalg.norm(row)
+        row /= np.sqrt(np.sum(row * row))
     if v0 == "uniform":
         return u
     v = problem.v_star + 0.3 * u
     for row in v:
-        row /= np.linalg.norm(row)
+        row /= np.sqrt(np.sum(row * row))
     return v
 
 

@@ -401,30 +401,42 @@ def test_generators_refuse_what_numpy_refuses(bad, error):
         _kernel.load().generators([(1, 2), bad])
 
 
-# the (count, names) of each engine's recorded (N, T) channels
-CHANNELS = {
-    "sgd-d3": (5, ("noise_sc", "noise_pl", "y_sc", "y_pl", "gnorm2")),
-    "krasulina-p3": (4, ("q", "z_dot_v", "znorm2", "norm_ratio")),
-    "rm-linear-shifted": (2, ("q", "noise")),
+# the names of each engine's recorded outputs, in the order a recorded call
+# carves them from its one block: the (N, T+1) losses, then the (N, T)
+# channels
+OUTPUTS = {
+    "sgd-d3": (("loss_sc", "loss_pl"), ("noise_sc", "noise_pl", "y_sc", "y_pl", "gnorm2")),
+    "krasulina-p3": (("loss",), ("q", "z_dot_v", "znorm2", "norm_ratio")),
+    "rm-linear-shifted": (("loss",), ("q", "noise")),
 }
 
 
-@pytest.mark.parametrize("name", sorted(CHANNELS))
+@pytest.mark.parametrize("name", sorted(OUTPUTS))
 def test_recorded_channels_are_rows_of_one_block(name, monkeypatch):
-    # one allocation per call, big enough for huge pages where a channel
-    # alone is not; each row is still a C-contiguous (N, T) array with the
-    # reference's bytes
-    count, names = CHANNELS[name]
+    # one allocation per call, the losses included, big enough for huge
+    # pages where one output alone is not; each output is still a
+    # C-contiguous array of its own shape, starting where the one before
+    # ends, with the reference's bytes.  A streamed loss (on_chunk) is not
+    # in the block, and the block starts with the next output.
+    losses, channels = OUTPUTS[name]
     _, run = CASES[name]
-    seeds = [rep_seed(9, i) for i in range(11)]
+    n = 11
+    seeds = [rep_seed(9, i) for i in range(n)]
+    shapes = dict.fromkeys(losses, (n, HORIZON + 1)) | dict.fromkeys(channels, (n, HORIZON))
     res = run(seeds)
-    block = res[names[0]].base
-    assert block.shape == (count, 11, HORIZON) and block.flags.c_contiguous
-    for j, key in enumerate(names):
-        channel = res[key]
-        assert channel.base is block and channel.shape == (11, HORIZON)
-        assert channel.flags.c_contiguous
-        assert channel.ctypes.data == block.ctypes.data + j * channel.nbytes
+    streamed = run(seeds, on_chunk=lambda t0, a: None)
+    assert streamed[losses[0]] is None
+    for result, keys in ((res, losses + channels), (streamed, losses[1:] + channels)):
+        block = result[keys[0]].base
+        assert block.ndim == 1 and block.flags.c_contiguous
+        assert block.size == sum(math.prod(shapes[key]) for key in keys)
+        at = block.ctypes.data
+        for key in keys:
+            out = result[key]
+            assert out.base is block and out.shape == shapes[key] and out.flags.c_contiguous
+            assert out.ctypes.data == at
+            at += out.nbytes
+        assert at == block.ctypes.data + block.nbytes
     monkeypatch.setattr(_kernel, "load", reference_load)
     assert as_bytes(res) == as_bytes(run(seeds))
 

@@ -12,8 +12,10 @@ build runs first, for --rounds rounds:
   * sgd-rec:  the same with loss_pl and the five noise channels recorded;
   * sgd-wide: sgd, d = 16;
   * pca:      pca_chunk, Krasulina, p = 4, losses only;
+  * pca-rec:  the same with the four noise channels recorded;
   * pca-wide: pca, p = 16, each step normalised;
   * rm:       rm_chunk, linear M, losses only;
+  * rm-rec:   the same with the two noise channels recorded;
   * lil:      lil_chunk, linear M, eta_t = 1/t from t = 1 into 12 blocks;
   * ridge:    ridge_chunk, d = 2, the ridge engine's RIDGE_ROWS = 2048 steps
               whatever --steps says, on covariates and responses drawn
@@ -24,7 +26,10 @@ build runs first, for --rounds rounds:
               for each inside the call.
 
 Every chunk call starts from the same state and from fresh generators of
-the same seeds, built outside the timed region by each build's kernels.
+the same seeds, built outside the timed region by each build's kernels,
+and writes into outputs allocated and filled outside it too, so that a row
+times the chunk, not the page faults of the first writes to fresh outputs.
+The recorded rows write their channels as rows of (n, --steps) arrays.
 Both builds must write the same bytes and leave every generator in the
 same state, and both builds' generators must be numpy's states of the
 seeds; a revision whose kernels hand 8 or more coordinates to the numpy
@@ -88,7 +93,8 @@ def build(package, cache: Path):
 
 
 def chunks(n: int, m: int) -> dict:
-    """name -> call(kernels, gens), which returns the arrays it wrote."""
+    """name -> (shape, fill, call(kernels, gens, out)): call writes into
+    out, an array of that shape filled with fill outside the timed region."""
     rng = np.random.default_rng(0)
     etas = rng.uniform(0.01, 0.5, m)
     rm = RmProblem(m_kind="linear", theta=-0.3, slope=1.3)
@@ -97,53 +103,47 @@ def chunks(n: int, m: int) -> dict:
     ys = xs @ np.array([0.5, 0.5]) + rng.uniform(-0.5, 0.5, (RIDGE_ROWS, n))
 
     def sgd(d: int, record: bool):
-        def call(k, gens):
+        def call(k, gens, out):
             state = np.full((n, d), 0.3 / np.sqrt(d / 2))
-            out = np.empty((7 if record else 1, n, m))
-            channels = out[1:] if record else ()
             a = np.linspace(1.0, 0.5, d)
-            k.sgd_chunk(state, gens, etas, a, np.zeros(d), 1.0, 2.0, 0.25, out[0], *channels)
-            return out
+            k.sgd_chunk(state, gens, etas, a, np.zeros(d), 1.0, 2.0, 0.25, *out)
 
-        return call
+        return (7 if record else 1, n, m), 0.0, call
 
-    def pca(p: int, normalize: bool):
-        def call(k, gens):
+    def pca(p: int, normalize: bool, record: bool):
+        def call(k, gens, out):
             state = np.full((n, p), 1.0 / np.sqrt(p))
             norms = np.ones(n)
             eigs = np.arange(p, 0.0, -1.0)
-            out = np.empty((n, m))
-            k.pca_chunk(state, norms, gens, etas, np.sqrt(eigs), eigs, True, normalize, out)
-            return out
+            k.pca_chunk(state, norms, gens, etas, np.sqrt(eigs), eigs, True, normalize, *out)
 
-        return call
+        return (5 if record else 1, n, m), 0.0, call
 
-    def root(k, gens):
-        out = np.empty((n, m))
-        k.rm_chunk(np.full(n, 1.0), gens, etas, rm, SQRT3, out)
-        return out
+    def root(record: bool):
+        def call(k, gens, out):
+            k.rm_chunk(np.full(n, 1.0), gens, etas, rm, SQRT3, *out)
 
-    def lil(k, gens):
+        return (3 if record else 1, n, m), 0.0, call
+
+    def lil(k, gens, block_max):
         state = np.full(n, 1.0 + rm.theta)
-        block_max = np.full((12, n), -np.inf)
         k.lil_chunk(state, gens, 1, m, 1.0, rm, SQRT3, block_max)
-        return block_max
 
-    def ridge(k, gens):
-        out = np.empty((n, RIDGE_ROWS))
+    def ridge(k, gens, out):
         k.ridge_chunk(np.zeros((n, 2)), xs, ys, ridge_etas, np.array([0.5, 0.5]), 0.0, True,
                       1.0, out)
-        return out
 
     return {
         "sgd": sgd(2, False),
         "sgd-rec": sgd(2, True),
         "sgd-wide": sgd(16, False),
-        "pca": pca(4, False),
-        "pca-wide": pca(16, True),
-        "rm": root,
-        "lil": lil,
-        "ridge": ridge,
+        "pca": pca(4, False, False),
+        "pca-rec": pca(4, False, True),
+        "pca-wide": pca(16, True, False),
+        "rm": root(False),
+        "rm-rec": root(True),
+        "lil": ((12, n), -np.inf, lil),
+        "ridge": ((n, RIDGE_ROWS), 0.0, ridge),
     }
 
 
@@ -165,13 +165,14 @@ def main(argv=None) -> int:
         per_step = {}  # (row, build) -> ns per rep-step or per seed, one per round
         ratios = {}  # row -> B/A, one per round
         for r in range(args.rounds):
-            for name, call in chunks(args.reps, args.steps).items():
+            for name, (shape, fill, call) in chunks(args.reps, args.steps).items():
                 times, written = {}, {}
                 for label in ("AB" if r % 2 == 0 else "BA"):
                     k = builds[label]
                     gens = k.generators(seeds)
+                    out = np.full(shape, fill)
                     start = time.perf_counter()
-                    out = call(k, gens)
+                    call(k, gens, out)
                     times[label] = time.perf_counter() - start
                     written[label] = out.tobytes(), k.states(gens)
                     steps = RIDGE_ROWS if name == "ridge" else args.steps

@@ -7,9 +7,8 @@ _reference.REFERENCE, the numpy chunk methods, draws and checks.
 StepKernels subclasses Reference and overrides every one of its public
 methods, with the same arguments, but sphere, which in both is the
 object's normals, then _reference._onto_sphere; each override computes its
-whole call in C, but for the problems in_c rules out, whose rm_chunk and
-lil_chunk defer to the Reference methods through super().  Each object's
-draw and chunk methods take what its own generators(seeds) returns:
+whole call in C.  Each object's draw and chunk methods take what its own
+generators(seeds) returns:
 
   * the SGD, PCA, root-finding and ridge chunks: one C call per chunk,
     replication-major, that steps each replication's iterate in locals and
@@ -30,11 +29,10 @@ draw and chunk methods take what its own generators(seeds) returns:
     numpy), which the engines' own finite draws never meet.  The chunks
     step every width, those of widths 2 and 4 on the stack with their
     coordinate loops unrolled and all others on scratch from the heap (a
-    failed allocation raises MemoryError).  Only rm_chunk and lil_chunk
-    defer to the reference, for the cubic M, since numpy's u**3 matches
-    neither u*u*u nor libm's pow; the reference's chunk then draws through
-    this object's draw methods, so those runs keep the compiled seeding and
-    draws;
+    failed allocation raises MemoryError).  rm_chunk and lil_chunk step the
+    linear and the cubic M alike, each in a loop compiled for it: RmProblem
+    forms the cubic M's powers as products, u*u*u, which C rounds as numpy
+    does, where numpy's own power loops need not round as libm's pow;
   * the generators and every draw: generators turns each int seed or
     sequence of ints into its entropy words (_entropy_words) and takes any
     other seed's SeedSequence.pool, and one C call seeds an (n,
@@ -117,8 +115,8 @@ _P, _L, _D, _I = ctypes.c_void_p, ctypes.c_long, ctypes.c_double, ctypes.c_int
 _SIGNATURES = {
     "sgd_chunk": ([_P] * 5 + [_L] * 3 + [_D] * 4 + [_P, _L, _P, _L] + [_P] * 5 + [_L], _L),
     "pca_chunk": ([_P] * 6 + [_L] * 3 + [_I] * 2 + [_P, _L] + [_P] * 4 + [_L], _L),
-    "rm_chunk": ([_P] * 3 + [_L] * 2 + [_D] * 6 + [_P, _L, _P, _P, _L], None),
-    "lil_chunk": ([_P] * 2 + [_L] * 3 + [_D] * 5 + [_P, _L, _P], None),
+    "rm_chunk": ([_P] * 3 + [_L] * 2 + [_P, _I] + [_D] * 2 + [_P, _L, _P, _P, _L], None),
+    "lil_chunk": ([_P] * 2 + [_L] * 3 + [_D, _P, _I] + [_D] * 2 + [_P, _L, _P], None),
     "ridge_chunk": ([_P] * 5 + [_L] * 3 + [_D, _I, _D, _D, _P, _L], _L),
     "seed_states": ([_P] * 3 + [_L], None),
     "normal_fill": ([_P, _L, _P, _P], _L),
@@ -216,11 +214,21 @@ def _path(losses, steps, noise) -> tuple:
 
 
 def _rm_constants(problem, radius: float) -> tuple:
-    """theta, slope, low and range of the root-finding steps of problem, a
-    linear M, with noise uniform on [-radius, radius]: low and high formed
-    in Python, as Generator.uniform forms them."""
+    """The root-finding steps of the RmProblem problem with noise uniform
+    on [-radius, radius], as rm_chunk and lil_chunk in _steps.c take them:
+    the rm_consts array theta, a, b, a2, ab2, b2, r1sq of its M and
+    envelope, formed in Python as m_func, poly_sq and the reference pass
+    form them; whether M is cubic; and low and range, from low and high
+    formed as Generator.uniform forms them."""
+    p = problem
+    cubic = p.m_kind != "linear"
+    if cubic:
+        m = (p.cub_a, p.cub_b, p.cub_a**2, 2.0 * p.cub_a * p.cub_b, p.cub_b**2)
+    else:
+        m = (0.0, p.slope, 0.0, 0.0, p.slope**2)
+    consts = np.array([p.theta, *m, p.r1**2], dtype=np.float64)
     low, high = -radius, radius
-    return float(problem.theta), float(problem.slope), low, high - low
+    return consts, int(cubic), low, high - low
 
 
 def _gens(gens, n: int) -> int:
@@ -263,8 +271,7 @@ class StepKernels(Reference):
     The draw and chunk methods take the generator states generators
     returned, an (n, STATE_WORDS) uint64 array, and advance them in place;
     a call owns the rows it is given, so calls on different arrays run on
-    different threads at once.  rm_chunk and lil_chunk run the Reference
-    methods for the problems C does not step (in_c).
+    different threads at once.
     """
 
     def __init__(self, lib: ctypes.CDLL):
@@ -364,18 +371,15 @@ class StepKernels(Reference):
         ))
 
     def rm_chunk(self, state, gens, etas, problem, radius: float, loss, *channels) -> None:
-        if not in_c(problem):
-            return super().rm_chunk(state, gens, etas, problem, radius, loss, *channels)
         etas, m = _steps(etas)
         n = len(state)
         recorded = _channels(channels, (n, m)) if channels else [None, None, 0]
-        # formed in Python, as poly_sq and the reference pass form them
-        s2, r1sq = float(problem.slope**2), float(problem.r1**2)
+        consts, cubic, low, span = _rm_constants(problem, radius)
         self._lib.rm_chunk(
             _addr(state, (n,)),
             _gens(gens, n),
             _addr(etas, (m,)),
-            m, n, *_rm_constants(problem, radius), s2, r1sq,
+            m, n, consts.ctypes.data, cubic, low, span,
             *_rows(loss, (n, m)),
             *recorded,
         )
@@ -398,14 +402,13 @@ class StepKernels(Reference):
     def lil_chunk(
         self, state, gens, t0: int, m: int, l1: float, problem, radius: float, block_max
     ) -> None:
-        if not in_c(problem):
-            return super().lil_chunk(state, gens, t0, m, l1, problem, radius, block_max)
         n_blocks, n = block_max.shape
         loglog = np.empty(m)
+        consts, cubic, low, span = _rm_constants(problem, radius)
         self._lib.lil_chunk(
             _addr(state, (n,)),
             _gens(gens, n),
-            t0, m, n, l1, *_rm_constants(problem, radius),
+            t0, m, n, l1, consts.ctypes.data, cubic, low, span,
             _addr(block_max, (n_blocks, n)), n_blocks,
             _addr(loglog, (m,)),
         )
@@ -573,15 +576,7 @@ def load() -> Reference:
     return _LOADER.get()
 
 
-def in_c(problem) -> bool:
-    """Whether the compiled kernels step problem's engine in C: every
-    problem's, at every width, but a root-finding problem's whose M is
-    cubic, since numpy's u**3 matches neither u*u*u nor libm's pow."""
-    return getattr(problem, "m_kind", "linear") == "linear"
-
-
-def steps_by(problem) -> str:
-    """Which kernels step problem's engine, as reports name them:
-    "compiled", or "reference" when load() gives the reference or
-    StepKernels runs the reference's chunk for the problem (in_c)."""
-    return "compiled" if isinstance(load(), StepKernels) and in_c(problem) else "reference"
+def steps_by() -> str:
+    """Which kernels step the engines, as reports name them: "compiled",
+    or "reference" when load() gives the reference."""
+    return "compiled" if isinstance(load(), StepKernels) else "reference"

@@ -16,10 +16,10 @@ name and arguments: the generators, as PCG64 states the compiled code owns,
 seeded in C from each seed's entropy words or SeedSequence pool, the draws
 but sphere, which draws through normals, the recursion checks, and each
 chunk in one replication-major C call, which builds neither the draw chunk
-nor the trajectory buffer, at every width, or this class's rm_chunk and
-lil_chunk for the cubic M, which C cannot match bit for bit.  _kernel.load
-chooses between the two.  The draw and chunk contracts are in the class
-docstring.
+nor the trajectory buffer, at every width and for either root-finding M,
+since RmProblem forms the cubic M's powers as products, which C rounds as
+numpy does.  _kernel.load chooses between the two.  The draw and chunk
+contracts are in the class docstring.
 
 The numpy code of the path-wise recursion checks lives here once as well:
 recursion_sides and pca_sides compute both sides of every inequality of

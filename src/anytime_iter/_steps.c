@@ -1,8 +1,8 @@
 /* Chunk functions, generator seeding and draw loops of the batched engines
  * in anytime_iter.algorithms, and the LIL chunk of anytime_iter.harness.
  *
- * sgd_chunk, pca_chunk, rm_chunk (linear M) and ridge_chunk each run one
- * engine chunk of any width in one call, and lil_chunk one chunk of the
+ * sgd_chunk, pca_chunk, rm_chunk and ridge_chunk each run one engine
+ * chunk of any width in one call, and lil_chunk one chunk of the
  * LIL statistic's root finding, replication-major: the outer loop
  * runs over blocks of LANES replications and the inner loop over the
  * chunk's m steps.
@@ -665,11 +665,11 @@ void uniform_draw(double *out, uint64_t *gens, long rows, long n, double low, do
  * Each value is the numpy expression of the reference chunk
  * (_reference.Reference's sgd_chunk, pca_chunk, rm_chunk and ridge_chunk),
  * evaluated left to right with its parentheses; constants formed in Python
- * (rr, half_mu, s2, r1sq, range) come in as arguments, since Python's **
- * calls libm's pow.  Replications are independent and each generator gets
- * the draws the reference's chunk draw makes, in the same order, so the
- * results are the reference's, with no draw chunk and no trajectory buffer
- * in memory. */
+ * (rr, half_mu, range, root finding's rm_consts) come in as arguments,
+ * since Python's ** calls libm's pow.  Replications are independent and
+ * each generator gets the draws the reference's chunk draw makes, in the
+ * same order, so the results are the reference's, with no draw chunk and no
+ * trajectory buffer in memory. */
 #define LANES 8
 #define EACH_LANE(l) _Pragma("GCC unroll 8") for (long l = 0; l < LANES; l++)
 
@@ -957,22 +957,41 @@ long pca_chunk(double *state, double *norms, uint64_t *gens, const double *scale
 #undef PCA
 }
 
-/* Robbins-Monro with linear M and uniform noise xi on [low, low + range):
- * x <- x - eta*(slope*(x - theta) + xi), the one step of rm_chunk and
- * lil_chunk. */
-INLINE double rm_step(double x, double xi, double eta, double theta, double slope)
+/* Root finding with noise xi uniform on [low, low + range): with
+ * u = x - theta, x <- x - eta*(M + xi), the one step of rm_chunk and
+ * lil_chunk (rm_step), where M = b*u, or for the cubic M
+ * a*((u*u)*u) + b*u.  The envelope rm_chunk records, P(|u|)^2 + r1^2 of
+ * l = u*u (rm_envelope), is b2*l + r1sq, or for the cubic M
+ * ((a2*((l*l)*l) + ab2*(l*l)) + b2*l) + r1sq: RmProblem's m_func and
+ * poly_sq, with products for their powers, and the constants they form in
+ * Python come in formed (_kernel._rm_constants).  Each function branches
+ * once, on cubic, into one inlined body per M, as BY_WIDTH does on the
+ * width, so the linear M's loops stay as they were without the cubic arm. */
+typedef struct {
+    double theta, a, b, a2, ab2, b2, r1sq;
+} rm_consts;
+
+INLINE double rm_step(double x, double xi, double eta, const rm_consts *c, bool cubic)
 {
-    double y = slope * (x - theta);
+    const double u = x - c->theta;
+    double y = cubic ? c->a * ((u * u) * u) + c->b * u : c->b * u;
     y = y + xi;
     y = y * eta;
     return x - y;
 }
 
+INLINE double rm_envelope(double dev, const rm_consts *c, bool cubic)
+{
+    const double l = dev * dev;
+    const double p = cubic ? (c->a2 * ((l * l) * l) + c->ab2 * (l * l)) + c->b2 * l : c->b2 * l;
+    return p + c->r1sq;
+}
+
 /* With dev = x - theta before a step and dn after it: loss dn*dn, q
- * ((-2*eta)*dev)*xi and noise q + ((2*eta)*eta)*(s2*(dev*dev) + r1sq). */
-void rm_chunk(double *state, uint64_t *gens, const double *etas, long m, long n,
-              double theta, double slope, double low, double range, double s2, double r1sq,
-              double *loss, long ld_loss, double *q, double *noise, long ld)
+ * ((-2*eta)*dev)*xi and noise q + ((2*eta)*eta)*rm_envelope(dev). */
+INLINE void rm_rows(double *state, uint64_t *gens, const double *etas, long m, long n,
+                    const rm_consts *c, bool cubic, double low, double range, double *loss,
+                    long ld_loss, double *q, double *noise, long ld)
 {
     double x[LANES], xi[LANES];
     pcg64_t g[LANES];
@@ -988,8 +1007,8 @@ void rm_chunk(double *state, uint64_t *gens, const double *etas, long m, long n,
             EACH_LANE(l) xi[l] = uniform(&g[l], low, range);
             EACH_LANE(l) {
                 const long i = lane_row(i0, lanes, l);
-                const double w = rm_step(x[l], xi[l], eta, theta, slope);
-                const double dn = w - theta;
+                const double w = rm_step(x[l], xi[l], eta, c, cubic);
+                const double dn = w - c->theta;
                 loss[i * ld_loss + k] = dn * dn;
                 if (q) {
                     if (PREFETCH_AT(k, m)) {
@@ -997,10 +1016,10 @@ void rm_chunk(double *state, uint64_t *gens, const double *etas, long m, long n,
                         PREFETCH(q + i * ld, k);
                         PREFETCH(noise + i * ld, k);
                     }
-                    double dev = x[l] - theta;
+                    double dev = x[l] - c->theta;
                     double qk = ((-2.0 * eta) * dev) * xi[l];
                     q[i * ld + k] = qk;
-                    noise[i * ld + k] = qk + ((2.0 * eta) * eta) * (s2 * (dev * dev) + r1sq);
+                    noise[i * ld + k] = qk + ((2.0 * eta) * eta) * rm_envelope(dev, c, cubic);
                 }
                 x[l] = w;
             }
@@ -1012,6 +1031,18 @@ void rm_chunk(double *state, uint64_t *gens, const double *etas, long m, long n,
             }
         }
     }
+}
+
+void rm_chunk(double *state, uint64_t *gens, const double *etas, long m, long n,
+              const rm_consts *consts, int cubic, double low, double range, double *loss,
+              long ld_loss, double *q, double *noise, long ld)
+{
+    /* a copy in locals: the compiler need not reload it after each store */
+    const rm_consts c = *consts;
+    if (cubic)
+        rm_rows(state, gens, etas, m, n, &c, true, low, range, loss, ld_loss, q, noise, ld);
+    else
+        rm_rows(state, gens, etas, m, n, &c, false, low, range, loss, ld_loss, q, noise, ld);
 }
 
 /* Ridge SGD on the engine's covariates xs, (m, n, d), and responses ys,
@@ -1103,9 +1134,9 @@ INLINE double nan_max(double a, double b)
     return (a > b || isnan(a)) ? a : b;
 }
 
-void lil_chunk(double *state, uint64_t *gens, long t0, long m, long n, double l1,
-               double theta, double slope, double low, double range, double *block_max,
-               long n_blocks, double *ll)
+INLINE void lil_rows(double *state, uint64_t *gens, long t0, long m, long n, double l1,
+                     const rm_consts *c, bool cubic, double low, double range,
+                     double *block_max, long n_blocks, double *ll)
 {
     const long t_last = 2L << n_blocks;
     /* the statistics before t = 3, where log log t is not positive, are
@@ -1141,8 +1172,8 @@ void lil_chunk(double *state, uint64_t *gens, long t0, long m, long n, double l1
                 const double eta = l1 / tk;
                 EACH_LANE(l) xi[l] = uniform(&g[l], low, range);
                 EACH_LANE(l) {
-                    x[l] = rm_step(x[l], xi[l], eta, theta, slope);
-                    const double dn = x[l] - theta;
+                    x[l] = rm_step(x[l], xi[l], eta, c, cubic);
+                    const double dn = x[l] - c->theta;
                     top[l] = nan_max(top[l], ((tk * dn) * dn) / ll[k]);
                 }
             }
@@ -1160,6 +1191,17 @@ void lil_chunk(double *state, uint64_t *gens, long t0, long m, long n, double l1
             }
         }
     }
+}
+
+void lil_chunk(double *state, uint64_t *gens, long t0, long m, long n, double l1,
+               const rm_consts *consts, int cubic, double low, double range,
+               double *block_max, long n_blocks, double *ll)
+{
+    const rm_consts c = *consts;
+    if (cubic)
+        lil_rows(state, gens, t0, m, n, l1, &c, true, low, range, block_max, n_blocks, ll);
+    else
+        lil_rows(state, gens, t0, m, n, l1, &c, false, low, range, block_max, n_blocks, ll);
 }
 
 /* Recursion checks.  Each walks one path of m steps, losses L_0..L_m

@@ -36,11 +36,10 @@ elementwise order of the per-step formulas.  The SGD, PCA and root-finding
 calls draw their chunk too; ridge_batch first draws its chunk with the
 kernels' signs and uniform and forms the responses in numpy (_ridge_draw),
 in groups of replications.  Each compiled chunk is one replication-major
-C call at every width, with no draw chunk and no trajectory buffer, or,
-for the cubic M, which C cannot step as numpy does, the reference's chunk
-on the compiled draws, which steps and passes through slices of a
-trajectory buffer (see _reference).  Either way the transient memory is
-O(N*chunk) with or without recording.  A recorded call's outputs, its
+C call at every width and for either root-finding M, with no draw chunk
+and no trajectory buffer; the reference's chunk steps and passes through
+slices of a trajectory buffer (see _reference).  Either way the transient
+memory is O(N*chunk) with or without recording.  A recorded call's outputs, its
 (N, T+1) losses and (N, T) channels, are carved from one allocation
 (_output_block), big enough for transparent huge pages where one array
 alone is not.

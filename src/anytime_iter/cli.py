@@ -94,7 +94,7 @@ def _cmd_coverage(config: CoverageConfig, out_dir: Path, threads: int) -> int:
         report,
         out_dir / "coverage_report.json",
         extra={"policy": "empirical_rate <= cost*delta + 3*sqrt(cost*delta/n_reps)"},
-        problem=config.parsed_problem[0],
+        engines=True,
     )
     if config.record_grid:
         write_grid_csv(report, config.record_grid, out_dir / "widths.csv")
@@ -132,7 +132,7 @@ def _cmd_last_iterate(
             "policy": "exceedance <= delta + 3*sqrt(delta/n_reps)",
         },
         out_dir / "last_iterate_report.json",
-        problem=config.parsed_problem[0],
+        engines=True,
     )
     print(
         f"last-iterate: exceedance={rate:.6g} bound={bound:.6g} "
@@ -205,7 +205,7 @@ def _cmd_lil(problem: RmProblem, run: _LilRun, out_dir: Path, threads: int) -> i
             "policy": "fraction of seeds with final running max >= l_const must reach threshold",
         },
         out_dir / "lil_report.json",
-        problem=problem,
+        engines=True,
     )
     # csv.writer's rows, written directly: no field holds a comma, quote or
     # line break, and \r\n is the excel dialect's line terminator
@@ -247,7 +247,7 @@ def _cmd_oja_cold_start(
         out_dir / "cold_start_report.json",
         extra={"policy": "empirical_rate <= cost*delta + 3*sqrt(cost*delta/n_reps); "
                "split hit rate >= 1 - delta^3 (minus MC slack)"},
-        problem=problem,
+        engines=True,
     )
     print(
         f"oja-cold-start: split={report.split_t} hit_rate={report.hit_rate:.6g} "

@@ -786,13 +786,13 @@ def run_counterexample(p_one: float, n_reps: int, horizon: int, seed_base: int) 
 # ---------------------------------------------------------------------------
 
 
-def write_report_json(report, path, extra: Optional[dict] = None, problem=None) -> None:
+def write_report_json(report, path, extra: Optional[dict] = None, engines: bool = False) -> None:
     """Write a report, a dataclass or a dict, as JSON with deterministic payload.
 
     Timing goes into the separate "timing" object so that the rest of the
     document is byte-identical across reruns and worker counts.  When the
-    report comes from engine runs on problem, timing also names the kernels
-    that stepped them, _kernel.steps_by(problem): "compiled" or "reference".
+    report comes from engine runs (engines), timing also names the kernels
+    that stepped them, _kernel.steps_by(): "compiled" or "reference".
     """
     payload = asdict(report) if is_dataclass(report) else dict(report)
     if "quantiles_at_grid" in payload:
@@ -802,8 +802,8 @@ def write_report_json(report, path, extra: Optional[dict] = None, problem=None) 
     if extra:
         doc.update(extra)
     doc["timing"] = {"wall_time_s": payload.pop("wall_time", None)}
-    if problem is not None:
-        doc["timing"]["kernels"] = _kernel.steps_by(problem)
+    if engines:
+        doc["timing"]["kernels"] = _kernel.steps_by()
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True, default=float)
         fh.write("\n")

@@ -146,6 +146,12 @@ class RmProblem:
     P(u) = slope*u.  m_kind "cubic_plus_linear": M(x) = cub_a*(x-theta)^3
     + cub_b*(x-theta), r_lower = cub_b, P(u) = cub_a*u^3 + cub_b*u.
     Evaluation noise is uniform with unit variance, bounded by sqrt(3) <= r1.
+
+    m_func and poly_sq form their powers as products, u*u*u and l*l, not
+    with **: numpy's power loops round as the CPU's SIMD dispatch has them,
+    which need not be as libm's pow or a product does, while each * rounds
+    once, as C's does, so the compiled kernels step M and form its envelope
+    with the same bytes on any CPU.
     """
 
     m_kind: str = "linear"
@@ -178,7 +184,7 @@ class RmProblem:
         if self.m_kind == "linear":
             out = self.slope * u
         else:
-            out = self.cub_a * u**3 + self.cub_b * u
+            out = self.cub_a * (u * u * u) + self.cub_b * u
         return out if out.ndim else float(out)
 
     def poly_sq(self, l):
@@ -187,5 +193,9 @@ class RmProblem:
         if self.m_kind == "linear":
             out = self.slope**2 * l
         else:
-            out = self.cub_a**2 * l**3 + 2.0 * self.cub_a * self.cub_b * l**2 + self.cub_b**2 * l
+            out = (
+                self.cub_a**2 * (l * l * l)
+                + 2.0 * self.cub_a * self.cub_b * (l * l)
+                + self.cub_b**2 * l
+            )
         return out if out.ndim else float(out)

@@ -252,9 +252,33 @@ def test_pca_q_channel_conditionally_centered():
 
 
 ETAS = StepSchedule.inverse_time(1.0, 32.0).etas(60)
-_Q = np.linalg.qr(np.arange(16.0).reshape(4, 4) + 5.0 * np.eye(4))[0]
+# the Q of np.linalg.qr(np.arange(16.0).reshape(4, 4) + 5.0 * np.eye(4)) and
+# warm_v0(ROTATED, direction=(0.0, 0.6, 0.8, 0.0)) as literals: LAPACK's QR
+# and the BLAS norm give other bytes on other OpenBLAS kernels, and the
+# rotated engine pins would follow them
+_Q = np.array(
+    [
+        [float.fromhex(h) for h in row]
+        for row in (
+            ("-0x1.447781455e970p-2", "0x1.3f2fdfe434a17p-1", "0x1.93ab54c6a58e1p-2",
+             "-0x1.314c3d92a9e98p-1"),
+            ("-0x1.0392cdd11878ap-2", "-0x1.8fd77fb123a6ep-1", "0x1.6b4d65e5fb65ap-2",
+             "-0x1.c9f25c5bfedd2p-2"),
+            ("-0x1.0392cdd11878ap-1", "-0x1.04d74b9c3603dp-5", "-0x1.9dc2d07ed017fp-1",
+             "-0x1.314c3d92a9e8dp-2"),
+            ("-0x1.855c34b9a4b50p-1", "0x1.64f0b84f06962p-6", "0x1.066290b452030p-2",
+             "0x1.314c3d92a9e8ep-1"),
+        )
+    ]
+)
 ROTATED = PcaProblem(eigs=(2.0, 1.0, 1.0, 0.5), rotation=tuple(map(tuple, _Q)))
-V0_ROTATED = warm_v0(ROTATED, direction=(0.0, 0.6, 0.8, 0.0))
+V0_ROTATED = np.array(
+    [
+        float.fromhex(h)
+        for h in ("-0x1.755271a768e92p-2", "-0x1.5a5673d14cd11p-4", "-0x1.3a8d0de3518ebp-2",
+                  "-0x1.bffc88627de45p-1")
+    ]
+)
 RM = RmProblem(m_kind="cubic_plus_linear", cub_a=0.5, cub_b=1.0)
 RIDGE = LinearModelStream(theta_star=(0.5, 0.5), x_radius=1.0, noise_radius=0.5)
 

@@ -13,10 +13,20 @@ engine returns (losses, every recorded noise channel and the final iterate)
 and its projection count, at the default chunk length and at 7-step chunks.
 The report payloads see losses only; these see the channels that the
 recursion checks read.  The LIL case pins the dyadic block maxima.
+
+A guard reruns the engine cases and a cubic LIL ensemble in a child process
+on OpenBLAS's Prescott kernels with numpy's AVX-512 loops disabled, and
+compares its digests with this process's: the pinned bytes must not depend
+on the BLAS kernel or the SIMD loops numpy picks for the CPU.
 """
 
 import hashlib
 import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -332,3 +342,44 @@ def test_lil_block_maxima_are_pinned():
     block_max, bounds = _lil_batch(problem, 1.0, 7, [rep_seed(5, i) for i in range(3)], 1.0)
     assert bounds == [(2**nb + 1, 2 ** (nb + 1)) for nb in range(1, 8)]
     assert engine_digests({"block_max": block_max}) == LIL_DIGEST
+
+
+# an x86-64 CPU of another kind, as far as one process can tell: OpenBLAS's
+# kernels for the oldest x86-64 it supports, and numpy's loops without
+# AVX-512
+OTHER_HOST = {
+    "OPENBLAS_CORETYPE": "Prescott",
+    "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+}
+
+
+def host_digests() -> dict:
+    """The digests of every engine case at both chunk lengths, and of the
+    block maxima of a 50-seed cubic LIL ensemble over 15 blocks, 2^16
+    steps, from u = 1.3: while the cubic M was stepped with numpy's u**3,
+    this ensemble's bytes followed the SIMD loops numpy picked."""
+    out = {}
+    for name in sorted(ENGINE_CASES):
+        for rows in (None, 7):
+            with pytest.MonkeyPatch.context() as mp:
+                out[f"{name}-{rows}"] = run_engine(name, rows, mp)
+    problem = RmProblem(m_kind="cubic_plus_linear", theta=0.5, cub_a=0.3, cub_b=1.0)
+    block_max, _ = _lil_batch(problem, 0.3, 15, [rep_seed(5, i) for i in range(50)], 1.3)
+    out["lil-cubic"] = engine_digests({"block_max": block_max})
+    return out
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"),
+    reason="OPENBLAS_CORETYPE=Prescott and numpy's AVX-512 dispatch are x86-64 choices",
+)
+def test_pins_do_not_depend_on_blas_or_simd_dispatch():
+    tests = Path(__file__).parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    env = dict(os.environ, **OTHER_HOST, PYTHONPATH=path)
+    code = "import json, test_golden; print(json.dumps(test_golden.host_digests()))"
+    child = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == host_digests()

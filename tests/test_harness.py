@@ -422,18 +422,19 @@ def test_lil_ensemble_matches_single():
 def test_lil_maxima_invariant_to_chunk_length(monkeypatch):
     # lil_chunk calls of 1, 7 and 8192 steps give identical block maxima;
     # 7-step chunks straddle the dyadic boundaries 8|9, 16|17, 32|33 and 64|65.
-    # The cubic M runs the reference's lil_chunk, whose slices of 2 steps
-    # cut each chunk again
+    # Under the reference, slices of 2 steps cut each chunk again
     seeds = [rep_seed(6, i) for i in range(3)]
     monkeypatch.setattr(_reference, "PASS_BUDGET", 2 * len(seeds))
-    for m_kind in ("linear", "cubic_plus_linear"):
-        p = RmProblem(m_kind=m_kind, theta=0.5, slope=1.2, cub_a=0.3, cub_b=1.0)
-        results = []
-        for rows in (1, 7, 8192):
-            monkeypatch.setattr(harness, "LIL_STEPS", rows)
-            block_max, _ = harness._lil_batch(p, 1.0, 6, seeds, 1.0)
-            results.append(block_max.tobytes())
-        assert results[0] == results[1] == results[2], m_kind
+    for kernels in (_kernel.load(), REFERENCE):
+        monkeypatch.setattr(_kernel, "load", lambda: kernels)
+        for m_kind in ("linear", "cubic_plus_linear"):
+            p = RmProblem(m_kind=m_kind, theta=0.5, slope=1.2, cub_a=0.3, cub_b=1.0)
+            results = []
+            for rows in (1, 7, 8192):
+                monkeypatch.setattr(harness, "LIL_STEPS", rows)
+                block_max, _ = harness._lil_batch(p, 1.0, 6, seeds, 1.0)
+                results.append(block_max.tobytes())
+            assert results[0] == results[1] == results[2], (type(kernels).__name__, m_kind)
 
 
 @pytest.mark.skipif(_kernel.load() is REFERENCE, reason="no C compiler here")

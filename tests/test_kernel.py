@@ -488,7 +488,9 @@ def test_pca_calls_match_reference_bytes(shape, krasulina, normalize, record, ze
     seed=SEEDS,
 )
 def test_rm_calls_match_reference_bytes(shape, cubic, record, zero, seed):
-    # the compiled rm_chunk runs the reference's for the cubic M
+    # the cubic M's paths start up to 1e3 from theta, where the last bit of
+    # the cubic term shows in the step, and from which most diverge to
+    # +-inf and nan
     n, _, chunks, lo, extra = shape
     total = sum(chunks)
     rng = np.random.default_rng(seed)
@@ -501,7 +503,10 @@ def test_rm_calls_match_reference_bytes(shape, cubic, record, zero, seed):
 
     def build():
         rng = np.random.default_rng(seed + 1)
-        state = theta + rng.uniform(-1.0, 1.0, n)
+        dev = rng.uniform(-1.0, 1.0, n)
+        if cubic:
+            dev *= 10.0 ** rng.uniform(0.0, 3.0, n)
+        state = theta + dev
         if zero:
             state[0] = theta  # replication 0 starts at theta
         return dict(
@@ -512,9 +517,11 @@ def test_rm_calls_match_reference_bytes(shape, cubic, record, zero, seed):
     def call(k, gens, a):
         for steps, t in chunk_slices(chunks, lo):
             channels = [c[:, t] for c in a["channels"]] if record else []
-            k.rm_chunk(
-                a["state"], gens, a["etas"][steps], problem, radius, a["loss"][:, t], *channels
-            )
+            with np.errstate(over="ignore", invalid="ignore"):
+                k.rm_chunk(
+                    a["state"], gens, a["etas"][steps], problem, radius, a["loss"][:, t],
+                    *channels,
+                )
 
     same_bytes(build, call, [rep_seed(seed, i) for i in range(n)])
 
@@ -601,9 +608,10 @@ def lil_starts(draw):
     # l1 of 1e4 and x0 of 1e150 or more drive the paths to +-inf and nan
     l1=st.sampled_from((0.5, 1.0, 3.0, 1e4)),
     x0=st.sampled_from((1.0, -2.0, 1e150, 1e300)),
+    cubic=st.booleans(),
     seed=SEEDS,
 )
-def test_lil_calls_match_reference_bytes(n, start, chunks, l1, x0, seed):
+def test_lil_calls_match_reference_bytes(n, start, chunks, l1, x0, cubic, seed):
     # lil_chunk steps and folds in C as the reference's steps and fold do,
     # over partial blocks of lanes, into maxima that hold nan, +inf and
     # finite values already: the same iterates, maxima and generator states,
@@ -612,8 +620,11 @@ def test_lil_calls_match_reference_bytes(n, start, chunks, l1, x0, seed):
     # keeps; numpy's max over two or more of them returns +nan
     n_blocks, t0 = start
     rng = np.random.default_rng(seed)
-    theta, slope = rng.uniform(-1.0, 1.0), rng.uniform(0.2, 1.5)
-    problem = RmProblem(m_kind="linear", theta=theta, slope=slope)
+    theta, slope, cub_a = rng.uniform(-1.0, 1.0), *rng.uniform(0.2, 1.5, 2)
+    if cubic:
+        problem = RmProblem(m_kind="cubic_plus_linear", theta=theta, cub_a=cub_a, cub_b=slope)
+    else:
+        problem = RmProblem(m_kind="linear", theta=theta, slope=slope)
     seeds = [rep_seed(seed, i) for i in range(n)]
 
     def build():
@@ -1048,19 +1059,16 @@ def test_every_engine_takes_the_kernel(monkeypatch):
         ENGINES[name][1](seeds)
     assert len(calls) == 4
     monkeypatch.undo()
-    # the compiled kernels step every width in C and run the reference's
-    # chunk method only for the cubic M, since numpy's u**3 matches neither
-    # u*u*u nor libm's pow
+    # the compiled kernels step every width and both root-finding M in C,
+    # and run no reference chunk method
     deferred = spy_reference_chunks(monkeypatch)
     for name in ("sgd-d7", "krasulina-p7-normalized-rotated", "oja-p7", "ridge-d7"):
         CASES[name][1](seeds)
     CASES["rm-linear-shifted"][1](seeds)
+    ENGINES["rm"][1](seeds)  # the cubic M
     for _, run in WIDE.values():
         run(seeds)
     assert deferred == []
-    ENGINES["rm"][1](seeds)  # the cubic M
-    assert set(deferred) == {"rm_chunk"}
-    assert not _kernel.in_c(RmProblem(m_kind="cubic_plus_linear", cub_a=0.5, cub_b=1.0))
 
 
 class KeptGenerators:
@@ -1433,9 +1441,9 @@ def test_lil_folds_with_the_kernels_of_the_call(numpy_steps):
 
 
 @needs_kernel
-def test_cubic_lil_runs_no_compiled_lil_chunk(monkeypatch):
-    # C cannot step the cubic M as numpy does, so its LIL run makes no C
-    # lil_chunk call, only the compiled draws the reference's steps take
+def test_lil_runs_make_one_compiled_lil_chunk(monkeypatch):
+    # a LIL run, linear or cubic, seeds its generators and then steps and
+    # folds in one C lil_chunk call, drawing nothing through the draw loops
     k = _kernel.load()
     called = []
 
@@ -1447,11 +1455,10 @@ def test_cubic_lil_runs_no_compiled_lil_chunk(monkeypatch):
     monkeypatch.setattr(k, "_lib", Lib())
     seeds = [rep_seed(1, i) for i in range(3)]
     cubic = RmProblem(m_kind="cubic_plus_linear", cub_a=0.3, cub_b=1.0)
-    _lil_batch(cubic, 1.0, 3, seeds, 1.0)
-    assert "lil_chunk" not in called and "uniform_draw" in called
-    called.clear()
-    _lil_batch(RM_LINEAR, 1.0, 3, seeds, 1.0)
-    assert called == ["seed_states", "lil_chunk"]
+    for problem in (cubic, RM_LINEAR):
+        called.clear()
+        _lil_batch(problem, 1.0, 3, seeds, 1.0)
+        assert called == ["seed_states", "lil_chunk"], problem.m_kind
 
 
 SMALL_SGD = dict(test_cli.SGD_CFG, n_reps=4, horizon=20, record_grid=[])
@@ -1461,20 +1468,17 @@ WIDE_SGD = {
 }
 LIL_CFG = {"l1": 1.0, "l2": 1.0, "n_blocks": 3, "n_seeds": 2, "seed_base": 4}
 CUBIC = {"m_kind": "cubic_plus_linear", "cub_a": 0.3, "cub_b": 1.0}
-# case -> (command, config, report file, whether C steps its problem)
+# case -> (command, config, report file)
 REPORTS = {
-    "coverage": ("coverage", SMALL_SGD, "coverage_report.json", True),
-    "coverage-wide": (
-        "coverage", dict(SMALL_SGD, problem=WIDE_SGD), "coverage_report.json", True
-    ),
-    "last-iterate": ("last-iterate", dict(SMALL_SGD, t_eval=20), "last_iterate_report.json", True),
-    "lil": ("lil", LIL_CFG, "lil_report.json", True),
-    "lil-cubic": ("lil", dict(LIL_CFG, **CUBIC), "lil_report.json", False),
+    "coverage": ("coverage", SMALL_SGD, "coverage_report.json"),
+    "coverage-wide": ("coverage", dict(SMALL_SGD, problem=WIDE_SGD), "coverage_report.json"),
+    "last-iterate": ("last-iterate", dict(SMALL_SGD, t_eval=20), "last_iterate_report.json"),
+    "lil": ("lil", LIL_CFG, "lil_report.json"),
+    "lil-cubic": ("lil", dict(LIL_CFG, **CUBIC), "lil_report.json"),
     "oja-cold-start": (
         "oja-cold-start",
         dict(test_cli.COLD_START_CFG, n_reps=4, horizon=20),
         "cold_start_report.json",
-        True,
     ),
 }
 
@@ -1482,12 +1486,12 @@ REPORTS = {
 @pytest.mark.parametrize("reference", [False, True])
 @pytest.mark.parametrize("name", sorted(REPORTS))
 def test_reports_name_their_kernels(name, reference, tmp_path, monkeypatch):
-    # timing names the kernels the engines got: the reference for the cubic
-    # M, without a compiler or when load is patched
-    command, cfg, report, in_c = REPORTS[name]
+    # timing names the kernels the engines got, the cubic M's included: the
+    # reference without a compiler or when load is patched
+    command, cfg, report = REPORTS[name]
     if reference:
         monkeypatch.setattr(_kernel, "load", reference_load)
-    compiled = isinstance(_kernel.load(), StepKernels) and in_c
+    compiled = isinstance(_kernel.load(), StepKernels)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert test_cli.run([command, "--config", str(path), "--out-dir", str(tmp_path)]) in (0, 1)
@@ -1501,7 +1505,7 @@ def test_runs_hand_generators_their_seed_pairs(name, tmp_path, monkeypatch):
     # a coverage run and a lil run seed replication i with (seed_base, i),
     # rep_seed's entropy, which the compiled generators mix in C: no
     # SeedSequence reaches them
-    command, cfg, _, _ = REPORTS[name]
+    command, cfg, _ = REPORTS[name]
     handed = []
     generators = StepKernels.generators
     monkeypatch.setattr(

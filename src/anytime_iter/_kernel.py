@@ -543,16 +543,19 @@ class Loader:
         """Path of the library, compiled into the cache first if missing."""
         cache = Path(self._cache_dir) if self._cache_dir is not None else _default_cache_dir()
         source = SOURCE.read_bytes()
-        # The interpreter stands for its default compiler, sysconfig's CC,
-        # which is resolved only to compile: loading _sysconfigdata would
-        # cost a cached load more than half its time.  Its real path, so
-        # that links to one interpreter (python, python3) share one build.
-        # The machine too: a home directory may be shared by different
-        # machines.
+        # The key hashes the source's bytes, then the repr of the other
+        # fields: the repr of the whole source would take most of a cached
+        # load's time.  The interpreter stands for its default compiler,
+        # sysconfig's CC, which is resolved only to compile: loading
+        # _sysconfigdata would cost a cached load more than half its time.
+        # Its real path, so that links to one interpreter (python, python3)
+        # share one build.  The machine too: a home directory may be shared
+        # by different machines.
         python = os.path.realpath(sys.executable)
-        tag = (source, FLAGS, self._cc, python, sys.version, os.uname().machine)
-        key = hashlib.sha256(repr(tag).encode()).hexdigest()[:16]
-        path = cache / f"steps-{key}.so"
+        tag = (FLAGS, self._cc, python, sys.version, os.uname().machine)
+        key = hashlib.sha256(source)
+        key.update(repr(tag).encode())
+        path = cache / f"steps-{key.hexdigest()[:16]}.so"
         if path.is_file():
             return path
         cc = self._cc if self._cc is not None else _default_cc()

@@ -5,13 +5,16 @@ rm_chunk and ridge_chunk), the LIL statistic's lil_chunk the harness
 calls, the generators they draw from (numpy's default_rng of each seed)
 and the per-generator draws the chunks make, in the order of operations
 their outputs are pinned to.  Each chunk method is the reference loop of
-one engine chunk: the chunk's draw, then slices of at most PASS_BUDGET
-values through a trajectory buffer, each stepped and then passed over for
-its losses and channels in the elementwise order of the per-step formulas,
-so the slicing changes no bit.  rm_chunk and lil_chunk share one step loop
-(_rm_slices); lil_chunk folds the deviations of each slice it steps into
-the LIL statistic's block maxima (_lil_fold), so its memory does not grow
-with its length.  _kernel.StepKernels overrides every method with the same
+one engine chunk, in slices of at most PASS_BUDGET values through a
+trajectory buffer, each drawn, stepped and then passed over for its
+losses and channels in the elementwise order of the per-step formulas.
+Normals, signs and uniforms come out the same however a stream is cut,
+so the slicing changes no bit, and a chunk's transient memory is bounded
+by PASS_BUDGET whatever its length: an engine call that streams nothing
+is one chunk of its whole horizon.  rm_chunk and lil_chunk share one step
+loop (_rm_slices); lil_chunk folds the deviations of each slice it steps
+into the LIL statistic's block maxima (_lil_fold), so its memory does not
+grow with its length.  _kernel.StepKernels overrides every method with the same
 name and arguments: the generators, as PCG64 states the compiled code owns,
 seeded in C from each seed's entropy words or SeedSequence pool, the draws
 but sphere, which draws through normals, the recursion checks, and each
@@ -36,7 +39,7 @@ import numpy as np
 
 from .seeding import make_generator
 
-PASS_BUDGET = 2**14  # values per slice of a chunk's step loop and its loss and channel pass
+PASS_BUDGET = 2**14  # values per slice of a chunk's draw, step loop and loss and channel pass
 
 
 def _sum_last(a: np.ndarray, out=None, squares: bool = False) -> np.ndarray:
@@ -242,16 +245,16 @@ class Reference:
         loss_pl, noise_sc, noise_pl, y_sc, y_pl and gnorm2."""
         m = len(etas)
         n, d = state.shape
-        noise = np.empty((m, n, d))
-        self.sphere(noise, gens, b_noise)
         # whole (n, d) operands: broadcasting a (d,) vector costs more per step
         a_n, xs_n = np.tile(a, (n, 1)), np.tile(xs, (n, 1))
         diff, g = np.empty((n, d)), np.empty((n, d))
         project = _projector(n, d, radius)
         traj = _trajectory(state, m)
+        noise = np.empty(traj[1:].shape)
         hits = 0
         for t in _slices(m, traj):
-            e, eta_t = noise[t], etas[t]
+            e, eta_t = noise[: t.stop - t.start], etas[t]
+            self.sphere(e, gens, b_noise)
             for k, eta in enumerate(eta_t.tolist()):
                 # w = x - eta*(a*(x - x*) + e), projected onto the ball
                 x, w = traj[k], traj[k + 1]
@@ -291,9 +294,8 @@ class Reference:
         channels, when given, are q, z_dot_v, znorm2 and norm_ratio."""
         m = len(etas)
         n, p = state.shape
-        data = np.empty((m, n, p))
-        self.signs(data, gens, scale)
         traj = _trajectory(state, m)
+        data = np.empty(traj[1:].shape)
         vn2 = np.ones(traj.shape[:2])
         vn2[0] = norms
         # grown[k] is ||v||^2 right after step k's update, before normalising;
@@ -303,7 +305,8 @@ class Reference:
         tmp, z = np.empty((n, p)), np.empty((n, p))
         y_col, c_col = y[:, None], c[:, None]
         for t in _slices(m, traj, vn2):
-            xt, eta_t = data[t], etas[t]
+            xt, eta_t = data[: t.stop - t.start], etas[t]
+            self.signs(xt, gens, scale)
             for k, eta in enumerate(eta_t.tolist()):
                 v, w, xk = traj[k], traj[k + 1], xt[k]
                 np.multiply(xk, v, out=tmp)
@@ -367,11 +370,11 @@ class Reference:
         the deviations x - theta of its iterates from the one before its
         first step on, (k + 1, n), and its noise and steps."""
         m = len(etas)
-        xi = np.empty((m,) + state.shape)
-        self.uniform(xi, gens, -radius, radius)
         traj = _trajectory(state, m)
+        xi = np.empty(traj[1:].shape)
         for t in _slices(m, traj):
-            xt, eta_t = xi[t], etas[t]
+            xt, eta_t = xi[: t.stop - t.start], etas[t]
+            self.uniform(xt, gens, -radius, radius)
             for k, eta in enumerate(eta_t.tolist()):
                 x = traj[k]
                 y_val = problem.m_func(x)

@@ -15,10 +15,11 @@ replications in lock step.  Each replication owns its generator (derived from
 its seed) and the steps use no matrix products, whose summation order
 depends on the batch shape, so a batch of one is bit-identical to a batch
 member of any size.  Normals (SGD), signs (PCA) and uniforms (root finding)
-come out the same however a stream is cut into chunks, so those engines draw
-chunks of DRAW_BUDGET values per batch (and at least MIN_ROWS steps):
-streamed through on_chunk without record_channels, memory is O(N*chunk),
-independent of the horizon.
+come out the same however a stream is cut into chunks, so a call that
+streams nothing steps its whole horizon in one kernel call, and a call that
+streams its losses through on_chunk cuts it into chunks of DRAW_BUDGET
+values per batch (and at least MIN_ROWS steps): streamed without
+record_channels, memory is O(N*chunk), independent of the horizon.
 
 Every engine runs one path: _run cuts the horizon into chunks, and per
 chunk the engine makes one call to the process's kernels, _kernel.load(),
@@ -35,18 +36,23 @@ writes the losses and, with record_channels, every noise channel in the
 elementwise order of the per-step formulas.  The SGD, PCA and root-finding
 calls draw their chunk too; ridge_batch first draws its chunk with the
 kernels' signs and uniform and forms the responses in numpy (_ridge_draw),
-in groups of replications.  Each compiled chunk is one replication-major
-C call at every width and for either root-finding M, with no draw chunk
-and no trajectory buffer; the reference's chunk steps and passes through
-slices of a trajectory buffer (see _reference).  Either way the transient
-memory is O(N*chunk) with or without recording.  A recorded call's outputs, its
-(N, T+1) losses and (N, T) channels, are carved from one allocation
-(_output_block), big enough for transparent huge pages where one array
-alone is not.
+in groups of replications, and keeps RIDGE_ROWS steps per chunk, since its
+draws depend on the chunk length.  Each compiled chunk is one
+replication-major C call at every width and for either root-finding M,
+with no draw chunk and no trajectory buffer; the reference's chunk draws,
+steps and passes through slices of a trajectory buffer (see _reference).
+Either way the transient memory is bounded by PASS_BUDGET or the chunk,
+with or without recording, whatever the horizon.  Every output a call
+returns, its (N, T+1) losses and, recorded, its (N, T) channels, is carved
+from one block (_output_block), big enough for transparent huge pages
+where one array alone is not, and taken from the memory of an earlier
+result once all of that result's arrays are gone (_Spare).
 """
 from __future__ import annotations
 
 import math
+import threading
+import weakref
 from typing import Sequence
 
 import numpy as np
@@ -75,13 +81,19 @@ __all__ = [
     "check_pca_recursion",
 ]
 
-DRAW_BUDGET = 2**17  # values drawn per chunk across a batch (1 MB)
-MIN_ROWS = 128  # steps per chunk at least, to amortise one draw call per generator
-RIDGE_ROWS = 2048  # steps per ridge chunk; part of the ridge output
+# DRAW_BUDGET and MIN_ROWS size the chunks of a call that streams its losses
+# to on_chunk only; a call that streams nothing is one chunk
+DRAW_BUDGET = 2**17  # values per streamed chunk across a batch (1 MB)
+MIN_ROWS = 128  # steps per streamed chunk at least, to amortise one kernel call
+RIDGE_ROWS = 2048  # steps per ridge chunk, streamed or not; part of the ridge output
 
 
-def _rows(n: int, width: int) -> int:
-    """Steps per chunk for n replications drawing width values per step."""
+def _rows(n: int, width: int, horizon: int, on_chunk) -> int:
+    """Steps per chunk for n replications stepping width values per step:
+    the whole horizon, one kernel call, unless on_chunk streams the losses,
+    whose reused buffer then holds DRAW_BUDGET values, or MIN_ROWS steps."""
+    if on_chunk is None:
+        return max(1, horizon)
     return max(MIN_ROWS, DRAW_BUDGET // (n * width))
 
 
@@ -96,7 +108,8 @@ def _run(l0, horizon: int, rows: int, on_chunk, losses):
     the losses at times t.start+1..t.stop.
 
     Without on_chunk, out is a view of the (N, horizon+1) matrix losses,
-    whose column 0 is l0.  With it, out is a view of a reused chunk buffer
+    whose column 0 is l0, and every engine but ridge_batch passes the whole
+    horizon as rows (_rows).  With it, out is a view of a reused chunk buffer
     that goes to on_chunk(t.start + 1, out) once filled; the losses l0 at
     time 0 go first, as on_chunk(0, l0[:, None]).
     """
@@ -113,17 +126,71 @@ def _run(l0, horizon: int, rows: int, on_chunk, losses):
             on_chunk(start + 1, out)
 
 
+class _Owner:
+    """Exposes the first size values of the flat float64 array mem through
+    __array_interface__, so that np.asarray(owner) is an array of exactly
+    size values whose base is owner, and owner is collected once no array
+    of that memory is left."""
+
+    __slots__ = ("__array_interface__", "__weakref__")
+
+    def __init__(self, mem: np.ndarray, size: int):
+        self.__array_interface__ = {**mem.__array_interface__, "shape": (size,)}
+
+
+class _Spare:
+    """At most one flat float64 array whose results are all gone, for the
+    next engine call's outputs.
+
+    The memory of a block goes back, through a weakref.finalize on its
+    owner, only once every array of it has been collected, so memory of a
+    live result is never handed out.  Of two spares the larger is kept.
+    The spare is taken and given back under a lock, so that calls on
+    several threads never share one."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._mem = None
+
+    def block(self, size: int) -> np.ndarray:
+        """A flat float64 array of size values: the spare when it holds
+        that many, else fresh memory."""
+        with self._lock:
+            mem = self._mem
+            if mem is not None and mem.size >= size:
+                self._mem = None
+            else:
+                mem = None
+        if mem is None:
+            mem = np.empty(size)
+        owner = _Owner(mem, size)
+        weakref.finalize(owner, self._give_back, mem).atexit = False
+        return np.asarray(owner)
+
+    def _give_back(self, mem: np.ndarray) -> None:
+        with self._lock:
+            if self._mem is None or mem.size > self._mem.size:
+                self._mem = mem
+
+
+_SPARE = _Spare()
+
+
 def _output_block(n: int, horizon: int, losses: int, channels: int) -> list:
     """losses (n, horizon+1) loss arrays, then channels (n, horizon) channel
-    arrays, carved in that order from one flat float64 allocation, each
+    arrays, carved in that order from one flat float64 block, each
     C-contiguous and starting where the one before ends.  numpy asks the
     kernel for transparent huge pages only for allocations of at least
     4 MiB, which a (100, 5000) channel or (100, 5001) loss array alone,
-    4.0 MB, misses; one block gets them, where the host grants them, and
-    faults in a fraction of the pages.  Every array is a view of the block,
-    so holding one keeps them all alive."""
+    4.0 MB, misses; one fresh block gets them, where the host grants them,
+    and faults in a fraction of the pages, and a block from the spare
+    (_SPARE), the memory of an earlier result that is gone, faults in none.
+    Every array is a view of the block, so holding one keeps them all
+    alive."""
     shapes = [(n, horizon + 1)] * losses + [(n, horizon)] * channels
-    block = np.empty(sum(rows * cols for rows, cols in shapes))
+    if not shapes:
+        return []
+    block = _SPARE.block(sum(rows * cols for rows, cols in shapes))
     arrays, start = [], 0
     for rows, cols in shapes:
         arrays.append(block[start : start + rows * cols].reshape(rows, cols))
@@ -154,12 +221,12 @@ def sgd_batch(
 
     Returns per-replication arrays: loss_sc/loss_pl of shape (N, T+1) and,
     when record_channels is set, the noise decompositions and martingale
-    parts of shape (N, T); without it loss_pl is None.  A recorded call
-    carves loss_sc, loss_pl and the five channels, in that order, from one
-    allocation (_output_block), so holding one keeps them all alive.  With
-    on_chunk, loss_sc is None and on_chunk(t0, losses) receives instead
-    each chunk's losses at times t0, t0+1, ... in an (N, k) buffer reused
-    afterwards.
+    parts of shape (N, T); without it loss_pl is None.  A call carves
+    loss_sc, loss_pl and the five channels, those it returns, in that
+    order, from one block (_output_block), so holding one keeps them all
+    alive, and steps the whole horizon in one kernel call.  With on_chunk,
+    loss_sc is None and on_chunk(t0, losses) receives instead each chunk's
+    losses at times t0, t0+1, ... in an (N, k) buffer reused afterwards.
     """
     n = len(seeds)
     d = problem.dim
@@ -175,20 +242,21 @@ def sgd_batch(
     x = np.tile(x0, (n, 1))
     diff = x - xs
 
+    # loss_sc unless streamed, then loss_pl and the channels if recorded
+    losses = (0 if on_chunk else 1) + (1 if record_channels else 0)
+    arrays = _output_block(n, horizon, losses, 5 if record_channels else 0)
+    loss_sc = None if on_chunk else arrays.pop(0)
     if record_channels:
-        arrays = _output_block(n, horizon, 1 if on_chunk else 2, 5)
-        loss_sc = None if on_chunk else arrays.pop(0)
         loss_pl, *channels = arrays
         loss_pl[:, 0] = 0.5 * np.sum(a * diff * diff, axis=1)
         # column t of loss_pl[:, 1:] and of each channel belongs to step t
         channels = [loss_pl[:, 1:], *channels]
     else:
-        loss_sc = None if on_chunk else np.empty((n, horizon + 1))
         loss_pl, channels = None, []
     proj_hits = 0
 
     l0 = np.sum(diff * diff, axis=1)
-    for t, out in _run(l0, horizon, _rows(n, d), on_chunk, loss_sc):
+    for t, out in _run(l0, horizon, _rows(n, d, horizon, on_chunk), on_chunk, loss_sc):
         proj_hits += kernels.sgd_chunk(
             x, gens, etas[t], a, xs, radius, problem.b_noise, half_mu, out,
             *[c[:, t] for c in channels],
@@ -223,8 +291,8 @@ def pca_batch(
     variant "oja" applies the multiplicative update v <- v + eta*y*X.  The
     recorded noise channel q is the centered martingale part of the sin^2
     recursion (computable exactly because the covariance is known).  A
-    recorded call carves the (N, T+1) loss and the four (N, T) channels,
-    in that order, from one allocation, as sgd_batch does.  on_chunk
+    call carves the (N, T+1) loss and the four (N, T) channels, those it
+    returns, in that order, from one block, as sgd_batch does.  on_chunk
     streams "loss" as in sgd_batch.
     """
     if variant not in ("krasulina", "oja"):
@@ -251,15 +319,12 @@ def pca_batch(
     if np.any(vn2 <= 0):
         raise ValueError("v0 must be nonzero")
 
-    if record_channels:
-        channels = _output_block(n, horizon, 0 if on_chunk else 1, 4)
-        losses = None if on_chunk else channels.pop(0)
-    else:
-        losses, channels = None if on_chunk else np.empty((n, horizon + 1)), []
+    channels = _output_block(n, horizon, 0 if on_chunk else 1, 4 if record_channels else 0)
+    losses = None if on_chunk else channels.pop(0)
 
     l0 = np.maximum(0.0, 1.0 - v[:, 0] ** 2 / vn2)
     krasulina = variant == "krasulina"
-    for t, out in _run(l0, horizon, _rows(n, p), on_chunk, losses):
+    for t, out in _run(l0, horizon, _rows(n, p, horizon, on_chunk), on_chunk, losses):
         kernels.pca_chunk(
             v, vn2, gens, etas[t], sq, eigs, krasulina, normalize_each_step, out,
             *[c[:, t] for c in channels],
@@ -287,24 +352,21 @@ def rm_batch(
 ) -> dict:
     """Advance scalar root-finding replications in lock step.
 
-    The loss is (x_t - theta)^2.  A recorded call carves the (N, T+1) loss
-    and the (N, T) channels q and noise, in that order, from one
-    allocation, as sgd_batch does.  With on_chunk, loss is None and
+    The loss is (x_t - theta)^2.  A call carves the (N, T+1) loss and the
+    (N, T) channels q and noise, those it returns, in that order, from one
+    block, as sgd_batch does.  With on_chunk, loss is None and
     on_chunk(t0, loss) receives each chunk's losses, as in sgd_batch.
     """
     n = len(seeds)
     horizon = len(etas)
     kernels = _kernel.load()
     gens = kernels.generators(seeds)
-    if record_channels:
-        channels = _output_block(n, horizon, 0 if on_chunk else 1, 2)
-        losses = None if on_chunk else channels.pop(0)
-    else:
-        losses, channels = None if on_chunk else np.empty((n, horizon + 1)), []
+    channels = _output_block(n, horizon, 0 if on_chunk else 1, 2 if record_channels else 0)
+    losses = None if on_chunk else channels.pop(0)
 
     x = np.full(n, float(x0))
     l0 = (x - problem.theta) ** 2
-    for t, out in _run(l0, horizon, _rows(n, 1), on_chunk, losses):
+    for t, out in _run(l0, horizon, _rows(n, 1, horizon, on_chunk), on_chunk, losses):
         kernels.rm_chunk(x, gens, etas[t], problem, SQRT3, out, *[c[:, t] for c in channels])
     q_chan, noise = channels or (None, None)
     return {"loss": losses, "q": q_chan, "noise": noise, "final_x": x}
@@ -336,7 +398,7 @@ def ridge_batch(
     group = max(1, DRAW_BUDGET // (RIDGE_ROWS * (d + 1)))
 
     theta0 = _check_in_ball(theta0, radius, "theta0", d)
-    losses = None if on_chunk else np.empty((n, horizon + 1))
+    losses = None if on_chunk else _output_block(n, horizon, 1, 0)[0]
     theta = np.tile(theta0, (n, 1))
     l0 = np.sum((theta - theta_star) ** 2, axis=1)
     for t, out in _run(l0, horizon, RIDGE_ROWS, on_chunk, losses):

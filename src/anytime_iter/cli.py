@@ -363,20 +363,26 @@ def main(argv=None) -> int:
         prog="anytime-iter",
         description="Anytime-valid boundary experiments for iterative stochastic algorithms.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, types) in _COMMANDS.items():
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", required=bool(types), help="JSON experiment config")
-        sp.add_argument("--out-dir", default=".", help="directory for report files")
-        threads_help = (
+    parser.add_argument("command", choices=list(_COMMANDS))
+    parser.add_argument(
+        "--config", help="JSON experiment config; every command but catalog needs one"
+    )
+    parser.add_argument("--out-dir", default=".", help="directory for report files")
+    parser.add_argument(
+        "--threads",
+        type=_thread_count,
+        default=0,
+        help=(
             "worker threads of coverage, last-iterate, oja-cold-start and lil, each on "
             "a block of at most min(512, ceil(n_reps / N)) replications, or "
             "ceil(n_seeds / N) seeds for lil (0, 1 = serial), on no more workers than "
             "blocks or usable cores; the compiled engine chunks run in parallel, the "
             "numpy reference mostly does not"
-        )
-        sp.add_argument("--threads", type=_thread_count, default=0, help=threads_help)
+        ),
+    )
     args = parser.parse_args(argv)
+    if _COMMANDS[args.command][1] and args.config is None:
+        parser.error(f"the following arguments are required for {args.command}: --config")
 
     try:
         parsed = _parse_config(args.command, args.config)

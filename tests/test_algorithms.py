@@ -456,6 +456,37 @@ def test_ridge_draws_in_groups_within_the_draw_budget():
     assert peak < 512 * algorithms.RIDGE_ROWS * 8 + 2**22, peak
 
 
+# name -> run(etas, seeds): a recorded call that streams nothing
+RECORDED = {
+    "sgd": lambda etas, seeds: sgd_batch(SGD, etas, np.array([0.5, 0.0]), seeds),
+    "krasulina": lambda etas, seeds: pca_batch(PCA, etas, (0.6, 0.8), seeds, "krasulina", False),
+    "rm": lambda etas, seeds: rm_batch(RM, etas, 1.0, seeds),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED))
+def test_reference_memory_does_not_grow_with_the_horizon(name, monkeypatch):
+    # a call that streams nothing steps its whole horizon in one chunk
+    # call; the reference draws, steps and passes over it one slice of
+    # PASS_BUDGET values at a time, so the peak above what the call leaves
+    # allocated, its outputs, is the same at four times the horizon (both
+    # horizons span two slices or more)
+    monkeypatch.setattr(_kernel, "load", lambda: _reference.REFERENCE)
+    seeds = [rep_seed(6, i) for i in range(32)]
+    transient = []
+    for horizon in (1024, 4096):
+        etas = StepSchedule.inverse_time(1.0, 32.0).etas(horizon)
+        tracemalloc.start()
+        try:
+            res = RECORDED[name](etas, seeds)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        transient.append(peak - current)
+        del res
+    assert transient[1] < transient[0] + 2**16, transient
+
+
 # ---------------------------------------------------------------------------
 # Input validation
 # ---------------------------------------------------------------------------

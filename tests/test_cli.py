@@ -373,6 +373,16 @@ def test_bad_thread_count_exits_2(threads, tmp_path, capsys, monkeypatch):
     assert "--threads" in capsys.readouterr().err
 
 
+def test_config_is_required_by_commands_that_take_one(tmp_path, capsys):
+    # one parser for every command: a command with a config exits 2 without
+    # --config and names it, before anything runs; catalog takes none
+    with pytest.raises(SystemExit) as exc:
+        run(["coverage", "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+    assert run(["catalog", "--out-dir", str(tmp_path)]) == 0
+
+
 def test_reports_reproducible_across_threads(tmp_path):
     cfg = write_cfg(tmp_path, "cov.json", SGD_CFG)
     outs = []

@@ -12,6 +12,7 @@ the reference for the engines by patching _kernel.load.
 """
 
 import ctypes
+import gc
 import inspect
 import json
 import math
@@ -20,6 +21,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -439,6 +441,130 @@ def test_recorded_channels_are_rows_of_one_block(name, monkeypatch):
         assert at == block.ctypes.data + block.nbytes
     monkeypatch.setattr(_kernel, "load", reference_load)
     assert as_bytes(res) == as_bytes(run(seeds))
+
+
+def _block(res: dict) -> tuple:
+    """Where the block a result's arrays are views of starts and ends."""
+    block = next(a for a in res.values() if isinstance(a, np.ndarray) and a.ndim == 2).base
+    return block.ctypes.data, block.ctypes.data + block.nbytes
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUTS))
+def test_outputs_reuse_the_memory_of_collected_results(name, monkeypatch):
+    # while a result is held, no other call writes into its memory; once
+    # all its arrays are collected, its memory is the spare, which the next
+    # call of equal or smaller size takes, and each gets the reference's
+    # bytes from that stale memory
+    _, run = CASES[name]
+    seeds = [rep_seed(9, i) for i in range(11)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernel, "load", reference_load)
+        want = [as_bytes(run(seeds)), as_bytes(run(seeds[:4]))]
+    monkeypatch.setattr(algorithms, "_SPARE", algorithms._Spare())
+    held = run(seeds)
+    lo, hi = _block(held)
+    other = run(seeds)
+    assert _block(other)[1] <= lo or hi <= _block(other)[0]
+    del held
+    for batch, expected in zip((seeds, seeds[:4]), want):
+        res = run(batch)
+        assert _block(res)[0] == lo and _block(res)[1] <= hi
+        assert as_bytes(res) == expected
+        del res
+
+
+class FailingChunks:
+    """The kernels, but rm_chunk keeps the address of the block its losses
+    are carved from and raises."""
+
+    def __init__(self, kernels):
+        self._kernels = kernels
+        self.block = None
+
+    def rm_chunk(self, state, gens, etas, problem, radius, loss, *channels):
+        self.block = loss.base.ctypes.data
+        raise RuntimeError("chunk failed")
+
+    def __getattr__(self, name):
+        return getattr(self._kernels, name)
+
+
+def test_a_failing_call_gives_its_block_back(monkeypatch):
+    _, run = CASES["rm-linear-shifted"]
+    seeds = [rep_seed(9, i) for i in range(11)]
+    monkeypatch.setattr(algorithms, "_SPARE", algorithms._Spare())
+    failing = FailingChunks(_kernel.load())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernel, "load", lambda: failing)
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            run(seeds)
+    gc.collect()  # the traceback's frames held the block's arrays
+    assert failing.block is not None and _block(run(seeds))[0] == failing.block
+
+
+def test_the_spare_is_the_larger_block():
+    # of two collected blocks the spare keeps the larger, which a call of
+    # any size up to it takes; a bigger call gets fresh memory
+    spare = algorithms._Spare()
+    small, large = spare.block(10), spare.block(20)
+    assert small.shape == (10,) and large.shape == (20,)
+    at = large.ctypes.data
+    del large, small
+    assert spare.block(15).ctypes.data == at
+    assert spare.block(21).ctypes.data != at
+
+
+def test_threads_never_share_a_block():
+    # threads take and give back blocks of different sizes at once, with
+    # the interpreter switching between them every microsecond: no block a
+    # thread holds may be handed to another, which would overwrite it
+    spare = algorithms._Spare()
+    clobbered = []
+
+    def work(k):
+        for _ in range(300):
+            block = spare.block(64 + k)
+            block.fill(k)
+            time.sleep(0)
+            if not (block == k).all():
+                clobbered.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and clobbered == []
+
+
+@pytest.mark.parametrize("name", sorted(set(ENGINES) - {"ridge"}))
+def test_streamed_chunks_record_what_one_chunk_records(name, monkeypatch):
+    # a recorded call that streams nothing is one chunk call; streamed in
+    # chunks of 7 steps, it writes the same channel bytes and streams the
+    # losses the one chunk wrote, under either kernels
+    width, run = ENGINES[name]
+    key = "loss_sc" if name == "sgd" else "loss"
+    seeds = [rep_seed(12, i) for i in range(3)]
+    monkeypatch.setattr(algorithms, "MIN_ROWS", 1)
+    monkeypatch.setattr(algorithms, "DRAW_BUDGET", 7 * len(seeds) * width)
+    got = []
+    for kernels in dict.fromkeys((_kernel.load(), REFERENCE)):
+        monkeypatch.setattr(_kernel, "load", lambda: kernels)
+        whole = as_bytes(run(seeds))
+        chunks = []
+        streamed = as_bytes(run(seeds, on_chunk=lambda t0, loss: chunks.append(loss.copy())))
+        assert [c.shape[1] for c in chunks] == [1] + [7] * 8 + [4]
+        assert streamed.pop(key) is None
+        dtype, shape, losses = whole.pop(key)
+        assert np.concatenate(chunks, axis=1).tobytes() == losses
+        assert streamed == whole
+        got.append(whole)
+    assert got[0] == got[-1]
 
 
 @needs_kernel
@@ -1163,10 +1289,12 @@ class CountingKernels:
     ],
 )
 def test_engines_make_one_kernel_call_per_chunk(engine, method, compiled, monkeypatch):
-    # 60 steps in chunks of 7: 9 chunks, each one chunk call, with or
-    # without recording or streaming, whichever kernels the engines get;
-    # ridge draws its chunk with the kernels' signs and uniform first,
-    # since its responses are numpy's product (one group of 3 here)
+    # 60 steps streamed in chunks of 7: 9 chunks, each one chunk call, with
+    # or without recording, whichever kernels the engines get; a run that
+    # streams nothing is one chunk call.  Ridge cuts every run into chunks
+    # of RIDGE_ROWS, since its draws depend on the chunk length, and draws
+    # each chunk with the kernels' signs and uniform first, since its
+    # responses are numpy's product (one group of 3 here)
     if compiled and _kernel.load() is REFERENCE:
         pytest.skip("no C compiler here")
     width, run = ENGINES[engine]
@@ -1183,7 +1311,8 @@ def test_engines_make_one_kernel_call_per_chunk(engine, method, compiled, monkey
     for kw in runs:
         kernels.calls.clear()
         run(seeds, **kw)
-        assert kernels.calls == ["generators"] + chunk * 9, kw
+        chunks = 9 if engine == "ridge" or "on_chunk" in kw else 1
+        assert kernels.calls == ["generators"] + chunk * chunks, kw
 
 
 def test_compiled_functions_are_the_bound_ones():
@@ -1612,6 +1741,36 @@ def test_links_to_the_interpreter_share_one_build(tmp_path, monkeypatch):
         monkeypatch.setattr(sys, "executable", executable)
         paths.append(_kernel.Loader(cache_dir=tmp_path / "cache", cc=["cc"])._build())
     assert len(builds) == 1 and len(set(paths)) == 1 and paths[0].is_file()
+
+
+def test_every_field_of_the_build_key_names_another_library(tmp_path, monkeypatch):
+    # the source, the flags, the compiler, the interpreter's real path and
+    # the machine each change the library's name, so no process loads a
+    # library built from another of them
+    monkeypatch.setattr(
+        _kernel, "_compile", lambda cc, source, out: Path(out).write_bytes(source)
+    )
+    source = tmp_path / "_steps.c"
+    source.write_bytes(_kernel.SOURCE.read_bytes())
+    monkeypatch.setattr(_kernel, "SOURCE", source)
+    machine = os.uname()
+
+    def build(cc=("cc",)) -> Path:
+        return _kernel.Loader(cache_dir=tmp_path / "cache", cc=list(cc))._build()
+
+    paths = [build(), build(("cc", "-m64"))]
+    source.write_bytes(source.read_bytes() + b"\n")
+    paths.append(build())
+    monkeypatch.setattr(_kernel, "FLAGS", (*_kernel.FLAGS, "-g"))
+    paths.append(build())
+    monkeypatch.setattr(sys, "executable", str(tmp_path / "other-python"))
+    paths.append(build())
+    fields = list(machine)
+    fields[4] = machine.machine + "-other"
+    monkeypatch.setattr(os, "uname", lambda: os.uname_result(fields))
+    paths.append(build())
+    assert len(set(paths)) == len(paths) and all(p.is_file() for p in paths)
+    assert build() == paths[-1]  # and the same fields name the same one
 
 
 def test_a_library_that_builds_is_loaded():

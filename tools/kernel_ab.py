@@ -21,7 +21,9 @@ build runs first, for --rounds rounds:
               whatever --steps says, on covariates and responses drawn
               once in numpy;
   * seed:     generators on the --reps seeds (7, i), the (seed_base, i)
-              pairs the harness passes, timed per seed: a revision whose
+              pairs the harness passes, timed per seed over enough calls
+              per round for about SEEDS_PER_ROUND seeds, so that one call's
+              jitter does not set the round's ratio: a revision whose
               generators read SeedSequence pools builds SeedSequence(seed)
               for each inside the call.
 
@@ -69,6 +71,8 @@ import anytime_iter  # noqa: E402
 from anytime_iter.algorithms import RIDGE_ROWS  # noqa: E402
 from anytime_iter.problems import RmProblem  # noqa: E402
 from anytime_iter.streams import SQRT3  # noqa: E402
+
+SEEDS_PER_ROUND = 2**16  # seeds the seed row seeds per build and round
 
 
 def extract(rev: str, into: Path):
@@ -183,15 +187,17 @@ def main(argv=None) -> int:
                 if written["A"][1] != written["B"][1]:
                     raise SystemExit(f"{name}: the two builds left different generator states")
                 ratios.setdefault(name, []).append(times["B"] / times["A"])
-            times = {}
+            times, calls = {}, max(1, SEEDS_PER_ROUND // args.reps)
             for label in ("AB" if r % 2 == 0 else "BA"):
                 k = builds[label]
                 start = time.perf_counter()
-                gens = k.generators(seeds)
+                for _ in range(calls):
+                    gens = k.generators(seeds)
                 times[label] = time.perf_counter() - start
                 if k.states(gens) != want:
                     raise SystemExit(f"seed: build {label}'s generators are not numpy's")
-                per_step.setdefault(("seed", label), []).append(times[label] / args.reps * 1e9)
+                ns = times[label] / (calls * args.reps) * 1e9
+                per_step.setdefault(("seed", label), []).append(ns)
             ratios.setdefault("seed", []).append(times["B"] / times["A"])
 
     print(f"A = {args.rev}, B = working tree; {args.reps} reps x {args.steps} steps, "

@@ -13,26 +13,26 @@ generators(seeds) returns:
   * the SGD, PCA, root-finding and ridge chunks: one C call per chunk,
     replication-major, that steps each replication's iterate in locals and
     writes its losses, and its channels when the engine records them,
-    straight into row i of the (N, T) results or chunk buffer; SGD, PCA and
-    root finding draw each replication's values from its own generator,
-    while ridge's come from this object's signs and uniform (see
-    algorithms.ridge_batch).  No draw chunk and no trajectory buffer is
-    built.  C performs the reference's correctly rounded IEEE operations in
-    the same order, each numpy expression left to right with its
-    parentheses, built without contraction into fused multiply-adds and
-    without -ffast-math (FLAGS), and sums coordinates as np.sum does, with
-    the closing +0.0 of _reference._sum_last: fewer than 8 terms left to
-    right, more with numpy's pairwise sum.  So they write the reference's
-    bytes for finite inputs and for the nan invalid operations give; where
-    a nan of the other sign that a caller supplies meets another nan, the
-    two may keep different ones (ridge_chunk wrote +nan in C and -nan in
-    numpy), which the engines' own finite draws never meet.  The chunks
-    step every width, those of widths 2 and 4 on the stack with their
-    coordinate loops unrolled and all others on scratch from the heap (a
-    failed allocation raises MemoryError).  rm_chunk and lil_chunk step the
-    linear and the cubic M alike, each in a loop compiled for it: RmProblem
-    forms the cubic M's powers as products, u*u*u, which C rounds as numpy
-    does, where numpy's own power loops need not round as libm's pow;
+    straight into row i of the (N, T) results or chunk buffer, drawing each
+    replication's values from its own generator (ridge its uniforms from a
+    copy of the state jumped past the chunk's signs, as PCG64.advance
+    jumps), with no draw chunk and no trajectory buffer.  C performs the
+    reference's correctly rounded IEEE operations in the same order, each
+    numpy expression left to right with its parentheses, built without
+    contraction into fused multiply-adds and without -ffast-math (FLAGS),
+    and sums coordinates as np.sum does, with the closing +0.0 of
+    _reference._sum_last: fewer than 8 terms left to right, more with
+    numpy's pairwise sum.  So they write the reference's bytes for finite
+    inputs and for the nan invalid operations give; where a nan of the
+    other sign that a caller supplies meets another nan, the two may keep
+    different ones, which the engines' own finite draws never meet.  The
+    chunks step every width, those of widths 2 and 4 on the stack with
+    their coordinate loops unrolled and all others on scratch from the heap
+    (a failed allocation raises MemoryError).  rm_chunk and lil_chunk step
+    the linear and the cubic M alike, each in a loop compiled for it:
+    RmProblem forms the cubic M's powers as products, u*u*u, which C rounds
+    as numpy does, where numpy's own power loops need not round as libm's
+    pow;
   * the generators and every draw: generators turns each int seed or
     sequence of ints into its entropy words (_entropy_words) and takes any
     other seed's SeedSequence.pool, and one C call seeds an (n,
@@ -98,6 +98,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import sys
 import tempfile
@@ -117,12 +118,11 @@ _SIGNATURES = {
     "pca_chunk": ([_P] * 6 + [_L] * 3 + [_I] * 2 + [_P, _L] + [_P] * 4 + [_L], _L),
     "rm_chunk": ([_P] * 3 + [_L] * 2 + [_P, _I] + [_D] * 2 + [_P, _L, _P, _P, _L], None),
     "lil_chunk": ([_P] * 2 + [_L] * 3 + [_D, _P, _I] + [_D] * 2 + [_P, _L, _P], None),
-    "ridge_chunk": ([_P] * 5 + [_L] * 3 + [_D, _I, _D, _D, _P, _L], _L),
+    "ridge_chunk": ([_P] * 4 + [_L] * 3 + [_D] * 4 + [_I, _D, _D, _P, _L], _L),
     "seed_states": ([_P] * 3 + [_L], None),
     "normal_fill": ([_P, _L, _P, _P], _L),
     "normal_draw": ([_P] * 2 + [_L] * 3, None),
     "sign_draw": ([_P] * 3 + [_L] * 3, None),
-    "uniform_draw": ([_P] * 2 + [_L] * 2 + [_D] * 2, None),
     "lil_loglog": ([_P] + [_L] * 2, None),
     "recursion_failure": ([_P] * 3 + [_L] + [_D] * 4 + [_P, _L], _L),
     "pca_failure": ([_P] * 3 + [_L] + [_D] * 4 + [_I, _D], _L),
@@ -218,8 +218,8 @@ def _rm_constants(problem, radius: float) -> tuple:
     on [-radius, radius], as rm_chunk and lil_chunk in _steps.c take them:
     the rm_consts array theta, a, b, a2, ab2, b2, r1sq of its M and
     envelope, formed in Python as m_func, poly_sq and the reference pass
-    form them; whether M is cubic; and low and range, from low and high
-    formed as Generator.uniform forms them."""
+    form them; whether M is cubic; and the low and range that
+    Generator.uniform(-radius, radius) forms."""
     p = problem
     cubic = p.m_kind != "linear"
     if cubic:
@@ -227,8 +227,7 @@ def _rm_constants(problem, radius: float) -> tuple:
     else:
         m = (0.0, p.slope, 0.0, 0.0, p.slope**2)
     consts = np.array([p.theta, *m, p.r1**2], dtype=np.float64)
-    low, high = -radius, radius
-    return consts, int(cubic), low, high - low
+    return consts, int(cubic), -radius, radius - -radius
 
 
 def _gens(gens, n: int) -> int:
@@ -326,10 +325,6 @@ class StepKernels(Reference):
             rows, n, width,
         )
 
-    def uniform(self, out, gens, low: float, high: float) -> None:
-        rows, n = out.shape
-        self._lib.uniform_draw(_addr(out, (rows, n)), _gens(gens, n), rows, n, low, high - low)
-
     def sgd_chunk(
         self, state, gens, etas, a, xs, radius: float, b_noise: float, half_mu: float, loss,
         *channels,
@@ -385,17 +380,18 @@ class StepKernels(Reference):
         )
 
     def ridge_chunk(
-        self, state, xs, ys, etas, theta_star, lambda_pen, penalty_in_gradient, radius, loss
+        self, state, gens, etas, stream, lambda_pen, penalty_in_gradient, radius, loss
     ) -> None:
         iterates, n, d = _iterates(state)
         etas, m = _steps(etas)
+        theta_star, r = np.array(stream.theta_star), stream.noise_radius
         _scratch(self._lib.ridge_chunk(
             iterates,
-            _addr(xs, (m, n, d)),
-            _addr(ys, (m, n)),
+            _gens(gens, n),
             _addr(etas, (m,)),
             _addr(theta_star, (d,)),
-            m, n, d, lambda_pen, int(penalty_in_gradient), radius, radius * radius,
+            m, n, d, stream.x_radius / math.sqrt(d), -r, r - -r,
+            lambda_pen, int(penalty_in_gradient), radius, radius * radius,
             *_rows(loss, (n, m)),
         ))
 

@@ -4,25 +4,19 @@ Reference holds the chunk methods the engines call (sgd_chunk, pca_chunk,
 rm_chunk and ridge_chunk), the LIL statistic's lil_chunk the harness
 calls, the generators they draw from (numpy's default_rng of each seed)
 and the per-generator draws the chunks make, in the order of operations
-their outputs are pinned to.  Each chunk method is the reference loop of
-one engine chunk, in slices of at most PASS_BUDGET values through a
-trajectory buffer, each drawn, stepped and then passed over for its
-losses and channels in the elementwise order of the per-step formulas.
-Normals, signs and uniforms come out the same however a stream is cut,
-so the slicing changes no bit, and a chunk's transient memory is bounded
-by PASS_BUDGET whatever its length: an engine call that streams nothing
-is one chunk of its whole horizon.  rm_chunk and lil_chunk share one step
-loop (_rm_slices); lil_chunk folds the deviations of each slice it steps
-into the LIL statistic's block maxima (_lil_fold), so its memory does not
-grow with its length.  _kernel.StepKernels overrides every method with the same
-name and arguments: the generators, as PCG64 states the compiled code owns,
-seeded in C from each seed's entropy words or SeedSequence pool, the draws
-but sphere, which draws through normals, the recursion checks, and each
-chunk in one replication-major C call, which builds neither the draw chunk
-nor the trajectory buffer, at every width and for either root-finding M,
-since RmProblem forms the cubic M's powers as products, which C rounds as
-numpy does.  _kernel.load chooses between the two.  The draw and chunk
-contracts are in the class docstring.
+their outputs are pinned to.  Each chunk method draws, steps and then
+passes over its chunk in slices of at most PASS_BUDGET values of a
+trajectory buffer, in the elementwise order of the per-step formulas, and
+a slice's pass arrays go before the next slice steps.  Draws come out the
+same however a stream is cut (ridge's uniforms come from a copy of each
+generator advanced past the chunk's signs), so the slicing changes no
+bit, and a chunk's transient memory is bounded by PASS_BUDGET whatever its
+length.  rm_chunk and lil_chunk share one step loop (_rm_slices);
+lil_chunk folds each slice's deviations into the LIL statistic's block
+maxima (_lil_fold).  _kernel.StepKernels overrides every public method
+but sphere with the same arguments and one C call, and _kernel.load
+chooses between the two; the draw and chunk contracts are in the class
+docstring.
 
 The numpy code of the path-wise recursion checks lives here once as well:
 recursion_sides and pca_sides compute both sides of every inequality of
@@ -33,6 +27,7 @@ whichever kernels found the step.
 """
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -180,6 +175,12 @@ def _lil_fold(dev, t0: int, block_max) -> None:
             np.maximum(block_max[i], top, out=block_max[i])
 
 
+def _uniform(out, gens, low: float, high: float) -> None:
+    """out[:, j], (rows, n), receives what gens[j].uniform(low, high) draws."""
+    for j, g in enumerate(gens):
+        out[:, j] = g.uniform(low, high, size=out.shape[0])
+
+
 class Reference:
     """The engines' kernels in numpy.
 
@@ -230,11 +231,6 @@ class Reference:
         if scale is not None:
             out *= scale
 
-    def uniform(self, out, gens, low: float, high: float) -> None:
-        """out, (rows, n), receives what Generator.uniform(low, high) draws."""
-        for j, g in enumerate(gens):
-            out[:, j] = g.uniform(low, high, size=out.shape[0])
-
     def sgd_chunk(
         self, state, gens, etas, a, xs, radius: float, b_noise: float, half_mu: float, loss,
         *channels,
@@ -252,22 +248,12 @@ class Reference:
         traj = _trajectory(state, m)
         noise = np.empty(traj[1:].shape)
         hits = 0
-        for t in _slices(m, traj):
-            e, eta_t = noise[: t.stop - t.start], etas[t]
-            self.sphere(e, gens, b_noise)
-            for k, eta in enumerate(eta_t.tolist()):
-                # w = x - eta*(a*(x - x*) + e), projected onto the ball
-                x, w = traj[k], traj[k + 1]
-                np.subtract(x, xs_n, out=diff)
-                np.multiply(a_n, diff, out=g)
-                np.add(g, e[k], out=g)
-                np.multiply(g, eta, out=g)
-                np.subtract(x, g, out=w)
-                hits += project(w)
+
+        def pass_over(t, e, eta_t):
             dev = traj[: len(eta_t) + 1] - xs
             loss[:, t] = _sum_last(dev[1:] * dev[1:], squares=True).T
             if not channels:
-                continue
+                return
             loss_pl, noise_sc, noise_pl, y_sc, y_pl, gnorm2 = (c[:, t] for c in channels)
             eta = eta_t[:, None]
             gradf = a * dev[:-1]
@@ -281,6 +267,20 @@ class Reference:
             noise_sc[...] = (2.0 * eta * y1 + eta * eta * gn2).T
             noise_pl[...] = (eta * y2 + half_mu * eta * eta * gn2).T
             loss_pl[...] = (0.5 * _sum_last(a * dev[1:] * dev[1:])).T
+
+        for t in _slices(m, traj):
+            e, eta_t = noise[: t.stop - t.start], etas[t]
+            self.sphere(e, gens, b_noise)
+            for k, eta in enumerate(eta_t.tolist()):
+                # w = x - eta*(a*(x - x*) + e), projected onto the ball
+                x, w = traj[k], traj[k + 1]
+                np.subtract(x, xs_n, out=diff)
+                np.multiply(a_n, diff, out=g)
+                np.add(g, e[k], out=g)
+                np.multiply(g, eta, out=g)
+                np.subtract(x, g, out=w)
+                hits += project(w)
+            pass_over(t, e, eta_t)
         state[...] = traj[0]
         return hits
 
@@ -304,6 +304,26 @@ class Reference:
         y, c = np.empty(n), np.empty(n)
         tmp, z = np.empty((n, p)), np.empty((n, p))
         y_col, c_col = y[:, None], c[:, None]
+
+        def pass_over(t, xt, eta_t):
+            k = len(eta_t)
+            u = traj[1 : k + 1, :, 0]
+            loss[:, t] = np.maximum(0.0, 1.0 - u**2 / vn2[1 : k + 1]).T
+            if not channels:
+                return
+            q, z_dot_v, znorm2, norm_ratio = (ch[:, t] for ch in channels)
+            eta = eta_t[:, None]
+            vp, vn2p = traj[:k], vn2[:k]
+            yp = _sum_last(xt * vp)
+            zp = yp[..., None] * xt - (yp * yp / vn2p)[..., None] * vp
+            v1 = vp[..., 0]
+            sv = vp * eigs
+            m_t = 2.0 * eta * v1 * (sv[..., 0] - v1 * _sum_last(sv * vp) / vn2p) / vn2p
+            q[...] = (m_t - 2.0 * eta * v1 * zp[..., 0] / vn2p).T
+            z_dot_v[...] = _sum_last(zp * vp).T
+            znorm2[...] = _sum_last(zp * zp, squares=True).T
+            norm_ratio[...] = (grown[:k] / vn2p).T
+
         for t in _slices(m, traj, vn2):
             xt, eta_t = data[: t.stop - t.start], etas[t]
             self.signs(xt, gens, scale)
@@ -329,23 +349,7 @@ class Reference:
                 if normalize:
                     np.sqrt(grown[k], out=c)
                     np.divide(w, c_col, out=w)
-            k = len(eta_t)
-            u = traj[1 : k + 1, :, 0]
-            loss[:, t] = np.maximum(0.0, 1.0 - u**2 / vn2[1 : k + 1]).T
-            if not channels:
-                continue
-            q, z_dot_v, znorm2, norm_ratio = (ch[:, t] for ch in channels)
-            eta = eta_t[:, None]
-            vp, vn2p = traj[:k], vn2[:k]
-            yp = _sum_last(xt * vp)
-            zp = yp[..., None] * xt - (yp * yp / vn2p)[..., None] * vp
-            v1 = vp[..., 0]
-            sv = vp * eigs
-            m_t = 2.0 * eta * v1 * (sv[..., 0] - v1 * _sum_last(sv * vp) / vn2p) / vn2p
-            q[...] = (m_t - 2.0 * eta * v1 * zp[..., 0] / vn2p).T
-            z_dot_v[...] = _sum_last(zp * vp).T
-            znorm2[...] = _sum_last(zp * zp, squares=True).T
-            norm_ratio[...] = (grown[:k] / vn2p).T
+            pass_over(t, xt, eta_t)
         state[...] = traj[0]
         norms[...] = vn2[0]
 
@@ -354,10 +358,11 @@ class Reference:
         state for the RmProblem's M, with noise xi uniform on [-radius,
         radius].  loss receives (x - theta)^2 and channels, when given, are
         q and noise."""
-        for t, dev, xt, eta_t in self._rm_slices(state, gens, etas, problem, radius):
+
+        def on_slice(t, dev, xt, eta_t):
             loss[:, t] = (dev[1:] ** 2).T
             if not channels:
-                continue
+                return
             q_chan, noise = (c[:, t] for c in channels)
             eta = eta_t[:, None]
             q = -2.0 * eta * dev[:-1] * xt
@@ -365,41 +370,55 @@ class Reference:
             envelope = problem.poly_sq(dev[:-1] ** 2) + problem.r1**2
             noise[...] = (q + 2.0 * eta * eta * envelope).T
 
-    def _rm_slices(self, state, gens, etas, problem, radius: float):
-        """Step state as rm_chunk does, and yield per slice its steps t,
-        the deviations x - theta of its iterates from the one before its
-        first step on, (k + 1, n), and its noise and steps."""
+        self._rm_slices(state, gens, etas, problem, radius, on_slice)
+
+    def _rm_slices(self, state, gens, etas, problem, radius: float, on_slice) -> None:
+        """Step state as rm_chunk does, calling on_slice(t, dev, xt, eta_t)
+        after each slice with its steps t, the deviations x - theta of its
+        iterates from the one before its first step on, (k + 1, n), and its
+        noise and steps."""
         m = len(etas)
         traj = _trajectory(state, m)
         xi = np.empty(traj[1:].shape)
         for t in _slices(m, traj):
             xt, eta_t = xi[: t.stop - t.start], etas[t]
-            self.uniform(xt, gens, -radius, radius)
+            _uniform(xt, gens, -radius, radius)
             for k, eta in enumerate(eta_t.tolist()):
                 x = traj[k]
                 y_val = problem.m_func(x)
                 np.add(y_val, xt[k], out=y_val)
                 np.multiply(y_val, eta, out=y_val)
                 np.subtract(x, y_val, out=traj[k + 1])
-            yield t, traj[: len(eta_t) + 1] - problem.theta, xt, eta_t
+            on_slice(t, traj[: len(eta_t) + 1] - problem.theta, xt, eta_t)
         state[...] = traj[0]
 
     def ridge_chunk(
-        self, state, xs, ys, etas, theta_star, lambda_pen, penalty_in_gradient, radius, loss
+        self, state, gens, etas, stream, lambda_pen, penalty_in_gradient, radius, loss
     ) -> None:
-        """Ridge-SGD steps of the (n, d) iterates state on the chunk's
-        covariates xs, (m, n, d), and responses ys, (m, n), each drawn per
-        generator by the engine, each step followed by the projection onto
-        the ball; loss receives ||theta - theta*||^2."""
+        """Ridge-SGD steps of the (n, d) iterates state on the LinearModelStream
+        stream's draws, each followed by the projection onto the ball; loss
+        receives ||theta - theta*||^2.  Generator j draws as stream.draw(gens[j],
+        m) does, m*d signs, then m uniforms, from a copy of its PCG64 advanced
+        past the signs' outputs, half an output each after any spare half word;
+        it ends in the copy's state with its own spare."""
         m = len(etas)
         n, d = state.shape
+        theta_star = np.asarray(stream.theta_star)
+        scale = np.full(d, stream.x_radius / math.sqrt(d))
+        cursors = [copy.deepcopy(gen) for gen in gens]
+        for bits in (c.bit_generator for c in cursors):
+            bits.advance(max(0, -(-(m * d - bits.state["has_uint32"]) // 2)))
         g, pen = np.empty((n, d)), np.empty((n, d))
         resid = np.empty(n)
         resid_col = resid[:, None]
         project = _projector(n, d, radius)
         traj = _trajectory(state, m)
+        xs, ys = np.empty(traj[1:].shape), np.empty(traj[1:, :, 0].shape)
         for t in _slices(m, traj):
-            xt, yt, eta_t = xs[t], ys[t], etas[t]
+            xt, yt, eta_t = xs[: t.stop - t.start], ys[: t.stop - t.start], etas[t]
+            self.signs(xt, gens, scale)
+            _uniform(yt, cursors, -stream.noise_radius, stream.noise_radius)
+            np.add(_sum_last(xt * theta_star), yt, out=yt)
             for k, eta in enumerate(eta_t.tolist()):
                 theta, w, xk = traj[k], traj[k + 1], xt[k]
                 np.multiply(xk, theta, out=g)
@@ -419,8 +438,10 @@ class Reference:
                     np.subtract(theta, g, out=w)
                     np.add(w, pen, out=w)
                 project(w)
-            k = len(eta_t)
-            loss[:, t] = _sum_last((traj[1 : k + 1] - theta_star) ** 2, squares=True).T
+            loss[:, t] = _sum_last((traj[1 : len(eta_t) + 1] - theta_star) ** 2, squares=True).T
+        for gen, cursor in zip(gens, cursors):
+            spare = {k: gen.bit_generator.state[k] for k in ("has_uint32", "uinteger")}
+            gen.bit_generator.state = {**cursor.bit_generator.state, **spare}
         state[...] = traj[0]
 
     def lil_chunk(
@@ -436,8 +457,10 @@ class Reference:
         rows = _slice_rows(len(state))
         for lo in range(t0, t0 + m, rows):
             etas = np.divide(l1, np.arange(lo, min(lo + rows, t0 + m), dtype=float))
-            for t, dev, _, _ in self._rm_slices(state, gens, etas, problem, radius):
-                _lil_fold(dev[1:].T, lo + t.start, block_max)
+            self._rm_slices(
+                state, gens, etas, problem, radius,
+                lambda t, dev, _xt, _eta: _lil_fold(dev[1:].T, lo + t.start, block_max),
+            )
 
     def recursion_failure(self, losses, steps, noise, tol: float, params) -> int:
         """The first step t, counted from 0, at which the path of losses

@@ -8,13 +8,10 @@
  * chunk's m steps.
  * Each replication advances its iterate in locals and writes its losses, and
  * its noise channels when the engine records them, into row i of row-strided
- * (n, m) outputs.  The SGD, PCA and root-finding chunks draw each
- * replication's values from its own generator; ridge_chunk reads the
- * (m, n, d) covariates the engine drew with the sign draw loop below and the
- * (m, n) responses it formed in numpy from them and the uniform draw loop's
- * noise.  No draw chunk and no trajectory buffer is built.  Inputs are
- * C-contiguous float64 unless said otherwise; the Python loader checks
- * dtypes, strides and shapes before calling.
+ * (n, m) outputs.  Each chunk draws each replication's values from its own
+ * generator, inline, as it steps; no draw chunk and no trajectory buffer is
+ * built.  Inputs are C-contiguous float64 unless said otherwise; the Python
+ * loader checks dtypes, strides and shapes before calling.
  *
  * Every function performs the IEEE operations of the numpy code it
  * replaces, one by one and in the same order, so its results are bit for bit
@@ -30,7 +27,8 @@
  * seed, its entropy words or its SeedSequence's pool, into the PCG64 state
  * numpy's default_rng would build from it, and the chunks and draw loops
  * step those states inline, with numpy's normal, uniform and sign
- * transforms (see "Generators" and "Draws" below).  No numpy function is
+ * transforms (see "Generators" and "Draws" below); ridge_chunk also jumps a
+ * copy of each state ahead (pcg_advance).  No numpy function is
  * called and no numpy struct is declared.  lil_chunk steps the root-finding
  * replications of the harness's LIL statistic and folds the statistic into
  * its dyadic block maxima as it goes, with libm's log log t.  recursion_failure
@@ -182,6 +180,23 @@ INLINE uint32_t next32(pcg64_t *g)
     return (uint32_t)r;
 }
 
+/* The LCG state after delta more steps, in O(log delta) multiplications
+ * (Brown 1994, "Random Number Generation with Arbitrary Strides"), as
+ * numpy's pcg64_advance_r, behind PCG64.advance(delta), forms it. */
+INLINE u128 pcg_advance(u128 state, u128 inc, unsigned long delta)
+{
+    u128 acc_mult = 1, acc_plus = 0, cur_mult = PCG_MULT, cur_plus = inc;
+    for (; delta; delta >>= 1) {
+        if (delta & 1) {
+            acc_mult *= cur_mult;
+            acc_plus = acc_plus * cur_mult + cur_plus;
+        }
+        cur_plus = (cur_mult + 1) * cur_plus;
+        cur_mult *= cur_mult;
+    }
+    return acc_mult * state + acc_plus;
+}
+
 /* SeedSequence's hash constants (numpy/random/bit_generator.pyx) */
 #define SS_INIT_A 0x43b0d7e5U
 #define SS_MULT_A 0x931e8875U
@@ -266,19 +281,18 @@ void seed_states(uint64_t *out, const uint32_t *words, const long *sizes, long n
     }
 }
 
-/* Draws.  normal, uniform and the signs of sign_row perform the transforms
- * of numpy's random_standard_normal, random_uniform and
- * random_bounded_uint64_fill, the functions behind
- * Generator.standard_normal, Generator.uniform and Generator.integers(0, 2):
- * the same IEEE operations on the same outputs of PCG64, so every value is
- * numpy's and every generator ends in the state numpy leaves.  Each
- * generator gets the draws its Generator method makes for a chunk, in the
- * same order.  The loader checks seed_states, normal_fill and sign_draw
- * against numpy before it uses the library.  The helpers below serve both
- * the chunk functions and the draw loops; in the draw loops out is
- * (rows, n, width), or (rows, n) for the uniforms, and row r of generator j
- * starts at out + (r*n + j)*width.  The draw loops' sphere normals are
- * scaled in numpy (StepKernels.sphere). */
+/* Draws.  normal, uniform and sign perform the transforms of numpy's
+ * random_standard_normal, random_uniform and random_bounded_uint64_fill,
+ * the functions behind Generator.standard_normal, Generator.uniform and
+ * Generator.integers(0, 2): the same IEEE operations on the same outputs of
+ * PCG64, so every value is numpy's and every generator ends in the state
+ * numpy leaves.  Each generator gets the draws its Generator method makes
+ * for a chunk, in the same order.  The loader checks seed_states,
+ * normal_fill and sign_draw against numpy before it uses the library.  The
+ * helpers below serve both the chunk functions and the draw loops; in the
+ * draw loops out is (rows, n, width), and row r of generator j starts at
+ * out + (r*n + j)*width.  The draw loops' sphere normals are scaled in
+ * numpy (StepKernels.sphere). */
 
 /* The 256-layer ziggurat of numpy's random_standard_normal (Marsaglia and
  * Tsang 2000).  The tables ki_double, wi_double and fi_double are copied as
@@ -572,18 +586,24 @@ INLINE double uniform(pcg64_t *g, double low, double range)
     return low + range * next_double(g);
 }
 
-/* One row of width signs u*2 - 1, with u drawn as integers(0, 2) draws it for
- * its default int64 dtype: random_bounded_uint64_fill with range 1 takes
- * Lemire's 32-bit step, the high half of next32 * 2, whose rejection
- * threshold (2^32 - 2) % 2 is 0, so no draw is rejected and u is the top bit
- * of next32.  scale, when not NULL, multiplies coordinate w by scale[w]
- * last, as the PCA draws *= sqrt(eigs) does.  The rows of a chunk draw in
- * order the values of the one fill integers makes per generator. */
+/* One sign u*2 - 1, with u drawn as integers(0, 2) draws it for its default
+ * int64 dtype: random_bounded_uint64_fill with range 1 takes Lemire's
+ * 32-bit step, the high half of next32 * 2, whose rejection threshold
+ * (2^32 - 2) % 2 is 0, so no draw is rejected and u is the top bit of
+ * next32. */
+INLINE double sign(pcg64_t *g)
+{
+    const double s = (double)(next32(g) >> 31) * 2.0;
+    return s - 1.0;
+}
+
+/* One row of width signs; scale, when not NULL, multiplies coordinate w by
+ * scale[w] last, as the PCA draws *= sqrt(eigs) does.  The rows of a chunk
+ * draw in order the values of the one fill integers makes per generator. */
 INLINE void sign_row(double *o, pcg64_t *g, const double *scale, long width)
 {
     for (long w = 0; w < width; w++) {
-        double s = (double)(next32(g) >> 31) * 2.0;
-        s = s - 1.0;
+        const double s = sign(g);
         o[w] = scale ? s * scale[w] : s;
     }
 }
@@ -611,25 +631,12 @@ void sign_draw(double *out, uint64_t *gens, const double *scale, long rows, long
     }
 }
 
-/* rows uniforms per generator on [low, low + range), as
- * Generator.uniform(low, high) with range = high - low; out is (rows, n). */
-void uniform_draw(double *out, uint64_t *gens, long rows, long n, double low, double range)
-{
-    for (long j = 0; j < n; j++) {
-        pcg64_t g = pcg_load(gens + j * STATE_WORDS);
-        for (long r = 0; r < rows; r++)
-            out[r * n + j] = uniform(&g, low, range);
-        pcg_store(gens + j * STATE_WORDS, &g);
-    }
-}
-
 /* Chunks.  Each function advances the n replications of an engine by the m
  * steps of one chunk, replication-major: the outer loop runs over blocks of
  * LANES replications and the inner loop over the steps.  Replication i draws
- * its chunk's values from its generator, row i of gens (ridge instead reads
- * the covariates the engine drew with signs and the responses it formed in
- * numpy), steps its iterate, held in locals, m times from state row i,
- * writes its m losses into row i of loss (row i starts at loss + i*ld_loss)
+ * its chunk's values from its generator, row i of gens, steps its iterate,
+ * held in locals, m times from state row i, writes its m losses into row i
+ * of loss (row i starts at loss + i*ld_loss)
  * and, when the channel pointers are not NULL, its recorded channels into
  * row i of each channel array (at i*ld, or i*ld_pl for SGD's loss_pl), and
  * leaves its last iterate in state row i and its generator in gens row i.
@@ -639,9 +646,10 @@ void uniform_draw(double *out, uint64_t *gens, long rows, long n, double low, do
  * a replication depends on the one before, through divisions and square
  * roots, so each step runs over the block's lanes operation by operation,
  * and the independent chains overlap.  The draws too: SGD draws a step's
- * normals value-major, coordinate j of every lane before coordinate j+1 of
- * any, then scales each lane onto its sphere.  Drawn lane by lane, one
- * lane's normals and its square root sit together in program order, and
+ * normals, and ridge its signs, value-major, coordinate j of every lane
+ * before coordinate j+1 of any; SGD then scales each lane onto its sphere.
+ * Drawn lane by lane, one lane's normals and its square root sit together
+ * in program order, and
  * the next lane's independent draws lie beyond the reach of the processor's
  * out-of-order window; value-major, the lanes' generator chains overlap.
  * Each generator still makes the same draws in the same order, so the
@@ -656,7 +664,8 @@ void uniform_draw(double *out, uint64_t *gens, long rows, long n, double low, do
  * array indexed at run time; normal hands its rare paths a copy, so no
  * generator has its address taken.  SGD and root finding unroll their
  * other lane loops too, which keeps their iterates out of memory as well;
- * PCA's run no faster unrolled, and would lengthen the build by a third.
+ * PCA's and ridge's steps run no faster unrolled, and would lengthen the
+ * build.
  * A partial last block runs through the same body: its ghost lanes repeat
  * the block's first replication, from copies of its iterate and generator,
  * so they write the same bytes to the same places, count no projection and
@@ -665,8 +674,8 @@ void uniform_draw(double *out, uint64_t *gens, long rows, long n, double low, do
  * Each value is the numpy expression of the reference chunk
  * (_reference.Reference's sgd_chunk, pca_chunk, rm_chunk and ridge_chunk),
  * evaluated left to right with its parentheses; constants formed in Python
- * (rr, half_mu, range, root finding's rm_consts) come in as arguments,
- * since Python's ** calls libm's pow.  Replications are independent and
+ * (rr, half_mu, range, ridge's scale, root finding's rm_consts) come in as
+ * arguments, since Python's ** calls libm's pow.  Replications are independent and
  * each generator gets the draws the reference's chunk draw makes, in the
  * same order, so the results are the reference's, with no draw chunk and no
  * trajectory buffer in memory. */
@@ -1045,61 +1054,85 @@ void rm_chunk(double *state, uint64_t *gens, const double *etas, long m, long n,
         rm_rows(state, gens, etas, m, n, &c, false, low, range, loss, ld_loss, q, noise, ld);
 }
 
-/* Ridge SGD on the engine's covariates xs, (m, n, d), and responses ys,
- * (m, n), with resid = <x, theta> - y.  With the penalty in the gradient
- * w = theta - eta*(resid*x + lambda*theta); without it
- * w = (theta - (eta*resid)*x) + lambda*theta.  Then w is projected, and its
- * loss is |w - theta*|^2.  Nothing is drawn here, so a partial last block
- * just has fewer lanes; the blocks read 8 replications' adjacent covariates
- * at each step. */
-#define RIDGE_SCRATCH(d) ((LANES + 1) * (d))
+/* Ridge SGD on the draws of LinearModelStream.draw: covariates x of d signs
+ * times scale = x_radius/sqrt(d) and responses y = <x, theta*> + xi, with
+ * xi uniform on [low, low + range); resid = <x, theta> - y.  With the
+ * penalty in the gradient w = theta - eta*(resid*x + lambda*theta); without
+ * it w = (theta - (eta*resid)*x) + lambda*theta.  Then w is projected, and
+ * its loss is |w - theta*|^2.
+ *
+ * Each generator draws its chunk as LinearModelStream.draw(gen, m) does: its
+ * m*d signs, then its m uniforms.  A sign is one next32, half an output,
+ * and a uniform one whole output that leaves the spare half word alone, so
+ * each lane draws from two cursors as it steps: the signs from its
+ * generator g, and the uniforms from a copy u of g whose state is advanced
+ * past the outputs the signs take, ceil((m*d - has_uint32)/2) of them
+ * (pcg_advance).  The lane ends in u's state with g's spare half word: the
+ * state the signs, then the uniforms, drawn in turn leave. */
+#define RIDGE_SCRATCH(d) ((2 * LANES + 1) * (d))
 
-INLINE long ridge_rows(double *buf, double *state, const double *xs, const double *ys,
-                       const double *etas, const double *theta_star, long m, long n, long d,
-                       double lambda_pen, int penalty_in_gradient, double radius, double rr,
-                       double *loss, long ld_loss)
+INLINE long ridge_rows(double *buf, double *state, uint64_t *gens, const double *etas,
+                       const double *theta_star, long m, long n, long d, double scale,
+                       double low, double range, double lambda_pen, int penalty_in_gradient,
+                       double radius, double rr, double *loss, long ld_loss)
 {
-    double(*th)[d] = (double(*)[d])buf, *dn = th[LANES];
+    double(*th)[d] = (double(*)[d])buf, (*x)[d] = th + LANES, *dn = x[LANES];
+    double y[LANES];
+    pcg64_t g[LANES], u[LANES];
     for (long i0 = 0; i0 < n; i0 += LANES) {
         const long lanes = n - i0 < LANES ? n - i0 : LANES;
-        for (long l = 0; l < lanes; l++)
-            memcpy(th[l], state + (i0 + l) * d, sizeof(double) * d);
+        EACH_LANE(l) {
+            const long i = lane_row(i0, lanes, l);
+            memcpy(th[l], state + i * d, sizeof(double) * d);
+            g[l] = u[l] = pcg_load(gens + i * STATE_WORDS);
+            /* the division rounds up, and gives 0 for m*d - has_uint32 = -1 */
+            const long skip = (m * d - (long)g[l].has_uint32 + 1) / 2;
+            u[l].state = pcg_advance(g[l].state, g[l].inc, (unsigned long)skip);
+        }
         for (long k = 0; k < m; k++) {
             const double eta = etas[k];
+            for (long j = 0; j < d; j++)
+                EACH_LANE(l) x[l][j] = sign(&g[l]) * scale;
+            EACH_LANE(l) y[l] = dot(x[l], theta_star, d) + uniform(&u[l], low, range);
             for (long l = 0; l < lanes; l++) {
-                const long i = i0 + l;
-                const double *x = xs + (k * n + i) * d;
                 double *t = th[l];
-                const double resid = dot(x, t, d) - ys[k * n + i];
+                const double resid = dot(x[l], t, d) - y[l];
                 const double re = resid * eta;
                 for (long j = 0; j < d; j++) {
                     const double tj = t[j];
                     if (penalty_in_gradient) {
-                        double g = resid * x[j];
-                        g = g + tj * lambda_pen;
-                        t[j] = tj - g * eta;
+                        double gj = resid * x[l][j];
+                        gj = gj + tj * lambda_pen;
+                        t[j] = tj - gj * eta;
                     } else {
-                        t[j] = (tj - re * x[j]) + tj * lambda_pen;
+                        t[j] = (tj - re * x[l][j]) + tj * lambda_pen;
                     }
                 }
                 project(t, d, radius, rr);
                 for (long j = 0; j < d; j++)
                     dn[j] = t[j] - theta_star[j];
-                loss[i * ld_loss + k] = sum_sq(dn, d);
+                loss[(i0 + l) * ld_loss + k] = sum_sq(dn, d);
             }
         }
-        for (long l = 0; l < lanes; l++)
-            memcpy(state + (i0 + l) * d, th[l], sizeof(double) * d);
+        EACH_LANE(l) {
+            if (l < lanes) {
+                memcpy(state + (i0 + l) * d, th[l], sizeof(double) * d);
+                u[l].has_uint32 = g[l].has_uint32;
+                u[l].uinteger = g[l].uinteger;
+                pcg_store(gens + (i0 + l) * STATE_WORDS, &u[l]);
+            }
+        }
     }
     return 0;
 }
 
-long ridge_chunk(double *state, const double *xs, const double *ys, const double *etas,
-                 const double *theta_star, long m, long n, long d, double lambda_pen,
-                 int penalty_in_gradient, double radius, double rr, double *loss, long ld_loss)
+long ridge_chunk(double *state, uint64_t *gens, const double *etas, const double *theta_star,
+                 long m, long n, long d, double scale, double low, double range,
+                 double lambda_pen, int penalty_in_gradient, double radius, double rr,
+                 double *loss, long ld_loss)
 {
-#define RIDGE(D, buf)                                                                   \
-    ridge_rows(buf, state, xs, ys, etas, theta_star, m, n, D, lambda_pen,              \
+#define RIDGE(D, buf)                                                                     \
+    ridge_rows(buf, state, gens, etas, theta_star, m, n, D, scale, low, range, lambda_pen, \
                penalty_in_gradient, radius, rr, loss, ld_loss)
     BY_WIDTH(d, RIDGE_SCRATCH, RIDGE)
 #undef RIDGE

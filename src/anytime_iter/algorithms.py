@@ -19,34 +19,24 @@ come out the same however a stream is cut into chunks, so a call that
 streams nothing steps its whole horizon in one kernel call, and a call that
 streams its losses through on_chunk cuts it into chunks of DRAW_BUDGET
 values per batch (and at least MIN_ROWS steps): streamed without
-record_channels, memory is O(N*chunk), independent of the horizon.
+record_channels, memory is O(N*chunk), independent of the horizon.  Ridge
+draws each chunk's signs before its uniforms, as LinearModelStream.draw
+does, so its chunks keep RIDGE_ROWS steps, streamed or not.
 
 Every engine runs one path: _run cuts the horizon into chunks, and per
 chunk the engine makes one call to the process's kernels, _kernel.load(),
-compiled or the numpy reference (_kernel says which, and why both give the
-same bits), on the generators those kernels' generators(seeds) built:
-numpy Generators for the reference; for the compiled kernels an array of
-PCG64 states, seeded in C from the entropy words of int and int-sequence
-seeds and from the pools of SeedSequence seeds, that the compiled code owns
-and advances without any numpy struct or generator lock.  A seed is
-anything default_rng takes (seeding.SeedLike); the harness passes
-(seed_base, i) pairs.  The call advances the per-replication state (the iterates,
-and for PCA the squared norms the next step divides by) in place, and
-writes the losses and, with record_channels, every noise channel in the
-elementwise order of the per-step formulas.  The SGD, PCA and root-finding
-calls draw their chunk too; ridge_batch first draws its chunk with the
-kernels' signs and uniform and forms the responses in numpy (_ridge_draw),
-in groups of replications, and keeps RIDGE_ROWS steps per chunk, since its
-draws depend on the chunk length.  Each compiled chunk is one
-replication-major C call at every width and for either root-finding M,
-with no draw chunk and no trajectory buffer; the reference's chunk draws,
-steps and passes through slices of a trajectory buffer (see _reference).
-Either way the transient memory is bounded by PASS_BUDGET or the chunk,
-with or without recording, whatever the horizon.  Every output a call
-returns, its (N, T+1) losses and, recorded, its (N, T) channels, is carved
-from one block (_output_block), big enough for transparent huge pages
-where one array alone is not, and taken from the memory of an earlier
-result once all of that result's arrays are gone (_Spare).
+compiled or the numpy reference (see _kernel), on the generators their
+generators(seeds) built from seeds default_rng takes (seeding.SeedLike; the
+harness passes (seed_base, i) pairs).  The call draws the chunk, advances
+the per-replication state (the iterates, and for PCA the squared norms the
+next step divides by) in place, and writes the losses and, with
+record_channels, every noise channel in the elementwise order of the
+per-step formulas, with transient memory bounded by the chunk whatever the
+horizon.  Every output a call returns, its (N, T+1) losses and, recorded,
+its (N, T) channels, is carved from one block (_output_block), big enough
+for transparent huge pages where one array alone is not, and taken from
+the memory of an earlier result once all of that result's arrays are gone
+(_Spare).
 """
 from __future__ import annotations
 
@@ -382,45 +372,23 @@ def ridge_batch(
     penalty_in_gradient: bool = True,
     on_chunk=None,
 ) -> dict:
-    """Advance ridge-SGD replications in lock step; on_chunk as in sgd_batch.
-
-    The draws depend on the chunk length (_ridge_draw), so chunks keep
-    RIDGE_ROWS steps, and the draw budget bounds instead the replications
-    each chunk draws and steps at once.
-    """
+    """Advance ridge-SGD replications in lock step, in chunks of RIDGE_ROWS
+    steps (see the module docstring); on_chunk as in sgd_batch."""
     n = len(seeds)
-    d = stream.dim
     horizon = len(etas)
     kernels = _kernel.load()
     gens = kernels.generators(seeds)
     radius = diam / 2.0
-    theta_star = np.asarray(stream.theta_star)
-    group = max(1, DRAW_BUDGET // (RIDGE_ROWS * (d + 1)))
 
-    theta0 = _check_in_ball(theta0, radius, "theta0", d)
+    theta0 = _check_in_ball(theta0, radius, "theta0", stream.dim)
     losses = None if on_chunk else _output_block(n, horizon, 1, 0)[0]
     theta = np.tile(theta0, (n, 1))
-    l0 = np.sum((theta - theta_star) ** 2, axis=1)
+    l0 = np.sum((theta - np.asarray(stream.theta_star)) ** 2, axis=1)
     for t, out in _run(l0, horizon, RIDGE_ROWS, on_chunk, losses):
-        for g in (slice(lo, lo + group) for lo in range(0, n, group)):
-            xc, yc = _ridge_draw(kernels, stream, gens[g], t.stop - t.start)
-            kernels.ridge_chunk(
-                theta[g], xc, yc, etas[t], theta_star, lambda_pen, penalty_in_gradient, radius,
-                out[g],
-            )
+        kernels.ridge_chunk(
+            theta, gens, etas[t], stream, lambda_pen, penalty_in_gradient, radius, out
+        )
     return {"loss": losses, "final_theta": theta}
-
-
-def _ridge_draw(kernels, stream: LinearModelStream, gens, m: int) -> tuple:
-    """The (m, n, d) covariates and (m, n) responses whose column j is
-    LinearModelStream.draw(gens[j], m): m steps' signs, then m uniforms,
-    and x @ theta_star as numpy's BLAS product, which a plain sum need not equal."""
-    n, d = len(gens), stream.dim
-    xc, xi = np.empty((m, n, d)), np.empty((m, n))
-    kernels.signs(xc, gens, np.full(d, stream.x_radius / math.sqrt(d)))
-    kernels.uniform(xi, gens, -stream.noise_radius, stream.noise_radius)
-    np.add(np.matmul(xc.transpose(1, 0, 2), np.asarray(stream.theta_star)).T, xi, out=xi)
-    return xc, xi
 
 
 # ---------------------------------------------------------------------------

@@ -152,7 +152,7 @@ class _WidthTable:
 
 
 def _cmd_width_table(table: _WidthTable, out_dir: Path, threads: int) -> int:
-    with _spec("invalid width-table config"):
+    with _spec("invalid width-table config", asdict(table)):
         rows = width_comparison(**asdict(table))
     with open(out_dir / "width_table.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -92,14 +92,26 @@ class SpecError(ValueError):
     """Invalid experiment parameters, found before any replication runs."""
 
 
+def _largest(value) -> float:
+    """The largest magnitude of the numbers in a JSON value, in lists too, or 0."""
+    if isinstance(value, (list, tuple)):
+        return max(map(_largest, value), default=0)
+    return abs(value) if type(value) in (int, float) else 0
+
+
 @contextmanager
-def _spec(what: str):
+def _spec(what: str, problem: Mapping):
     """Re-raise the errors of parsing and resolving an experiment's
-    parameters as SpecError, so that they are told apart from errors of
-    the run itself."""
+    parameters as SpecError, so that they are told apart from errors of the
+    run itself; an OverflowError names the field of the problem with the
+    largest number, since constants overflow through powers of large ones."""
     try:
         yield
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:
+        name = max(problem, key=lambda k: _largest(problem[k]))
+        message = f"{name} is too large: a constant derived from it overflows a float"
+        raise SpecError(f"{what}: {message}") from exc
+    except (TypeError, ValueError) as exc:
         raise SpecError(f"{what}: {exc}") from exc
 
 
@@ -521,7 +533,7 @@ def run_coverage(config: CoverageConfig, threads: int = 0) -> CoverageReport:
     report does not depend on it.
     """
     start_time = time.perf_counter()
-    with _spec("invalid problem spec"):
+    with _spec("invalid problem spec", config.problem):
         boundary, run = _build_setup(config)
         t_all = np.arange(0, config.horizon + 1)
         widths = np.asarray(boundary.eval(t_all, config.delta)) * config.boundary_scale
@@ -562,7 +574,7 @@ def run_last_iterate(config: CoverageConfig, t_eval: int, threads: int = 0) -> T
     delta), so exceedance is nonincreasing in delta.  threads as in
     run_coverage.
     """
-    with _spec("invalid last-iterate spec"):
+    with _spec("invalid last-iterate spec", config.problem):
         if config.algorithm != "sgd_sc":
             raise ValueError("last-iterate experiment is defined for sgd_sc")
         if t_eval < 1 or t_eval > config.horizon:
@@ -700,7 +712,7 @@ def run_oja_cold_start(
     anytime boundary re-anchored at the split.  threads as in run_coverage.
     """
     start_time = time.perf_counter()
-    with _spec("invalid cold-start spec"):
+    with _spec("invalid cold-start spec", asdict(problem)):
         if variant not in ("krasulina", "oja"):
             raise ValueError(f"unknown variant {variant!r}")
         if n_reps < 1 or horizon < 1:

@@ -12,11 +12,11 @@ lambda_min, R1, ...) entering the boundaries are exact rather than estimated:
   * a linear regression stream with sign-pattern covariates of fixed norm,
     so E[x x^T] = (x_radius^2/d)*I exactly.
 
-The engines draw the first three inside the chunk methods of the kernels
-_kernel.load returns (Reference.sphere, signs and uniform in numpy, or the
-compiled draws), so that column j of a batch draw equals what generator j
-alone draws; LinearModelStream.draw is the per-generator twin of
-ridge_batch's draws with them (algorithms._ridge_draw).
+The engines draw all four inside the chunk methods of the kernels
+_kernel.load returns, in numpy or compiled, so that a replication's draws
+are what its generator alone draws; LinearModelStream.draw is the
+per-generator twin of ridge_chunk's draws, with x.theta* as
+np.sum(x * theta*, axis=-1), numpy's fixed order, not a BLAS product.
 """
 from __future__ import annotations
 
@@ -72,5 +72,5 @@ class LinearModelStream:
         signs = rng.integers(0, 2, size=(n, self.dim)).astype(float) * 2.0 - 1.0
         x = signs * (self.x_radius / math.sqrt(self.dim))
         xi = rng.uniform(-self.noise_radius, self.noise_radius, size=n)
-        y = x @ np.asarray(self.theta_star) + xi
+        y = np.sum(x * np.asarray(self.theta_star), axis=-1) + xi
         return x, y

@@ -330,17 +330,22 @@ def test_batch_matches_single_bitwise():
 
 @pytest.mark.parametrize("name", ["sgd", "krasulina", "oja-rotated", "rm"])
 def test_engines_invariant_to_chunk_length(name, monkeypatch):
-    # The draw budget sets the steps per chunk; 1, 7 and 2048 (one chunk for
-    # the whole horizon) give identical losses and channels.
+    # The draw budget sets the steps per streamed chunk; streamed in chunks
+    # of 1, 7 and 2048 steps (one chunk for the whole horizon), a recorded
+    # run gives identical losses, channels and final iterates.
     width, run = ENGINES[name]
     seeds = [rep_seed(3, i) for i in range(3)]
     monkeypatch.setattr(algorithms, "MIN_ROWS", 1)
     results = []
     for rows in (1, 7, 2048):
         monkeypatch.setattr(algorithms, "DRAW_BUDGET", rows * len(seeds) * width)
-        results.append(run(seeds))
-    for res in results[1:]:
-        assert_same_arrays(results[0], res)
+        chunks = []
+        res = run(seeds, on_chunk=lambda t0, loss: chunks.append(loss.copy()))
+        assert max(c.shape[1] for c in chunks) == min(rows, len(ETAS))
+        results.append((res, np.concatenate(chunks, axis=1)))
+    for res, losses in results[1:]:
+        assert_same_arrays(results[0][0], res)
+        assert losses.tobytes() == results[0][1].tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(ENGINES))
@@ -440,11 +445,11 @@ def test_ridge_iterates_stay_in_ball():
     assert np.all(np.sqrt(tr.losses) >= 0.9 - 0.5 - 1e-9)
 
 
-def test_ridge_draws_in_groups_within_the_draw_budget():
+def test_ridge_draws_within_the_draw_budget():
     # 512 replications stream one 2048-step chunk: besides the (512, 2048)
-    # loss buffer, the engine holds the draws of a group of 21 replications
-    # at a time (about 1 MB, two groups' while the next is drawn), not the
-    # 25 MB of all 512 at once
+    # loss buffer, the engine holds no draws of its own (the compiled chunk
+    # draws inline, the reference's a slice at a time), not the 25 MB of
+    # all 512 replications' draws at once
     seeds = [(3, i) for i in range(512)]
     etas = StepSchedule.inverse_time(1.0, 32.0).etas(algorithms.RIDGE_ROWS)
     tracemalloc.start()

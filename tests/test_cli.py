@@ -216,9 +216,12 @@ def test_empty_vector_is_a_config_error(name, problem, fields, field, tmp_path):
 )
 def test_overflowing_constants_are_config_errors(name, problem, tmp_path):
     # constants that overflow a float fail before any replication runs: a
-    # config error (exit 2), not an internal OverflowError (exit 3)
+    # config error (exit 2), not an internal OverflowError (exit 3), whose
+    # message names the field that overflowed
     code, err = run_text(tmp_path, SHIPPED[name][0], small_shipped(name, problem))
     assert code == 2 and err.startswith("error: invalid problem spec"), err
+    (field,) = problem
+    assert f"{field} is too large" in err, err
 
 
 @pytest.mark.parametrize("compiled", [True, False])

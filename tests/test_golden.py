@@ -31,12 +31,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from anytime_iter import algorithms
+from anytime_iter import _kernel, algorithms
 from anytime_iter.algorithms import RmProblem, SgdProblem, ridge_batch, rm_batch, sgd_batch
 from anytime_iter.boundaries import StepSchedule
 from anytime_iter.cli import SEED_ENV, main
 from anytime_iter.harness import _lil_batch
 from anytime_iter.seeding import rep_seed
+from anytime_iter.streams import LinearModelStream
 from test_algorithms import ENGINES, ETAS, RIDGE
 
 SGD = {
@@ -353,11 +354,19 @@ OTHER_HOST = {
 }
 
 
+# a ridge problem whose responses x.theta*, formed with np.matmul, took
+# their bytes from the BLAS kernel: OpenBLAS's Sandybridge and Haswell
+# kernels gave other reports
+RIDGE_BLAS = LinearModelStream(theta_star=(0.1, 0.2, 0.3), x_radius=1.0, noise_radius=0.5)
+
+
 def host_digests() -> dict:
-    """The digests of every engine case at both chunk lengths, and of the
+    """The digests of every engine case at both chunk lengths, of the
     block maxima of a 50-seed cubic LIL ensemble over 15 blocks, 2^16
     steps, from u = 1.3: while the cubic M was stepped with numpy's u**3,
-    this ensemble's bytes followed the SIMD loops numpy picked."""
+    this ensemble's bytes followed the SIMD loops numpy picked; and of a
+    RIDGE_BLAS run over two chunks, under the compiled kernels and the
+    reference."""
     out = {}
     for name in sorted(ENGINE_CASES):
         for rows in (None, 7):
@@ -366,6 +375,13 @@ def host_digests() -> dict:
     problem = RmProblem(m_kind="cubic_plus_linear", theta=0.5, cub_a=0.3, cub_b=1.0)
     block_max, _ = _lil_batch(problem, 0.3, 15, [rep_seed(5, i) for i in range(50)], 1.3)
     out["lil-cubic"] = engine_digests({"block_max": block_max})
+    etas = StepSchedule.inverse_time(2.0 / RIDGE_BLAS.lambda_min, 32.0).etas(3000)
+    seeds = [rep_seed(19, i) for i in range(5)]
+    for label, kernels in (("loaded", _kernel.load()), ("reference", _kernel.REFERENCE)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernel, "load", lambda: kernels)
+            res = ridge_batch(RIDGE_BLAS, 2.0, 0.1, etas, (0.0, 0.0, 0.0), seeds)
+        out[f"ridge-blas-{label}"] = engine_digests(res)
     return out
 
 

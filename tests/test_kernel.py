@@ -652,64 +652,91 @@ def test_rm_calls_match_reference_bytes(shape, cubic, record, zero, seed):
     same_bytes(build, call, [rep_seed(seed, i) for i in range(n)])
 
 
-# the nan an invalid operation such as inf - inf gives: where two different
-# nans meet in a sum or product, the operand order picks the one returned,
-# and C and numpy need not order the operands alike, so the covariates carry
-# no other nan
-with np.errstate(invalid="ignore"):
-    INVALID = np.subtract(np.inf, np.inf)
-
-# as SHAPES, with up to 300 coordinates: past the 128 terms of one block of
-# numpy's pairwise sum
-RIDGE_SHAPES = st.tuples(
-    st.integers(1, 17),
-    st.integers(1, 300),
-    st.lists(st.integers(1, 300), min_size=1, max_size=2),
-    st.integers(0, 3),
-    st.integers(0, 3),
-)
+def ridge_on_draws(stream, gens, theta, etas, lambda_pen, penalty_in_gradient, radius):
+    """The (n, m) losses of ridge steps of the (n, d) iterates theta, in
+    place, on what stream.draw(gens[j], m) gives each numpy Generator, for
+    the m = len(etas) steps, each step a few numpy expressions over all
+    replications: the oracle the ridge chunks must reproduce."""
+    draws = [stream.draw(g, len(etas)) for g in gens]
+    xs = np.stack([x for x, _ in draws], axis=1)
+    ys = np.stack([y for _, y in draws], axis=1)
+    theta_star = np.asarray(stream.theta_star)
+    loss = np.empty((len(gens), len(etas)))
+    for k, eta in enumerate(etas.tolist()):
+        x = xs[k]
+        resid = np.sum(x * theta, axis=-1) - ys[k]
+        if penalty_in_gradient:
+            w = theta - (resid[:, None] * x + theta * lambda_pen) * eta
+        else:
+            w = (theta - (resid * eta)[:, None] * x) + theta * lambda_pen
+        r2 = np.sum(w * w, axis=-1)
+        outside = r2 > radius * radius
+        w[outside] *= (radius / np.sqrt(r2[outside]))[:, None]
+        theta[...] = w
+        loss[:, k] = np.sum((theta - theta_star) ** 2, axis=-1)
+    return loss
 
 
 @needs_kernel
-@CALLS
-@given(shape=RIDGE_SHAPES, penalty_in_gradient=st.booleans(), zero=st.booleans(), seed=SEEDS)
-def test_ridge_calls_match_reference_bytes(shape, penalty_in_gradient, zero, seed):
-    # ridge is the one chunk whose summed inputs, the covariates, come from
-    # the caller, so they include signed zeros and non-finite values
-    n, d, chunks, lo, extra = shape
-    total = sum(chunks)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 17),
+    d=st.integers(1, 300),
+    chunks=st.lists(st.integers(1, 2048), min_size=1, max_size=2),
+    spare=st.booleans(),
+    penalty_in_gradient=st.booleans(),
+    seed=SEEDS,
+)
+def test_ridge_calls_match_reference_bytes(n, d, chunks, spare, penalty_in_gradient, seed):
+    # ridge_chunk draws each generator's chunk as LinearModelStream.draw
+    # does, its m*d signs, then its m uniforms, from two cursors, the
+    # uniforms' advanced past the signs: the compiled chunk must write the
+    # reference's losses, iterates and generator states, byte for byte,
+    # and both the losses and end states of each generator stepped on
+    # stream.draw's own draws.  With spare, one sign drawn first leaves a
+    # spare half word for the chunk's first sign; an odd m*d leaves one
+    # for the next chunk.  Up to 300 coordinates: past the 128 terms of one
+    # block of numpy's pairwise sum; 17 replications: a partial block
+    rng = np.random.default_rng(seed)
+    stream = LinearModelStream(
+        tuple(rng.uniform(-1.0, 1.0, d) / d), rng.uniform(0.5, 2.0), rng.uniform(0.0, 1.0)
+    )
+    lambda_pen, radius = rng.uniform(0.0, 0.5), rng.uniform(0.3, 1.5)
+    etas = rng.uniform(0.01, 1.0, sum(chunks))
+    start = rng.uniform(-0.5, 0.5, (n, d))
+    seeds = [rep_seed(seed, i) for i in range(n)]
 
-    def build():
-        rng = np.random.default_rng(seed)
-        state = rng.uniform(-0.5, 0.5, (n, d))
-        xs = rng.choice([-1.0, 1.0], (total, n, d)) / np.sqrt(d)
-        ys = rng.uniform(-1.0, 1.0, (total, n))
-        if zero:
-            # replication 0 stays at +0.0 on -0.0 covariates and the last at
-            # -0.0 on +0.0 ones: each residual sums -0.0 terms only
-            state[0], xs[:, 0] = 0.0, -0.0
-            state[-1], xs[:, -1] = -0.0, 0.0
-            ys[:, [0, -1]] = 0.0
-            # the middle replication meets +-inf in one step and nan in another
-            k, j = rng.integers(0, total, 2), rng.integers(0, d, 3)
-            xs[k[0], n // 2, j[:2]] = np.inf, -np.inf
-            xs[k[1], n // 2, j[2]] = INVALID
-        return dict(
-            state=state, xs=xs, ys=ys, etas=rng.uniform(0.01, 1.0, total),
-            theta_star=rng.uniform(-0.5, 0.5, d), loss=outputs(n, total, lo, extra, 1)[0],
-            lam_radius=np.array([rng.uniform(0.0, 0.5), rng.uniform(0.3, 1.5)]),
+    def run(k, gens, draw):
+        state = start.copy()
+        if spare:
+            draw(gens)
+        loss, lo = np.full((n, len(etas) + 2), -1.5), 1
+        for m in chunks:
+            k.ridge_chunk(
+                state, gens, etas[lo - 1 : lo - 1 + m], stream, lambda_pen, penalty_in_gradient,
+                radius, loss[:, lo : lo + m],
+            )
+            lo += m
+        return loss.tobytes(), state.tobytes(), k.states(gens)
+
+    got = [
+        run(k, k.generators(seeds), lambda gens, k=k: k.signs(np.empty((1, n, 1)), gens))
+        for k in (_kernel.load(), REFERENCE)
+    ]
+    assert got[0] == got[1]
+    twins, theta = REFERENCE.generators(seeds), start.copy()
+    if spare:
+        for g in twins:
+            g.integers(0, 2, size=(1, 1))
+    want = np.full((n, len(etas) + 2), -1.5)
+    lo = 1
+    for m in chunks:
+        want[:, lo : lo + m] = ridge_on_draws(
+            stream, twins, theta, etas[lo - 1 : lo - 1 + m], lambda_pen, penalty_in_gradient,
+            radius,
         )
-
-    def call(k, gens, a):
-        lambda_pen, radius = a["lam_radius"].tolist()
-        for steps, t in chunk_slices(chunks, lo):
-            with np.errstate(invalid="ignore", over="ignore"):
-                k.ridge_chunk(
-                    a["state"], a["xs"][steps], a["ys"][steps], a["etas"][steps],
-                    a["theta_star"], lambda_pen, penalty_in_gradient, radius, a["loss"][:, t],
-                )
-
-    same_bytes(build, call)
+        lo += m
+    assert got[1] == (want.tobytes(), theta.tobytes(), REFERENCE.states(twins))
 
 
 @st.composite
@@ -813,14 +840,14 @@ def test_kernels_share_one_public_interface():
         return {n for n, f in vars(cls).items() if callable(f) and not n.startswith("_")}
 
     chunks = {"sgd_chunk", "pca_chunk", "rm_chunk", "ridge_chunk"}
-    draws = {"generators", "states", "normals", "signs", "uniform"}
+    draws = {"generators", "states", "normals", "signs"}
     checks = {"recursion_failure", "pca_failure"}
     assert public(StepKernels) == chunks | draws | checks | {"lil_chunk"}
     assert public(Reference) == public(StepKernels) | {"sphere"}
 
 
 # name -> draw(kernels, out, gens, radius), one chunk as an engine draws it;
-# out is (rows, n, width), or (rows, n) for the uniforms
+# out is (rows, n, width)
 SAMPLERS = {
     "normals": lambda k, out, gens, radius: k.normals(out, gens),
     "sphere": lambda k, out, gens, radius: k.sphere(out, gens, radius),
@@ -828,7 +855,6 @@ SAMPLERS = {
     "scaled-signs": lambda k, out, gens, radius: k.signs(
         out, gens, np.sqrt(np.arange(out.shape[2], 0.0, -1.0))
     ),
-    "uniform": lambda k, out, gens, radius: k.uniform(out, gens, -radius, radius),
 }
 
 
@@ -852,7 +878,7 @@ def test_compiled_draws_match_numpy_draws(sampler, n_gens, width, radius, chunks
     for rows in chunks:
         got = {}
         for k, g in gens.items():
-            got[k] = np.zeros((rows, n_gens) + ((width,) if sampler != "uniform" else ()))
+            got[k] = np.zeros((rows, n_gens, width))
             draw(k, got[k], g, radius)
         assert got[compiled].tobytes() == got[REFERENCE].tobytes()
         assert compiled.states(gens[compiled]) == REFERENCE.states(gens[REFERENCE])
@@ -994,9 +1020,10 @@ def test_chunk_draws_leave_numpy_generator_state(width):
     # PCG64 holding the spare half of a 64-bit output (has_uint32, uinteger)
     # in the state array for the next call's first sign.  After every chunk
     # each generator must be where Generator.integers(0, 2),
-    # Generator.uniform or Generator.standard_normal leaves a twin, and the
-    # draw loops must return those methods' bytes.  11 replications: a full
-    # block of lanes and a partial one.
+    # Generator.uniform, Generator.standard_normal or LinearModelStream.draw
+    # leaves a twin, and the draw loops and the ridge chunk must return the
+    # bytes of those methods' draws.  11 replications: a full block of lanes
+    # and a partial one.
     k = _kernel.load()
     n, radius = 11, 1.5
     seeds = [rep_seed(23, i) for i in range(n)]
@@ -1031,26 +1058,17 @@ def test_chunk_draws_leave_numpy_generator_state(width):
     def uniform(g, m):
         return g.uniform(-radius, radius, size=m)
 
-    # ridge: the engine's draws, its responses and the losses of one chunk
-    # from theta = 0 on them, against LinearModelStream.draw per generator
+    # ridge: the losses of one chunk from theta = 0, against the oracle's on
+    # LinearModelStream.draw per generator
     stream = LinearModelStream(tuple(np.linspace(-0.5, 0.7, width)), 1.3, radius)
 
-    def ridge_loss(kernels, xs, ys):
-        m, n, _ = xs.shape
-        loss = np.empty((n, m))
-        kernels.ridge_chunk(
-            np.zeros((n, width)), xs, ys, np.full(m, 0.1), np.asarray(stream.theta_star), 0.1,
-            True, 1.0, loss,
-        )
-        return loss
-
     def ridge(gens, m):
-        xs, ys = algorithms._ridge_draw(k, stream, gens, m)
-        return np.dstack((xs, ys, ridge_loss(k, xs, ys).T))
+        loss = np.empty((n, m))
+        k.ridge_chunk(np.zeros((n, width)), gens, np.full(m, 0.1), stream, 0.1, True, 1.0, loss)
+        return loss.T
 
     def ridge_twin(g, m):
-        x, y = stream.draw(g, m)
-        return np.column_stack((x, y, ridge_loss(REFERENCE, x[:, None], y[:, None])[0]))
+        return ridge_on_draws(stream, [g], np.zeros((1, width)), np.full(m, 0.1), 0.1, True, 1.0)[0]
 
     # name -> (the compiled call, returning its draws or None, and what a
     # twin generator draws for the same chunk)
@@ -1061,9 +1079,6 @@ def test_chunk_draws_leave_numpy_generator_state(width):
         "rm": (rm, uniform),
         "ridge": (ridge, ridge_twin),
         "signs": (lambda gens, m: draw(k.signs, np.empty((m, n, width)), gens), signs),
-        "uniform": (
-            lambda gens, m: draw(k.uniform, np.empty((m, n)), gens, -radius, radius), uniform
-        ),
     }
     for name, (compiled, twin) in kinds.items():
         gens = k.generators(seeds)
@@ -1085,17 +1100,24 @@ def test_chunk_draws_leave_numpy_generator_state(width):
 
 @pytest.mark.parametrize("d", [8, 17, 40])
 def test_ridge_responses_are_each_generators_draw(d):
-    # the engine forms the responses of a group of replications with one
-    # numpy product; each generator's must be the bytes of its own draw,
-    # whose product numpy forms for that generator alone
+    # each kernels' ridge chunk forms each generator's responses as
+    # LinearModelStream.draw does for that generator alone, x.theta* as
+    # np.sum(x * theta*, axis=-1), whose order no BLAS kernel picks; at these
+    # widths the sum is pairwise.  A chunk's losses from theta = 0 must be
+    # those of the oracle's steps on the generators' own draws
     stream = LinearModelStream(tuple(np.linspace(-1.0, 0.9, d) / d), 1.5, 0.5)
     seeds = [rep_seed(29, i) for i in range(13)]
     for kernels in {_kernel.load(), REFERENCE}:
         for m in (algorithms.RIDGE_ROWS, 5):
-            xs, ys = algorithms._ridge_draw(kernels, stream, kernels.generators(seeds), m)
-            want = [stream.draw(g, m) for g in REFERENCE.generators(seeds)]
-            assert xs.tobytes() == np.stack([x for x, _ in want], axis=1).tobytes(), m
-            assert ys.tobytes() == np.stack([y for _, y in want], axis=1).tobytes(), m
+            etas = np.full(m, 0.05)
+            loss = np.empty((len(seeds), m))
+            kernels.ridge_chunk(
+                np.zeros((len(seeds), d)), kernels.generators(seeds), etas, stream, 0.0, True,
+                2.0, loss,
+            )
+            theta = np.zeros((len(seeds), d))
+            want = ridge_on_draws(stream, REFERENCE.generators(seeds), theta, etas, 0.0, True, 2.0)
+            assert loss.tobytes() == want.tobytes(), m
 
 
 @needs_kernel
@@ -1144,10 +1166,8 @@ def test_optimisation_level_changes_no_byte(level, tmp_path, monkeypatch):
         k.rm_chunk(r, gens, etas, RM_LINEAR, 1.0, loss_rm, *channels[10:])
         block_max = np.full((6, n), -np.inf)
         k.lil_chunk(r, gens, 1, 2 * m, 0.7, RM_LINEAR, 1.0, block_max)
-        theta_star = np.linspace(0.5, -0.5, d)
-        xs = rng.standard_normal((m, n, d))
-        ys = xs @ theta_star + rng.uniform(-0.5, 0.5, (m, n))
-        k.ridge_chunk(theta, xs, ys, etas, theta_star, 0.1, True, 1.0, loss_ridge)
+        stream = LinearModelStream(tuple(np.linspace(0.5, -0.5, d)), 1.2, 0.5)
+        k.ridge_chunk(theta, gens, etas, stream, 0.1, True, 1.0, loss_ridge)
         return hits, [a.tobytes() for a in out], block_max.tobytes(), gens.tobytes()
 
     for d, p in ((2, 4), (3, 3)):
@@ -1292,9 +1312,7 @@ def test_engines_make_one_kernel_call_per_chunk(engine, method, compiled, monkey
     # 60 steps streamed in chunks of 7: 9 chunks, each one chunk call, with
     # or without recording, whichever kernels the engines get; a run that
     # streams nothing is one chunk call.  Ridge cuts every run into chunks
-    # of RIDGE_ROWS, since its draws depend on the chunk length, and draws
-    # each chunk with the kernels' signs and uniform first, since its
-    # responses are numpy's product (one group of 3 here)
+    # of RIDGE_ROWS, since its draws depend on the chunk length
     if compiled and _kernel.load() is REFERENCE:
         pytest.skip("no C compiler here")
     width, run = ENGINES[engine]
@@ -1307,12 +1325,11 @@ def test_engines_make_one_kernel_call_per_chunk(engine, method, compiled, monkey
     runs = [{}, {"on_chunk": lambda t0, loss: None}]
     if engine != "ridge":  # ridge records no channels
         runs.append({"record_channels": False})
-    chunk = ["signs", "uniform", method] if engine == "ridge" else [method]
     for kw in runs:
         kernels.calls.clear()
         run(seeds, **kw)
         chunks = 9 if engine == "ridge" or "on_chunk" in kw else 1
-        assert kernels.calls == ["generators"] + chunk * chunks, kw
+        assert kernels.calls == ["generators"] + [method] * chunks, kw
 
 
 def test_compiled_functions_are_the_bound_ones():

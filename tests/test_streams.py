@@ -1,7 +1,8 @@
 """Tests for the samplers the engines draw from: exact boundedness claims,
 moment checks, and batch draws that match single-generator draws, for the
 draws of both kernels, each over the generators its own generators method
-returns."""
+returns; the uniforms only the reference draws alone, while the compiled
+chunks draw theirs inline (test_kernel compares their bytes)."""
 
 import math
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from anytime_iter import LinearModelStream, PcaProblem, RmProblem, SgdProblem, _kernel
-from anytime_iter._reference import REFERENCE, _onto_sphere
+from anytime_iter._reference import REFERENCE, _onto_sphere, _uniform
 from anytime_iter.seeding import make_generator, rep_seed
 from anytime_iter.streams import SQRT3
 
@@ -37,9 +38,10 @@ def sphere(kernels, gens, size, width, radius):
     return out
 
 
-def uniform(kernels, gens, size, radius):
+def uniform(gens, size, radius):
+    """The reference's uniforms, as rm_chunk draws them, from its generators."""
     out = np.empty((size, len(gens)))
-    kernels.uniform(out, gens, -radius, radius)
+    _uniform(out, gens, -radius, radius)
     return out
 
 
@@ -110,16 +112,14 @@ def test_quadratic_oracle_validation():
 
 
 def test_rm_oracle_bounded_by_sqrt3():
-    for k in each_kernels():
-        draws = uniform(k, k.generators(seeds(50)), 20, SQRT3)
-        assert np.max(np.abs(draws)) <= SQRT3
+    draws = uniform(REFERENCE.generators(seeds(50)), 20, SQRT3)
+    assert np.max(np.abs(draws)) <= SQRT3
 
 
 def test_rm_oracle_unit_variance():
-    for k in each_kernels():
-        draws = uniform(k, k.generators([0]), 10**5, SQRT3)[:, 0]
-        assert abs(draws.mean()) < 0.01
-        assert abs(draws.var() - 1.0) < 0.01
+    draws = uniform(REFERENCE.generators([0]), 10**5, SQRT3)[:, 0]
+    assert abs(draws.mean()) < 0.01
+    assert abs(draws.var() - 1.0) < 0.01
 
 
 def test_rm_oracle_rejects_small_radius():
@@ -191,17 +191,20 @@ def test_batch_draws_match_single_generator_draws():
     # through numpy's Generator methods
     for k in each_kernels():
         gens = k.generators(range(3))
-        got = signs(k, gens, 5, 4), sphere(k, gens, 6, 2, 0.7), uniform(k, gens, 7, SQRT3)
+        got = signs(k, gens, 5, 4), sphere(k, gens, 6, 2, 0.7)
         for j in range(3):
             alone = k.generators([j])
             assert np.array_equal(got[0][:, j], signs(k, alone, 5, 4)[:, 0])
             assert np.array_equal(got[1][:, j], sphere(k, alone, 6, 2, 0.7)[:, 0])
-            assert np.array_equal(got[2][:, j], uniform(k, alone, 7, SQRT3)[:, 0])
             g = make_generator(j)
             assert np.array_equal(got[0][:, j], g.integers(0, 2, size=(5, 4)) * 2.0 - 1.0)
             assert np.array_equal(got[1][:, j], _onto_sphere(g.standard_normal((6, 2)), 0.7))
-            assert np.array_equal(got[2][:, j], g.uniform(-SQRT3, SQRT3, 7))
             assert k.states(gens)[j] == g.bit_generator.state
+    gens = REFERENCE.generators(range(3))
+    got = uniform(gens, 7, SQRT3)
+    for j in range(3):
+        assert np.array_equal(got[:, j], uniform(REFERENCE.generators([j]), 7, SQRT3)[:, 0])
+        assert np.array_equal(got[:, j], make_generator(j).uniform(-SQRT3, SQRT3, 7))
 
 
 def test_rep_seed_splitting():

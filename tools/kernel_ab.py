@@ -18,8 +18,11 @@ build runs first, for --rounds rounds:
   * rm-rec:   the same with the two noise channels recorded;
   * lil:      lil_chunk, linear M, eta_t = 1/t from t = 1 into 12 blocks;
   * ridge:    ridge_chunk, d = 2, the ridge engine's RIDGE_ROWS = 2048 steps
-              whatever --steps says, on covariates and responses drawn
-              once in numpy;
+              whatever --steps says, on the shipped config's stream,
+              drawing from the generator states as it steps; a revision
+              whose ridge_chunk takes covariates and responses is timed
+              with its engine's draws, algorithms._ridge_draw per group of
+              replications, before each group's chunk;
   * seed:     generators on the --reps seeds (7, i), the (seed_base, i)
               pairs the harness passes, timed per seed over enough calls
               per round for about SEEDS_PER_ROUND seeds, so that one call's
@@ -53,6 +56,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import inspect
 import io
 import statistics
 import subprocess
@@ -70,7 +74,7 @@ import numpy as np  # noqa: E402
 import anytime_iter  # noqa: E402
 from anytime_iter.algorithms import RIDGE_ROWS  # noqa: E402
 from anytime_iter.problems import RmProblem  # noqa: E402
-from anytime_iter.streams import SQRT3  # noqa: E402
+from anytime_iter.streams import SQRT3, LinearModelStream  # noqa: E402
 
 SEEDS_PER_ROUND = 2**16  # seeds the seed row seeds per build and round
 
@@ -103,8 +107,7 @@ def chunks(n: int, m: int) -> dict:
     etas = rng.uniform(0.01, 0.5, m)
     rm = RmProblem(m_kind="linear", theta=-0.3, slope=1.3)
     ridge_etas = rng.uniform(0.01, 0.5, RIDGE_ROWS)
-    xs = rng.choice([-1.0, 1.0], (RIDGE_ROWS, n, 2)) / np.sqrt(2.0)
-    ys = xs @ np.array([0.5, 0.5]) + rng.uniform(-0.5, 0.5, (RIDGE_ROWS, n))
+    stream = LinearModelStream((0.5, 0.5), 1.0, 0.5)
 
     def sgd(d: int, record: bool):
         def call(k, gens, out):
@@ -134,8 +137,17 @@ def chunks(n: int, m: int) -> dict:
         k.lil_chunk(state, gens, 1, m, 1.0, rm, SQRT3, block_max)
 
     def ridge(k, gens, out):
-        k.ridge_chunk(np.zeros((n, 2)), xs, ys, ridge_etas, np.array([0.5, 0.5]), 0.0, True,
-                      1.0, out)
+        theta = np.zeros((n, 2))
+        if "xs" not in inspect.signature(k.ridge_chunk).parameters:
+            k.ridge_chunk(theta, gens, ridge_etas, stream, 0.0, True, 1.0, out)
+            return
+        # a revision that drew the chunk in numpy first, in groups of 21
+        package = sys.modules[type(k).__module__.rpartition(".")[0]]
+        for lo in range(0, n, 21):
+            g = slice(lo, lo + 21)
+            xs, ys = package.algorithms._ridge_draw(k, stream, gens[g], RIDGE_ROWS)
+            k.ridge_chunk(theta[g], xs, ys, ridge_etas, np.array([0.5, 0.5]), 0.0, True, 1.0,
+                          out[g])
 
     return {
         "sgd": sgd(2, False),

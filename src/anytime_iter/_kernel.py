@@ -5,9 +5,8 @@ recursion checkers call the object load() returns: the compiled
 StepKernels when _steps.c could be built and loaded, else
 _reference.REFERENCE, the numpy chunk methods, draws and checks.
 StepKernels subclasses Reference and overrides every one of its public
-methods, with the same arguments, but sphere, which in both is the
-object's normals, then _reference._onto_sphere; each override computes its
-whole call in C.  Each object's draw and chunk methods take what its own
+methods, with the same arguments; each override computes its whole call
+in C.  Each object's draw and chunk methods take what its own
 generators(seeds) returns:
 
   * the SGD, PCA, root-finding and ridge chunks: one C call per chunk,
@@ -26,8 +25,9 @@ generators(seeds) returns:
     inputs and for the nan invalid operations give; where a nan of the
     other sign that a caller supplies meets another nan, the two may keep
     different ones, which the engines' own finite draws never meet.  The
-    chunks step every width, those of widths 2 and 4 on the stack with
-    their coordinate loops unrolled and all others on scratch from the heap
+    chunks step every width, those the shipped configs run (SGD and ridge
+    at d = 2, PCA at p = 2 and 4) on the stack with their coordinate loops
+    unrolled and all others, with the same bytes, on scratch from the heap
     (a failed allocation raises MemoryError).  rm_chunk and lil_chunk step
     the linear and the cubic M alike, each in a loop compiled for it:
     RmProblem forms the cubic M's powers as products, u*u*u, which C rounds
@@ -46,12 +46,10 @@ generators(seeds) returns:
     calls, per generator in the same order: random_standard_normal's
     ziggurat, whose tables _steps.c copies from numpy's libnpyrandom.a,
     random_uniform, and the range-1 step of random_bounded_uint64_fill.
-    sphere scales C's normals onto the sphere with the reference's
-    _onto_sphere, whose sum of squares is np.sum's at every width; the
-    harness draws the PCA runs' initial directions with normals.  So each
-    value is numpy's, every state is the one numpy's generator would reach
-    (states turns the rows into bit_generator.state dicts), and no numpy
-    function is called, compiled or linked.  On the first get() the loader
+    The harness draws the PCA runs' initial directions with normals.  So
+    each value is numpy's, every state is the one numpy's generator would
+    reach (states turns the rows into bit_generator.state dicts), and no
+    numpy function is called, compiled or linked.  On the first get() the loader
     compares the seeding and the draws with numpy's (_check_draws), so that
     a numpy whose seeding, entropy mixing, PCG64 or ziggurat has changed
     gets the reference rather than other numbers;
@@ -59,9 +57,12 @@ generators(seeds) returns:
     eta_t = l1/t, the division np.divide(l1, t) makes, and folds each
     statistic (t*dev)*dev/log log t, with log log t from libm's log, which
     math.log calls, into each replication's block maxima with np.maximum's
-    rule for nan, storing no deviation.  A nan in the maxima may differ in
-    sign from the reference's, whose max over two or more of a diverging
-    path's -nan statistics returns +nan; run_lil_ensemble refuses any nan;
+    rule for nan, storing no deviation.  It fills log log t into fixed
+    scratch of its own, slice by slice, so a call of any length, such as
+    the harness's one call per LIL run, allocates nothing that grows with
+    it.  A nan in the maxima may differ in sign from the reference's, whose
+    max over two or more of a diverging path's -nan statistics returns
+    +nan; run_lil_ensemble refuses any nan;
   * the recursion checks recursion_failure and pca_failure: one C pass over
     a path that evaluates the reference's numpy sides (_reference.
     recursion_sides and pca_sides) step by step, in their order and with
@@ -117,7 +118,7 @@ _SIGNATURES = {
     "sgd_chunk": ([_P] * 5 + [_L] * 3 + [_D] * 4 + [_P, _L, _P, _L] + [_P] * 5 + [_L], _L),
     "pca_chunk": ([_P] * 6 + [_L] * 3 + [_I] * 2 + [_P, _L] + [_P] * 4 + [_L], _L),
     "rm_chunk": ([_P] * 3 + [_L] * 2 + [_P, _I] + [_D] * 2 + [_P, _L, _P, _P, _L], None),
-    "lil_chunk": ([_P] * 2 + [_L] * 3 + [_D, _P, _I] + [_D] * 2 + [_P, _L, _P], None),
+    "lil_chunk": ([_P] * 2 + [_L] * 3 + [_D, _P, _I] + [_D] * 2 + [_P, _L], None),
     "ridge_chunk": ([_P] * 4 + [_L] * 3 + [_D] * 4 + [_I, _D, _D, _P, _L], _L),
     "seed_states": ([_P] * 3 + [_L], None),
     "normal_fill": ([_P, _L, _P, _P], _L),
@@ -399,14 +400,12 @@ class StepKernels(Reference):
         self, state, gens, t0: int, m: int, l1: float, problem, radius: float, block_max
     ) -> None:
         n_blocks, n = block_max.shape
-        loglog = np.empty(m)
         consts, cubic, low, span = _rm_constants(problem, radius)
         self._lib.lil_chunk(
             _addr(state, (n,)),
             _gens(gens, n),
             t0, m, n, l1, consts.ctypes.data, cubic, low, span,
             _addr(block_max, (n_blocks, n)), n_blocks,
-            _addr(loglog, (m,)),
         )
 
     def recursion_failure(self, losses, steps, noise, tol: float, params) -> int:

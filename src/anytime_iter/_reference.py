@@ -14,9 +14,8 @@ bit, and a chunk's transient memory is bounded by PASS_BUDGET whatever its
 length.  rm_chunk and lil_chunk share one step loop (_rm_slices);
 lil_chunk folds each slice's deviations into the LIL statistic's block
 maxima (_lil_fold).  _kernel.StepKernels overrides every public method
-but sphere with the same arguments and one C call, and _kernel.load
-chooses between the two; the draw and chunk contracts are in the class
-docstring.
+with the same arguments and one C call, and _kernel.load chooses between
+the two; the draw and chunk contracts are in the class docstring.
 
 The numpy code of the path-wise recursion checks lives here once as well:
 recursion_sides and pca_sides compute both sides of every inequality of
@@ -211,15 +210,6 @@ class Reference:
         for j, g in enumerate(gens):
             out[:, j, :] = g.standard_normal((rows, width))
 
-    def sphere(self, out, gens, radius: float) -> None:
-        """out, (rows, n, width), receives rows uniform on the sphere of the
-        given radius: this object's normals, then _onto_sphere."""
-        if radius == 0.0:
-            out.fill(0.0)
-            return
-        self.normals(out, gens)
-        _onto_sphere(out, radius)
-
     def signs(self, out, gens, scale=None) -> None:
         """out, (rows, n, width), receives signs as Generator.integers(0, 2)
         draws them, times scale (a (width,) array) when it is given."""
@@ -246,7 +236,7 @@ class Reference:
         diff, g = np.empty((n, d)), np.empty((n, d))
         project = _projector(n, d, radius)
         traj = _trajectory(state, m)
-        noise = np.empty(traj[1:].shape)
+        noise = np.zeros(traj[1:].shape)
         hits = 0
 
         def pass_over(t, e, eta_t):
@@ -270,7 +260,9 @@ class Reference:
 
         for t in _slices(m, traj):
             e, eta_t = noise[: t.stop - t.start], etas[t]
-            self.sphere(e, gens, b_noise)
+            if b_noise != 0.0:  # radius 0 draws nothing: the noise stays zero
+                self.normals(e, gens)
+                _onto_sphere(e, b_noise)
             for k, eta in enumerate(eta_t.tolist()):
                 # w = x - eta*(a*(x - x*) + e), projected onto the ball
                 x, w = traj[k], traj[k + 1]

@@ -2,10 +2,10 @@
  * in anytime_iter.algorithms, and the LIL chunk of anytime_iter.harness.
  *
  * sgd_chunk, pca_chunk, rm_chunk and ridge_chunk each run one engine
- * chunk of any width in one call, and lil_chunk one chunk of the
- * LIL statistic's root finding, replication-major: the outer loop
+ * chunk of any width in one call, replication-major: the outer loop
  * runs over blocks of LANES replications and the inner loop over the
- * chunk's m steps.
+ * chunk's m steps.  lil_chunk runs the LIL statistic's root finding the
+ * same way over each slice of at most LIL_SLICE steps in turn.
  * Each replication advances its iterate in locals and writes its losses, and
  * its noise channels when the engine records them, into row i of row-strided
  * (n, m) outputs.  Each chunk draws each replication's values from its own
@@ -291,8 +291,7 @@ void seed_states(uint64_t *out, const uint32_t *words, const long *sizes, long n
  * normal_fill and sign_draw against numpy before it uses the library.  The
  * helpers below serve both the chunk functions and the draw loops; in the
  * draw loops out is (rows, n, width), and row r of generator j starts at
- * out + (r*n + j)*width.  The draw loops' sphere normals are scaled in
- * numpy (StepKernels.sphere). */
+ * out + (r*n + j)*width. */
 
 /* The 256-layer ziggurat of numpy's random_standard_normal (Marsaglia and
  * Tsang 2000).  The tables ki_double, wi_double and fi_double are copied as
@@ -655,8 +654,9 @@ void sign_draw(double *out, uint64_t *gens, const double *scale, long rows, long
  * Each generator still makes the same draws in the same order, so the
  * values and its final state are unchanged.
  *
- * Each chunk body is one inlined function of the width d, which BY_WIDTH
- * builds once for d = 2, once for d = 4 and once for every other d.
+ * Each chunk body is one inlined function of the width d, built once for
+ * each width its chunk's CONSTANT_WIDTH arms name and once, in its
+ * ANY_WIDTH arm, for every other d.
  *
  * LANES is a compile-time constant and every loop that draws from or
  * loads or stores a block's generators is unrolled (EACH_LANE), so each
@@ -696,29 +696,28 @@ void sign_draw(double *out, uint64_t *gens, const double *scale, long rows, long
 #define PREFETCH_AT(k, m) (((k) & 7) == 0 && (k) + AHEAD < (m))
 #define PREFETCH(row, k) __builtin_prefetch((row) + (k) + AHEAD, 1, 3)
 
-/* Returns CALL(w, buf), a long, with w equal to d and buf the chunk body's
- * scratch, SCRATCH(w) doubles.  For d = 2 and d = 4, the widths of the
- * shipped configs and benchmark workloads, w is a constant and buf an array
- * on the stack, so that the compiler builds one copy of the inlined body for
- * each, with its coordinate loops unrolled; a constant copy makes those
- * widths' chunks up to 1.6 times faster, and each costs about 1 s of an -O2
- * build.  Every other width runs the same body with w = d at run time, and
- * buf comes from the heap: LANES iterates of d values and a few more vectors
- * would outgrow a thread's stack at large d (12.5 MB for PCA at p = 60 000).
- * The stack arrays are 64-byte aligned: at the ABI's 16 bytes their offset
- * moves with the rest of the frame, and the d = 2 ridge chunk of a build
- * without the alignment ran 1.7 to 1.8 times slower (tools/kernel_ab.py).
- * Returns -1 if buf cannot be allocated.  d >= 1 is checked in Python. */
-#define BY_WIDTH(d, SCRATCH, CALL)                                  \
-    switch (d) {                                                    \
-    case 2: {                                                       \
-        double buf[SCRATCH(2)] __attribute__((aligned(64)));        \
-        return CALL(2, buf);                                        \
-    }                                                               \
-    case 4: {                                                       \
-        double buf[SCRATCH(4)] __attribute__((aligned(64)));        \
-        return CALL(4, buf);                                        \
-    }                                                               \
+/* The arms of a chunk's switch on its width d, each returning CALL(w, buf),
+ * a long, with w equal to d and buf the chunk body's scratch, SCRATCH(w)
+ * doubles.  A CONSTANT_WIDTH arm makes w a constant and buf an array on the
+ * stack, so that the compiler builds one copy of the inlined body for that
+ * width, with its coordinate loops unrolled; a constant copy makes a chunk
+ * up to 1.6 times faster, and each costs about 1 s of an -O2 build.  So each
+ * chunk has such arms only for the widths the shipped configs and benchmark
+ * workloads run: SGD and ridge d = 2, PCA p = 2 and p = 4.  The ANY_WIDTH
+ * arm runs the same body with w = d at run time, for every other width,
+ * with the same bytes, and buf comes from the heap: LANES iterates of d
+ * values and a few more vectors would outgrow a thread's stack at large d
+ * (12.5 MB for PCA at p = 60 000).  The stack arrays are 64-byte aligned: at
+ * the ABI's 16 bytes their offset moves with the rest of the frame, and the
+ * d = 2 ridge chunk of a build without the alignment ran 1.7 to 1.8 times
+ * slower (tools/kernel_ab.py).  ANY_WIDTH returns -1 if buf cannot be
+ * allocated.  d >= 1 is checked in Python. */
+#define CONSTANT_WIDTH(w, SCRATCH, CALL)                            \
+    case w: {                                                       \
+        double buf[SCRATCH(w)] __attribute__((aligned(64)));        \
+        return CALL(w, buf);                                        \
+    }
+#define ANY_WIDTH(d, SCRATCH, CALL)                                 \
     default: {                                                      \
         double *buf = malloc(sizeof(double) * SCRATCH(d));          \
         if (!buf)                                                   \
@@ -726,7 +725,6 @@ void sign_draw(double *out, uint64_t *gens, const double *scale, long rows, long
         const long ret = CALL(d, buf);                              \
         free(buf);                                                  \
         return ret;                                                 \
-    }                                                               \
     }
 
 /* The rows of state and gens lane l of the block at i0 steps: its own, or
@@ -754,7 +752,7 @@ INLINE long sgd_rows(double *buf, double *state, uint64_t *gens, const double *e
     double *dev = e[LANES], *dn = dev + d, *gradf = dn + d, *gv = gradf + d, *adn = gv + d;
     pcg64_t g[LANES];
     long hits = 0;
-    /* radius 0 draws nothing: the noise stays zero, as in Reference.sphere */
+    /* radius 0 draws nothing: the noise stays zero, as in the reference */
     if (b_noise == 0.0)
         memset(e, 0, sizeof(double) * LANES * d);
     for (long i0 = 0; i0 < n; i0 += LANES) {
@@ -766,7 +764,7 @@ INLINE long sgd_rows(double *buf, double *state, uint64_t *gens, const double *e
         }
         for (long k = 0; k < m; k++) {
             const double eta = etas[k];
-            /* Reference.sphere's normals, then _onto_sphere's scaling, drawn
+            /* the reference's normals, then _onto_sphere's scaling, drawn
              * value-major across the lanes */
             if (b_noise != 0.0) {
                 for (long j = 0; j < d; j++)
@@ -846,7 +844,10 @@ long sgd_chunk(double *state, uint64_t *gens, const double *etas, const double *
 #define SGD(D, buf)                                                                      \
     sgd_rows(buf, state, gens, etas, a, xs, m, n, D, radius, rr, b_noise, half_mu, loss, \
              ld_loss, loss_pl, ld_pl, noise_sc, noise_pl, y_sc, y_pl, gnorm2, ld)
-    BY_WIDTH(d, SGD_SCRATCH, SGD)
+    switch (d) {
+        CONSTANT_WIDTH(2, SGD_SCRATCH, SGD)
+        ANY_WIDTH(d, SGD_SCRATCH, SGD)
+    }
 #undef SGD
 }
 
@@ -962,7 +963,11 @@ long pca_chunk(double *state, double *norms, uint64_t *gens, const double *scale
 #define PCA(D, buf)                                                                         \
     pca_rows(buf, state, norms, gens, scale, etas, eigs, m, n, D, krasulina, normalize, \
              loss, ld_loss, q, z_dot_v, znorm2, ratio, ld)
-    BY_WIDTH(p, PCA_SCRATCH, PCA)
+    switch (p) {
+        CONSTANT_WIDTH(2, PCA_SCRATCH, PCA)
+        CONSTANT_WIDTH(4, PCA_SCRATCH, PCA)
+        ANY_WIDTH(p, PCA_SCRATCH, PCA)
+    }
 #undef PCA
 }
 
@@ -974,8 +979,9 @@ long pca_chunk(double *state, double *norms, uint64_t *gens, const double *scale
  * ((a2*((l*l)*l) + ab2*(l*l)) + b2*l) + r1sq: RmProblem's m_func and
  * poly_sq, with products for their powers, and the constants they form in
  * Python come in formed (_kernel._rm_constants).  Each function branches
- * once, on cubic, into one inlined body per M, as BY_WIDTH does on the
- * width, so the linear M's loops stay as they were without the cubic arm. */
+ * once, on cubic, into one inlined body per M, as the chunks' switches do
+ * on the width, so the linear M's loops stay as they were without the
+ * cubic arm. */
 typedef struct {
     double theta, a, b, a2, ab2, b2, r1sq;
 } rm_consts;
@@ -1134,7 +1140,10 @@ long ridge_chunk(double *state, uint64_t *gens, const double *etas, const double
 #define RIDGE(D, buf)                                                                     \
     ridge_rows(buf, state, gens, etas, theta_star, m, n, D, scale, low, range, lambda_pen, \
                penalty_in_gradient, radius, rr, loss, ld_loss)
-    BY_WIDTH(d, RIDGE_SCRATCH, RIDGE)
+    switch (d) {
+        CONSTANT_WIDTH(2, RIDGE_SCRATCH, RIDGE)
+        ANY_WIDTH(d, RIDGE_SCRATCH, RIDGE)
+    }
 #undef RIDGE
 }
 
@@ -1143,14 +1152,24 @@ long ridge_chunk(double *state, uint64_t *gens, const double *etas, const double
  * t = t0 .. t0+m-1 with eta_t = l1/t, and folds the statistic
  * ((t*dn)*dn)/log(log(t)) of each deviation dn = x_t - theta into
  * block_max, (n_blocks, n), which holds each replication's maximum over
- * block b, t = 2^(b+1)+1 .. 2^(b+2), so far.  Each lane keeps the running
- * maximum of the chunk's part of a block in a local, which goes into
- * block_max when the part ends, as _reference.Reference.lil_chunk folds
- * the maximum of each part.  Times outside the blocks, t < 3 or
- * t > 2^(n_blocks+1), fold nothing.  log log t comes from libm's log, the
- * function math.log calls, into ll, m values of scratch.  No deviation is
- * stored, so the call writes nothing but the iterates, the generators and
+ * block b, t = 2^(b+1)+1 .. 2^(b+2), so far.  It runs the m steps
+ * LIL_SLICE at a time (lil_slice), every block of lanes over one slice
+ * before the next slice, with log log t of the slice's times from libm's
+ * log, the function math.log calls, in LIL_SLICE values of scratch on the
+ * stack (128 KB), so its memory does not grow with m.  Each slice costs a
+ * pass of every block of lanes over its state, and the pass costs more than
+ * its loads: against one slice over 2^16 steps of 504 replications
+ * (tools/kernel_ab.py, row lil-long), slices of 2^10 steps ran 17 % slower,
+ * of 2^12 5 % and of 2^14, the steps of the harness's former lil_chunk
+ * calls, 2 %, within the row's spread.  Each lane keeps the running maximum
+ * of a slice's part of a block in a local, which goes into block_max when
+ * the part ends, as _reference.Reference.lil_chunk folds the maximum of
+ * each part; a maximum does not depend on how its block is cut into parts,
+ * so neither slices nor calls change a byte.  Times outside the blocks,
+ * t < 3 or t > 2^(n_blocks+1), fold nothing.  No deviation is stored, so
+ * the call writes nothing but the iterates, the generators and
  * block_max. */
+#define LIL_SLICE 16384
 
 /* log(log(t)) for the m times t0, t0+1, ... */
 void lil_loglog(double *out, long t0, long m)
@@ -1167,9 +1186,10 @@ INLINE double nan_max(double a, double b)
     return (a > b || isnan(a)) ? a : b;
 }
 
-INLINE void lil_rows(double *state, uint64_t *gens, long t0, long m, long n, double l1,
-                     const rm_consts *c, bool cubic, double low, double range,
-                     double *block_max, long n_blocks, double *ll)
+/* The m <= LIL_SLICE steps from t0, with ll the slice's scratch. */
+INLINE void lil_slice(double *state, uint64_t *gens, long t0, long m, long n, double l1,
+                      const rm_consts *c, bool cubic, double low, double range,
+                      double *block_max, long n_blocks, double *ll)
 {
     const long t_last = 2L << n_blocks;
     /* the statistics before t = 3, where log log t is not positive, are
@@ -1228,13 +1248,19 @@ INLINE void lil_rows(double *state, uint64_t *gens, long t0, long m, long n, dou
 
 void lil_chunk(double *state, uint64_t *gens, long t0, long m, long n, double l1,
                const rm_consts *consts, int cubic, double low, double range,
-               double *block_max, long n_blocks, double *ll)
+               double *block_max, long n_blocks)
 {
     const rm_consts c = *consts;
-    if (cubic)
-        lil_rows(state, gens, t0, m, n, l1, &c, true, low, range, block_max, n_blocks, ll);
-    else
-        lil_rows(state, gens, t0, m, n, l1, &c, false, low, range, block_max, n_blocks, ll);
+    double ll[LIL_SLICE];
+    for (long k = 0; k < m; k += LIL_SLICE) {
+        const long size = m - k < LIL_SLICE ? m - k : LIL_SLICE;
+        if (cubic)
+            lil_slice(state, gens, t0 + k, size, n, l1, &c, true, low, range, block_max,
+                      n_blocks, ll);
+        else
+            lil_slice(state, gens, t0 + k, size, n, l1, &c, false, low, range, block_max,
+                      n_blocks, ll);
+    }
 }
 
 /* Recursion checks.  Each walks one path of m steps, losses L_0..L_m

@@ -15,10 +15,11 @@ replications in lock step.  Each replication owns its generator (derived from
 its seed) and the steps use no matrix products, whose summation order
 depends on the batch shape, so a batch of one is bit-identical to a batch
 member of any size.  Normals (SGD), signs (PCA) and uniforms (root finding)
-come out the same however a stream is cut into chunks, so a call that
-streams nothing steps its whole horizon in one kernel call, and a call that
-streams its losses through on_chunk cuts it into chunks of DRAW_BUDGET
-values per batch (and at least MIN_ROWS steps): streamed without
+come out the same however a stream is cut into chunks, and the kernels size
+their own scratch, so a call that streams nothing steps its whole horizon
+in one kernel call, and a call that streams its losses through on_chunk
+cuts it into chunks whose loss buffer, N rows of the chunk's steps, holds
+LOSS_BUDGET values (and at least MIN_ROWS steps): streamed without
 record_channels, memory is O(N*chunk), independent of the horizon.  Ridge
 draws each chunk's signs before its uniforms, as LinearModelStream.draw
 does, so its chunks keep RIDGE_ROWS steps, streamed or not.
@@ -71,20 +72,20 @@ __all__ = [
     "check_pca_recursion",
 ]
 
-# DRAW_BUDGET and MIN_ROWS size the chunks of a call that streams its losses
+# LOSS_BUDGET and MIN_ROWS size the chunks of a call that streams its losses
 # to on_chunk only; a call that streams nothing is one chunk
-DRAW_BUDGET = 2**17  # values per streamed chunk across a batch (1 MB)
+LOSS_BUDGET = 2**16  # losses per streamed chunk across a batch (0.5 MB)
 MIN_ROWS = 128  # steps per streamed chunk at least, to amortise one kernel call
 RIDGE_ROWS = 2048  # steps per ridge chunk, streamed or not; part of the ridge output
 
 
-def _rows(n: int, width: int, horizon: int, on_chunk) -> int:
-    """Steps per chunk for n replications stepping width values per step:
-    the whole horizon, one kernel call, unless on_chunk streams the losses,
-    whose reused buffer then holds DRAW_BUDGET values, or MIN_ROWS steps."""
+def _rows(n: int, horizon: int, on_chunk) -> int:
+    """Steps per chunk for n replications: the whole horizon, one kernel
+    call, unless on_chunk streams the losses, whose reused (n, rows) buffer
+    then holds LOSS_BUDGET values, or MIN_ROWS steps."""
     if on_chunk is None:
         return max(1, horizon)
-    return max(MIN_ROWS, DRAW_BUDGET // (n * width))
+    return max(MIN_ROWS, LOSS_BUDGET // n)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +247,7 @@ def sgd_batch(
     proj_hits = 0
 
     l0 = np.sum(diff * diff, axis=1)
-    for t, out in _run(l0, horizon, _rows(n, d, horizon, on_chunk), on_chunk, loss_sc):
+    for t, out in _run(l0, horizon, _rows(n, horizon, on_chunk), on_chunk, loss_sc):
         proj_hits += kernels.sgd_chunk(
             x, gens, etas[t], a, xs, radius, problem.b_noise, half_mu, out,
             *[c[:, t] for c in channels],
@@ -314,7 +315,7 @@ def pca_batch(
 
     l0 = np.maximum(0.0, 1.0 - v[:, 0] ** 2 / vn2)
     krasulina = variant == "krasulina"
-    for t, out in _run(l0, horizon, _rows(n, p, horizon, on_chunk), on_chunk, losses):
+    for t, out in _run(l0, horizon, _rows(n, horizon, on_chunk), on_chunk, losses):
         kernels.pca_chunk(
             v, vn2, gens, etas[t], sq, eigs, krasulina, normalize_each_step, out,
             *[c[:, t] for c in channels],
@@ -356,7 +357,7 @@ def rm_batch(
 
     x = np.full(n, float(x0))
     l0 = (x - problem.theta) ** 2
-    for t, out in _run(l0, horizon, _rows(n, 1, horizon, on_chunk), on_chunk, losses):
+    for t, out in _run(l0, horizon, _rows(n, horizon, on_chunk), on_chunk, losses):
         kernels.rm_chunk(x, gens, etas[t], problem, SQRT3, out, *[c[:, t] for c in channels])
     q_chan, noise = channels or (None, None)
     return {"loss": losses, "q": q_chan, "noise": noise, "final_x": x}

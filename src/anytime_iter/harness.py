@@ -19,13 +19,13 @@ and no engine's draws depend on the block size, so reports do not depend
 on scheduling.
 
 The iterated-logarithm statistic runs on the kernels' lil_chunk: _lil_batch
-calls it once per LIL_STEPS steps, and each call steps the root-finding
-replications and folds their statistic into dyadic-block maxima, with no
-deviation buffer and no step vector, in one batch of all seeds, or in
-blocks on the pool with threads > 1; run_lil_ensemble refuses non-finite
-maxima.  Its memory is O(seeds), independent of the horizon.  No step
-loop, no noise draw and no reduction of the statistic live here; _pca_v0
-only draws each replication's initial direction.
+calls it once per block of seeds for the whole horizon, and the call steps
+the root-finding replications and folds their statistic into dyadic-block
+maxima, with no deviation buffer and no step vector, in one batch of all
+seeds, or in blocks on the pool with threads > 1; run_lil_ensemble refuses
+non-finite maxima.  Its memory is O(seeds), independent of the horizon.  No
+step loop, no noise draw and no reduction of the statistic live here;
+_pca_v0 only draws each replication's initial direction.
 
 Parameters an experiment rejects before any replication runs, such as an
 unparsable problem spec, a start outside the ball or constants that
@@ -85,7 +85,6 @@ __all__ = [
 ]
 
 _REP_BLOCK = 512
-LIL_STEPS = 2**14  # steps per lil_chunk call
 
 
 class SpecError(ValueError):
@@ -357,9 +356,9 @@ def _pca_v0(v0, problem: PcaProblem, seed_base: int, lo: int, hi: int) -> np.nda
     vector, "uniform", or "warm" (v1 plus a perturbation of norm 0.3, so
     sin^2 <= 9/58 < 1/4).  Replication i's direction comes from dim normals
     of the generator of (seed_base, i, 1), all drawn in one kernels call;
-    each row is divided by its own norm, np.sqrt(np.sum(row * row)): a numpy
-    sum, whose order is fixed, where np.linalg.norm's BLAS ddot adds in an
-    order that depends on the CPU."""
+    each row is divided by its own norm, np.sqrt(np.sum(u * u, axis=1)): a
+    numpy sum along each row, whose order is fixed, where np.linalg.norm's
+    BLAS ddot adds in an order that depends on the CPU."""
     if not isinstance(v0, str):
         return np.stack([np.asarray(v0, dtype=float)] * (hi - lo))
     kernels = _kernel.load()
@@ -367,13 +366,11 @@ def _pca_v0(v0, problem: PcaProblem, seed_base: int, lo: int, hi: int) -> np.nda
     u = np.empty((1, hi - lo, problem.dim))
     kernels.normals(u, gens)
     u = u[0]
-    for row in u:
-        row /= np.sqrt(np.sum(row * row))
+    u /= np.sqrt(np.sum(u * u, axis=1))[:, None]
     if v0 == "uniform":
         return u
     v = problem.v_star + 0.3 * u
-    for row in v:
-        row /= np.sqrt(np.sum(row * row))
+    v /= np.sqrt(np.sum(v * v, axis=1))[:, None]
     return v
 
 
@@ -613,11 +610,12 @@ def _lil_batch(
 
     The lil_chunk of the kernels _kernel.load returns, compiled or the
     numpy reference, runs x_t = x_{t-1} - (l1/t)*(M(x_{t-1}) + xi_t), the
-    root-finding steps of rm_batch, LIL_STEPS steps per call, and folds the
-    statistics (t*dev)*dev/log log t of the deviations dev = x_t - theta
-    into the block maxima as it goes.  All seeds run in one batch, or with
-    threads > 1 in blocks on a pool (_in_blocks), whose maxima are stacked:
-    each seed's maxima are one column, so the split changes no byte.
+    root-finding steps of rm_batch, over the whole horizon in one call, and
+    folds the statistics (t*dev)*dev/log log t of the deviations
+    dev = x_t - theta into the block maxima as it goes.  All seeds run in
+    one batch, or with threads > 1 in blocks on a pool (_in_blocks), whose
+    maxima are stacked: each seed's maxima are one column, so the split
+    changes no byte.
     """
     horizon = 2 ** (n_blocks + 1)
     bounds = [(2**nb + 1, 2 ** (nb + 1)) for nb in range(1, n_blocks + 1)]
@@ -629,9 +627,7 @@ def _lil_batch(
         block_max = np.full((n_blocks, hi - lo), -np.inf)
         # run_lil_ensemble raises on non-finite maxima: numpy's warnings would precede it
         with np.errstate(over="ignore", invalid="ignore"):
-            for t0 in range(1, horizon + 1, LIL_STEPS):
-                m = min(LIL_STEPS, horizon + 1 - t0)
-                kernels.lil_chunk(x, gens, t0, m, l1, problem, SQRT3, block_max)
+            kernels.lil_chunk(x, gens, 1, horizon, l1, problem, SQRT3, block_max)
         return block_max
 
     maxima = _in_blocks(len(seeds), len(seeds), threads, work)

@@ -330,15 +330,15 @@ def test_batch_matches_single_bitwise():
 
 @pytest.mark.parametrize("name", ["sgd", "krasulina", "oja-rotated", "rm"])
 def test_engines_invariant_to_chunk_length(name, monkeypatch):
-    # The draw budget sets the steps per streamed chunk; streamed in chunks
+    # The loss budget sets the steps per streamed chunk; streamed in chunks
     # of 1, 7 and 2048 steps (one chunk for the whole horizon), a recorded
     # run gives identical losses, channels and final iterates.
-    width, run = ENGINES[name]
+    _, run = ENGINES[name]
     seeds = [rep_seed(3, i) for i in range(3)]
     monkeypatch.setattr(algorithms, "MIN_ROWS", 1)
     results = []
     for rows in (1, 7, 2048):
-        monkeypatch.setattr(algorithms, "DRAW_BUDGET", rows * len(seeds) * width)
+        monkeypatch.setattr(algorithms, "LOSS_BUDGET", rows * len(seeds))
         chunks = []
         res = run(seeds, on_chunk=lambda t0, loss: chunks.append(loss.copy()))
         assert max(c.shape[1] for c in chunks) == min(rows, len(ETAS))
@@ -385,10 +385,10 @@ def test_sum_last_matches_np_sum_bitwise():
 
 @pytest.mark.parametrize("name", ["sgd", "krasulina-rotated", "rm", "ridge"])
 def test_streamed_losses_match_stored(name, monkeypatch):
-    width, run = ENGINES[name]
+    _, run = ENGINES[name]
     seeds = [rep_seed(4, i) for i in range(3)]
     monkeypatch.setattr(algorithms, "MIN_ROWS", 1)
-    monkeypatch.setattr(algorithms, "DRAW_BUDGET", 7 * len(seeds) * width)
+    monkeypatch.setattr(algorithms, "LOSS_BUDGET", 7 * len(seeds))
     monkeypatch.setattr(algorithms, "RIDGE_ROWS", 7)
     key = "loss_sc" if name == "sgd" else "loss"
     stored = run(seeds)[key]
@@ -400,6 +400,45 @@ def test_streamed_losses_match_stored(name, monkeypatch):
     assert starts == [0] + list(np.cumsum(sizes)[:-1]) and max(sizes) == 7
     streamed = np.concatenate([c for _, c in chunks], axis=1)
     assert streamed.tobytes() == stored.tobytes()
+
+
+# name -> (widths, run(width, seeds, etas, on_chunk)): streamed calls that
+# record nothing, as the coverage runs make them
+STREAMED = {
+    "sgd": ((1, 2, 4, 9), lambda d, seeds, etas, on_chunk: sgd_batch(
+        SgdProblem(curvature=(1.0,) * d, x_star=(0.0,) * d, radius=0.5, b_noise=0.5),
+        etas, np.zeros(d), seeds, record_channels=False, on_chunk=on_chunk,
+    )),
+    "krasulina": ((1, 2, 4, 9), lambda p, seeds, etas, on_chunk: pca_batch(
+        PcaProblem(eigs=(2.0,) + (1.0,) * (p - 1)),
+        etas, np.ones(p), seeds, "krasulina", False, record_channels=False, on_chunk=on_chunk,
+    )),
+    "rm": ((1,), lambda _, seeds, etas, on_chunk: rm_batch(
+        RM, etas, 1.0, seeds, record_channels=False, on_chunk=on_chunk
+    )),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAMED))
+def test_streamed_chunks_are_sized_by_their_loss_buffer(name):
+    # a streamed call's reused (n, rows) loss buffer holds LOSS_BUDGET
+    # losses, or MIN_ROWS steps of n replications, whatever the width; at
+    # width 2, that of every SGD and warm-Krasulina run shipped, the rows
+    # are those of the former rule, 2^17 values over n * width
+    widths, run = STREAMED[name]
+    for width in widths:
+        for n in (1, 100, 250, 500, 512):
+            rows = max(algorithms.MIN_ROWS, algorithms.LOSS_BUDGET // n)
+            if width == 2:
+                assert rows == max(128, 2**17 // (2 * n))
+            chunks = []
+            run(
+                width, [(9, i) for i in range(n)], np.full(rows + 3, 0.01),
+                lambda t0, loss: chunks.append((t0, loss.shape, (loss.base if t0 else loss).size)),
+            )
+            assert [c[:2] for c in chunks] == [(0, (n, 1)), (1, (n, rows)), (rows + 1, (n, 3))]
+            held = max(size for _, _, size in chunks)
+            assert held == n * rows <= max(algorithms.LOSS_BUDGET, n * algorithms.MIN_ROWS)
 
 
 def test_trace_runner_deterministic():

@@ -324,11 +324,11 @@ def engine_digests(res: dict) -> dict:
 
 
 def run_engine(name, rows, monkeypatch):
-    width, run = ENGINE_CASES[name]
+    _, run = ENGINE_CASES[name]
     seeds = [rep_seed(17, i) for i in range(5)]
     if rows is not None:
         monkeypatch.setattr(algorithms, "MIN_ROWS", 1)
-        monkeypatch.setattr(algorithms, "DRAW_BUDGET", rows * len(seeds) * width)
+        monkeypatch.setattr(algorithms, "LOSS_BUDGET", rows * len(seeds))
     return engine_digests(run(seeds))
 
 

@@ -7,6 +7,7 @@ import json
 import math
 import re
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from anytime_iter import _kernel, _reference, harness
 from anytime_iter._reference import REFERENCE
 from anytime_iter.harness import _drive, _quantiles, write_grid_csv, write_report_json
 from anytime_iter.seeding import rep_seed
+from anytime_iter.streams import SQRT3
 
 
 SGD_SPEC = dict(
@@ -271,6 +273,44 @@ def test_pca_v0_gives_each_replication_its_own_direction(v0, monkeypatch):
         assert got.tobytes() == np.stack(want).tobytes()
 
 
+def test_pca_v0_divides_every_row_as_the_per_row_norm_does(monkeypatch):
+    # _pca_v0 divides all rows at once by np.sqrt(np.sum(u * u, axis=1));
+    # each row must get the bytes np.sqrt(np.sum(row * row)) of that row
+    # alone gives, at every width, through numpy's pairwise sum from 8
+    # values on, for magnitudes from subnormal to 1e200 and for zero rows
+    rng = np.random.default_rng(11)
+
+    class Rows:
+        def __init__(self, rows):
+            self.rows = rows
+
+        def generators(self, seeds):
+            return seeds
+
+        def normals(self, out, gens):
+            out[0] = self.rows
+
+    for width in range(1, 301):
+        rows = rng.standard_normal((8, width))
+        rows *= 10.0 ** rng.integers(-200, 201, size=(8, 1))
+        rows[5] *= 1e-300  # subnormal squares and sums
+        rows[6] = rng.integers(-3, 4, size=width) * 5e-324  # subnormal values
+        rows[7] = 0.0
+        problem = types.SimpleNamespace(dim=width, v_star=np.eye(width)[0])
+        monkeypatch.setattr(_kernel, "load", lambda: Rows(rows))
+        for v0 in ("uniform", "warm"):
+            want = rows.copy()
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                for row in want:
+                    row /= np.sqrt(np.sum(row * row))
+                if v0 == "warm":
+                    want = problem.v_star + 0.3 * want
+                    for row in want:
+                        row /= np.sqrt(np.sum(row * row))
+                got = harness._pca_v0(v0, problem, 0, 0, len(rows))
+            assert got.tobytes() == want.tobytes(), (width, v0)
+
+
 def test_coverage_krasulina_warm_start():
     cfg = CoverageConfig(
         algorithm="krasulina",
@@ -420,21 +460,28 @@ def test_lil_ensemble_matches_single():
 
 
 def test_lil_maxima_invariant_to_chunk_length(monkeypatch):
-    # lil_chunk calls of 1, 7 and 8192 steps give identical block maxima;
-    # 7-step chunks straddle the dyadic boundaries 8|9, 16|17, 32|33 and 64|65.
-    # Under the reference, slices of 2 steps cut each chunk again
+    # lil_chunk calls of 1, 7 and 8192 steps give the block maxima, iterates
+    # and generator states of one call over the whole horizon, which is how
+    # _lil_batch calls it.  7-step calls straddle the dyadic boundaries 8|9,
+    # 16|17, 32|33, ...  The compiled calls over 2^15 steps cross the
+    # internal slices of 2^14 steps; under the reference, slices of 2 steps
+    # cut each call again, over 2^7 steps, which keeps its 1-step calls few
     seeds = [rep_seed(6, i) for i in range(3)]
     monkeypatch.setattr(_reference, "PASS_BUDGET", 2 * len(seeds))
-    for kernels in (_kernel.load(), REFERENCE):
-        monkeypatch.setattr(_kernel, "load", lambda: kernels)
+    for kernels, n_blocks in ((_kernel.load(), 14), (REFERENCE, 6)):
+        horizon = 2 ** (n_blocks + 1)
         for m_kind in ("linear", "cubic_plus_linear"):
             p = RmProblem(m_kind=m_kind, theta=0.5, slope=1.2, cub_a=0.3, cub_b=1.0)
             results = []
-            for rows in (1, 7, 8192):
-                monkeypatch.setattr(harness, "LIL_STEPS", rows)
-                block_max, _ = harness._lil_batch(p, 1.0, 6, seeds, 1.0)
-                results.append(block_max.tobytes())
-            assert results[0] == results[1] == results[2], (type(kernels).__name__, m_kind)
+            for rows in (horizon, 1, 7, 8192):
+                gens = kernels.generators(seeds)
+                x = np.full(len(seeds), 1.5)
+                block_max = np.full((n_blocks, len(seeds)), -np.inf)
+                for t0 in range(1, horizon + 1, rows):
+                    m = min(rows, horizon + 1 - t0)
+                    kernels.lil_chunk(x, gens, t0, m, 1.0, p, SQRT3, block_max)
+                results.append((block_max.tobytes(), x.tobytes(), kernels.states(gens)))
+            assert results[1:] == results[:1] * 3, (type(kernels).__name__, m_kind)
 
 
 @pytest.mark.skipif(_kernel.load() is REFERENCE, reason="no C compiler here")

@@ -165,7 +165,7 @@ def test_kernel_matches_numpy_loop_bytes(name, n_reps, chunk, slice_steps):
     seeds = [rep_seed(31, i) for i in range(n_reps)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(algorithms, "MIN_ROWS", 1)
-        mp.setattr(algorithms, "DRAW_BUDGET", chunk * n_reps * width)
+        mp.setattr(algorithms, "LOSS_BUDGET", chunk * n_reps)
         mp.setattr(algorithms, "RIDGE_ROWS", chunk)
         mp.setattr(_reference, "PASS_BUDGET", slice_steps * n_reps * width)
         compiled = as_bytes(run(seeds)), streamed_bytes(run, seeds)
@@ -547,11 +547,11 @@ def test_streamed_chunks_record_what_one_chunk_records(name, monkeypatch):
     # a recorded call that streams nothing is one chunk call; streamed in
     # chunks of 7 steps, it writes the same channel bytes and streams the
     # losses the one chunk wrote, under either kernels
-    width, run = ENGINES[name]
+    _, run = ENGINES[name]
     key = "loss_sc" if name == "sgd" else "loss"
     seeds = [rep_seed(12, i) for i in range(3)]
     monkeypatch.setattr(algorithms, "MIN_ROWS", 1)
-    monkeypatch.setattr(algorithms, "DRAW_BUDGET", 7 * len(seeds) * width)
+    monkeypatch.setattr(algorithms, "LOSS_BUDGET", 7 * len(seeds))
     got = []
     for kernels in dict.fromkeys((_kernel.load(), REFERENCE)):
         monkeypatch.setattr(_kernel, "load", lambda: kernels)
@@ -834,8 +834,7 @@ def test_step_kernels_keep_the_reference_interface():
 def test_kernels_share_one_public_interface():
     # StepKernels overrides every public Reference method and adds none, so
     # an engine needs one Reference chunk method and the draws it makes, and
-    # a checker one Reference check method; but sphere, which in both is the
-    # object's normals, then _onto_sphere
+    # a checker one Reference check method
     def public(cls):
         return {n for n, f in vars(cls).items() if callable(f) and not n.startswith("_")}
 
@@ -843,14 +842,13 @@ def test_kernels_share_one_public_interface():
     draws = {"generators", "states", "normals", "signs"}
     checks = {"recursion_failure", "pca_failure"}
     assert public(StepKernels) == chunks | draws | checks | {"lil_chunk"}
-    assert public(Reference) == public(StepKernels) | {"sphere"}
+    assert public(Reference) == public(StepKernels)
 
 
 # name -> draw(kernels, out, gens, radius), one chunk as an engine draws it;
 # out is (rows, n, width)
 SAMPLERS = {
     "normals": lambda k, out, gens, radius: k.normals(out, gens),
-    "sphere": lambda k, out, gens, radius: k.sphere(out, gens, radius),
     "signs": lambda k, out, gens, radius: k.signs(out, gens),
     "scaled-signs": lambda k, out, gens, radius: k.signs(
         out, gens, np.sqrt(np.arange(out.shape[2], 0.0, -1.0))
@@ -1241,7 +1239,7 @@ def test_wide_engines_match_reference_bytes(name, monkeypatch):
     width, run = WIDE[name]
     seeds = [rep_seed(43, i) for i in range(11)]
     monkeypatch.setattr(algorithms, "MIN_ROWS", 1)
-    monkeypatch.setattr(algorithms, "DRAW_BUDGET", 7 * len(seeds) * width)
+    monkeypatch.setattr(algorithms, "LOSS_BUDGET", 7 * len(seeds))
     monkeypatch.setattr(algorithms, "RIDGE_ROWS", 7)
     monkeypatch.setattr(_reference, "PASS_BUDGET", 3 * len(seeds) * width)
     got = []
@@ -1315,12 +1313,12 @@ def test_engines_make_one_kernel_call_per_chunk(engine, method, compiled, monkey
     # of RIDGE_ROWS, since its draws depend on the chunk length
     if compiled and _kernel.load() is REFERENCE:
         pytest.skip("no C compiler here")
-    width, run = ENGINES[engine]
+    _, run = ENGINES[engine]
     seeds = [rep_seed(2, i) for i in range(3)]
     kernels = CountingKernels(_kernel.load() if compiled else REFERENCE)
     monkeypatch.setattr(_kernel, "load", lambda: kernels)
     monkeypatch.setattr(algorithms, "MIN_ROWS", 1)
-    monkeypatch.setattr(algorithms, "DRAW_BUDGET", 7 * len(seeds) * width)
+    monkeypatch.setattr(algorithms, "LOSS_BUDGET", 7 * len(seeds))
     monkeypatch.setattr(algorithms, "RIDGE_ROWS", 7)
     runs = [{}, {"on_chunk": lambda t0, loss: None}]
     if engine != "ridge":  # ridge records no channels
@@ -1589,7 +1587,8 @@ def test_lil_folds_with_the_kernels_of_the_call(numpy_steps):
 @needs_kernel
 def test_lil_runs_make_one_compiled_lil_chunk(monkeypatch):
     # a LIL run, linear or cubic, seeds its generators and then steps and
-    # folds in one C lil_chunk call, drawing nothing through the draw loops
+    # folds in one C lil_chunk call, drawing nothing through the draw loops,
+    # over a horizon of 2^16 steps that spans 4 of the call's own slices
     k = _kernel.load()
     called = []
 
@@ -1603,7 +1602,7 @@ def test_lil_runs_make_one_compiled_lil_chunk(monkeypatch):
     cubic = RmProblem(m_kind="cubic_plus_linear", cub_a=0.3, cub_b=1.0)
     for problem in (cubic, RM_LINEAR):
         called.clear()
-        _lil_batch(problem, 1.0, 3, seeds, 1.0)
+        _lil_batch(problem, 1.0, 15, seeds, 1.0)
         assert called == ["seed_states", "lil_chunk"], problem.m_kind
 
 

@@ -33,9 +33,11 @@ def signs(kernels, gens, size, width, scale=None):
 
 
 def sphere(kernels, gens, size, width, radius):
+    """Noise uniform on the sphere of the given radius, as the SGD chunks
+    draw it: the kernels' normals, then _onto_sphere."""
     out = np.empty((size, len(gens), width))
-    kernels.sphere(out, gens, radius)
-    return out
+    kernels.normals(out, gens)
+    return _onto_sphere(out, radius)
 
 
 def uniform(gens, size, radius):
@@ -171,10 +173,14 @@ def test_linear_stream_deterministic():
 
 def test_sphere_noise_radius():
     for k in each_kernels():
+        # radius 0 draws nothing: an SGD chunk without noise leaves its
+        # generator where it was and steps x <- x - 0.1*x exactly
         gens = k.generators([0])
         before = k.states(gens)
-        assert not sphere(k, gens, 3, 2, 0.0).any()
-        assert k.states(gens) == before  # radius 0 draws nothing
+        x, loss = np.full((1, 2), 0.5), np.empty((1, 3))
+        k.sgd_chunk(x, gens, np.full(3, 0.1), np.ones(2), np.zeros(2), 1.0, 0.0, 0.5, loss)
+        assert k.states(gens) == before
+        assert np.array_equal(x, np.full((1, 2), ((0.5 - 0.05) - 0.045) - 0.0405))
         pts = sphere(k, gens, 100, 4, 2.5)[:, 0]
         assert np.allclose(np.linalg.norm(pts, axis=1), 2.5)
 

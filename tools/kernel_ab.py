@@ -17,6 +17,11 @@ build runs first, for --rounds rounds:
   * rm:       rm_chunk, linear M, losses only;
   * rm-rec:   the same with the two noise channels recorded;
   * lil:      lil_chunk, linear M, eta_t = 1/t from t = 1 into 12 blocks;
+  * lil-long: the same over LIL_LONG = 2^16 steps, whatever --steps says,
+              into 15 blocks: one call that spans 4 of the compiled
+              lil_chunk's internal slices of 2^14 steps, where a revision
+              whose lil_chunk takes log log t scratch from its caller
+              allocates 2^16 values for it;
   * ridge:    ridge_chunk, d = 2, the ridge engine's RIDGE_ROWS = 2048 steps
               whatever --steps says, on the shipped config's stream,
               drawing from the generator states as it steps; a revision
@@ -77,6 +82,7 @@ from anytime_iter.problems import RmProblem  # noqa: E402
 from anytime_iter.streams import SQRT3, LinearModelStream  # noqa: E402
 
 SEEDS_PER_ROUND = 2**16  # seeds the seed row seeds per build and round
+LIL_LONG = 2**16  # steps of the lil-long row
 
 
 def extract(rev: str, into: Path):
@@ -132,9 +138,12 @@ def chunks(n: int, m: int) -> dict:
 
         return (3 if record else 1, n, m), 0.0, call
 
-    def lil(k, gens, block_max):
-        state = np.full(n, 1.0 + rm.theta)
-        k.lil_chunk(state, gens, 1, m, 1.0, rm, SQRT3, block_max)
+    def lil(steps: int):
+        def call(k, gens, block_max):
+            state = np.full(n, 1.0 + rm.theta)
+            k.lil_chunk(state, gens, 1, steps, 1.0, rm, SQRT3, block_max)
+
+        return call
 
     def ridge(k, gens, out):
         theta = np.zeros((n, 2))
@@ -158,7 +167,8 @@ def chunks(n: int, m: int) -> dict:
         "pca-wide": pca(16, True, False),
         "rm": root(False),
         "rm-rec": root(True),
-        "lil": ((12, n), -np.inf, lil),
+        "lil": ((12, n), -np.inf, lil(m)),
+        "lil-long": ((15, n), -np.inf, lil(LIL_LONG)),
         "ridge": ((n, RIDGE_ROWS), 0.0, ridge),
     }
 
@@ -191,7 +201,7 @@ def main(argv=None) -> int:
                     call(k, gens, out)
                     times[label] = time.perf_counter() - start
                     written[label] = out.tobytes(), k.states(gens)
-                    steps = RIDGE_ROWS if name == "ridge" else args.steps
+                    steps = {"ridge": RIDGE_ROWS, "lil-long": LIL_LONG}.get(name, args.steps)
                     ns = times[label] / (args.reps * steps) * 1e9
                     per_step.setdefault((name, label), []).append(ns)
                 if written["A"][0] != written["B"][0]:

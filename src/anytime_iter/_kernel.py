@@ -32,7 +32,9 @@ generators(seeds) returns:
     the linear and the cubic M alike, each in a loop compiled for it:
     RmProblem forms the cubic M's powers as products, u*u*u, which C rounds
     as numpy does, where numpy's own power loops need not round as libm's
-    pow;
+    pow.  They step each block of lanes as vectors, each lane rounded as
+    the scalar operation, built for the x86-64 level lane_isa() takes from
+    numpy's report of the host, so their bytes do not depend on it;
   * the generators and every draw: generators turns each int seed or
     sequence of ints into its entropy words (_entropy_words) and takes any
     other seed's SeedSequence.pool, and one C call seeds an (n,
@@ -75,18 +77,19 @@ generators(seeds) returns:
     report from the numpy sides.
 
 The library is built on first use, never at import: the C compiler Python
-was built with (sysconfig's CC) compiles _steps.c with FLAGS into
-$XDG_CACHE_HOME/anytime-iter/ (default ~/.cache/anytime-iter/), under a name
-that hashes the source, the flags, the compiler a Loader was given, the
-interpreter's real path and version (its sysconfig names the default
-compiler; links to it, such as python and python3, share one build) and the
-machine, so later processes load it from the cache without importing
-sysconfig.  The build renames a temporary file into place, so concurrent
-processes never load a partial file, and a lock makes threads of one
-process build it once.  When there is no compiler, the build fails, the
-cache cannot be written or the compiled seeding or draws differ from
-numpy's, load() returns the reference, with one note per process on
-stderr.
+was built with (sysconfig's CC) compiles _steps.c with FLAGS and
+-DLANE_ISA=lane_isa() into $XDG_CACHE_HOME/anytime-iter/ (default
+~/.cache/anytime-iter/), under a name that hashes the source, the flags,
+that level, the compiler a Loader was given, the interpreter's real path
+and version (its sysconfig names the default compiler; links to it, such as
+python and python3, share one build) and the machine, so later processes
+load it from the cache without importing sysconfig, and no process loads a
+library built for a level its host's numpy does not report.  The build
+renames a temporary file into place, so concurrent processes never load a
+partial file, and a lock makes threads of one process build it once.  When
+there is no compiler, the build fails, the cache cannot be written or the
+compiled seeding or draws differ from numpy's, load() returns the
+reference, with one note per process on stderr.
 
 ctypes.CDLL releases the interpreter lock during each call, so engines on
 several threads, each with its own generator states, draw and step in
@@ -271,7 +274,8 @@ class StepKernels(Reference):
     The draw and chunk methods take the generator states generators
     returned, an (n, STATE_WORDS) uint64 array, and advance them in place;
     a call owns the rows it is given, so calls on different arrays run on
-    different threads at once.
+    different threads at once.  lane_isa is the x86-64 level the library's
+    lane section was built for, as lane_isa() gives it: 4, 3, 2 or 0.
     """
 
     def __init__(self, lib: ctypes.CDLL):
@@ -279,6 +283,7 @@ class StepKernels(Reference):
             fn = getattr(lib, name)
             fn.argtypes, fn.restype = argtypes, restype
         self._lib = lib
+        self.lane_isa = ctypes.c_int.in_dll(lib, "lane_isa").value
 
     def generators(self, seeds):
         """Row i holds the PCG64 state of default_rng(seeds[i]), built in C
@@ -443,6 +448,30 @@ def _compile(cc: list, source: bytes, out: str) -> None:
         raise OSError(f"{cc[0]} exited with {proc.returncode}: {''.join(last)}")
 
 
+def lane_isa() -> int:
+    """The x86-64 level LANE_ISA that _steps.c builds its lane section for:
+    the highest of 2, 3 and 4 such that numpy's runtime report of this
+    host, np.show_config's "SIMD Extensions", lists X86_V2 up to X86_V<it>
+    among the features it was built for or found, or 0, the compiler's
+    default target, on any other machine or when numpy gives no report
+    (numpy < 1.26) or names no x86-64 level in it, as reports that name AVX
+    features instead do not.  NPY_DISABLE_CPU_FEATURES lowers it as it
+    turns off numpy's own loops."""
+    if os.uname().machine != "x86_64":
+        return 0
+    try:
+        simd = np.show_config(mode="dicts")["SIMD Extensions"]
+    except (TypeError, KeyError):
+        return 0
+    found = {*simd.get("baseline", ()), *simd.get("found", ())}
+    level = 0
+    for isa in (2, 3, 4):
+        if f"X86_V{isa}" not in found:
+            break
+        level = isa
+    return level
+
+
 def _default_cache_dir() -> Path:
     base = os.environ.get("XDG_CACHE_HOME")
     if not base or not os.path.isabs(base):
@@ -547,7 +576,8 @@ class Loader:
         # share one build.  The machine too: a home directory may be shared
         # by different machines.
         python = os.path.realpath(sys.executable)
-        tag = (FLAGS, self._cc, python, sys.version, os.uname().machine)
+        isa = lane_isa()
+        tag = (FLAGS, isa, self._cc, python, sys.version, os.uname().machine)
         key = hashlib.sha256(source)
         key.update(repr(tag).encode())
         path = cache / f"steps-{key.hexdigest()[:16]}.so"
@@ -558,7 +588,7 @@ class Loader:
         fd, tmp = tempfile.mkstemp(prefix=path.name, suffix=".tmp", dir=cache)
         os.close(fd)
         try:
-            _compile(cc, source, tmp)
+            _compile([*cc, f"-DLANE_ISA={isa}"], source, tmp)
             os.replace(tmp, path)
         finally:
             Path(tmp).unlink(missing_ok=True)

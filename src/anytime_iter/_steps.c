@@ -14,8 +14,10 @@
  * loader checks dtypes, strides and shapes before calling.
  *
  * Every function performs the IEEE operations of the numpy code it
- * replaces, one by one and in the same order, so its results are bit for bit
- * those of numpy.  It must be compiled without floating-point contraction
+ * replaces, in the same order, each correctly rounded, so its results are
+ * bit for bit those of numpy; rm_chunk and lil_chunk perform each one on a
+ * vector of lanes at once (see "Lane vectors" below), built for the x86-64
+ * level the one define LANE_ISA names.  It must be compiled without floating-point contraction
  * (-ffp-contract=off) and without -ffast-math, so that no multiply-add is
  * fused and no sum is reassociated.  Coordinate sums add as np.sum does at
  * every width: fewer than 8 terms left to right, like _sum_last in
@@ -644,7 +646,8 @@ void sign_draw(double *out, uint64_t *gens, const double *scale, long rows, long
  * engine's (N, T) results, or of a chunk buffer.  Each step of
  * a replication depends on the one before, through divisions and square
  * roots, so each step runs over the block's lanes operation by operation,
- * and the independent chains overlap.  The draws too: SGD draws a step's
+ * and the independent chains overlap; root finding and LIL run each
+ * operation on vectors of lanes (see "Lane vectors").  The draws too: SGD draws a step's
  * normals, and ridge its signs, value-major, coordinate j of every lane
  * before coordinate j+1 of any; SGD then scales each lane onto its sphere.
  * Drawn lane by lane, one lane's normals and its square root sit together
@@ -662,8 +665,9 @@ void sign_draw(double *out, uint64_t *gens, const double *scale, long rows, long
  * loads or stores a block's generators is unrolled (EACH_LANE), so each
  * lane's generator lives in registers or in fixed stack slots, not in an
  * array indexed at run time; normal hands its rare paths a copy, so no
- * generator has its address taken.  SGD and root finding unroll their
- * other lane loops too, which keeps their iterates out of memory as well;
+ * generator has its address taken.  SGD unrolls its other lane loops
+ * too, and root finding keeps its lanes in vectors, which keeps their
+ * iterates out of memory as well;
  * PCA's and ridge's steps run no faster unrolled, and would lengthen the
  * build.
  * A partial last block runs through the same body: its ghost lanes repeat
@@ -682,7 +686,7 @@ void sign_draw(double *out, uint64_t *gens, const double *scale, long rows, long
 #define LANES 8
 #define EACH_LANE(l) _Pragma("GCC unroll 8") for (long l = 0; l < LANES; l++)
 
-/* The recording branches of sgd_rows, pca_rows and rm_chunk ask for write
+/* The recording branches of sgd_rows, pca_rows and rm_rows ask for write
  * access to each lane's output rows, the losses and every channel, AHEAD
  * values ahead of step k, every 8 steps, which is one 64-byte line of each
  * row; the guard keeps the requests inside the chunk's columns.  A recorded
@@ -971,95 +975,6 @@ long pca_chunk(double *state, double *norms, uint64_t *gens, const double *scale
 #undef PCA
 }
 
-/* Root finding with noise xi uniform on [low, low + range): with
- * u = x - theta, x <- x - eta*(M + xi), the one step of rm_chunk and
- * lil_chunk (rm_step), where M = b*u, or for the cubic M
- * a*((u*u)*u) + b*u.  The envelope rm_chunk records, P(|u|)^2 + r1^2 of
- * l = u*u (rm_envelope), is b2*l + r1sq, or for the cubic M
- * ((a2*((l*l)*l) + ab2*(l*l)) + b2*l) + r1sq: RmProblem's m_func and
- * poly_sq, with products for their powers, and the constants they form in
- * Python come in formed (_kernel._rm_constants).  Each function branches
- * once, on cubic, into one inlined body per M, as the chunks' switches do
- * on the width, so the linear M's loops stay as they were without the
- * cubic arm. */
-typedef struct {
-    double theta, a, b, a2, ab2, b2, r1sq;
-} rm_consts;
-
-INLINE double rm_step(double x, double xi, double eta, const rm_consts *c, bool cubic)
-{
-    const double u = x - c->theta;
-    double y = cubic ? c->a * ((u * u) * u) + c->b * u : c->b * u;
-    y = y + xi;
-    y = y * eta;
-    return x - y;
-}
-
-INLINE double rm_envelope(double dev, const rm_consts *c, bool cubic)
-{
-    const double l = dev * dev;
-    const double p = cubic ? (c->a2 * ((l * l) * l) + c->ab2 * (l * l)) + c->b2 * l : c->b2 * l;
-    return p + c->r1sq;
-}
-
-/* With dev = x - theta before a step and dn after it: loss dn*dn, q
- * ((-2*eta)*dev)*xi and noise q + ((2*eta)*eta)*rm_envelope(dev). */
-INLINE void rm_rows(double *state, uint64_t *gens, const double *etas, long m, long n,
-                    const rm_consts *c, bool cubic, double low, double range, double *loss,
-                    long ld_loss, double *q, double *noise, long ld)
-{
-    double x[LANES], xi[LANES];
-    pcg64_t g[LANES];
-    for (long i0 = 0; i0 < n; i0 += LANES) {
-        const long lanes = n - i0 < LANES ? n - i0 : LANES;
-        EACH_LANE(l) {
-            const long i = lane_row(i0, lanes, l);
-            x[l] = state[i];
-            g[l] = pcg_load(gens + i * STATE_WORDS);
-        }
-        for (long k = 0; k < m; k++) {
-            const double eta = etas[k];
-            EACH_LANE(l) xi[l] = uniform(&g[l], low, range);
-            EACH_LANE(l) {
-                const long i = lane_row(i0, lanes, l);
-                const double w = rm_step(x[l], xi[l], eta, c, cubic);
-                const double dn = w - c->theta;
-                loss[i * ld_loss + k] = dn * dn;
-                if (q) {
-                    if (PREFETCH_AT(k, m)) {
-                        PREFETCH(loss + i * ld_loss, k);
-                        PREFETCH(q + i * ld, k);
-                        PREFETCH(noise + i * ld, k);
-                    }
-                    double dev = x[l] - c->theta;
-                    double qk = ((-2.0 * eta) * dev) * xi[l];
-                    q[i * ld + k] = qk;
-                    noise[i * ld + k] = qk + ((2.0 * eta) * eta) * rm_envelope(dev, c, cubic);
-                }
-                x[l] = w;
-            }
-        }
-        EACH_LANE(l) {
-            if (l < lanes) {
-                state[i0 + l] = x[l];
-                pcg_store(gens + (i0 + l) * STATE_WORDS, &g[l]);
-            }
-        }
-    }
-}
-
-void rm_chunk(double *state, uint64_t *gens, const double *etas, long m, long n,
-              const rm_consts *consts, int cubic, double low, double range, double *loss,
-              long ld_loss, double *q, double *noise, long ld)
-{
-    /* a copy in locals: the compiler need not reload it after each store */
-    const rm_consts c = *consts;
-    if (cubic)
-        rm_rows(state, gens, etas, m, n, &c, true, low, range, loss, ld_loss, q, noise, ld);
-    else
-        rm_rows(state, gens, etas, m, n, &c, false, low, range, loss, ld_loss, q, noise, ld);
-}
-
 /* Ridge SGD on the draws of LinearModelStream.draw: covariates x of d signs
  * times scale = x_radius/sqrt(d) and responses y = <x, theta*> + xi, with
  * xi uniform on [low, low + range); resid = <x, theta> - y.  With the
@@ -1147,6 +1062,189 @@ long ridge_chunk(double *state, uint64_t *gens, const double *etas, const double
 #undef RIDGE
 }
 
+/* Lane vectors.  Root finding (rm_chunk) and the LIL statistic (lil_chunk)
+ * step one value per replication, so a step of a block of LANES lanes is
+ * a few independent adds, multiplies and a division per lane.  This
+ * section holds the block as NV vectors of VW doubles, GCC vector
+ * extensions of the width the target's registers hold, and runs each
+ * operation of a step on all of a vector's lanes at once.  Each lane of
+ * a vector operation is the IEEE operation on that lane, correctly rounded
+ * as the scalar one is, and -ffp-contract=off fuses no multiply-add here
+ * either, so no byte depends on the width.  The draws stay scalar: each
+ * lane's generator steps its own PCG64 state, unrolled over the block as
+ * in the other chunks, and its uniform goes into its slot of a vector.
+ *
+ * The section alone is compiled for the x86-64 level that LANE_ISA names,
+ * the one define the loader adds from numpy's report of the host
+ * (_kernel.lane_isa): 4 builds it for x86-64-v4 with 8 doubles a vector,
+ * 3 for x86-64-v3 with 4 and 2 for x86-64-v2 with 2.  Any other value,
+ * another machine or a compiler other than GCC 11 or later builds it at
+ * the compiler's default target with 2 doubles, which SSE2 and every
+ * 128-bit vector unit hold.  lane_isa holds the level built: 4, 3, 2 or 0.
+ * Each width is the level's register width, the rest of the library keeps
+ * the default target, and the pragma spans the whole section, so that the
+ * inlined bodies, not only the exported functions, are built for the
+ * level: README, "Compiled step loops and draws", gives what wider
+ * vectors, a whole library built for the level and a target attribute on
+ * the exported functions alone cost. */
+#ifndef LANE_ISA
+#define LANE_ISA 0
+#endif
+#if LANE_ISA >= 2 && defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
+    __GNUC__ >= 11
+#define LANE_LEVEL (LANE_ISA >= 4 ? 4 : LANE_ISA)
+#else
+#define LANE_LEVEL 0
+#endif
+#if LANE_LEVEL == 4
+#pragma GCC push_options
+#pragma GCC target("arch=x86-64-v4")
+#define VW 8
+#elif LANE_LEVEL == 3
+#pragma GCC push_options
+#pragma GCC target("arch=x86-64-v3")
+#define VW 4
+#elif LANE_LEVEL == 2
+#pragma GCC push_options
+#pragma GCC target("arch=x86-64-v2")
+#define VW 2
+#else
+#define VW 2
+#endif
+
+const int lane_isa = LANE_LEVEL;
+
+typedef double lanes_v __attribute__((vector_size(sizeof(double) * VW)));
+#define NV (LANES / VW)
+#define EACH_VEC(v) _Pragma("GCC unroll 8") for (long v = 0; v < NV; v++)
+#define EACH_SLOT(j) _Pragma("GCC unroll 8") for (long j = 0; j < VW; j++)
+
+/* Load the iterates and generators of the block at i0 into x and g. */
+INLINE void block_load(lanes_v *x, pcg64_t *g, const double *state, const uint64_t *gens,
+                       long i0, long lanes)
+{
+    EACH_VEC(v) {
+        lanes_v xv = {0};
+        EACH_SLOT(j) {
+            const long i = lane_row(i0, lanes, v * VW + j);
+            xv[j] = state[i];
+            g[v * VW + j] = pcg_load(gens + i * STATE_WORDS);
+        }
+        x[v] = xv;
+    }
+}
+
+/* Store them back, but for the ghost lanes of a partial block. */
+INLINE void block_store(double *state, uint64_t *gens, const lanes_v *x, const pcg64_t *g,
+                        long i0, long lanes)
+{
+    EACH_VEC(v) EACH_SLOT(j) {
+        const long l = v * VW + j;
+        if (l < lanes) {
+            state[i0 + l] = x[v][j];
+            pcg_store(gens + (i0 + l) * STATE_WORDS, &g[l]);
+        }
+    }
+}
+
+/* Each lane's next uniform on [low, low + range), from its own generator. */
+INLINE void uniforms(lanes_v *xi, pcg64_t *g, double low, double range)
+{
+    EACH_VEC(v) {
+        lanes_v u = {0};
+        EACH_SLOT(j)
+            u[j] = uniform(&g[v * VW + j], low, range);
+        xi[v] = u;
+    }
+}
+
+/* Root finding with noise xi uniform on [low, low + range): with
+ * u = x - theta, x <- x - eta*(M + xi), the one step of rm_chunk and
+ * lil_chunk (rm_step), where M = b*u, or for the cubic M
+ * a*((u*u)*u) + b*u.  The envelope rm_chunk records, P(|u|)^2 + r1^2 of
+ * l = u*u (rm_envelope), is b2*l + r1sq, or for the cubic M
+ * ((a2*((l*l)*l) + ab2*(l*l)) + b2*l) + r1sq: RmProblem's m_func and
+ * poly_sq, with products for their powers, and the constants they form in
+ * Python come in formed (_kernel._rm_constants).  Each function branches
+ * once, on cubic, into one inlined body per M, as the chunks' switches do
+ * on the width, so the linear M's loops stay as they were without the
+ * cubic arm. */
+typedef struct {
+    double theta, a, b, a2, ab2, b2, r1sq;
+} rm_consts;
+
+INLINE lanes_v rm_step(lanes_v x, lanes_v xi, double eta, const rm_consts *c, bool cubic)
+{
+    const lanes_v u = x - c->theta;
+    lanes_v y = cubic ? c->a * ((u * u) * u) + c->b * u : c->b * u;
+    y = y + xi;
+    y = y * eta;
+    return x - y;
+}
+
+INLINE lanes_v rm_envelope(lanes_v dev, const rm_consts *c, bool cubic)
+{
+    const lanes_v l = dev * dev;
+    const lanes_v p =
+        cubic ? (c->a2 * ((l * l) * l) + c->ab2 * (l * l)) + c->b2 * l : c->b2 * l;
+    return p + c->r1sq;
+}
+
+/* With dev = x - theta before a step and dn after it: loss dn*dn, q
+ * ((-2*eta)*dev)*xi and noise q + ((2*eta)*eta)*rm_envelope(dev).  The
+ * losses and channels go to each lane's rows one value at a time. */
+INLINE void rm_rows(double *state, uint64_t *gens, const double *etas, long m, long n,
+                    const rm_consts *c, bool cubic, double low, double range, double *loss,
+                    long ld_loss, double *q, double *noise, long ld)
+{
+    lanes_v x[NV], xi[NV];
+    pcg64_t g[LANES];
+    for (long i0 = 0; i0 < n; i0 += LANES) {
+        const long lanes = n - i0 < LANES ? n - i0 : LANES;
+        block_load(x, g, state, gens, i0, lanes);
+        for (long k = 0; k < m; k++) {
+            const double eta = etas[k];
+            uniforms(xi, g, low, range);
+            EACH_VEC(v) {
+                const lanes_v w = rm_step(x[v], xi[v], eta, c, cubic);
+                const lanes_v dn = w - c->theta;
+                const lanes_v sq = dn * dn;
+                EACH_SLOT(j)
+                    loss[lane_row(i0, lanes, v * VW + j) * ld_loss + k] = sq[j];
+                if (q) {
+                    const lanes_v dev = x[v] - c->theta;
+                    const lanes_v qk = ((-2.0 * eta) * dev) * xi[v];
+                    const lanes_v nk = qk + ((2.0 * eta) * eta) * rm_envelope(dev, c, cubic);
+                    EACH_SLOT(j) {
+                        const long i = lane_row(i0, lanes, v * VW + j);
+                        if (PREFETCH_AT(k, m)) {
+                            PREFETCH(loss + i * ld_loss, k);
+                            PREFETCH(q + i * ld, k);
+                            PREFETCH(noise + i * ld, k);
+                        }
+                        q[i * ld + k] = qk[j];
+                        noise[i * ld + k] = nk[j];
+                    }
+                }
+                x[v] = w;
+            }
+        }
+        block_store(state, gens, x, g, i0, lanes);
+    }
+}
+
+void rm_chunk(double *state, uint64_t *gens, const double *etas, long m, long n,
+              const rm_consts *consts, int cubic, double low, double range, double *loss,
+              long ld_loss, double *q, double *noise, long ld)
+{
+    /* a copy in locals: the compiler need not reload it after each store */
+    const rm_consts c = *consts;
+    if (cubic)
+        rm_rows(state, gens, etas, m, n, &c, true, low, range, loss, ld_loss, q, noise, ld);
+    else
+        rm_rows(state, gens, etas, m, n, &c, false, low, range, loss, ld_loss, q, noise, ld);
+}
+
 /* The LIL statistic's dyadic block maxima, folded as the root-finding
  * replications step.  lil_chunk runs rm_chunk's step (rm_step) at the times
  * t = t0 .. t0+m-1 with eta_t = l1/t, and folds the statistic
@@ -1178,12 +1276,13 @@ void lil_loglog(double *out, long t0, long m)
         out[k] = log(log((double)(t0 + k)));
 }
 
-/* np.maximum(a, b): a NaN wins, the first one first, and a tie gives b.
- * Ties only tell -0.0 from +0.0, and no statistic is -0.0: (t*dn)*dn
- * multiplies two values of one sign. */
-INLINE double nan_max(double a, double b)
+/* np.maximum(a, b) in each lane, as a compare and a blend: a NaN wins, the
+ * first one first, and a tie gives b.  Ties only tell -0.0 from +0.0, and
+ * no statistic is -0.0: (t*dn)*dn multiplies two values of one sign. */
+INLINE lanes_v nan_max(lanes_v a, lanes_v b)
 {
-    return (a > b || isnan(a)) ? a : b;
+    const __typeof__(a > b) take = (a > b) | (a != a);
+    return (lanes_v)(((__typeof__(take))a & take) | ((__typeof__(take))b & ~take));
 }
 
 /* The m <= LIL_SLICE steps from t0, with ll the slice's scratch. */
@@ -1198,15 +1297,11 @@ INLINE void lil_slice(double *state, uint64_t *gens, long t0, long m, long n, do
     for (long k = 0; k < early; k++)
         ll[k] = 1.0;
     lil_loglog(ll + early, t0 + early, m - early);
-    double x[LANES], xi[LANES], top[LANES];
+    lanes_v x[NV], xi[NV], top[NV];
     pcg64_t g[LANES];
     for (long i0 = 0; i0 < n; i0 += LANES) {
         const long lanes = n - i0 < LANES ? n - i0 : LANES;
-        EACH_LANE(l) {
-            const long i = lane_row(i0, lanes, l);
-            x[l] = state[i];
-            g[l] = pcg_load(gens + i * STATE_WORDS);
-        }
+        block_load(x, g, state, gens, i0, lanes);
         for (long k = 0; k < m;) {
             /* steps k .. end-1 fall in block b, or in none when b < 0 */
             const long t = t0 + k;
@@ -1219,30 +1314,33 @@ INLINE void lil_slice(double *state, uint64_t *gens, long t0, long m, long n, do
                     last <<= 1;
                 end = last - t0 + 1 < m ? last - t0 + 1 : m;
             }
-            EACH_LANE(l) top[l] = -INFINITY;
+            EACH_VEC(v) top[v] = (lanes_v){0} - INFINITY;
             for (; k < end; k++) {
                 const double tk = (double)(t0 + k);
                 const double eta = l1 / tk;
-                EACH_LANE(l) xi[l] = uniform(&g[l], low, range);
-                EACH_LANE(l) {
-                    x[l] = rm_step(x[l], xi[l], eta, c, cubic);
-                    const double dn = x[l] - c->theta;
-                    top[l] = nan_max(top[l], ((tk * dn) * dn) / ll[k]);
+                uniforms(xi, g, low, range);
+                EACH_VEC(v) {
+                    x[v] = rm_step(x[v], xi[v], eta, c, cubic);
+                    const lanes_v dn = x[v] - c->theta;
+                    top[v] = nan_max(top[v], ((tk * dn) * dn) / ll[k]);
                 }
             }
-            EACH_LANE(l) {
-                if (b >= 0 && l < lanes) {
-                    double *out = block_max + b * n + i0 + l;
-                    *out = nan_max(*out, top[l]);
+            if (b >= 0) {
+                /* a ghost lane reads the block's first row, and writes nothing */
+                double *out = block_max + b * n + i0;
+                EACH_VEC(v) {
+                    lanes_v old = {0};
+                    EACH_SLOT(j)
+                        old[j] = out[v * VW + j < lanes ? v * VW + j : 0];
+                    const lanes_v folded = nan_max(old, top[v]);
+                    EACH_SLOT(j) {
+                        if (v * VW + j < lanes)
+                            out[v * VW + j] = folded[j];
+                    }
                 }
             }
         }
-        EACH_LANE(l) {
-            if (l < lanes) {
-                state[i0 + l] = x[l];
-                pcg_store(gens + (i0 + l) * STATE_WORDS, &g[l]);
-            }
-        }
+        block_store(state, gens, x, g, i0, lanes);
     }
 }
 
@@ -1262,6 +1360,9 @@ void lil_chunk(double *state, uint64_t *gens, long t0, long m, long n, double l1
                       n_blocks, ll);
     }
 }
+#if LANE_LEVEL != 0
+#pragma GCC pop_options
+#endif
 
 /* Recursion checks.  Each walks one path of m steps, losses L_0..L_m
  * (m + 1 values), steps and noise (m values each), evaluates at each step t

@@ -352,6 +352,11 @@ OTHER_HOST = {
     "OPENBLAS_CORETYPE": "Prescott",
     "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
 }
+# and one without AVX2 either: numpy's loops and the compiled lane section
+# (_kernel.lane_isa) at numpy's baseline, x86-64-v2 for numpy 2.4
+NO_AVX2_HOST = dict(
+    OTHER_HOST, NPY_DISABLE_CPU_FEATURES=OTHER_HOST["NPY_DISABLE_CPU_FEATURES"] + " X86_V3"
+)
 
 
 # a ridge problem whose responses x.theta*, formed with np.matmul, took
@@ -390,12 +395,33 @@ def host_digests() -> dict:
     reason="OPENBLAS_CORETYPE=Prescott and numpy's AVX-512 dispatch are x86-64 choices",
 )
 def test_pins_do_not_depend_on_blas_or_simd_dispatch():
+    # each child reports the level its compiled lane section was built for,
+    # the host's capped at x86-64-v3 and at v2, so that no child passes on
+    # a library built for this process's level: the level is part of the
+    # build's cache key
     tests = Path(__file__).parent
     path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
-    env = dict(os.environ, **OTHER_HOST, PYTHONPATH=path)
-    code = "import json, test_golden; print(json.dumps(test_golden.host_digests()))"
-    child = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    code = (
+        "import json, test_golden; from anytime_iter import _kernel; "
+        "isa = getattr(_kernel.load(), 'lane_isa', None); "
+        "print(json.dumps([isa, test_golden.host_digests()]))"
     )
-    assert child.returncode == 0, child.stderr
-    assert json.loads(child.stdout) == host_digests()
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-c", code], env=dict(os.environ, **host, PYTHONPATH=path),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for host in (OTHER_HOST, NO_AVX2_HOST)
+    ]
+    try:
+        want = host_digests()
+        isa = getattr(_kernel.load(), "lane_isa", None)
+        for child, top in zip(children, (3, 2)):
+            out, err = child.communicate(timeout=120)
+            assert child.returncode == 0, err
+            got_isa, digests = json.loads(out)
+            assert got_isa == (None if isa is None else min(isa, top))
+            assert digests == want
+    finally:
+        for child in children:
+            child.kill()

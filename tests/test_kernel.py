@@ -94,6 +94,7 @@ def _ridge_case(d, penalty_in_gradient):
 
 
 RM_LINEAR = RmProblem(m_kind="linear", theta=-0.3, slope=1.3)
+RM_CUBIC = RmProblem(m_kind="cubic_plus_linear", theta=0.5, cub_a=0.3, cub_b=1.0)
 
 # name -> (values drawn per replication and step, run(seeds, **engine keywords))
 CASES = dict(ENGINES)
@@ -1132,16 +1133,18 @@ def test_optimisation_level_changes_no_byte(level, tmp_path, monkeypatch):
     # build at another optimisation level compiles without warnings (a
     # warning fails the build, and the loader would return the reference),
     # passes the loader's check of its draws and writes the SGD, PCA,
-    # root-finding and ridge chunks and the generator states of the default
-    # build, at widths of a constant-width arm of BY_WIDTH (SGD and ridge at
-    # d = 2, PCA at p = 4) and of its run-time arm (d = p = 3)
+    # root-finding (linear and cubic M), LIL and ridge chunks and the
+    # generator states of the default build, at widths of a constant-width
+    # arm of BY_WIDTH (SGD and ridge at d = 2, PCA at p = 4) and of its
+    # run-time arm (d = p = 3), on 11 replications: a full block of lanes
+    # and a partial one
     flags = tuple(level if f.startswith("-O") else f for f in _kernel.FLAGS)
     assert level in flags and "-ffp-contract=off" in flags
     monkeypatch.setattr(_kernel, "FLAGS", flags)
     cc = _kernel._default_cc() + ["-Wall", "-Wextra", "-Werror"]
     built = _kernel.Loader(cache_dir=tmp_path, cc=cc).get()
     assert isinstance(built, StepKernels) and built is not _kernel.load()
-    n, m = 5, 40
+    n, m = 11, 40
     seeds = [rep_seed(41, i) for i in range(n)]
 
     def chunks(k, d, p):
@@ -1164,8 +1167,13 @@ def test_optimisation_level_changes_no_byte(level, tmp_path, monkeypatch):
         k.rm_chunk(r, gens, etas, RM_LINEAR, 1.0, loss_rm, *channels[10:])
         block_max = np.full((6, n), -np.inf)
         k.lil_chunk(r, gens, 1, 2 * m, 0.7, RM_LINEAR, 1.0, block_max)
+        cubic = [np.linspace(-1.0, 2.0, n)] + [np.full((n, m), -1.5) for _ in range(3)]
+        k.rm_chunk(cubic[0], gens, etas, RM_CUBIC, 1.0, *cubic[1:])
+        cubic.append(np.full((6, n), -np.inf))
+        k.lil_chunk(cubic[0], gens, 1, 2 * m, 0.7, RM_CUBIC, 1.0, cubic[-1])
         stream = LinearModelStream(tuple(np.linspace(0.5, -0.5, d)), 1.2, 0.5)
         k.ridge_chunk(theta, gens, etas, stream, 0.1, True, 1.0, loss_ridge)
+        out += cubic
         return hits, [a.tobytes() for a in out], block_max.tobytes(), gens.tobytes()
 
     for d, p in ((2, 4), (3, 3)):
@@ -1179,6 +1187,54 @@ def test_optimisation_level_changes_no_byte(level, tmp_path, monkeypatch):
             with np.errstate(all="ignore"):  # the terms of overflowing losses
                 got = [getattr(k, method)(*path, tol, *constants) for k in (built, _kernel.load())]
             assert got[0] == got[1], (name, tol)
+
+
+@needs_kernel
+def test_lane_isas_write_the_same_bytes(tmp_path):
+    # rm_chunk and lil_chunk step their lanes as vectors of 8, 4 and 2
+    # doubles at x86-64-v4, v3 and v2, and of 2 at the compiler's default
+    # target (LANE_ISA=0): a build at each level this host runs, up to the
+    # loaded library's, compiles without warnings and writes the bytes and
+    # leaves the generator states of every other, for the linear and the
+    # cubic M, recorded or not, on one replication, one full block of 8
+    # lanes, a full and a partial block, and two full and a partial; the LIL
+    # runs with l1 = 1e3 from 1e3 off theta diverge to inf and nan
+    cc = _kernel._default_cc() + ["-Wall", "-Wextra", "-Werror"]
+    levels = [isa for isa in (0, 2, 3, 4) if isa <= _kernel.load().lane_isa]
+    source = _kernel.SOURCE.read_bytes()
+
+    def build(isa):
+        out = str(tmp_path / f"steps-{isa}.so")
+        _kernel._compile([*cc, f"-DLANE_ISA={isa}"], source, out)
+        return StepKernels(ctypes.CDLL(out))
+
+    with ThreadPoolExecutor(2) as pool:
+        builds = dict(zip(levels, pool.map(build, levels)))
+    assert [k.lane_isa for k in builds.values()] == levels
+
+    def run(k, n):
+        seeds = [rep_seed(43, i) for i in range(n)]
+        etas = np.random.default_rng(n).uniform(0.01, 0.5, 300)
+        out = []
+        for problem in (RM_LINEAR, RM_CUBIC):
+            for channels in (0, 2):
+                gens = k.generators(seeds)
+                x = problem.theta + np.linspace(-2.0, 2.0, n)
+                rows = [np.full((n, len(etas)), -1.5) for _ in range(1 + channels)]
+                k.rm_chunk(x, gens, etas, problem, 1.0, *rows)
+                out += [x, *rows, gens]
+            for l1, dev in ((0.7, 1.0), (1e3, 1e3)):
+                gens = k.generators(seeds)
+                x = np.full(n, problem.theta + dev)
+                block_max = np.full((10, n), -np.inf)
+                k.lil_chunk(x, gens, 1, 2**11, l1, problem, 1.0, block_max)
+                assert np.isnan(block_max).any() == (l1 == 1e3)
+                out += [x, block_max, gens]
+        return [a.tobytes() for a in out]
+
+    for n in (1, 8, 11, 17):
+        got = {isa: run(k, n) for isa, k in builds.items()}
+        assert all(v == got[0] for v in got.values()), n
 
 
 def spy_reference_chunks(monkeypatch) -> list:
@@ -1760,9 +1816,9 @@ def test_links_to_the_interpreter_share_one_build(tmp_path, monkeypatch):
 
 
 def test_every_field_of_the_build_key_names_another_library(tmp_path, monkeypatch):
-    # the source, the flags, the compiler, the interpreter's real path and
-    # the machine each change the library's name, so no process loads a
-    # library built from another of them
+    # the source, the flags, the lane section's level, the compiler, the
+    # interpreter's real path and the machine each change the library's
+    # name, so no process loads a library built from another of them
     monkeypatch.setattr(
         _kernel, "_compile", lambda cc, source, out: Path(out).write_bytes(source)
     )
@@ -1778,6 +1834,9 @@ def test_every_field_of_the_build_key_names_another_library(tmp_path, monkeypatc
     source.write_bytes(source.read_bytes() + b"\n")
     paths.append(build())
     monkeypatch.setattr(_kernel, "FLAGS", (*_kernel.FLAGS, "-g"))
+    paths.append(build())
+    isa = _kernel.lane_isa()
+    monkeypatch.setattr(_kernel, "lane_isa", lambda: isa + 1)
     paths.append(build())
     monkeypatch.setattr(sys, "executable", str(tmp_path / "other-python"))
     paths.append(build())

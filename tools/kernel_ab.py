@@ -16,7 +16,9 @@ build runs first, for --rounds rounds:
   * pca-wide: pca, p = 16, each step normalised;
   * rm:       rm_chunk, linear M, losses only;
   * rm-rec:   the same with the two noise channels recorded;
+  * rm-cubic: rm, cubic M;
   * lil:      lil_chunk, linear M, eta_t = 1/t from t = 1 into 12 blocks;
+  * lil-cubic: lil, cubic M;
   * lil-long: the same over LIL_LONG = 2^16 steps, whatever --steps says,
               into 15 blocks: one call that spans 4 of the compiled
               lil_chunk's internal slices of 2^14 steps, where a revision
@@ -51,7 +53,11 @@ spread.  Running both builds in one process pairs every measurement with
 its twin, so the host's load swings, which make separate runs of two
 trees hard to tell apart, cancel in the ratio.
 --reps 100 leaves the last block of 8 lanes partial, as the workloads of
-100 replications do; 504 fills every block.
+100 replications do; 504 fills every block.  The header gives the level
+each build's lane section was built for (StepKernels.lane_isa): x86-64-vN,
+"default" for the compiler's default target, or "none" for a revision
+without the section.  Under NPY_DISABLE_CPU_FEATURES both builds take the
+level numpy then reports.
 
 Run from the repository root:
 
@@ -106,12 +112,20 @@ def build(package, cache: Path):
     return kernels
 
 
+def lane_isa(kernels) -> str:
+    """The level the build's lane section was built for, as the header
+    names it."""
+    isa = getattr(kernels, "lane_isa", None)
+    return "none" if isa is None else f"x86-64-v{isa}" if isa else "default"
+
+
 def chunks(n: int, m: int) -> dict:
     """name -> (shape, fill, call(kernels, gens, out)): call writes into
     out, an array of that shape filled with fill outside the timed region."""
     rng = np.random.default_rng(0)
     etas = rng.uniform(0.01, 0.5, m)
     rm = RmProblem(m_kind="linear", theta=-0.3, slope=1.3)
+    cubic = RmProblem(m_kind="cubic_plus_linear", theta=0.5, cub_a=0.3, cub_b=1.0)
     ridge_etas = rng.uniform(0.01, 0.5, RIDGE_ROWS)
     stream = LinearModelStream((0.5, 0.5), 1.0, 0.5)
 
@@ -132,16 +146,16 @@ def chunks(n: int, m: int) -> dict:
 
         return (5 if record else 1, n, m), 0.0, call
 
-    def root(record: bool):
+    def root(problem, record: bool):
         def call(k, gens, out):
-            k.rm_chunk(np.full(n, 1.0), gens, etas, rm, SQRT3, *out)
+            k.rm_chunk(np.full(n, 1.0), gens, etas, problem, SQRT3, *out)
 
         return (3 if record else 1, n, m), 0.0, call
 
-    def lil(steps: int):
+    def lil(problem, steps: int):
         def call(k, gens, block_max):
-            state = np.full(n, 1.0 + rm.theta)
-            k.lil_chunk(state, gens, 1, steps, 1.0, rm, SQRT3, block_max)
+            state = np.full(n, 1.0 + problem.theta)
+            k.lil_chunk(state, gens, 1, steps, 1.0, problem, SQRT3, block_max)
 
         return call
 
@@ -165,10 +179,12 @@ def chunks(n: int, m: int) -> dict:
         "pca": pca(4, False, False),
         "pca-rec": pca(4, False, True),
         "pca-wide": pca(16, True, False),
-        "rm": root(False),
-        "rm-rec": root(True),
-        "lil": ((12, n), -np.inf, lil(m)),
-        "lil-long": ((15, n), -np.inf, lil(LIL_LONG)),
+        "rm": root(rm, False),
+        "rm-rec": root(rm, True),
+        "rm-cubic": root(cubic, False),
+        "lil": ((12, n), -np.inf, lil(rm, m)),
+        "lil-cubic": ((12, n), -np.inf, lil(cubic, m)),
+        "lil-long": ((15, n), -np.inf, lil(rm, LIL_LONG)),
         "ridge": ((n, RIDGE_ROWS), 0.0, ridge),
     }
 
@@ -222,14 +238,15 @@ def main(argv=None) -> int:
                 per_step.setdefault(("seed", label), []).append(ns)
             ratios.setdefault("seed", []).append(times["B"] / times["A"])
 
-    print(f"A = {args.rev}, B = working tree; {args.reps} reps x {args.steps} steps, "
-          f"{args.rounds} rounds; medians")
-    print(f"{'row':8} {'A ns':>10} {'B ns':>10} {'q1':>7} {'B/A':>7} {'q3':>7}  per")
+    isa = {label: lane_isa(k) for label, k in builds.items()}
+    print(f"A = {args.rev} (lanes {isa['A']}), B = working tree (lanes {isa['B']}); "
+          f"{args.reps} reps x {args.steps} steps, {args.rounds} rounds; medians")
+    print(f"{'row':9} {'A ns':>10} {'B ns':>10} {'q1':>7} {'B/A':>7} {'q3':>7}  per")
     for name, ratio in ratios.items():
         a, b = (statistics.median(per_step[name, label]) for label in "AB")
         q1, med, q3 = statistics.quantiles(ratio, n=4)
         unit = "seed" if name == "seed" else "rep-step"
-        print(f"{name:8} {a:10.2f} {b:10.2f} {q1:7.3f} {med:7.3f} {q3:7.3f}  {unit}")
+        print(f"{name:9} {a:10.2f} {b:10.2f} {q1:7.3f} {med:7.3f} {q3:7.3f}  {unit}")
     return 0
 
 
